@@ -10,8 +10,8 @@
 // Verdicts (always enforced — this bench is a correctness gate first):
 //  * completion  — every faulted replay runs to completion; the bounded
 //                  retry budget means no fault regime can hang the fabric.
-//  * determinism — the heaviest regime per fabric is bit-identical between
-//                  a serial and a 2-thread run (schedules AND stats).
+//  * determinism — the heaviest regime per fabric, replayed on a fresh
+//                  session, equals the sweep's run (schedules AND stats).
 //  * zero-rate   — an armed-but-zero FaultSpec reproduces the fault-free
 //                  run exactly, stats report included.
 //  * cost        — the heaviest regime is no faster than fault-free.
@@ -164,23 +164,21 @@ int run(bool smoke) {
          Table::fmt(penalty_mean(st), 1)});
   }
 
-  // Determinism gate: the heaviest regime per fabric, serial vs 2 threads.
+  // Determinism gate: the heaviest regime per fabric, replayed again on a
+  // fresh session, must equal the sweep's run.
   bool deterministic = true;
   for (const auto& [label, kind] : kKinds) {
     const Cell heavy{label, kind, rates.back(), {}, {}};
-    core::ReplayConfig par;
-    par.threads = 2;
-    core::ReplaySession session(rt, spec_for(heavy), par);
-    session.set_parallel_grains_for_test(0);
+    core::ReplaySession session(rt, spec_for(heavy), core::ReplayConfig{});
     session.run();
-    const Cell* serial = nullptr;
+    const Cell* swept = nullptr;
     for (const Cell& c : cells) {
-      if (c.kind == kind && c.rate == rates.back()) serial = &c;
+      if (c.kind == kind && c.rate == rates.back()) swept = &c;
     }
     deterministic = deterministic &&
-                    session.result().arrive_time == serial->result.arrive_time &&
-                    session.result().runtime == serial->result.runtime &&
-                    session.result().stats.report() == serial->stats_report;
+                    session.result().arrive_time == swept->result.arrive_time &&
+                    session.result().runtime == swept->result.runtime &&
+                    session.result().stats.report() == swept->stats_report;
   }
 
   // Zero-rate identity gate: rate 0 equals a spec with no fault field at all.
@@ -210,7 +208,7 @@ int run(bool smoke) {
   int rc = 0;
   rc |= verdict(completion, "every faulted replay ran to completion");
   rc |= verdict(deterministic,
-                "heaviest regime bit-identical serial vs 2 threads");
+                "heaviest regime bit-identical on a fresh session");
   rc |= verdict(zero_identity, "zero-rate regime identical to fault-free");
   rc |= verdict(cost, "recovery never makes the faulted fabric faster");
   return rc;

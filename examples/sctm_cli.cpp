@@ -41,6 +41,7 @@
 #include <ctime>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -75,11 +76,10 @@ using namespace sctm;
       "[--cores N] [--lines N] [--iters N] [--mesh WxH] [--seed S] "
       "[--format v1|v2] [--faults <cfg>]\n"
       "  sctm_cli replay  --trace <file> --net <kind> [--mode naive|sctm] "
-      "[--window W] [--iters-max N] [--threads N] [--csv <file>] "
+      "[--window W] [--iters-max N] [--csv <file>] "
       "[--mesh WxH] [--faults <cfg>]\n"
       "  sctm_cli explore --trace <file> --candidates <config> "
-      "[--screen-top K] [--threads N] [--tick-threads N] "
-      "[--mode naive|sctm] [--window W] "
+      "[--screen-top K] [--threads N] [--mode naive|sctm] [--window W] "
       "[--iters-max N] [--csv <file>] [--faults <cfg>]\n"
       "  sctm_cli inspect --trace <file> [--text]\n"
       "  sctm_cli exec    --app <name> --net <kind> [--cores N] [--lines N] "
@@ -103,18 +103,60 @@ using namespace sctm;
       "--screen-top K ranks every candidate with the tier-0 analytic model "
       "and replays only the top K (explore.screen.top_k in the config does "
       "the same)\n"
+      "explore --threads N replays N candidates at once (0 = one per "
+      "hardware thread); each replay itself runs on one thread\n"
+      "any other flag is an error\n"
       "networks: ideal enoc onoc-token onoc-setup onoc-swmr hybrid\n"
       "apps: jacobi fft lu sort barnes stream\n");
   std::exit(2);
 }
 
+/// The flags each subcommand reads ("trace <verb>" / "topo <verb>" for the
+/// tool families). parse_flags rejects every other flag, so a mistyped or
+/// retired flag fails loudly instead of being silently ignored.
+const std::map<std::string, std::set<std::string>>& accepted_flags() {
+  static const std::map<std::string, std::set<std::string>> table = {
+      {"capture",
+       {"app", "net", "out", "cores", "lines", "iters", "mesh", "topo", "seed",
+        "format", "faults", "stats-json"}},
+      {"replay",
+       {"trace", "net", "mode", "window", "iters-max", "csv", "mesh", "topo",
+        "faults", "stats-json"}},
+      {"explore",
+       {"trace", "candidates", "screen-top", "threads", "mode", "window",
+        "iters-max", "csv", "faults", "stats-json"}},
+      {"inspect", {"trace", "text", "stats-json"}},
+      {"exec",
+       {"app", "net", "cores", "lines", "iters", "mesh", "topo", "seed",
+        "stats", "faults", "stats-json"}},
+      {"validate", {"json"}},
+      {"trace info", {"trace", "chunks"}},
+      {"trace convert", {"in", "out", "format", "chunk"}},
+      {"trace verify", {"trace", "quick"}},
+      {"trace hash", {"trace"}},
+      {"trace add", {"trace", "dir"}},
+      {"trace list", {"dir"}},
+      {"topo info", {}},
+      {"topo verify", {"algo"}},
+  };
+  return table;
+}
+
+/// Parses argv[first..] as `--key value` pairs (--text, --chunks and --quick
+/// take no value) for subcommand `cmd`, which must be a key of
+/// accepted_flags().
 std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int first) {
+                                               int first,
+                                               const std::string& cmd) {
+  const std::set<std::string>& accepted = accepted_flags().at(cmd);
   std::map<std::string, std::string> out;
   for (int i = first; i < argc; ++i) {
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) usage(("unexpected token " + key).c_str());
     key = key.substr(2);
+    if (accepted.count(key) == 0) {
+      usage(("unknown flag --" + key + " for '" + cmd + "'").c_str());
+    }
     if (key == "text" || key == "chunks" || key == "quick") {  // booleans
       out[key] = "1";
       continue;
@@ -325,13 +367,6 @@ core::ReplayConfig replay_cfg_from(const std::map<std::string, std::string>& f) 
   if (const auto it = f.find("iters-max"); it != f.end()) {
     cfg.max_iterations = std::stoi(it->second);
   }
-  // Sharded-tick worker count: 1 (the ReplayConfig default) = serial, 0 =
-  // one lane per hardware thread via resolve_threads(). Results are
-  // bit-identical for any value; `replay` also accepts the shorter
-  // --threads, while `explore` reserves that name for candidate workers.
-  if (const auto it = f.find("tick-threads"); it != f.end()) {
-    cfg.threads = static_cast<unsigned>(std::stoul(it->second));
-  }
   return cfg;
 }
 
@@ -349,10 +384,7 @@ int cmd_replay(const std::map<std::string, std::string>& f) {
     spec.topo = noc::Topology::mesh(8, 8);
   }
 
-  core::ReplayConfig cfg = replay_cfg_from(f);
-  if (const auto it = f.find("threads"); it != f.end()) {
-    cfg.threads = static_cast<unsigned>(std::stoul(it->second));
-  }
+  const core::ReplayConfig cfg = replay_cfg_from(f);
 
   const auto rep = core::run_replay(loaded, spec, cfg);
   const auto h = rep.result.latency_histogram();
@@ -451,13 +483,11 @@ int cmd_explore(const std::map<std::string, std::string>& f) {
     RunMetrics m = core::metrics_for_explore(rt, candidates, cfg, results,
                                              "sctm_cli explore",
                                              now_iso8601());
-    // Resolved thread counts (S2): `0 = hardware` resolves through the one
-    // resolve_threads() convention, so the manifest records the lane counts
-    // the run actually used — candidate workers and per-session tick lanes.
+    // Resolved worker count: `0 = hardware` resolves through the one
+    // resolve_threads() convention, so the manifest records the candidate
+    // workers the run actually used.
     m.manifest.set("explore_workers",
                    static_cast<std::int64_t>(resolve_threads(cfg.threads)));
-    m.manifest.set("tick_threads",
-                   static_cast<std::int64_t>(resolve_threads(cfg.replay.threads)));
     maybe_emit_stats_json(f, m);
   }
   return 0;
@@ -783,24 +813,28 @@ int cmd_topo(int argc, char** argv) {
   const std::string verb = argv[2];
   if (argc < 4) usage("topo: missing <file|spec> argument");
   const std::string arg = argv[3];
-  const auto flags = parse_flags(argc, argv, 4);
+  if (verb != "info" && verb != "verify") {
+    usage(("unknown topo verb " + verb).c_str());
+  }
+  const auto flags = parse_flags(argc, argv, 4, "topo " + verb);
   const auto topo = topo_arg(arg);
   if (verb == "info") return cmd_topo_info(topo);
-  if (verb == "verify") return cmd_topo_verify(topo, flags);
-  usage(("unknown topo verb " + verb).c_str());
+  return cmd_topo_verify(topo, flags);
 }
 
 int cmd_trace(int argc, char** argv) {
   if (argc < 3) usage("trace: missing verb (info|convert|verify|hash|add|list)");
   const std::string verb = argv[2];
-  const auto flags = parse_flags(argc, argv, 3);
+  if (accepted_flags().count("trace " + verb) == 0) {
+    usage(("unknown trace verb " + verb).c_str());
+  }
+  const auto flags = parse_flags(argc, argv, 3, "trace " + verb);
   if (verb == "info") return cmd_trace_info(flags);
   if (verb == "convert") return cmd_trace_convert(flags);
   if (verb == "verify") return cmd_trace_verify(flags);
   if (verb == "hash") return cmd_trace_hash(flags);
   if (verb == "add") return cmd_trace_add(flags);
-  if (verb == "list") return cmd_trace_list(flags);
-  usage(("unknown trace verb " + verb).c_str());
+  return cmd_trace_list(flags);
 }
 
 }  // namespace
@@ -811,16 +845,18 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "trace") return cmd_trace(argc, argv);
     if (cmd == "topo") return cmd_topo(argc, argv);
-    const auto flags = parse_flags(argc, argv, 2);
+    if (accepted_flags().count(cmd) == 0) {
+      usage(("unknown subcommand " + cmd).c_str());
+    }
+    const auto flags = parse_flags(argc, argv, 2, cmd);
     if (cmd == "capture") return cmd_capture(flags);
     if (cmd == "replay") return cmd_replay(flags);
     if (cmd == "explore") return cmd_explore(flags);
     if (cmd == "inspect") return cmd_inspect(flags);
     if (cmd == "exec") return cmd_exec(flags);
-    if (cmd == "validate") return cmd_validate(flags);
+    return cmd_validate(flags);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  usage(("unknown subcommand " + cmd).c_str());
 }

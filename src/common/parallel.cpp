@@ -1,6 +1,11 @@
 #include "common/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace sctm {
 
@@ -49,115 +54,5 @@ void parallel_for_impl(std::size_t n, void (*thunk)(void*, std::size_t),
 }
 
 }  // namespace detail
-
-namespace {
-
-// Spin budget before a worker yields, and yield budget before it takes the
-// condvar. Phases are microseconds apart while a clocked network runs, so
-// the spin usually catches the next epoch; the ladder only matters across
-// idle stretches (and on machines with fewer cores than lanes, where
-// spinning would just fight the scheduler).
-constexpr int kSpinIters = 256;
-constexpr int kYieldIters = 64;
-
-}  // namespace
-
-WorkerPool::WorkerPool(unsigned threads) : lanes_(resolve_threads(threads)) {
-  threads_.reserve(lanes_ - 1);
-  for (unsigned lane = 1; lane < lanes_; ++lane) {
-    threads_.emplace_back([this, lane] { worker_loop(lane); });
-  }
-}
-
-WorkerPool::~WorkerPool() {
-  stop_.store(true);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-  }
-  cv_.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-void WorkerPool::invoke(unsigned lane) {
-  try {
-    thunk_(ctx_, lane);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(err_mu_);
-    if (!first_error_) first_error_ = std::current_exception();
-  }
-}
-
-void WorkerPool::worker_loop(unsigned lane) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    // Wait for the next epoch (or shutdown): spin, yield, then sleep.
-    bool have_job = false;
-    for (int i = 0; i < kSpinIters && !have_job; ++i) {
-      have_job = epoch_.load(std::memory_order_acquire) != seen;
-    }
-    for (int i = 0; i < kYieldIters && !have_job; ++i) {
-      if (stop_.load(std::memory_order_acquire)) return;
-      std::this_thread::yield();
-      have_job = epoch_.load(std::memory_order_acquire) != seen;
-    }
-    if (!have_job) {
-      sleepers_.fetch_add(1, std::memory_order_seq_cst);
-      if (epoch_.load(std::memory_order_seq_cst) == seen &&
-          !stop_.load(std::memory_order_seq_cst)) {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] {
-          return epoch_.load(std::memory_order_acquire) != seen ||
-                 stop_.load(std::memory_order_acquire);
-        });
-      }
-      sleepers_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    if (stop_.load(std::memory_order_acquire) &&
-        epoch_.load(std::memory_order_acquire) == seen) {
-      return;
-    }
-    seen = epoch_.load(std::memory_order_acquire);
-    invoke(lane);
-    done_.fetch_add(1, std::memory_order_release);
-  }
-}
-
-void WorkerPool::run_impl(void (*thunk)(void*, unsigned), void* ctx) {
-  if (lanes_ == 1) {
-    thunk(ctx, 0);  // inline; exceptions propagate directly
-    return;
-  }
-  thunk_ = thunk;
-  ctx_ = ctx;
-  done_.store(0, std::memory_order_relaxed);
-  epoch_.fetch_add(1, std::memory_order_seq_cst);
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-    }
-    cv_.notify_all();
-  }
-
-  invoke(0);  // the caller is lane 0
-
-  // Barrier: every resident lane must finish before run() returns. Spin
-  // then yield — workers are either mid-phase (finishing momentarily) or
-  // this host is oversubscribed, in which case yielding lets them run.
-  const unsigned resident = lanes_ - 1;
-  int spins = 0;
-  while (done_.load(std::memory_order_acquire) != resident) {
-    if (++spins > kSpinIters) std::this_thread::yield();
-  }
-
-  if (first_error_) {
-    std::exception_ptr err;
-    {
-      std::lock_guard<std::mutex> lock(err_mu_);
-      err = first_error_;
-      first_error_ = nullptr;
-    }
-    std::rethrow_exception(err);
-  }
-}
 
 }  // namespace sctm

@@ -1,38 +1,21 @@
-// Minimal task parallelism for experiment sweeps, plus a persistent worker
-// pool for barrier-synced phase execution inside one simulation.
+// Minimal task parallelism: the repository's one thread primitive.
 //
-// Individual simulations are single-threaded and deterministic; sweeps over
-// independent configurations (the bench harness, parameter studies) are
-// embarrassingly parallel. parallel_for runs fn(i) for i in [0, n) over a
-// worker pool with an atomic work counter; the first exception thrown by any
-// task is rethrown on the caller after all workers join, and determinism is
-// preserved as long as tasks only touch disjoint state (each task owns its
-// own Simulator).
+// Individual simulations are single-threaded and deterministic; work over
+// independent configurations (design-space exploration, the bench harness,
+// parameter studies, parallel trace decode) is embarrassingly parallel.
+// parallel_for runs fn(i) for i in [0, n) over a worker pool with an atomic
+// work counter; the first exception thrown by any task is rethrown on the
+// caller after all workers join, and determinism is preserved as long as
+// tasks only touch disjoint state (each task owns its own Simulator).
 //
 // The callable is passed by reference through a type-erased (context, thunk)
 // pair — no std::function, so dispatching a capture-heavy lambda never heap
 // allocates. The callable must outlive the call (it always does: parallel_for
 // joins before returning).
-//
-// WorkerPool is the intra-simulation counterpart: the parallel ENoC tick
-// shards one cycle's router work across lanes, so the pool must amortize to
-// nothing per cycle. Threads are spawned once at construction and reused for
-// every run() (no spawn/join per cycle); a phase is published by bumping an
-// epoch counter (release) that workers observe (acquire), the caller runs
-// lane 0 itself, and a done-counter barrier ends the phase. Steady-state
-// run() performs zero heap allocations. Workers spin briefly between phases,
-// then yield, then sleep on a condition variable — an idle pool (quiescent
-// network, serial fallback stretches, pass gaps) costs no CPU.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace sctm {
 
@@ -42,9 +25,9 @@ unsigned default_parallelism();
 
 /// The one thread-count convention for every `--threads`-style knob:
 /// 0 resolves to default_parallelism(), anything else is taken literally
-/// (clamped to >= 1). WorkerPool, parallel_for, explore() workers and the
-/// run-metrics manifests all resolve through here, so "0 = hardware" means
-/// the same lane count everywhere.
+/// (clamped to >= 1). parallel_for, explore() workers and the run-metrics
+/// manifests all resolve through here, so "0 = hardware" means the same
+/// worker count everywhere.
 unsigned resolve_threads(unsigned requested);
 
 namespace detail {
@@ -60,68 +43,5 @@ void parallel_for(std::size_t n, const Fn& fn, unsigned threads = 0) {
       const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
       threads);
 }
-
-/// Persistent barrier-synced worker pool.
-///
-/// run(fn) executes fn(lane) for every lane in [0, size()) and returns once
-/// all lanes finished — a full barrier. Lane 0 runs on the calling thread;
-/// lanes 1..size()-1 run on the pool's resident threads. Successive run()
-/// calls reuse the same threads with no intermediate join, no per-call
-/// allocation, and no lock on the publish path (epoch/done atomics; the
-/// mutex+condvar pair only backs the deep-sleep fallback).
-///
-/// The callable must only touch disjoint state per lane (or state it
-/// synchronizes itself); the barrier gives the caller release/acquire
-/// visibility of everything the lanes wrote. The first exception thrown by
-/// any lane is rethrown on the caller after the barrier; the other lanes
-/// still run to completion, so pool state stays consistent.
-class WorkerPool {
- public:
-  /// `threads == 0` means default_parallelism(). A pool of size 1 runs
-  /// everything inline on the caller and spawns no threads.
-  explicit WorkerPool(unsigned threads = 0);
-  ~WorkerPool();
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  /// Number of lanes (>= 1). run(fn) invokes fn with each lane id once.
-  unsigned size() const { return lanes_; }
-
-  template <typename Fn>
-  void run(const Fn& fn) {
-    run_impl(
-        [](void* ctx, unsigned lane) { (*static_cast<const Fn*>(ctx))(lane); },
-        const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
-  }
-
- private:
-  void run_impl(void (*thunk)(void*, unsigned), void* ctx);
-  void worker_loop(unsigned lane);
-  void invoke(unsigned lane);
-
-  unsigned lanes_ = 1;
-  std::vector<std::thread> threads_;  // lanes_ - 1 resident workers
-
-  // Phase job, published by bumping epoch_ after the stores below it.
-  void (*thunk_)(void*, unsigned) = nullptr;
-  void* ctx_ = nullptr;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<unsigned> done_{0};
-  std::atomic<bool> stop_{false};
-
-  // Deep-sleep fallback for idle workers. sleepers_ and epoch_ form the
-  // usual Dekker pair: a worker increments sleepers_ (seq_cst) and re-checks
-  // the epoch before waiting; the publisher bumps the epoch (seq_cst) and
-  // checks sleepers_ — at least one side sees the other, so no wakeup is
-  // ever lost.
-  std::atomic<unsigned> sleepers_{0};
-  std::mutex mu_;
-  std::condition_variable cv_;
-
-  // First exception across lanes (fatal-path only; guarded by err_mu_).
-  std::mutex err_mu_;
-  std::exception_ptr first_error_;
-};
 
 }  // namespace sctm

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "common/json.hpp"
-#include "common/parallel.hpp"
 #include "trace/capture.hpp"
 #include "trace/trace_io.hpp"
 #include "tracestore/trace_store.hpp"
@@ -223,9 +222,6 @@ RunMetrics replay_metrics_impl(std::string trace_ident, std::int32_t nodes,
                    std::uint64_t{config.dependency_window});
     m.manifest.set("max_iterations", config.max_iterations);
   }
-  // Resolved tick-thread count (0 = hardware) — recorded for provenance even
-  // though results are thread-count invariant by construction.
-  m.manifest.set("tick_threads", std::uint64_t{resolve_threads(config.threads)});
   for (const auto& [k, v] : net.fault.manifest_entries()) m.manifest.set(k, v);
   m.add_phases(run.phases);
   m.set_stats(run.result.stats);

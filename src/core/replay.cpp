@@ -3,58 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/parallel.hpp"
 #include "core/replay_session.hpp"
 
 namespace sctm::core {
-
-void EligibilityBatcher::sort_batch(std::vector<std::uint32_t>& batch) {
-  WorkerPool* pool = sort_pool_;
-  std::size_t nshards = 1;
-  if (pool != nullptr && pool->size() > 1 &&
-      batch.size() >= static_cast<std::size_t>(sort_grain_) * pool->size()) {
-    nshards = std::min<std::size_t>(pool->size(), batch.size());
-  }
-  if (nshards <= 1) {
-    std::sort(batch.begin(), batch.end());
-    return;
-  }
-
-  // Per-lane chunk sort over contiguous ranges...
-  const std::size_t n = batch.size();
-  pool->run([&](unsigned lane) {
-    if (lane >= nshards) return;
-    std::sort(batch.begin() + static_cast<std::ptrdiff_t>(n * lane / nshards),
-              batch.begin() +
-                  static_cast<std::ptrdiff_t>(n * (lane + 1) / nshards));
-  });
-
-  // ...then a serial k-way merge into the retained scratch. Record indices
-  // are unique, so min-picking is strict and the output equals what one
-  // std::sort over the whole batch produces — sharding is unobservable.
-  // (std::inplace_merge would allocate; this path must stay heap-free in
-  // steady state.)
-  merge_scratch_.clear();
-  if (merge_cursor_.size() < nshards) merge_cursor_.resize(nshards);
-  for (std::size_t s = 0; s < nshards; ++s) {
-    merge_cursor_[s] = n * s / nshards;
-  }
-  for (std::size_t out = 0; out < n; ++out) {
-    std::size_t best = nshards;
-    std::uint32_t best_v = 0;
-    for (std::size_t s = 0; s < nshards; ++s) {
-      if (merge_cursor_[s] >= n * (s + 1) / nshards) continue;
-      const std::uint32_t v = batch[merge_cursor_[s]];
-      if (best == nshards || v < best_v) {
-        best = s;
-        best_v = v;
-      }
-    }
-    merge_scratch_.push_back(best_v);
-    ++merge_cursor_[best];
-  }
-  batch.swap(merge_scratch_);
-}
 
 const char* to_string(ReplayMode m) {
   switch (m) {

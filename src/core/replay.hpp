@@ -36,10 +36,6 @@
 #include "noc/network.hpp"
 #include "trace/record.hpp"
 
-namespace sctm {
-class WorkerPool;
-}
-
 namespace sctm::core {
 
 enum class ReplayMode { kNaive, kSelfCorrecting };
@@ -55,16 +51,8 @@ struct ReplayConfig {
   int max_iterations = 8;
   /// Converged when the mean |Δinject| between passes drops below this.
   double convergence_threshold = 0.5;
-  /// Worker threads for the sharded replay phases — network ticking,
-  /// delivered-dependency scan, seed scan and eligibility-batch sorting
-  /// (ReplaySession owns the pool). The convention, asserted in
-  /// test_parallel_replay.cpp: the default `1` means serial (no pool is
-  /// built); `0` means one lane per hardware thread, resolved through
-  /// resolve_threads() in common/parallel.hpp exactly like every other
-  /// `--threads 0` knob; any other value is the literal lane count. Results
-  /// are bit-identical for every value — see the partitioned-tick contract
-  /// in noc/network.hpp and DESIGN.md §10 — so this is purely a speed knob.
-  unsigned threads = 1;
+  /// Replay is serial; kept because perfbench/bench.cpp prints this value.
+  static constexpr unsigned threads = 1;
 };
 
 /// Outcome of one replay pass.
@@ -170,21 +158,11 @@ class EligibilityBatcher {
     if (found == nullptr) return;
     const std::uint32_t slot = *found;
     slot_at_.erase(t);
-    sort_batch(pool_[slot]);
+    std::sort(pool_[slot].begin(), pool_[slot].end());
     // Index-based: fn may grow the pool (re-entrant add for another cycle).
     for (std::size_t i = 0; i < pool_[slot].size(); ++i) fn(pool_[slot][i]);
     pool_[slot].clear();
     free_.push_back(slot);
-  }
-
-  /// Installs a worker pool used to sort large batches in parallel (per-lane
-  /// chunk sort + k-way merge; record indices are unique, so the merged
-  /// output is the same fully sorted sequence serial std::sort produces at
-  /// any lane count). `grain` is the minimum batch size per lane before a
-  /// sort shards; 0 shards every sort. nullptr reverts to serial sorting.
-  void set_sort_pool(WorkerPool* pool, unsigned grain) {
-    sort_pool_ = pool;
-    sort_grain_ = grain;
   }
 
   /// Levels every pooled batch's capacity up to the high-water batch size.
@@ -197,26 +175,14 @@ class EligibilityBatcher {
     std::size_t cap = 0;
     for (const auto& b : pool_) cap = std::max(cap, b.capacity());
     for (auto& b : pool_) b.reserve(cap);
-    // The merge scratch swaps capacities with batch slots, so level it too —
-    // otherwise a small-capacity scratch migrates into a slot that later
-    // holds a large batch and re-grows mid-pass.
-    merge_scratch_.reserve(std::max(cap, merge_scratch_.capacity()));
   }
 
   std::size_t open_batches() const { return slot_at_.size(); }
 
  private:
-  /// Sorts one batch ascending — serial std::sort, or sharded over
-  /// sort_pool_ when the batch is large enough (defined in replay.cpp).
-  void sort_batch(std::vector<std::uint32_t>& batch);
-
   FlatMap<Cycle, std::uint32_t> slot_at_;
   std::vector<std::vector<std::uint32_t>> pool_;
   std::vector<std::uint32_t> free_;
-  WorkerPool* sort_pool_ = nullptr;
-  unsigned sort_grain_ = 256;
-  std::vector<std::uint32_t> merge_scratch_;
-  std::vector<std::size_t> merge_cursor_;
 };
 
 /// Single-pass replay (naive, or self-correcting with an optional window;

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "common/parallel.hpp"
-
 namespace sctm::core {
 
 namespace {
@@ -13,28 +11,6 @@ namespace {
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-/// Shards for a phase of `items` work units under `grain` items per lane
-/// (the adaptive-grain rule shared by every replay phase): 1 when there is
-/// no pool or the phase is too sparse to pay the barrier for.
-unsigned shard_count(WorkerPool* pool, std::size_t items, unsigned grain) {
-  if (pool == nullptr || pool->size() <= 1 || items == 0) return 1;
-  if (items < static_cast<std::size_t>(grain) * pool->size()) return 1;
-  return static_cast<unsigned>(std::min<std::size_t>(pool->size(), items));
-}
-
-/// Runs fn(shard) for every shard — over the pool when sharded, inline when
-/// serial. Both paths execute the identical per-shard body.
-template <typename Fn>
-void run_phase(WorkerPool* pool, unsigned nshards, const Fn& fn) {
-  if (nshards > 1) {
-    pool->run([&](unsigned lane) {
-      if (lane < nshards) fn(lane);
-    });
-  } else {
-    fn(0);
-  }
 }
 
 }  // namespace
@@ -62,14 +38,6 @@ ReplaySession::ReplaySession(const ReplayTrace& rt,
   prev_inject_.assign(n, 0);
   result_.inject_time.reserve(n);
   result_.arrive_time.reserve(n);
-  if (config_.threads != 1) {
-    pool_ = std::make_unique<WorkerPool>(config_.threads);
-    sim_.set_worker_pool(pool_.get());
-    scan_shards_.resize(pool_->size());
-    seed_shards_.resize(pool_->size());
-    residual_shards_.resize(pool_->size());
-    eligible_.set_sort_pool(pool_.get(), /*grain=*/256);
-  }
   bind_network(factory);
 }
 
@@ -80,8 +48,6 @@ ReplaySession::ReplaySession(const ReplayTrace& rt, const NetSpec& spec,
   bound_spec_ = spec;
   has_spec_ = true;
 }
-
-ReplaySession::~ReplaySession() = default;
 
 void ReplaySession::bind_network(const NetworkFactory& factory) {
   net_ = factory(sim_);
@@ -194,59 +160,31 @@ void ReplaySession::on_deliver(const noc::Message& msg) {
   ensure_cycle_event(sim_.now());
 }
 
-// The eligibility scan over this cycle's deliveries. Parallel phase: each
-// shard walks a contiguous range of the delivered buffer and appends
-// (child, arrive + slack) hits to its own list — reads only (the trace,
-// the CSR, arrival times written before the barrier), no shared writes.
-// Serial drain in ascending shard order then applies the max/decrement and
-// fires mark_eligible exactly as the serial per-delivery handler did, in
-// the same order — which delivery unlocks a child is timing-independent,
-// because a pending count only reaches zero once every kept parent of the
-// cycle has been applied.
+// The eligibility scan over this cycle's deliveries, in delivery order:
+// max-fold each kept parent's arrival + slack into the child's ready time,
+// and mark the child eligible once its last kept parent has arrived. Which
+// delivery unlocks a child does not depend on the scan order, because a
+// pending count only reaches zero once every kept parent of the cycle has
+// been applied.
 void ReplaySession::drain_deliveries() {
-  const std::size_t k = delivered_.size();
-  if (k == 0) return;
-  WorkerPool* pool = sim_.worker_pool();
-  const unsigned nshards = shard_count(pool, k, scan_grain_);
-  if (scan_shards_.size() < nshards) scan_shards_.resize(nshards);
-  run_phase(pool, nshards, [&](unsigned shard) {
-    const std::size_t lo = k * shard / nshards;
-    const std::size_t hi = k * (shard + 1) / nshards;
-    std::vector<DepHit>& out = scan_shards_[shard];
-    for (std::size_t d = lo; d < hi; ++d) {
-      const std::uint32_t idx = delivered_[d];
-      const MsgId pid = rt_.id(idx);
-      const Cycle arrive = result_.arrive_time[idx];
-      for (const std::uint32_t* cp = rt_.children_begin(idx);
-           cp != rt_.children_end(idx); ++cp) {
-        const std::uint32_t c = *cp;
-        // Is this parent one of c's enforced deps? (kept sets are tiny)
-        for (auto it = kept_->begin(c); it != kept_->end(c); ++it) {
-          if (it->parent != pid) continue;
-          out.push_back({c, arrive + it->slack});
-          break;
+  for (const std::uint32_t idx : delivered_) {
+    const MsgId pid = rt_.id(idx);
+    const Cycle arrive = result_.arrive_time[idx];
+    for (const std::uint32_t* cp = rt_.children_begin(idx);
+         cp != rt_.children_end(idx); ++cp) {
+      const std::uint32_t c = *cp;
+      // Is this parent one of c's enforced deps? (kept sets are tiny)
+      for (auto it = kept_->begin(c); it != kept_->end(c); ++it) {
+        if (it->parent != pid) continue;
+        ready_[c] = std::max(ready_[c], arrive + it->slack);
+        if (--pending_[c] == 0) {
+          mark_eligible(c, std::max({ready_[c], bound_[c], sim_.now()}));
         }
+        break;
       }
     }
-  });
-  delivered_.clear();
-  for (unsigned s = 0; s < nshards; ++s) {
-    for (const DepHit& h : scan_shards_[s]) {
-      ready_[h.child] = std::max(ready_[h.child], h.ready);
-      if (--pending_[h.child] == 0) {
-        mark_eligible(h.child,
-                      std::max({ready_[h.child], bound_[h.child], sim_.now()}));
-      }
-    }
-    scan_shards_[s].clear();
   }
-}
-
-void ReplaySession::set_parallel_grains_for_test(unsigned grain) {
-  scan_grain_ = grain;
-  record_grain_ = grain;
-  if (pool_) eligible_.set_sort_pool(pool_.get(), grain);
-  if (net_) net_->set_parallel_grain(grain);
+  delivered_.clear();
 }
 
 void ReplaySession::run_pass_prepared() {
@@ -263,30 +201,12 @@ void ReplaySession::run_pass_prepared() {
   delivered_.clear();
   cycle_event_at_.clear();
 
-  // Seed scan: fill the pending counts and collect the records without
-  // pending kept deps. The parallel phase writes disjoint ranges and
-  // per-shard seed lists; the ascending-shard drain then marks eligibility
-  // in ascending record order — the serial loop's exact order.
-  WorkerPool* pool = sim_.worker_pool();
-  const unsigned nshards = shard_count(pool, n, record_grain_);
-  if (seed_shards_.size() < nshards) seed_shards_.resize(nshards);
-  run_phase(pool, nshards, [&](unsigned shard) {
-    const std::uint32_t lo = static_cast<std::uint32_t>(
-        std::uint64_t{n} * shard / nshards);
-    const std::uint32_t hi = static_cast<std::uint32_t>(
-        std::uint64_t{n} * (shard + 1) / nshards);
-    std::vector<std::uint32_t>& seeds = seed_shards_[shard];
-    for (std::uint32_t i = lo; i < hi; ++i) {
-      pending_[i] = kept_->count(i);
-      ready_[i] = 0;
-      if (pending_[i] == 0) seeds.push_back(i);
-    }
-  });
-
-  // Seed: everything without pending kept deps starts at its bound.
-  for (unsigned s = 0; s < nshards; ++s) {
-    for (const std::uint32_t i : seed_shards_[s]) mark_eligible(i, bound_[i]);
-    seed_shards_[s].clear();
+  // Seed: fill the pending counts; everything without pending kept deps
+  // starts at its bound, marked in ascending record order.
+  for (std::uint32_t i = 0; i < n; ++i) {
+    pending_[i] = kept_->count(i);
+    ready_[i] = 0;
+    if (pending_[i] == 0) mark_eligible(i, bound_[i]);
   }
 
   sim_.run();
@@ -349,55 +269,32 @@ const ReplayResult& ReplaySession::run() {
     // the previous pass's arrival times, then replay again, until injection
     // times stop moving.
     for (int iter = 2; iter <= config_.max_iterations; ++iter) {
-      // Bound recompute: disjoint per-record writes against the previous
-      // pass's (now read-only) arrival times — shards freely.
-      WorkerPool* pool = sim_.worker_pool();
-      const unsigned nshards = shard_count(pool, n, record_grain_);
-      run_phase(pool, nshards, [&](unsigned shard) {
-        const std::uint32_t lo = static_cast<std::uint32_t>(
-            std::uint64_t{n} * shard / nshards);
-        const std::uint32_t hi = static_cast<std::uint32_t>(
-            std::uint64_t{n} * (shard + 1) / nshards);
-        for (std::uint32_t i = lo; i < hi; ++i) {
-          const std::uint32_t dc = rt_.dep_count(i);
-          if (dc == 0) {
-            bound_[i] = rt_.inject_time(i);  // anchors never move
-            continue;
-          }
-          Cycle b = 0;
-          const trace::TraceDep* deps = rt_.deps_begin(i);
-          for (std::uint32_t k = 0; k < dc; ++k) {
-            // Parents were resolved to record indices at finalize() — no id
-            // lookup in the iteration hot loop.
-            const std::uint32_t p = rt_.dep_parent_index(i, k);
-            b = std::max(b, result_.arrive_time[p] + deps[k].slack);
-          }
-          bound_[i] = b;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint32_t dc = rt_.dep_count(i);
+        if (dc == 0) {
+          bound_[i] = rt_.inject_time(i);  // anchors never move
+          continue;
         }
-      });
+        Cycle b = 0;
+        const trace::TraceDep* deps = rt_.deps_begin(i);
+        for (std::uint32_t k = 0; k < dc; ++k) {
+          // Parents were resolved to record indices at finalize() — no id
+          // lookup in the iteration hot loop.
+          const std::uint32_t p = rt_.dep_parent_index(i, k);
+          b = std::max(b, result_.arrive_time[p] + deps[k].slack);
+        }
+        bound_[i] = b;
+      }
       prev_inject_.swap(result_.inject_time);
       run_pass_prepared();
       total_events += result_.events;
 
-      // Residual: per-shard partial sums, added in ascending shard order.
-      // Cycle deltas are integer-valued doubles, so regrouping the sum is
-      // exact and the residual matches the serial reduction bit-for-bit.
-      if (residual_shards_.size() < nshards) residual_shards_.resize(nshards);
-      run_phase(pool, nshards, [&](unsigned shard) {
-        const std::uint32_t lo = static_cast<std::uint32_t>(
-            std::uint64_t{n} * shard / nshards);
-        const std::uint32_t hi = static_cast<std::uint32_t>(
-            std::uint64_t{n} * (shard + 1) / nshards);
-        double part = 0;
-        for (std::uint32_t i = lo; i < hi; ++i) {
-          const auto a = result_.inject_time[i];
-          const auto b = prev_inject_[i];
-          part += static_cast<double>(a > b ? a - b : b - a);
-        }
-        residual_shards_[shard] = part;
-      });
       double shift = 0;
-      for (unsigned s = 0; s < nshards; ++s) shift += residual_shards_[s];
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const auto a = result_.inject_time[i];
+        const auto b = prev_inject_[i];
+        shift += static_cast<double>(a > b ? a - b : b - a);
+      }
       shift /= static_cast<double>(n);
       log_.push_back({iter, shift, result_.events, pass_wall_});
       result_.iterations = iter;

@@ -22,18 +22,7 @@
 //
 // replay_once()/replay() in replay.hpp are now thin wrappers over a
 // throwaway session; exploration keeps one long-lived session per worker
-// thread and rebind()s it only when the candidate's NetSpec differs.
-//
-// Sharded replay phases (config.threads != 1): beyond handing the pool to
-// the network tick, the session shards its own hot loops — the seed scan
-// (pending-count fill over the kept-deps CSR), the per-cycle delivered-
-// dependency scan, the eligibility-batch sort and the iterative engine's
-// bound/residual recompute. Every parallel phase is pure (per-shard output
-// lists or disjoint writes) and is followed by a serial drain in ascending
-// shard order — the serial engine's exact visit order — so schedules,
-// sequence numbers and the full stat registry are bit-identical at any
-// thread count. Sparse cycles stay serial via per-phase adaptive grains,
-// and warmed-up passes stay allocation-free. See DESIGN.md §10.
+// and rebind()s it only when the candidate's NetSpec differs.
 #pragma once
 
 #include <memory>
@@ -41,10 +30,6 @@
 
 #include "core/driver.hpp"
 #include "core/replay.hpp"
-
-namespace sctm {
-class WorkerPool;
-}
 
 namespace sctm::core {
 
@@ -54,9 +39,6 @@ class ReplaySession {
   /// builds the network once via `factory`. `kept` optionally borrows a
   /// precomputed enforced-dependency CSR (must outlive the session and match
   /// `config`); when null the session builds and owns its own.
-  /// config.threads != 1 makes the session own a WorkerPool and install it
-  /// on the kernel; backends that support partitioned ticking (ENoC) shard
-  /// their cycles over it, bit-identically to serial.
   ReplaySession(const ReplayTrace& rt, const NetworkFactory& factory,
                 const ReplayConfig& config, const KeptDepsCsr* kept = nullptr);
 
@@ -64,8 +46,6 @@ class ReplaySession {
   /// remembers the NetSpec it built, enabling the rebind(NetSpec) fast path.
   ReplaySession(const ReplayTrace& rt, const NetSpec& spec,
                 const ReplayConfig& config, const KeptDepsCsr* kept = nullptr);
-
-  ~ReplaySession();
 
   ReplaySession(const ReplaySession&) = delete;
   ReplaySession& operator=(const ReplaySession&) = delete;
@@ -120,14 +100,6 @@ class ReplaySession {
   const noc::Network& network() const { return *net_; }
   noc::Network& network() { return *net_; }
 
-  /// Forces every per-phase adaptive grain — the network tick, the
-  /// delivered-dependency scan, the seed/bound scans and the eligibility
-  /// batch sort — to `grain`. 0 shards every phase whenever the session owns
-  /// a pool; tests use this to engage sharding on small traces. Applies to
-  /// the currently bound network (rebind to a new network reverts its tick
-  /// grain to the backend default).
-  void set_parallel_grains_for_test(unsigned grain);
-
  private:
   void bind_network(const NetworkFactory& factory);
   void run_pass_prepared();  // bound_ already filled; core of every pass
@@ -145,9 +117,6 @@ class ReplaySession {
   KeptDepsCsr own_csr_;        // used only when kept was not borrowed
   const KeptDepsCsr* kept_;
 
-  /// Owned worker pool (null when config.threads == 1). Declared before
-  /// sim_ so it outlives the kernel holding the non-owning pointer.
-  std::unique_ptr<WorkerPool> pool_;
   Simulator sim_;
   std::unique_ptr<noc::Network> net_;
   NetSpec bound_spec_;
@@ -162,25 +131,12 @@ class ReplaySession {
   EligibilityBatcher eligible_;
   std::vector<ReplayResult::IterationRecord> log_;  // run()'s pass log
 
-  // Sharded-phase state. Deliveries of the current cycle buffer here (in
-  // delivery order) for the late-band dependency scan; the scan's parallel
-  // phase appends (child, ready-contribution) hits to per-shard lists that
-  // the serial drain applies in ascending shard order — exactly the order
-  // the per-delivery handler visited them serially. The seed scan's
-  // eligible-record lists work the same way. All capacity-retaining.
-  struct DepHit {
-    std::uint32_t child;
-    Cycle ready;
-  };
+  /// Records delivered this cycle that have children, in delivery order;
+  /// the cycle's late-band event scans them before the eligibility flush.
   std::vector<std::uint32_t> delivered_;
-  std::vector<std::vector<DepHit>> scan_shards_;
-  std::vector<std::vector<std::uint32_t>> seed_shards_;
-  std::vector<double> residual_shards_;
   /// Cycles with a scheduled on_cycle event (the unified late-band event:
   /// delivered scan, then eligibility flush — one per cycle).
   FlatMap<Cycle, std::uint32_t> cycle_event_at_;
-  unsigned scan_grain_ = 8;    // delivered msgs per lane before sharding
-  unsigned record_grain_ = 256;  // records per lane (seed/bound/residual)
 
   ReplayResult result_;
   double pass_wall_ = 0.0;  // wall seconds of the latest pass

@@ -17,14 +17,15 @@
 // (every pipeline phase early-outs on empty buffers), which the exhaustive
 // tick mode (set_exhaustive_tick_for_test) lets tests verify directly.
 //
-// Sharded parallel ticking: one cycle's router work may be split across the
-// Simulator's WorkerPool. Router ticks are pure per-router (side effects go
-// to a per-shard RouterOutbox, never to the network), so shards race on
-// nothing; the dispatching thread then drains outboxes in ascending shard —
-// hence ascending router-id — order, replaying the serial engine's exact
-// side-effect sequence. Every mode (serial, parallel, exhaustive oracle)
-// routes through the same outbox+drain path, so results are bit-identical
-// for every thread count by construction. See DESIGN.md §10.
+// Deferred side effects: router ticks write forwards, ejections and credits
+// into one RouterOutbox, which the network drains in router-id order after
+// the cycle's scan; that order fixes the event schedule. Every link and
+// credit path has latency >= 1, so nothing a router emits in cycle t can be
+// observed by another router before t+1, and deferring the emission to the
+// end of the cycle changes nothing. Routers that report no work are cleared
+// from the scoreboard during the scan, before the drain, so activations
+// fired while draining (ejection -> delivery -> same-cycle reply inject)
+// survive. The exhaustive oracle goes through the same outbox and drain.
 #pragma once
 
 #include <functional>
@@ -50,8 +51,8 @@ class EnocNetwork final : public noc::Network {
   /// Session reset: routers, in-flight table, activity scoreboard and
   /// datapath counters return to freshly-constructed state with all
   /// capacity retained. Test/debug configuration (exhaustive tick mode, the
-  /// activity probe, the parallel grain) survives. The owning Simulator must
-  /// be reset first — the self-clocking tick event lives in its queue.
+  /// activity probe) survives. The owning Simulator must be reset first —
+  /// the self-clocking tick event lives in its queue.
   void reset() override;
 
   /// In-place re-parameterization (the rebind fast path): swaps router
@@ -61,17 +62,12 @@ class EnocNetwork final : public noc::Network {
   /// Simulator must be reset alongside, as for reset()).
   void reparameterize(const EnocParams& params);
 
-  bool partitioned_tick_supported() const override { return true; }
-  void tick_partitioned(unsigned shard, unsigned nshards) override;
-  void drain_ticks() override;
-
   /// Fault injection (DESIGN.md §11): link-level faults — payload
   /// corruption, flit drop, stuck-at episodes — are drawn per link traversal
-  /// at the serial outbox drain, so the schedule is bit-identical at any
-  /// shard count. Faults corrupt *payloads*, never flow control: the wire
-  /// symbol still traverses (wormhole/credit state untouched), detection
-  /// happens at tail reassembly, recovery is a NACK + source re-injection
-  /// bounded by the spec's retry budget.
+  /// at the outbox drain, in drain order. Faults corrupt *payloads*, never
+  /// flow control: the wire symbol still traverses (wormhole/credit state
+  /// untouched), detection happens at tail reassembly, recovery is a NACK +
+  /// source re-injection bounded by the spec's retry budget.
   void install_fault_model(const fault::FaultSpec& spec) override;
 
   const noc::Topology& topology() const { return topo_; }
@@ -91,17 +87,9 @@ class EnocNetwork final : public noc::Network {
 
   /// Test hook: tick every router each cycle (the seed scheduling policy)
   /// instead of draining the active set. Behaviour must be bit-identical;
-  /// the quiescence regression test asserts it. Forces serial ticking (the
-  /// oracle predates sharding), but still drains through the outbox.
+  /// the quiescence regression test asserts it. Still drains through the
+  /// outbox.
   void set_exhaustive_tick_for_test(bool on) { exhaustive_tick_ = on; }
-
-  /// Minimum active routers *per pool lane* before a cycle is sharded
-  /// across the worker pool; below the threshold the cycle runs serially
-  /// (bit-identical either way, so this is purely a cost knob — sharding a
-  /// near-empty cycle costs more in barriers than it saves). 0 shards every
-  /// cycle whenever a pool is installed (tests use this to exercise the
-  /// parallel path on small workloads).
-  void set_parallel_grain(unsigned grain) override { parallel_grain_ = grain; }
 
   /// Order-sensitive hash over every flit hop and ejection (msg, seq, node,
   /// port, cycle). Two runs with identical datapath behaviour produce
@@ -116,21 +104,20 @@ class EnocNetwork final : public noc::Network {
   void set_activity_probe(ActivityProbe fn) { probe_ = std::move(fn); }
 
  private:
-  // Outbox drain handlers — exactly the serial engine's side-effect bodies,
-  // now invoked from drain_ticks() on the dispatching thread.
+  // Outbox drain handlers, invoked by drain_outbox() in emission order.
   void apply_forward(NodeId node, int out_dir, const Flit& flit);
   void apply_eject(NodeId node, const Flit& flit);
   void apply_credit(NodeId node, int in_dir, int vc);
 
-  // Fault path (all serial: drain handlers and event dispatch).
+  // Fault path (drain handlers and event dispatch).
   void apply_link_faults(NodeId node, int out_dir, const Flit& flit);
   void handle_corrupt_message(const noc::Message& msg);
   void reinject_for_retry(const noc::Message& msg);
 
   void tick();
+  void drain_outbox();
   void ensure_ticking();
   void mark_active(NodeId n);
-  void prepare_shards(unsigned nshards);
 
   struct PendingMsg {
     noc::Message msg;
@@ -138,16 +125,6 @@ class EnocNetwork final : public noc::Network {
     /// Any flit of this message hit a fault in transit; the reassembly check
     /// at tail ejection sees it and triggers recovery.
     bool fault_bad = false;
-  };
-
-  /// Per-shard tick state. Shards never touch the live scoreboard: routers
-  /// that report no work are recorded in `clear_mask` and the masks are
-  /// applied at drain — before any outbox entry, so activations fired while
-  /// draining (ejection → delivery → same-cycle reply inject) survive.
-  struct ShardState {
-    RouterOutbox outbox;
-    std::vector<std::uint64_t> clear_mask;  // sized like active_bits_
-    std::uint64_t ticks = 0;
   };
 
   noc::Topology topo_;
@@ -166,9 +143,8 @@ class EnocNetwork final : public noc::Network {
   /// count (file fabrics may exceed the lattice kinds' fixed radix).
   std::size_t link_stride_ = 0;
   std::vector<Cycle> link_stuck_until_;
-  std::vector<ShardState> shards_;
-  unsigned shards_in_use_ = 0;
-  unsigned parallel_grain_ = 2;
+  /// Side effects of the current cycle's router ticks (capacity retained).
+  RouterOutbox outbox_;
   std::uint64_t in_flight_ = 0;
   bool ticking_ = false;
   bool exhaustive_tick_ = false;

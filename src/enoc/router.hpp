@@ -24,10 +24,9 @@
 //
 // Side effects leave through a RouterOutbox instead of mutating the network
 // directly: forwarded flits, ejections and upstream credits are recorded in
-// emission order and the owning network drains them at its cycle barrier in
-// ascending router-id order — the serial visit order — which is what makes
-// sharded parallel ticking bit-identical to the serial engine (the tick
-// itself touches only router-local state).
+// emission order and the owning network drains them after the cycle's scan,
+// in ascending router-id order (the tick itself touches only router-local
+// state).
 //
 // The datapath is allocation-free in steady state: input VCs are
 // fixed-capacity rings sized to buffer_depth, injection staging is a
@@ -61,10 +60,9 @@
 namespace sctm::enoc {
 
 /// Deferred router side effects for one cycle, recorded in emission order.
-/// One outbox per shard: routers of a shard append in ascending-id order, so
-/// draining shards in ascending order replays the exact side-effect sequence
-/// of the serial engine (per-router emission order interleaved at router
-/// granularity). The entry vector retains capacity across cycles.
+/// Routers append in ascending-id order, so the drain applies them router by
+/// router, each in its own emission order. The entry vector retains capacity
+/// across cycles.
 struct RouterOutbox {
   struct Entry {
     enum class Kind : std::uint8_t { kForward, kEject, kCredit };
@@ -152,10 +150,9 @@ class Router : public Component {
 
   /// One clock cycle of the pipeline. Side effects (forwards, ejections,
   /// credits) are appended to `out` in emission order; nothing outside this
-  /// router is touched, so ticks of distinct routers may run concurrently.
-  /// Returns true when the router still holds any flit afterwards (activity
-  /// hint; false means every further tick is a no-op until new work
-  /// arrives).
+  /// router is touched. Returns true when the router still holds any flit
+  /// afterwards (activity hint; false means every further tick is a no-op
+  /// until new work arrives).
   bool tick(RouterOutbox& out);
 
   /// Flit arrives on input port `in_port` in VC flit.vc (link delivery or,

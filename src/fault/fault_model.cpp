@@ -82,11 +82,13 @@ void FaultModel::note_stuck_hit() { ++stat_flit_corrupt_; }
 
 bool FaultModel::draw_token_loss(int channel) {
   if (spec_.onoc_token_loss_rate <= 0) return false;
-  return chan_rng_[static_cast<std::size_t>(channel)].next_bool(
-      spec_.onoc_token_loss_rate);
+  if (!chan_rng_[static_cast<std::size_t>(channel)].next_bool(
+          spec_.onoc_token_loss_rate)) {
+    return false;
+  }
+  ++stat_token_loss_;
+  return true;
 }
-
-void FaultModel::note_token_losses(std::uint64_t n) { stat_token_loss_ += n; }
 
 bool FaultModel::draw_reservation_loss() {
   if (spec_.onoc_reservation_loss_rate <= 0) return false;

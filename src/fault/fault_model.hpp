@@ -6,20 +6,13 @@
 // in the network that draws it (enoc/onoc code decides what a corrupted flit
 // or a lost token means for its datapath).
 //
-// Determinism at any thread count is a stream-placement argument, mirroring
-// the engine's own invariant (DESIGN.md §10/§11):
+// Stream placement fixes the fault schedule (DESIGN.md §11):
 //
-//  * Serial streams (ENoC flit faults, reservation loss, optical data
-//    corruption) are consumed only at serial points — the outbox drain and
-//    event dispatch — whose order is bit-identical to the serial engine at
-//    any shard count, so one stream per class suffices.
-//  * The per-channel stream family (token loss) is consumed inside
-//    tick_partitioned() lanes. Each channel is owned by exactly one shard
-//    and its request order is the shard-invariant per-channel arrival
-//    subsequence, so giving every channel its own child stream makes the
-//    draw sequence per channel — and hence every grant — independent of the
-//    shard count. Lane code must never touch shared counters; shards count
-//    locally and fold the totals in at drain (note_token_losses).
+//  * One stream per class for ENoC flit faults, reservation loss and
+//    optical data corruption, consumed in event and outbox-drain order.
+//  * One child stream per channel for token loss. Each channel's draws
+//    follow that channel's own request order, so the token-loss schedule of
+//    one channel does not depend on traffic on any other channel.
 //
 // reset() re-derives every stream from the spec seed and clears the retry
 // table in place, so a reset-reused session replays the exact fault schedule
@@ -54,7 +47,7 @@ class FaultModel {
 
   const FaultSpec& spec() const { return spec_; }
 
-  // --- ENoC plane: call only from the serial outbox drain ------------------
+  // --- ENoC plane: called from the outbox drain ----------------------------
   bool draw_flit_corrupt();
   bool draw_flit_drop();
   bool draw_link_stuck_onset();
@@ -63,18 +56,16 @@ class FaultModel {
   void note_stuck_hit();
 
   // --- ONoC plane ----------------------------------------------------------
-  /// Token-loss draw for one arbitration request on `channel`. Safe from a
-  /// pool lane: touches only the channel's own stream, counts nothing.
+  /// Token-loss draw for one arbitration request on `channel`, from the
+  /// channel's own stream.
   bool draw_token_loss(int channel);
-  /// Folds shard-local token-loss counts into the registry. Serial drain only.
-  void note_token_losses(std::uint64_t n);
 
-  /// Reservation (path-setup grant) loss. Serial control path only.
+  /// Reservation (path-setup grant) loss.
   bool draw_reservation_loss();
 
   /// Whole-transfer optical corruption with probability `p` (the caller
   /// derives p from the BER the loss budget implies for this message's
-  /// length). Serial delivery path only.
+  /// length).
   bool draw_optical_corrupt(double p);
 
   // --- Message-layer recovery ----------------------------------------------

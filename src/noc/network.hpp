@@ -15,10 +15,6 @@
 #include "noc/topology.hpp"
 #include "sim/component.hpp"
 
-namespace sctm {
-class WorkerPool;
-}
-
 namespace sctm::noc {
 
 class Network : public Component {
@@ -54,47 +50,6 @@ class Network : public Component {
   /// together with) Simulator::reset() — any in-flight events the queue
   /// dropped are forgotten here too. Overrides must call Network::reset().
   virtual void reset() = 0;
-
-  // --- Partitioned-tick contract -------------------------------------------
-  //
-  // A backend that clocks per cycle may shard one cycle's router work across
-  // the Simulator's WorkerPool: its own tick event runs
-  // tick_partitioned(s, n) for every shard s in [0, n) between two barriers
-  // (pure per-shard work, side effects recorded into per-shard outboxes) and
-  // then calls drain_ticks() serially on the dispatching thread, which
-  // applies the recorded side effects in ascending shard — hence ascending
-  // router-id — order. That drain order equals the serial engine's visit
-  // order, so event scheduling, delivery order and every tie-break are
-  // bit-identical regardless of shard count. The defaults implement the
-  // serial fallback for event-driven backends (Ideal, ONoC, Hybrid): they
-  // have no per-cycle tick to shard, ignore the pool entirely, and keep
-  // their ordinary event paths.
-
-  /// True when this backend actually shards its tick over a worker pool.
-  virtual bool partitioned_tick_supported() const { return false; }
-
-  /// Ticks shard `shard` of `nshards`. Called either serially (shard 0 of 1)
-  /// or concurrently from pool lanes; implementations must touch only
-  /// shard-local state. Default: nothing to tick.
-  virtual void tick_partitioned(unsigned shard, unsigned nshards) {
-    (void)shard;
-    (void)nshards;
-  }
-
-  /// Applies all side effects recorded by the preceding tick_partitioned
-  /// calls, in ascending shard order, on the event-dispatching thread.
-  virtual void drain_ticks() {}
-
-  /// Minimum work items *per pool lane* before a cycle is sharded across the
-  /// worker pool (ENoC: active routers; ONoC: queued arbitration requests).
-  /// Below the threshold the cycle runs serially — bit-identical either way,
-  /// so this is purely a cost knob. 0 shards every cycle whenever a pool is
-  /// installed (tests use this to exercise the parallel path on small
-  /// workloads). Backends without a partitioned tick ignore it; composites
-  /// (Hybrid) forward it to every layer.
-  virtual void set_parallel_grain(unsigned grain) { (void)grain; }
-
-  // -------------------------------------------------------------------------
 
   /// Installs a fault model built from `spec` (must be enabled() — inert
   /// specs build no model so the fault-free path stays byte-identical).

@@ -42,19 +42,6 @@ class HybridNetwork final : public noc::Network {
   /// freshly-constructed state (capacity retained). Reset the Simulator first.
   void reset() override;
 
-  /// Both planes tick partitioned: each layer owns its own per-cycle flush
-  /// event (ENoC router tick, ONoC arbitration flush) and shards it over the
-  /// shared Simulator worker pool independently — the hybrid itself has no
-  /// tick of its own to shard, so the layer events are the whole story.
-  bool partitioned_tick_supported() const override {
-    return electrical_->partitioned_tick_supported() ||
-           optical_->partitioned_tick_supported();
-  }
-  void set_parallel_grain(unsigned grain) override {
-    electrical_->set_parallel_grain(grain);
-    optical_->set_parallel_grain(grain);
-  }
-
   /// Faults install per layer (counters under "<name>.el.fault.*" /
   /// "<name>.op.fault.*"), with decorrelated root seeds so both planes draw
   /// independent fault schedules from one configured seed. The hybrid shell

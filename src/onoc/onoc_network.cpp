@@ -1,10 +1,8 @@
 #include "onoc/onoc_network.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
-#include "common/parallel.hpp"
 #include "onoc/power.hpp"
 
 namespace sctm::onoc {
@@ -68,12 +66,6 @@ void OnocNetwork::reset() {
   // Arbitration queues: the flush event (if any) died with the simulator's
   // queue reset; drop whatever it would have served, capacity retained.
   for (auto& reqs : arb_chan_) reqs.clear();
-  for (auto& s : arb_shards_) {
-    s.grants.clear();
-    s.token_losses = 0;
-  }
-  arb_shards_in_use_ = 0;
-  arb_queued_ = 0;
   arb_scheduled_ = false;
   if (ctrl_) ctrl_->reset();
   for (auto& r : receivers_) {
@@ -126,9 +118,9 @@ void OnocNetwork::inject(noc::Message msg) {
 // identity and original inject_time.
 void OnocNetwork::route_to_arbitration(const noc::Message& msg) {
   if (params_.arbitration == Arbitration::kTokenRing) {
-    // Per-channel arbitration defers to the cycle's late-band flush so it
-    // can shard across channels; the grant values are what the immediate
-    // acquire would have produced (same cycle, same per-channel order).
+    // Per-channel arbitration defers to the cycle's late-band flush; the
+    // grant values are what the immediate acquire would have produced (same
+    // cycle, same per-channel order).
     queue_arbitration(msg, msg.dst);
     return;
   }
@@ -152,8 +144,7 @@ void OnocNetwork::route_to_arbitration(const noc::Message& msg) {
         pool_free_[best] > earliest ? pool_free_[best] : earliest;
     pool_free_[best] =
         start + params_.ser_cycles(msg.size_bytes) + params_.guard_cycles;
-    stat_arb_wait_.add(static_cast<double>(start - sim().now()));
-    sim().schedule_at(start, [this, msg]() mutable { start_transmission(msg); });
+    grant(msg, start, sim().now());
     return;
   }
 
@@ -165,7 +156,6 @@ void OnocNetwork::route_to_arbitration(const noc::Message& msg) {
 
 void OnocNetwork::queue_arbitration(const noc::Message& msg, NodeId channel) {
   arb_chan_[static_cast<std::size_t>(channel)].push_back(msg);
-  ++arb_queued_;
   if (!arb_scheduled_) {
     arb_scheduled_ = true;
     auto flush = [this] { arb_flush(); };
@@ -180,50 +170,21 @@ void OnocNetwork::queue_arbitration(const noc::Message& msg, NodeId channel) {
 // keeps draining until empty, so no request waits a cycle.
 void OnocNetwork::arb_flush() {
   arb_scheduled_ = false;
-  unsigned nshards = 1;
-  WorkerPool* pool = sim().worker_pool();
-  if (pool != nullptr && pool->size() > 1 &&
-      arb_queued_ >=
-          static_cast<std::size_t>(parallel_grain_) * pool->size()) {
-    nshards = std::min(pool->size(), static_cast<unsigned>(arb_chan_.size()));
-  }
-  if (arb_shards_.size() < nshards) arb_shards_.resize(nshards);
-  arb_shards_in_use_ = nshards;
-  if (nshards > 1) {
-    pool->run([this, nshards](unsigned lane) {
-      if (lane < nshards) tick_partitioned(lane, nshards);
-    });
-  } else {
-    tick_partitioned(0, 1);
-  }
-  drain_ticks();
-}
-
-void OnocNetwork::tick_partitioned(unsigned shard, unsigned nshards) {
-  const std::size_t n = arb_chan_.size();
-  const std::size_t lo = n * shard / nshards;
-  const std::size_t hi = n * (shard + 1) / nshards;
-  ArbShard& st = arb_shards_[shard];
   const Cycle t = sim().now();  // every queued request shares this cycle
-  for (std::size_t c = lo; c < hi; ++c) {
+  for (std::size_t c = 0; c < arb_chan_.size(); ++c) {
     std::vector<noc::Message>& reqs = arb_chan_[c];
     if (reqs.empty()) continue;
     if (params_.arbitration == Arbitration::kTokenRing) {
       TokenRing& ring = tokens_[c];
       fault::FaultModel* fm = fault_model();
       for (const noc::Message& m : reqs) {
-        // Token-loss draw from the channel's own child stream: this channel
-        // is owned by exactly this shard, and its request order is the
-        // shard-invariant per-channel arrival subsequence, so the draw
-        // sequence (hence every grant) is identical at any lane count.
+        // Token-loss draw from the channel's own child stream.
         if (fm != nullptr && fm->draw_token_loss(static_cast<int>(c))) {
           ring.lose_token(t, fm->spec().onoc_token_regen_cycles);
-          ++st.token_losses;
         }
         const Cycle hold =
             params_.ser_cycles(m.size_bytes) + params_.guard_cycles;
-        const Cycle grant = ring.acquire(m.src, t, hold);
-        st.grants.push_back({m, grant, grant - t});
+        grant(m, ring.acquire(m.src, t, hold), t);
       }
     } else {
       Cycle& free_at = src_channel_free_[c];
@@ -231,31 +192,18 @@ void OnocNetwork::tick_partitioned(unsigned shard, unsigned nshards) {
         const Cycle start = free_at > t ? free_at : t;
         free_at =
             start + params_.ser_cycles(m.size_bytes) + params_.guard_cycles;
-        st.grants.push_back({m, start, start - t});
+        grant(m, start, t);
       }
     }
     reqs.clear();
   }
 }
 
-void OnocNetwork::drain_ticks() {
-  for (unsigned s = 0; s < arb_shards_in_use_; ++s) {
-    ArbShard& st = arb_shards_[s];
-    if (st.token_losses != 0) {
-      fault_model()->note_token_losses(st.token_losses);
-      st.token_losses = 0;
-    }
-    for (const Grant& g : st.grants) {
-      stat_arb_wait_.add(static_cast<double>(g.wait));
-      const noc::Message msg = g.msg;
-      auto ev = [this, msg]() mutable { start_transmission(msg); };
-      static_assert(InlineFn::fits_inline<decltype(ev)>());
-      sim().schedule_at(g.start, std::move(ev));
-    }
-    st.grants.clear();
-  }
-  arb_shards_in_use_ = 0;
-  arb_queued_ = 0;
+void OnocNetwork::grant(const noc::Message& msg, Cycle start, Cycle now) {
+  stat_arb_wait_.add(static_cast<double>(start - now));
+  auto ev = [this, msg]() mutable { start_transmission(msg); };
+  static_assert(InlineFn::fits_inline<decltype(ev)>());
+  sim().schedule_at(start, std::move(ev));
 }
 
 void OnocNetwork::start_transmission(noc::Message msg) {

@@ -17,17 +17,14 @@
 // The data plane is event-driven (no per-cycle clock): an idle ONOC costs
 // zero events, so trace replay over it is fast.
 //
-// Channel-sharded arbitration: token-ring and SWMR arbitration are
-// *per-channel independent* — one TokenRing per receive channel, one busy
-// horizon per source channel — so a cycle's requests can be arbitrated in
-// parallel. inject() queues the request on its channel and schedules one
-// late-band flush per cycle; the flush shards contiguous channel ranges
-// across the Simulator's WorkerPool (grants recorded into per-shard
-// outboxes, never scheduled from a lane) and then drains the outboxes in
-// ascending shard — hence ascending channel — order on the dispatching
-// thread. Serial and sharded flushes walk channels in the same ascending
-// order through the same code path, so grant times, stat order and event
-// scheduling are bit-identical at any lane count. See DESIGN.md §10.
+// Per-cycle arbitration flush: token-ring and SWMR arbitration are
+// per-channel independent — one TokenRing per receive channel, one busy
+// horizon per source channel. inject() queues the request on its channel and
+// schedules one late-band flush per cycle, which walks channels in ascending
+// order and grants each channel's requests in arrival order. Every request
+// of a cycle carries the same timestamp, so the grant times equal what an
+// immediate per-request acquire would produce; the ascending-channel walk
+// fixes the order of stat adds and scheduled transmissions.
 #pragma once
 
 #include <deque>
@@ -59,15 +56,6 @@ class OnocNetwork : public noc::Network {
   /// The owning Simulator must be reset first.
   void reset() override;
 
-  /// Token-ring and SWMR arbitration shard per receive/source channel.
-  bool partitioned_tick_supported() const override {
-    return params_.arbitration == Arbitration::kTokenRing ||
-           params_.arbitration == Arbitration::kSwmr;
-  }
-  void tick_partitioned(unsigned shard, unsigned nshards) override;
-  void drain_ticks() override;
-  void set_parallel_grain(unsigned grain) override { parallel_grain_ = grain; }
-
   /// Fault injection (DESIGN.md §11) on the optical plane: token loss
   /// (timeout-regenerated at the ring's home node), path-setup grant loss
   /// (receiver re-issues after the reservation timeout), and whole-transfer
@@ -76,7 +64,7 @@ class OnocNetwork : public noc::Network {
   /// the spec's retry budget. The electrical control mesh itself runs
   /// fault-free — control-plane loss is modeled abstractly by the
   /// reservation-loss class. Token-loss draws come from per-channel child
-  /// streams so sharded arbitration stays bit-identical to serial.
+  /// streams, so one channel's draws never depend on another's traffic.
   void install_fault_model(const fault::FaultSpec& spec) override;
 
   /// BER the installed fault spec implies for the worst-case optical link
@@ -113,6 +101,8 @@ class OnocNetwork : public noc::Network {
   void receiver_freed(NodeId dst);
   void queue_arbitration(const noc::Message& msg, NodeId channel);
   void arb_flush();
+  /// Records the arbitration wait and schedules the transmission start.
+  void grant(const noc::Message& msg, Cycle start, Cycle now);
 
   noc::Topology topo_;
   OnocParams params_;
@@ -123,31 +113,11 @@ class OnocNetwork : public noc::Network {
   // SWMR mode: per-source channel busy horizon.
   std::vector<Cycle> src_channel_free_;
 
-  /// One granted request: externally visible effects (the arb-wait stat add
-  /// and the transmission-start event) recorded by a shard, applied at
-  /// drain. Shards only read channel state they own, so this is the only
-  /// crossing point.
-  struct Grant {
-    noc::Message msg;
-    Cycle start = 0;
-    Cycle wait = 0;
-  };
-  struct ArbShard {
-    std::vector<Grant> grants;
-    /// Token losses drawn by this shard's lanes; folded into the fault
-    /// model's counter at drain (lanes never touch shared counters).
-    std::uint64_t token_losses = 0;
-  };
-
   /// Per-channel request queues for the current cycle (token: keyed by dst,
   /// SWMR: keyed by src), in arrival order — exactly the per-channel
-  /// subsequence of the old immediate-acquire call order. Capacity retained.
+  /// subsequence of the immediate-acquire call order. Capacity retained.
   std::vector<std::vector<noc::Message>> arb_chan_;
-  std::vector<ArbShard> arb_shards_;
-  unsigned arb_shards_in_use_ = 0;
-  std::size_t arb_queued_ = 0;  // requests queued this cycle (grain input)
   bool arb_scheduled_ = false;
-  unsigned parallel_grain_ = 2;
 
   // Shared-pool mode: busy horizon per pooled channel.
   std::vector<Cycle> pool_free_;

@@ -20,8 +20,6 @@
 
 namespace sctm {
 
-class WorkerPool;
-
 class Simulator {
  public:
   Simulator() = default;
@@ -72,16 +70,6 @@ class Simulator {
   /// noc::Network::reset()).
   void reset();
 
-  /// Installs a worker pool (non-owning; nullptr reverts to serial) that
-  /// components may use to shard one cycle's work between two barriers. The
-  /// kernel itself stays single-threaded: events are dispatched serially and
-  /// a component that consults the pool must drain all side effects back on
-  /// the dispatching thread before its event returns (see the
-  /// noc::Network::tick_partitioned contract). Survives reset() — the pool
-  /// is session infrastructure, not simulation state.
-  void set_worker_pool(WorkerPool* pool) { pool_ = pool; }
-  WorkerPool* worker_pool() const { return pool_; }
-
   StatRegistry& stats() { return stats_; }
   const StatRegistry& stats() const { return stats_; }
 
@@ -92,7 +80,6 @@ class Simulator {
  private:
   EventQueue queue_;
   StatRegistry stats_;
-  WorkerPool* pool_ = nullptr;
   Cycle now_ = 0;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;

@@ -1,19 +1,24 @@
 // Differential tests for the session reset/reuse protocol: a ReplaySession
 // recycled through Simulator::reset() + Network::reset() must be
 // bit-identical to fresh construction on every network kind and in both
-// replay modes, including after rebind() and across randomized walks over
-// the design space.
+// replay modes, including after rebind() (full rebuild and the in-place fast
+// path) and across randomized walks over the design space. The pinned-output
+// suite additionally holds every kind's complete replay output to hashes
+// recorded at commit 3e04a31.
 #include "core/replay_session.hpp"
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/driver.hpp"
+#include "noc/routing.hpp"
+#include "tracestore/format.hpp"
 
 namespace sctm::core {
 namespace {
@@ -51,6 +56,15 @@ constexpr NetKind kAllKinds[] = {NetKind::kIdeal,     NetKind::kEnoc,
 const ReplayTrace& shared_rt() {
   static const trace::Trace trace =
       run_execution(small_app("fft"), spec_of(NetKind::kEnoc), small_sys())
+          .trace;
+  static const ReplayTrace rt(trace);
+  return rt;
+}
+
+// The 16-core jacobi capture the pinned-output and in-place rebind tests use.
+const ReplayTrace& jacobi_rt() {
+  static const trace::Trace trace =
+      run_execution(small_app("jacobi"), spec_of(NetKind::kEnoc), small_sys())
           .trace;
   static const ReplayTrace rt(trace);
   return rt;
@@ -221,6 +235,197 @@ TEST(ReplaySession, TakeResultLeavesSessionReusable) {
 
   const ReplayResult& again = session.run();
   expect_identical(again, taken, "run after take_result");
+}
+
+// --- Pinned serial outputs -------------------------------------------------
+
+// One FNV-1a hash per network kind over a replay's complete output: the
+// inject and arrive schedules, the kernel event count and the rendered stat
+// registry. The expected values were computed at commit 3e04a31; they pin
+// event order, arbitration tie-breaks and stat accounting of the serial
+// engine. Three workloads per kind: the 16-core jacobi trace at full window,
+// the same trace at window 1 (iterative refinement), and a jacobi trace
+// captured on a 4x4x2 mesh3d.
+std::uint64_t output_hash(const ReplayResult& r) {
+  tracestore::Fnv1a64 h;
+  h.update(r.inject_time.data(), r.inject_time.size() * sizeof(Cycle));
+  h.update(r.arrive_time.data(), r.arrive_time.size() * sizeof(Cycle));
+  h.update_scalar(r.events);
+  const std::string report = r.stats.report();
+  h.update(report.data(), report.size());
+  return h.value();
+}
+
+NetSpec spec_on(NetKind kind, const noc::Topology& topo) {
+  NetSpec s;
+  s.kind = kind;
+  s.topo = topo;
+  s.enoc.routing = noc::default_algo(topo);
+  s.hybrid.electrical.routing = s.enoc.routing;
+  return s;
+}
+
+const ReplayTrace& mesh3d_rt() {
+  static const trace::Trace trace = [] {
+    const noc::Topology topo = noc::Topology::mesh3d(4, 4, 2);
+    fullsys::AppParams app = small_app("jacobi");
+    app.cores = topo.node_count();
+    return run_execution(app, spec_on(NetKind::kEnoc, topo), small_sys())
+        .trace;
+  }();
+  static const ReplayTrace rt(trace);
+  return rt;
+}
+
+struct PinnedHashes {
+  std::uint64_t jacobi;
+  std::uint64_t jacobi_window1;
+  std::uint64_t mesh3d;
+};
+
+// Indexed like kAllKinds.
+constexpr PinnedHashes kPinned[] = {
+    {0xa59a172ce67e464bull, 0x9bb15448e8ca9493ull, 0x595c8ece50700319ull},
+    {0xb5b572faebc973bcull, 0x1b6effa03957c04dull, 0xcf3826a7a034806aull},
+    {0x13a5bab8eff2d7a5ull, 0x03a4cdf83b45e03dull, 0xeb811f0f41917351ull},
+    {0xca14ea48a2f1e906ull, 0xaeab1f4d3302f573ull, 0x5b8f2498dada21dfull},
+    {0x892271a0423cb233ull, 0x3617e139ce5fc1b7ull, 0xa1d5baf0a1774bf4ull},
+    {0x34b691c8bea5ba2eull, 0x30791413513220eaull, 0x8ffca26f2fadd89dull},
+};
+
+const PinnedHashes& pinned_for(NetKind kind) {
+  for (std::size_t i = 0; i < std::size(kAllKinds); ++i) {
+    if (kAllKinds[i] == kind) return kPinned[i];
+  }
+  throw std::logic_error("no pinned hashes for this kind");
+}
+
+std::uint64_t replay_hash(const ReplayTrace& rt, const NetSpec& spec,
+                          const ReplayConfig& cfg) {
+  ReplaySession session(rt, spec, cfg);
+  return output_hash(session.run());
+}
+
+class PinnedSerialOutput : public ::testing::TestWithParam<NetKind> {};
+
+TEST_P(PinnedSerialOutput, JacobiFullWindow) {
+  EXPECT_EQ(replay_hash(jacobi_rt(), spec_of(GetParam()), ReplayConfig{}),
+            pinned_for(GetParam()).jacobi);
+}
+
+TEST_P(PinnedSerialOutput, JacobiWindowOneIterates) {
+  ReplayConfig cfg;
+  cfg.dependency_window = 1;
+  EXPECT_EQ(replay_hash(jacobi_rt(), spec_of(GetParam()), cfg),
+            pinned_for(GetParam()).jacobi_window1);
+}
+
+TEST_P(PinnedSerialOutput, Mesh3DFullWindow) {
+  const NetSpec spec = spec_on(GetParam(), noc::Topology::mesh3d(4, 4, 2));
+  EXPECT_EQ(replay_hash(mesh3d_rt(), spec, ReplayConfig{}),
+            pinned_for(GetParam()).mesh3d);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, PinnedSerialOutput,
+                         ::testing::ValuesIn(kAllKinds), [](const auto& info) {
+                           std::string name = to_string(info.param);
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
+
+// --- In-place rebind fast path ---------------------------------------------
+
+// Parameter-only spec changes must patch the network in place and still be
+// bit-identical to a freshly built session, including the walk back to the
+// original parameters.
+TEST(InPlaceRebind, EnocParameterChangesMatchFresh) {
+  const ReplayTrace& rt = jacobi_rt();
+  const ReplayConfig cfg;
+
+  NetSpec base = spec_of(NetKind::kEnoc);
+  NetSpec wide = base;
+  wide.enoc.vcs_per_vnet = 4;  // resizes every per-VC structure
+  wide.enoc.buffer_depth = 2;
+  NetSpec matrix = base;
+  matrix.enoc.arbiter = enoc::ArbiterKind::kMatrix;
+
+  ReplaySession session(rt, base, cfg);
+  for (const NetSpec* spec : {&wide, &matrix, &base}) {
+    session.rebind(*spec);
+    EXPECT_TRUE(session.last_rebind_in_place());
+    const ReplayResult fresh = replay(rt, make_factory(*spec), cfg);
+    expect_identical(session.run(), fresh, spec->describe());
+  }
+}
+
+TEST(InPlaceRebind, IdealParameterChangesMatchFresh) {
+  const ReplayTrace& rt = jacobi_rt();
+  const ReplayConfig cfg;
+
+  NetSpec base = spec_of(NetKind::kIdeal);
+  NetSpec slow = base;
+  slow.ideal.per_hop_latency = 7;
+  slow.ideal.bytes_per_cycle = 4;
+
+  ReplaySession session(rt, base, cfg);
+  session.rebind(slow);
+  EXPECT_TRUE(session.last_rebind_in_place());
+  expect_identical(session.run(), replay(rt, make_factory(slow), cfg),
+                   "ideal reparam");
+  session.rebind(base);
+  EXPECT_TRUE(session.last_rebind_in_place());
+  expect_identical(session.run(), replay(rt, make_factory(base), cfg),
+                   "ideal back to base");
+}
+
+// Kind or topology changes — and the parameter-baked ONoC backends — must
+// fall back to the full rebuild, transparently.
+TEST(InPlaceRebind, StructuralChangesFallBackToRebuild) {
+  const ReplayTrace& rt = jacobi_rt();
+  const ReplayConfig cfg;
+
+  ReplaySession session(rt, spec_of(NetKind::kEnoc), cfg);
+  session.rebind(spec_of(NetKind::kIdeal));  // kind change
+  EXPECT_FALSE(session.last_rebind_in_place());
+  expect_identical(session.run(),
+                   replay(rt, make_factory(spec_of(NetKind::kIdeal)), cfg),
+                   "kind change");
+
+  NetSpec onoc_a = spec_of(NetKind::kOnocToken);
+  session.rebind(onoc_a);
+  EXPECT_FALSE(session.last_rebind_in_place());
+  NetSpec onoc_b = onoc_a;
+  onoc_b.onoc.wavelengths += 4;  // ONoC params are construction-baked
+  session.rebind(onoc_b);
+  EXPECT_FALSE(session.last_rebind_in_place());
+  expect_identical(session.run(), replay(rt, make_factory(onoc_b), cfg),
+                   "onoc param change rebuilds");
+
+  NetSpec torus = spec_of(NetKind::kEnoc);
+  torus.topo = noc::Topology::torus(4, 4);
+  torus.enoc.routing = noc::RoutingAlgo::kTorusDor;
+  session.rebind(torus);
+  EXPECT_FALSE(session.last_rebind_in_place());  // topology change
+  expect_identical(session.run(), replay(rt, make_factory(torus), cfg),
+                   "topology change rebuilds");
+}
+
+// An equal spec is a no-op rebind (the pure reset-reuse path).
+TEST(InPlaceRebind, EqualSpecIsNoop) {
+  const ReplayTrace& rt = jacobi_rt();
+  const ReplayConfig cfg;
+  const NetSpec spec = spec_of(NetKind::kEnoc);
+
+  ReplaySession session(rt, spec, cfg);
+  const ReplayResult fresh = replay(rt, make_factory(spec), cfg);
+  expect_identical(session.run(), fresh, "before");
+  const noc::Network* before = &session.network();
+  session.rebind(spec);
+  EXPECT_TRUE(session.last_rebind_in_place());
+  EXPECT_EQ(&session.network(), before);  // same object, not rebuilt
+  expect_identical(session.run(), fresh, "after noop rebind");
 }
 
 }  // namespace

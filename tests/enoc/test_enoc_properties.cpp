@@ -21,6 +21,10 @@ struct Scenario {
   double rate;
 };
 
+// gtest's default byte dump would print the `name` pointer, which moves with
+// address-space randomization and so renames the CTest cases on every build.
+void PrintTo(const Scenario& sc, std::ostream* os) { *os << sc.name; }
+
 class EnocLoadSweep : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(EnocLoadSweep, LosslessAndDrains) {

@@ -5,7 +5,8 @@
 // node count; (2) determinism — draining the active set in ascending
 // router-id order is bit-identical to the seed policy of ticking every
 // router every cycle (same activity hash, same delivered timestamps, same
-// per-cycle arbitration history).
+// per-cycle arbitration history), including when a delivery re-activates a
+// router during the cycle's outbox drain.
 #include "enoc/enoc_network.hpp"
 
 #include <gtest/gtest.h>
@@ -84,15 +85,23 @@ struct WorkloadResult {
 
 /// A contended deterministic workload: staggered all-to-few bursts on an
 /// 8x8 mesh, enough overlap to exercise credit stalls, VC contention and
-/// multi-flit wormhole interleaving.
-WorkloadResult run_workload(bool exhaustive) {
+/// multi-flit wormhole interleaving. `chain` adds a delivery-triggered
+/// same-cycle reply inject — the drain-time activation path that the
+/// clear-before-drain ordering rule exists for.
+WorkloadResult run_workload(bool exhaustive, bool chain = false) {
   Simulator sim;
   const auto topo = Topology::mesh(8, 8);
   EnocNetwork net(sim, "enoc", topo, small_params());
   net.set_exhaustive_tick_for_test(exhaustive);
   WorkloadResult out;
+  MsgId reply_next = 100000;  // distinct id space: one reply per original
   net.set_deliver_callback([&](const Message& m) {
     out.deliveries.emplace_back(m.id, sim.now());
+    if (chain && m.id < 100000) {
+      // Same-cycle reply from the delivering node: activates a router while
+      // the drain is running, after the scan cleared its idle bit.
+      net.inject(make_msg(reply_next++, m.dst, m.src, 32));
+    }
   });
   MsgId next = 1;
   for (int burst = 0; burst < 8; ++burst) {
@@ -125,6 +134,20 @@ TEST(Quiescence, ScoreboardIsBitIdenticalToExhaustiveTicking) {
 
   // ...while doing strictly less router work.
   EXPECT_LT(sb.router_ticks, ex.router_ticks);
+}
+
+TEST(Quiescence, DrainTimeActivationsSurviveScoreboardClears) {
+  // Regression for the drain ordering rule: idle routers are cleared from the
+  // scoreboard before the outbox drain, so a router activated by a
+  // drain-time delivery (ejection -> deliver -> same-cycle reply inject)
+  // keeps its active bit. If the order were reversed, the reply's source
+  // router would be cleared and its flits stranded — the run would either
+  // deadlock (caught by the suite timeout) or lose deliveries.
+  const WorkloadResult sb = run_workload(/*exhaustive=*/false, /*chain=*/true);
+  ASSERT_EQ(sb.deliveries.size(), 192u);  // 96 originals + 96 replies
+  const WorkloadResult ex = run_workload(/*exhaustive=*/true, /*chain=*/true);
+  EXPECT_EQ(sb.activity_hash, ex.activity_hash);
+  EXPECT_EQ(sb.deliveries, ex.deliveries);
 }
 
 TEST(Quiescence, ScoreboardRunIsSelfDeterministic) {

@@ -9,7 +9,6 @@
 // and batch dispatch touches no node-based containers.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -22,30 +21,28 @@
 
 namespace {
 
-// Atomic: the sharded-tick test runs worker-pool lanes, and any lane's
-// allocation must both count and not race the counter.
-std::atomic<std::uint64_t> g_allocs{0};
+std::uint64_t g_allocs = 0;
 
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++g_allocs;
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 void* operator new[](std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++g_allocs;
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++g_allocs;
   return std::malloc(size);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++g_allocs;
   return std::malloc(size);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -219,7 +216,9 @@ TEST(AllocFreeKernel, ReplaySessionPassesAfterWarmupAreAllocationFree) {
   // second proves the footprint converged — then assert that further passes
   // never touch the heap. This is the acceptance bar for reset() being
   // capacity-retaining at every layer (simulator, network, routers, replay
-  // buffers) rather than a convenience clear.
+  // buffers) rather than a convenience clear. The hybrid steers the workload
+  // across both planes, so its passes also hold the ONoC per-channel
+  // arbitration queues to the bar.
   fullsys::AppParams app;
   app.name = "jacobi";
   app.cores = 16;
@@ -230,115 +229,31 @@ TEST(AllocFreeKernel, ReplaySessionPassesAfterWarmupAreAllocationFree) {
   sys.l1_ways = 2;
   sys.l2_sets = 32;
   sys.l2_ways = 4;
-  core::NetSpec spec;
-  spec.kind = core::NetKind::kEnoc;
-  const auto exec = core::run_execution(app, spec, sys);
-  const core::ReplayTrace rt(exec.trace);
-  ASSERT_FALSE(rt.empty());
+  for (const core::NetKind kind : {core::NetKind::kEnoc,
+                                   core::NetKind::kHybrid}) {
+    SCOPED_TRACE(core::to_string(kind));
+    core::NetSpec spec;
+    spec.kind = kind;
+    const auto exec = core::run_execution(app, spec, sys);
+    const core::ReplayTrace rt(exec.trace);
+    ASSERT_FALSE(rt.empty());
 
-  core::ReplaySession session(rt, core::make_factory(spec), {});
-  session.run_pass();  // warmup: size pass buffers, buckets, rings
-  session.run_pass();  // warmup: prove the footprint converged
-  const Cycle runtime = session.result().runtime;
+    core::ReplaySession session(rt, core::make_factory(spec), {});
+    session.run_pass();  // warmup: size pass buffers, buckets, rings
+    session.run_pass();  // warmup: prove the footprint converged
+    const Cycle runtime = session.result().runtime;
 
-  const std::uint64_t allocs_before = g_allocs;
-  const std::uint64_t fallbacks_before = InlineFn::heap_fallbacks();
-  constexpr int kPasses = 8;
-  for (int p = 0; p < kPasses; ++p) {
-    const auto& res = session.run_pass();
-    ASSERT_EQ(res.runtime, runtime);  // still the exact schedule
+    const std::uint64_t allocs_before = g_allocs;
+    const std::uint64_t fallbacks_before = InlineFn::heap_fallbacks();
+    constexpr int kPasses = 8;
+    for (int p = 0; p < kPasses; ++p) {
+      const auto& res = session.run_pass();
+      ASSERT_EQ(res.runtime, runtime);  // still the exact schedule
+    }
+    EXPECT_EQ(g_allocs - allocs_before, 0u)
+        << "replay passes 2..N hit the heap (reset protocol leaked capacity)";
+    EXPECT_EQ(InlineFn::heap_fallbacks() - fallbacks_before, 0u);
   }
-  EXPECT_EQ(g_allocs - allocs_before, 0u)
-      << "replay passes 2..N hit the heap (reset protocol leaked capacity)";
-  EXPECT_EQ(InlineFn::heap_fallbacks() - fallbacks_before, 0u);
-}
-
-TEST(AllocFreeKernel, ShardedTickSteadyStateIsAllocationFree) {
-  // The parallel engine must hold the same bar: with a 4-lane worker pool
-  // sharding every ENoC cycle (grain 0), warmed-up passes may not allocate
-  // on the dispatching thread — outboxes, clear masks and shard state all
-  // retain capacity, and WorkerPool::run() publishes phases without heap
-  // traffic. g_allocs counts process-wide (atomically), so worker lanes are
-  // held to the same zero: warmed-up router ticks only push into
-  // capacity-retaining outboxes and fixed-capacity FlitRing/scratch.
-  fullsys::AppParams app;
-  app.name = "jacobi";
-  app.cores = 16;
-  app.lines_per_core = 8;
-  app.iterations = 1;
-  fullsys::FullSysParams sys;
-  sys.l1_sets = 8;
-  sys.l1_ways = 2;
-  sys.l2_sets = 32;
-  sys.l2_ways = 4;
-  core::NetSpec spec;
-  spec.kind = core::NetKind::kEnoc;
-  const auto exec = core::run_execution(app, spec, sys);
-  const core::ReplayTrace rt(exec.trace);
-  ASSERT_FALSE(rt.empty());
-
-  core::ReplayConfig cfg;
-  cfg.threads = 4;
-  core::ReplaySession session(rt, spec, cfg);
-  // Grain 0 everywhere: router-tick sharding plus the session's own sharded
-  // phases (seed scan, delivered-dependency scan, eligibility-batch sort).
-  session.set_parallel_grains_for_test(0);
-  session.run_pass();  // warmup: size pass buffers, shard outboxes, masks
-  session.run_pass();  // warmup: prove the footprint converged
-  const Cycle runtime = session.result().runtime;
-
-  const std::uint64_t allocs_before = g_allocs;
-  const std::uint64_t fallbacks_before = InlineFn::heap_fallbacks();
-  constexpr int kPasses = 8;
-  for (int p = 0; p < kPasses; ++p) {
-    const auto& res = session.run_pass();
-    ASSERT_EQ(res.runtime, runtime);  // sharded == serial schedule, exactly
-  }
-  EXPECT_EQ(g_allocs - allocs_before, 0u)
-      << "sharded replay passes hit the heap (shard state leaked capacity)";
-  EXPECT_EQ(InlineFn::heap_fallbacks() - fallbacks_before, 0u);
-}
-
-TEST(AllocFreeKernel, ShardedTickHybridOpticalSteadyStateIsAllocationFree) {
-  // Same bar over the optical plane: the hybrid steers the workload across
-  // both layers, so warmed-up passes exercise the ENoC shard outboxes AND
-  // the ONoC per-channel arbitration queues / grant outboxes, with the
-  // session's sharded scan/sort phases engaged on top. None of it may touch
-  // the heap after two warmup passes.
-  fullsys::AppParams app;
-  app.name = "jacobi";
-  app.cores = 16;
-  app.lines_per_core = 8;
-  app.iterations = 1;
-  fullsys::FullSysParams sys;
-  sys.l1_sets = 8;
-  sys.l1_ways = 2;
-  sys.l2_sets = 32;
-  sys.l2_ways = 4;
-  core::NetSpec spec;
-  spec.kind = core::NetKind::kHybrid;
-  const auto exec = core::run_execution(app, spec, sys);
-  const core::ReplayTrace rt(exec.trace);
-  ASSERT_FALSE(rt.empty());
-
-  core::ReplayConfig cfg;
-  cfg.threads = 4;
-  core::ReplaySession session(rt, spec, cfg);
-  session.set_parallel_grains_for_test(0);
-  session.run_pass();  // warmup: size arb queues, grant outboxes, batches
-  session.run_pass();  // warmup: prove the footprint converged
-  const Cycle runtime = session.result().runtime;
-
-  const std::uint64_t allocs_before = g_allocs;
-  const std::uint64_t fallbacks_before = InlineFn::heap_fallbacks();
-  constexpr int kPasses = 8;
-  for (int p = 0; p < kPasses; ++p) {
-    const auto& res = session.run_pass();
-    ASSERT_EQ(res.runtime, runtime);
-  }
-  EXPECT_EQ(g_allocs - allocs_before, 0u)
-      << "sharded optical-plane replay passes hit the heap";
-  EXPECT_EQ(InlineFn::heap_fallbacks() - fallbacks_before, 0u);
 }
 
 TEST(AllocFreeKernel, FarHeapPathAllocatesOnlyForGrowth) {
