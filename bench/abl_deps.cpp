@@ -24,15 +24,14 @@ int main() {
     app.cores = 16;
     app.lines_per_core = 16;
     app.iterations = 2;
-    const auto capture = core::run_execution(app, ideal_spec(2), {});
+    const core::ReplayTrace capture(
+        core::run_execution(app, ideal_spec(2), {}).trace);
     const auto truth_run = core::run_execution(app, ideal_spec(16), {});
     const auto truth = core::summarize(truth_run.trace);
 
     auto err_of = [&](const core::ReplayConfig& cfg) {
-      const auto rep = core::run_replay(capture.trace, ideal_spec(16), cfg);
-      return core::compare(truth,
-                           core::summarize(capture.trace, rep.result))
-          .runtime_err;
+      const auto rep = core::run_replay(capture, ideal_spec(16), cfg);
+      return core::compare(truth, core::summarize(rep.result)).runtime_err;
     };
 
     core::ReplayConfig naive;

@@ -20,6 +20,7 @@ int main() {
   app.iterations = 2;
 
   const auto capture = core::run_execution(app, enoc_spec(), {});
+  const core::ReplayTrace rt(capture.trace);
 
   std::vector<core::Candidate> candidates;
   // Electrical variants: buffering, VCs, routing, arbiter.
@@ -63,7 +64,7 @@ int main() {
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  const auto ranked = core::explore(capture.trace, candidates);
+  const auto ranked = core::explore(rt, candidates);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -82,7 +83,9 @@ int main() {
               ranked.size(), wall, capture.wall_seconds);
 
   // Determinism: a serial re-run must produce the identical ranking.
-  const auto again = core::explore(capture.trace, candidates, {}, 1);
+  core::ExploreConfig serial;
+  serial.threads = 1;
+  const auto again = core::explore(rt, candidates, serial);
   bool same = again.size() == ranked.size();
   for (std::size_t i = 0; same && i < ranked.size(); ++i) {
     same = again[i].name == ranked[i].name &&

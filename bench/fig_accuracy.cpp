@@ -29,20 +29,18 @@ int main() {
   std::vector<Row> rows(apps.size());
   parallel_for(apps.size(), [&](std::size_t i) {
     const auto& app = apps[i];
-    const auto capture = core::run_execution(app, enoc_spec(), {});
+    const core::ReplayTrace capture(
+        core::run_execution(app, enoc_spec(), {}).trace);
     const auto truth_run = core::run_execution(app, onoc_token_spec(), {});
 
     core::ReplayConfig naive_cfg;
     naive_cfg.mode = core::ReplayMode::kNaive;
-    const auto naive =
-        core::run_replay(capture.trace, onoc_token_spec(), naive_cfg);
-    const auto sctm = core::run_replay(capture.trace, onoc_token_spec(), {});
+    const auto naive = core::run_replay(capture, onoc_token_spec(), naive_cfg);
+    const auto sctm = core::run_replay(capture, onoc_token_spec(), {});
 
     rows[i].truth = core::summarize(truth_run.trace);
-    rows[i].naive = core::compare(
-        rows[i].truth, core::summarize(capture.trace, naive.result));
-    rows[i].sctm = core::compare(
-        rows[i].truth, core::summarize(capture.trace, sctm.result));
+    rows[i].naive = core::compare(rows[i].truth, core::summarize(naive.result));
+    rows[i].sctm = core::compare(rows[i].truth, core::summarize(sctm.result));
   });
 
   double naive_rt_sum = 0, sctm_rt_sum = 0;

@@ -16,11 +16,12 @@ int main() {
   app.lines_per_core = 16;
   app.iterations = 2;
 
-  const auto capture = core::run_execution(app, ideal_spec(2), {});
+  const core::ReplayTrace capture(
+      core::run_execution(app, ideal_spec(2), {}).trace);
   // Target: much slower network, so frozen anchors are badly wrong and the
   // correction has real work to do.
   const auto target = ideal_spec(16);
-  const auto full = core::run_replay(capture.trace, target, {});
+  const auto full = core::run_replay(capture, target, {});
 
   Table t("R-F4: truncated-window convergence (fft, capture 2 cyc/hop -> "
           "target 16 cyc/hop)");
@@ -33,7 +34,7 @@ int main() {
     cfg.dependency_window = w;
     cfg.max_iterations = 16;
     cfg.convergence_threshold = 0.5;
-    const auto rep = core::run_replay(capture.trace, target, cfg);
+    const auto rep = core::run_replay(capture, target, cfg);
     const double err =
         std::abs(static_cast<double>(rep.result.runtime) -
                  static_cast<double>(full.result.runtime)) /

@@ -30,6 +30,7 @@ int main() {
     const auto truth_detailed =
         core::run_execution(app, onoc_token_spec(), detailed_sys);
 
+    const core::ReplayTrace rt(capture.trace);
     core::ReplayConfig naive_cfg;
     naive_cfg.mode = core::ReplayMode::kNaive;
     // Median of 3 for the fast replays to de-noise wall clock.
@@ -37,7 +38,7 @@ int main() {
       double w[3];
       core::ReplayRun keep;
       for (auto& x : w) {
-        keep = core::run_replay(capture.trace, onoc_token_spec(), cfg);
+        keep = core::run_replay(rt, onoc_token_spec(), cfg);
         x = keep.wall_seconds;
       }
       std::sort(std::begin(w), std::end(w));

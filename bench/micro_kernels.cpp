@@ -591,7 +591,7 @@ void BM_EnocSaturatedCycle(benchmark::State& state) {
 BENCHMARK(BM_EnocSaturatedCycle)->Unit(benchmark::kMillisecond);
 
 struct ReplayFixture {
-  trace::Trace trace;
+  core::ReplayTrace rt;
   ReplayFixture() {
     fullsys::AppParams app;
     app.name = "fft";
@@ -600,7 +600,7 @@ struct ReplayFixture {
     app.iterations = 2;
     core::NetSpec spec;
     spec.kind = core::NetKind::kEnoc;
-    trace = core::run_execution(app, spec, {}).trace;
+    rt = core::ReplayTrace(core::run_execution(app, spec, {}).trace);
   }
 };
 
@@ -609,11 +609,11 @@ void BM_SctmReplayPerMessage(benchmark::State& state) {
   core::NetSpec target;
   target.kind = core::NetKind::kOnocToken;
   for (auto _ : state) {
-    const auto rep = core::run_replay(fx.trace, target, {});
+    const auto rep = core::run_replay(fx.rt, target, {});
     benchmark::DoNotOptimize(rep.result.runtime);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(fx.trace.records.size()));
+                          static_cast<std::int64_t>(fx.rt.size()));
 }
 BENCHMARK(BM_SctmReplayPerMessage)->Unit(benchmark::kMillisecond);
 
@@ -624,11 +624,11 @@ void BM_NaiveReplayPerMessage(benchmark::State& state) {
   core::ReplayConfig cfg;
   cfg.mode = core::ReplayMode::kNaive;
   for (auto _ : state) {
-    const auto rep = core::run_replay(fx.trace, target, cfg);
+    const auto rep = core::run_replay(fx.rt, target, cfg);
     benchmark::DoNotOptimize(rep.result.runtime);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(fx.trace.records.size()));
+                          static_cast<std::int64_t>(fx.rt.size()));
 }
 BENCHMARK(BM_NaiveReplayPerMessage)->Unit(benchmark::kMillisecond);
 

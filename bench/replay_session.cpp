@@ -1,12 +1,12 @@
 // Replay-session bench: fresh construction vs the reset/reuse protocol.
 //
 // Replays one captured trace per network kind two ways: "fresh" pays the
-// original engine's cost (build a Simulator + network + every pass buffer,
-// run one pass, tear it all down — what replay_once() does) while "session"
-// runs the same pass on one long-lived ReplaySession recycled through
-// Simulator::reset() + Network::reset(). The per-pass wall-time ratio is the
-// price of construction the reset protocol eliminates; exploration and the
-// iterative engine pay it per pass, so it multiplies.
+// full construction cost (build a session — Simulator + network + every
+// pass buffer — run one pass, snapshot its stats, tear it all down) while
+// "session" runs the same pass on one long-lived ReplaySession recycled
+// through Simulator::reset() + Network::reset(). The per-pass wall-time
+// ratio is the price of construction the reset protocol eliminates;
+// exploration and the iterative engine pay it per pass, so it multiplies.
 //
 // Emits bench_results/BENCH_replay_session.json and exits non-zero if the
 // session schedule is not bit-identical to fresh construction or a session
@@ -42,7 +42,7 @@ double best_seconds(int reps, const std::function<void()>& fn) {
 
 struct KindResult {
   std::string name;
-  double fresh_s = 0;       // one replay_once(): build + pass + teardown
+  double fresh_s = 0;       // new session: build + pass + teardown
   double session_s = 0;     // one warmed run_pass(): reset + pass
   double speedup = 0;       // fresh_s / session_s
   std::uint64_t events = 0; // kernel events per pass
@@ -55,13 +55,16 @@ KindResult measure(const std::string& name, const core::ReplayTrace& rt,
   KindResult out;
   out.name = name;
 
-  const core::ReplayResult fresh =
-      core::replay_once(rt, core::make_factory(spec), cfg);
-  out.fresh_s = best_seconds(reps, [&] {
-    core::replay_once(rt, core::make_factory(spec), cfg);
-  });
+  auto fresh_pass = [&] {
+    core::ReplaySession fresh_session(rt, spec, cfg);
+    fresh_session.run_pass();
+    fresh_session.snapshot_stats();
+    return fresh_session.take_result();
+  };
+  const core::ReplayResult fresh = fresh_pass();
+  out.fresh_s = best_seconds(reps, [&] { fresh_pass(); });
 
-  core::ReplaySession session(rt, core::make_factory(spec), cfg);
+  core::ReplaySession session(rt, spec, cfg);
   session.run_pass();  // warmup: size every retained-capacity structure
   session.run_pass();
   out.session_s = best_seconds(reps, [&] { session.run_pass(); });

@@ -68,8 +68,9 @@ int main(int argc, char** argv) {
   std::puts("[2/3] trace replay on the optical NoC...");
   core::ReplayConfig naive_cfg;
   naive_cfg.mode = core::ReplayMode::kNaive;
-  const auto naive = core::run_replay(capture.trace, onoc, naive_cfg);
-  const auto sctm = core::run_replay(capture.trace, onoc, {});
+  const core::ReplayTrace rt(capture.trace);
+  const auto naive = core::run_replay(rt, onoc, naive_cfg);
+  const auto sctm = core::run_replay(rt, onoc, {});
   std::printf("      naive: runtime %llu cycles, %.4f s wall\n",
               static_cast<unsigned long long>(naive.result.runtime),
               naive.wall_seconds);
@@ -80,8 +81,8 @@ int main(int argc, char** argv) {
   std::puts("[3/3] ground truth: execution-driven on the optical NoC...");
   const auto truth = core::run_execution(app, onoc, sys);
   const auto ts = core::summarize(truth.trace);
-  const auto en = core::compare(ts, core::summarize(capture.trace, naive.result));
-  const auto es = core::compare(ts, core::summarize(capture.trace, sctm.result));
+  const auto en = core::compare(ts, core::summarize(naive.result));
+  const auto es = core::compare(ts, core::summarize(sctm.result));
   std::printf("      truth runtime %llu cycles (%.3f s wall)\n",
               static_cast<unsigned long long>(truth.runtime),
               truth.wall_seconds);

@@ -51,6 +51,7 @@
 #include "common/run_metrics.hpp"
 #include "common/table.hpp"
 #include "analytic/screen.hpp"
+#include "analytic/trace_profile.hpp"
 #include "core/driver.hpp"
 #include "core/error_metrics.hpp"
 #include "core/experiment.hpp"
@@ -58,7 +59,6 @@
 #include "fault/fault_spec.hpp"
 #include "noc/route_table.hpp"
 #include "noc/routing.hpp"
-#include "trace/dependency_graph.hpp"
 #include "trace/trace_io.hpp"
 #include "tracestore/catalog.hpp"
 #include "tracestore/trace_store.hpp"
@@ -497,7 +497,8 @@ int cmd_inspect(const std::map<std::string, std::string>& f) {
   const auto tr = f.find("trace");
   if (tr == f.end()) usage("--trace required");
   const auto loaded = trace::read_binary_file(tr->second);
-  const trace::DependencyGraph graph(loaded);
+  const core::ReplayTrace rt(loaded);  // validates before anything prints
+  const analytic::TraceProfile profile = analytic::profile_trace(rt);
   const auto s = core::summarize(loaded);
   std::printf("app=%s capture-net='%s' nodes=%d seed=%llu\n",
               loaded.app.c_str(), loaded.capture_network.c_str(), loaded.nodes,
@@ -506,16 +507,17 @@ int cmd_inspect(const std::map<std::string, std::string>& f) {
               loaded.records.size(),
               static_cast<unsigned long long>(loaded.capture_runtime),
               s.mean_latency, static_cast<unsigned long long>(s.p99_latency));
-  std::printf("deps/record=%.2f roots=%zu critical-path=%zu records\n",
-              graph.mean_deps(), graph.roots().size(),
-              graph.critical_path_length());
+  std::printf("deps/record=%.2f roots=%llu critical-path=%llu records\n",
+              profile.mean_fanin,
+              static_cast<unsigned long long>(profile.roots),
+              static_cast<unsigned long long>(profile.critical_depth));
   if (f.count("text")) std::fputs(trace::to_text(loaded).c_str(), stdout);
 
   if (f.count("stats-json")) {
     RunMetrics m;
     m.manifest.tool = "sctm_cli inspect";
     m.manifest.created = now_iso8601();
-    m.manifest.set("trace", core::trace_id(loaded));
+    m.manifest.set("trace", core::trace_id(rt));
     m.manifest.set("app", loaded.app);
     m.manifest.set("capture_net", loaded.capture_network);
     m.manifest.set("nodes", loaded.nodes);
@@ -530,11 +532,11 @@ int cmd_inspect(const std::map<std::string, std::string>& f) {
     results.key("capture_runtime_cycles");
     results.value(std::uint64_t{loaded.capture_runtime});
     results.key("mean_deps_per_record");
-    results.value(graph.mean_deps());
+    results.value(profile.mean_fanin);
     results.key("roots");
-    results.value(static_cast<std::uint64_t>(graph.roots().size()));
+    results.value(profile.roots);
     results.key("critical_path_records");
-    results.value(static_cast<std::uint64_t>(graph.critical_path_length()));
+    results.value(std::uint64_t{profile.critical_depth});
     results.end_object();
     m.set_results_json(std::move(results).str());
     maybe_emit_stats_json(f, m);

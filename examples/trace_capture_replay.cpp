@@ -10,8 +10,8 @@
 #include <ctime>
 #include <string>
 
+#include "analytic/trace_profile.hpp"
 #include "core/driver.hpp"
-#include "trace/dependency_graph.hpp"
 #include "trace/trace_io.hpp"
 
 namespace {
@@ -53,15 +53,18 @@ int main(int argc, char** argv) {
               exec.trace.records.size(), app.name.c_str(), path.c_str());
 
   // --- inspect ---
-  const auto loaded = trace::read_binary_file(path);
-  const trace::DependencyGraph graph(loaded);
+  // Validates the dependency annotations once; every replay below reuses it.
+  const core::ReplayTrace loaded(trace::read_binary_file(path));
+  const analytic::TraceProfile profile = analytic::profile_trace(loaded);
   std::printf("trace: app=%s capture-net='%s' nodes=%d runtime=%llu\n",
-              loaded.app.c_str(), loaded.capture_network.c_str(), loaded.nodes,
-              static_cast<unsigned long long>(loaded.capture_runtime));
-  std::printf("dependency graph: %.2f deps/record, %zu roots, critical path "
-              "%zu records\n",
-              graph.mean_deps(), graph.roots().size(),
-              graph.critical_path_length());
+              loaded.app().c_str(), loaded.capture_network().c_str(),
+              loaded.nodes(),
+              static_cast<unsigned long long>(loaded.capture_runtime()));
+  std::printf("dependency graph: %.2f deps/record, %llu roots, critical path "
+              "%llu records\n",
+              profile.mean_fanin,
+              static_cast<unsigned long long>(profile.roots),
+              static_cast<unsigned long long>(profile.critical_depth));
 
   // --- replay on three different targets ---
   for (const auto kind : {core::NetKind::kEnoc, core::NetKind::kOnocToken,
@@ -81,15 +84,15 @@ int main(int argc, char** argv) {
   // arrival bit-exactly.
   const auto back = core::run_replay(loaded, capture_net, {});
   std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < loaded.records.size(); ++i) {
-    if (back.result.inject_time[i] != loaded.records[i].inject_time ||
-        back.result.arrive_time[i] != loaded.records[i].arrive_time) {
+  for (std::uint32_t i = 0; i < loaded.size(); ++i) {
+    if (back.result.inject_time[i] != loaded.inject_time(i) ||
+        back.result.arrive_time[i] != loaded.arrive_time(i)) {
       ++mismatches;
     }
   }
-  std::printf("fixed-point check on the capture network: %zu/%zu records "
+  std::printf("fixed-point check on the capture network: %zu/%u records "
               "mismatch (expect 0)\n",
-              mismatches, loaded.records.size());
+              mismatches, loaded.size());
 
   if (!stats_json.empty()) {
     auto m = core::metrics_for_replay(loaded, capture_net, {}, back,

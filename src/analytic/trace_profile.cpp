@@ -66,13 +66,9 @@ TraceProfile profile_trace(const core::ReplayTrace& rt) {
   p.records = n;
   p.capture_runtime = rt.capture_runtime();
 
-  // Meta node count, hardened against records addressing beyond it (the
-  // load matrices index by node id).
-  std::int32_t nodes = rt.nodes();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    nodes = std::max({nodes, rt.src(i) + 1, rt.dst(i) + 1});
-  }
-  p.nodes = std::max(nodes, 1);
+  // finalize() keeps every endpoint inside [0, nodes), so the load
+  // matrices index by node id without bounds checks.
+  p.nodes = std::max(rt.nodes(), 1);
   const auto nn = static_cast<std::size_t>(p.nodes) *
                   static_cast<std::size_t>(p.nodes);
   p.pair_msgs.assign(nn, 0);

@@ -47,7 +47,8 @@ struct NetSpec {
   bool operator==(const NetSpec&) const = default;
 };
 
-/// Factory suitable for replay(); also used internally for execution runs.
+/// Builds `spec`'s network: ReplaySession binds it for replay, and
+/// run_execution captures over it.
 NetworkFactory make_factory(const NetSpec& spec);
 
 struct ExecutionRun {
@@ -77,13 +78,11 @@ struct ReplayRun {
   std::vector<PhaseMetrics> phases;
 };
 
-/// Replays `trace` over a fresh network built from `net`.
-ReplayRun run_replay(const trace::Trace& trace, const NetSpec& net,
-                     const ReplayConfig& config);
-
-/// Same over an already-ingested ReplayTrace — the streaming path: build it
-/// once (load_replay_trace / ReplayTrace::from_store) and reuse it across
-/// target networks without re-validating or re-resolving dependencies.
+/// Replays `rt` over a fresh network built from `net` (one throwaway
+/// ReplaySession running the full engine). Build the ReplayTrace once —
+/// ReplayTrace(trace) in memory, load_replay_trace() from a file — and reuse
+/// it across target networks without re-validating it. An empty trace
+/// yields an empty result without building a network.
 ReplayRun run_replay(const ReplayTrace& rt, const NetSpec& net,
                      const ReplayConfig& config);
 
@@ -93,9 +92,8 @@ ReplayRun run_replay(const ReplayTrace& rt, const NetSpec& net,
 /// record vector-of-vectors), v1 monoliths go through the in-memory reader.
 ReplayTrace load_replay_trace(const std::string& path);
 
-/// Short provenance string identifying `trace` in run manifests
+/// Short provenance string identifying `rt` in run manifests
 /// ("<app>@<capture-net>/seed=S/records=N").
-std::string trace_id(const trace::Trace& trace);
 std::string trace_id(const ReplayTrace& rt);
 
 /// Assembles the standard metrics document for an execution-driven run:
@@ -109,9 +107,6 @@ RunMetrics metrics_for_execution(const fullsys::AppParams& app,
 /// Same for a replay run: manifest echoes the trace id, target net, and
 /// replay mode/window; phases carry the per-iteration records; results hold
 /// runtime/iterations/residual plus the per-iteration convergence log.
-RunMetrics metrics_for_replay(const trace::Trace& trace, const NetSpec& net,
-                              const ReplayConfig& config, const ReplayRun& run,
-                              std::string tool, std::string created);
 RunMetrics metrics_for_replay(const ReplayTrace& rt, const NetSpec& net,
                               const ReplayConfig& config, const ReplayRun& run,
                               std::string tool, std::string created);

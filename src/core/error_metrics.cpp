@@ -29,8 +29,7 @@ RunSummary summarize(const trace::Trace& trace) {
   return s;
 }
 
-RunSummary summarize(const trace::Trace& trace, const ReplayResult& replayed) {
-  (void)trace;
+RunSummary summarize(const ReplayResult& replayed) {
   RunSummary s;
   const Histogram h = replayed.latency_histogram();
   s.messages = h.count();

@@ -137,12 +137,12 @@ Table run_experiment(const Config& cfg) {
   }
 
   const auto capture_spec = netspec_from_config(cfg, "capture");
-  const auto capture = run_execution(app, capture_spec, sys);
+  const ReplayTrace capture(run_execution(app, capture_spec, sys).trace);
 
   if (mode == "replay") {
     const auto rc = replay_from_config(cfg);
-    const auto rep = run_replay(capture.trace, target, rc);
-    const auto s = summarize(capture.trace, rep.result);
+    const auto rep = run_replay(capture, target, rc);
+    const auto s = summarize(rep.result);
     Table t("replay: " + app.name + " (" + capture_spec.describe() + " -> " +
             target.describe() + ", " + to_string(rc.mode) + ")");
     t.set_header({"metric", "value"});
@@ -161,12 +161,11 @@ Table run_experiment(const Config& cfg) {
     const auto truth_run = run_execution(app, target, sys);
     ReplayConfig naive_cfg;
     naive_cfg.mode = ReplayMode::kNaive;
-    const auto naive = run_replay(capture.trace, target, naive_cfg);
-    const auto sctm = run_replay(capture.trace, target,
-                                 replay_from_config(cfg));
+    const auto naive = run_replay(capture, target, naive_cfg);
+    const auto sctm = run_replay(capture, target, replay_from_config(cfg));
     const auto truth = summarize(truth_run.trace);
-    const auto en = compare(truth, summarize(capture.trace, naive.result));
-    const auto es = compare(truth, summarize(capture.trace, sctm.result));
+    const auto en = compare(truth, summarize(naive.result));
+    const auto es = compare(truth, summarize(sctm.result));
     Table t("accuracy: " + app.name + " (" + capture_spec.describe() +
             " -> " + target.describe() + ")");
     t.set_header({"model", "runtime err", "latency err", "p99 err"});

@@ -142,7 +142,7 @@ std::vector<ExploreResult> explore(const ReplayTrace& rt,
   std::vector<ExploreResult> out(candidates.size());
 
   if (rt.empty()) {
-    // Mirror replay()'s empty-trace contract: no network is ever built.
+    // As in run_replay(), an empty trace builds no network.
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       out[i].name = candidates[i].name;
     }
@@ -171,23 +171,6 @@ std::vector<ExploreResult> explore(const ReplayTrace& rt,
     return a.name < b.name;
   });
   return out;
-}
-
-std::vector<ExploreResult> explore(const trace::Trace& trace,
-                                   const std::vector<Candidate>& candidates,
-                                   const ReplayConfig& config,
-                                   unsigned threads) {
-  if (candidates.empty()) {
-    throw std::invalid_argument(
-        "explore: empty candidate list (nothing to rank)");
-  }
-  // Ingest (and validate) the trace once; every worker replays the same
-  // read-only ReplayTrace.
-  const ReplayTrace rt(trace);
-  ExploreConfig cfg;
-  cfg.replay = config;
-  cfg.threads = threads;
-  return explore(rt, candidates, cfg);
 }
 
 RunMetrics metrics_for_explore(const ReplayTrace& rt,

@@ -19,7 +19,6 @@
 #include "common/run_metrics.hpp"
 #include "core/replay.hpp"
 #include "core/driver.hpp"
-#include "trace/record.hpp"
 
 namespace sctm::core {
 
@@ -84,12 +83,6 @@ std::vector<Candidate> candidates_from_config(const Config& cfg,
 std::vector<ExploreResult> explore(const ReplayTrace& rt,
                                    const std::vector<Candidate>& candidates,
                                    const ExploreConfig& cfg = {});
-
-/// In-memory convenience overload (ingests the trace, then explores).
-std::vector<ExploreResult> explore(const trace::Trace& trace,
-                                   const std::vector<Candidate>& candidates,
-                                   const ReplayConfig& config = {},
-                                   unsigned threads = 0);
 
 /// Standard metrics document for an exploration: manifest identifies the
 /// exact trace (id + content hash), the resolved candidate count, replay

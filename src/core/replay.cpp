@@ -1,9 +1,6 @@
 #include "core/replay.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-
-#include "core/replay_session.hpp"
 
 namespace sctm::core {
 
@@ -59,42 +56,6 @@ KeptDepsCsr build_kept_deps(const ReplayTrace& rt,
     csr.offset[i + 1] = static_cast<std::uint32_t>(csr.deps.size());
   }
   return csr;
-}
-
-// Both engines are thin wrappers over a throwaway ReplaySession — the
-// session owns the simulator, the network and every pass buffer, and is the
-// single implementation of the pass loop (see core/replay_session.hpp).
-// Long-lived callers (iterative sweeps, exploration) construct a session
-// directly and reuse it across passes and candidates.
-
-ReplayResult replay_once(const ReplayTrace& rt, const NetworkFactory& factory,
-                         const ReplayConfig& config,
-                         const std::vector<Cycle>* baseline,
-                         const KeptDepsCsr* kept) {
-  ReplaySession session(rt, factory, config, kept);
-  session.run_pass(baseline);
-  session.snapshot_stats();
-  return session.take_result();
-}
-
-ReplayResult replay(const ReplayTrace& rt, const NetworkFactory& factory,
-                    const ReplayConfig& config) {
-  if (!rt.finalized()) {
-    throw std::logic_error("replay: ReplayTrace not finalized");
-  }
-  if (rt.empty()) {
-    // The factory is never called for an empty trace.
-    ReplayResult empty;
-    return empty;
-  }
-  ReplaySession session(rt, factory, config);
-  session.run();
-  return session.take_result();
-}
-
-ReplayResult replay(const trace::Trace& trace, const NetworkFactory& factory,
-                    const ReplayConfig& config) {
-  return replay(ReplayTrace(trace), factory, config);
 }
 
 }  // namespace sctm::core

@@ -1,5 +1,6 @@
-// Trace replay engines: the naive timestamped strawman and the
-// Self-Correction Trace Model (the paper's contribution).
+// Trace replay modes: the naive timestamped strawman and the
+// Self-Correction Trace Model (the paper's contribution). ReplaySession
+// (core/replay_session.hpp) is the engine that runs both.
 //
 // Naive replay injects every record at its captured timestamp. It is fast
 // but frozen: when the target network is faster or slower than the capture
@@ -9,18 +10,19 @@
 // annotations on the fly: record r becomes eligible when all of its parents
 // have arrived *in the replay*, and is injected at
 //     t'(r) = max over deps (arrival'(parent) + slack).
-// Dependency-free records anchor at their captured timestamps. Because the
-// dependency graph is a DAG in capture order, a single event-driven pass
-// yields the exact fixed point when dependencies are complete — replaying on
-// the capture network reproduces the captured schedule bit-exactly (tested).
+// Dependency-free records anchor at their captured timestamps. Because every
+// dependency points to an earlier record (ReplayTrace::finalize enforces
+// it), a single event-driven pass yields the exact fixed point when
+// dependencies are complete — replaying on the capture network reproduces
+// the captured schedule bit-exactly (tested).
 //
 // Truncated dependencies model a bounded capture/replay budget: only the `W`
 // tightest (smallest-slack) dependencies are enforced online; each record
 // also carries a baseline time (initially the captured timestamp) that acts
-// as a lower bound. The driver then iterates: after each pass the baselines
-// are re-derived from the full dependency list evaluated against the
-// previous pass's arrival times, until injection times stop moving — the
-// "self-correction ... in a reasonable period of time" trade-off knob.
+// as a lower bound. ReplaySession::run() then iterates: after each pass the
+// baselines are re-derived from the full dependency list evaluated against
+// the previous pass's arrival times, until injection times stop moving —
+// the "self-correction ... in a reasonable period of time" trade-off knob.
 #pragma once
 
 #include <algorithm>
@@ -47,7 +49,7 @@ struct ReplayConfig {
   /// Max dependencies enforced online per record (smallest-slack first).
   /// Unlimited by default; ignored in naive mode.
   std::uint32_t dependency_window = std::numeric_limits<std::uint32_t>::max();
-  /// Iterative refinement for truncated windows (see IterativeReplayer).
+  /// Iterative refinement for truncated windows (see ReplaySession::run).
   int max_iterations = 8;
   /// Converged when the mean |Δinject| between passes drops below this.
   double convergence_threshold = 0.5;
@@ -89,9 +91,8 @@ struct ReplayResult {
   Histogram latency_histogram() const;
 };
 
-/// Runs one replay pass of `trace` over a fresh network built by `factory`.
-/// The factory is called once per pass with the Simulator to use; it must
-/// return a network with trace.nodes endpoints.
+/// Builds a replay network inside the given Simulator; ReplaySession calls
+/// it at bind time. The network must have one endpoint per trace node.
 using NetworkFactory =
     std::function<std::unique_ptr<noc::Network>(Simulator&)>;
 
@@ -184,27 +185,5 @@ class EligibilityBatcher {
   std::vector<std::vector<std::uint32_t>> pool_;
   std::vector<std::uint32_t> free_;
 };
-
-/// Single-pass replay (naive, or self-correcting with an optional window;
-/// `baseline` overrides the per-record lower bounds — pass captured inject
-/// times for the first iteration). `kept` may carry the precomputed
-/// dependency CSR; when null it is built internally for this pass. `rt` must
-/// be finalized.
-ReplayResult replay_once(const ReplayTrace& rt, const NetworkFactory& factory,
-                         const ReplayConfig& config,
-                         const std::vector<Cycle>* baseline = nullptr,
-                         const KeptDepsCsr* kept = nullptr);
-
-/// Full engine: naive mode and full-window self-correcting mode run one
-/// pass; truncated windows iterate to a fixed point per the config.
-ReplayResult replay(const ReplayTrace& rt, const NetworkFactory& factory,
-                    const ReplayConfig& config);
-
-/// Convenience wrapper: builds the ReplayTrace (validating the dependency
-/// annotations) and runs the full engine. Prefer the ReplayTrace overload
-/// when replaying the same trace more than once or streaming from a v2
-/// container.
-ReplayResult replay(const trace::Trace& trace, const NetworkFactory& factory,
-                    const ReplayConfig& config);
 
 }  // namespace sctm::core

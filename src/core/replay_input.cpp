@@ -1,11 +1,20 @@
 #include "core/replay_input.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "tracestore/trace_store.hpp"
 
 namespace sctm::core {
+
+namespace {
+
+[[noreturn]] void reject(std::uint32_t i, MsgId id, const std::string& what) {
+  throw std::invalid_argument("ReplayTrace: record " + std::to_string(i) +
+                              " (id " + std::to_string(id) + "): " + what);
+}
+
+}  // namespace
 
 ReplayTrace::ReplayTrace(const trace::Trace& t) {
   set_meta(t.app, t.capture_network, t.nodes, t.capture_runtime, t.seed);
@@ -14,13 +23,12 @@ ReplayTrace::ReplayTrace(const trace::Trace& t) {
   finalize();
 }
 
-ReplayTrace ReplayTrace::from_store(const tracestore::TraceReader& reader,
-                                    bool prefetch) {
+ReplayTrace ReplayTrace::from_store(const tracestore::TraceReader& reader) {
   ReplayTrace rt;
   const tracestore::TraceMeta& m = reader.meta();
   rt.set_meta(m.app, m.capture_network, m.nodes, m.capture_runtime, m.seed);
   rt.reserve(reader.record_count());
-  tracestore::ChunkCursor cursor(reader, prefetch);
+  tracestore::ChunkCursor cursor(reader, /*prefetch=*/true);
   std::vector<trace::TraceRecord> chunk;
   while (cursor.next(chunk)) {
     for (const auto& r : chunk) rt.append(r);
@@ -78,41 +86,59 @@ void ReplayTrace::finalize() {
   if (dep_offset_.empty()) dep_offset_.push_back(0);
   const std::uint32_t n = size();
 
-  // The id index is transient: dependencies are resolved to record indices
-  // here, so no per-id lookup structure outlives the build.
-  std::unordered_map<MsgId, std::uint32_t> index;
-  index.reserve(n);
+  // Record order must be id order, so that "earlier record" and "smaller
+  // id" agree and id_ is sorted.
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (!index.emplace(id_[i], i).second) {
-      throw std::invalid_argument("ReplayTrace: duplicate message id");
+    if (i > 0 && id_[i] <= id_[i - 1]) {
+      reject(i, id_[i],
+             "id does not exceed the previous record's id " +
+                 std::to_string(id_[i - 1]));
+    }
+    for (const NodeId node : {src_[i], dst_[i]}) {
+      if (node < 0 || node >= nodes_) {
+        reject(i, id_[i],
+               "endpoint " + std::to_string(node) + " outside [0, " +
+                   std::to_string(nodes_) + ")");
+      }
     }
   }
+
+  // Index of `id` in the sorted id_, or n when absent. TraceCapture numbers
+  // records consecutively, so the offset from id_[0] is tried first.
+  const auto index_of = [&](MsgId id) -> std::uint64_t {
+    const std::uint64_t guess = id - id_[0];
+    if (guess < n && id_[guess] == id) return guess;
+    const auto it = std::lower_bound(id_.begin(), id_.end(), id);
+    return it != id_.end() && *it == id ? it - id_.begin() : n;
+  };
 
   dep_parent_idx_.resize(deps_.size());
   std::vector<std::uint32_t> child_count(n, 0);
   for (std::uint32_t i = 0; i < n; ++i) {
     for (std::uint32_t k = dep_offset_[i]; k < dep_offset_[i + 1]; ++k) {
       const trace::TraceDep& d = deps_[k];
-      const auto it = index.find(d.parent);
-      if (it == index.end()) {
-        throw std::invalid_argument("ReplayTrace: unknown parent");
+      const std::uint64_t found = index_of(d.parent);
+      if (found == n) {
+        reject(i, id_[i], "unknown parent id " + std::to_string(d.parent));
       }
-      const std::uint32_t p = it->second;
-      if (id_[p] >= id_[i]) {
-        throw std::invalid_argument(
-            "ReplayTrace: dependency does not precede dependent");
+      const auto p = static_cast<std::uint32_t>(found);
+      if (p >= i) {
+        reject(i, id_[i],
+               "parent id " + std::to_string(d.parent) +
+                   " does not precede its dependent");
       }
       if (arrive_[p] + d.slack != inject_[i]) {
-        throw std::invalid_argument(
-            "ReplayTrace: slack inconsistent with capture times");
+        reject(i, id_[i],
+               "parent id " + std::to_string(d.parent) +
+                   " arrival + slack does not reproduce the injection");
       }
       dep_parent_idx_[k] = p;
       ++child_count[p];
     }
   }
 
-  // Reverse CSR, filled in ascending dependent order — the same order
-  // DependencyGraph pushed children, so replay dispatch is bit-identical.
+  // Reverse CSR, filled in ascending dependent order: a parent wakes its
+  // children in capture order, which replay dispatch relies on.
   child_offset_.assign(n + 1, 0);
   for (std::uint32_t i = 0; i < n; ++i) {
     child_offset_[i + 1] = child_offset_[i] + child_count[i];

@@ -11,9 +11,11 @@
 // recycled: peak memory is the SoA plus a single chunk, independent of how
 // the trace reached us.
 //
-// finalize() enforces the same invariants DependencyGraph does (and with
-// the same exception types): parents must exist, precede their dependents
-// in id order, and carry slacks consistent with the capture times.
+// finalize() is the one validator of the trace contract that makes
+// self-correcting replay exact: ids strictly increase in record order,
+// every endpoint lies in [0, nodes), every dependency names an earlier
+// record, and parent arrival + slack reproduces the captured injection. A
+// violation throws std::invalid_argument naming the record index and id.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +38,9 @@ class ReplayTrace {
   /// finalize()).
   explicit ReplayTrace(const trace::Trace& t);
 
-  /// Streams every chunk of `reader` through append(); with `prefetch`, a
-  /// background thread decodes the next chunk while this one is ingested.
-  static ReplayTrace from_store(const tracestore::TraceReader& reader,
-                                bool prefetch = true);
+  /// Streams every chunk of `reader` through append(); a background thread
+  /// decodes the next chunk while this one is ingested.
+  static ReplayTrace from_store(const tracestore::TraceReader& reader);
 
   // -- streaming builder --------------------------------------------------
   void set_meta(std::string app, std::string capture_network,
@@ -47,7 +48,8 @@ class ReplayTrace {
                 std::uint64_t seed);
   void reserve(std::uint64_t records);
   void append(const trace::TraceRecord& r);
-  /// Validates and builds the dependency CSRs; append() is invalid after.
+  /// Validates (see the file comment) and builds the dependency CSRs;
+  /// append() is invalid after.
   void finalize();
   bool finalized() const { return finalized_; }
 

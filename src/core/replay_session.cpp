@@ -17,20 +17,14 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 ReplaySession::ReplaySession(const ReplayTrace& rt,
                              const NetworkFactory& factory,
-                             const ReplayConfig& config,
-                             const KeptDepsCsr* kept)
+                             const ReplayConfig& config)
     : rt_(rt),
       config_(config),
       naive_(config.mode == ReplayMode::kNaive) {
   if (!rt_.finalized()) {
     throw std::logic_error("replay: ReplayTrace not finalized");
   }
-  if (kept != nullptr) {
-    kept_ = kept;
-  } else {
-    own_csr_ = build_kept_deps(rt_, config_);
-    kept_ = &own_csr_;
-  }
+  kept_ = build_kept_deps(rt_, config_);
   const std::uint32_t n = rt_.size();
   pending_.assign(n, 0);
   ready_.assign(n, 0);
@@ -42,9 +36,8 @@ ReplaySession::ReplaySession(const ReplayTrace& rt,
 }
 
 ReplaySession::ReplaySession(const ReplayTrace& rt, const NetSpec& spec,
-                             const ReplayConfig& config,
-                             const KeptDepsCsr* kept)
-    : ReplaySession(rt, make_factory(spec), config, kept) {
+                             const ReplayConfig& config)
+    : ReplaySession(rt, make_factory(spec), config) {
   bound_spec_ = spec;
   has_spec_ = true;
 }
@@ -59,17 +52,6 @@ void ReplaySession::bind_network(const NetworkFactory& factory) {
   static_assert(noc::Network::DeliverFn::fits_inline<decltype(cb)>(),
                 "delivery callback must stay within the SBO budget");
   net_->set_deliver_callback(std::move(cb));
-}
-
-void ReplaySession::rebind(const NetworkFactory& factory) {
-  // Destroy the old network before erasing the stat entries its components
-  // hold references into, then rewind the kernel for the fresh build.
-  net_.reset();
-  sim_.stats().reset();
-  sim_.reset();
-  has_spec_ = false;
-  last_rebind_in_place_ = false;
-  bind_network(factory);
 }
 
 void ReplaySession::rebind(const NetSpec& spec) {
@@ -100,8 +82,15 @@ void ReplaySession::rebind(const NetSpec& spec) {
   } else {
     // Kind/topology changes — and the ONoC/Hybrid backends, whose parameters
     // are baked into token rings and channel tables at construction — take
-    // the full rebuild path.
-    rebind(make_factory(spec));
+    // the full rebuild path. Destroy the old network before erasing the
+    // stat entries its components hold references into, then rewind the
+    // kernel for the fresh build.
+    net_.reset();
+    sim_.stats().reset();
+    sim_.reset();
+    has_spec_ = false;  // nothing is bound until the rebuild succeeds
+    last_rebind_in_place_ = false;
+    bind_network(make_factory(spec));
   }
   bound_spec_ = spec;
   has_spec_ = true;
@@ -174,7 +163,7 @@ void ReplaySession::drain_deliveries() {
          cp != rt_.children_end(idx); ++cp) {
       const std::uint32_t c = *cp;
       // Is this parent one of c's enforced deps? (kept sets are tiny)
-      for (auto it = kept_->begin(c); it != kept_->end(c); ++it) {
+      for (auto it = kept_.begin(c); it != kept_.end(c); ++it) {
         if (it->parent != pid) continue;
         ready_[c] = std::max(ready_[c], arrive + it->slack);
         if (--pending_[c] == 0) {
@@ -204,7 +193,7 @@ void ReplaySession::run_pass_prepared() {
   // Seed: fill the pending counts; everything without pending kept deps
   // starts at its bound, marked in ascending record order.
   for (std::uint32_t i = 0; i < n; ++i) {
-    pending_[i] = kept_->count(i);
+    pending_[i] = kept_.count(i);
     ready_[i] = 0;
     if (pending_[i] == 0) mark_eligible(i, bound_[i]);
   }
@@ -227,15 +216,10 @@ void ReplaySession::run_pass_prepared() {
   pass_wall_ = seconds_since(t0);
 }
 
-const ReplayResult& ReplaySession::run_pass(const std::vector<Cycle>* baseline) {
+const ReplayResult& ReplaySession::run_pass() {
   const std::uint32_t n = rt_.size();
-  if (baseline != nullptr) {
-    for (std::uint32_t i = 0; i < n; ++i) bound_[i] = (*baseline)[i];
-  } else {
-    // First pass: anchor dependency-less schedules at the captured times.
-    for (std::uint32_t i = 0; i < n; ++i) {
-      bound_[i] = kept_->count(i) == 0 ? rt_.inject_time(i) : 0;
-    }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    bound_[i] = kept_.count(i) == 0 ? rt_.inject_time(i) : 0;
   }
   run_pass_prepared();
   result_.iterations = 1;
@@ -253,14 +237,8 @@ const ReplayResult& ReplaySession::run() {
   }
   const bool single_pass = naive_ || config_.dependency_window >= max_deps;
 
-  for (std::uint32_t i = 0; i < n; ++i) {
-    bound_[i] = kept_->count(i) == 0 ? rt_.inject_time(i) : 0;
-  }
-  run_pass_prepared();
-  log_.clear();
-  log_.push_back({1, 0.0, result_.events, pass_wall_});
-  result_.iterations = 1;
-  result_.residual = 0.0;
+  run_pass();
+  log_ = result_.iteration_log;
   std::uint64_t total_events = result_.events;
 
   if (!single_pass) {

@@ -20,9 +20,9 @@
 // and passes 2..N run without a single heap allocation (asserted by the
 // alloc-counting test).
 //
-// replay_once()/replay() in replay.hpp are now thin wrappers over a
-// throwaway session; exploration keeps one long-lived session per worker
-// and rebind()s it only when the candidate's NetSpec differs.
+// The session is the one replay engine. run_replay() (core/driver.hpp) runs
+// a throwaway one; exploration keeps one long-lived session per worker and
+// rebind()s it only when the candidate's NetSpec differs.
 #pragma once
 
 #include <memory>
@@ -36,52 +36,42 @@ namespace sctm::core {
 class ReplaySession {
  public:
   /// Binds the session to `rt` (borrowed; must outlive the session) and
-  /// builds the network once via `factory`. `kept` optionally borrows a
-  /// precomputed enforced-dependency CSR (must outlive the session and match
-  /// `config`); when null the session builds and owns its own.
-  ReplaySession(const ReplayTrace& rt, const NetworkFactory& factory,
-                const ReplayConfig& config, const KeptDepsCsr* kept = nullptr);
-
-  /// Spec-aware binding: like the factory constructor but the session
-  /// remembers the NetSpec it built, enabling the rebind(NetSpec) fast path.
+  /// builds the network once from `spec`, which rebind(NetSpec) diffs
+  /// against.
   ReplaySession(const ReplayTrace& rt, const NetSpec& spec,
-                const ReplayConfig& config, const KeptDepsCsr* kept = nullptr);
+                const ReplayConfig& config);
+
+  /// Same over a network no NetSpec can name. The first rebind() always
+  /// rebuilds, since there is no bound spec to diff against.
+  ReplaySession(const ReplayTrace& rt, const NetworkFactory& factory,
+                const ReplayConfig& config);
 
   ReplaySession(const ReplaySession&) = delete;
   ReplaySession& operator=(const ReplaySession&) = delete;
 
   /// Full engine on the current network: one pass in naive / full-window
   /// mode, iterative refinement to a fixed point for truncated windows.
-  /// Exactly replay()'s semantics (and used to implement it). The returned
-  /// reference is into the session; it stays valid until the next run.
-  /// Includes a final stat snapshot.
+  /// The returned reference is into the session; it stays valid until the
+  /// next run. Includes a final stat snapshot.
   const ReplayResult& run();
 
-  /// One replay pass: reset, seed from `baseline` lower bounds (captured
-  /// anchors when null), drain. Exactly replay_once()'s semantics except
-  /// that the stat snapshot is deferred to snapshot_stats() — after a
-  /// warmup pass this makes repeated calls allocation-free, which the
-  /// steady-state alloc test asserts. The result reference stays valid
-  /// until the next pass.
-  const ReplayResult& run_pass(const std::vector<Cycle>* baseline = nullptr);
+  /// One replay pass: reset, anchor dependency-free records at their
+  /// captured times, drain. The stat snapshot is deferred to
+  /// snapshot_stats() — after a warmup pass this makes repeated calls
+  /// allocation-free, which the steady-state alloc test asserts. The result
+  /// reference stays valid until the next pass.
+  const ReplayResult& run_pass();
 
-  /// Rebuilds the network with a new factory (topology or parameters
-  /// changed), erasing the old network's stat entries. The trace binding,
-  /// dependency CSR and every pass buffer are kept — this is what
-  /// exploration does between candidates whose NetSpec differs; candidates
-  /// with equal specs skip it and pure-reset instead. Drops any NetSpec
-  /// binding (a factory is opaque, so the fast path can't be keyed).
-  void rebind(const NetworkFactory& factory);
-
-  /// Spec-aware rebind. Diffs `spec` against the bound spec memberwise:
-  /// equal specs are a no-op; same kind + topology with only parameter
-  /// changes patch the live network in place (Ideal: set_params, ENoC:
+  /// Rebinds to `spec`, keeping the trace binding, dependency CSR and every
+  /// pass buffer. Diffs `spec` against the bound spec memberwise: equal
+  /// specs are a no-op; same kind + topology with only parameter changes
+  /// patch the live network in place (Ideal: set_params, ENoC:
   /// reparameterize — no reconstruction, stat entries survive); anything
   /// else (kind/topology change, or ONoC/Hybrid whose parameters are baked
-  /// into token rings and channel tables at construction) falls back to the
-  /// full factory rebuild. Either way the session ends reset and bound to
-  /// `spec` — in-place vs rebuild is observable only through
-  /// last_rebind_in_place() and speed.
+  /// into token rings and channel tables at construction) rebuilds the
+  /// network, erasing the old one's stat entries. Either way the session
+  /// ends reset and bound to `spec` — in-place vs rebuild is observable
+  /// only through last_rebind_in_place() and speed.
   void rebind(const NetSpec& spec);
 
   /// Whether the most recent rebind(NetSpec) took the in-place fast path.
@@ -91,12 +81,11 @@ class ReplaySession {
   /// allocating step run_pass() defers).
   void snapshot_stats();
 
-  /// Moves the result out (for the wrapper API). The session's result
-  /// buffers are left empty; the next run()/run_pass() re-sizes them.
+  /// Moves the result out. The session's result buffers are left empty;
+  /// the next run()/run_pass() re-sizes them.
   ReplayResult take_result();
 
   const ReplayResult& result() const { return result_; }
-  const ReplayConfig& config() const { return config_; }
   const noc::Network& network() const { return *net_; }
   noc::Network& network() { return *net_; }
 
@@ -114,8 +103,7 @@ class ReplaySession {
   ReplayConfig config_;
   bool naive_;
 
-  KeptDepsCsr own_csr_;        // used only when kept was not borrowed
-  const KeptDepsCsr* kept_;
+  KeptDepsCsr kept_;  // enforced dependencies under config_
 
   Simulator sim_;
   std::unique_ptr<noc::Network> net_;

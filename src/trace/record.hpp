@@ -51,7 +51,11 @@ struct Trace {
   Cycle capture_runtime = 0;  // application runtime on the capture network
   std::uint64_t seed = 0;
 
-  /// Records in injection order (ids strictly increase with capture order).
+  /// Records in injection order. Invariants (TraceCapture produces them;
+  /// core::ReplayTrace::finalize rejects a trace that breaks one): ids
+  /// strictly increase in record order, src and dst lie in [0, nodes), and
+  /// every dependency names an earlier record whose arrival + slack equals
+  /// this record's inject_time.
   std::vector<TraceRecord> records;
 
   bool operator==(const Trace&) const = default;

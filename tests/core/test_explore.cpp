@@ -5,7 +5,7 @@
 namespace sctm::core {
 namespace {
 
-trace::Trace capture_fft() {
+ReplayTrace capture_fft() {
   fullsys::AppParams app;
   app.name = "fft";
   app.cores = 16;
@@ -13,7 +13,13 @@ trace::Trace capture_fft() {
   app.iterations = 1;
   NetSpec spec;
   spec.kind = NetKind::kEnoc;
-  return run_execution(app, spec, {}).trace;
+  return ReplayTrace(run_execution(app, spec, {}).trace);
+}
+
+ExploreConfig on_threads(unsigned threads) {
+  ExploreConfig cfg;
+  cfg.threads = threads;
+  return cfg;
 }
 
 std::vector<Candidate> small_space() {
@@ -32,8 +38,8 @@ std::vector<Candidate> small_space() {
 }
 
 TEST(Explore, EvaluatesEveryCandidate) {
-  const auto trace = capture_fft();
-  const auto results = explore(trace, small_space());
+  const auto rt = capture_fft();
+  const auto results = explore(rt, small_space());
   EXPECT_EQ(results.size(), 4u);
   for (const auto& r : results) {
     EXPECT_GT(r.runtime, 0u);
@@ -42,8 +48,8 @@ TEST(Explore, EvaluatesEveryCandidate) {
 }
 
 TEST(Explore, SortedByRuntime) {
-  const auto trace = capture_fft();
-  const auto results = explore(trace, small_space());
+  const auto rt = capture_fft();
+  const auto results = explore(rt, small_space());
   for (std::size_t i = 1; i < results.size(); ++i) {
     EXPECT_LE(results[i - 1].runtime, results[i].runtime);
   }
@@ -54,9 +60,9 @@ TEST(Explore, ThreadCountInvariant) {
   // (threads=0 -> default_parallelism()): the partitioning of candidates
   // onto sessions — and therefore which results come from a pure reset
   // versus a rebind versus a fresh session — must not leak into any metric.
-  const auto trace = capture_fft();
-  const auto serial = explore(trace, small_space(), {}, 1);
-  const auto parallel = explore(trace, small_space(), {}, 0);
+  const auto rt = capture_fft();
+  const auto serial = explore(rt, small_space(), on_threads(1));
+  const auto parallel = explore(rt, small_space(), on_threads(0));
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].name, parallel[i].name);
@@ -72,14 +78,14 @@ TEST(Explore, EqualSpecCandidatesYieldIdenticalResults) {
   // session through both reuse paths: pure reset (equal spec follows equal
   // spec) and rebind (spec changes, then changes back). Every duplicate must
   // score exactly like the first evaluation of its spec.
-  const auto trace = capture_fft();
+  const auto rt = capture_fft();
   NetSpec enoc;
   enoc.kind = NetKind::kEnoc;
   NetSpec swmr;
   swmr.kind = NetKind::kOnocSwmr;
   const std::vector<Candidate> space = {
       {"enoc-a", enoc}, {"enoc-b", enoc}, {"swmr", swmr}, {"enoc-c", enoc}};
-  const auto results = explore(trace, space, {}, 1);
+  const auto results = explore(rt, space, on_threads(1));
   ASSERT_EQ(results.size(), 4u);
   const ExploreResult* first = nullptr;
   for (const auto& r : results) {
@@ -96,12 +102,12 @@ TEST(Explore, EqualSpecCandidatesYieldIdenticalResults) {
 }
 
 TEST(Explore, EmptySpaceIsAnError) {
-  const auto trace = capture_fft();
-  EXPECT_THROW(explore(trace, {}), std::invalid_argument);
+  const auto rt = capture_fft();
+  EXPECT_THROW(explore(rt, {}), std::invalid_argument);
 }
 
 TEST(Explore, MoreWavelengthsRankHigher) {
-  const auto trace = capture_fft();
+  const auto rt = capture_fft();
   std::vector<Candidate> space;
   for (const int l : {8, 64}) {
     NetSpec s;
@@ -109,7 +115,7 @@ TEST(Explore, MoreWavelengthsRankHigher) {
     s.onoc.wavelengths = l;
     space.push_back({"l" + std::to_string(l), s});
   }
-  const auto results = explore(trace, space);
+  const auto results = explore(rt, space);
   EXPECT_EQ(results.front().name, "l64");
 }
 

@@ -1,11 +1,13 @@
 // Failure injection on the trace pipeline: corrupt captured traces in every
-// way a buggy producer or a damaged file could, and assert that validation
-// rejects them loudly instead of replaying garbage. Plus a property sweep:
-// the self-correcting schedule respects dependencies for every window size.
+// way a buggy producer or a damaged file could, and assert that ingestion
+// (ReplayTrace) rejects them loudly instead of replaying garbage. Plus a
+// property sweep: the self-correcting schedule respects dependencies for
+// every window size.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/driver.hpp"
-#include "trace/dependency_graph.hpp"
 
 namespace sctm::core {
 namespace {
@@ -37,7 +39,7 @@ TEST(ReplayRobustness, DanglingParentRejected) {
       break;
     }
   }
-  EXPECT_THROW(run_replay(t, ideal(), {}), std::invalid_argument);
+  EXPECT_THROW(ReplayTrace{t}, std::invalid_argument);
 }
 
 TEST(ReplayRobustness, CorruptedSlackRejected) {
@@ -48,7 +50,7 @@ TEST(ReplayRobustness, CorruptedSlackRejected) {
       break;
     }
   }
-  EXPECT_THROW(run_replay(t, ideal(), {}), std::invalid_argument);
+  EXPECT_THROW(ReplayTrace{t}, std::invalid_argument);
 }
 
 TEST(ReplayRobustness, ForwardDependencyRejected) {
@@ -58,14 +60,14 @@ TEST(ReplayRobustness, ForwardDependencyRejected) {
   auto& victim = t.records[2];
   victim.deps.clear();
   victim.deps.push_back({t.records.back().id, 0});
-  EXPECT_THROW(run_replay(t, ideal(), {}), std::invalid_argument);
+  EXPECT_THROW(ReplayTrace{t}, std::invalid_argument);
 }
 
 TEST(ReplayRobustness, DuplicateIdRejected) {
   auto t = good_trace();
   ASSERT_GT(t.records.size(), 2u);
   t.records[1].id = t.records[0].id;
-  EXPECT_THROW(run_replay(t, ideal(), {}), std::invalid_argument);
+  EXPECT_THROW(ReplayTrace{t}, std::invalid_argument);
 }
 
 TEST(ReplayRobustness, CorruptedTimestampRejected) {
@@ -76,32 +78,41 @@ TEST(ReplayRobustness, CorruptedTimestampRejected) {
       break;
     }
   }
-  EXPECT_THROW(run_replay(t, ideal(), {}), std::invalid_argument);
+  EXPECT_THROW(ReplayTrace{t}, std::invalid_argument);
 }
 
-TEST(ReplayRobustness, InvalidEndpointRejectedByNetwork) {
+TEST(ReplayRobustness, InvalidEndpointRejectedAtLoad) {
   auto t = good_trace();
-  t.records[0].dst = 99;  // off the 16-node fabric
-  EXPECT_THROW(run_replay(t, ideal(), {}), std::logic_error);
+  t.records[3].dst = 99;  // off the 16-node fabric
+  try {
+    const ReplayTrace rt(t);
+    FAIL() << "endpoint 99 accepted on a 16-node trace";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("record 3 (id " + std::to_string(t.records[3].id)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("endpoint 99"), std::string::npos) << what;
+  }
 }
 
 class WindowSweep : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(WindowSweep, DependenciesRespectedAtEveryWindow) {
-  static const trace::Trace t = good_trace();
+  static const ReplayTrace rt(good_trace());
   ReplayConfig cfg;
   cfg.dependency_window = GetParam();
   cfg.max_iterations = 8;
-  const auto rep = run_replay(t, ideal(8), cfg);
-  const trace::DependencyGraph g(t);
+  const auto rep = run_replay(rt, ideal(8), cfg);
   // With any window and iteration budget, the *kept* (enforced) deps must
   // hold exactly; with the full window, all of them.
   std::size_t violations = 0;
   if (GetParam() >= 16) {
-    for (std::size_t i = 0; i < t.records.size(); ++i) {
-      for (const auto& d : t.records[i].deps) {
-        const auto p = g.index_of(d.parent);
-        if (rep.result.inject_time[i] < rep.result.arrive_time[p] + d.slack) {
+    for (std::uint32_t i = 0; i < rt.size(); ++i) {
+      for (std::uint32_t k = 0; k < rt.dep_count(i); ++k) {
+        const auto p = rt.dep_parent_index(i, k);
+        if (rep.result.inject_time[i] <
+            rep.result.arrive_time[p] + rt.deps_begin(i)[k].slack) {
           ++violations;
         }
       }

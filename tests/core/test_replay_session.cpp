@@ -76,6 +76,12 @@ ReplayConfig config_for(ReplayMode mode) {
   return cfg;
 }
 
+// Fresh construction: a throwaway session running the full engine.
+ReplayResult fresh_run(const ReplayTrace& rt, const NetSpec& spec,
+                       const ReplayConfig& cfg) {
+  return run_replay(rt, spec, cfg).result;
+}
+
 // Full-schedule equality: every replayed time, the derived runtime, the
 // kernel event count and the iteration count. This is the "bit-identical"
 // acceptance bar — not a summary-statistic comparison.
@@ -99,8 +105,8 @@ TEST_P(SessionKindMode, ResetReuseMatchesFresh) {
   const NetSpec spec = spec_of(kind);
   const ReplayConfig cfg = config_for(mode);
 
-  const ReplayResult fresh = replay(rt, make_factory(spec), cfg);
-  ReplaySession session(rt, make_factory(spec), cfg);
+  const ReplayResult fresh = fresh_run(rt, spec, cfg);
+  ReplaySession session(rt, spec, cfg);
   for (int round = 1; round <= 3; ++round) {
     const ReplayResult& reused = session.run();
     expect_identical(reused, fresh, "run round " + std::to_string(round));
@@ -108,15 +114,16 @@ TEST_P(SessionKindMode, ResetReuseMatchesFresh) {
 }
 
 // Same differential for the single-pass entry point, which defers the stat
-// snapshot (the allocation-free steady-state path).
+// snapshot (the allocation-free steady-state path): every reused pass must
+// match the first pass of a freshly built session.
 TEST_P(SessionKindMode, RunPassReuseMatchesReplayOnce) {
   const auto [kind, mode] = GetParam();
   const ReplayTrace& rt = shared_rt();
   const NetSpec spec = spec_of(kind);
   const ReplayConfig cfg = config_for(mode);
 
-  const ReplayResult fresh = replay_once(rt, make_factory(spec), cfg);
-  ReplaySession session(rt, make_factory(spec), cfg);
+  const ReplayResult fresh = ReplaySession(rt, spec, cfg).run_pass();
+  ReplaySession session(rt, spec, cfg);
   for (int round = 1; round <= 3; ++round) {
     const ReplayResult& reused = session.run_pass();
     expect_identical(reused, fresh, "pass round " + std::to_string(round));
@@ -150,10 +157,10 @@ TEST(ReplaySession, IterativeRefinementMatchesFresh) {
   cfg.max_iterations = 12;
   cfg.convergence_threshold = 0.5;
 
-  const ReplayResult fresh = replay(rt, make_factory(target), cfg);
+  const ReplayResult fresh = fresh_run(rt, target, cfg);
   ASSERT_GT(fresh.iterations, 1);  // the config must actually iterate
 
-  ReplaySession session(rt, make_factory(target), cfg);
+  ReplaySession session(rt, target, cfg);
   for (int round = 1; round <= 2; ++round) {
     const ReplayResult& reused = session.run();
     expect_identical(reused, fresh, "iterative round " + std::to_string(round));
@@ -176,14 +183,15 @@ TEST(ReplaySession, RebindMatchesFresh) {
   const NetSpec enoc = spec_of(NetKind::kEnoc);
   const NetSpec ideal = spec_of(NetKind::kIdeal);
 
-  const ReplayResult fresh_enoc = replay(rt, make_factory(enoc), cfg);
-  const ReplayResult fresh_ideal = replay(rt, make_factory(ideal), cfg);
+  const ReplayResult fresh_enoc = fresh_run(rt, enoc, cfg);
+  const ReplayResult fresh_ideal = fresh_run(rt, ideal, cfg);
 
-  ReplaySession session(rt, make_factory(enoc), cfg);
+  ReplaySession session(rt, enoc, cfg);
   expect_identical(session.run(), fresh_enoc, "initial enoc");
-  session.rebind(make_factory(ideal));
+  session.rebind(ideal);
+  EXPECT_FALSE(session.last_rebind_in_place());
   expect_identical(session.run(), fresh_ideal, "after rebind to ideal");
-  session.rebind(make_factory(enoc));
+  session.rebind(enoc);
   expect_identical(session.run(), fresh_enoc, "after rebind back to enoc");
 }
 
@@ -199,20 +207,17 @@ TEST(ReplaySession, RandomizedWalkMatchesFresh) {
     Rng rng(0xC0FFEE + static_cast<std::uint64_t>(mode));
 
     int bound = static_cast<int>(rng.next_below(std::size(kAllKinds)));
-    ReplaySession session(rt, make_factory(spec_of(kAllKinds[bound])), cfg);
+    ReplaySession session(rt, spec_of(kAllKinds[bound]), cfg);
     for (int step = 0; step < 12; ++step) {
       const int pick = static_cast<int>(rng.next_below(std::size(kAllKinds)));
       if (pick != bound) {
-        session.rebind(make_factory(spec_of(kAllKinds[pick])));
+        session.rebind(spec_of(kAllKinds[pick]));
         bound = pick;
       }
       auto it = fresh.find(bound);
       if (it == fresh.end()) {
-        it = fresh
-                 .emplace(bound, replay(rt, make_factory(spec_of(
-                                            kAllKinds[bound])),
-                                        cfg))
-                 .first;
+        const NetSpec spec = spec_of(kAllKinds[bound]);
+        it = fresh.emplace(bound, fresh_run(rt, spec, cfg)).first;
       }
       expect_identical(session.run(), it->second,
                        std::string("step ") + std::to_string(step) + " on " +
@@ -222,13 +227,13 @@ TEST(ReplaySession, RandomizedWalkMatchesFresh) {
 }
 
 // take_result() moves the schedule out and the next run must rebuild it
-// from scratch — the wrapper API (replay/replay_once) depends on this.
+// from scratch — run_replay() depends on this.
 TEST(ReplaySession, TakeResultLeavesSessionReusable) {
   const ReplayTrace& rt = shared_rt();
   const ReplayConfig cfg;
   const NetSpec spec = spec_of(NetKind::kEnoc);
 
-  ReplaySession session(rt, make_factory(spec), cfg);
+  ReplaySession session(rt, spec, cfg);
   session.run();
   const ReplayResult taken = session.take_result();
   EXPECT_EQ(taken.inject_time.size(), rt.size());
@@ -355,7 +360,7 @@ TEST(InPlaceRebind, EnocParameterChangesMatchFresh) {
   for (const NetSpec* spec : {&wide, &matrix, &base}) {
     session.rebind(*spec);
     EXPECT_TRUE(session.last_rebind_in_place());
-    const ReplayResult fresh = replay(rt, make_factory(*spec), cfg);
+    const ReplayResult fresh = fresh_run(rt, *spec, cfg);
     expect_identical(session.run(), fresh, spec->describe());
   }
 }
@@ -372,11 +377,11 @@ TEST(InPlaceRebind, IdealParameterChangesMatchFresh) {
   ReplaySession session(rt, base, cfg);
   session.rebind(slow);
   EXPECT_TRUE(session.last_rebind_in_place());
-  expect_identical(session.run(), replay(rt, make_factory(slow), cfg),
+  expect_identical(session.run(), fresh_run(rt, slow, cfg),
                    "ideal reparam");
   session.rebind(base);
   EXPECT_TRUE(session.last_rebind_in_place());
-  expect_identical(session.run(), replay(rt, make_factory(base), cfg),
+  expect_identical(session.run(), fresh_run(rt, base, cfg),
                    "ideal back to base");
 }
 
@@ -390,7 +395,7 @@ TEST(InPlaceRebind, StructuralChangesFallBackToRebuild) {
   session.rebind(spec_of(NetKind::kIdeal));  // kind change
   EXPECT_FALSE(session.last_rebind_in_place());
   expect_identical(session.run(),
-                   replay(rt, make_factory(spec_of(NetKind::kIdeal)), cfg),
+                   fresh_run(rt, spec_of(NetKind::kIdeal), cfg),
                    "kind change");
 
   NetSpec onoc_a = spec_of(NetKind::kOnocToken);
@@ -400,7 +405,7 @@ TEST(InPlaceRebind, StructuralChangesFallBackToRebuild) {
   onoc_b.onoc.wavelengths += 4;  // ONoC params are construction-baked
   session.rebind(onoc_b);
   EXPECT_FALSE(session.last_rebind_in_place());
-  expect_identical(session.run(), replay(rt, make_factory(onoc_b), cfg),
+  expect_identical(session.run(), fresh_run(rt, onoc_b, cfg),
                    "onoc param change rebuilds");
 
   NetSpec torus = spec_of(NetKind::kEnoc);
@@ -408,7 +413,7 @@ TEST(InPlaceRebind, StructuralChangesFallBackToRebuild) {
   torus.enoc.routing = noc::RoutingAlgo::kTorusDor;
   session.rebind(torus);
   EXPECT_FALSE(session.last_rebind_in_place());  // topology change
-  expect_identical(session.run(), replay(rt, make_factory(torus), cfg),
+  expect_identical(session.run(), fresh_run(rt, torus, cfg),
                    "topology change rebuilds");
 }
 
@@ -419,7 +424,7 @@ TEST(InPlaceRebind, EqualSpecIsNoop) {
   const NetSpec spec = spec_of(NetKind::kEnoc);
 
   ReplaySession session(rt, spec, cfg);
-  const ReplayResult fresh = replay(rt, make_factory(spec), cfg);
+  const ReplayResult fresh = fresh_run(rt, spec, cfg);
   expect_identical(session.run(), fresh, "before");
   const noc::Network* before = &session.network();
   session.rebind(spec);

@@ -89,7 +89,7 @@ class FaultedReplayMatrix : public ::testing::TestWithParam<NetKind> {};
 TEST_P(FaultedReplayMatrix, ResetReuseReplaysTheFreshFaultSchedule) {
   const NetSpec spec = faulted_spec(GetParam());
   const ReplayConfig cfg;
-  const ReplayResult fresh = replay(shared_rt(), make_factory(spec), cfg);
+  const ReplayResult fresh = run_replay(shared_rt(), spec, cfg).result;
 
   ReplaySession session(shared_rt(), spec, cfg);
   for (const char* pass : {"first run", "rerun after reset"}) {
@@ -124,7 +124,7 @@ TEST(FaultedReplay, RebindAcrossFaultRegimesMatchesFresh) {
   ReplaySession session(shared_rt(), clean, cfg);
   for (const NetSpec* spec : {&faulted, &reseeded, &clean}) {
     session.rebind(*spec);
-    const ReplayResult fresh = replay(shared_rt(), make_factory(*spec), cfg);
+    const ReplayResult fresh = run_replay(shared_rt(), *spec, cfg).result;
     const ReplayResult& got = session.run();
     const std::string what = spec->describe();
     EXPECT_EQ(got.inject_time, fresh.inject_time) << what;
@@ -143,9 +143,9 @@ TEST(FaultedReplay, SeedAndRegimeActuallyMatter) {
   NetSpec reseeded = faulted;
   reseeded.fault = reseeded.fault.with_seed(99);
 
-  const ReplayResult r_clean = replay(shared_rt(), make_factory(clean), cfg);
-  const ReplayResult r_fault = replay(shared_rt(), make_factory(faulted), cfg);
-  const ReplayResult r_seed = replay(shared_rt(), make_factory(reseeded), cfg);
+  const ReplayResult r_clean = run_replay(shared_rt(), clean, cfg).result;
+  const ReplayResult r_fault = run_replay(shared_rt(), faulted, cfg).result;
+  const ReplayResult r_seed = run_replay(shared_rt(), reseeded, cfg).result;
   EXPECT_GT(r_fault.runtime, r_clean.runtime);  // recovery costs cycles
   EXPECT_NE(r_seed.arrive_time, r_fault.arrive_time);
 }
@@ -174,11 +174,9 @@ TEST(FaultedReplay, ZeroRateSpecIsByteIdenticalToBaseline) {
 TEST(FaultedReplay, MetricsCarryFaultRegimeAndCounters) {
   const NetSpec spec = faulted_spec(NetKind::kEnoc);
   const ReplayConfig cfg;
-  const trace::Trace trace =
-      run_execution(small_app("jacobi"), NetSpec{}, small_sys()).trace;
-  const ReplayRun run = run_replay(trace, spec, cfg);
+  const ReplayRun run = run_replay(shared_rt(), spec, cfg);
   const RunMetrics m =
-      metrics_for_replay(trace, spec, cfg, run, "test", "2026-08-09");
+      metrics_for_replay(shared_rt(), spec, cfg, run, "test", "2026-08-09");
   const std::string json = m.to_json();
   std::string err;
   EXPECT_TRUE(validate_metrics_json(json, &err)) << err;
@@ -188,8 +186,8 @@ TEST(FaultedReplay, MetricsCarryFaultRegimeAndCounters) {
 
   NetSpec clean;
   clean.kind = NetKind::kEnoc;
-  const RunMetrics m0 = metrics_for_replay(trace, clean, cfg,
-                                           run_replay(trace, clean, cfg),
+  const RunMetrics m0 = metrics_for_replay(shared_rt(), clean, cfg,
+                                           run_replay(shared_rt(), clean, cfg),
                                            "test", "2026-08-09");
   EXPECT_EQ(m0.to_json().find("fault."), std::string::npos);
 }
@@ -208,7 +206,7 @@ TEST(FaultedReplay, ExecutionCaptureUnderFaultsProducesReplayableTrace) {
 
   NetSpec clean;
   clean.kind = NetKind::kEnoc;
-  const ReplayRun rr = run_replay(run.trace, clean, ReplayConfig{});
+  const ReplayRun rr = run_replay(ReplayTrace(run.trace), clean, {});
   EXPECT_GT(rr.result.runtime, 0u);
 }
 

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "core/driver.hpp"
+#include "core/replay_session.hpp"
 #include "noc/traffic.hpp"
 #include "onoc/onoc_network.hpp"
 #include "trace/capture.hpp"
@@ -125,7 +125,11 @@ TEST(SharedPool, FixedPointBitExact) {
   const Cycle rt = cmp.run_to_completion();
   const auto tr = std::move(capture).finalize(rt);
 
-  const auto rep = replay(tr, factory, {});
+  // The factory constructor exists for exactly this: a network no NetSpec
+  // can name.
+  const ReplayTrace replay_input(tr);
+  ReplaySession session(replay_input, factory, {});
+  const ReplayResult& rep = session.run();
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < tr.records.size(); ++i) {
     if (rep.inject_time[i] != tr.records[i].inject_time ||

@@ -98,7 +98,7 @@ TEST(Swmr, FixedPointThroughDriver) {
   NetSpec spec;
   spec.kind = NetKind::kOnocSwmr;
   const auto exec = run_execution(app, spec, {});
-  const auto rep = run_replay(exec.trace, spec, {});
+  const auto rep = run_replay(ReplayTrace(exec.trace), spec, {});
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < exec.trace.records.size(); ++i) {
     if (rep.result.inject_time[i] != exec.trace.records[i].inject_time ||

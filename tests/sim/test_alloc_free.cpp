@@ -177,8 +177,8 @@ TEST(AllocFreeKernel, ReplayEligibilityBatcherSteadyStateIsAllocationFree) {
   // batch) must retain capacity across cycles: after warming up to the
   // workload's footprint (batch sizes, concurrent in-flight cycles), the
   // add/flush churn of a steady-state replay slice performs zero heap
-  // allocations. This is the structure that replaced the per-pass
-  // unordered_map<Cycle, vector> in replay_once().
+  // allocations. This is the structure that replaced a per-pass
+  // unordered_map<Cycle, vector> in the replay engine.
   core::EligibilityBatcher batcher;
   std::uint64_t dispatched = 0;
   auto sink = [&dispatched](std::uint32_t) { ++dispatched; };
@@ -238,7 +238,7 @@ TEST(AllocFreeKernel, ReplaySessionPassesAfterWarmupAreAllocationFree) {
     const core::ReplayTrace rt(exec.trace);
     ASSERT_FALSE(rt.empty());
 
-    core::ReplaySession session(rt, core::make_factory(spec), {});
+    core::ReplaySession session(rt, spec, {});
     session.run_pass();  // warmup: size pass buffers, buckets, rings
     session.run_pass();  // warmup: prove the footprint converged
     const Cycle runtime = session.result().runtime;

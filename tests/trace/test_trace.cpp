@@ -3,8 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "analytic/trace_profile.hpp"
 #include "core/driver.hpp"
-#include "trace/dependency_graph.hpp"
 #include "trace/trace_io.hpp"
 
 namespace sctm::trace {
@@ -40,13 +40,14 @@ TEST(TraceCaptureTest, ProducesConsistentTrace) {
 
 TEST(TraceCaptureTest, DependenciesValidateAsDag) {
   const Trace t = capture_small();
-  const DependencyGraph g(t);  // throws on any inconsistency
-  EXPECT_EQ(g.size(), t.records.size());
-  EXPECT_GT(g.mean_deps(), 0.5);
-  EXPECT_GT(g.critical_path_length(), 4u);
-  EXPECT_GE(g.roots().size(), 1u);
+  const core::ReplayTrace rt(t);  // throws on any inconsistency
+  const analytic::TraceProfile p = analytic::profile_trace(rt);
+  EXPECT_EQ(rt.size(), t.records.size());
+  EXPECT_GT(p.mean_fanin, 0.5);
+  EXPECT_GT(p.critical_depth, 4u);
+  EXPECT_GE(p.roots, 1u);
   // Most records are causally chained (this is the property SCTM exploits).
-  EXPECT_LT(g.roots().size(), t.records.size() / 4);
+  EXPECT_LT(p.roots, t.records.size() / 4);
 }
 
 TEST(TraceIo, BinaryRoundTripIsExact) {
@@ -268,85 +269,122 @@ TEST(TraceIo, TextDumpPrintsNoCycleSymbolically) {
   EXPECT_EQ(text.find(std::to_string(kNoCycle)), std::string::npos) << text;
 }
 
+// The trace's dependency graph is validated where replay ingests it:
+// core::ReplayTrace::finalize.
+
+TraceRecord rec(MsgId id, NodeId src, NodeId dst, Cycle inject,
+                Cycle arrive) {
+  TraceRecord r;
+  r.id = id;
+  r.src = src;
+  r.dst = dst;
+  r.inject_time = inject;
+  r.arrive_time = arrive;
+  return r;
+}
+
+/// Record 1 (id 2) depends on record 0 (id 1) with slack 2.
+Trace two_record_chain() {
+  Trace t;
+  t.nodes = 2;
+  t.records = {rec(1, 0, 1, 0, 5), rec(2, 1, 0, 7, 15)};
+  t.records[1].deps.push_back({1, 2});
+  return t;
+}
+
+/// `what` throws std::invalid_argument whose message names `record`.
+template <typename Fn>
+void expect_rejected_at(Fn&& what, const std::string& record) {
+  try {
+    what();
+    FAIL() << "accepted; expected a rejection naming " << record;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(record), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(DependencyGraphTest, RejectsUnknownParent) {
   Trace t;
   t.nodes = 2;
-  TraceRecord r;
-  r.id = 1;
-  r.src = 0;
-  r.dst = 1;
-  r.inject_time = 0;
-  r.arrive_time = 5;
-  r.deps.push_back({999, 0});
-  t.records.push_back(r);
-  EXPECT_THROW(DependencyGraph g(t), std::invalid_argument);
+  t.records = {rec(1, 0, 1, 0, 5)};
+  t.records[0].deps.push_back({999, 0});
+  expect_rejected_at([&] { core::ReplayTrace{t}; }, "record 0 (id 1)");
 }
 
 TEST(DependencyGraphTest, RejectsForwardDependency) {
-  Trace t;
-  t.nodes = 2;
-  TraceRecord a;
-  a.id = 1;
-  a.src = 0;
-  a.dst = 1;
-  a.inject_time = 0;
-  a.arrive_time = 5;
-  a.deps.push_back({2, 0});  // depends on a later message
-  TraceRecord b;
-  b.id = 2;
-  b.src = 1;
-  b.dst = 0;
-  b.inject_time = 5;
-  b.arrive_time = 9;
-  t.records = {a, b};
-  EXPECT_THROW(DependencyGraph g(t), std::invalid_argument);
+  Trace t = two_record_chain();
+  t.records[0].deps.push_back({2, 0});  // depends on a later message
+  t.records[0].inject_time = 15;
+  expect_rejected_at([&] { core::ReplayTrace{t}; }, "record 0 (id 1)");
 }
 
 TEST(DependencyGraphTest, RejectsInconsistentSlack) {
+  Trace t = two_record_chain();
+  t.records[1].deps[0].slack = 3;  // 5 + 3 != 7
+  expect_rejected_at([&] { core::ReplayTrace{t}; }, "record 1 (id 2)");
+}
+
+// A causal chain stored newest-first: every parent lies *after* its
+// dependent in the record order replay walks, so a profile or replay built
+// over it would see three roots instead of one chain.
+TEST(DependencyGraphTest, RejectsRecordsOutOfIdOrder) {
   Trace t;
   t.nodes = 2;
-  TraceRecord a;
-  a.id = 1;
-  a.src = 0;
-  a.dst = 1;
-  a.inject_time = 0;
-  a.arrive_time = 5;
-  TraceRecord b;
-  b.id = 2;
-  b.src = 1;
-  b.dst = 0;
-  b.inject_time = 9;
-  b.arrive_time = 15;
-  b.deps.push_back({1, 3});  // 5 + 3 != 9
-  t.records = {a, b};
-  EXPECT_THROW(DependencyGraph g(t), std::invalid_argument);
+  t.records = {rec(3, 0, 1, 14, 19), rec(2, 1, 0, 7, 12), rec(1, 0, 1, 0, 5)};
+  t.records[0].deps.push_back({2, 2});
+  t.records[1].deps.push_back({1, 2});
+  expect_rejected_at([&] { core::ReplayTrace{t}; }, "record 1 (id 2)");
+}
+
+TEST(DependencyGraphTest, RejectsDuplicateId) {
+  Trace t = two_record_chain();
+  t.records[1].id = 1;
+  t.records[1].deps.clear();
+  expect_rejected_at([&] { core::ReplayTrace{t}; }, "record 1 (id 1)");
 }
 
 TEST(DependencyGraphTest, ChildrenAndRoots) {
+  const core::ReplayTrace rt(two_record_chain());
+  ASSERT_EQ(rt.size(), 2u);
+  EXPECT_EQ(rt.dep_count(0), 0u);
+  ASSERT_EQ(rt.dep_count(1), 1u);
+  EXPECT_EQ(rt.dep_parent_index(1, 0), 0u);
+  ASSERT_EQ(rt.children_end(0) - rt.children_begin(0), 1);
+  EXPECT_EQ(*rt.children_begin(0), 1u);
+  EXPECT_EQ(rt.children_end(1), rt.children_begin(1));
+
+  const analytic::TraceProfile p = analytic::profile_trace(rt);
+  EXPECT_EQ(p.roots, 1u);
+  EXPECT_EQ(p.critical_depth, 2u);
+  EXPECT_DOUBLE_EQ(p.mean_fanin, 0.5);
+}
+
+// Ids with a gap (a trace not straight from TraceCapture): a parent's id
+// offset from the first id no longer gives its index (id 12 sits at index 1,
+// not 2), so resolution must search, with the same rejections.
+TEST(DependencyGraphTest, ResolvesParentsAcrossIdGaps) {
   Trace t;
   t.nodes = 2;
-  TraceRecord a;
-  a.id = 1;
-  a.src = 0;
-  a.dst = 1;
-  a.inject_time = 0;
-  a.arrive_time = 5;
-  TraceRecord b;
-  b.id = 2;
-  b.src = 1;
-  b.dst = 0;
-  b.inject_time = 7;
-  b.arrive_time = 15;
-  b.deps.push_back({1, 2});
-  t.records = {a, b};
-  const DependencyGraph g(t);
-  EXPECT_EQ(g.roots().size(), 1u);
-  EXPECT_EQ(g.roots()[0], 0u);
-  ASSERT_EQ(g.children_of(0).size(), 1u);
-  EXPECT_EQ(g.children_of(0)[0], 1u);
-  EXPECT_EQ(g.critical_path_length(), 2u);
-  EXPECT_EQ(g.index_of(2), 1u);
-  EXPECT_THROW(g.index_of(42), std::out_of_range);
+  t.records = {rec(10, 0, 1, 0, 5), rec(12, 1, 0, 7, 12),
+               rec(13, 0, 1, 14, 19)};
+  t.records[1].deps.push_back({10, 2});
+  t.records[2].deps.push_back({12, 2});
+  t.records[2].deps.push_back({10, 9});
+  const core::ReplayTrace rt(t);
+  EXPECT_EQ(rt.dep_parent_index(1, 0), 0u);
+  EXPECT_EQ(rt.dep_parent_index(2, 0), 1u);
+  EXPECT_EQ(rt.dep_parent_index(2, 1), 0u);
+  ASSERT_EQ(rt.children_end(0) - rt.children_begin(0), 2);
+  EXPECT_EQ(rt.children_begin(0)[0], 1u);
+  EXPECT_EQ(rt.children_begin(0)[1], 2u);
+
+  Trace bad = t;
+  bad.records[1].deps[0].parent = 11;  // inside the id range, not an id
+  expect_rejected_at([&] { core::ReplayTrace{bad}; }, "record 1 (id 12)");
+  bad = t;
+  bad.records[1].deps[0] = {13, 0};  // a later record
+  expect_rejected_at([&] { core::ReplayTrace{bad}; }, "record 1 (id 12)");
 }
 
 }  // namespace
