@@ -377,11 +377,11 @@ int cmd_replay(const std::map<std::string, std::string>& f) {
   // whole record vector-of-vectors is never materialized.
   const auto loaded = core::load_replay_trace(tr->second);
   auto spec = spec_from(f);
-  // Default the fabric to the trace's node count when not overridden.
-  if (f.find("mesh") == f.end() && loaded.nodes() == 16) {
-    spec.topo = noc::Topology::mesh(4, 4);
-  } else if (f.find("mesh") == f.end() && loaded.nodes() == 64) {
-    spec.topo = noc::Topology::mesh(8, 8);
+  // Without --mesh or --topo, a trace of k*k nodes replays on a k x k mesh.
+  if (f.find("mesh") == f.end() && f.find("topo") == f.end()) {
+    int k = 1;
+    while (k * k < loaded.nodes()) ++k;
+    if (k * k == loaded.nodes()) spec.topo = noc::Topology::mesh(k, k);
   }
 
   const core::ReplayConfig cfg = replay_cfg_from(f);

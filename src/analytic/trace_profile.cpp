@@ -118,10 +118,9 @@ TraceProfile profile_trace(const core::ReplayTrace& rt) {
       double bb = 0, bd = 0;
       std::uint32_t db = 0, dd = 0;
       bool first = true;
-      const trace::TraceDep* dep = rt.deps_begin(i);
-      for (std::uint32_t k = 0; k < fanin; ++k, ++dep) {
+      for (std::uint32_t k = 0; k < fanin; ++k) {
         const std::uint32_t parent = rt.dep_parent_index(i, k);
-        const auto slack = static_cast<double>(dep->slack);
+        const auto slack = static_cast<double>(rt.slack(i, parent));
         slack_sum += slack;
         // Both parent summaries are candidate chains through this edge.
         const double cand_base[2] = {base_b[parent] + slack,

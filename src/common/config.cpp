@@ -214,6 +214,14 @@ std::string Config::consumed_dump() const {
   return ss.str();
 }
 
+std::vector<std::string> Config::unread_keys() const {
+  std::vector<std::string> out;
+  for (const auto& [k, v] : values_) {
+    if (consumed_.find(k) == consumed_.end()) out.push_back(k);
+  }
+  return out;
+}
+
 std::string Config::dump() const {
   std::ostringstream ss;
   for (const auto& [k, v] : values_) ss << k << " = " << v << '\n';

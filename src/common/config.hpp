@@ -74,6 +74,10 @@ class Config {
   /// "key = value" lines for every key that has been *read* so far, sorted.
   std::string consumed_dump() const;
 
+  /// Keys not read so far, sorted: once a parser has run, the keys it does
+  /// not know.
+  std::vector<std::string> unread_keys() const;
+
   /// "key = value" lines for every key, sorted.
   std::string dump() const;
 

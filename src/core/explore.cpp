@@ -27,7 +27,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 /// candidate against the bound network: equal specs reuse it through the
 /// reset protocol, parameter-only changes on the same kind/topology patch
 /// it in place, and everything else rebuilds — always keeping the session's
-/// trace binding, dependency CSR and pass buffers.
+/// trace binding, kept-edge flags and pass buffers.
 void evaluate_candidates(const ReplayTrace& rt,
                          const std::vector<Candidate>& candidates,
                          const ReplayConfig& config,
@@ -127,6 +127,12 @@ std::vector<Candidate> candidates_from_config(const Config& cfg,
     } catch (const std::exception& e) {
       throw std::runtime_error(at(source, cfg, anchor.at(name)) +
                                "candidate '" + name + "': " + e.what());
+    }
+    // A key no parser read would otherwise silently mean "the default".
+    if (const auto unread = sub.unread_keys(); !unread.empty()) {
+      throw std::runtime_error(
+          at(source, cfg, "candidate." + name + "." + unread.front()) +
+          "candidate '" + name + "': unknown key '" + unread.front() + "'");
     }
   }
   return out;

@@ -1,6 +1,8 @@
 #include "core/replay.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <tuple>
 
 namespace sctm::core {
 
@@ -20,42 +22,38 @@ Histogram ReplayResult::latency_histogram() const {
   return h;
 }
 
-KeptDepsCsr build_kept_deps(const ReplayTrace& rt,
-                            const ReplayConfig& config) {
-  const std::uint32_t n = rt.size();
+std::vector<bool> build_kept_deps(const ReplayTrace& rt,
+                                  const ReplayConfig& config) {
   const bool naive = (config.mode == ReplayMode::kNaive);
   const std::uint32_t window = config.dependency_window;
+  std::vector<bool> kept(rt.edge_count(), !naive);
+  if (naive) return kept;
 
-  KeptDepsCsr csr;
-  csr.offset.assign(n + 1, 0);
-  if (naive) return csr;
-
-  std::size_t total = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    total += std::min<std::size_t>(rt.dep_count(i), window);
-  }
-  csr.deps.reserve(total);
-
-  // Scratch reused across records: sort a record's full dependency list by
-  // (slack, parent) only when it overflows the window.
-  std::vector<trace::TraceDep> scratch;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (rt.dep_count(i) <= window) {
-      csr.deps.insert(csr.deps.end(), rt.deps_begin(i), rt.deps_end(i));
-    } else {
-      // The `window` smallest-slack dependencies (ties broken by parent id
-      // for determinism).
-      scratch.assign(rt.deps_begin(i), rt.deps_end(i));
-      std::sort(scratch.begin(), scratch.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.slack != b.slack) return a.slack < b.slack;
-                  return a.parent < b.parent;
-                });
-      csr.deps.insert(csr.deps.end(), scratch.begin(), scratch.begin() + window);
+  // For a record over the window, rank its dependencies by (slack, parent
+  // id, position) — parent ids ascend with record index — and keep the
+  // first `window`. Scratch is reused across records.
+  std::vector<std::uint32_t> order;
+  std::vector<bool> keep;
+  rt.for_each_dep_edge([&](std::uint32_t i, std::uint32_t k, std::uint32_t e) {
+    const std::uint32_t dc = rt.dep_count(i);
+    if (dc <= window) return;
+    if (k == 0) {
+      const auto key = [&](std::uint32_t d) {
+        const std::uint32_t p = rt.dep_parent_index(i, d);
+        return std::tuple(rt.slack(i, p), p, d);
+      };
+      order.resize(dc);
+      std::iota(order.begin(), order.end(), 0u);
+      std::nth_element(order.begin(), order.begin() + window, order.end(),
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         return key(a) < key(b);
+                       });
+      keep.assign(dc, false);
+      for (std::uint32_t r = 0; r < window; ++r) keep[order[r]] = true;
     }
-    csr.offset[i + 1] = static_cast<std::uint32_t>(csr.deps.size());
-  }
-  return csr;
+    kept[e] = keep[k];
+  });
+  return kept;
 }
 
 }  // namespace sctm::core

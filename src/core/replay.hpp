@@ -9,7 +9,9 @@
 // Self-correcting replay rebuilds injection times from the dependency
 // annotations on the fly: record r becomes eligible when all of its parents
 // have arrived *in the replay*, and is injected at
-//     t'(r) = max over deps (arrival'(parent) + slack).
+//     t'(r) = max over deps (arrival'(parent) + slack),
+// where slack = inject(r) − arrival(parent) as captured: ReplayTrace proves
+// that identity at load, so slack is recomputed, never stored.
 // Dependency-free records anchor at their captured timestamps. Because every
 // dependency points to an earlier record (ReplayTrace::finalize enforces
 // it), a single event-driven pass yields the exact fixed point when
@@ -17,7 +19,8 @@
 // the captured schedule bit-exactly (tested).
 //
 // Truncated dependencies model a bounded capture/replay budget: only the `W`
-// tightest (smallest-slack) dependencies are enforced online; each record
+// tightest (smallest-slack, i.e. latest-arriving) dependencies are enforced
+// online, as flagged children-CSR edges (build_kept_deps); each record
 // also carries a baseline time (initially the captured timestamp) that acts
 // as a lower bound. ReplaySession::run() then iterates: after each pass the
 // baselines are re-derived from the full dependency list evaluated against
@@ -36,7 +39,6 @@
 #include "common/stats.hpp"
 #include "core/replay_input.hpp"
 #include "noc/network.hpp"
-#include "trace/record.hpp"
 
 namespace sctm::core {
 
@@ -96,28 +98,12 @@ struct ReplayResult {
 using NetworkFactory =
     std::function<std::unique_ptr<noc::Network>(Simulator&)>;
 
-/// Per-record enforced-dependency sets in CSR form: record i's kept
-/// dependencies are deps[offset[i] .. offset[i+1]). Built once per trace
-/// (two flat arrays) instead of one std::vector copy per record per pass —
-/// the iterative engine replays the same trace many times.
-struct KeptDepsCsr {
-  std::vector<std::uint32_t> offset;  // size records+1
-  std::vector<trace::TraceDep> deps;  // flat, grouped by record
-
-  std::uint32_t count(std::uint32_t rec) const {
-    return offset[rec + 1] - offset[rec];
-  }
-  const trace::TraceDep* begin(std::uint32_t rec) const {
-    return deps.data() + offset[rec];
-  }
-  const trace::TraceDep* end(std::uint32_t rec) const {
-    return deps.data() + offset[rec + 1];
-  }
-};
-
-/// Builds the enforced-dependency CSR for `rt` under `config` (empty sets
-/// in naive mode; the `window` smallest-slack deps per record otherwise).
-KeptDepsCsr build_kept_deps(const ReplayTrace& rt, const ReplayConfig& config);
+/// The dependencies replay enforces online under `config`, as one flag per
+/// edge of rt's children CSR: every edge at full window, each record's
+/// `dependency_window` smallest-(slack, parent id) dependencies — its
+/// latest-arriving parents — under a shorter window, none in naive mode.
+std::vector<bool> build_kept_deps(const ReplayTrace& rt,
+                                  const ReplayConfig& config);
 
 /// Batches records that become eligible at the same cycle so they can be
 /// injected in capture order (same-cycle arbitration ties must resolve as

@@ -137,20 +137,19 @@ void ReplayTrace::finalize() {
     }
   }
 
+  // Every slack is now proved derivable; keep the parent indices only.
+  std::vector<trace::TraceDep>().swap(deps_);
+
   // Reverse CSR, filled in ascending dependent order: a parent wakes its
   // children in capture order, which replay dispatch relies on.
   child_offset_.assign(n + 1, 0);
   for (std::uint32_t i = 0; i < n; ++i) {
     child_offset_[i + 1] = child_offset_[i] + child_count[i];
   }
-  children_.resize(deps_.size());
-  std::vector<std::uint32_t> cursor(child_offset_.begin(),
-                                    child_offset_.end() - 1);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::uint32_t k = dep_offset_[i]; k < dep_offset_[i + 1]; ++k) {
-      children_[cursor[dep_parent_idx_[k]]++] = i;
-    }
-  }
+  children_.resize(dep_parent_idx_.size());
+  for_each_dep_edge([&](std::uint32_t i, std::uint32_t, std::uint32_t e) {
+    children_[e] = i;
+  });
   finalized_ = true;
 }
 

@@ -1,21 +1,16 @@
-// Replay-side trace representation: a flat structure-of-arrays plus
-// dependency CSRs, built either from an in-memory trace::Trace or streamed
-// chunk-at-a-time out of a v2 container (src/tracestore).
-//
-// The replay engine used to walk trace.records directly, which forced the
-// whole Trace — one heap-allocated deps vector per record — to live next to
-// the engine's own per-record state. ReplayTrace replaces that with seven
-// POD arrays and two CSRs (full dependencies, with parents pre-resolved to
-// record indices; reverse children edges), so streamed ingestion decodes
-// one chunk at a time into the flat arrays and the decoded chunk buffer is
-// recycled: peak memory is the SoA plus a single chunk, independent of how
-// the trace reached us.
+// Replay-side trace representation: seven per-record arrays plus two CSRs
+// over the same dependency edges (each record's parents as record indices;
+// each record's dependents), built from an in-memory trace::Trace or
+// streamed chunk-at-a-time out of a v2 container (src/tracestore). Peak
+// memory is the arrays plus one decoded chunk, however the trace arrived.
 //
 // finalize() is the one validator of the trace contract that makes
 // self-correcting replay exact: ids strictly increase in record order,
 // every endpoint lies in [0, nodes), every dependency names an earlier
 // record, and parent arrival + slack reproduces the captured injection. A
 // violation throws std::invalid_argument naming the record index and id.
+// The last identity makes slack derived data: finalize() drops the recorded
+// dependencies, and slack() recomputes it from the captured times.
 #pragma once
 
 #include <cstdint>
@@ -78,27 +73,43 @@ class ReplayTrace {
   Cycle inject_time(std::uint32_t i) const { return inject_[i]; }
   Cycle arrive_time(std::uint32_t i) const { return arrive_[i]; }
 
-  // -- full dependencies (CSR; parent_index parallels deps) ---------------
+  // -- dependencies (CSR of parent record indices) ------------------------
   std::uint32_t dep_count(std::uint32_t i) const {
     return dep_offset_[i + 1] - dep_offset_[i];
   }
-  const trace::TraceDep* deps_begin(std::uint32_t i) const {
-    return deps_.data() + dep_offset_[i];
-  }
-  const trace::TraceDep* deps_end(std::uint32_t i) const {
-    return deps_.data() + dep_offset_[i + 1];
-  }
-  /// Record index of deps_begin(i)[k]'s parent (resolved in finalize()).
+  /// Record index of record i's k-th dependency (resolved in finalize()).
   std::uint32_t dep_parent_index(std::uint32_t i, std::uint32_t k) const {
     return dep_parent_idx_[dep_offset_[i] + k];
   }
+  /// Slack of the dependency of record `child` on record `parent`: the
+  /// cycles from the parent's captured arrival to the child's captured
+  /// injection, which finalize() proved equal to the recorded slack.
+  Cycle slack(std::uint32_t child, std::uint32_t parent) const {
+    return inject_[child] - arrive_[parent];
+  }
 
   // -- reverse edges (who depends on record i) ----------------------------
-  const std::uint32_t* children_begin(std::uint32_t i) const {
-    return children_.data() + child_offset_[i];
+  /// Record i's dependents are child(e) for e in [edge_begin(i),
+  /// edge_end(i)), ascending; a record naming i k times appears k times.
+  std::uint32_t edge_begin(std::uint32_t i) const { return child_offset_[i]; }
+  std::uint32_t edge_end(std::uint32_t i) const {
+    return child_offset_[i + 1];
   }
-  const std::uint32_t* children_end(std::uint32_t i) const {
-    return children_.data() + child_offset_[i + 1];
+  std::uint32_t child(std::uint32_t e) const { return children_[e]; }
+  std::uint32_t edge_count() const { return child_offset_.back(); }
+
+  /// Calls fn(i, k, e) for record i's k-th dependency and its edge e in the
+  /// children CSR, records ascending and each record's dependencies in
+  /// order — the order that fills the CSR.
+  template <typename Fn>
+  void for_each_dep_edge(Fn&& fn) const {
+    std::vector<std::uint32_t> next(child_offset_.begin(),
+                                    child_offset_.end() - 1);
+    for (std::uint32_t i = 0; i < size(); ++i) {
+      for (std::uint32_t k = 0; k < dep_count(i); ++k) {
+        fn(i, k, next[dep_parent_index(i, k)]++);
+      }
+    }
   }
 
  private:
@@ -117,7 +128,7 @@ class ReplayTrace {
   std::vector<Cycle> arrive_;
 
   std::vector<std::uint32_t> dep_offset_;  // size()+1 after finalize
-  std::vector<trace::TraceDep> deps_;
+  std::vector<trace::TraceDep> deps_;  // as recorded; emptied by finalize
   std::vector<std::uint32_t> dep_parent_idx_;
 
   std::vector<std::uint32_t> child_offset_;  // size()+1 after finalize

@@ -46,7 +46,10 @@ void ReplaySession::bind_network(const NetworkFactory& factory) {
   net_ = factory(sim_);
   if (!net_) throw std::logic_error("replay: factory returned null network");
   if (net_->node_count() != rt_.nodes()) {
-    throw std::invalid_argument("replay: network size != trace nodes");
+    throw std::invalid_argument(
+        "replay: network has " + std::to_string(net_->node_count()) +
+        " nodes, trace has " + std::to_string(rt_.nodes()) +
+        " (captured on " + rt_.capture_network() + ")");
   }
   auto cb = [this](const noc::Message& msg) { on_deliver(msg); };
   static_assert(noc::Network::DeliverFn::fits_inline<decltype(cb)>(),
@@ -144,36 +147,34 @@ void ReplaySession::on_deliver(const noc::Message& msg) {
   const auto idx = static_cast<std::uint32_t>(msg.tag);
   result_.arrive_time[idx] = msg.arrive_time;
   if (naive_) return;
-  if (rt_.children_begin(idx) == rt_.children_end(idx)) return;
+  if (rt_.edge_begin(idx) == rt_.edge_end(idx)) return;
   delivered_.push_back(idx);
   ensure_cycle_event(sim_.now());
 }
 
 // The eligibility scan over this cycle's deliveries, in delivery order:
-// max-fold each kept parent's arrival + slack into the child's ready time,
-// and mark the child eligible once its last kept parent has arrived. Which
-// delivery unlocks a child does not depend on the scan order, because a
-// pending count only reaches zero once every kept parent of the cycle has
-// been applied.
+// for each kept edge of a delivered parent, max-fold its arrival + slack
+// into the child's ready time, and mark the child eligible once its last
+// kept parent has arrived. Which delivery unlocks a child does not depend
+// on the scan order, because a pending count only reaches zero once every
+// kept parent of the cycle has been applied.
 void ReplaySession::drain_deliveries() {
   for (const std::uint32_t idx : delivered_) {
-    const MsgId pid = rt_.id(idx);
     const Cycle arrive = result_.arrive_time[idx];
-    for (const std::uint32_t* cp = rt_.children_begin(idx);
-         cp != rt_.children_end(idx); ++cp) {
-      const std::uint32_t c = *cp;
-      // Is this parent one of c's enforced deps? (kept sets are tiny)
-      for (auto it = kept_.begin(c); it != kept_.end(c); ++it) {
-        if (it->parent != pid) continue;
-        ready_[c] = std::max(ready_[c], arrive + it->slack);
-        if (--pending_[c] == 0) {
-          mark_eligible(c, std::max({ready_[c], bound_[c], sim_.now()}));
-        }
-        break;
+    for (std::uint32_t e = rt_.edge_begin(idx); e < rt_.edge_end(idx); ++e) {
+      if (!kept_[e]) continue;
+      const std::uint32_t c = rt_.child(e);
+      ready_[c] = std::max(ready_[c], arrive + rt_.slack(c, idx));
+      if (--pending_[c] == 0) {
+        mark_eligible(c, std::max({ready_[c], bound_[c], sim_.now()}));
       }
     }
   }
   delivered_.clear();
+}
+
+std::uint32_t ReplaySession::kept_count(std::uint32_t i) const {
+  return naive_ ? 0 : std::min(rt_.dep_count(i), config_.dependency_window);
 }
 
 void ReplaySession::run_pass_prepared() {
@@ -193,7 +194,7 @@ void ReplaySession::run_pass_prepared() {
   // Seed: fill the pending counts; everything without pending kept deps
   // starts at its bound, marked in ascending record order.
   for (std::uint32_t i = 0; i < n; ++i) {
-    pending_[i] = kept_.count(i);
+    pending_[i] = kept_count(i);
     ready_[i] = 0;
     if (pending_[i] == 0) mark_eligible(i, bound_[i]);
   }
@@ -219,7 +220,7 @@ void ReplaySession::run_pass_prepared() {
 const ReplayResult& ReplaySession::run_pass() {
   const std::uint32_t n = rt_.size();
   for (std::uint32_t i = 0; i < n; ++i) {
-    bound_[i] = kept_.count(i) == 0 ? rt_.inject_time(i) : 0;
+    bound_[i] = kept_count(i) == 0 ? rt_.inject_time(i) : 0;
   }
   run_pass_prepared();
   result_.iterations = 1;
@@ -254,12 +255,11 @@ const ReplayResult& ReplaySession::run() {
           continue;
         }
         Cycle b = 0;
-        const trace::TraceDep* deps = rt_.deps_begin(i);
         for (std::uint32_t k = 0; k < dc; ++k) {
           // Parents were resolved to record indices at finalize() — no id
           // lookup in the iteration hot loop.
           const std::uint32_t p = rt_.dep_parent_index(i, k);
-          b = std::max(b, result_.arrive_time[p] + deps[k].slack);
+          b = std::max(b, result_.arrive_time[p] + rt_.slack(i, p));
         }
         bound_[i] = b;
       }

@@ -62,7 +62,7 @@ class ReplaySession {
   /// reference stays valid until the next pass.
   const ReplayResult& run_pass();
 
-  /// Rebinds to `spec`, keeping the trace binding, dependency CSR and every
+  /// Rebinds to `spec`, keeping the trace binding, kept-edge flags and every
   /// pass buffer. Diffs `spec` against the bound spec memberwise: equal
   /// specs are a no-op; same kind + topology with only parameter changes
   /// patch the live network in place (Ideal: set_params, ENoC:
@@ -98,12 +98,13 @@ class ReplaySession {
   void ensure_cycle_event(Cycle t);
   void on_cycle(Cycle t);
   void drain_deliveries();
+  std::uint32_t kept_count(std::uint32_t i) const;  // kept edges into i
 
   const ReplayTrace& rt_;
   ReplayConfig config_;
   bool naive_;
 
-  KeptDepsCsr kept_;  // enforced dependencies under config_
+  std::vector<bool> kept_;  // per children-CSR edge: enforced under config_
 
   Simulator sim_;
   std::unique_ptr<noc::Network> net_;

@@ -176,6 +176,49 @@ TEST(ExploreConfigParse, UnbuildableCandidateNamesItself) {
   }
 }
 
+// A candidate key that no parser reads is an error at its own line, not a
+// silent default (here: the default wavelength count, and a 4x4 mesh).
+TEST(ExploreConfigParse, UnreadCandidateKeyIsAnError) {
+  const auto expect_unknown = [](const std::string& text,
+                                 const std::string& message) {
+    try {
+      candidates_from_config(Config::from_string(text), "cands.cfg");
+      FAIL() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_unknown(
+      "candidate.a.net.kind = onoc-token\n"
+      "candidate.a.onoc.wavelenths = 32\n",
+      "cands.cfg:2: candidate 'a': unknown key 'onoc.wavelenths'");
+  expect_unknown(
+      "candidate.a.net.kind = enoc\n"
+      "candidate.a.net.mesh = 16x16\n",
+      "cands.cfg:2: candidate 'a': unknown key 'net.mesh'");
+}
+
+// The benchmark's design spaces still parse with every key read
+// (Screen.ShippedScreenConfigParses covers configs/explore_screen.cfg). The
+// repo root is located from this source file, as in
+// Experiment.ShippedConfigsParse.
+TEST(ExploreConfigParse, ShippedCandidateFilesParse) {
+  std::string root = __FILE__;
+  const auto cut = root.rfind("tests/");
+  root = cut == std::string::npos ? std::string() : root.substr(0, cut);
+  for (const char* file :
+       {"perfbench/candidates.cfg", "perfbench/fabrics.cfg"}) {
+    Config cfg;
+    try {
+      cfg = Config::from_file(root + file);
+    } catch (const std::exception&) {
+      GTEST_SKIP() << file << " not reachable from build layout";
+    }
+    EXPECT_NO_THROW(candidates_from_config(cfg, file)) << file;
+  }
+}
+
 TEST(ExploreConfigParse, ZeroTopKIsAnError) {
   EXPECT_THROW(
       explore_config_from(Config::from_string("explore.screen.top_k = 0\n")),

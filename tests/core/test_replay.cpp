@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "core/driver.hpp"
 #include "core/error_metrics.hpp"
 
@@ -168,9 +171,54 @@ TEST(Replay, DependencyRespectedInReplaySchedule) {
     for (std::uint32_t k = 0; k < rt.dep_count(i); ++k) {
       const auto p = rt.dep_parent_index(i, k);
       EXPECT_GE(rep.result.inject_time[i],
-                rep.result.arrive_time[p] + rt.deps_begin(i)[k].slack)
+                rep.result.arrive_time[p] + exec.trace.records[i].deps[k].slack)
           << "dependency violated at record " << i;
     }
+  }
+}
+
+// A hand-built kept-set case: X names P twice, and Q and R tie on slack.
+// Captured slacks rank X's dependencies Q(5) < R(5) < P(10) = P(10), so
+// window 1 keeps Q (the lower id wins the tie), window 2 adds R, and
+// window 3 adds exactly one of the two P edges. Every message takes 4
+// cycles on the 2x2 ideal fabric, so roots arrive at P 54, Q 44, R 74,
+// and a single pass injects X at
+//   W=1: Q+5 = 49;   W=2: max(Q+5, R+5) = 79;
+//   W=3: R+5 = 79 — P arrives first, but one P edge must not count twice.
+// Z names P alone, sharing P's dependents list with X's two edges.
+TEST(Replay, KeptSetBreaksSlackTiesByIdAndCountsDuplicateParents) {
+  const auto rec = [](MsgId id, NodeId src, Cycle inject, Cycle arrive,
+                      std::vector<trace::TraceDep> deps) {
+    trace::TraceRecord r;
+    r.id = id;
+    r.src = src;
+    r.dst = 1 - src;
+    r.size_bytes = 16;
+    r.inject_time = inject;
+    r.arrive_time = arrive;
+    r.deps = std::move(deps);
+    return r;
+  };
+  trace::Trace t;
+  t.nodes = 4;
+  t.records = {rec(1, 0, 50, 90, {}),  // P
+               rec(2, 0, 40, 95, {}),  // Q
+               rec(3, 0, 70, 95, {}),  // R
+               rec(4, 1, 100, 110, {{1, 10}, {1, 10}, {2, 5}, {3, 5}}),  // X
+               rec(5, 1, 93, 99, {{1, 3}})};  // Z
+  const ReplayTrace rt(t);
+  NetSpec spec = ideal_spec();
+  spec.topo = noc::Topology::mesh(2, 2);
+  const std::map<std::uint32_t, std::vector<Cycle>> expected = {
+      {1, {50, 40, 70, 49, 57}},
+      {2, {50, 40, 70, 79, 57}},
+      {3, {50, 40, 70, 79, 57}}};
+  for (const auto& [window, inject] : expected) {
+    ReplayConfig cfg;
+    cfg.dependency_window = window;
+    cfg.max_iterations = 1;
+    EXPECT_EQ(run_replay(rt, spec, cfg).result.inject_time, inject)
+        << "window " << window;
   }
 }
 

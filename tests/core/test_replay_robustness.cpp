@@ -1,13 +1,18 @@
 // Failure injection on the trace pipeline: corrupt captured traces in every
 // way a buggy producer or a damaged file could, and assert that ingestion
 // (ReplayTrace) rejects them loudly instead of replaying garbage. Plus a
-// property sweep: the self-correcting schedule respects dependencies for
-// every window size.
+// property sweep: at every window size, the self-correcting schedule
+// respects each record's kept (smallest-slack) dependencies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/driver.hpp"
+#include "core/replay_session.hpp"
 
 namespace sctm::core {
 namespace {
@@ -96,32 +101,69 @@ TEST(ReplayRobustness, InvalidEndpointRejectedAtLoad) {
   }
 }
 
+TEST(ReplayRobustness, NodeCountMismatchNamesBothCounts) {
+  const ReplayTrace rt(good_trace());
+  NetSpec wrong = ideal();
+  wrong.topo = noc::Topology::mesh(6, 6);
+  try {
+    ReplaySession session(rt, wrong, {});
+    FAIL() << "a 36-node network accepted a 16-node trace";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("network has 36 nodes"), std::string::npos) << what;
+    EXPECT_NE(what.find("trace has 16"), std::string::npos) << what;
+    EXPECT_NE(what.find("captured on ideal mesh 4x4"), std::string::npos)
+        << what;
+  }
+}
+
+// Indices into r.deps of the dependencies enforced online at window w: the
+// w smallest by (slack, parent id), ranked here from the source trace
+// rather than through the engine's own kept set.
+std::vector<std::size_t> kept_at(const trace::TraceRecord& r,
+                                 std::uint32_t w) {
+  std::vector<std::size_t> order(r.deps.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
+    return std::tie(r.deps[a].slack, r.deps[a].parent) <
+           std::tie(r.deps[b].slack, r.deps[b].parent);
+  });
+  order.resize(std::min<std::size_t>(order.size(), w));
+  return order;
+}
+
 class WindowSweep : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(WindowSweep, DependenciesRespectedAtEveryWindow) {
-  static const ReplayTrace rt(good_trace());
+  static const trace::Trace t = good_trace();
+  static const ReplayTrace rt(t);
+  const std::uint32_t w = GetParam();
   ReplayConfig cfg;
-  cfg.dependency_window = GetParam();
+  cfg.dependency_window = w;
   cfg.max_iterations = 8;
-  const auto rep = run_replay(rt, ideal(8), cfg);
-  // With any window and iteration budget, the *kept* (enforced) deps must
-  // hold exactly; with the full window, all of them.
-  std::size_t violations = 0;
-  if (GetParam() >= 16) {
-    for (std::uint32_t i = 0; i < rt.size(); ++i) {
-      for (std::uint32_t k = 0; k < rt.dep_count(i); ++k) {
-        const auto p = rt.dep_parent_index(i, k);
-        if (rep.result.inject_time[i] <
-            rep.result.arrive_time[p] + rt.deps_begin(i)[k].slack) {
-          ++violations;
-        }
+  // Kept dependencies `res` violates (every dependency at full window).
+  const auto violations = [&](const ReplayResult& res) {
+    std::size_t v = 0;
+    for (std::size_t i = 0; i < t.records.size(); ++i) {
+      const auto& r = t.records[i];
+      for (const std::size_t k : kept_at(r, w)) {
+        const auto& d = r.deps[k];
+        const auto p = std::lower_bound(
+            t.records.begin(), t.records.end(), d.parent,
+            [](const auto& rec, MsgId id) { return rec.id < id; });
+        const auto pi = static_cast<std::size_t>(p - t.records.begin());
+        if (res.inject_time[i] < res.arrive_time[pi] + d.slack) ++v;
       }
     }
-  }
-  EXPECT_EQ(violations, 0u);
+    return v;
+  };
+  ReplaySession session(rt, ideal(8), cfg);
+  EXPECT_EQ(violations(session.run_pass()), 0u) << "in a single pass";
+  const ReplayResult& rep = session.run();
+  EXPECT_EQ(violations(rep), 0u) << "after " << rep.iterations << " passes";
   // All delivered, sane runtime.
-  for (const auto a : rep.result.arrive_time) EXPECT_NE(a, kNoCycle);
-  EXPECT_GT(rep.result.runtime, 0u);
+  for (const auto a : rep.arrive_time) EXPECT_NE(a, kNoCycle);
+  EXPECT_GT(rep.runtime, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Windows, WindowSweep,

@@ -350,9 +350,9 @@ TEST(DependencyGraphTest, ChildrenAndRoots) {
   EXPECT_EQ(rt.dep_count(0), 0u);
   ASSERT_EQ(rt.dep_count(1), 1u);
   EXPECT_EQ(rt.dep_parent_index(1, 0), 0u);
-  ASSERT_EQ(rt.children_end(0) - rt.children_begin(0), 1);
-  EXPECT_EQ(*rt.children_begin(0), 1u);
-  EXPECT_EQ(rt.children_end(1), rt.children_begin(1));
+  ASSERT_EQ(rt.edge_end(0) - rt.edge_begin(0), 1u);
+  EXPECT_EQ(rt.child(rt.edge_begin(0)), 1u);
+  EXPECT_EQ(rt.edge_end(1), rt.edge_begin(1));
 
   const analytic::TraceProfile p = analytic::profile_trace(rt);
   EXPECT_EQ(p.roots, 1u);
@@ -375,9 +375,9 @@ TEST(DependencyGraphTest, ResolvesParentsAcrossIdGaps) {
   EXPECT_EQ(rt.dep_parent_index(1, 0), 0u);
   EXPECT_EQ(rt.dep_parent_index(2, 0), 1u);
   EXPECT_EQ(rt.dep_parent_index(2, 1), 0u);
-  ASSERT_EQ(rt.children_end(0) - rt.children_begin(0), 2);
-  EXPECT_EQ(rt.children_begin(0)[0], 1u);
-  EXPECT_EQ(rt.children_begin(0)[1], 2u);
+  ASSERT_EQ(rt.edge_end(0) - rt.edge_begin(0), 2u);
+  EXPECT_EQ(rt.child(rt.edge_begin(0)), 1u);
+  EXPECT_EQ(rt.child(rt.edge_begin(0) + 1), 2u);
 
   Trace bad = t;
   bad.records[1].deps[0].parent = 11;  // inside the id range, not an id
