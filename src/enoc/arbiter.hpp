@@ -1,48 +1,80 @@
-// Arbiters used by the router's allocators.
+// Arbiters used by the router's allocators, granting over request bitmasks.
 //
-// RoundRobinArbiter: classic rotating-priority arbiter — fair over time,
-// deterministic given request history. MatrixArbiter: least-recently-granted
-// matrix arbiter, which some designs prefer for switch allocation; both are
-// exposed so the ablation benches can compare.
+// A request set of width w is a little-endian array of words_for(w) 64-bit
+// words: requester i is bit (i & 63) of word (i >> 6), and bits at or above w
+// are zero. Wide sets span several words — VC allocation arbitrates over
+// ports x VCs requesters (80 on a mesh with 16 VCs, over a thousand on a
+// wide file fabric).
+//
+// Round-robin: classic rotating priority — the first request at or after the
+// pointer wins, wrapping, and the pointer moves past the winner. Matrix:
+// least-recently-granted — each requester keeps a mask of the requesters
+// that beat it, the lowest-indexed request no other request beats wins, and
+// the winner then drops below everyone. Both are deterministic given the
+// request history; both are exposed so the ablation benches can compare.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace sctm::enoc {
 
+enum class ArbiterKind { kRoundRobin, kMatrix };
+
 class Arbiter {
  public:
-  virtual ~Arbiter() = default;
-  /// Picks one set bit of `requests` (index) or -1 when none. Updates
-  /// internal priority state only when a grant is issued.
-  virtual int grant(const std::vector<bool>& requests) = 0;
-  virtual void reset() = 0;
-};
+  Arbiter(ArbiterKind kind, int width);
 
-class RoundRobinArbiter final : public Arbiter {
- public:
-  explicit RoundRobinArbiter(int width) : width_(width) {}
+  /// Words in a request set of `width` requesters.
+  static std::size_t words_for(int width) {
+    return (static_cast<std::size_t>(width) + 63) / 64;
+  }
 
-  int grant(const std::vector<bool>& requests) override;
-  void reset() override { next_ = 0; }
+  /// Picks one set bit of `requests` (words_for(width) words) and returns
+  /// its index, or -1 when none is set. Updates priority state only when a
+  /// grant is issued.
+  int grant(const std::uint64_t* requests) {
+    return kind_ == ArbiterKind::kMatrix ? grant_matrix(requests)
+                                         : grant_round_robin(requests);
+  }
 
- private:
-  int width_;
-  int next_ = 0;  // highest-priority index for the next grant
-};
-
-class MatrixArbiter final : public Arbiter {
- public:
-  explicit MatrixArbiter(int width);
-
-  int grant(const std::vector<bool>& requests) override;
-  void reset() override;
+  /// Restores the freshly-constructed priority state.
+  void reset();
 
  private:
+  // Inline: the router calls it once per port with requests, every cycle.
+  int grant_round_robin(const std::uint64_t* requests) {
+    // The pointer's own word (bits at or after the pointer), the words after
+    // it, round to that word again (bits before the pointer).
+    const std::size_t first = static_cast<std::size_t>(next_) >> 6;
+    const std::uint64_t at_or_after = ~std::uint64_t{0} << (next_ & 63);
+    std::size_t w = first;
+    for (std::size_t k = 0; k <= words_; ++k) {
+      std::uint64_t bits = requests[w];
+      if (k == 0) {
+        bits &= at_or_after;
+      } else if (k == words_) {
+        bits &= ~at_or_after;
+      }
+      if (bits != 0) {
+        const int idx = static_cast<int>(w * 64) + std::countr_zero(bits);
+        next_ = idx + 1 == width_ ? 0 : idx + 1;
+        return idx;
+      }
+      if (++w == words_) w = 0;
+    }
+    return -1;
+  }
+  int grant_matrix(const std::uint64_t* requests);
+
+  ArbiterKind kind_;
   int width_;
-  // prio_[i][j] == true means i beats j.
-  std::vector<std::vector<bool>> prio_;
+  std::size_t words_;
+  int next_ = 0;  // round-robin: highest-priority index for the next grant
+  /// Matrix: row i (words_ words) holds the requesters that beat i.
+  std::vector<std::uint64_t> beaten_by_;
 };
 
 }  // namespace sctm::enoc

@@ -42,6 +42,8 @@ void EnocNetwork::reset() {
   for (auto& w : active_bits_) w = 0;
   for (auto& c : link_stuck_until_) c = 0;
   outbox_.clear();
+  link_wire_.clear();
+  credit_wire_.clear();
   in_flight_ = 0;
   // The tick event (if any) died with the simulator's queue reset; the next
   // inject re-arms the clock.
@@ -99,15 +101,19 @@ void EnocNetwork::apply_forward(NodeId node, int out_dir, const Flit& flit) {
   if (next == kInvalidNode) {
     throw std::logic_error(name() + ": flit forwarded off the fabric edge");
   }
-  const int arrival_port = topo_.arrival_port(node, out_dir);
-  Flit f = flit;
-  auto ev = [this, next, arrival_port, f] {
-    routers_[static_cast<std::size_t>(next)]->receive_flit(arrival_port, f);
-    mark_active(next);
-  };
-  static_assert(InlineFn::fits_inline<decltype(ev)>(),
-                "link-traversal closure must stay within the event SBO budget");
-  sim().schedule_in(params_.link_latency, std::move(ev));
+  link_wire_.push_back({sim().now() + params_.link_latency, next,
+                        topo_.arrival_port(node, out_dir), flit});
+  sim().schedule_in(params_.link_latency, [this] { arrive_flit(); });
+}
+
+void EnocNetwork::arrive_flit() {
+  if (link_wire_.empty() || link_wire_.front().due != sim().now()) {
+    throw std::logic_error(name() + ": link FIFO out of order");
+  }
+  const WireFlit& w = link_wire_.front();
+  routers_[static_cast<std::size_t>(w.node)]->receive_flit(w.port, w.flit);
+  mark_active(w.node);
+  link_wire_.pop_front();
 }
 
 void EnocNetwork::apply_eject(NodeId node, const Flit& flit) {
@@ -204,13 +210,21 @@ void EnocNetwork::apply_credit(NodeId node, int in_dir, int vc) {
   if (up == kInvalidNode) {
     throw std::logic_error(name() + ": credit to nonexistent neighbor");
   }
-  const int up_out = topo_.arrival_port(node, in_dir);
-  // A credit can unblock a router, but never *activate* one: a
-  // credit-starved router still holds the blocked flits, so has_work() keeps
-  // it in the active set until they drain.
-  sim().schedule_in(params_.credit_latency, [this, up, up_out, vc] {
-    routers_[static_cast<std::size_t>(up)]->receive_credit(up_out, vc);
-  });
+  credit_wire_.push_back({sim().now() + params_.credit_latency, up,
+                          topo_.arrival_port(node, in_dir), vc});
+  sim().schedule_in(params_.credit_latency, [this] { arrive_credit(); });
+}
+
+// A credit can unblock a router, but never *activate* one: a credit-starved
+// router still holds the blocked flits, so has_work() keeps it in the active
+// set until they drain.
+void EnocNetwork::arrive_credit() {
+  if (credit_wire_.empty() || credit_wire_.front().due != sim().now()) {
+    throw std::logic_error(name() + ": credit FIFO out of order");
+  }
+  const WireCredit& w = credit_wire_.front();
+  routers_[static_cast<std::size_t>(w.node)]->receive_credit(w.port, w.vc);
+  credit_wire_.pop_front();
 }
 
 void EnocNetwork::ensure_ticking() {
@@ -259,13 +273,14 @@ void EnocNetwork::tick() {
 }
 
 void EnocNetwork::drain_outbox() {
+  const Flit* flit = outbox_.flits.data();
   for (const auto& e : outbox_.entries) {
     switch (e.kind) {
       case RouterOutbox::Entry::Kind::kForward:
-        apply_forward(e.node, e.port, e.flit);
+        apply_forward(e.node, e.port, *flit++);
         break;
       case RouterOutbox::Entry::Kind::kEject:
-        apply_eject(e.node, e.flit);
+        apply_eject(e.node, *flit++);
         break;
       case RouterOutbox::Entry::Kind::kCredit:
         apply_credit(e.node, e.port, e.vc);

@@ -26,6 +26,16 @@
 // from the scoreboard during the scan, before the drain, so activations
 // fired while draining (ejection -> delivery -> same-cycle reply inject)
 // survive. The exhaustive oracle goes through the same outbox and drain.
+//
+// Wire FIFOs: a drained forward pushes the flit, its destination and its due
+// cycle onto the link FIFO and schedules one event that captures only
+// `this`; credits do the same on the credit FIFO. Every link event has the
+// same latency (params.link_latency), as does every credit event, and the
+// kernel runs same-cycle events in scheduling order, so link events fire in
+// exactly the order their entries were pushed: each event pops the front
+// entry and checks that its due cycle is now. Event count and event order
+// are those of one closure per traversal, without copying the flit into
+// each closure.
 #pragma once
 
 #include <functional>
@@ -114,10 +124,27 @@ class EnocNetwork final : public noc::Network {
   void handle_corrupt_message(const noc::Message& msg);
   void reinject_for_retry(const noc::Message& msg);
 
+  // Wire FIFO events: deliver the front entry, which is due this cycle.
+  void arrive_flit();
+  void arrive_credit();
+
   void tick();
   void drain_outbox();
   void ensure_ticking();
   void mark_active(NodeId n);
+
+  struct WireFlit {
+    Cycle due = 0;
+    NodeId node = kInvalidNode;  // receiving router
+    int port = 0;                // its input port
+    Flit flit;
+  };
+  struct WireCredit {
+    Cycle due = 0;
+    NodeId node = kInvalidNode;  // upstream router
+    int port = 0;                // its output port
+    int vc = 0;
+  };
 
   struct PendingMsg {
     noc::Message msg;
@@ -145,6 +172,9 @@ class EnocNetwork final : public noc::Network {
   std::vector<Cycle> link_stuck_until_;
   /// Side effects of the current cycle's router ticks (capacity retained).
   RouterOutbox outbox_;
+  /// Flits and credits on the wire, in delivery order (capacity retained).
+  Ring<WireFlit> link_wire_;
+  Ring<WireCredit> credit_wire_;
   std::uint64_t in_flight_ = 0;
   bool ticking_ = false;
   bool exhaustive_tick_ = false;

@@ -1,25 +1,65 @@
 #include "enoc/params.hpp"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace sctm::enoc {
+namespace {
+
+[[noreturn]] void reject(const char* key, const std::string& why) {
+  throw std::invalid_argument(std::string(key) + ": " + why);
+}
+
+// get_int without narrowing: a value outside T's range is an error.
+template <class T>
+T get_as(const Config& cfg, const char* key, T def) {
+  const std::int64_t v = cfg.get_int(key, static_cast<std::int64_t>(def));
+  if (!std::in_range<T>(v)) {
+    reject(key, std::to_string(v) + " does not fit the parameter");
+  }
+  return static_cast<T>(v);
+}
+
+void check_range(const char* key, std::int64_t v, std::int64_t lo,
+                 std::int64_t hi) {
+  if (v < lo || v > hi) {
+    reject(key, std::to_string(v) + " is out of range [" + std::to_string(lo) +
+                    ", " + std::to_string(hi) + "]");
+  }
+}
+
+}  // namespace
+
+void EnocParams::validate(bool needs_dateline) const {
+  check_range("enoc.vnets", vnets, 1, kMaxVcs);
+  check_range("enoc.vcs_per_vnet", vcs_per_vnet, 1, kMaxVcs);
+  const std::int64_t vcs = std::int64_t{vnets} * vcs_per_vnet;
+  if (vcs > kMaxVcs) {
+    reject("enoc.vcs_per_vnet",
+           "enoc.vnets x enoc.vcs_per_vnet = " + std::to_string(vcs) +
+               " VCs per port exceeds the datapath limit " +
+               std::to_string(kMaxVcs));
+  }
+  check_range("enoc.buffer_depth", buffer_depth, 1, kMaxBufferDepth);
+  if (flit_bytes == 0) reject("enoc.flit_bytes", "must be >= 1");
+  if (link_latency < 1) reject("enoc.link_latency", "must be >= 1");
+  if (credit_latency < 1) reject("enoc.credit_latency", "must be >= 1");
+  if (needs_dateline && vcs_per_vnet % 2 != 0) {
+    reject("enoc.vcs_per_vnet",
+           "torus/ring needs an even count (dateline halves)");
+  }
+}
 
 EnocParams EnocParams::from_config(const Config& cfg) {
   EnocParams p;
-  p.vnets = static_cast<int>(cfg.get_int("enoc.vnets", p.vnets));
-  p.vcs_per_vnet =
-      static_cast<int>(cfg.get_int("enoc.vcs_per_vnet", p.vcs_per_vnet));
-  p.buffer_depth =
-      static_cast<int>(cfg.get_int("enoc.buffer_depth", p.buffer_depth));
-  p.flit_bytes = static_cast<std::uint32_t>(
-      cfg.get_int("enoc.flit_bytes", p.flit_bytes));
-  p.head_bytes = static_cast<std::uint32_t>(
-      cfg.get_int("enoc.head_bytes", p.head_bytes));
-  p.link_latency =
-      static_cast<Cycle>(cfg.get_int("enoc.link_latency",
-                                     static_cast<std::int64_t>(p.link_latency)));
-  p.credit_latency = static_cast<Cycle>(cfg.get_int(
-      "enoc.credit_latency", static_cast<std::int64_t>(p.credit_latency)));
+  p.vnets = get_as(cfg, "enoc.vnets", p.vnets);
+  p.vcs_per_vnet = get_as(cfg, "enoc.vcs_per_vnet", p.vcs_per_vnet);
+  p.buffer_depth = get_as(cfg, "enoc.buffer_depth", p.buffer_depth);
+  p.flit_bytes = get_as(cfg, "enoc.flit_bytes", p.flit_bytes);
+  p.head_bytes = get_as(cfg, "enoc.head_bytes", p.head_bytes);
+  p.link_latency = get_as(cfg, "enoc.link_latency", p.link_latency);
+  p.credit_latency = get_as(cfg, "enoc.credit_latency", p.credit_latency);
   p.adaptive = cfg.get_bool("enoc.adaptive", p.adaptive);
 
   const std::string algo = cfg.get_string("enoc.routing", "xy");
@@ -37,6 +77,7 @@ EnocParams EnocParams::from_config(const Config& cfg) {
   else if (arb == "matrix") p.arbiter = ArbiterKind::kMatrix;
   else throw std::invalid_argument("enoc.arbiter: unknown kind " + arb);
 
+  p.validate(false);
   return p;
 }
 

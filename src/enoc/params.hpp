@@ -2,17 +2,22 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
+#include <limits>
 
 #include "common/config.hpp"
 #include "common/units.hpp"
+#include "enoc/arbiter.hpp"
 #include "noc/routing.hpp"
 
 namespace sctm::enoc {
 
-enum class ArbiterKind { kRoundRobin, kMatrix };
-
 struct EnocParams {
+  /// Datapath limits: a VC index must fit Flit::vc (int16_t), and a VC
+  /// buffer's ring cursors are 16-bit.
+  static constexpr int kMaxVcs = std::numeric_limits<std::int16_t>::max();
+  static constexpr int kMaxBufferDepth =
+      std::numeric_limits<std::uint16_t>::max();
+
   /// Virtual networks (message-class partitions for protocol deadlock
   /// avoidance): requests/control on vnet 0, replies/data on vnet 1.
   int vnets = 2;
@@ -43,20 +48,13 @@ struct EnocParams {
     return bytes == 0 ? 1 : (bytes + flit_bytes - 1) / flit_bytes;
   }
 
-  void validate(bool needs_dateline) const {
-    if (vnets < 1 || vcs_per_vnet < 1 || buffer_depth < 1 || flit_bytes == 0) {
-      throw std::invalid_argument("EnocParams: non-positive parameter");
-    }
-    if (link_latency < 1 || credit_latency < 1) {
-      throw std::invalid_argument("EnocParams: latencies must be >= 1");
-    }
-    if (needs_dateline && vcs_per_vnet % 2 != 0) {
-      throw std::invalid_argument(
-          "EnocParams: torus/ring needs even vcs_per_vnet (dateline halves)");
-    }
-  }
+  /// Throws std::invalid_argument naming the offending "enoc.*" key when a
+  /// value is out of range or the datapath cannot hold it.
+  void validate(bool needs_dateline) const;
 
-  /// Reads "enoc.*" keys with these defaults.
+  /// Reads "enoc.*" keys with these defaults and validates the result
+  /// (without the dateline check, which depends on the topology). A value
+  /// that does not fit its field is rejected, never narrowed.
   static EnocParams from_config(const Config& cfg);
 };
 

@@ -11,13 +11,6 @@ namespace {
 
 constexpr int kInfiniteCredits = std::numeric_limits<int>::max() / 2;
 
-std::unique_ptr<Arbiter> make_arbiter(ArbiterKind kind, int width) {
-  if (kind == ArbiterKind::kMatrix) {
-    return std::make_unique<MatrixArbiter>(width);
-  }
-  return std::make_unique<RoundRobinArbiter>(width);
-}
-
 }  // namespace
 
 Router::Router(Simulator& sim, std::string name, NodeId id,
@@ -30,7 +23,6 @@ Router::Router(Simulator& sim, std::string name, NodeId id,
       params_(params),
       ports_(topo.radix(id) + 1),
       local_(topo.radix(id)),
-      vcount_(params.total_vcs()),
       needs_dateline_(topo.has_wrap_links()),
       stat_buffer_writes_(counter("buffer_writes")),
       stat_buffer_reads_(counter("buffer_reads")),
@@ -44,57 +36,69 @@ Router::Router(Simulator& sim, std::string name, NodeId id,
 }
 
 void Router::configure() {
-  const auto nvc = static_cast<std::size_t>(ports_) * vcount_;
+  vcount_ = params_.total_vcs();
+  const auto ports = static_cast<std::size_t>(ports_);
+  const auto nvc = ports * static_cast<std::size_t>(vcount_);
+  vc_words_ = Arbiter::words_for(vcount_);
+  port_words_ = Arbiter::words_for(ports_);
+  pv_words_ = Arbiter::words_for(ports_ * vcount_);
+
   inputs_.assign(nvc, InputVc{});
-  outputs_.assign(nvc, OutputVc{});
-  for (auto& ivc : inputs_) {
-    ivc.fifo.reserve(static_cast<std::size_t>(params_.buffer_depth));
-  }
+  slab_.assign(nvc * static_cast<std::size_t>(params_.buffer_depth), Flit{});
+  credits_.assign(nvc, 0);
+  busy_.assign(ports * vc_words_, 0);
   occ_.assign((nvc + 63) / 64, 0);
-  sa_input_arb_.clear();
-  sa_output_arb_.clear();
-  va_arb_.clear();
-  for (int p = 0; p < ports_; ++p) {
-    sa_input_arb_.push_back(make_arbiter(params_.arbiter, vcount_));
-    sa_output_arb_.push_back(make_arbiter(params_.arbiter, ports_));
-    va_arb_.push_back(make_arbiter(params_.arbiter, ports_ * vcount_));
+
+  // Message classes split across vnets (requests/control on vnet 0,
+  // replies/data on vnet 1); dateline subclasses split a vnet's VCs in half.
+  for (int c = 0; c < noc::kMsgClassCount; ++c) {
+    const auto cls = static_cast<noc::MsgClass>(c);
+    const bool reply_vnet =
+        params_.vnets >= 2 &&
+        (cls == noc::MsgClass::kReply || cls == noc::MsgClass::kData);
+    const int base = (reply_vnet ? 1 : 0) * params_.vcs_per_vnet;
+    for (int d = 0; d < 2; ++d) {
+      VcRange& r = vc_ranges_[c * 2 + d];
+      if (!needs_dateline_) {
+        r = {base, base + params_.vcs_per_vnet};
+      } else {
+        const int half = params_.vcs_per_vnet / 2;
+        r = {base + d * half, base + d * half + half};
+      }
+    }
   }
-  req_vc_.assign(static_cast<std::size_t>(vcount_), false);
-  req_port_.assign(static_cast<std::size_t>(ports_), false);
-  req_pv_.assign(nvc, false);
-  sa_nominee_.assign(static_cast<std::size_t>(ports_), -1);
-  sa_winner_.assign(static_cast<std::size_t>(ports_), -1);
+
+  sa_input_arb_.assign(ports, Arbiter(params_.arbiter, vcount_));
+  sa_output_arb_.assign(ports, Arbiter(params_.arbiter, ports_));
+  va_arb_.assign(ports, Arbiter(params_.arbiter, ports_ * vcount_));
+  sa_vc_req_.assign(vc_words_, 0);
+  sa_out_req_.assign(ports * port_words_, 0);
+  va_req_.assign(ports * pv_words_, 0);
+  sa_out_any_.assign(port_words_, 0);
+  va_out_any_.assign(port_words_, 0);
+  sa_nominee_.assign(ports, -1);
   va_list_.reserve(nvc);
   rc_list_.reserve(nvc);
-  sa_reexposed_.reserve(static_cast<std::size_t>(ports_));
+  sa_reexposed_.reserve(ports);
   reset();
 }
 
 void Router::reparameterize(const EnocParams& params) {
   params.validate(needs_dateline_);
   params_ = params;
-  vcount_ = params_.total_vcs();
   configure();
 }
 
 void Router::reset() {
-  for (auto& ivc : inputs_) {
-    ivc.fifo.clear();
-    ivc.out_port = -1;
-    ivc.out_vc = -1;
-    ivc.next_dateline = 0;
-  }
-  for (auto& w : occ_) w = 0;
+  std::fill(inputs_.begin(), inputs_.end(), InputVc{});
+  std::fill(occ_.begin(), occ_.end(), 0);
   for (int p = 0; p < ports_; ++p) {
-    const bool ejection = (p == local_);
-    for (int v = 0; v < vcount_; ++v) {
-      auto& ovc = out_vc(p, v);
-      ovc.credits = ejection ? kInfiniteCredits : params_.buffer_depth;
-      ovc.busy = false;
-    }
-    sa_input_arb_[static_cast<std::size_t>(p)]->reset();
-    sa_output_arb_[static_cast<std::size_t>(p)]->reset();
-    va_arb_[static_cast<std::size_t>(p)]->reset();
+    const int credits = p == local_ ? kInfiniteCredits : params_.buffer_depth;
+    std::fill_n(credits_.begin() + vc_index(p, 0), vcount_, credits);
+  }
+  std::fill(busy_.begin(), busy_.end(), 0);
+  for (auto* arbs : {&sa_input_arb_, &sa_output_arb_, &va_arb_}) {
+    for (Arbiter& a : *arbs) a.reset();
   }
   va_list_.clear();
   rc_list_.clear();
@@ -104,45 +108,38 @@ void Router::reset() {
   inj_active_msg_ = kInvalidMsg;
 }
 
-int Router::vnet_of(noc::MsgClass cls) const {
-  if (params_.vnets < 2) return 0;
-  switch (cls) {
-    case noc::MsgClass::kRequest:
-    case noc::MsgClass::kControl:
-      return 0;
-    case noc::MsgClass::kReply:
-    case noc::MsgClass::kData:
-      return 1;
+int Router::first_free_vc(int port, VcRange r) const {
+  const std::uint64_t* busy =
+      &busy_[static_cast<std::size_t>(port) * vc_words_];
+  for (int v = r.lo; v < r.hi;) {
+    const int w = v >> 6;
+    const int end = std::min(r.hi, (w + 1) << 6);
+    std::uint64_t free = ~busy[w] >> (v & 63);
+    if (end - v < 64) free &= (std::uint64_t{1} << (end - v)) - 1;
+    if (free != 0) return v + std::countr_zero(free);
+    v = end;
   }
-  return 0;
+  return -1;
 }
 
-std::pair<int, int> Router::allowed_vcs(noc::MsgClass cls,
-                                        std::uint8_t dateline) const {
-  const int base = vnet_of(cls) * params_.vcs_per_vnet;
-  if (!needs_dateline_) return {base, base + params_.vcs_per_vnet};
-  const int half = params_.vcs_per_vnet / 2;
-  const int lo = base + (dateline ? half : 0);
-  return {lo, lo + half};
-}
-
-void Router::receive_flit(int in_port, Flit flit) {
+void Router::receive_flit(int in_port, const Flit& flit) {
   assert(in_port >= 0 && in_port < ports_);
   assert(flit.vc >= 0 && flit.vc < vcount_);
   const int idx = vc_index(in_port, flit.vc);
   auto& ivc = inputs_[static_cast<std::size_t>(idx)];
-  if (static_cast<int>(ivc.fifo.size()) >= params_.buffer_depth) {
+  if (ivc.count >= params_.buffer_depth) {
     throw std::logic_error(name() + ": input buffer overflow (credit bug)");
   }
-  ivc.fifo.push_back(flit);
-  mark_occupied(idx);
+  slot(idx, ivc.count) = flit;
+  ++ivc.count;
+  set_bit(occ_.data(), idx);
   ++stat_buffer_writes_;
 }
 
 void Router::receive_credit(int out_port, int vc) {
-  auto& ovc = out_vc(out_port, vc);
-  ++ovc.credits;
-  if (ovc.credits > params_.buffer_depth && out_port != local_) {
+  int& credits = credits_[static_cast<std::size_t>(vc_index(out_port, vc))];
+  ++credits;
+  if (credits > params_.buffer_depth && out_port != local_) {
     throw std::logic_error(name() + ": credit overflow");
   }
 }
@@ -173,7 +170,9 @@ bool Router::has_work() const {
 int Router::free_credits(int port) const {
   if (port == local_) return kInfiniteCredits;
   int total = 0;
-  for (int v = 0; v < vcount_; ++v) total += outputs_[vc_index(port, v)].credits;
+  for (int v = 0; v < vcount_; ++v) {
+    total += credits_[static_cast<std::size_t>(vc_index(port, v))];
+  }
   return total;
 }
 
@@ -188,49 +187,48 @@ bool Router::tick(RouterOutbox& out) {
 }
 
 void Router::phase_fused_gather_sa() {
-  // Single pass over occupied VCs in ascending vc_index order — the same
-  // lexicographic (port, vc) order the full phase scans used. Each occupied
-  // VC is classified once: routed + allocated VCs become SA stage-1 requests
-  // (credit check evaluated lazily, only here), routed-unallocated VCs queue
-  // for VA, unrouted VCs queue for RC. SA reads pre-SA state by
-  // construction (this scan precedes every state change of the cycle).
+  // Single pass over occupied VCs in ascending vc_index order. Each occupied
+  // VC is classified once: routed + allocated VCs with a downstream credit
+  // become SA stage-1 requests, routed-unallocated VCs queue for VA, unrouted
+  // VCs queue for RC. SA reads pre-SA state by construction (this scan
+  // precedes every state change of the cycle).
   va_list_.clear();
   rc_list_.clear();
   sa_reexposed_.clear();
-  std::fill(sa_nominee_.begin(), sa_nominee_.end(), -1);
 
-  int cur_port = -1;
-  bool cur_any = false;
-  bool any_nominee = false;
+  // Stage 1, as the scan leaves each input port with requests: its arbiter
+  // nominates one VC, filed under the nominee's output port.
+  int cur_port = -1;  // input port whose requests are being collected
   auto close_port = [&] {
-    if (cur_port >= 0 && cur_any) {
-      const int nom = sa_input_arb_[static_cast<std::size_t>(cur_port)]->grant(
-          req_vc_);
-      sa_nominee_[static_cast<std::size_t>(cur_port)] = nom;
-      if (nom >= 0) any_nominee = true;
-      std::fill(req_vc_.begin(), req_vc_.end(), false);
-    }
+    if (cur_port < 0) return;
+    const auto port = static_cast<std::size_t>(cur_port);
+    const int nom = sa_input_arb_[port].grant(sa_vc_req_.data());
+    std::fill(sa_vc_req_.begin(), sa_vc_req_.end(), 0);
+    sa_nominee_[port] = nom;
+    const int q = inputs_[static_cast<std::size_t>(vc_index(cur_port, nom))]
+                      .out_port;
+    set_bit(&sa_out_req_[static_cast<std::size_t>(q) * port_words_], cur_port);
+    set_bit(sa_out_any_.data(), q);
   };
+  int p = 0;  // input port of idx, advanced as idx ascends
+  int port_base = 0;  // vc_index(p, 0)
   for (std::size_t w = 0; w < occ_.size(); ++w) {
-    std::uint64_t bits = occ_[w];
-    while (bits != 0) {
-      const int b = std::countr_zero(bits);
-      bits &= bits - 1;
-      const int idx = static_cast<int>((w << 6)) + b;
-      const int p = idx / vcount_;
-      const int v = idx % vcount_;
+    for (std::uint64_t bits = occ_[w]; bits != 0; bits &= bits - 1) {
+      const int idx = static_cast<int>(w << 6) + std::countr_zero(bits);
       const auto& ivc = inputs_[static_cast<std::size_t>(idx)];
       if (ivc.out_vc >= 0) {
-        // SA candidate iff the downstream buffer has a credit (lazy scan:
-        // only occupied, allocated VCs ever look at credit counters).
-        if (outputs_[vc_index(ivc.out_port, ivc.out_vc)].credits > 0) {
+        // Lazy credit check: only occupied, allocated VCs read counters.
+        if (credits_[static_cast<std::size_t>(
+                vc_index(ivc.out_port, ivc.out_vc))] > 0) {
+          while (idx >= port_base + vcount_) {
+            ++p;
+            port_base += vcount_;
+          }
           if (p != cur_port) {
             close_port();
             cur_port = p;
-            cur_any = false;
           }
-          req_vc_[static_cast<std::size_t>(v)] = true;
-          cur_any = true;
+          set_bit(sa_vc_req_.data(), idx - port_base);
         }
       } else if (ivc.out_port >= 0) {
         va_list_.push_back(idx);
@@ -240,33 +238,21 @@ void Router::phase_fused_gather_sa() {
     }
   }
   close_port();
-  if (!any_nominee) return;
 
-  // Stage 2: each output port grants one nominated input port (unchanged
-  // from the phase-ordered engine; nominations are at most `ports_` wide).
-  auto& winner_in = sa_winner_;  // input port per output port
-  std::fill(winner_in.begin(), winner_in.end(), -1);
-  for (int q = 0; q < ports_; ++q) {
-    std::fill(req_port_.begin(), req_port_.end(), false);
-    bool any = false;
-    for (int p = 0; p < ports_; ++p) {
-      const int nom = sa_nominee_[static_cast<std::size_t>(p)];
-      if (nom < 0) continue;
-      if (in_vc(p, nom).out_port == q) {
-        req_port_[static_cast<std::size_t>(p)] = true;
-        any = true;
-      }
-    }
-    if (any) {
-      const int w = sa_output_arb_[q]->grant(req_port_);
-      if (w >= 0) winner_in[static_cast<std::size_t>(q)] = w;
-    }
-  }
-
-  for (int q = 0; q < ports_; ++q) {
-    const int w = winner_in[static_cast<std::size_t>(q)];
-    if (w >= 0) {
-      send_flit(w, sa_nominee_[static_cast<std::size_t>(w)]);
+  // Stage 2 in ascending output-port order: each output port grants one of
+  // the input ports filed under it, and the winner traverses the switch.
+  // A traversal changes no request mask and no other port's arbiter, so
+  // granting and sending port by port equals granting all, then sending.
+  for (std::size_t w = 0; w < port_words_; ++w) {
+    std::uint64_t bits = sa_out_any_[w];
+    sa_out_any_[w] = 0;
+    for (; bits != 0; bits &= bits - 1) {
+      const int q = static_cast<int>(w << 6) + std::countr_zero(bits);
+      std::uint64_t* req =
+          &sa_out_req_[static_cast<std::size_t>(q) * port_words_];
+      const int in = sa_output_arb_[static_cast<std::size_t>(q)].grant(req);
+      std::fill_n(req, port_words_, 0);
+      send_flit(in, sa_nominee_[static_cast<std::size_t>(in)]);
       ++stat_sa_grants_;
     }
   }
@@ -275,33 +261,32 @@ void Router::phase_fused_gather_sa() {
 void Router::send_flit(int in_port, int in_vc_idx) {
   const int idx = vc_index(in_port, in_vc_idx);
   auto& ivc = inputs_[static_cast<std::size_t>(idx)];
-  Flit f = ivc.fifo.front();
-  ivc.fifo.pop_front();
-  if (ivc.fifo.empty()) mark_vacant(idx);
-  ++stat_buffer_reads_;
-  ++stat_xbar_;
-
-  const int out = ivc.out_port;
-  auto& ovc = outputs_[vc_index(out, ivc.out_vc)];
+  Flit& f = front_flit(idx);
   f.vc = static_cast<std::int16_t>(ivc.out_vc);
   f.dateline = ivc.next_dateline;
+  const bool tail = f.is_tail;
 
-  const bool ejecting = (out == local_);
-  if (!ejecting) {
-    --ovc.credits;
+  const int out = ivc.out_port;
+  if (out != local_) {
+    --credits_[static_cast<std::size_t>(vc_index(out, ivc.out_vc))];
     ++stat_link_;
     out_->forward(id_, out, f);
   } else {
     out_->eject(id_, f);
   }
+  ivc.head = static_cast<std::uint16_t>(
+      ivc.head + 1 == params_.buffer_depth ? 0 : ivc.head + 1);
+  if (--ivc.count == 0) clear_bit(occ_.data(), idx);
+  ++stat_buffer_reads_;
+  ++stat_xbar_;
 
-  if (f.is_tail) {
-    ovc.busy = false;
+  if (tail) {
+    clear_bit(&busy_[static_cast<std::size_t>(out) * vc_words_], ivc.out_vc);
     ivc.out_port = -1;
     ivc.out_vc = -1;
     // The next packet's head (if buffered behind the tail) becomes an RC
     // candidate this same cycle — the one candidate set SA can grow.
-    if (!ivc.fifo.empty()) sa_reexposed_.push_back(idx);
+    if (ivc.count != 0) sa_reexposed_.push_back(idx);
   }
 
   // Return a credit upstream for the slot we just freed (links only; the
@@ -313,52 +298,36 @@ void Router::send_flit(int in_port, int in_vc_idx) {
 
 void Router::phase_vc_allocation() {
   if (va_list_.empty()) return;
-  // One grant per output port per cycle, arbitrated over the gathered
-  // candidates. The candidate *set* is fixed at gather time (SA only
-  // touches allocated VCs, so it cannot add or remove routed-unallocated
-  // VCs), but busy bits are read live here — post-SA — so an output VC
-  // freed by a departing tail this cycle is grantable, exactly as in the
-  // phase-ordered engine. Gather-then-grant per output port is equivalent
-  // to the old interleaved full scan: a grant for port q touches only q's
-  // busy bits and the winner's out_vc, neither of which any other port's
-  // request set reads.
-  for (int q = 0; q < ports_; ++q) {
-    bool any = false;
-    for (const int idx : va_list_) {
-      const auto& ivc = inputs_[static_cast<std::size_t>(idx)];
-      if (ivc.out_port != q || ivc.out_vc >= 0) continue;
-      // A free VC in the packet's allowed range must exist.
-      const auto [lo, hi] = allowed_vcs(ivc.fifo.front().cls, ivc.next_dateline);
-      bool free_exists = false;
-      for (int ov = lo; ov < hi; ++ov) {
-        if (!outputs_[vc_index(q, ov)].busy) {
-          free_exists = true;
-          break;
-        }
-      }
-      if (free_exists) {
-        req_pv_[static_cast<std::size_t>(idx)] = true;
-        any = true;
-      }
-    }
-    if (!any) continue;
-    const int g = va_arb_[q]->grant(req_pv_);
-    for (const int idx : va_list_) {  // lazy scratch: clear only what we set
-      req_pv_[static_cast<std::size_t>(idx)] = false;
-    }
-    if (g < 0) continue;
-    const int p = g / vcount_;
-    const int v = g % vcount_;
-    auto& ivc = in_vc(p, v);
-    const auto [lo, hi] = allowed_vcs(ivc.fifo.front().cls, ivc.next_dateline);
-    for (int ov = lo; ov < hi; ++ov) {
-      auto& ovc = outputs_[vc_index(q, ov)];
-      if (!ovc.busy) {
-        ovc.busy = true;
-        ivc.out_vc = ov;
-        ++stat_va_grants_;
-        break;
-      }
+  // One pass files each candidate with a free VC in its allowed range under
+  // its output port, reading busy bits live — post-SA — so an output VC
+  // freed by a departing tail this cycle is grantable. Filing every port's
+  // requests before any grant is equivalent to filing port by port: a grant
+  // for port q touches only q's busy bits and the winner's out_vc, neither
+  // of which any other port's request set reads.
+  for (const int idx : va_list_) {
+    const auto& ivc = inputs_[static_cast<std::size_t>(idx)];
+    const int q = ivc.out_port;
+    const VcRange r = allowed_vcs(front_flit(idx).cls, ivc.next_dateline);
+    if (first_free_vc(q, r) < 0) continue;
+    set_bit(&va_req_[static_cast<std::size_t>(q) * pv_words_], idx);
+    set_bit(va_out_any_.data(), q);
+  }
+  // One grant per output port, ascending; the winner takes the lowest free
+  // VC of its range.
+  for (std::size_t w = 0; w < port_words_; ++w) {
+    std::uint64_t bits = va_out_any_[w];
+    va_out_any_[w] = 0;
+    for (; bits != 0; bits &= bits - 1) {
+      const int q = static_cast<int>(w << 6) + std::countr_zero(bits);
+      std::uint64_t* req = &va_req_[static_cast<std::size_t>(q) * pv_words_];
+      const int g = va_arb_[static_cast<std::size_t>(q)].grant(req);
+      std::fill_n(req, pv_words_, 0);
+      auto& ivc = inputs_[static_cast<std::size_t>(g)];
+      const int ov =
+          first_free_vc(q, allowed_vcs(front_flit(g).cls, ivc.next_dateline));
+      set_bit(&busy_[static_cast<std::size_t>(q) * vc_words_], ov);
+      ivc.out_vc = ov;
+      ++stat_va_grants_;
     }
   }
 }
@@ -374,9 +343,9 @@ void Router::phase_route_compute() {
 
 void Router::route_one(int idx) {
   auto& ivc = inputs_[static_cast<std::size_t>(idx)];
-  if (ivc.fifo.empty() || ivc.out_port >= 0) return;
+  if (ivc.count == 0 || ivc.out_port >= 0) return;
   const int p = idx / vcount_;
-  const Flit& head = ivc.fifo.front();
+  const Flit& head = front_flit(idx);
   if (!head.is_head) {
     throw std::logic_error(name() + ": body flit at unrouted VC head");
   }
@@ -418,22 +387,20 @@ void Router::phase_injection() {
   // event was ordered against this tick within the cycle — a requirement
   // for the trace-replay fixed-point property.
   if (f.injected_at >= now()) return;
-  const int local = local_;
 
   if (f.is_head) {
     assert(inj_active_msg_ == kInvalidMsg);
-    const auto [lo, hi] = allowed_vcs(f.cls, 0);
-    for (int v = lo; v < hi; ++v) {
-      auto& ivc = in_vc(local, v);
-      if (ivc.fifo.empty() && ivc.out_port < 0) {
-        Flit head = f;
-        head.vc = static_cast<std::int16_t>(v);
-        inj_queue_.pop_front();
-        if (!head.is_tail) {
+    const VcRange r = allowed_vcs(f.cls, 0);
+    for (int v = r.lo; v < r.hi; ++v) {
+      const auto& ivc = in_vc(local_, v);
+      if (ivc.count == 0 && ivc.out_port < 0) {
+        f.vc = static_cast<std::int16_t>(v);
+        if (!f.is_tail) {
           inj_active_vc_ = v;
-          inj_active_msg_ = head.msg;
+          inj_active_msg_ = f.msg;
         }
-        receive_flit(local, head);
+        receive_flit(local_, f);
+        inj_queue_.pop_front();
         return;  // local port bandwidth: one flit per cycle
       }
     }
@@ -441,16 +408,14 @@ void Router::phase_injection() {
   }
 
   assert(inj_active_msg_ == f.msg && inj_active_vc_ >= 0);
-  auto& ivc = in_vc(local, inj_active_vc_);
-  if (static_cast<int>(ivc.fifo.size()) >= params_.buffer_depth) return;
-  Flit body = f;
-  body.vc = static_cast<std::int16_t>(inj_active_vc_);
-  inj_queue_.pop_front();
-  if (body.is_tail) {
+  if (in_vc(local_, inj_active_vc_).count >= params_.buffer_depth) return;
+  f.vc = static_cast<std::int16_t>(inj_active_vc_);
+  if (f.is_tail) {
     inj_active_vc_ = -1;
     inj_active_msg_ = kInvalidMsg;
   }
-  receive_flit(local, body);
+  receive_flit(local_, f);
+  inj_queue_.pop_front();
 }
 
 }  // namespace sctm::enoc

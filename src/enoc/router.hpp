@@ -11,16 +11,23 @@
 // output arbitration) with per-port round-robin or matrix arbiters.
 //
 // The tick is a fused single pass over *occupied* VCs: an occupancy bitmap
-// (bit per (port, vc), maintained on every fifo push/pop) is scanned once in
-// ascending index order — the exact lexicographic (port, vc) order the
-// original phase loops used — classifying each occupied VC as an SA request
-// (routed + allocated, with a lazy downstream-credit check), a VA candidate
-// (routed, unallocated) or an RC candidate (unrouted). Arbiters are only
-// consulted for ports that actually have requests. VA and RC then evaluate
-// their gathered candidates against live post-SA state (busy bits freed by a
-// departing tail, credits consumed by this cycle's sends), which is exactly
-// what the phase-ordered full scans observed. Cost per tick is O(occupied
-// VCs), not O(ports * vcs).
+// (bit per (port, vc), maintained on every buffer push/pop) is scanned once
+// in ascending index order — the lexicographic (port, vc) order of the
+// allocators' request vectors — classifying each occupied VC as an SA
+// request (routed + allocated, with a lazy downstream-credit check), a VA
+// candidate (routed, unallocated) or an RC candidate (unrouted). Cost per
+// tick is O(occupied VCs), not O(ports * vcs).
+//
+// Allocation works on request bitmasks (see arbiter.hpp). SA stage 1 grants
+// each input port's VC mask as the scan leaves that port, and files the
+// nominee's input port under its output port; stage 2 grants each output
+// port's input-port mask. VA files every candidate that has a free VC in its
+// allowed range under its output port, then grants each output port's
+// (port, vc) mask. Output-port masks are visited in ascending port order
+// through a mask of the ports that have requests, so no phase rescans
+// ports x candidates. VA and RC see live post-SA state (busy bits freed by a
+// departing tail, credits consumed by this cycle's sends). The allowed VC
+// range of every (message class, dateline subclass) pair is precomputed.
 //
 // Side effects leave through a RouterOutbox instead of mutating the network
 // directly: forwarded flits, ejections and upstream credits are recorded in
@@ -28,13 +35,14 @@
 // in ascending router-id order (the tick itself touches only router-local
 // state).
 //
-// The datapath is allocation-free in steady state: input VCs are
-// fixed-capacity rings sized to buffer_depth, injection staging is a
-// capacity-retaining ring, allocator request/grant scratch and the gather
-// lists live in member vectors sized at construction, and route computation
-// uses the fixed RoutePorts set. Ticking an idle router (has_work() ==
-// false) is a no-op — the owning network exploits this with an activity
-// scoreboard and only ticks routers that hold flits.
+// The datapath is allocation-free in steady state: every input VC's flits
+// live in one per-router slab laid out [port][vc][depth], each VC a
+// fixed-capacity ring with 16-bit cursors; injection staging is a
+// capacity-retaining Ring; request masks, nominees and gather lists live in
+// member vectors sized at construction; route computation uses the fixed
+// RoutePorts set. Ticking an idle router (has_work() == false) is a no-op —
+// the owning network exploits this with an activity scoreboard and only
+// ticks routers that hold flits.
 //
 // Deadlock discipline:
 //  * protocol: message classes are split across virtual networks,
@@ -45,7 +53,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "enoc/arbiter.hpp"
@@ -61,60 +68,61 @@ namespace sctm::enoc {
 
 /// Deferred router side effects for one cycle, recorded in emission order.
 /// Routers append in ascending-id order, so the drain applies them router by
-/// router, each in its own emission order. The entry vector retains capacity
-/// across cycles.
+/// router, each in its own emission order. Forward and eject entries take
+/// their flit from `flits`, in entry order; credit entries carry none. Both
+/// vectors retain capacity across cycles.
 struct RouterOutbox {
   struct Entry {
     enum class Kind : std::uint8_t { kForward, kEject, kCredit };
     Kind kind = Kind::kForward;
-    std::uint8_t port = 0;  // kForward: out_dir; kCredit: input port
-    std::int16_t vc = -1;   // kCredit: the freed VC
+    std::int16_t vc = -1;        // kCredit: the freed VC
+    int port = 0;                // kForward: out_dir; kCredit: input port
     NodeId node = kInvalidNode;  // emitting router
-    Flit flit;              // kForward / kEject payload
   };
 
   std::vector<Entry> entries;
+  std::vector<Flit> flits;  // kForward / kEject payloads
 
   void forward(NodeId node, int out_dir, const Flit& f) {
-    entries.push_back({Entry::Kind::kForward, static_cast<std::uint8_t>(out_dir),
-                       -1, node, f});
+    entries.push_back({Entry::Kind::kForward, -1, out_dir, node});
+    flits.push_back(f);
   }
   void eject(NodeId node, const Flit& f) {
-    entries.push_back({Entry::Kind::kEject, 0, -1, node, f});
+    entries.push_back({Entry::Kind::kEject, -1, 0, node});
+    flits.push_back(f);
   }
   void credit(NodeId node, int in_dir, int vc) {
-    entries.push_back({Entry::Kind::kCredit, static_cast<std::uint8_t>(in_dir),
-                       static_cast<std::int16_t>(vc), node, Flit{}});
+    entries.push_back(
+        {Entry::Kind::kCredit, static_cast<std::int16_t>(vc), in_dir, node});
   }
-  void clear() { entries.clear(); }
+  void clear() {
+    entries.clear();
+    flits.clear();
+  }
 };
 
-/// Growable FIFO ring of flits. Capacity is retained across drain/fill
-/// cycles, so a warmed-up queue never touches the heap again — unlike
-/// std::deque, which releases its blocks whenever it empties.
-class FlitRing {
+/// Growable FIFO ring. Capacity is retained across drain/fill cycles, so a
+/// warmed-up queue never touches the heap again — unlike std::deque, which
+/// releases its blocks whenever it empties.
+template <class T>
+class Ring {
  public:
-  void reserve(std::size_t cap) {
-    if (cap > buf_.size()) regrow(cap);
-  }
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
-  Flit& front() {
+  T& front() {
     assert(count_ > 0);
     return buf_[head_];
   }
-  const Flit& front() const {
-    assert(count_ > 0);
-    return buf_[head_];
-  }
-  void push_back(const Flit& f) {
+  void push_back(const T& v) {
     if (count_ == buf_.size()) regrow(buf_.empty() ? 8 : buf_.size() * 2);
-    buf_[(head_ + count_) % buf_.size()] = f;
+    std::size_t tail = head_ + count_;
+    if (tail >= buf_.size()) tail -= buf_.size();
+    buf_[tail] = v;
     ++count_;
   }
   void pop_front() {
     assert(count_ > 0);
-    head_ = (head_ + 1) % buf_.size();
+    if (++head_ == buf_.size()) head_ = 0;
     --count_;
   }
   /// Empties the ring, retaining its buffer (session reset path).
@@ -125,7 +133,7 @@ class FlitRing {
 
  private:
   void regrow(std::size_t cap) {
-    std::vector<Flit> next(cap);
+    std::vector<T> next(cap);
     for (std::size_t i = 0; i < count_; ++i) {
       next[i] = buf_[(head_ + i) % buf_.size()];
     }
@@ -133,7 +141,7 @@ class FlitRing {
     head_ = 0;
   }
 
-  std::vector<Flit> buf_;
+  std::vector<T> buf_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
 };
@@ -157,7 +165,7 @@ class Router : public Component {
 
   /// Flit arrives on input port `in_port` in VC flit.vc (link delivery or,
   /// for the local port, injection placement by inject_*).
-  void receive_flit(int in_port, Flit flit);
+  void receive_flit(int in_port, const Flit& flit);
 
   /// Credit arrives for output (out_port, vc).
   void receive_credit(int out_port, int vc);
@@ -167,7 +175,7 @@ class Router : public Component {
   /// synthesized straight into the staging ring — no intermediate container.
   void inject(const noc::Message& msg, std::uint32_t nflits);
 
-  /// Session reset: restores freshly-constructed datapath state (VC fifos,
+  /// Session reset: restores freshly-constructed datapath state (VC buffers,
   /// RC/VA results, credits, arbiter pointers, injection staging, occupancy
   /// bitmap) without releasing any buffer capacity. Cached stat references
   /// stay valid — the owning simulator zeroes values via
@@ -191,30 +199,35 @@ class Router : public Component {
 
  private:
   struct InputVc {
-    FlitRing fifo;           // fixed capacity == params.buffer_depth
+    std::uint16_t head = 0;   // ring cursor of the front flit in the slab
+    std::uint16_t count = 0;  // flits buffered (<= params.buffer_depth)
+    std::uint8_t next_dateline = 0;  // subclass the packet occupies downstream
     int out_port = -1;       // RC result; -1 = unrouted
     int out_vc = -1;         // VA result; -1 = unallocated
-    std::uint8_t next_dateline = 0;  // subclass the packet occupies downstream
   };
-  struct OutputVc {
-    int credits = 0;
-    bool busy = false;       // held by a packet until its tail is sent
+  /// Allowed output VCs [lo, hi) of a (message class, dateline) pair.
+  struct VcRange {
+    int lo = 0;
+    int hi = 0;
   };
 
   int vc_index(int port, int vc) const { return port * vcount_ + vc; }
   InputVc& in_vc(int port, int vc) { return inputs_[vc_index(port, vc)]; }
-  const InputVc& in_vc(int port, int vc) const {
-    return inputs_[vc_index(port, vc)];
-  }
-  OutputVc& out_vc(int port, int vc) { return outputs_[vc_index(port, vc)]; }
 
-  void mark_occupied(int idx) {
-    occ_[static_cast<std::size_t>(idx) >> 6] |=
-        std::uint64_t{1} << (idx & 63);
+  /// Slab slot of the flit `k` places behind the front of VC `idx`.
+  Flit& slot(int idx, int k) {
+    int pos = inputs_[static_cast<std::size_t>(idx)].head + k;
+    if (pos >= params_.buffer_depth) pos -= params_.buffer_depth;
+    return slab_[static_cast<std::size_t>(idx) * params_.buffer_depth +
+                 static_cast<std::size_t>(pos)];
   }
-  void mark_vacant(int idx) {
-    occ_[static_cast<std::size_t>(idx) >> 6] &=
-        ~(std::uint64_t{1} << (idx & 63));
+  Flit& front_flit(int idx) { return slot(idx, 0); }
+
+  static void set_bit(std::uint64_t* words, int i) {
+    words[static_cast<std::size_t>(i) >> 6] |= std::uint64_t{1} << (i & 63);
+  }
+  static void clear_bit(std::uint64_t* words, int i) {
+    words[static_cast<std::size_t>(i) >> 6] &= ~(std::uint64_t{1} << (i & 63));
   }
 
   /// (Re)builds every size-dependent structure for the current params_ and
@@ -222,16 +235,18 @@ class Router : public Component {
   /// reparameterize().
   void configure();
 
-  /// Allowed VC range [first, last) for a packet of class `cls` whose
-  /// dateline subclass will be `dateline` at the downstream buffer.
-  std::pair<int, int> allowed_vcs(noc::MsgClass cls, std::uint8_t dateline) const;
+  /// Allowed VC range for a packet of class `cls` whose dateline subclass
+  /// will be `dateline` at the downstream buffer.
+  VcRange allowed_vcs(noc::MsgClass cls, std::uint8_t dateline) const {
+    return vc_ranges_[static_cast<std::size_t>(cls) * 2 + (dateline ? 1 : 0)];
+  }
+  /// Lowest non-busy VC of output `port` in `r`, or -1.
+  int first_free_vc(int port, VcRange r) const;
 
-  int vnet_of(noc::MsgClass cls) const;
-
-  /// The fused gather-plus-SA pass: one scan over occupied VCs builds the
-  /// per-port SA request vectors (nominating via the input arbiters as each
-  /// port's bits end) and collects VA/RC candidates, then runs SA output
-  /// arbitration and the winning switch traversals.
+  /// The fused gather-plus-SA pass: one scan over occupied VCs builds each
+  /// input port's SA request mask (granting it as the scan leaves the port)
+  /// and collects VA/RC candidates, then runs SA output arbitration and the
+  /// winning switch traversals.
   void phase_fused_gather_sa();
   void phase_vc_allocation();    // over va_list_, live post-SA busy state
   void phase_route_compute();    // over rc_list_ + VCs re-exposed by SA tails
@@ -247,11 +262,21 @@ class Router : public Component {
 
   int ports_;    // radix + 1 (local last)
   int local_;    // local port index (== topo.local_port())
-  int vcount_;   // VCs per port
+  int vcount_ = 0;  // VCs per port
   bool needs_dateline_;
 
-  std::vector<InputVc> inputs_;    // [port][vc]
-  std::vector<OutputVc> outputs_;  // [port][vc]
+  // Mask widths in words: VCs of one port, ports, and (port, vc) pairs.
+  std::size_t vc_words_ = 0;
+  std::size_t port_words_ = 0;
+  std::size_t pv_words_ = 0;
+
+  std::vector<InputVc> inputs_;  // [port][vc]
+  std::vector<Flit> slab_;       // [port][vc][depth]: every input VC's ring
+  std::vector<int> credits_;     // [port][vc]: output VC credits
+  std::vector<std::uint64_t> busy_;  // [port] x vc_words_: output VC held
+                                     // by a packet until its tail is sent
+  /// Indexed by MsgClass * 2 + dateline.
+  VcRange vc_ranges_[noc::kMsgClassCount * 2];
 
   /// Occupancy bitmap over vc_index: bit set iff that input VC holds flits.
   /// The tick scans set bits instead of all (port, vc) pairs.
@@ -259,17 +284,18 @@ class Router : public Component {
 
   // Switch-allocation arbiters: one per input port (VC selection) and one
   // per output port (input selection).
-  std::vector<std::unique_ptr<Arbiter>> sa_input_arb_;
-  std::vector<std::unique_ptr<Arbiter>> sa_output_arb_;
-  // VC-allocation arbiters: one per output port.
-  std::vector<std::unique_ptr<Arbiter>> va_arb_;
+  std::vector<Arbiter> sa_input_arb_;
+  std::vector<Arbiter> sa_output_arb_;
+  // VC-allocation arbiters: one per output port, over (port, vc) pairs.
+  std::vector<Arbiter> va_arb_;
 
-  // Allocator scratch, reused every tick (capacity fixed at construction).
-  std::vector<bool> req_vc_;       // [vcount]
-  std::vector<bool> req_port_;     // [ports]
-  std::vector<bool> req_pv_;       // [ports * vcount]
-  std::vector<int> sa_nominee_;    // per input port: nominated VC
-  std::vector<int> sa_winner_;     // per output port: granted input port
+  // Request masks, zero between uses (each grant clears what it read).
+  std::vector<std::uint64_t> sa_vc_req_;   // one input port's VCs
+  std::vector<std::uint64_t> sa_out_req_;  // [out port] x port_words_
+  std::vector<std::uint64_t> va_req_;      // [out port] x pv_words_
+  std::vector<std::uint64_t> sa_out_any_;  // out ports with SA requests
+  std::vector<std::uint64_t> va_out_any_;  // out ports with VA requests
+  std::vector<int> sa_nominee_;  // per input port: VC nominated by stage 1
 
   // Gather lists filled by the fused scan (ascending vc_index order) and a
   // list of VCs whose tail left in SA this cycle, re-exposing the next
@@ -283,7 +309,7 @@ class Router : public Component {
 
   // Injection source queue + which local VC each in-progress packet streams
   // into (msg -> vc), to keep wormhole continuity at the local port.
-  FlitRing inj_queue_;
+  Ring<Flit> inj_queue_;
   int inj_active_vc_ = -1;     // local VC of the packet currently streaming
   MsgId inj_active_msg_ = kInvalidMsg;
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -338,6 +339,88 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, PinnedSerialOutput,
                              if (c == '-') c = '_';
                            }
                            return name;
+                         });
+
+// The pins above run the ENoC only with round-robin arbiters and 4 VCs.
+// These hold the router's other datapath configurations to the same output
+// hash: each arbiter kind, VA request masks wider than one 64-bit word,
+// dateline VCs, adaptive routing and multi-cycle links and credits. The
+// values were computed at commit 116ff49. The mesh3d configuration replays
+// the 4x4x2 jacobi capture (32 nodes); every other one replays the 16-core
+// jacobi capture.
+struct PinnedEnocConfig {
+  const char* name;
+  void (*apply)(NetSpec&);
+  std::uint64_t jacobi;
+  std::uint64_t jacobi_window1;
+};
+
+constexpr PinnedEnocConfig kPinnedEnocConfigs[] = {
+    {"matrix",
+     [](NetSpec& s) { s.enoc.arbiter = enoc::ArbiterKind::kMatrix; },
+     0x3c54ae05902b6254ull, 0xdceb1d9f71ae06ccull},
+    {"vcs8", [](NetSpec& s) { s.enoc.vcs_per_vnet = 8; },
+     0x65bf595791873bf1ull, 0xa99f1db607b7c2fbull},
+    {"matrix_vcs8",
+     [](NetSpec& s) {
+       s.enoc.arbiter = enoc::ArbiterKind::kMatrix;
+       s.enoc.vcs_per_vnet = 8;
+     },
+     0xe0001e7d76f917e7ull, 0x5b25d9ddad15d96dull},
+    {"torus_dor",
+     [](NetSpec& s) {
+       s.topo = noc::Topology::torus(4, 4);
+       s.enoc.routing = noc::RoutingAlgo::kTorusDor;
+     },
+     0x6b178ebd4710ae46ull, 0x578ba87c921d2880ull},
+    {"odd_even_adaptive",
+     [](NetSpec& s) {
+       s.enoc.routing = noc::RoutingAlgo::kOddEven;
+       s.enoc.adaptive = true;
+     },
+     0x4a8699c47bfc1545ull, 0xbe56873e919cd0e2ull},
+    {"link3_credit2",
+     [](NetSpec& s) {
+       s.enoc.link_latency = 3;
+       s.enoc.credit_latency = 2;
+     },
+     0x7e525b91efe6df78ull, 0xb451f9894c50e67bull},
+    {"mesh3d_vcs8",
+     [](NetSpec& s) {
+       s = spec_on(NetKind::kEnoc, noc::Topology::mesh3d(4, 4, 2));
+       s.enoc.vcs_per_vnet = 8;
+     },
+     0xfdb252ab63b3391full, 0x8f337aae1b4cd5c5ull},
+};
+
+void PrintTo(const PinnedEnocConfig& c, std::ostream* os) { *os << c.name; }
+
+class PinnedEnocOutput : public ::testing::TestWithParam<PinnedEnocConfig> {
+ protected:
+  static NetSpec spec() {
+    NetSpec s = spec_of(NetKind::kEnoc);
+    GetParam().apply(s);
+    return s;
+  }
+  static const ReplayTrace& trace() {
+    return spec().topo.node_count() == 16 ? jacobi_rt() : mesh3d_rt();
+  }
+};
+
+TEST_P(PinnedEnocOutput, JacobiFullWindow) {
+  EXPECT_EQ(replay_hash(trace(), spec(), ReplayConfig{}), GetParam().jacobi);
+}
+
+TEST_P(PinnedEnocOutput, JacobiWindowOneIterates) {
+  ReplayConfig cfg;
+  cfg.dependency_window = 1;
+  EXPECT_EQ(replay_hash(trace(), spec(), cfg), GetParam().jacobi_window1);
+}
+
+INSTANTIATE_TEST_SUITE_P(EnocConfigs, PinnedEnocOutput,
+                         ::testing::ValuesIn(kPinnedEnocConfigs),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
                          });
 
 // --- In-place rebind fast path ---------------------------------------------

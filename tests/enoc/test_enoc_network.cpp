@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -198,6 +200,49 @@ TEST(EnocNetwork, AdaptiveRoutingStillDeliversAll) {
   }
   sim.run();
   EXPECT_EQ(delivered, 240);
+}
+
+// A star hub with 300 leaf ports: forwards and credits on hub ports past 255
+// must use the full port number (a byte-wide outbox port sends them to the
+// wrong leaf).
+TEST(EnocNetwork, WideStarHubUsesPortsBeyond255) {
+  std::string text = "nodes 301\n";
+  for (int i = 1; i <= 300; ++i) text += "edge 0 " + std::to_string(i) + "\n";
+  const auto topo = Topology::from_text(text);
+  EnocParams p = small_params();
+  p.routing = noc::RoutingAlgo::kTable;
+  Simulator sim;
+  EnocNetwork net(sim, "enoc", topo, p);
+  std::vector<Message> got;
+  net.set_deliver_callback([&](const Message& m) { got.push_back(m); });
+  net.inject(make_msg(1, 1, 300, 64));
+  net.inject(make_msg(2, 300, 1, 64));
+  sim.run();
+  ASSERT_EQ(got.size(), 2u);
+  for (const auto& m : got) {
+    EXPECT_EQ(m.dst, m.id == 1 ? NodeId{300} : NodeId{1});
+  }
+  EXPECT_TRUE(net.idle());
+}
+
+// Link and credit events pop their wire FIFO's front entry, which is only
+// right while events fire in push order. An event whose entry is missing or
+// not due now (here: a network reset without resetting the simulator that
+// still holds its events) throws instead of delivering a stale flit.
+TEST(EnocNetwork, WireEventWithoutItsEntryThrows) {
+  Simulator sim;
+  EnocNetwork net(sim, "enoc", Topology::mesh(2, 2), small_params());
+  net.inject(make_msg(1, 0, 3, 4096));  // 257 flits: links busy for a while
+  sim.run_until(20);
+  net.reset();
+  try {
+    sim.run();
+    ADD_FAILURE() << "stale wire events ran without an error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("FIFO out of order"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(EnocNetwork, StatsCountersPopulated) {

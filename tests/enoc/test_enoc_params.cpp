@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace sctm::enoc {
 namespace {
@@ -34,6 +35,48 @@ TEST(EnocParams, ValidationRejectsBadValues) {
   p.vcs_per_vnet = 3;
   EXPECT_NO_THROW(p.validate(false));
   EXPECT_THROW(p.validate(true), std::invalid_argument);  // dateline needs even
+}
+
+// Flit::vc and the outbox VC are int16_t and a VC buffer's ring cursors are
+// 16-bit, so VC counts and buffer depths beyond those are rejected.
+TEST(EnocParams, ValidationRejectsWhatTheDatapathCannotHold) {
+  EnocParams p;
+  p.vcs_per_vnet = 20000;  // 40,000 VCs per port
+  EXPECT_THROW(p.validate(false), std::invalid_argument);
+  p.vnets = 1;
+  p.vcs_per_vnet = EnocParams::kMaxVcs;
+  EXPECT_NO_THROW(p.validate(false));
+  p.vcs_per_vnet = EnocParams::kMaxVcs + 1;
+  EXPECT_THROW(p.validate(false), std::invalid_argument);
+  p = EnocParams{};
+  p.buffer_depth = EnocParams::kMaxBufferDepth;
+  EXPECT_NO_THROW(p.validate(false));
+  p.buffer_depth = EnocParams::kMaxBufferDepth + 1;
+  EXPECT_THROW(p.validate(false), std::invalid_argument);
+}
+
+// The error names the offending key, and a 64-bit value is never narrowed
+// into range.
+TEST(EnocParams, FromConfigRejectsOutOfRangeValuesNamingTheKey) {
+  const auto expect_rejects = [](const std::string& text,
+                                 const std::string& key) {
+    try {
+      (void)EnocParams::from_config(Config::from_string(text));
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejects("enoc.vcs_per_vnet = 4294967298\n", "enoc.vcs_per_vnet");
+  expect_rejects("enoc.vcs_per_vnet = 20000\n", "enoc.vcs_per_vnet");
+  expect_rejects("enoc.vnets = 0\n", "enoc.vnets");
+  expect_rejects("enoc.buffer_depth = 65536\n", "enoc.buffer_depth");
+  expect_rejects("enoc.buffer_depth = -1\n", "enoc.buffer_depth");
+  expect_rejects("enoc.flit_bytes = 4294967312\n", "enoc.flit_bytes");
+  expect_rejects("enoc.head_bytes = -8\n", "enoc.head_bytes");
+  expect_rejects("enoc.link_latency = -1\n", "enoc.link_latency");
+  expect_rejects("enoc.credit_latency = 0\n", "enoc.credit_latency");
 }
 
 TEST(EnocParams, FromConfigDefaults) {
