@@ -42,7 +42,6 @@ inline core::NetSpec enoc_spec(noc::Topology topo = noc::Topology::mesh(4, 4)) {
   // The fabric's natural algorithm (XY on 2D meshes, so legacy benches are
   // byte-identical; XYZ / table routing on the graph-backed kinds).
   s.enoc.routing = noc::default_algo(s.topo);
-  s.hybrid.electrical.routing = s.enoc.routing;
   return s;
 }
 

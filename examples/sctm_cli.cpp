@@ -263,7 +263,6 @@ core::NetSpec spec_from(const std::map<std::string, std::string>& f) {
   // The flags carry no routing algorithm: every fabric gets its natural one
   // (kXY for a 2D mesh, exactly as before --topo existed).
   spec.enoc.routing = noc::default_algo(spec.topo);
-  spec.hybrid.electrical.routing = spec.enoc.routing;
   apply_faults_flag(f, spec);
   return spec;
 }

@@ -480,22 +480,25 @@ struct OnocModel final : AnalyticModel {
 /// own sub-load, and the cores recombine by message weight.
 struct HybridModel final : AnalyticModel {
   noc::Topology topo;
+  enoc::EnocParams el_prm;
+  onoc::OnocParams op_prm;
   onoc::HybridParams prm;
   noc::RoutingTable routes;  // electrical plane
   double ber = 0;
-  HybridModel(const noc::Topology& t, const onoc::HybridParams& pr,
+  HybridModel(const noc::Topology& t, const enoc::EnocParams& el,
+              const onoc::OnocParams& op, const onoc::HybridParams& pr,
               const fault::FaultSpec& fault)
-      : topo(t), prm(pr), routes(t, pr.electrical.routing) {
+      : topo(t), el_prm(el), op_prm(op), prm(pr), routes(t, el.routing) {
     if (fault.enabled()) {
       onoc::LossBudgetInputs in;
       in.nodes = topo.node_count();
-      in.wavelengths = prm.optical.wavelengths;
+      in.wavelengths = op_prm.wavelengths;
       in.channels_per_node = topo.node_count() - 1;
-      in.die_edge_cm = prm.optical.die_edge_cm;
-      in.ring = prm.optical.ring;
-      in.waveguide = prm.optical.waveguide;
-      in.detector = prm.optical.detector;
-      in.laser = prm.optical.laser;
+      in.die_edge_cm = op_prm.die_edge_cm;
+      in.ring = op_prm.ring;
+      in.waveguide = op_prm.waveguide;
+      in.detector = op_prm.detector;
+      in.laser = op_prm.laser;
       ber = onoc::faulted_bit_error_rate(in, fault.onoc_ring_drift_sigma_c,
                                          fault.onoc_laser_degradation_db);
     }
@@ -524,10 +527,9 @@ struct HybridModel final : AnalyticModel {
       }
     }
     const LatencyCore el =
-        enoc_core(p, topo, prm.electrical, routes, {&mask, false});
-    const LatencyCore op = onoc_core(p, topo, prm.optical,
-                                     prm.optical.arbitration, ber,
-                                     {&mask, true});
+        enoc_core(p, topo, el_prm, routes, {&mask, false});
+    const LatencyCore op =
+        onoc_core(p, topo, op_prm, op_prm.arbitration, ber, {&mask, true});
     LatencyCore out{};
     out.weight = el.weight + op.weight;
     if (out.weight > 0) {
@@ -590,7 +592,8 @@ std::unique_ptr<AnalyticModel> make_model(const core::NetSpec& spec) {
       return std::make_unique<OnocModel>(
           spec.topo, spec.onoc, onoc::Arbitration::kSwmr, spec.fault);
     case core::NetKind::kHybrid:
-      return std::make_unique<HybridModel>(spec.topo, spec.hybrid, spec.fault);
+      return std::make_unique<HybridModel>(spec.topo, spec.enoc, spec.onoc,
+                                           spec.hybrid, spec.fault);
   }
   throw std::invalid_argument("make_model: bad NetKind");
 }

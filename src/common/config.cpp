@@ -132,6 +132,16 @@ std::int64_t Config::get_int(std::string_view key, std::int64_t def) const {
   return contains(key) ? get_int(key) : def;
 }
 
+void Config::reject_range(std::string_view key, std::int64_t v,
+                          const std::string& range) const {
+  std::string where;
+  if (const auto line = source_line(key)) {
+    where = " (line " + std::to_string(*line) + ")";
+  }
+  throw std::invalid_argument(std::string(key) + where + ": " +
+                              std::to_string(v) + " is out of range " + range);
+}
+
 double Config::get_double(std::string_view key) const {
   const std::string v = get_string(key);
   try {

@@ -10,11 +10,13 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace sctm {
@@ -52,6 +54,24 @@ class Config {
   bool get_bool(std::string_view key) const;
   bool get_bool(std::string_view key, bool def) const;
 
+  /// Checked integer read, the one way to read an integer parameter into a
+  /// type narrower than int64 or unsigned: a value `T` cannot hold throws
+  /// std::invalid_argument naming the key — and its source line when this
+  /// config was parsed from text — instead of wrapping (-1 read into a
+  /// uint32 window would silently mean "full window").
+  template <class T>
+  T get_as(std::string_view key, T def) const {
+    if (!contains(key)) return def;
+    const std::int64_t v = get_int(key);
+    if (!std::in_range<T>(v)) {
+      reject_range(key, v,
+                   "[" + std::to_string(std::numeric_limits<T>::min()) +
+                       ", " + std::to_string(std::numeric_limits<T>::max()) +
+                       "]");
+    }
+    return static_cast<T>(v);
+  }
+
   /// Merges `other` on top of this config (other wins on conflicts).
   void merge(const Config& other);
 
@@ -83,6 +103,8 @@ class Config {
 
  private:
   std::optional<std::string> lookup(std::string_view key) const;
+  [[noreturn]] void reject_range(std::string_view key, std::int64_t v,
+                                 const std::string& range) const;
 
   std::map<std::string, std::string, std::less<>> values_;
   /// Source line of each key parsed from text (error attribution). Keys set

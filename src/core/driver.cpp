@@ -72,8 +72,8 @@ NetworkFactory make_base_factory(const NetSpec& spec) {
     }
     case NetKind::kHybrid:
       return [spec](Simulator& sim) -> std::unique_ptr<noc::Network> {
-        return std::make_unique<onoc::HybridNetwork>(sim, "net", spec.topo,
-                                                     spec.hybrid);
+        return std::make_unique<onoc::HybridNetwork>(
+            sim, "net", spec.topo, spec.enoc, spec.onoc, spec.hybrid);
       };
   }
   throw std::invalid_argument("make_factory: bad NetKind");

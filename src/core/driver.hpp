@@ -5,7 +5,10 @@
 //   naive trace       - capture once, replay frozen timestamps (fast, wrong)
 //   self-correcting   - capture once, dependency-corrected replay
 // and builds networks from a small declarative spec so a bench can sweep
-// network kinds/parameters in a few lines.
+// network kinds/parameters in a few lines. A NetSpec holds each parameter
+// block once (the hybrid reuses `enoc` and `onoc`), and make_factory is the
+// one way to build a network from it — for capture, for replay, and for
+// every ReplaySession rebind.
 #pragma once
 
 #include <memory>
@@ -32,6 +35,8 @@ struct NetSpec {
   noc::IdealNetwork::Params ideal{};
   enoc::EnocParams enoc{};
   onoc::OnocParams onoc{};
+  /// Steering thresholds only: a hybrid builds its electrical layer from
+  /// `enoc` and its optical layer from `onoc`.
   onoc::HybridParams hybrid{};
   /// Fault regime (default-constructed = inert: no model installed, the
   /// fault-free paths and --stats-json output are byte-identical to before
@@ -41,9 +46,9 @@ struct NetSpec {
   std::string describe() const;
 
   /// Memberwise equality across kind, topology and every parameter block.
-  /// Exploration keys session reuse on this: equal specs may share one
-  /// constructed network across resets, unequal specs force a rebuild
-  /// (parameters are baked into components at construction).
+  /// ReplaySession::rebind keys on this: an equal spec keeps the constructed
+  /// network across resets, any other spec rebuilds it (parameters are
+  /// fixed at construction).
   bool operator==(const NetSpec&) const = default;
 };
 

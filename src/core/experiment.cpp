@@ -22,16 +22,15 @@ std::string at(const Config& cfg, const std::string& key) {
 
 noc::Topology topology_from_config(const Config& cfg) {
   const std::string kind = cfg.get_string("net.topology", "mesh");
-  const int w = static_cast<int>(cfg.get_int("net.mesh_width", 4));
-  const int h = static_cast<int>(cfg.get_int("net.mesh_height", 4));
+  const int w = cfg.get_as("net.mesh_width", 4);
+  const int h = cfg.get_as("net.mesh_height", 4);
   if (kind == "mesh") return noc::Topology::mesh(w, h);
   if (kind == "torus") return noc::Topology::torus(w, h);
   if (kind == "ring") {
-    return noc::Topology::ring(
-        static_cast<int>(cfg.get_int("net.ring_nodes", w * h)));
+    return noc::Topology::ring(cfg.get_as("net.ring_nodes", w * h));
   }
   if (kind == "mesh3d" || kind == "torus3d") {
-    const int d = static_cast<int>(cfg.get_int("net.mesh_depth", 2));
+    const int d = cfg.get_as("net.mesh_depth", 2);
     return kind == "mesh3d" ? noc::Topology::mesh3d(w, h, d)
                             : noc::Topology::torus3d(w, h, d);
   }
@@ -63,12 +62,10 @@ NetSpec netspec_from_config(const Config& cfg, const std::string& which) {
   NetSpec spec;
   spec.kind = net_kind_from(cfg.get_string(which + ".kind", "enoc"));
   spec.topo = topology_from_config(cfg);
-  spec.ideal.base_latency = static_cast<Cycle>(
-      cfg.get_int("ideal.base_latency",
-                  static_cast<std::int64_t>(spec.ideal.base_latency)));
-  spec.ideal.per_hop_latency = static_cast<Cycle>(
-      cfg.get_int("ideal.per_hop_latency",
-                  static_cast<std::int64_t>(spec.ideal.per_hop_latency)));
+  spec.ideal.base_latency =
+      cfg.get_as("ideal.base_latency", spec.ideal.base_latency);
+  spec.ideal.per_hop_latency =
+      cfg.get_as("ideal.per_hop_latency", spec.ideal.per_hop_latency);
   spec.enoc = enoc::EnocParams::from_config(cfg);
   if (!cfg.contains("enoc.routing")) {
     // Without an explicit algorithm the fabric picks its natural one, so
@@ -76,12 +73,10 @@ NetSpec netspec_from_config(const Config& cfg, const std::string& which) {
     spec.enoc.routing = noc::default_algo(spec.topo);
   }
   spec.onoc = onoc::OnocParams::from_config(cfg);
-  spec.hybrid.electrical = spec.enoc;
-  spec.hybrid.optical = spec.onoc;
-  spec.hybrid.distance_threshold = static_cast<int>(
-      cfg.get_int("hybrid.distance_threshold", 3));
-  spec.hybrid.size_threshold = static_cast<std::uint32_t>(
-      cfg.get_int("hybrid.size_threshold", 64));
+  spec.hybrid.distance_threshold =
+      cfg.get_as("hybrid.distance_threshold", spec.hybrid.distance_threshold);
+  spec.hybrid.size_threshold =
+      cfg.get_as("hybrid.size_threshold", spec.hybrid.size_threshold);
   spec.fault = fault::FaultSpec::from_config(cfg);
   return spec;
 }
@@ -89,13 +84,11 @@ NetSpec netspec_from_config(const Config& cfg, const std::string& which) {
 fullsys::AppParams app_from_config(const Config& cfg) {
   fullsys::AppParams app;
   app.name = cfg.get_string("app.name", "fft");
-  app.cores = static_cast<int>(cfg.get_int("app.cores", 16));
-  app.lines_per_core =
-      static_cast<int>(cfg.get_int("app.lines_per_core", 16));
-  app.iterations = static_cast<int>(cfg.get_int("app.iterations", 2));
-  app.compute_per_line =
-      static_cast<int>(cfg.get_int("app.compute_per_line", 8));
-  app.seed = static_cast<std::uint64_t>(cfg.get_int("app.seed", 1));
+  app.cores = cfg.get_as("app.cores", 16);
+  app.lines_per_core = cfg.get_as("app.lines_per_core", 16);
+  app.iterations = cfg.get_as("app.iterations", 2);
+  app.compute_per_line = cfg.get_as("app.compute_per_line", 8);
+  app.seed = cfg.get_as("app.seed", std::uint64_t{1});
   return app;
 }
 
@@ -105,12 +98,8 @@ ReplayConfig replay_from_config(const Config& cfg) {
   if (mode == "naive") rc.mode = ReplayMode::kNaive;
   else if (mode == "sctm") rc.mode = ReplayMode::kSelfCorrecting;
   else throw std::invalid_argument("replay.mode must be naive or sctm");
-  if (cfg.contains("replay.window")) {
-    rc.dependency_window =
-        static_cast<std::uint32_t>(cfg.get_int("replay.window"));
-  }
-  rc.max_iterations =
-      static_cast<int>(cfg.get_int("replay.max_iterations", rc.max_iterations));
+  rc.dependency_window = cfg.get_as("replay.window", rc.dependency_window);
+  rc.max_iterations = cfg.get_as("replay.max_iterations", rc.max_iterations);
   return rc;
 }
 

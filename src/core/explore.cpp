@@ -23,11 +23,10 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 /// One worker: drains candidates off the shared counter with a single
-/// long-lived ReplaySession. The session's spec-aware rebind diffs each
-/// candidate against the bound network: equal specs reuse it through the
-/// reset protocol, parameter-only changes on the same kind/topology patch
-/// it in place, and everything else rebuilds — always keeping the session's
-/// trace binding, kept-edge flags and pass buffers.
+/// long-lived ReplaySession. Rebinding to each candidate keeps the network
+/// when the spec equals the bound one (the reset protocol reuses it) and
+/// rebuilds it otherwise — always keeping the session's trace binding,
+/// kept-edge flags and pass buffers.
 void evaluate_candidates(const ReplayTrace& rt,
                          const std::vector<Candidate>& candidates,
                          const ReplayConfig& config,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 
 namespace sctm::core {
 
@@ -11,6 +12,12 @@ namespace {
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+std::string node_mismatch(int net_nodes, const ReplayTrace& rt) {
+  return "replay: network has " + std::to_string(net_nodes) +
+         " nodes, trace has " + std::to_string(rt.nodes()) +
+         " (captured on " + rt.capture_network() + ")";
 }
 
 }  // namespace
@@ -39,64 +46,46 @@ ReplaySession::ReplaySession(const ReplayTrace& rt, const NetSpec& spec,
                              const ReplayConfig& config)
     : ReplaySession(rt, make_factory(spec), config) {
   bound_spec_ = spec;
-  has_spec_ = true;
 }
 
 void ReplaySession::bind_network(const NetworkFactory& factory) {
-  net_ = factory(sim_);
-  if (!net_) throw std::logic_error("replay: factory returned null network");
-  if (net_->node_count() != rt_.nodes()) {
-    throw std::invalid_argument(
-        "replay: network has " + std::to_string(net_->node_count()) +
-        " nodes, trace has " + std::to_string(rt_.nodes()) +
-        " (captured on " + rt_.capture_network() + ")");
+  std::unique_ptr<noc::Network> net = factory(sim_);
+  if (!net) throw std::logic_error("replay: factory returned null network");
+  if (net->node_count() != rt_.nodes()) {
+    throw std::invalid_argument(node_mismatch(net->node_count(), rt_));
   }
   auto cb = [this](const noc::Message& msg) { on_deliver(msg); };
   static_assert(noc::Network::DeliverFn::fits_inline<decltype(cb)>(),
                 "delivery callback must stay within the SBO budget");
-  net_->set_deliver_callback(std::move(cb));
+  net->set_deliver_callback(std::move(cb));
+  net_ = std::move(net);
+}
+
+noc::Network& ReplaySession::bound_network() const {
+  if (!net_) {
+    throw std::logic_error("replay: no network bound; the rebind to " +
+                           rebind_target_ + " failed");
+  }
+  return *net_;
 }
 
 void ReplaySession::rebind(const NetSpec& spec) {
-  if (has_spec_ && bound_spec_ == spec) {
-    // Nothing changed; the next pass's reset protocol is all that's needed.
-    last_rebind_in_place_ = true;
-    return;
+  if (bound_spec_ == spec) return;  // the next pass resets the network
+  // Reject what cannot replay this trace before tearing anything down, so
+  // the session stays bound to its old network and spec.
+  if (spec.topo.node_count() != rt_.nodes()) {
+    throw std::invalid_argument(node_mismatch(spec.topo.node_count(), rt_));
   }
-  // The in-place paths keep the constructed network (and any installed
-  // FaultModel) alive, so they additionally require an unchanged fault
-  // regime — a new spec means new streams, rates and registered counters,
-  // which only a rebuild delivers.
-  const bool same_shape = has_spec_ && bound_spec_.kind == spec.kind &&
-                          bound_spec_.topo == spec.topo &&
-                          bound_spec_.fault == spec.fault;
-  if (same_shape && spec.kind == NetKind::kIdeal) {
-    // Parameters are only read at inject time — patch and reset.
-    sim_.reset();
-    net_->reset();
-    static_cast<noc::IdealNetwork&>(*net_).set_params(spec.ideal);
-    last_rebind_in_place_ = true;
-  } else if (same_shape && spec.kind == NetKind::kEnoc) {
-    // Rebuild router datapaths in place; stat entries and delivery callback
-    // survive. Kernel reset first — the tick event lives in its queue.
-    sim_.reset();
-    static_cast<enoc::EnocNetwork&>(*net_).reparameterize(spec.enoc);
-    last_rebind_in_place_ = true;
-  } else {
-    // Kind/topology changes — and the ONoC/Hybrid backends, whose parameters
-    // are baked into token rings and channel tables at construction — take
-    // the full rebuild path. Destroy the old network before erasing the
-    // stat entries its components hold references into, then rewind the
-    // kernel for the fresh build.
-    net_.reset();
-    sim_.stats().reset();
-    sim_.reset();
-    has_spec_ = false;  // nothing is bound until the rebuild succeeds
-    last_rebind_in_place_ = false;
-    bind_network(make_factory(spec));
-  }
+  const NetworkFactory build = make_factory(spec);
+  // Destroy the old network before erasing the stat entries its components
+  // hold references into, then rewind the kernel for the fresh build.
+  net_.reset();
+  bound_spec_.reset();
+  sim_.stats().reset();
+  sim_.reset();
+  rebind_target_ = spec.describe();  // named by bound_network() on failure
+  bind_network(build);
   bound_spec_ = spec;
-  has_spec_ = true;
 }
 
 void ReplaySession::inject_record(std::uint32_t idx) {
@@ -183,8 +172,9 @@ void ReplaySession::run_pass_prepared() {
 
   // The whole point: reset, don't rebuild. Both calls retain capacity, so
   // after a warmup pass this entire function is allocation-free.
+  noc::Network& net = bound_network();
   sim_.reset();
-  net_->reset();
+  net.reset();
 
   result_.inject_time.assign(n, kNoCycle);
   result_.arrive_time.assign(n, kNoCycle);

@@ -22,10 +22,13 @@
 //
 // The session is the one replay engine. run_replay() (core/driver.hpp) runs
 // a throwaway one; exploration keeps one long-lived session per worker and
-// rebind()s it only when the candidate's NetSpec differs.
+// rebind()s it to each candidate: an equal spec keeps the network, any other
+// spec rebuilds it through make_factory.
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/driver.hpp"
@@ -36,13 +39,13 @@ namespace sctm::core {
 class ReplaySession {
  public:
   /// Binds the session to `rt` (borrowed; must outlive the session) and
-  /// builds the network once from `spec`, which rebind(NetSpec) diffs
+  /// builds the network once from `spec`, which rebind(NetSpec) compares
   /// against.
   ReplaySession(const ReplayTrace& rt, const NetSpec& spec,
                 const ReplayConfig& config);
 
   /// Same over a network no NetSpec can name. The first rebind() always
-  /// rebuilds, since there is no bound spec to diff against.
+  /// rebuilds, since there is no bound spec to compare against.
   ReplaySession(const ReplayTrace& rt, const NetworkFactory& factory,
                 const ReplayConfig& config);
 
@@ -63,19 +66,15 @@ class ReplaySession {
   const ReplayResult& run_pass();
 
   /// Rebinds to `spec`, keeping the trace binding, kept-edge flags and every
-  /// pass buffer. Diffs `spec` against the bound spec memberwise: equal
-  /// specs are a no-op; same kind + topology with only parameter changes
-  /// patch the live network in place (Ideal: set_params, ENoC:
-  /// reparameterize — no reconstruction, stat entries survive); anything
-  /// else (kind/topology change, or ONoC/Hybrid whose parameters are baked
-  /// into token rings and channel tables at construction) rebuilds the
-  /// network, erasing the old one's stat entries. Either way the session
-  /// ends reset and bound to `spec` — in-place vs rebuild is observable
-  /// only through last_rebind_in_place() and speed.
+  /// pass buffer. A spec equal to the bound one keeps the network (the next
+  /// pass resets it); any other spec rebuilds it through make_factory,
+  /// erasing the old network's stat entries. A spec whose node count differs
+  /// from the trace's throws std::invalid_argument and leaves the session
+  /// bound to its old network and spec. If the rebuild itself throws, no
+  /// network is bound: run(), run_pass() and network() throw
+  /// std::logic_error naming the failed rebind until a later rebind
+  /// succeeds.
   void rebind(const NetSpec& spec);
-
-  /// Whether the most recent rebind(NetSpec) took the in-place fast path.
-  bool last_rebind_in_place() const { return last_rebind_in_place_; }
 
   /// Copies the simulator's stat registry into result().stats (the one
   /// allocating step run_pass() defers).
@@ -86,11 +85,12 @@ class ReplaySession {
   ReplayResult take_result();
 
   const ReplayResult& result() const { return result_; }
-  const noc::Network& network() const { return *net_; }
-  noc::Network& network() { return *net_; }
+  const noc::Network& network() const { return bound_network(); }
+  noc::Network& network() { return bound_network(); }
 
  private:
   void bind_network(const NetworkFactory& factory);
+  noc::Network& bound_network() const;  // throws after a failed rebind
   void run_pass_prepared();  // bound_ already filled; core of every pass
   void inject_record(std::uint32_t idx);
   void mark_eligible(std::uint32_t idx, Cycle t);
@@ -107,10 +107,9 @@ class ReplaySession {
   std::vector<bool> kept_;  // per children-CSR edge: enforced under config_
 
   Simulator sim_;
-  std::unique_ptr<noc::Network> net_;
-  NetSpec bound_spec_;
-  bool has_spec_ = false;
-  bool last_rebind_in_place_ = false;
+  std::unique_ptr<noc::Network> net_;  // null only after a failed rebind
+  std::optional<NetSpec> bound_spec_;  // empty for a factory-built network
+  std::string rebind_target_;          // spec of the latest rebuild
 
   // Pass-scoped state, sized once to rt_.size() and recycled every pass.
   std::vector<std::uint32_t> pending_;  // unresolved kept deps per record

@@ -53,19 +53,6 @@ void EnocNetwork::reset() {
   activity_hash_ = 0;
 }
 
-void EnocNetwork::reparameterize(const EnocParams& params) {
-  if (!noc::compatible(topo_, params.routing)) {
-    throw std::invalid_argument(name() +
-                                ": routing algorithm incompatible with " +
-                                topo_.describe());
-  }
-  params.validate(topo_.has_wrap_links());
-  routes_.rebuild(topo_, params.routing);
-  for (auto& r : routers_) r->reparameterize(params);
-  params_ = params;
-  reset();
-}
-
 void EnocNetwork::mark_active(NodeId n) {
   active_bits_[static_cast<std::size_t>(n) >> 6] |=
       std::uint64_t{1} << (static_cast<std::size_t>(n) & 63);
@@ -95,7 +82,6 @@ void EnocNetwork::apply_forward(NodeId node, int out_dir, const Flit& flit) {
                            (flit.msg << 8) ^
                            (static_cast<std::uint64_t>(flit.seq) << 4) ^
                            static_cast<std::uint64_t>(node * 8 + out_dir));
-  if (probe_) probe_(sim().now(), out_dir, flit.msg, node);
   if (fault_model() != nullptr) apply_link_faults(node, out_dir, flit);
   const NodeId next = topo_.neighbor(node, out_dir);
   if (next == kInvalidNode) {
@@ -122,7 +108,6 @@ void EnocNetwork::apply_eject(NodeId node, const Flit& flit) {
                            (flit.msg << 8) ^
                            (static_cast<std::uint64_t>(flit.seq) << 4) ^
                            static_cast<std::uint64_t>(node * 8 + 7));
-  if (probe_) probe_(sim().now(), -1, flit.msg, node);
   PendingMsg* pm = pending_.find(flit.msg);
   if (pm == nullptr) {
     throw std::logic_error(name() + ": ejected flit of unknown message");

@@ -36,9 +36,11 @@
 // entry and checks that its due cycle is now. Event count and event order
 // are those of one closure per traversal, without copying the flit into
 // each closure.
+//
+// Parameters, the routing table and every router datapath are fixed at
+// construction; reset() only clears what the network has seen.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -60,17 +62,11 @@ class EnocNetwork final : public noc::Network {
 
   /// Session reset: routers, in-flight table, activity scoreboard and
   /// datapath counters return to freshly-constructed state with all
-  /// capacity retained. Test/debug configuration (exhaustive tick mode, the
-  /// activity probe) survives. The owning Simulator must be reset first —
-  /// the self-clocking tick event lives in its queue.
+  /// capacity retained. The exhaustive tick mode survives. The owning
+  /// Simulator must be reset first — the self-clocking tick event lives in
+  /// its queue. Parameters are fixed at construction; a different
+  /// EnocParams means a new network.
   void reset() override;
-
-  /// In-place re-parameterization (the rebind fast path): swaps router
-  /// datapath parameters — VC counts, buffer depth, arbiter kind, routing —
-  /// without reconstructing the network, so registered stat entries and the
-  /// topology binding survive. Ends in the reset() state (the owning
-  /// Simulator must be reset alongside, as for reset()).
-  void reparameterize(const EnocParams& params);
 
   /// Fault injection (DESIGN.md §11): link-level faults — payload
   /// corruption, flit drop, stuck-at episodes — are drawn per link traversal
@@ -82,7 +78,7 @@ class EnocNetwork final : public noc::Network {
 
   const noc::Topology& topology() const { return topo_; }
   /// The network-owned routing table (built once here, shared by every
-  /// router; rebuilt in place on reparameterize()).
+  /// router).
   const noc::RoutingTable& routes() const { return routes_; }
   const EnocParams& params() const { return params_; }
   Router& router(NodeId n) { return *routers_[static_cast<std::size_t>(n)]; }
@@ -106,12 +102,6 @@ class EnocNetwork final : public noc::Network {
   /// identical hashes — the determinism and replay-fixed-point tests compare
   /// these to catch divergence that aggregate stats would mask.
   std::uint64_t activity_hash() const { return activity_hash_; }
-
-  /// Calls `fn(cycle, event_code, msg, node)` for every forwarded/ejected
-  /// flit when set (debugging aid; adds overhead only when installed).
-  using ActivityProbe =
-      std::function<void(Cycle, int, MsgId, NodeId)>;
-  void set_activity_probe(ActivityProbe fn) { probe_ = std::move(fn); }
 
  private:
   // Outbox drain handlers, invoked by drain_outbox() in emission order.
@@ -181,7 +171,6 @@ class EnocNetwork final : public noc::Network {
   std::uint64_t active_cycles_ = 0;
   std::uint64_t router_ticks_ = 0;
   std::uint64_t activity_hash_ = 0;
-  ActivityProbe probe_;
 };
 
 }  // namespace sctm::enoc

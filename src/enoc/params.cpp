@@ -2,23 +2,12 @@
 
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 namespace sctm::enoc {
 namespace {
 
 [[noreturn]] void reject(const char* key, const std::string& why) {
   throw std::invalid_argument(std::string(key) + ": " + why);
-}
-
-// get_int without narrowing: a value outside T's range is an error.
-template <class T>
-T get_as(const Config& cfg, const char* key, T def) {
-  const std::int64_t v = cfg.get_int(key, static_cast<std::int64_t>(def));
-  if (!std::in_range<T>(v)) {
-    reject(key, std::to_string(v) + " does not fit the parameter");
-  }
-  return static_cast<T>(v);
 }
 
 void check_range(const char* key, std::int64_t v, std::int64_t lo,
@@ -53,13 +42,13 @@ void EnocParams::validate(bool needs_dateline) const {
 
 EnocParams EnocParams::from_config(const Config& cfg) {
   EnocParams p;
-  p.vnets = get_as(cfg, "enoc.vnets", p.vnets);
-  p.vcs_per_vnet = get_as(cfg, "enoc.vcs_per_vnet", p.vcs_per_vnet);
-  p.buffer_depth = get_as(cfg, "enoc.buffer_depth", p.buffer_depth);
-  p.flit_bytes = get_as(cfg, "enoc.flit_bytes", p.flit_bytes);
-  p.head_bytes = get_as(cfg, "enoc.head_bytes", p.head_bytes);
-  p.link_latency = get_as(cfg, "enoc.link_latency", p.link_latency);
-  p.credit_latency = get_as(cfg, "enoc.credit_latency", p.credit_latency);
+  p.vnets = cfg.get_as("enoc.vnets", p.vnets);
+  p.vcs_per_vnet = cfg.get_as("enoc.vcs_per_vnet", p.vcs_per_vnet);
+  p.buffer_depth = cfg.get_as("enoc.buffer_depth", p.buffer_depth);
+  p.flit_bytes = cfg.get_as("enoc.flit_bytes", p.flit_bytes);
+  p.head_bytes = cfg.get_as("enoc.head_bytes", p.head_bytes);
+  p.link_latency = cfg.get_as("enoc.link_latency", p.link_latency);
+  p.credit_latency = cfg.get_as("enoc.credit_latency", p.credit_latency);
   p.adaptive = cfg.get_bool("enoc.adaptive", p.adaptive);
 
   const std::string algo = cfg.get_string("enoc.routing", "xy");

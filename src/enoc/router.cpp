@@ -32,10 +32,6 @@ Router::Router(Simulator& sim, std::string name, NodeId id,
       stat_va_grants_(counter("va_grants")),
       stat_rc_(counter("rc_count")) {
   params_.validate(needs_dateline_);
-  configure();
-}
-
-void Router::configure() {
   vcount_ = params_.total_vcs();
   const auto ports = static_cast<std::size_t>(ports_);
   const auto nvc = ports * static_cast<std::size_t>(vcount_);
@@ -81,12 +77,6 @@ void Router::configure() {
   rc_list_.reserve(nvc);
   sa_reexposed_.reserve(ports);
   reset();
-}
-
-void Router::reparameterize(const EnocParams& params) {
-  params.validate(needs_dateline_);
-  params_ = params;
-  configure();
 }
 
 void Router::reset() {

@@ -148,10 +148,11 @@ class Ring {
 
 class Router : public Component {
  public:
-  /// `routes` is the network-owned routing table (stable address; rebuilt in
-  /// place on reparameterize). Route computation goes through it, which is a
-  /// transparent dispatch to the stateless functions for the coordinate
-  /// algorithms and a table lookup for kTable.
+  /// `routes` is the network-owned routing table (stable address). Route
+  /// computation goes through it, which is a transparent dispatch to the
+  /// stateless functions for the coordinate algorithms and a table lookup
+  /// for kTable. The datapath — VC count, buffer depth, arbiter kind — is
+  /// sized once here from `params`.
   Router(Simulator& sim, std::string name, NodeId id,
          const noc::Topology& topo, const noc::RoutingTable& routes,
          const EnocParams& params);
@@ -181,14 +182,6 @@ class Router : public Component {
   /// stay valid — the owning simulator zeroes values via
   /// StatRegistry::zero().
   void reset();
-
-  /// In-place re-parameterization (the rebind fast path): rebuilds the
-  /// datapath for `params` — VC count, buffer depth, arbiter kind, routing —
-  /// without reconstructing the Router, so its identity, topology binding
-  /// and registered stat entries survive. Ends in the reset() state; only
-  /// call on an idle router. May allocate (it is a reconfiguration, not a
-  /// steady-state path).
-  void reparameterize(const EnocParams& params);
 
   NodeId id() const { return id_; }
   bool has_work() const;
@@ -229,11 +222,6 @@ class Router : public Component {
   static void clear_bit(std::uint64_t* words, int i) {
     words[static_cast<std::size_t>(i) >> 6] &= ~(std::uint64_t{1} << (i & 63));
   }
-
-  /// (Re)builds every size-dependent structure for the current params_ and
-  /// leaves the router in the reset() state. Shared by the constructor and
-  /// reparameterize().
-  void configure();
 
   /// Allowed VC range for a packet of class `cls` whose dateline subclass
   /// will be `dateline` at the downstream buffer.

@@ -68,35 +68,29 @@ FaultSpec FaultSpec::from_config(const Config& cfg) {
        "onoc_reservation_timeout", "onoc_ring_drift_sigma_c",
        "onoc_laser_degradation_db", "max_retries", "nack_cycles"});
   FaultSpec s;
-  s.seed = static_cast<std::uint64_t>(
-      cfg.get_int("fault.seed", static_cast<std::int64_t>(s.seed)));
+  s.seed = cfg.get_as("fault.seed", s.seed);
   s.enoc_flit_corrupt_rate =
       cfg.get_double("fault.enoc_flit_corrupt_rate", s.enoc_flit_corrupt_rate);
   s.enoc_flit_drop_rate =
       cfg.get_double("fault.enoc_flit_drop_rate", s.enoc_flit_drop_rate);
   s.enoc_link_stuck_rate =
       cfg.get_double("fault.enoc_link_stuck_rate", s.enoc_link_stuck_rate);
-  s.enoc_link_stuck_cycles = static_cast<Cycle>(cfg.get_int(
-      "fault.enoc_link_stuck_cycles",
-      static_cast<std::int64_t>(s.enoc_link_stuck_cycles)));
+  s.enoc_link_stuck_cycles =
+      cfg.get_as("fault.enoc_link_stuck_cycles", s.enoc_link_stuck_cycles);
   s.onoc_token_loss_rate =
       cfg.get_double("fault.onoc_token_loss_rate", s.onoc_token_loss_rate);
-  s.onoc_token_regen_cycles = static_cast<Cycle>(cfg.get_int(
-      "fault.onoc_token_regen_cycles",
-      static_cast<std::int64_t>(s.onoc_token_regen_cycles)));
+  s.onoc_token_regen_cycles =
+      cfg.get_as("fault.onoc_token_regen_cycles", s.onoc_token_regen_cycles);
   s.onoc_reservation_loss_rate = cfg.get_double(
       "fault.onoc_reservation_loss_rate", s.onoc_reservation_loss_rate);
-  s.onoc_reservation_timeout = static_cast<Cycle>(cfg.get_int(
-      "fault.onoc_reservation_timeout",
-      static_cast<std::int64_t>(s.onoc_reservation_timeout)));
+  s.onoc_reservation_timeout = cfg.get_as("fault.onoc_reservation_timeout",
+                                          s.onoc_reservation_timeout);
   s.onoc_ring_drift_sigma_c = cfg.get_double("fault.onoc_ring_drift_sigma_c",
                                              s.onoc_ring_drift_sigma_c);
   s.onoc_laser_degradation_db = cfg.get_double(
       "fault.onoc_laser_degradation_db", s.onoc_laser_degradation_db);
-  s.max_retries =
-      static_cast<int>(cfg.get_int("fault.max_retries", s.max_retries));
-  s.nack_cycles = static_cast<Cycle>(
-      cfg.get_int("fault.nack_cycles", static_cast<std::int64_t>(s.nack_cycles)));
+  s.max_retries = cfg.get_as("fault.max_retries", s.max_retries);
+  s.nack_cycles = cfg.get_as("fault.nack_cycles", s.nack_cycles);
   s.validate();
   return s;
 }

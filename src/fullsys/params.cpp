@@ -15,22 +15,18 @@ void FullSysParams::validate() const {
 
 FullSysParams FullSysParams::from_config(const Config& cfg) {
   FullSysParams p;
-  p.l1_sets = static_cast<int>(cfg.get_int("fullsys.l1_sets", p.l1_sets));
-  p.l1_ways = static_cast<int>(cfg.get_int("fullsys.l1_ways", p.l1_ways));
-  p.l2_sets = static_cast<int>(cfg.get_int("fullsys.l2_sets", p.l2_sets));
-  p.l2_ways = static_cast<int>(cfg.get_int("fullsys.l2_ways", p.l2_ways));
-  auto cyc = [&cfg](const char* key, Cycle def) {
-    return static_cast<Cycle>(cfg.get_int(key, static_cast<std::int64_t>(def)));
-  };
-  p.l1_hit_latency = cyc("fullsys.l1_hit_latency", p.l1_hit_latency);
-  p.l1_miss_detect = cyc("fullsys.l1_miss_detect", p.l1_miss_detect);
-  p.l2_latency = cyc("fullsys.l2_latency", p.l2_latency);
-  p.dir_latency = cyc("fullsys.dir_latency", p.dir_latency);
-  p.fill_latency = cyc("fullsys.fill_latency", p.fill_latency);
-  p.mem_latency = cyc("fullsys.mem_latency", p.mem_latency);
-  p.mem_gap = cyc("fullsys.mem_gap", p.mem_gap);
-  p.barrier_home = static_cast<NodeId>(
-      cfg.get_int("fullsys.barrier_home", p.barrier_home));
+  p.l1_sets = cfg.get_as("fullsys.l1_sets", p.l1_sets);
+  p.l1_ways = cfg.get_as("fullsys.l1_ways", p.l1_ways);
+  p.l2_sets = cfg.get_as("fullsys.l2_sets", p.l2_sets);
+  p.l2_ways = cfg.get_as("fullsys.l2_ways", p.l2_ways);
+  p.l1_hit_latency = cfg.get_as("fullsys.l1_hit_latency", p.l1_hit_latency);
+  p.l1_miss_detect = cfg.get_as("fullsys.l1_miss_detect", p.l1_miss_detect);
+  p.l2_latency = cfg.get_as("fullsys.l2_latency", p.l2_latency);
+  p.dir_latency = cfg.get_as("fullsys.dir_latency", p.dir_latency);
+  p.fill_latency = cfg.get_as("fullsys.fill_latency", p.fill_latency);
+  p.mem_latency = cfg.get_as("fullsys.mem_latency", p.mem_latency);
+  p.mem_gap = cfg.get_as("fullsys.mem_gap", p.mem_gap);
+  p.barrier_home = cfg.get_as("fullsys.barrier_home", p.barrier_home);
   const std::string detail = cfg.get_string("fullsys.core_detail", "folded");
   if (detail == "folded") p.core_detail = CoreDetail::kFolded;
   else if (detail == "per-op") p.core_detail = CoreDetail::kPerOp;

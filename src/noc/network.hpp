@@ -2,7 +2,9 @@
 //
 // Everything above the network (full-system engine, trace replay, traffic
 // generators) talks to this interface, so the electrical baseline, the ONOC
-// and the ideal model are interchangeable per experiment.
+// and the ideal model are interchangeable per experiment. A network's
+// parameters are fixed at construction: reset() returns it to its
+// constructed state, and different parameters mean a new network.
 #pragma once
 
 #include <memory>
@@ -115,12 +117,6 @@ class IdealNetwork final : public Network {
   Cycle model_latency(const Message& msg) const;
 
   const Params& params() const { return params_; }
-
-  /// Re-parameterizes the model in place (the rebind fast path: same
-  /// topology, new latency/bandwidth knobs). Parameters are only read at
-  /// inject time, so this is safe whenever the network is idle — callers
-  /// reset the session afterwards anyway.
-  void set_params(const Params& params) { params_ = params; }
 
  private:
   Topology topo_;

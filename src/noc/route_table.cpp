@@ -17,18 +17,6 @@ RoutingTable::RoutingTable(const Topology& topo, RoutingAlgo algo)
   if (table_backed()) build_tables();
 }
 
-void RoutingTable::rebuild(const Topology& topo, RoutingAlgo algo) {
-  topo_ = topo;
-  algo_ = algo;
-  nodes_ = topo_.node_count();
-  stride_ = topo_.radix();
-  free_hop_.clear();
-  down_hop_.clear();
-  du_.clear();
-  up_.clear();
-  if (table_backed()) build_tables();
-}
-
 void RoutingTable::build_tables() {
   const int n = nodes_;
   const int stride = stride_;

@@ -2,11 +2,12 @@
 // (source, current, destination) -> ports contract as the stateless routing
 // functions.
 //
-// A RoutingTable wraps one (topology, algorithm) pair. For the coordinate
-// algorithms it is a thin dispatcher onto noc::route_ports() — stateless,
-// allocation-free, bit-identical to calling the free function. For kTable it
-// builds up*/down* shortest-path next-hop tables once at construction
-// (network build time), so the per-flit hot path is two array reads.
+// A RoutingTable wraps one (topology, algorithm) pair for its whole life
+// (its owner keeps it at a stable address). For the coordinate algorithms it
+// is a thin dispatcher onto noc::route_ports() — stateless, allocation-free,
+// bit-identical to calling the free function. For kTable it builds up*/down*
+// shortest-path next-hop tables once at construction (network build time),
+// so the per-flit hot path is two array reads.
 //
 // Up*/down* (Autonet): a BFS spanning tree from node 0 assigns each node a
 // level; nodes are totally ordered by (level, id). A hop u -> v is "up" when
@@ -39,11 +40,6 @@ class RoutingTable {
  public:
   /// Builds the next-hop tables when `algo` is kTable; O(1) otherwise.
   RoutingTable(const Topology& topo, RoutingAlgo algo);
-
-  /// Rebinds to a new (topology, algorithm) pair in place — the rebind /
-  /// reparameterize path. The object's address is stable (routers keep a
-  /// pointer to the network-owned instance).
-  void rebuild(const Topology& topo, RoutingAlgo algo);
 
   /// Admissible output ports, mirroring noc::route_ports()'s contract
   /// (invalid nodes throw std::logic_error, cur == dst returns empty).

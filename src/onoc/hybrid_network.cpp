@@ -4,14 +4,16 @@ namespace sctm::onoc {
 
 HybridNetwork::HybridNetwork(Simulator& sim, std::string name,
                              const noc::Topology& topo,
-                             const HybridParams& params)
+                             const enoc::EnocParams& electrical,
+                             const OnocParams& optical,
+                             const HybridParams& steering)
     : Network(sim, std::move(name), topo.node_count()),
       topo_(topo),
-      params_(params) {
+      params_(steering) {
   electrical_ = std::make_unique<enoc::EnocNetwork>(
-      sim, this->name() + ".el", topo_, params_.electrical);
+      sim, this->name() + ".el", topo_, electrical);
   optical_ = std::make_unique<OnocNetwork>(sim, this->name() + ".op", topo_,
-                                           params_.optical);
+                                           optical);
   // Both layers deliver into the hybrid's single delivery stream; latency
   // accounting happens here so per-class histograms cover both layers.
   // DeliverFn is move-only, so each layer gets its own instance.

@@ -9,7 +9,9 @@
 // (short control messages suffer the E/O + arbitration overhead).
 //
 // The hybrid is itself a noc::Network, so the full-system substrate, trace
-// capture and self-correcting replay all work over it unchanged.
+// capture and self-correcting replay all work over it unchanged. Its layers
+// take the same parameter blocks the standalone networks do (a NetSpec's
+// `enoc` and `onoc`); HybridParams holds only the steering thresholds.
 #pragma once
 
 #include <memory>
@@ -19,9 +21,8 @@
 
 namespace sctm::onoc {
 
+/// Steering policy: which messages take the optical layer.
 struct HybridParams {
-  enoc::EnocParams electrical{};
-  OnocParams optical{};
   /// Messages with topological distance >= this go optical.
   int distance_threshold = 3;
   /// Messages with payload >= this many bytes go optical regardless.
@@ -33,7 +34,8 @@ struct HybridParams {
 class HybridNetwork final : public noc::Network {
  public:
   HybridNetwork(Simulator& sim, std::string name, const noc::Topology& topo,
-                const HybridParams& params);
+                const enoc::EnocParams& electrical, const OnocParams& optical,
+                const HybridParams& steering);
 
   void inject(noc::Message msg) override;
   bool idle() const override;

@@ -27,23 +27,17 @@ Cycle OnocParams::tof_cycles(int tile_hops, int fabric_width) const {
 
 OnocParams OnocParams::from_config(const Config& cfg) {
   OnocParams p;
-  p.wavelengths =
-      static_cast<int>(cfg.get_int("onoc.wavelengths", p.wavelengths));
+  p.wavelengths = cfg.get_as("onoc.wavelengths", p.wavelengths);
   p.gbps_per_wavelength =
       cfg.get_double("onoc.gbps_per_wavelength", p.gbps_per_wavelength);
   p.clock_ghz = cfg.get_double("onoc.clock_ghz", p.clock_ghz);
-  p.eo_latency = static_cast<Cycle>(
-      cfg.get_int("onoc.eo_latency", static_cast<std::int64_t>(p.eo_latency)));
-  p.oe_latency = static_cast<Cycle>(
-      cfg.get_int("onoc.oe_latency", static_cast<std::int64_t>(p.oe_latency)));
-  p.guard_cycles = static_cast<Cycle>(cfg.get_int(
-      "onoc.guard_cycles", static_cast<std::int64_t>(p.guard_cycles)));
-  p.token_hop_latency = static_cast<Cycle>(cfg.get_int(
-      "onoc.token_hop_latency",
-      static_cast<std::int64_t>(p.token_hop_latency)));
+  p.eo_latency = cfg.get_as("onoc.eo_latency", p.eo_latency);
+  p.oe_latency = cfg.get_as("onoc.oe_latency", p.oe_latency);
+  p.guard_cycles = cfg.get_as("onoc.guard_cycles", p.guard_cycles);
+  p.token_hop_latency =
+      cfg.get_as("onoc.token_hop_latency", p.token_hop_latency);
   p.die_edge_cm = cfg.get_double("onoc.die_edge_cm", p.die_edge_cm);
-  p.ctrl_msg_bytes = static_cast<std::uint32_t>(
-      cfg.get_int("onoc.ctrl_msg_bytes", p.ctrl_msg_bytes));
+  p.ctrl_msg_bytes = cfg.get_as("onoc.ctrl_msg_bytes", p.ctrl_msg_bytes);
 
   const std::string arb = cfg.get_string("onoc.arbitration", "token-ring");
   if (arb == "token-ring") p.arbitration = Arbitration::kTokenRing;
@@ -53,13 +47,12 @@ OnocParams OnocParams::from_config(const Config& cfg) {
   else {
     throw std::invalid_argument("onoc.arbitration: unknown scheme " + arb);
   }
-  p.pool_channels =
-      static_cast<int>(cfg.get_int("onoc.pool_channels", p.pool_channels));
+  p.pool_channels = cfg.get_as("onoc.pool_channels", p.pool_channels);
 
   p.ctrl = enoc::EnocParams::from_config(cfg);
   // The control mesh carries only short control packets: one vnet suffices
   // unless the config says otherwise.
-  p.ctrl.vnets = static_cast<int>(cfg.get_int("onoc.ctrl_vnets", 1));
+  p.ctrl.vnets = cfg.get_as("onoc.ctrl_vnets", 1);
   return p;
 }
 

@@ -159,7 +159,7 @@ std::uint64_t EventQueue::drain_cycle(Cycle t, const bool& stop,
   return n;
 }
 
-void EventQueue::clear() {
+void EventQueue::reset() {
   for (Cycle c = 0; c < kWheelSize; ++c) {
     retire_bucket(wheel_[c], c);
   }
@@ -168,10 +168,6 @@ void EventQueue::clear() {
   wheel_count_ = 0;
   wheel_base_ = 0;
   size_ = 0;
-}
-
-void EventQueue::reset() {
-  clear();
   next_seq_ = 0;
 }
 

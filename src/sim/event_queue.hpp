@@ -19,9 +19,9 @@
 // for a cycle predates — and therefore out-ranks by seq — every direct wheel
 // entry for that cycle.
 //
-// Allocation. Bucket vectors are retained across cycles (clear() keeps
-// capacity), events are InlineFn (56-byte small-buffer callables), so the
-// steady-state push/dispatch path performs zero heap allocations.
+// Allocation. Bucket vectors are retained across cycles (retiring a bucket
+// keeps capacity), events are InlineFn (56-byte small-buffer callables), so
+// the steady-state push/dispatch path performs zero heap allocations.
 #pragma once
 
 #include <array>
@@ -79,13 +79,13 @@ class EventQueue {
   std::uint64_t drain_cycle(Cycle t, const bool& stop,
                             std::uint64_t* executed = nullptr);
 
-  void clear();
-
-  /// Session reset: clear() plus a sequence-counter rewind, so the queue is
-  /// observationally identical to a freshly constructed one (total_pushed()
-  /// restarts at zero, tie-break seqs repeat bit-exactly) while every bucket
-  /// vector, the far heap and the migration scratch retain their grown
-  /// capacity. This is what makes replay passes 2..N allocation-free.
+  /// Session reset, the queue's only way to drop pending events: empties
+  /// every bucket and the far heap and rewinds the sequence counter, so the
+  /// queue is observationally identical to a freshly constructed one
+  /// (total_pushed() restarts at zero, tie-break seqs repeat bit-exactly)
+  /// while every bucket vector, the far heap and the migration scratch
+  /// retain their grown capacity. This is what makes replay passes 2..N
+  /// allocation-free.
   void reset();
 
   /// Total events ever pushed (event-count metric for bench R-A2).

@@ -53,12 +53,6 @@ bool Simulator::step() {
   return true;
 }
 
-void Simulator::reset_time() {
-  queue_.clear();
-  now_ = 0;
-  stopped_ = false;
-}
-
 void Simulator::reset() {
   queue_.reset();
   stats_.zero();

@@ -9,6 +9,10 @@
 // see common/inline_fn.hpp) and run_until() drains one cycle at a time from
 // the queue's calendar wheel (batch dispatch), so no per-event heap traffic
 // and no per-event priority-queue maintenance.
+//
+// reset() is the one way to rewind the kernel: it drops pending events,
+// rewinds the tie-break counter and zeroes stat values, so a reset kernel
+// replays exactly like a fresh one.
 #pragma once
 
 #include <cstdint>
@@ -55,18 +59,14 @@ class Simulator {
   void stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
 
-  /// Clears the queue and resets time to zero. Stats are left intact so a
-  /// driver can reset between warmup and measurement phases independently.
-  void reset_time();
-
-  /// Full session reset: the kernel becomes observationally identical to a
-  /// freshly constructed Simulator — queue emptied with its sequence counter
-  /// rewound (tie-break order repeats bit-exactly), time/executed-count/stop
-  /// flag zeroed, and every registered stat *value* zeroed. Stat registry
-  /// *entries* survive, so components holding cached counter/accumulator
-  /// references (routers, networks) stay valid across resets; capacity of
-  /// the queue's wheel buckets and far heap is retained. Components whose
-  /// events were dropped by the queue clear must be reset too (see
+  /// Session reset, the kernel's only one: it becomes observationally
+  /// identical to a freshly constructed Simulator — queue emptied with its
+  /// sequence counter rewound (tie-break order repeats bit-exactly),
+  /// time/executed-count/stop flag zeroed, and every registered stat *value*
+  /// zeroed. Stat registry *entries* survive, so components holding cached
+  /// counter/accumulator references (routers, networks) stay valid across
+  /// resets; capacity of the queue's wheel buckets and far heap is retained.
+  /// Components whose events the queue dropped must be reset too (see
   /// noc::Network::reset()).
   void reset();
 

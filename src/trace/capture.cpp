@@ -1,10 +1,7 @@
 #include "trace/capture.hpp"
 
 #include <chrono>
-#include <fstream>
 #include <stdexcept>
-
-#include "tracestore/trace_store.hpp"
 
 namespace sctm::trace {
 
@@ -66,29 +63,6 @@ Trace TraceCapture::finalize(Cycle capture_runtime, double* wall_seconds) && {
                         .count();
   }
   return std::move(trace_);
-}
-
-Trace TraceCapture::finalize_to_file(Cycle capture_runtime,
-                                     const std::string& path,
-                                     TraceFormat format,
-                                     double* wall_seconds) && {
-  Trace t = std::move(*this).finalize(capture_runtime, wall_seconds);
-  if (format == TraceFormat::kV1) {
-    write_binary_file(t, path);
-    return t;
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("trace: cannot open " + path);
-  tracestore::TraceMeta meta;
-  meta.app = t.app;
-  meta.capture_network = t.capture_network;
-  meta.nodes = t.nodes;
-  meta.capture_runtime = t.capture_runtime;
-  meta.seed = t.seed;
-  tracestore::TraceWriter w(out, std::move(meta));
-  for (const auto& r : t.records) w.append(r);
-  w.finish();
-  return t;
 }
 
 }  // namespace sctm::trace

@@ -7,7 +7,6 @@
 
 #include "fullsys/cmp_system.hpp"
 #include "trace/record.hpp"
-#include "trace/trace_io.hpp"
 
 namespace sctm::trace {
 
@@ -24,14 +23,6 @@ class TraceCapture {
   /// spent validating/materializing the trace (the "finalize_trace" phase of
   /// the run-metrics document).
   Trace finalize(Cycle capture_runtime, double* wall_seconds = nullptr) &&;
-
-  /// finalize(), then emit the trace to `path` — v2 goes through the
-  /// streaming chunked TraceWriter (the capture-farm path: records flow
-  /// into the container without a second serialized copy in memory). The
-  /// validated trace is still returned for in-process use.
-  Trace finalize_to_file(Cycle capture_runtime, const std::string& path,
-                         TraceFormat format = TraceFormat::kV2,
-                         double* wall_seconds = nullptr) &&;
 
   std::size_t captured() const { return trace_.records.size(); }
 

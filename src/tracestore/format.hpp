@@ -51,6 +51,9 @@ inline constexpr std::uint32_t kDefaultChunkRecords = 4096;
 inline constexpr std::size_t kChunkHeaderBytes = 4 + 4 + 4 + 8 + 8 + 8;
 inline constexpr std::size_t kIndexEntryBytes = 8 + 4 + 4 + 8 + 8 + 8;
 inline constexpr std::size_t kFooterBytes = 8 + 8 + 8 + 8 + 4 + 8;
+/// Smallest encoded record (chunk_codec.hpp): seven varints of at least one
+/// byte each, plus the class and proto bytes.
+inline constexpr std::size_t kMinRecordBytes = 7 + 2;
 
 // ---------------------------------------------------------------------------
 // Varint + zigzag

@@ -389,6 +389,15 @@ TraceReader::TraceReader(std::unique_ptr<ByteSource> source)
       throw TraceStoreError("trace-store: chunk " + std::to_string(i) +
                             " record range inconsistent");
     }
+    // Readers reserve for the claimed count, so a count the payload cannot
+    // hold must fail here rather than as an allocation of billions.
+    if (c.record_count > c.payload_len / kMinRecordBytes) {
+      throw TraceStoreError(
+          "trace-store: chunk " + std::to_string(i) + " claims " +
+              std::to_string(c.record_count) + " records in a " +
+              std::to_string(c.payload_len) + "-byte payload",
+          static_cast<std::int64_t>(i));
+    }
     running_records += c.record_count;
     const std::uint64_t end = c.file_offset + kChunkHeaderBytes +
                               c.payload_len;

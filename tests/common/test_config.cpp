@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace sctm {
 namespace {
@@ -74,6 +75,29 @@ TEST(Config, DefaultsUsedWhenAbsent) {
   EXPECT_EQ(cfg.get_string("nope", "x"), "x");
   EXPECT_TRUE(cfg.get_bool("nope", true));
   EXPECT_DOUBLE_EQ(cfg.get_double("nope", 1.5), 1.5);
+}
+
+TEST(Config, GetAsRejectsWhatTheTypeCannotHoldNamingKeyAndLine) {
+  auto cfg = Config::from_string("a = 7\nwindow = -1\nbig = 4294967298\n");
+  EXPECT_EQ(cfg.get_as("a", 0), 7);
+  EXPECT_EQ(cfg.get_as("absent", std::uint32_t{5}), 5u);
+  const auto expect_rejects = [&cfg](auto def, const std::string& key,
+                                     const std::string& where) {
+    try {
+      (void)cfg.get_as(key, def);
+      ADD_FAILURE() << key << " narrowed silently";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+      EXPECT_NE(what.find(where), std::string::npos) << what;
+    }
+  };
+  expect_rejects(std::uint32_t{0}, "window", "(line 2)");
+  expect_rejects(0, "big", "(line 3)");
+  expect_rejects(std::uint64_t{0}, "window", "(line 2)");
+  // A programmatic value has no line to name.
+  cfg.set_int("big", std::int64_t{1} << 40);
+  expect_rejects(0, "big", "big: 1099511627776 is out of range");
 }
 
 TEST(Config, TypeErrorsThrow) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace sctm::core {
 namespace {
@@ -75,14 +76,46 @@ TEST(Experiment, TopologyFromConfigErrors) {
       std::runtime_error);
 }
 
+// Every integer key the experiment parsers read is range-checked against its
+// field: -1 must not become a full dependency window, nor 2^32 + 16 cores 16.
+TEST(Experiment, ParsersRejectOutOfRangeIntegersNamingTheKey) {
+  const auto expect_rejects = [](const std::string& line, auto parse) {
+    try {
+      (void)parse(Config::from_string(line + "\n"));
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(line.substr(0, line.find(' '))),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  const auto replay = [](const Config& c) { return replay_from_config(c); };
+  const auto app = [](const Config& c) { return app_from_config(c); };
+  const auto net = [](const Config& c) {
+    return netspec_from_config(c, "target");
+  };
+  expect_rejects("replay.window = -1", replay);
+  expect_rejects("replay.max_iterations = 4294967297", replay);
+  expect_rejects("app.cores = 4294967312", app);
+  expect_rejects("app.seed = -1", app);
+  expect_rejects("net.mesh_width = 4294967300", net);
+  expect_rejects("ideal.base_latency = -1", net);
+  expect_rejects("hybrid.size_threshold = -1", net);
+}
+
 TEST(Experiment, DefaultRoutingFollowsTopology) {
   // No enoc.routing key: the spec gets the fabric's natural algorithm (and
-  // the hybrid's electrical plane inherits it); legacy mesh still gets XY.
+  // the hybrid's electrical plane, built from the same block, uses it);
+  // legacy mesh still gets XY.
   const auto spec3d = netspec_from_config(
-      Config::from_string("target.kind = enoc\nnet.topology = torus3d\n"),
+      Config::from_string("target.kind = hybrid\nnet.topology = torus3d\n"),
       "target");
   EXPECT_EQ(spec3d.enoc.routing, noc::RoutingAlgo::kXyz);
-  EXPECT_EQ(spec3d.hybrid.electrical.routing, noc::RoutingAlgo::kXyz);
+  Simulator sim;
+  const auto hybrid = make_factory(spec3d)(sim);
+  EXPECT_EQ(static_cast<onoc::HybridNetwork&>(*hybrid).electrical().params()
+                .routing,
+            noc::RoutingAlgo::kXyz);
   const auto spec2d = netspec_from_config(
       Config::from_string("target.kind = enoc\n"), "target");
   EXPECT_EQ(spec2d.enoc.routing, noc::RoutingAlgo::kXY);

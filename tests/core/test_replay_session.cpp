@@ -1,10 +1,9 @@
 // Differential tests for the session reset/reuse protocol: a ReplaySession
 // recycled through Simulator::reset() + Network::reset() must be
 // bit-identical to fresh construction on every network kind and in both
-// replay modes, including after rebind() (full rebuild and the in-place fast
-// path) and across randomized walks over the design space. The pinned-output
-// suite additionally holds every kind's complete replay output to hashes
-// recorded at commit 3e04a31.
+// replay modes, including after rebind() and across randomized walks over the
+// design space. The pinned-output suite additionally holds every kind's
+// complete replay output to hashes recorded at commit 3e04a31.
 #include "core/replay_session.hpp"
 
 #include <gtest/gtest.h>
@@ -190,7 +189,6 @@ TEST(ReplaySession, RebindMatchesFresh) {
   ReplaySession session(rt, enoc, cfg);
   expect_identical(session.run(), fresh_enoc, "initial enoc");
   session.rebind(ideal);
-  EXPECT_FALSE(session.last_rebind_in_place());
   expect_identical(session.run(), fresh_ideal, "after rebind to ideal");
   session.rebind(enoc);
   expect_identical(session.run(), fresh_enoc, "after rebind back to enoc");
@@ -225,6 +223,61 @@ TEST(ReplaySession, RandomizedWalkMatchesFresh) {
                            to_string(kAllKinds[bound]));
     }
   }
+}
+
+// A rebind whose network cannot be built leaves no network: every entry
+// point that needs one throws a logic_error naming the failed rebind instead
+// of dereferencing a dead network, and a later rebind recovers — including
+// one back to the spec that was bound before the failure.
+TEST(ReplaySession, RebindToUnbuildableSpecLeavesNoNetworkToRun) {
+  const ReplayTrace& rt = jacobi_rt();
+  const ReplayConfig cfg;
+  const NetSpec ideal = spec_of(NetKind::kIdeal);
+  NetSpec ring_on_mesh = spec_of(NetKind::kEnoc);
+  ring_on_mesh.enoc.routing = noc::RoutingAlgo::kRingShortest;
+
+  ReplaySession session(rt, ideal, cfg);
+  EXPECT_THROW(session.rebind(ring_on_mesh), std::invalid_argument);
+  const auto expect_unbound = [&](auto&& call, const char* what) {
+    try {
+      call();
+      ADD_FAILURE() << what << " ran without a network";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(ring_on_mesh.describe()),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  expect_unbound([&] { session.run(); }, "run()");
+  expect_unbound([&] { session.run_pass(); }, "run_pass()");
+  expect_unbound([&] { (void)session.network(); }, "network()");
+
+  session.rebind(ideal);
+  expect_identical(session.run(), fresh_run(rt, ideal, cfg),
+                   "rebind back to the old spec");
+  const NetSpec enoc = spec_of(NetKind::kEnoc);
+  session.rebind(enoc);
+  expect_identical(session.run(), fresh_run(rt, enoc, cfg),
+                   "rebind to a buildable spec");
+}
+
+// A spec with the wrong node count is rejected before the bound network is
+// torn down: the session keeps its network and its spec.
+TEST(ReplaySession, RebindToWrongNodeCountKeepsTheBoundNetwork) {
+  const ReplayTrace& rt = jacobi_rt();
+  const ReplayConfig cfg;
+  const NetSpec ideal = spec_of(NetKind::kIdeal);
+  NetSpec small = spec_of(NetKind::kEnoc);
+  small.topo = noc::Topology::mesh(2, 2);
+
+  ReplaySession session(rt, ideal, cfg);
+  const noc::Network* before = &session.network();
+  EXPECT_THROW(session.rebind(small), std::invalid_argument);
+  EXPECT_EQ(&session.network(), before);
+  expect_identical(session.run(), fresh_run(rt, ideal, cfg),
+                   "after a rejected rebind");
+  session.rebind(ideal);  // still the bound spec: no rebuild
+  EXPECT_EQ(&session.network(), before);
 }
 
 // take_result() moves the schedule out and the next run must rebuild it
@@ -267,7 +320,6 @@ NetSpec spec_on(NetKind kind, const noc::Topology& topo) {
   s.kind = kind;
   s.topo = topo;
   s.enoc.routing = noc::default_algo(topo);
-  s.hybrid.electrical.routing = s.enoc.routing;
   return s;
 }
 
@@ -423,11 +475,11 @@ INSTANTIATE_TEST_SUITE_P(EnocConfigs, PinnedEnocOutput,
                            return std::string(info.param.name);
                          });
 
-// --- In-place rebind fast path ---------------------------------------------
+// --- Rebind rule ------------------------------------------------------------
 
-// Parameter-only spec changes must patch the network in place and still be
-// bit-identical to a freshly built session, including the walk back to the
-// original parameters.
+// Parameter-only spec changes rebuild the network like any other change and
+// must be bit-identical to a freshly built session, including the walk back
+// to the original parameters.
 TEST(InPlaceRebind, EnocParameterChangesMatchFresh) {
   const ReplayTrace& rt = jacobi_rt();
   const ReplayConfig cfg;
@@ -442,7 +494,6 @@ TEST(InPlaceRebind, EnocParameterChangesMatchFresh) {
   ReplaySession session(rt, base, cfg);
   for (const NetSpec* spec : {&wide, &matrix, &base}) {
     session.rebind(*spec);
-    EXPECT_TRUE(session.last_rebind_in_place());
     const ReplayResult fresh = fresh_run(rt, *spec, cfg);
     expect_identical(session.run(), fresh, spec->describe());
   }
@@ -459,48 +510,42 @@ TEST(InPlaceRebind, IdealParameterChangesMatchFresh) {
 
   ReplaySession session(rt, base, cfg);
   session.rebind(slow);
-  EXPECT_TRUE(session.last_rebind_in_place());
   expect_identical(session.run(), fresh_run(rt, slow, cfg),
                    "ideal reparam");
   session.rebind(base);
-  EXPECT_TRUE(session.last_rebind_in_place());
   expect_identical(session.run(), fresh_run(rt, base, cfg),
                    "ideal back to base");
 }
 
-// Kind or topology changes — and the parameter-baked ONoC backends — must
-// fall back to the full rebuild, transparently.
+// Kind, topology and ONoC parameter changes rebuild the network,
+// transparently.
 TEST(InPlaceRebind, StructuralChangesFallBackToRebuild) {
   const ReplayTrace& rt = jacobi_rt();
   const ReplayConfig cfg;
 
   ReplaySession session(rt, spec_of(NetKind::kEnoc), cfg);
   session.rebind(spec_of(NetKind::kIdeal));  // kind change
-  EXPECT_FALSE(session.last_rebind_in_place());
   expect_identical(session.run(),
                    fresh_run(rt, spec_of(NetKind::kIdeal), cfg),
                    "kind change");
 
   NetSpec onoc_a = spec_of(NetKind::kOnocToken);
   session.rebind(onoc_a);
-  EXPECT_FALSE(session.last_rebind_in_place());
   NetSpec onoc_b = onoc_a;
-  onoc_b.onoc.wavelengths += 4;  // ONoC params are construction-baked
+  onoc_b.onoc.wavelengths += 4;
   session.rebind(onoc_b);
-  EXPECT_FALSE(session.last_rebind_in_place());
   expect_identical(session.run(), fresh_run(rt, onoc_b, cfg),
                    "onoc param change rebuilds");
 
   NetSpec torus = spec_of(NetKind::kEnoc);
   torus.topo = noc::Topology::torus(4, 4);
   torus.enoc.routing = noc::RoutingAlgo::kTorusDor;
-  session.rebind(torus);
-  EXPECT_FALSE(session.last_rebind_in_place());  // topology change
+  session.rebind(torus);  // topology change
   expect_identical(session.run(), fresh_run(rt, torus, cfg),
                    "topology change rebuilds");
 }
 
-// An equal spec is a no-op rebind (the pure reset-reuse path).
+// An equal spec keeps the network (the pure reset-reuse path).
 TEST(InPlaceRebind, EqualSpecIsNoop) {
   const ReplayTrace& rt = jacobi_rt();
   const ReplayConfig cfg;
@@ -511,7 +556,6 @@ TEST(InPlaceRebind, EqualSpecIsNoop) {
   expect_identical(session.run(), fresh, "before");
   const noc::Network* before = &session.network();
   session.rebind(spec);
-  EXPECT_TRUE(session.last_rebind_in_place());
   EXPECT_EQ(&session.network(), before);  // same object, not rebuilt
   expect_identical(session.run(), fresh, "after noop rebind");
 }

@@ -256,45 +256,5 @@ TEST(EnocNetwork, StatsCountersPopulated) {
   EXPECT_GT(net.active_cycles(), 0u);
 }
 
-TEST(EnocNetwork, ReparameterizeRebuildsDatapathInPlace) {
-  // In-place re-parameterization must behave exactly like a fresh network
-  // constructed with the new parameters.
-  Simulator sim;
-  const auto topo = Topology::mesh(4, 4);
-  EnocNetwork net(sim, "enoc", topo, small_params());
-  std::vector<std::pair<MsgId, Cycle>> got;
-  net.set_deliver_callback(
-      [&](const Message& m) { got.emplace_back(m.id, sim.now()); });
-  net.inject(make_msg(1, 0, 15, 96));
-  net.inject(make_msg(2, 5, 10, 64));
-  sim.run();
-  ASSERT_EQ(got.size(), 2u);
-
-  EnocParams wide = small_params();
-  wide.vcs_per_vnet = 4;  // resizes every per-VC structure
-  wide.buffer_depth = 2;
-  wide.arbiter = ArbiterKind::kMatrix;
-  sim.reset();
-  net.reparameterize(wide);
-  got.clear();
-  net.inject(make_msg(1, 0, 15, 96));
-  net.inject(make_msg(2, 5, 10, 64));
-  sim.run();
-  const auto reparam = got;
-  const auto reparam_hash = net.activity_hash();
-
-  Simulator fresh_sim;
-  EnocNetwork fresh(fresh_sim, "enoc", topo, wide);
-  got.clear();
-  fresh.set_deliver_callback(
-      [&](const Message& m) { got.emplace_back(m.id, fresh_sim.now()); });
-  fresh.inject(make_msg(1, 0, 15, 96));
-  fresh.inject(make_msg(2, 5, 10, 64));
-  fresh_sim.run();
-
-  EXPECT_EQ(reparam, got);
-  EXPECT_EQ(reparam_hash, fresh.activity_hash());
-}
-
 }  // namespace
 }  // namespace sctm::enoc

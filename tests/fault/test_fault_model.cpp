@@ -121,6 +121,21 @@ TEST(FaultSpec, FromConfigRejectsUnknownFaultKey) {
   }
 }
 
+TEST(FaultSpec, FromConfigRejectsOutOfRangeIntegersNamingTheKey) {
+  for (const std::string key :
+       {"fault.max_retries = 4294967299", "fault.nack_cycles = -1",
+        "fault.seed = -1", "fault.enoc_link_stuck_cycles = -5"}) {
+    try {
+      (void)FaultSpec::from_config(Config::from_string(key + "\n"));
+      ADD_FAILURE() << "accepted: " << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key.substr(0, key.find(' '))),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(FaultSpec, FromConfigValidates) {
   const auto cfg = Config::from_string("fault.enoc_flit_drop_rate = 2.0\n");
   EXPECT_THROW((void)FaultSpec::from_config(cfg), std::invalid_argument);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace sctm::fullsys {
 namespace {
@@ -32,6 +33,21 @@ TEST(FullSysParamsTest, FromConfigOverrides) {
   EXPECT_EQ(p.l2_latency, 10u);
   EXPECT_EQ(p.mem_latency, 200u);
   EXPECT_EQ(p.core_detail, CoreDetail::kPerCycle);
+}
+
+TEST(FullSysParamsTest, FromConfigRejectsOutOfRangeIntegersNamingTheKey) {
+  for (const std::string key :
+       {"fullsys.l1_sets = 4294967297", "fullsys.mem_latency = -1",
+        "fullsys.barrier_home = 4294967296"}) {
+    try {
+      (void)FullSysParams::from_config(Config::from_string(key + "\n"));
+      ADD_FAILURE() << "accepted: " << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key.substr(0, key.find(' '))),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FullSysParamsTest, FromConfigRejectsUnknownDetail) {

@@ -30,7 +30,6 @@ NetSpec spec_on(NetKind kind, const noc::Topology& topo) {
   s.kind = kind;
   s.topo = topo;
   s.enoc.routing = noc::default_algo(topo);
-  s.hybrid.electrical.routing = s.enoc.routing;
   return s;
 }
 

@@ -220,18 +220,6 @@ TEST(RouteTable, XyzOnTorus3DTakesTheShortWay) {
   }
 }
 
-TEST(RouteTable, RebuildRebindsInPlace) {
-  RoutingTable rt(Topology::mesh(3, 3), RoutingAlgo::kXY);
-  EXPECT_FALSE(rt.table_backed());
-  rt.rebuild(Topology::from_text("nodes 3\nedge 0 1\nedge 1 2\n"),
-             RoutingAlgo::kTable);
-  EXPECT_TRUE(rt.table_backed());
-  EXPECT_EQ(rt.valid_distance(0, 2), 2);
-  EXPECT_TRUE(audit_routes(rt).ok);
-  rt.rebuild(Topology::mesh3d(2, 2, 2), RoutingAlgo::kXyz);
-  EXPECT_TRUE(audit_routes(rt).ok);
-}
-
 TEST(RouteTable, StatelessEntryPointRejectsTableAlgo) {
   const auto t = Topology::from_text("nodes 2\nedge 0 1\n");
   EXPECT_THROW((void)route_ports(t, RoutingAlgo::kTable, 0, 0, 1),

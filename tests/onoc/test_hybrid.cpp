@@ -27,7 +27,7 @@ TEST(Hybrid, PolicySteersByDistanceAndSize) {
   HybridParams p;
   p.distance_threshold = 3;
   p.size_threshold = 64;
-  HybridNetwork net(sim, "hy", topo, p);
+  HybridNetwork net(sim, "hy", topo, {}, {}, p);
   // Short+near -> electrical.
   EXPECT_FALSE(net.goes_optical(make_msg(1, 0, 1, 8)));
   // Far -> optical even when small.
@@ -41,7 +41,7 @@ TEST(Hybrid, PolicySteersByDistanceAndSize) {
 TEST(Hybrid, DeliversOnBothLayers) {
   Simulator sim;
   const auto topo = Topology::mesh(4, 4);
-  HybridNetwork net(sim, "hy", topo, HybridParams{});
+  HybridNetwork net(sim, "hy", topo, {}, {}, HybridParams{});
   int delivered = 0;
   net.set_deliver_callback([&](const Message&) { ++delivered; });
   net.inject(make_msg(1, 0, 1, 8));    // electrical
@@ -60,7 +60,7 @@ TEST(Hybrid, DeliversOnBothLayers) {
 TEST(Hybrid, LayerCountersMatchSteering) {
   Simulator sim;
   const auto topo = Topology::mesh(4, 4);
-  HybridNetwork net(sim, "hy", topo, HybridParams{});
+  HybridNetwork net(sim, "hy", topo, {}, {}, HybridParams{});
   net.set_deliver_callback([](const Message&) {});
   MsgId id = 1;
   for (NodeId s = 0; s < 16; ++s) {
@@ -80,13 +80,13 @@ TEST(Hybrid, ThresholdExtremesDegenerate) {
   HybridParams all_optical;
   all_optical.distance_threshold = 1;
   all_optical.size_threshold = 1;
-  HybridNetwork opt(sim, "hy1", topo, all_optical);
+  HybridNetwork opt(sim, "hy1", topo, {}, {}, all_optical);
   opt.set_deliver_callback([](const Message&) {});
   opt.inject(make_msg(1, 0, 1, 4));
   HybridParams all_electrical;
   all_electrical.distance_threshold = 100;
   all_electrical.size_threshold = 1u << 30;
-  HybridNetwork el(sim, "hy2", topo, all_electrical);
+  HybridNetwork el(sim, "hy2", topo, {}, {}, all_electrical);
   el.set_deliver_callback([](const Message&) {});
   el.inject(make_msg(1, 0, 15, 4096));
   sim.run();
@@ -99,7 +99,7 @@ TEST(Hybrid, ThresholdExtremesDegenerate) {
 TEST(Hybrid, LosslessUnderSyntheticLoad) {
   Simulator sim;
   const auto topo = Topology::mesh(4, 4);
-  HybridNetwork net(sim, "hy", topo, HybridParams{});
+  HybridNetwork net(sim, "hy", topo, {}, {}, HybridParams{});
   noc::TrafficGenerator::Params tp;
   tp.injection_rate = 0.15;
   tp.packet_bytes = 8;  // below the size threshold: distance decides

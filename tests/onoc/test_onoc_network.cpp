@@ -283,6 +283,7 @@ FlushRun run_contended(Plane which, bool chain) {
     }
     case Plane::kHybrid:
       net = std::make_unique<HybridNetwork>(sim, "hybrid", topo,
+                                            enoc::EnocParams{}, OnocParams{},
                                             HybridParams{});
       break;
   }

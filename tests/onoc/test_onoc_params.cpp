@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace sctm::onoc {
 namespace {
@@ -53,6 +54,21 @@ TEST(OnocParams, FromConfigOverrides) {
   EXPECT_EQ(p.pool_channels, 4);
   EXPECT_EQ(p.eo_latency, 2u);
   EXPECT_DOUBLE_EQ(p.die_edge_cm, 1.5);
+}
+
+TEST(OnocParams, FromConfigRejectsOutOfRangeIntegersNamingTheKey) {
+  for (const std::string key :
+       {"onoc.ctrl_vnets = 4294967298", "onoc.eo_latency = -1",
+        "onoc.wavelengths = 4294967312", "onoc.ctrl_msg_bytes = -8"}) {
+    try {
+      (void)OnocParams::from_config(Config::from_string(key + "\n"));
+      ADD_FAILURE() << "accepted: " << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key.substr(0, key.find(' '))),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(OnocParams, FromConfigRejectsUnknownScheme) {

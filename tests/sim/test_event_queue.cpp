@@ -63,8 +63,11 @@ TEST(EventQueue, ClearEmpties) {
   EventQueue q;
   q.push(1, [] {});
   q.push(2, [] {});
-  q.clear();
+  q.push(EventQueue::kWheelSize + 5, [] {});  // far heap
+  q.reset();
   EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_time(), kNoCycle);
+  EXPECT_EQ(q.total_pushed(), 0u);
 }
 
 TEST(EventQueue, TotalPushedCounts) {

@@ -131,17 +131,6 @@ TEST(Simulator, StepExecutesOne) {
   EXPECT_FALSE(sim.step());
 }
 
-TEST(Simulator, ResetTimeClearsQueueAndTime) {
-  Simulator sim;
-  sim.schedule_at(5, [] {});
-  sim.run();
-  sim.reset_time();
-  EXPECT_EQ(sim.now(), 0u);
-  EXPECT_EQ(sim.pending_events(), 0u);
-  sim.schedule_at(1, [] {});  // past-check resets too
-  sim.run();
-}
-
 TEST(Simulator, CountsEvents) {
   Simulator sim;
   for (int i = 0; i < 5; ++i) sim.schedule_at(i, [] {});

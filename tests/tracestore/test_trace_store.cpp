@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -361,6 +362,57 @@ TEST(TraceStoreV2, TruncationRejected) {
         TraceStoreError)
         << "accepted a " << keep << "-byte prefix";
   }
+}
+
+// A chunk record count that its payload cannot hold (every record takes at
+// least kMinRecordBytes) is rejected when the file is opened, attributed to
+// its chunk — even with the forged count written consistently into the
+// chunk header, the index and the footer and both checksums re-sealed.
+// Readers reserve for the claimed count, so trusting it meant allocating
+// for four billion records.
+TEST(TraceStoreV2, ChunkRecordCountBeyondItsPayloadIsRejectedAtOpen) {
+  std::mt19937_64 rng(480);
+  const trace::Trace t = random_trace(rng, 480);
+  std::ostringstream ss;
+  write_v2(t, ss);
+  std::string bytes = ss.str();
+  const auto put = [&bytes](std::size_t at, auto v) {
+    std::memcpy(bytes.data() + at, &v, sizeof v);
+  };
+  const auto get_u64 = [&bytes](std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, sizeof v);
+    return v;
+  };
+  const std::size_t footer = bytes.size() - kFooterBytes;
+  const std::size_t index = get_u64(footer);
+  ASSERT_EQ(get_u64(footer + 8), 1u);  // one chunk
+  const std::uint64_t chunk_offset = get_u64(index + 8);
+
+  const std::uint32_t forged = 0xFFFFFFF0u;
+  put(chunk_offset + 8, forged);              // chunk header record_count
+  put(index + 8 + 12, forged);                // index entry record_count
+  put(footer + 16, std::uint64_t{forged});    // footer record_count
+  put(index, crc32(bytes.data() + index + 8, kIndexEntryBytes));
+  put(footer + 32, crc32(bytes.data() + footer, 32));
+
+  try {
+    TraceReader reader(memory_source(bytes.data(), bytes.size()));
+    ADD_FAILURE() << "opened a chunk claiming " << forged << " records";
+  } catch (const TraceStoreError& e) {
+    EXPECT_EQ(e.chunk(), 0) << e.what();
+  }
+
+  const std::string path = "/tmp/sctm_forged_record_count.trc2";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const VerifyReport rep = verify_v2_file(path);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(rep.bad_chunk, 0) << rep.error;
+  EXPECT_THROW((void)core::load_replay_trace(path), TraceStoreError);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
