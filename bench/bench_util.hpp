@@ -39,9 +39,6 @@ inline core::NetSpec enoc_spec(noc::Topology topo = noc::Topology::mesh(4, 4)) {
   core::NetSpec s;
   s.kind = core::NetKind::kEnoc;
   s.topo = topo;
-  // The fabric's natural algorithm (XY on 2D meshes, so legacy benches are
-  // byte-identical; XYZ / table routing on the graph-backed kinds).
-  s.enoc.routing = noc::default_algo(s.topo);
   return s;
 }
 

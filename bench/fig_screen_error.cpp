@@ -52,7 +52,6 @@ std::vector<Cand> design_space() {
   // Same 16 nodes folded into a 4x2x2 lattice (the trace pins the node
   // count), XYZ-routed: the estimator must hold its ceiling on 3D kinds too.
   out.back().c.spec.topo = noc::Topology::mesh3d(4, 2, 2);
-  out.back().c.spec.enoc.routing = noc::default_algo(out.back().c.spec.topo);
   add("onoc-token", core::NetKind::kOnocToken, "onoc-token");
   add("onoc-setup", core::NetKind::kOnocSetup, "onoc-setup");
   add("onoc-swmr", core::NetKind::kOnocSwmr, "onoc-swmr");

@@ -30,6 +30,10 @@
 // mesh3d:XxYxZ, torus3d:XxYxZ, file:<path>) in addition to the legacy
 // --mesh WxH shorthand.
 //
+// The flags fill one Config, each run flag as its experiment key (see
+// flag_keys()), and the parsers of core/experiment.hpp read it: a flag is
+// checked exactly like the key in a config file, and an error names the key.
+//
 // Every run subcommand accepts --stats-json <path> to emit the machine-
 // readable run-metrics document (schema sctm.run_metrics.v1: manifest +
 // per-phase timing + stat-registry snapshot + results); `validate` is the
@@ -66,6 +70,24 @@
 namespace {
 
 using namespace sctm;
+
+/// The run flags that are experiment keys. Every other flag keeps its own
+/// name as its key; --mesh and --topo expand to net.* keys.
+const std::map<std::string, std::string>& flag_keys() {
+  static const std::map<std::string, std::string> table = {
+      {"net", "net.kind"},
+      {"app", "app.name"},
+      {"cores", "app.cores"},
+      {"lines", "app.lines_per_core"},
+      {"iters", "app.iterations"},
+      {"seed", "app.seed"},
+      {"mode", "replay.mode"},
+      {"window", "replay.window"},
+      {"iters-max", "replay.max_iterations"},
+      {"screen-top", "explore.screen.top_k"},
+  };
+  return table;
+}
 
 [[noreturn]] void usage(const char* why) {
   std::fprintf(stderr, "error: %s\n", why);
@@ -107,7 +129,9 @@ using namespace sctm;
       "hardware thread); each replay itself runs on one thread\n"
       "any other flag is an error\n"
       "networks: ideal enoc onoc-token onoc-setup onoc-swmr hybrid\n"
-      "apps: jacobi fft lu sort barnes stream\n");
+      "apps: jacobi fft lu sort barnes stream\n"
+      "run flags are experiment keys (--net is net.kind, --window is "
+      "replay.window, ...; see README): a bad value fails naming its key\n");
   std::exit(2);
 }
 
@@ -142,14 +166,54 @@ const std::map<std::string, std::set<std::string>>& accepted_flags() {
   return table;
 }
 
+/// Expands a topology spec into the net.* keys topology_from_config reads:
+/// mesh:WxH | torus:WxH | ring:N | mesh3d:XxYxZ | torus3d:XxYxZ |
+/// file:<path>; bare WxH is a mesh, anything else without a colon a
+/// topology file path. Missing dimensions are 1. The expansion only splits
+/// the text: the parser checks every value and names its key.
+void set_topology_keys(Config& cfg, const std::string& spec) {
+  const auto colon = spec.find(':');
+  const bool bare = colon == std::string::npos;
+  const std::string kind = !bare ? spec.substr(0, colon)
+                           : spec.find('x') != std::string::npos ? "mesh"
+                                                                 : "file";
+  const std::string rest = bare ? spec : spec.substr(colon + 1);
+  cfg.set("net.topology", kind);
+  if (kind == "file") {
+    cfg.set("net.topology.file", rest);
+    return;
+  }
+  std::vector<const char*> keys = {"net.mesh_width", "net.mesh_height",
+                                   "net.mesh_depth"};
+  if (kind == "ring") {
+    keys = {"net.ring_nodes"};
+  } else if (kind == "mesh" || kind == "torus") {
+    keys.pop_back();
+  } else if (kind != "mesh3d" && kind != "torus3d") {
+    return;  // the parser names the unknown kind
+  }
+  std::size_t d = 0;
+  for (std::size_t pos = 0; pos != std::string::npos; ++d) {
+    if (d == keys.size()) {
+      usage(("topology spec " + spec + ": " + kind + " takes " +
+             std::to_string(keys.size()) + " dimension(s)")
+                .c_str());
+    }
+    const auto x = rest.find('x', pos);
+    cfg.set(keys[d], rest.substr(pos, x == std::string::npos ? x : x - pos));
+    pos = x == std::string::npos ? x : x + 1;
+  }
+  for (; d < keys.size(); ++d) cfg.set(keys[d], "1");
+}
+
 /// Parses argv[first..] as `--key value` pairs (--text, --chunks and --quick
 /// take no value) for subcommand `cmd`, which must be a key of
-/// accepted_flags().
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int first,
-                                               const std::string& cmd) {
+/// accepted_flags(), into one Config keyed as flag_keys() says. --topo wins
+/// over the legacy --mesh shorthand.
+Config parse_flags(int argc, char** argv, int first, const std::string& cmd) {
   const std::set<std::string>& accepted = accepted_flags().at(cmd);
-  std::map<std::string, std::string> out;
+  Config out;
+  std::string fabric;
   for (int i = first; i < argc; ++i) {
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) usage(("unexpected token " + key).c_str());
@@ -158,139 +222,50 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv,
       usage(("unknown flag --" + key + " for '" + cmd + "'").c_str());
     }
     if (key == "text" || key == "chunks" || key == "quick") {  // booleans
-      out[key] = "1";
+      out.set(key, "1");
       continue;
     }
     if (i + 1 >= argc) usage(("missing value for --" + key).c_str());
-    out[key] = argv[++i];
+    const std::string value = argv[++i];
+    if (key == "mesh") {
+      if (value.find(':') != std::string::npos ||
+          value.find('x') == std::string::npos) {
+        usage("--mesh expects WxH");
+      }
+      if (fabric.empty()) fabric = value;
+    } else if (key == "topo") {
+      fabric = value;
+    } else {
+      const auto k = flag_keys().find(key);
+      out.set(k == flag_keys().end() ? key : k->second, value);
+    }
   }
+  if (!fabric.empty()) set_topology_keys(out, fabric);
   return out;
 }
 
-core::NetKind net_kind(const std::string& s) {
-  if (s == "ideal") return core::NetKind::kIdeal;
-  if (s == "enoc") return core::NetKind::kEnoc;
-  if (s == "onoc-token") return core::NetKind::kOnocToken;
-  if (s == "onoc-setup") return core::NetKind::kOnocSetup;
-  if (s == "onoc-swmr") return core::NetKind::kOnocSwmr;
-  if (s == "hybrid") return core::NetKind::kHybrid;
-  usage(("unknown network " + s).c_str());
+/// The value of required flag --`flag`.
+std::string require_flag(const Config& f, const std::string& flag) {
+  const auto k = flag_keys().find(flag);
+  const std::string key = k == flag_keys().end() ? flag : k->second;
+  if (!f.contains(key)) usage(("--" + flag + " required").c_str());
+  return f.get_string(key);
 }
 
-noc::Topology parse_mesh(const std::string& s) {
-  const auto x = s.find('x');
-  if (x == std::string::npos) usage("--mesh expects WxH");
-  return noc::Topology::mesh(std::stoi(s.substr(0, x)),
-                             std::stoi(s.substr(x + 1)));
-}
-
-/// "AxB[xC]" -> dims; pads with 1 up to `want`, errors past it.
-std::vector<int> parse_dims(const std::string& s, std::size_t want,
-                            const char* what) {
-  std::vector<int> dims;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const auto x = s.find('x', pos);
-    const std::string tok =
-        s.substr(pos, x == std::string::npos ? std::string::npos : x - pos);
-    try {
-      dims.push_back(std::stoi(tok));
-    } catch (const std::exception&) {
-      usage((std::string(what) + ": bad dimension '" + tok + "' in " + s)
-                .c_str());
-    }
-    if (x == std::string::npos) break;
-    pos = x + 1;
+/// The --faults file: fault.* keys only (see fault/fault_spec.hpp); any
+/// other key is an error, as is an unknown fault.* key, and every error
+/// names the file. Inert without the flag.
+fault::FaultSpec faults_flag(const Config& f) {
+  if (!f.contains("faults")) return {};
+  const std::string path = f.get_string("faults");
+  try {
+    const Config faults = Config::from_file(path);
+    const fault::FaultSpec spec = fault::FaultSpec::from_config(faults);
+    faults.reject_unread("");
+    return spec;
+  } catch (const std::exception& e) {
+    throw std::runtime_error("--faults " + path + ": " + e.what());
   }
-  if (dims.size() > want) {
-    usage((std::string(what) + ": too many dimensions in " + s).c_str());
-  }
-  dims.resize(want, 1);
-  return dims;
-}
-
-/// Topology spec: mesh:WxH | torus:WxH | ring:N | mesh3d:XxYxZ |
-/// torus3d:XxYxZ | file:<path>; bare WxH means mesh (the --mesh shorthand),
-/// anything else is tried as a topology file path.
-noc::Topology parse_topo_spec(const std::string& s) {
-  const auto colon = s.find(':');
-  if (colon == std::string::npos) {
-    if (s.find('x') != std::string::npos) return parse_mesh(s);
-    return noc::Topology::from_file(s);
-  }
-  const std::string kind = s.substr(0, colon);
-  const std::string rest = s.substr(colon + 1);
-  if (kind == "file") return noc::Topology::from_file(rest);
-  if (kind == "ring") {
-    const auto d = parse_dims(rest, 1, "ring");
-    return noc::Topology::ring(d[0]);
-  }
-  if (kind == "mesh" || kind == "torus") {
-    const auto d = parse_dims(rest, 2, kind.c_str());
-    return kind == "mesh" ? noc::Topology::mesh(d[0], d[1])
-                          : noc::Topology::torus(d[0], d[1]);
-  }
-  if (kind == "mesh3d" || kind == "torus3d") {
-    const auto d = parse_dims(rest, 3, kind.c_str());
-    return kind == "mesh3d" ? noc::Topology::mesh3d(d[0], d[1], d[2])
-                            : noc::Topology::torus3d(d[0], d[1], d[2]);
-  }
-  usage(("unknown topology kind '" + kind +
-         "' (known: mesh, torus, ring, mesh3d, torus3d, file)")
-            .c_str());
-}
-
-/// Applies --faults <cfg>: the file uses the ordinary "fault.*" config
-/// vocabulary (see fault/fault_spec.hpp); unknown fault.* keys hard-error.
-void apply_faults_flag(const std::map<std::string, std::string>& f,
-                       core::NetSpec& spec) {
-  const auto it = f.find("faults");
-  if (it == f.end()) return;
-  spec.fault = fault::FaultSpec::from_config(Config::from_file(it->second));
-}
-
-core::NetSpec spec_from(const std::map<std::string, std::string>& f) {
-  core::NetSpec spec;
-  const auto net = f.find("net");
-  if (net == f.end()) usage("--net required");
-  spec.kind = net_kind(net->second);
-  if (const auto m = f.find("mesh"); m != f.end()) {
-    spec.topo = parse_mesh(m->second);
-  }
-  if (const auto t = f.find("topo"); t != f.end()) {
-    spec.topo = parse_topo_spec(t->second);
-  }
-  // The flags carry no routing algorithm: every fabric gets its natural one
-  // (kXY for a 2D mesh, exactly as before --topo existed).
-  spec.enoc.routing = noc::default_algo(spec.topo);
-  apply_faults_flag(f, spec);
-  return spec;
-}
-
-fullsys::AppParams app_from(const std::map<std::string, std::string>& f,
-                            const core::NetSpec& spec) {
-  fullsys::AppParams app;
-  const auto a = f.find("app");
-  if (a == f.end()) usage("--app required");
-  app.name = a->second;
-  app.cores = spec.topo.node_count();
-  if (const auto it = f.find("cores"); it != f.end()) {
-    app.cores = std::stoi(it->second);
-  }
-  if (const auto it = f.find("lines"); it != f.end()) {
-    app.lines_per_core = std::stoi(it->second);
-  } else {
-    app.lines_per_core = 16;
-  }
-  if (const auto it = f.find("iters"); it != f.end()) {
-    app.iterations = std::stoi(it->second);
-  } else {
-    app.iterations = 2;
-  }
-  if (const auto it = f.find("seed"); it != f.end()) {
-    app.seed = std::stoull(it->second);
-  }
-  return app;
 }
 
 /// ISO-8601 UTC timestamp for run manifests (the metrics layer itself never
@@ -304,86 +279,70 @@ std::string now_iso8601() {
   return buf;
 }
 
-trace::TraceFormat format_from(const std::map<std::string, std::string>& f,
-                               trace::TraceFormat fallback) {
-  const auto it = f.find("format");
-  if (it == f.end()) return fallback;
-  if (it->second == "v1") return trace::TraceFormat::kV1;
-  if (it->second == "v2") return trace::TraceFormat::kV2;
-  usage("--format must be v1 or v2");
-}
-
 /// Writes `m` when --stats-json was given; reports the path on stdout.
-void maybe_emit_stats_json(const std::map<std::string, std::string>& f,
-                           const sctm::RunMetrics& m) {
-  const auto it = f.find("stats-json");
-  if (it == f.end()) return;
-  m.write_file(it->second);
-  std::printf("run metrics json -> %s\n", it->second.c_str());
+void maybe_emit_stats_json(const Config& f, const sctm::RunMetrics& m) {
+  if (!f.contains("stats-json")) return;
+  const std::string path = f.get_string("stats-json");
+  m.write_file(path);
+  std::printf("run metrics json -> %s\n", path.c_str());
 }
 
-int cmd_capture(const std::map<std::string, std::string>& f) {
-  const auto spec = spec_from(f);
-  const auto app = app_from(f, spec);
-  const auto out = f.find("out");
-  if (out == f.end()) usage("--out required");
-  const auto format = format_from(f, trace::TraceFormat::kV2);
+/// --format, v2 unless given.
+trace::TraceFormat format_flag(const Config& f) {
+  return f.get_enum("format", trace::kTraceFormatNames)
+      .value_or(trace::TraceFormat::kV2);
+}
+
+/// The run's network and workload, read by the experiment parsers: a run
+/// subcommand needs --net and --app, the --faults file supplies the fault
+/// regime, and --cores defaults to one core per fabric node.
+std::pair<core::NetSpec, fullsys::AppParams> run_of(Config& f) {
+  require_flag(f, "net");
+  require_flag(f, "app");
+  core::NetSpec spec = core::netspec_from_config(f, "net");
+  spec.fault = faults_flag(f);
+  if (!f.contains("app.cores")) f.set_int("app.cores", spec.topo.node_count());
+  return {spec, core::app_from_config(f)};
+}
+
+int cmd_capture(Config& f) {
+  const auto out = require_flag(f, "out");
+  const auto [spec, app] = run_of(f);
+  const auto format = format_flag(f);
   const auto exec = core::run_execution(app, spec, {});
-  trace::write_file(exec.trace, out->second, format);
+  trace::write_file(exec.trace, out, format);
   std::printf("captured %zu messages (%s on %s), runtime %llu cycles, "
               "%.3f s wall -> %s (%s)\n",
               exec.trace.records.size(), app.name.c_str(),
               spec.describe().c_str(),
               static_cast<unsigned long long>(exec.runtime),
-              exec.wall_seconds, out->second.c_str(),
-              trace::to_string(format));
+              exec.wall_seconds, out.c_str(), trace::to_string(format));
   auto metrics = core::metrics_for_execution(app, spec, exec,
                                              "sctm_cli capture",
                                              now_iso8601());
-  metrics.manifest.set("trace_out", out->second);
+  metrics.manifest.set("trace_out", out);
   maybe_emit_stats_json(f, metrics);
   return 0;
 }
 
-const std::string& require_flag(const std::map<std::string, std::string>& f,
-                                const char* key) {
-  const auto it = f.find(key);
-  if (it == f.end()) usage(("--" + std::string(key) + " required").c_str());
-  return it->second;
-}
-
-/// Replay engine knobs shared by `replay` and `explore`.
-core::ReplayConfig replay_cfg_from(const std::map<std::string, std::string>& f) {
-  core::ReplayConfig cfg;
-  if (const auto m = f.find("mode"); m != f.end()) {
-    if (m->second == "naive") cfg.mode = core::ReplayMode::kNaive;
-    else if (m->second == "sctm") cfg.mode = core::ReplayMode::kSelfCorrecting;
-    else usage("--mode must be naive or sctm");
-  }
-  if (const auto w = f.find("window"); w != f.end()) {
-    cfg.dependency_window = static_cast<std::uint32_t>(std::stoul(w->second));
-  }
-  if (const auto it = f.find("iters-max"); it != f.end()) {
-    cfg.max_iterations = std::stoi(it->second);
-  }
-  return cfg;
-}
-
-int cmd_replay(const std::map<std::string, std::string>& f) {
-  const auto tr = f.find("trace");
-  if (tr == f.end()) usage("--trace required");
+int cmd_replay(Config& f) {
+  const auto trace = require_flag(f, "trace");
+  require_flag(f, "net");
+  const core::ReplayConfig cfg = core::replay_from_config(f);
   // v2 containers stream chunk-at-a-time into the replay representation; a
   // whole record vector-of-vectors is never materialized.
-  const auto loaded = core::load_replay_trace(tr->second);
-  auto spec = spec_from(f);
+  const auto loaded = core::load_replay_trace(trace);
   // Without --mesh or --topo, a trace of k*k nodes replays on a k x k mesh.
-  if (f.find("mesh") == f.end() && f.find("topo") == f.end()) {
+  if (!f.contains("net.topology")) {
     int k = 1;
     while (k * k < loaded.nodes()) ++k;
-    if (k * k == loaded.nodes()) spec.topo = noc::Topology::mesh(k, k);
+    if (k * k == loaded.nodes()) {
+      f.set_int("net.mesh_width", k);
+      f.set_int("net.mesh_height", k);
+    }
   }
-
-  const core::ReplayConfig cfg = replay_cfg_from(f);
+  auto spec = core::netspec_from_config(f, "net");
+  spec.fault = faults_flag(f);
 
   const auto rep = core::run_replay(loaded, spec, cfg);
   const auto h = rep.result.latency_histogram();
@@ -396,7 +355,8 @@ int cmd_replay(const std::map<std::string, std::string>& f) {
               static_cast<unsigned long long>(h.percentile(0.5)),
               static_cast<unsigned long long>(h.percentile(0.99)),
               rep.result.iterations, rep.wall_seconds);
-  if (const auto csv = f.find("csv"); csv != f.end()) {
+  if (f.contains("csv")) {
+    const std::string csv = f.get_string("csv");
     Table t("replay");
     t.set_header({"id", "inject", "arrive", "latency"});
     for (std::uint32_t i = 0; i < loaded.size(); ++i) {
@@ -406,8 +366,8 @@ int cmd_replay(const std::map<std::string, std::string>& f) {
                  Table::fmt(rep.result.arrive_time[i] -
                             rep.result.inject_time[i])});
     }
-    t.write_csv(csv->second);
-    std::printf("per-message csv -> %s\n", csv->second.c_str());
+    t.write_csv(csv);
+    std::printf("per-message csv -> %s\n", csv.c_str());
   }
   maybe_emit_stats_json(
       f, core::metrics_for_replay(loaded, spec, cfg, rep, "sctm_cli replay",
@@ -415,11 +375,9 @@ int cmd_replay(const std::map<std::string, std::string>& f) {
   return 0;
 }
 
-int cmd_explore(const std::map<std::string, std::string>& f) {
-  const auto& tr = require_flag(f, "trace");
-  const auto& cand_path = require_flag(f, "candidates");
-  // v2 containers stream chunk-at-a-time into the replay representation.
-  const auto rt = core::load_replay_trace(tr);
+int cmd_explore(const Config& f) {
+  const auto tr = require_flag(f, "trace");
+  const auto cand_path = require_flag(f, "candidates");
   // The candidates config carries both the design space
   // (candidate.<name>.<param> in the experiment vocabulary) and, optionally,
   // the screen setting (explore.screen.top_k); parse errors come back with
@@ -428,27 +386,18 @@ int cmd_explore(const std::map<std::string, std::string>& f) {
   auto candidates = core::candidates_from_config(cand_cfg, cand_path);
   // --faults supplies the shared fault regime; a candidate's own fault.*
   // keys (if any) win over it.
-  if (const auto it = f.find("faults"); it != f.end()) {
-    const auto shared =
-        fault::FaultSpec::from_config(Config::from_file(it->second));
-    for (auto& c : candidates) {
-      if (c.spec.fault == fault::FaultSpec{}) c.spec.fault = shared;
-    }
+  const auto shared = faults_flag(f);
+  for (auto& c : candidates) {
+    if (c.spec.fault == fault::FaultSpec{}) c.spec.fault = shared;
   }
   core::ExploreConfig base;
-  base.replay = replay_cfg_from(f);
-  if (const auto it = f.find("threads"); it != f.end()) {
-    base.threads = static_cast<unsigned>(std::stoul(it->second));
-  }
-  core::ExploreConfig cfg = core::explore_config_from(cand_cfg, base);
-  if (const auto it = f.find("screen-top"); it != f.end()) {
-    const long k = std::stol(it->second);
-    if (k < 1) {
-      usage("--screen-top must be >= 1 (a screen that confirms no candidate "
-            "is a config bug; omit the flag to replay everything)");
-    }
-    cfg.screen_top_k = static_cast<std::size_t>(k);
-  }
+  base.replay = core::replay_from_config(f);
+  base.threads = f.get_as("threads", base.threads);
+  // --screen-top (explore.screen.top_k) wins over the candidates file's.
+  const core::ExploreConfig cfg =
+      core::explore_config_from(f, core::explore_config_from(cand_cfg, base));
+  // v2 containers stream chunk-at-a-time into the replay representation.
+  const auto rt = core::load_replay_trace(tr);
 
   const auto results = analytic::explore_screened(rt, candidates, cfg);
   const bool screened = cfg.screen_top_k != 0;
@@ -473,12 +422,13 @@ int cmd_explore(const std::map<std::string, std::string>& f) {
               results.size(), rt.size(), core::to_string(cfg.replay.mode),
               screened ? ", screened" : "",
               results.empty() ? "-" : results.front().name.c_str());
-  if (const auto csv = f.find("csv"); csv != f.end()) {
-    t.write_csv(csv->second);
-    std::printf("results csv -> %s\n", csv->second.c_str());
+  if (f.contains("csv")) {
+    const std::string csv = f.get_string("csv");
+    t.write_csv(csv);
+    std::printf("results csv -> %s\n", csv.c_str());
   }
 
-  if (f.count("stats-json")) {
+  if (f.contains("stats-json")) {
     RunMetrics m = core::metrics_for_explore(rt, candidates, cfg, results,
                                              "sctm_cli explore",
                                              now_iso8601());
@@ -492,10 +442,8 @@ int cmd_explore(const std::map<std::string, std::string>& f) {
   return 0;
 }
 
-int cmd_inspect(const std::map<std::string, std::string>& f) {
-  const auto tr = f.find("trace");
-  if (tr == f.end()) usage("--trace required");
-  const auto loaded = trace::read_binary_file(tr->second);
+int cmd_inspect(const Config& f) {
+  const auto loaded = trace::read_binary_file(require_flag(f, "trace"));
   const core::ReplayTrace rt(loaded);  // validates before anything prints
   const analytic::TraceProfile profile = analytic::profile_trace(rt);
   const auto s = core::summarize(loaded);
@@ -510,9 +458,9 @@ int cmd_inspect(const std::map<std::string, std::string>& f) {
               profile.mean_fanin,
               static_cast<unsigned long long>(profile.roots),
               static_cast<unsigned long long>(profile.critical_depth));
-  if (f.count("text")) std::fputs(trace::to_text(loaded).c_str(), stdout);
+  if (f.contains("text")) std::fputs(trace::to_text(loaded).c_str(), stdout);
 
-  if (f.count("stats-json")) {
+  if (f.contains("stats-json")) {
     RunMetrics m;
     m.manifest.tool = "sctm_cli inspect";
     m.manifest.created = now_iso8601();
@@ -543,9 +491,8 @@ int cmd_inspect(const std::map<std::string, std::string>& f) {
   return 0;
 }
 
-int cmd_exec(const std::map<std::string, std::string>& f) {
-  const auto spec = spec_from(f);
-  const auto app = app_from(f, spec);
+int cmd_exec(Config& f) {
+  const auto [spec, app] = run_of(f);
   const auto exec = core::run_execution(app, spec, {});
   const auto s = core::summarize(exec.trace);
   std::printf("%s on %s: runtime %llu cycles, %zu messages, latency mean "
@@ -555,15 +502,16 @@ int cmd_exec(const std::map<std::string, std::string>& f) {
               exec.trace.records.size(), s.mean_latency,
               static_cast<unsigned long long>(s.p99_latency),
               exec.wall_seconds);
-  if (const auto it = f.find("stats"); it != f.end()) {
-    std::FILE* out = std::fopen(it->second.c_str(), "w");
+  if (f.contains("stats")) {
+    const std::string path = f.get_string("stats");
+    std::FILE* out = std::fopen(path.c_str(), "w");
     if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", it->second.c_str());
+      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
       return 1;
     }
     std::fputs(exec.stats_report.c_str(), out);
     std::fclose(out);
-    std::printf("full stats dump -> %s\n", it->second.c_str());
+    std::printf("full stats dump -> %s\n", path.c_str());
   }
   maybe_emit_stats_json(f, core::metrics_for_execution(app, spec, exec,
                                                        "sctm_cli exec",
@@ -571,29 +519,28 @@ int cmd_exec(const std::map<std::string, std::string>& f) {
   return 0;
 }
 
-int cmd_validate(const std::map<std::string, std::string>& f) {
-  const auto it = f.find("json");
-  if (it == f.end()) usage("--json required");
-  std::ifstream in(it->second, std::ios::binary);
+int cmd_validate(const Config& f) {
+  const auto path = require_flag(f, "json");
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
-    std::fprintf(stderr, "error: cannot read %s\n", it->second.c_str());
+    std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
     return 1;
   }
   std::ostringstream buf;
   buf << in.rdbuf();
   std::string err;
   if (!validate_metrics_json(buf.str(), &err)) {
-    std::fprintf(stderr, "invalid metrics document %s: %s\n",
-                 it->second.c_str(), err.c_str());
+    std::fprintf(stderr, "invalid metrics document %s: %s\n", path.c_str(),
+                 err.c_str());
     return 1;
   }
-  std::printf("%s: valid %s document\n", it->second.c_str(),
+  std::printf("%s: valid %s document\n", path.c_str(),
               std::string(kMetricsSchema).c_str());
   return 0;
 }
 
-int cmd_trace_info(const std::map<std::string, std::string>& f) {
-  const auto& path = require_flag(f, "trace");
+int cmd_trace_info(const Config& f) {
+  const auto path = require_flag(f, "trace");
   const auto fmt = trace::sniff_format(path);
   if (fmt == trace::TraceFormat::kV1) {
     const auto t = trace::read_binary_file(path);
@@ -616,7 +563,7 @@ int cmd_trace_info(const std::map<std::string, std::string>& f) {
               reader.chunk_count(), reader.chunk_target(),
               static_cast<unsigned long long>(reader.file_bytes()),
               tracestore::hash_hex(reader.stored_content_hash()).c_str());
-  if (f.count("chunks")) {
+  if (f.contains("chunks")) {
     for (std::size_t i = 0; i < reader.chunk_count(); ++i) {
       const auto& c = reader.chunk_info(i);
       std::printf("  chunk %zu: records [%llu, %llu) bytes=%u cycles "
@@ -632,14 +579,14 @@ int cmd_trace_info(const std::map<std::string, std::string>& f) {
   return 0;
 }
 
-int cmd_trace_convert(const std::map<std::string, std::string>& f) {
-  const auto& in = require_flag(f, "in");
-  const auto& out = require_flag(f, "out");
-  const auto format = format_from(f, trace::TraceFormat::kV2);
+int cmd_trace_convert(const Config& f) {
+  const auto in = require_flag(f, "in");
+  const auto out = require_flag(f, "out");
+  const auto format = format_flag(f);
+  const auto chunk = f.get_as<std::uint32_t>("chunk", 0);
   const auto t = trace::read_binary_file(in);
-  if (format == trace::TraceFormat::kV2 && f.count("chunk")) {
-    tracestore::write_v2_file(
-        t, out, static_cast<std::uint32_t>(std::stoul(f.at("chunk"))));
+  if (format == trace::TraceFormat::kV2 && f.contains("chunk")) {
+    tracestore::write_v2_file(t, out, chunk);
   } else {
     trace::write_file(t, out, format);
   }
@@ -657,8 +604,8 @@ int cmd_trace_convert(const std::map<std::string, std::string>& f) {
   return 0;
 }
 
-int cmd_trace_verify(const std::map<std::string, std::string>& f) {
-  const auto& path = require_flag(f, "trace");
+int cmd_trace_verify(const Config& f) {
+  const auto path = require_flag(f, "trace");
   if (trace::sniff_format(path) == trace::TraceFormat::kV1) {
     // v1 has no checksums: "verify" = the strict reader accepts every byte.
     try {
@@ -671,7 +618,7 @@ int cmd_trace_verify(const std::map<std::string, std::string>& f) {
       return 1;
     }
   }
-  const auto rep = tracestore::verify_v2_file(path, /*deep=*/!f.count("quick"));
+  const auto rep = tracestore::verify_v2_file(path, /*deep=*/!f.contains("quick"));
   if (rep.ok) {
     std::printf("%s: OK (v2, %llu records in %llu chunks%s)\n", path.c_str(),
                 static_cast<unsigned long long>(rep.records),
@@ -689,8 +636,8 @@ int cmd_trace_verify(const std::map<std::string, std::string>& f) {
   return 1;
 }
 
-int cmd_trace_hash(const std::map<std::string, std::string>& f) {
-  const auto& path = require_flag(f, "trace");
+int cmd_trace_hash(const Config& f) {
+  const auto path = require_flag(f, "trace");
   // Recomputed over the logical content, so the hash is format-independent:
   // a v1 file and its v2 conversion print the same address.
   const auto t = trace::read_binary_file(path);
@@ -699,9 +646,9 @@ int cmd_trace_hash(const std::map<std::string, std::string>& f) {
   return 0;
 }
 
-int cmd_trace_add(const std::map<std::string, std::string>& f) {
-  const auto& path = require_flag(f, "trace");
-  const auto& dir = require_flag(f, "dir");
+int cmd_trace_add(const Config& f) {
+  const auto path = require_flag(f, "trace");
+  const auto dir = require_flag(f, "dir");
   tracestore::TraceCatalog catalog(dir);
   const auto entry = catalog.add(trace::read_binary_file(path), now_iso8601());
   std::printf("%s -> %s (%llu records, %llu chunks)\n", path.c_str(),
@@ -711,8 +658,8 @@ int cmd_trace_add(const std::map<std::string, std::string>& f) {
   return 0;
 }
 
-int cmd_trace_list(const std::map<std::string, std::string>& f) {
-  const auto& dir = require_flag(f, "dir");
+int cmd_trace_list(const Config& f) {
+  const auto dir = require_flag(f, "dir");
   const tracestore::TraceCatalog catalog(dir);
   const auto entries = catalog.list();
   for (const auto& e : entries) {
@@ -738,14 +685,6 @@ int cmd_trace_list(const std::map<std::string, std::string>& f) {
 // mesh3d:XxYxZ / torus3d:XxYxZ / file:<path> spec. File errors are anchored
 // "<path>:<line>: ..." by the parser.
 
-noc::Topology topo_arg(const std::string& arg) {
-  if (arg.find(':') == std::string::npos &&
-      arg.find('x') == std::string::npos) {
-    return noc::Topology::from_file(arg);
-  }
-  return parse_topo_spec(arg);
-}
-
 int cmd_topo_info(const noc::Topology& topo) {
   std::printf("topology: %s\n", topo.describe().c_str());
   std::printf("nodes: %d\n", topo.node_count());
@@ -769,24 +708,10 @@ int cmd_topo_info(const noc::Topology& topo) {
   return 0;
 }
 
-noc::RoutingAlgo algo_from(const std::map<std::string, std::string>& f,
-                           const noc::Topology& topo) {
-  const auto it = f.find("algo");
-  if (it == f.end()) return noc::default_algo(topo);
-  const std::string& a = it->second;
-  if (a == "xy") return noc::RoutingAlgo::kXY;
-  if (a == "yx") return noc::RoutingAlgo::kYX;
-  if (a == "odd-even") return noc::RoutingAlgo::kOddEven;
-  if (a == "ring-shortest") return noc::RoutingAlgo::kRingShortest;
-  if (a == "torus-dor") return noc::RoutingAlgo::kTorusDor;
-  if (a == "xyz") return noc::RoutingAlgo::kXyz;
-  if (a == "table") return noc::RoutingAlgo::kTable;
-  usage(("unknown routing algorithm " + a).c_str());
-}
-
-int cmd_topo_verify(const noc::Topology& topo,
-                    const std::map<std::string, std::string>& f) {
-  const auto algo = algo_from(f, topo);
+int cmd_topo_verify(const noc::Topology& topo, const Config& f) {
+  // Without --algo the routing table resolves the fabric's natural one.
+  const noc::RoutingTable rt(topo, f.get_enum("algo", noc::kRoutingAlgoNames));
+  const noc::RoutingAlgo algo = rt.algo();
   if (!noc::compatible(topo, algo)) {
     std::fprintf(stderr, "%s: FAIL: %s routing is incompatible with this "
                  "topology kind\n",
@@ -795,7 +720,6 @@ int cmd_topo_verify(const noc::Topology& topo,
   }
   // Connectivity: the file parser and the table builder both reject
   // disconnected fabrics; regular kinds are connected by construction.
-  const noc::RoutingTable rt(topo, algo);
   const auto audit = noc::audit_routes(rt);
   if (audit.ok) {
     std::printf("%s: OK (%s routing: %d routes terminate at the right "
@@ -817,8 +741,9 @@ int cmd_topo(int argc, char** argv) {
   if (verb != "info" && verb != "verify") {
     usage(("unknown topo verb " + verb).c_str());
   }
-  const auto flags = parse_flags(argc, argv, 4, "topo " + verb);
-  const auto topo = topo_arg(arg);
+  auto flags = parse_flags(argc, argv, 4, "topo " + verb);
+  set_topology_keys(flags, arg);
+  const auto topo = core::topology_from_config(flags);
   if (verb == "info") return cmd_topo_info(topo);
   return cmd_topo_verify(topo, flags);
 }
@@ -849,7 +774,7 @@ int main(int argc, char** argv) {
     if (accepted_flags().count(cmd) == 0) {
       usage(("unknown subcommand " + cmd).c_str());
     }
-    const auto flags = parse_flags(argc, argv, 2, cmd);
+    auto flags = parse_flags(argc, argv, 2, cmd);
     if (cmd == "capture") return cmd_capture(flags);
     if (cmd == "replay") return cmd_replay(flags);
     if (cmd == "explore") return cmd_explore(flags);

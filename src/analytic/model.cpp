@@ -140,9 +140,10 @@ AnalyticModel::LatencyCore enoc_core(const TraceProfile& p,
   // Dimension-ordered mesh routes are emitted straight from coordinates:
   // the per-hop route_first/neighbor calls are the scoring hot path's
   // dominant cost on anything but toy traces.
+  const noc::RoutingAlgo algo = routes.algo();
   const bool dor_mesh = topo.kind() == noc::Topology::Kind::kMesh &&
-                        (prm.routing == noc::RoutingAlgo::kXY ||
-                         prm.routing == noc::RoutingAlgo::kYX);
+                        (algo == noc::RoutingAlgo::kXY ||
+                         algo == noc::RoutingAlgo::kYX);
   const int width = topo.width();
   for (std::size_t f = 0; f < p.flows.size();) {
     const NodeId s = p.flows[f].src;
@@ -171,7 +172,7 @@ AnalyticModel::LatencyCore enoc_core(const TraceProfile& p,
           emit(dy > cy ? noc::kSouth : noc::kNorth);
         }
       };
-      if (prm.routing == noc::RoutingAlgo::kXY) {
+      if (algo == noc::RoutingAlgo::kXY) {
         walk_x();
         walk_y();
       } else {

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -17,6 +18,15 @@ std::string_view trim(std::string_view s) {
     s.remove_suffix(1);
   }
   return s;
+}
+
+/// The whole of `v` as a T; nullopt for junk or a value T cannot hold.
+template <class T>
+std::optional<T> parse_integer(const std::string& v) {
+  T out{};
+  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (ec != std::errc() || ptr != v.data() + v.size()) return std::nullopt;
+  return out;
 }
 
 [[noreturn]] void fail(std::string_view what, std::string_view detail) {
@@ -101,16 +111,35 @@ std::optional<std::size_t> Config::source_line(std::string_view key) const {
 }
 
 std::optional<std::string> Config::lookup(std::string_view key) const {
+  asked_.emplace(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
-  consumed_.insert(it->first);
   return it->second;
 }
 
+std::string Config::where(std::string_view key) const {
+  const auto line = source_line(key);
+  return line ? " (line " + std::to_string(*line) + ")" : std::string();
+}
+
+void Config::reject(std::string_view key, const std::string& why) const {
+  throw std::invalid_argument(std::string(key) + where(key) + ": " + why);
+}
+
 std::string Config::get_string(std::string_view key) const {
-  auto v = lookup(key);
-  if (!v) fail("missing key", key);
-  return *v;
+  if (auto v = lookup(key)) return *v;
+  // A required key that is absent is most often a misspelt one: name the
+  // unread keys that share its first segment.
+  const std::string_view seg = key.substr(0, key.find('.'));
+  std::string unread;
+  for (const auto& [k, v] : values_) {
+    if (std::string_view(k).substr(0, k.find('.')) != seg ||
+        asked_.count(k) != 0) {
+      continue;
+    }
+    unread += (unread.empty() ? " (unread: '" : ", '") + k + "'" + where(k);
+  }
+  fail("missing key", std::string(key) + unread + (unread.empty() ? "" : ")"));
 }
 
 std::string Config::get_string(std::string_view key, std::string_view def) const {
@@ -118,55 +147,57 @@ std::string Config::get_string(std::string_view key, std::string_view def) const
   return v ? *v : std::string(def);
 }
 
+std::int64_t Config::to_int(std::string_view key, const std::string& v) const {
+  if (const auto n = parse_integer<std::int64_t>(v)) return *n;
+  fail("not an integer at key '" + std::string(key) + "'" + where(key), v);
+}
+
+std::uint64_t Config::to_uint64(std::string_view key,
+                                const std::string& v) const {
+  if (const auto n = parse_integer<std::uint64_t>(v)) return *n;
+  reject(key, std::to_string(to_int(key, v)) + " is out of range [0, " +
+                  std::to_string(std::numeric_limits<std::uint64_t>::max()) +
+                  "]");
+}
+
 std::int64_t Config::get_int(std::string_view key) const {
-  const std::string v = get_string(key);
-  std::int64_t out = 0;
-  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  if (ec != std::errc() || ptr != v.data() + v.size()) {
-    fail("not an integer at key '" + std::string(key) + "'", v);
-  }
-  return out;
+  return to_int(key, get_string(key));
 }
 
 std::int64_t Config::get_int(std::string_view key, std::int64_t def) const {
-  return contains(key) ? get_int(key) : def;
-}
-
-void Config::reject_range(std::string_view key, std::int64_t v,
-                          const std::string& range) const {
-  std::string where;
-  if (const auto line = source_line(key)) {
-    where = " (line " + std::to_string(*line) + ")";
-  }
-  throw std::invalid_argument(std::string(key) + where + ": " +
-                              std::to_string(v) + " is out of range " + range);
+  const auto v = lookup(key);
+  return v ? to_int(key, *v) : def;
 }
 
 double Config::get_double(std::string_view key) const {
   const std::string v = get_string(key);
+  double out = 0;
   try {
     std::size_t used = 0;
-    const double out = std::stod(v, &used);
+    out = std::stod(v, &used);
     if (used != v.size()) throw std::invalid_argument(v);
-    return out;
   } catch (const std::exception&) {
-    fail("not a double at key '" + std::string(key) + "'", v);
+    fail("not a double at key '" + std::string(key) + "'" + where(key), v);
   }
+  // NaN passes no bound a validate() checks, and an infinity converts to no
+  // cycle count: neither is a parameter.
+  if (!std::isfinite(out)) reject(key, "'" + v + "' is not a finite number");
+  return out;
 }
 
 double Config::get_double(std::string_view key, double def) const {
-  return contains(key) ? get_double(key) : def;
+  return lookup(key) ? get_double(key) : def;
 }
 
 bool Config::get_bool(std::string_view key) const {
   const std::string v = get_string(key);
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  fail("not a boolean at key '" + std::string(key) + "'", v);
+  fail("not a boolean at key '" + std::string(key) + "'" + where(key), v);
 }
 
 bool Config::get_bool(std::string_view key, bool def) const {
-  return contains(key) ? get_bool(key) : def;
+  return lookup(key) ? get_bool(key) : def;
 }
 
 void Config::merge(const Config& other) {
@@ -180,32 +211,26 @@ void Config::merge(const Config& other) {
   }
 }
 
-void Config::require_keys_in(
-    std::string_view prefix,
-    std::initializer_list<std::string_view> allowed) const {
+void Config::reject_unread(std::string_view prefix) const {
+  const std::string* first = nullptr;
+  const auto order = [this](const std::string& k) {
+    return source_line(k).value_or(std::numeric_limits<std::size_t>::max());
+  };
   for (const auto& [k, v] : values_) {
-    const std::string_view key = k;
-    if (key.substr(0, prefix.size()) != prefix) continue;
-    const std::string_view suffix = key.substr(prefix.size());
-    bool known = false;
-    for (const std::string_view a : allowed) {
-      if (suffix == a) {
-        known = true;
-        break;
-      }
-    }
-    if (known) continue;
-    std::string where;
-    if (const auto it = lines_.find(k); it != lines_.end()) {
-      where = " (line " + std::to_string(it->second) + ")";
-    }
-    std::string vocab;
-    for (const std::string_view a : allowed) {
-      if (!vocab.empty()) vocab += ", ";
-      vocab += std::string(prefix) + std::string(a);
-    }
-    fail("unknown key '" + k + "'" + where, "expected one of: " + vocab);
+    if (k.rfind(prefix, 0) != 0 || asked_.count(k) != 0) continue;
+    if (first == nullptr || order(k) < order(*first)) first = &k;
   }
+  if (first == nullptr) return;
+  const std::string seg = first->substr(0, first->find('.'));
+  std::string known;
+  for (const auto& k : asked_) {
+    if (k.substr(0, k.find('.')) != seg) continue;
+    known += (known.empty() ? "" : ", ") + k;
+  }
+  throw UnreadKeyError(
+      *first, "unknown key '" + *first + "'" + where(*first) + "; " +
+                  (known.empty() ? "nothing reads " + seg + ".* keys"
+                                 : "known " + seg + ".* keys: " + known));
 }
 
 std::vector<std::string> Config::keys() const {
@@ -217,19 +242,11 @@ std::vector<std::string> Config::keys() const {
 
 std::string Config::consumed_dump() const {
   std::ostringstream ss;
-  for (const auto& k : consumed_) {
+  for (const auto& k : asked_) {
     const auto it = values_.find(k);
     if (it != values_.end()) ss << k << " = " << it->second << '\n';
   }
   return ss.str();
-}
-
-std::vector<std::string> Config::unread_keys() const {
-  std::vector<std::string> out;
-  for (const auto& [k, v] : values_) {
-    if (consumed_.find(k) == consumed_.end()) out.push_back(k);
-  }
-  return out;
 }
 
 std::string Config::dump() const {

@@ -19,18 +19,6 @@ double seconds_since(
 
 }  // namespace
 
-const char* to_string(NetKind k) {
-  switch (k) {
-    case NetKind::kIdeal: return "ideal";
-    case NetKind::kEnoc: return "enoc";
-    case NetKind::kOnocToken: return "onoc-token";
-    case NetKind::kOnocSetup: return "onoc-setup";
-    case NetKind::kOnocSwmr: return "onoc-swmr";
-    case NetKind::kHybrid: return "hybrid";
-  }
-  return "?";
-}
-
 std::string NetSpec::describe() const {
   return std::string(to_string(kind)) + " " + topo.describe();
 }

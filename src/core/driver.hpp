@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 
+#include "common/config.hpp"
 #include "common/run_metrics.hpp"
 #include "core/replay.hpp"
 #include "enoc/enoc_network.hpp"
@@ -27,7 +28,14 @@ namespace sctm::core {
 
 enum class NetKind { kIdeal, kEnoc, kOnocToken, kOnocSetup, kOnocSwmr, kHybrid };
 
-const char* to_string(NetKind k);
+/// The `<which>.kind` / `--net` spellings.
+inline constexpr Spelling<NetKind> kNetKindNames[] = {
+    {NetKind::kIdeal, "ideal"},          {NetKind::kEnoc, "enoc"},
+    {NetKind::kOnocToken, "onoc-token"}, {NetKind::kOnocSetup, "onoc-setup"},
+    {NetKind::kOnocSwmr, "onoc-swmr"},   {NetKind::kHybrid, "hybrid"},
+};
+
+inline const char* to_string(NetKind k) { return spelling_of(kNetKindNames, k); }
 
 struct NetSpec {
   NetKind kind = NetKind::kEnoc;

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "noc/routing.hpp"
-
 namespace sctm::core {
 
 namespace {
@@ -18,29 +16,49 @@ std::string at(const Config& cfg, const std::string& key) {
   return "net config: ";
 }
 
+constexpr Spelling<ExperimentMode> kExperimentModeNames[] = {
+    {ExperimentMode::kExec, "exec"},
+    {ExperimentMode::kReplay, "replay"},
+    {ExperimentMode::kAccuracy, "accuracy"},
+};
+
+/// replay.mode spells the self-correcting model "sctm".
+constexpr Spelling<ReplayMode> kReplayModeNames[] = {
+    {ReplayMode::kNaive, "naive"},
+    {ReplayMode::kSelfCorrecting, "sctm"},
+};
+
 }  // namespace
 
 noc::Topology topology_from_config(const Config& cfg) {
   const std::string kind = cfg.get_string("net.topology", "mesh");
-  const int w = cfg.get_as("net.mesh_width", 4);
-  const int h = cfg.get_as("net.mesh_height", 4);
+  const auto extent = [&cfg](const char* key, int def, int min) {
+    const int v = cfg.get_as(key, def);
+    if (v < min) {
+      cfg.reject(key, std::to_string(v) + " is below " + std::to_string(min));
+    }
+    return v;
+  };
+  const int w = extent("net.mesh_width", 4, 1);
+  const int h = extent("net.mesh_height", 4, 1);
   if (kind == "mesh") return noc::Topology::mesh(w, h);
   if (kind == "torus") return noc::Topology::torus(w, h);
   if (kind == "ring") {
-    return noc::Topology::ring(cfg.get_as("net.ring_nodes", w * h));
+    return noc::Topology::ring(extent("net.ring_nodes", w * h, 2));
   }
   if (kind == "mesh3d" || kind == "torus3d") {
-    const int d = cfg.get_as("net.mesh_depth", 2);
+    const int d = extent("net.mesh_depth", 2, 1);
     return kind == "mesh3d" ? noc::Topology::mesh3d(w, h, d)
                             : noc::Topology::torus3d(w, h, d);
   }
   if (kind == "file") {
-    if (!cfg.contains("net.topology.file")) {
-      throw std::runtime_error(
-          at(cfg, "net.topology") +
-          "net.topology = file requires net.topology.file = <path>");
+    const std::string path = cfg.get_string("net.topology.file");
+    try {
+      return noc::Topology::from_file(path);
+    } catch (const std::exception& e) {
+      throw std::runtime_error(at(cfg, "net.topology.file") +
+                               "net.topology.file: " + e.what());
     }
-    return noc::Topology::from_file(cfg.get_string("net.topology.file"));
   }
   throw std::runtime_error(at(cfg, "net.topology") +
                            "net.topology: unknown kind '" + kind +
@@ -48,30 +66,15 @@ noc::Topology topology_from_config(const Config& cfg) {
                            "file)");
 }
 
-NetKind net_kind_from(const std::string& name) {
-  if (name == "ideal") return NetKind::kIdeal;
-  if (name == "enoc") return NetKind::kEnoc;
-  if (name == "onoc-token") return NetKind::kOnocToken;
-  if (name == "onoc-setup") return NetKind::kOnocSetup;
-  if (name == "onoc-swmr") return NetKind::kOnocSwmr;
-  if (name == "hybrid") return NetKind::kHybrid;
-  throw std::invalid_argument("unknown network kind: " + name);
-}
-
 NetSpec netspec_from_config(const Config& cfg, const std::string& which) {
   NetSpec spec;
-  spec.kind = net_kind_from(cfg.get_string(which + ".kind", "enoc"));
+  spec.kind = cfg.get_enum(which + ".kind", kNetKindNames).value_or(spec.kind);
   spec.topo = topology_from_config(cfg);
   spec.ideal.base_latency =
       cfg.get_as("ideal.base_latency", spec.ideal.base_latency);
   spec.ideal.per_hop_latency =
       cfg.get_as("ideal.per_hop_latency", spec.ideal.per_hop_latency);
   spec.enoc = enoc::EnocParams::from_config(cfg);
-  if (!cfg.contains("enoc.routing")) {
-    // Without an explicit algorithm the fabric picks its natural one, so
-    // 3D and file topologies work out of the box ("xy" would reject them).
-    spec.enoc.routing = noc::default_algo(spec.topo);
-  }
   spec.onoc = onoc::OnocParams::from_config(cfg);
   spec.hybrid.distance_threshold =
       cfg.get_as("hybrid.distance_threshold", spec.hybrid.distance_threshold);
@@ -94,22 +97,37 @@ fullsys::AppParams app_from_config(const Config& cfg) {
 
 ReplayConfig replay_from_config(const Config& cfg) {
   ReplayConfig rc;
-  const std::string mode = cfg.get_string("replay.mode", "sctm");
-  if (mode == "naive") rc.mode = ReplayMode::kNaive;
-  else if (mode == "sctm") rc.mode = ReplayMode::kSelfCorrecting;
-  else throw std::invalid_argument("replay.mode must be naive or sctm");
+  rc.mode = cfg.get_enum("replay.mode", kReplayModeNames).value_or(rc.mode);
   rc.dependency_window = cfg.get_as("replay.window", rc.dependency_window);
   rc.max_iterations = cfg.get_as("replay.max_iterations", rc.max_iterations);
+  if (rc.max_iterations < 1) {
+    cfg.reject("replay.max_iterations",
+               std::to_string(rc.max_iterations) +
+                   " is below 1 (a replay runs at least one pass)");
+  }
   return rc;
 }
 
-Table run_experiment(const Config& cfg) {
-  const std::string mode = cfg.get_string("experiment.mode", "exec");
-  const auto app = app_from_config(cfg);
-  const auto sys = fullsys::FullSysParams::from_config(cfg);
-  const auto target = netspec_from_config(cfg, "target");
+Experiment experiment_from_config(const Config& cfg) {
+  Experiment e;
+  e.mode = cfg.get_enum("experiment.mode", kExperimentModeNames)
+               .value_or(e.mode);
+  e.app = app_from_config(cfg);
+  e.sys = fullsys::FullSysParams::from_config(cfg);
+  e.capture = netspec_from_config(cfg, "capture");
+  e.target = netspec_from_config(cfg, "target");
+  e.replay = replay_from_config(cfg);
+  cfg.reject_unread("");
+  return e;
+}
 
-  if (mode == "exec") {
+Table run_experiment(const Config& cfg) {
+  const Experiment e = experiment_from_config(cfg);
+  const auto& app = e.app;
+  const auto& sys = e.sys;
+  const auto& target = e.target;
+
+  if (e.mode == ExperimentMode::kExec) {
     const auto exec = run_execution(app, target, sys);
     const auto s = summarize(exec.trace);
     Table t("exec: " + app.name + " on " + target.describe());
@@ -125,11 +143,11 @@ Table run_experiment(const Config& cfg) {
     return t;
   }
 
-  const auto capture_spec = netspec_from_config(cfg, "capture");
+  const auto& capture_spec = e.capture;
   const ReplayTrace capture(run_execution(app, capture_spec, sys).trace);
 
-  if (mode == "replay") {
-    const auto rc = replay_from_config(cfg);
+  if (e.mode == ExperimentMode::kReplay) {
+    const auto& rc = e.replay;
     const auto rep = run_replay(capture, target, rc);
     const auto s = summarize(rep.result);
     Table t("replay: " + app.name + " (" + capture_spec.describe() + " -> " +
@@ -146,27 +164,23 @@ Table run_experiment(const Config& cfg) {
     return t;
   }
 
-  if (mode == "accuracy") {
-    const auto truth_run = run_execution(app, target, sys);
-    ReplayConfig naive_cfg;
-    naive_cfg.mode = ReplayMode::kNaive;
-    const auto naive = run_replay(capture, target, naive_cfg);
-    const auto sctm = run_replay(capture, target, replay_from_config(cfg));
-    const auto truth = summarize(truth_run.trace);
-    const auto en = compare(truth, summarize(naive.result));
-    const auto es = compare(truth, summarize(sctm.result));
-    Table t("accuracy: " + app.name + " (" + capture_spec.describe() +
-            " -> " + target.describe() + ")");
-    t.set_header({"model", "runtime err", "latency err", "p99 err"});
-    t.add_row({"naive", Table::pct(en.runtime_err),
-               Table::pct(en.mean_latency_err), Table::pct(en.p99_latency_err)});
-    t.add_row({"sctm", Table::pct(es.runtime_err),
-               Table::pct(es.mean_latency_err), Table::pct(es.p99_latency_err)});
-    return t;
-  }
-
-  throw std::invalid_argument("experiment.mode must be exec, replay or "
-                              "accuracy (got " + mode + ")");
+  // accuracy
+  const auto truth_run = run_execution(app, target, sys);
+  ReplayConfig naive_cfg;
+  naive_cfg.mode = ReplayMode::kNaive;
+  const auto naive = run_replay(capture, target, naive_cfg);
+  const auto sctm = run_replay(capture, target, e.replay);
+  const auto truth = summarize(truth_run.trace);
+  const auto en = compare(truth, summarize(naive.result));
+  const auto es = compare(truth, summarize(sctm.result));
+  Table t("accuracy: " + app.name + " (" + capture_spec.describe() +
+          " -> " + target.describe() + ")");
+  t.set_header({"model", "runtime err", "latency err", "p99 err"});
+  t.add_row({"naive", Table::pct(en.runtime_err),
+             Table::pct(en.mean_latency_err), Table::pct(en.p99_latency_err)});
+  t.add_row({"sctm", Table::pct(es.runtime_err),
+             Table::pct(es.mean_latency_err), Table::pct(es.p99_latency_err)});
+  return t;
 }
 
 }  // namespace sctm::core

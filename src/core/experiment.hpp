@@ -13,6 +13,9 @@
 //   fault.*                           (fault injection; see fault/fault_spec)
 //   replay.mode (naive|sctm), replay.window, replay.max_iterations
 //   experiment.mode = exec | replay | accuracy
+//
+// A key no parser reads is an error (Config::reject_unread), so these
+// parsers are the vocabulary.
 #pragma once
 
 #include "common/config.hpp"
@@ -22,25 +25,40 @@
 
 namespace sctm::core {
 
-/// Parses a network kind name; throws std::invalid_argument on junk.
-NetKind net_kind_from(const std::string& name);
-
 /// Fabric from config: net.topology selects the kind (default mesh),
 /// net.mesh_width/height/depth and net.ring_nodes size the lattice kinds,
 /// net.topology.file names the edge-list file for net.topology = file.
-/// Errors carry the config source line when one is known.
+/// Errors name the key, with its config line when one is known.
 noc::Topology topology_from_config(const Config& cfg);
 
 /// NetSpec from config: `<which>.kind` selects the network, the fabric comes
 /// from topology_from_config(), module parameters from enoc.*/onoc.*, and
-/// the fault regime from fault.* (absent keys = inert spec). When the config
-/// has no explicit enoc.routing key the spec gets the topology's natural
-/// algorithm (noc::default_algo), so 3D and file fabrics run without extra
-/// keys.
+/// the fault regime from fault.* (absent keys = inert spec). Without an
+/// enoc.routing key the spec leaves the algorithm unset, and the routing
+/// table resolves it to the fabric's natural one (noc::default_algo), so 3D
+/// and file fabrics run without extra keys.
 NetSpec netspec_from_config(const Config& cfg, const std::string& which);
 
 fullsys::AppParams app_from_config(const Config& cfg);
 ReplayConfig replay_from_config(const Config& cfg);
+
+enum class ExperimentMode { kExec, kReplay, kAccuracy };
+
+/// Everything run_experiment reads, parsed before anything simulates.
+struct Experiment {
+  ExperimentMode mode = ExperimentMode::kExec;
+  fullsys::AppParams app;
+  fullsys::FullSysParams sys;
+  NetSpec capture;
+  NetSpec target;
+  ReplayConfig replay;
+};
+
+/// Parses every section (experiment.mode, app, fullsys, capture, target,
+/// replay) whatever the mode, then rejects any key no parser asked for
+/// (Config::reject_unread): a misspelt key fails here, with its line,
+/// instead of silently meaning the default.
+Experiment experiment_from_config(const Config& cfg);
 
 /// Runs the experiment the config describes and returns the result rows:
 ///   exec     - execution-driven run on `target`

@@ -68,25 +68,18 @@ std::string at(const std::string& source, const Config& cfg,
 ExploreConfig explore_config_from(const Config& cfg,
                                   const ExploreConfig& base) {
   ExploreConfig out = base;
-  for (const auto& key : cfg.keys()) {
-    constexpr std::string_view kPrefix = "explore.";
-    if (key.rfind(kPrefix, 0) != 0) continue;
-    if (key != "explore.screen.top_k") {
-      throw std::runtime_error(at("explore config", cfg, key) +
-                               "unknown key '" + key +
-                               "' (known: explore.screen.top_k)");
-    }
-  }
-  if (cfg.contains("explore.screen.top_k")) {
-    const std::int64_t k = cfg.get_int("explore.screen.top_k");
+  constexpr const char* kTopK = "explore.screen.top_k";
+  const std::int64_t k = cfg.get_int(kTopK, 0);
+  if (cfg.contains(kTopK)) {
     if (k < 1) {
       throw std::runtime_error(
-          at("explore config", cfg, "explore.screen.top_k") +
+          at("explore config", cfg, kTopK) +
           "explore.screen.top_k must be >= 1 (a screen that confirms no "
           "candidate is a config bug), got " + std::to_string(k));
     }
     out.screen_top_k = static_cast<std::size_t>(k);
   }
+  cfg.reject_unread("explore.");
   return out;
 }
 
@@ -123,15 +116,15 @@ std::vector<Candidate> candidates_from_config(const Config& cfg,
   for (auto& [name, sub] : subs) {
     try {
       out.push_back({name, netspec_from_config(sub, "net")});
+      // A key no parser read would otherwise silently mean "the default".
+      sub.reject_unread("");
+    } catch (const UnreadKeyError& e) {
+      throw std::runtime_error(
+          at(source, cfg, "candidate." + name + "." + e.key()) +
+          "candidate '" + name + "': " + e.what());
     } catch (const std::exception& e) {
       throw std::runtime_error(at(source, cfg, anchor.at(name)) +
                                "candidate '" + name + "': " + e.what());
-    }
-    // A key no parser read would otherwise silently mean "the default".
-    if (const auto unread = sub.unread_keys(); !unread.empty()) {
-      throw std::runtime_error(
-          at(source, cfg, "candidate." + name + "." + unread.front()) +
-          "candidate '" + name + "': unknown key '" + unread.front() + "'");
     }
   }
   return out;

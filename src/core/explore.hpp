@@ -60,14 +60,16 @@ struct ExploreConfig {
 /// Reads the "explore.screen.*" keys ("explore.screen.top_k") on top of
 /// `base`. An explicit top_k of 0 (or a negative value) hard-errors with
 /// the key's source line: a screen that confirms nothing is a config bug,
-/// not a request for an empty table.
+/// not a request for an empty table. Any other "explore.*" key is an error
+/// (Config::reject_unread).
 ExploreConfig explore_config_from(const Config& cfg,
                                   const ExploreConfig& base = {});
 
 /// Parses a candidates config ("candidate.<name>.<param>" namespaces using
 /// the experiment-config vocabulary) into named NetSpecs. Hard-errors — with
 /// `source`-prefixed, line-numbered messages — on malformed keys, on
-/// per-candidate specs that fail to build, and on a file defining no
+/// per-candidate specs that fail to build, on a candidate key no parser
+/// reads (Config::reject_unread), and on a file defining no
 /// candidates at all (an empty design space is a config bug, never an empty
 /// table). Keys under "explore." are reserved for explore_config_from and
 /// skipped here; any other unknown top-level key is an error.

@@ -14,7 +14,7 @@ EnocNetwork::EnocNetwork(Simulator& sim, std::string name,
       params_(params),
       routes_(topo, params.routing),
       link_stride_(static_cast<std::size_t>(topo.radix())) {
-  if (!noc::compatible(topo_, params_.routing)) {
+  if (!noc::compatible(topo_, routes_.algo())) {
     throw std::invalid_argument(this->name() +
                                 ": routing algorithm incompatible with " +
                                 topo_.describe());

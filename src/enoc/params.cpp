@@ -6,6 +6,11 @@
 namespace sctm::enoc {
 namespace {
 
+constexpr Spelling<ArbiterKind> kArbiterKindNames[] = {
+    {ArbiterKind::kRoundRobin, "round-robin"},
+    {ArbiterKind::kMatrix, "matrix"},
+};
+
 [[noreturn]] void reject(const char* key, const std::string& why) {
   throw std::invalid_argument(std::string(key) + ": " + why);
 }
@@ -51,20 +56,9 @@ EnocParams EnocParams::from_config(const Config& cfg) {
   p.credit_latency = cfg.get_as("enoc.credit_latency", p.credit_latency);
   p.adaptive = cfg.get_bool("enoc.adaptive", p.adaptive);
 
-  const std::string algo = cfg.get_string("enoc.routing", "xy");
-  if (algo == "xy") p.routing = noc::RoutingAlgo::kXY;
-  else if (algo == "yx") p.routing = noc::RoutingAlgo::kYX;
-  else if (algo == "odd-even") p.routing = noc::RoutingAlgo::kOddEven;
-  else if (algo == "ring-shortest") p.routing = noc::RoutingAlgo::kRingShortest;
-  else if (algo == "torus-dor") p.routing = noc::RoutingAlgo::kTorusDor;
-  else if (algo == "xyz") p.routing = noc::RoutingAlgo::kXyz;
-  else if (algo == "table") p.routing = noc::RoutingAlgo::kTable;
-  else throw std::invalid_argument("enoc.routing: unknown algorithm " + algo);
-
-  const std::string arb = cfg.get_string("enoc.arbiter", "round-robin");
-  if (arb == "round-robin") p.arbiter = ArbiterKind::kRoundRobin;
-  else if (arb == "matrix") p.arbiter = ArbiterKind::kMatrix;
-  else throw std::invalid_argument("enoc.arbiter: unknown kind " + arb);
+  p.routing = cfg.get_enum("enoc.routing", noc::kRoutingAlgoNames);
+  p.arbiter =
+      cfg.get_enum("enoc.arbiter", kArbiterKindNames).value_or(p.arbiter);
 
   p.validate(false);
   return p;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 
 #include "common/config.hpp"
 #include "common/units.hpp"
@@ -31,7 +32,10 @@ struct EnocParams {
   std::uint32_t head_bytes = 8;
   Cycle link_latency = 1;
   Cycle credit_latency = 1;
-  noc::RoutingAlgo routing = noc::RoutingAlgo::kXY;
+  /// Unset = the fabric's natural algorithm, resolved where routes are built
+  /// (noc::RoutingTable); read the network's routes().algo() for the
+  /// algorithm in use.
+  std::optional<noc::RoutingAlgo> routing;
   /// Adaptive output-port selection among routing candidates by free credits.
   bool adaptive = false;
   ArbiterKind arbiter = ArbiterKind::kRoundRobin;

@@ -60,13 +60,6 @@ FaultSpec FaultSpec::with_seed(std::uint64_t s) const {
 }
 
 FaultSpec FaultSpec::from_config(const Config& cfg) {
-  cfg.require_keys_in(
-      "fault.",
-      {"seed", "enoc_flit_corrupt_rate", "enoc_flit_drop_rate",
-       "enoc_link_stuck_rate", "enoc_link_stuck_cycles", "onoc_token_loss_rate",
-       "onoc_token_regen_cycles", "onoc_reservation_loss_rate",
-       "onoc_reservation_timeout", "onoc_ring_drift_sigma_c",
-       "onoc_laser_degradation_db", "max_retries", "nack_cycles"});
   FaultSpec s;
   s.seed = cfg.get_as("fault.seed", s.seed);
   s.enoc_flit_corrupt_rate =
@@ -91,6 +84,7 @@ FaultSpec FaultSpec::from_config(const Config& cfg) {
       "fault.onoc_laser_degradation_db", s.onoc_laser_degradation_db);
   s.max_retries = cfg.get_as("fault.max_retries", s.max_retries);
   s.nack_cycles = cfg.get_as("fault.nack_cycles", s.nack_cycles);
+  cfg.reject_unread("fault.");
   s.validate();
   return s;
 }

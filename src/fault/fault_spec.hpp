@@ -70,9 +70,9 @@ struct FaultSpec {
   /// layer its own derived stream family).
   FaultSpec with_seed(std::uint64_t s) const;
 
-  /// Reads "fault.*" keys with these defaults. Unknown "fault.*" keys are a
-  /// hard error (Config::require_keys_in), so a typo'd rate can't silently
-  /// leave the fabric perfect. Validates before returning.
+  /// Reads "fault.*" keys with these defaults. A "fault.*" key it does not
+  /// read is a hard error (Config::reject_unread), so a typo'd rate can't
+  /// silently leave the fabric perfect. Validates before returning.
   static FaultSpec from_config(const Config& cfg);
 
   /// ("fault.<key>", value) pairs for every non-default field — what run

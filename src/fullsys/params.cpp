@@ -3,6 +3,15 @@
 #include <stdexcept>
 
 namespace sctm::fullsys {
+namespace {
+
+constexpr Spelling<CoreDetail> kCoreDetailNames[] = {
+    {CoreDetail::kFolded, "folded"},
+    {CoreDetail::kPerOp, "per-op"},
+    {CoreDetail::kPerCycle, "per-cycle"},
+};
+
+}  // namespace
 
 void FullSysParams::validate() const {
   if (l1_sets < 1 || l1_ways < 1 || l2_sets < 1 || l2_ways < 1) {
@@ -27,13 +36,8 @@ FullSysParams FullSysParams::from_config(const Config& cfg) {
   p.mem_latency = cfg.get_as("fullsys.mem_latency", p.mem_latency);
   p.mem_gap = cfg.get_as("fullsys.mem_gap", p.mem_gap);
   p.barrier_home = cfg.get_as("fullsys.barrier_home", p.barrier_home);
-  const std::string detail = cfg.get_string("fullsys.core_detail", "folded");
-  if (detail == "folded") p.core_detail = CoreDetail::kFolded;
-  else if (detail == "per-op") p.core_detail = CoreDetail::kPerOp;
-  else if (detail == "per-cycle") p.core_detail = CoreDetail::kPerCycle;
-  else {
-    throw std::invalid_argument("fullsys.core_detail: unknown mode " + detail);
-  }
+  p.core_detail = cfg.get_enum("fullsys.core_detail", kCoreDetailNames)
+                      .value_or(p.core_detail);
   return p;
 }
 

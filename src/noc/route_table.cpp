@@ -10,8 +10,9 @@ namespace {
 constexpr int kUnreachable = std::numeric_limits<int>::max() / 2;
 }  // namespace
 
-RoutingTable::RoutingTable(const Topology& topo, RoutingAlgo algo)
-    : topo_(topo), algo_(algo) {
+RoutingTable::RoutingTable(const Topology& topo,
+                           std::optional<RoutingAlgo> algo)
+    : topo_(topo), algo_(algo.value_or(default_algo(topo))) {
   nodes_ = topo_.node_count();
   stride_ = topo_.radix();
   if (table_backed()) build_tables();

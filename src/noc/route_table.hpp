@@ -3,8 +3,10 @@
 // functions.
 //
 // A RoutingTable wraps one (topology, algorithm) pair for its whole life
-// (its owner keeps it at a stable address). For the coordinate algorithms it
-// is a thin dispatcher onto noc::route_ports() — stateless, allocation-free,
+// (its owner keeps it at a stable address). It is where an unconfigured
+// algorithm resolves to the fabric's natural one (default_algo), so every
+// consumer reads the resolved algo(). For the coordinate algorithms it is a
+// thin dispatcher onto noc::route_ports() — stateless, allocation-free,
 // bit-identical to calling the free function. For kTable it builds up*/down*
 // shortest-path next-hop tables once at construction (network build time),
 // so the per-flit hot path is two array reads.
@@ -27,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -38,8 +41,9 @@ namespace sctm::noc {
 
 class RoutingTable {
  public:
-  /// Builds the next-hop tables when `algo` is kTable; O(1) otherwise.
-  RoutingTable(const Topology& topo, RoutingAlgo algo);
+  /// Builds the next-hop tables when the algorithm is kTable; O(1)
+  /// otherwise. An unset `algo` resolves to default_algo(topo).
+  RoutingTable(const Topology& topo, std::optional<RoutingAlgo> algo);
 
   /// Admissible output ports, mirroring noc::route_ports()'s contract
   /// (invalid nodes throw std::logic_error, cur == dst returns empty).

@@ -181,17 +181,4 @@ RoutingAlgo default_algo(const Topology& topo) {
   return RoutingAlgo::kXY;
 }
 
-const char* to_string(RoutingAlgo algo) {
-  switch (algo) {
-    case RoutingAlgo::kXY: return "xy";
-    case RoutingAlgo::kYX: return "yx";
-    case RoutingAlgo::kOddEven: return "odd-even";
-    case RoutingAlgo::kRingShortest: return "ring-shortest";
-    case RoutingAlgo::kTorusDor: return "torus-dor";
-    case RoutingAlgo::kXyz: return "xyz";
-    case RoutingAlgo::kTable: return "table";
-  }
-  return "?";
-}
-
 }  // namespace sctm::noc

@@ -17,6 +17,7 @@
 #include <array>
 #include <vector>
 
+#include "common/config.hpp"
 #include "noc/topology.hpp"
 
 namespace sctm::noc {
@@ -34,6 +35,17 @@ enum class RoutingAlgo {
   /// Needs a prebuilt RoutingTable; the stateless route_ports() entry point
   /// rejects it.
   kTable,
+};
+
+/// The config spellings (enoc.routing, `sctm_cli topo verify --algo`).
+inline constexpr Spelling<RoutingAlgo> kRoutingAlgoNames[] = {
+    {RoutingAlgo::kXY, "xy"},
+    {RoutingAlgo::kYX, "yx"},
+    {RoutingAlgo::kOddEven, "odd-even"},
+    {RoutingAlgo::kRingShortest, "ring-shortest"},
+    {RoutingAlgo::kTorusDor, "torus-dor"},
+    {RoutingAlgo::kXyz, "xyz"},
+    {RoutingAlgo::kTable, "table"},
 };
 
 /// Fixed-capacity admissible-port set. Every routing function here is
@@ -71,9 +83,12 @@ int route_first(const Topology& topo, RoutingAlgo algo, NodeId src, NodeId cur,
 bool compatible(const Topology& topo, RoutingAlgo algo);
 
 /// Default algorithm for a topology (XY on mesh, DOR on torus, shortest on
-/// ring, XYZ on the 3D kinds, up*/down* tables on file fabrics).
+/// ring, XYZ on the 3D kinds, up*/down* tables on file fabrics). RoutingTable
+/// applies it when no algorithm is configured.
 RoutingAlgo default_algo(const Topology& topo);
 
-const char* to_string(RoutingAlgo algo);
+inline const char* to_string(RoutingAlgo algo) {
+  return spelling_of(kRoutingAlgoNames, algo);
+}
 
 }  // namespace sctm::noc

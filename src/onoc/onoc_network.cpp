@@ -35,15 +35,11 @@ OnocNetwork::OnocNetwork(Simulator& sim, std::string name,
     pool_free_.assign(static_cast<std::size_t>(params_.pool_channels), 0);
   } else {
     receivers_.resize(static_cast<std::size_t>(topo_.node_count()));
-    // The electrical control plane rides the same tile layout; if the
-    // configured ctrl routing doesn't apply there (e.g. the default XY on a
-    // 3D or file fabric), fall back to the topology's default algorithm.
-    enoc::EnocParams ctrl_params = params_.ctrl;
-    if (!noc::compatible(topo_, ctrl_params.routing)) {
-      ctrl_params.routing = noc::default_algo(topo_);
-    }
+    // The electrical control plane rides the same tile layout and routes
+    // like any ENoC: an unset algorithm resolves to the fabric's natural
+    // one, and an explicit one the fabric cannot use is an error.
     ctrl_ = std::make_unique<enoc::EnocNetwork>(
-        sim, this->name() + ".ctrl", topo_, ctrl_params);
+        sim, this->name() + ".ctrl", topo_, params_.ctrl);
     auto up = [this](const noc::Message& m) { on_ctrl_deliver(m); };
     static_assert(noc::Network::DeliverFn::fits_inline<decltype(up)>(),
                   "control-plane callback must stay within the SBO budget");

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 
 #include "common/config.hpp"
 #include "common/units.hpp"
@@ -25,7 +24,17 @@ enum class Arbitration {
                // (rings, laser power) against queueing.
 };
 
-const char* to_string(Arbitration a);
+/// The onoc.arbitration spellings.
+inline constexpr Spelling<Arbitration> kArbitrationNames[] = {
+    {Arbitration::kTokenRing, "token-ring"},
+    {Arbitration::kPathSetup, "path-setup"},
+    {Arbitration::kSwmr, "swmr"},
+    {Arbitration::kSharedPool, "shared-pool"},
+};
+
+inline const char* to_string(Arbitration a) {
+  return spelling_of(kArbitrationNames, a);
+}
 
 struct OnocParams {
   int wavelengths = 16;
@@ -79,16 +88,15 @@ struct OnocParams {
     return token_hop_latency * static_cast<Cycle>(nodes);
   }
 
-  void validate() const {
-    if (wavelengths < 1 || gbps_per_wavelength <= 0 || clock_ghz <= 0) {
-      throw std::invalid_argument("OnocParams: non-positive channel spec");
-    }
-    if (eo_latency < 1 || oe_latency < 1 || token_hop_latency < 1) {
-      throw std::invalid_argument("OnocParams: latencies must be >= 1");
-    }
-  }
+  /// Throws std::invalid_argument naming the offending "onoc.*" key: a
+  /// non-positive channel spec or die edge, a latency below 1, or a channel
+  /// so slow (or a die so large) that serializing a UINT32_MAX-byte message
+  /// (or crossing the die, 2 x die_edge_cm) takes more cycles than a Cycle
+  /// holds. `source`, when given, is the config the values were read from,
+  /// and the error then also names the key's line.
+  void validate(const Config* source = nullptr) const;
 
-  /// Reads "onoc.*" keys with these defaults.
+  /// Reads "onoc.*" keys with these defaults and validates the result.
   static OnocParams from_config(const Config& cfg);
 };
 

@@ -179,14 +179,6 @@ std::size_t encoded_size(const Trace& trace) {
 
 }  // namespace
 
-const char* to_string(TraceFormat f) {
-  switch (f) {
-    case TraceFormat::kV1: return "v1";
-    case TraceFormat::kV2: return "v2";
-  }
-  return "?";
-}
-
 void write_binary(const Trace& trace, std::ostream& out) {
   ByteWriter w;
   w.reserve(encoded_size(trace));

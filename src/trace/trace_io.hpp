@@ -22,6 +22,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "common/config.hpp"
 #include "trace/record.hpp"
 
 namespace sctm::trace {
@@ -31,7 +32,15 @@ enum class TraceFormat {
   kV2,  // chunked container (SCTMTRC2)
 };
 
-const char* to_string(TraceFormat f);
+/// The `--format` spellings.
+inline constexpr Spelling<TraceFormat> kTraceFormatNames[] = {
+    {TraceFormat::kV1, "v1"},
+    {TraceFormat::kV2, "v2"},
+};
+
+inline const char* to_string(TraceFormat f) {
+  return spelling_of(kTraceFormatNames, f);
+}
 
 /// Always emits the legacy v1 layout.
 void write_binary(const Trace& trace, std::ostream& out);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -9,13 +10,24 @@ namespace sctm::core {
 namespace {
 
 TEST(Experiment, NetKindParsing) {
-  EXPECT_EQ(net_kind_from("ideal"), NetKind::kIdeal);
-  EXPECT_EQ(net_kind_from("enoc"), NetKind::kEnoc);
-  EXPECT_EQ(net_kind_from("onoc-token"), NetKind::kOnocToken);
-  EXPECT_EQ(net_kind_from("onoc-setup"), NetKind::kOnocSetup);
-  EXPECT_EQ(net_kind_from("onoc-swmr"), NetKind::kOnocSwmr);
-  EXPECT_EQ(net_kind_from("hybrid"), NetKind::kHybrid);
-  EXPECT_THROW(net_kind_from("carrier-pigeon"), std::invalid_argument);
+  // One spelling table feeds both the parser and to_string.
+  for (const auto& [kind, name] : kNetKindNames) {
+    const auto spec = netspec_from_config(
+        Config::from_string(std::string("target.kind = ") + name + "\n"),
+        "target");
+    EXPECT_EQ(spec.kind, kind) << name;
+    EXPECT_STREQ(to_string(kind), name);
+  }
+  try {
+    (void)netspec_from_config(
+        Config::from_string("target.kind = carrier-pigeon\n"), "target");
+    FAIL() << "accepted carrier-pigeon";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "target.kind (line 1): unknown value 'carrier-pigeon' "
+                 "(known: ideal, enoc, onoc-token, onoc-setup, onoc-swmr, "
+                 "hybrid)");
+  }
 }
 
 TEST(Experiment, NetSpecFromConfigDefaults) {
@@ -104,26 +116,55 @@ TEST(Experiment, ParsersRejectOutOfRangeIntegersNamingTheKey) {
 }
 
 TEST(Experiment, DefaultRoutingFollowsTopology) {
-  // No enoc.routing key: the spec gets the fabric's natural algorithm (and
-  // the hybrid's electrical plane, built from the same block, uses it);
-  // legacy mesh still gets XY.
+  // No enoc.routing key: the spec leaves the algorithm unset and the built
+  // network's routing table resolves the fabric's natural one (the hybrid's
+  // electrical plane, built from the same block, too); a 2D mesh still gets
+  // XY.
   const auto spec3d = netspec_from_config(
       Config::from_string("target.kind = hybrid\nnet.topology = torus3d\n"),
       "target");
-  EXPECT_EQ(spec3d.enoc.routing, noc::RoutingAlgo::kXyz);
+  EXPECT_EQ(spec3d.enoc.routing, std::nullopt);
   Simulator sim;
   const auto hybrid = make_factory(spec3d)(sim);
-  EXPECT_EQ(static_cast<onoc::HybridNetwork&>(*hybrid).electrical().params()
-                .routing,
+  EXPECT_EQ(static_cast<onoc::HybridNetwork&>(*hybrid)
+                .electrical()
+                .routes()
+                .algo(),
             noc::RoutingAlgo::kXyz);
   const auto spec2d = netspec_from_config(
       Config::from_string("target.kind = enoc\n"), "target");
-  EXPECT_EQ(spec2d.enoc.routing, noc::RoutingAlgo::kXY);
+  const auto enoc2d = make_factory(spec2d)(sim);
+  EXPECT_EQ(static_cast<enoc::EnocNetwork&>(*enoc2d).routes().algo(),
+            noc::RoutingAlgo::kXY);
   // An explicit key always wins.
   const auto explicit_spec = netspec_from_config(
       Config::from_string("target.kind = enoc\nenoc.routing = yx\n"),
       "target");
-  EXPECT_EQ(explicit_spec.enoc.routing, noc::RoutingAlgo::kYX);
+  const auto yx = make_factory(explicit_spec)(sim);
+  EXPECT_EQ(static_cast<enoc::EnocNetwork&>(*yx).routes().algo(),
+            noc::RoutingAlgo::kYX);
+}
+
+// An explicit algorithm the fabric cannot use fails when the network is
+// built, naming the network and the fabric, for every kind that routes
+// electrically: the ONoC control mesh must not swap in the fabric's own
+// algorithm behind the config's back.
+TEST(Experiment, IncompatibleRoutingFailsOnEveryElectricalKind) {
+  for (const char* kind : {"enoc", "hybrid", "onoc-setup"}) {
+    const auto cfg = Config::from_string(
+        std::string("experiment.mode = exec\napp.lines_per_core = 2\n"
+                    "app.iterations = 1\ntarget.kind = ") +
+        kind + "\nnet.topology = torus\nenoc.routing = xy\n");
+    try {
+      (void)run_experiment(cfg);
+      ADD_FAILURE() << kind << " ran with xy routing on a torus";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("routing algorithm incompatible with torus 4x4"),
+                std::string::npos)
+          << kind << ": " << what;
+    }
+  }
 }
 
 TEST(Experiment, AppFromConfig) {
@@ -146,6 +187,27 @@ TEST(Experiment, ReplayFromConfig) {
   EXPECT_THROW(
       replay_from_config(Config::from_string("replay.mode = psychic\n")),
       std::invalid_argument);
+}
+
+TEST(Experiment, ReplayFromConfigRejectsMaxIterationsBelowOne) {
+  // 0 or -3 passes would silently run one pass while the manifest records
+  // the configured value.
+  for (const char* text :
+       {"replay.max_iterations = 0\n", "replay.window = 1\n"
+                                         "replay.max_iterations = -3\n"}) {
+    try {
+      (void)replay_from_config(Config::from_string(text));
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("replay.max_iterations (line "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(replay_from_config(
+                Config::from_string("replay.max_iterations = 1\n"))
+                .max_iterations,
+            1);
 }
 
 TEST(Experiment, ExecModeProducesMetrics) {
@@ -177,6 +239,50 @@ TEST(Experiment, AccuracyModeComparesModels) {
 TEST(Experiment, UnknownModeThrows) {
   const auto cfg = Config::from_string("experiment.mode = vibes\n");
   EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+}
+
+// A key no parser reads fails the experiment before anything runs, naming
+// the key and its line, instead of silently meaning the default (fft on a
+// 4x4 mesh at 16 lines per core).
+TEST(Experiment, UnreadKeyFailsBeforeAnythingRuns) {
+  const auto expect_unknown = [](const std::string& text,
+                                 const std::string& message) {
+    try {
+      (void)run_experiment(Config::from_string(text));
+      ADD_FAILURE() << "ran: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_unknown("experiment.mode = exec\napp.name = fft\napp.lines = 4\n",
+                 "unknown key 'app.lines' (line 3); known app.* keys: ");
+  expect_unknown("target.kind = enoc\nnet.mesh_widht = 8\n",
+                 "unknown key 'net.mesh_widht' (line 2)");
+}
+
+// Every section parses before the first simulated cycle, whatever the mode:
+// a bad mode, a bad replay section in exec mode or a bad capture kind all
+// fail in experiment_from_config, which runs nothing.
+TEST(Experiment, ParseStepReadsEverySectionInEveryMode) {
+  EXPECT_THROW((void)experiment_from_config(
+                   Config::from_string("experiment.mode = vibes\n")),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)experiment_from_config(Config::from_string(
+          "experiment.mode = exec\nreplay.max_iterations = 0\n")),
+      std::invalid_argument);
+  EXPECT_THROW((void)experiment_from_config(Config::from_string(
+                   "experiment.mode = exec\ncapture.kind = warp\n")),
+               std::invalid_argument);
+  const Experiment e = experiment_from_config(Config::from_string(
+      "experiment.mode = accuracy\napp.name = lu\ncapture.kind = ideal\n"
+      "target.kind = onoc-swmr\nreplay.window = 2\n"));
+  EXPECT_EQ(e.mode, ExperimentMode::kAccuracy);
+  EXPECT_EQ(e.app.name, "lu");
+  EXPECT_EQ(e.capture.kind, NetKind::kIdeal);
+  EXPECT_EQ(e.target.kind, NetKind::kOnocSwmr);
+  EXPECT_EQ(e.replay.dependency_window, 2u);
 }
 
 TEST(Experiment, ShippedConfigsParse) {

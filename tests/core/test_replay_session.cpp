@@ -319,7 +319,6 @@ NetSpec spec_on(NetKind kind, const noc::Topology& topo) {
   NetSpec s;
   s.kind = kind;
   s.topo = topo;
-  s.enoc.routing = noc::default_algo(topo);
   return s;
 }
 

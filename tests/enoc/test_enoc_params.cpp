@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -83,7 +84,8 @@ TEST(EnocParams, FromConfigDefaults) {
   const auto p = EnocParams::from_config(Config{});
   EXPECT_EQ(p.vnets, 2);
   EXPECT_EQ(p.vcs_per_vnet, 2);
-  EXPECT_EQ(p.routing, noc::RoutingAlgo::kXY);
+  // Unset: the routing table resolves the fabric's natural algorithm.
+  EXPECT_EQ(p.routing, std::nullopt);
   EXPECT_EQ(p.arbiter, ArbiterKind::kRoundRobin);
   EXPECT_FALSE(p.adaptive);
 }

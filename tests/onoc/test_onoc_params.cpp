@@ -84,5 +84,74 @@ TEST(OnocParams, SchemeNames) {
   EXPECT_STREQ(to_string(Arbitration::kSharedPool), "shared-pool");
 }
 
+/// `text` must fail in OnocParams::from_config, naming `key` and line 1:
+/// each value below would otherwise run a wrong simulation.
+void expect_rejected(const std::string& text, const std::string& key) {
+  try {
+    (void)OnocParams::from_config(Config::from_string(text + "\n"));
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(key + " (line 1): "),
+              std::string::npos)
+        << text << ": " << e.what();
+  }
+}
+
+// NaN passes every `<= 0` check; unchecked, it surfaces mid-run as
+// "scheduling into the past".
+TEST(OnocParams, NanDoublesAreRejectedNamingTheKey) {
+  expect_rejected("onoc.gbps_per_wavelength = nan",
+                  "onoc.gbps_per_wavelength");
+  expect_rejected("onoc.die_edge_cm = nan", "onoc.die_edge_cm");
+  expect_rejected("onoc.clock_ghz = nan", "onoc.clock_ghz");
+}
+
+// At 1e-300 Gb/s ser_cycles would cast ~7e301 to Cycle: undefined
+// behaviour, which an -O2 build turns into 1 cycle, a run faster than the
+// default channel.
+TEST(OnocParams, BandwidthTooSmallForCycleIsRejected) {
+  expect_rejected("onoc.gbps_per_wavelength = 1e-300",
+                  "onoc.gbps_per_wavelength");
+  OnocParams p;
+  p.gbps_per_wavelength = 1e-300;
+  try {
+    p.validate();
+    FAIL() << "validate() accepted 1e-300 Gb/s";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("onoc.gbps_per_wavelength: ", 0),
+              0u)
+        << e.what();
+  }
+  // 0.001 Gb/s still fits: a UINT32_MAX-byte message serializes in range.
+  p.gbps_per_wavelength = 0.001;
+  EXPECT_NO_THROW(p.validate());
+}
+
+TEST(OnocParams, InfiniteClockIsRejected) {
+  expect_rejected("onoc.clock_ghz = inf", "onoc.clock_ghz");
+}
+
+// Unchecked, a non-positive die edge runs exactly like the default 2 cm die.
+TEST(OnocParams, NonPositiveDieEdgeIsRejected) {
+  expect_rejected("onoc.die_edge_cm = 0", "onoc.die_edge_cm");
+  expect_rejected("onoc.die_edge_cm = -2", "onoc.die_edge_cm");
+}
+
+// So does a die whose crossing overflows Cycle.
+TEST(OnocParams, DieTooLargeForCycleIsRejected) {
+  expect_rejected("onoc.die_edge_cm = 1e300", "onoc.die_edge_cm");
+}
+
+TEST(OnocParams, ValidateNamesTheKey) {
+  OnocParams p;
+  p.clock_ghz = 0;
+  try {
+    p.validate();
+    FAIL() << "validate() accepted a 0 GHz clock";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "onoc.clock_ghz: must be > 0");
+  }
+}
+
 }  // namespace
 }  // namespace sctm::onoc
