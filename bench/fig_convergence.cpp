@@ -33,7 +33,6 @@ int main() {
     core::ReplayConfig cfg;
     cfg.dependency_window = w;
     cfg.max_iterations = 16;
-    cfg.convergence_threshold = 0.5;
     const auto rep = core::run_replay(capture, target, cfg);
     const double err =
         std::abs(static_cast<double>(rep.result.runtime) -

@@ -1,6 +1,8 @@
 #include "core/driver.hpp"
 
 #include <chrono>
+#include <stdexcept>
+#include <string>
 
 #include "common/json.hpp"
 #include "core/replay_session.hpp"
@@ -85,6 +87,12 @@ NetworkFactory make_factory(const NetSpec& spec) {
 
 ExecutionRun run_execution(const fullsys::AppParams& app, const NetSpec& net,
                            const fullsys::FullSysParams& sys) {
+  if (app.cores != net.topo.node_count()) {
+    throw std::invalid_argument(
+        "run_execution: app.cores = " + std::to_string(app.cores) +
+        " but the fabric " + net.topo.describe() + " has " +
+        std::to_string(net.topo.node_count()) + " nodes");
+  }
   const auto t0 = std::chrono::steady_clock::now();
   Simulator sim;
   auto network = make_factory(net)(sim);

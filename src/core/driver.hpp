@@ -79,7 +79,9 @@ struct ExecutionRun {
   std::vector<PhaseMetrics> phases;
 };
 
-/// Runs the application execution-driven on `net`, capturing a trace.
+/// Runs the application execution-driven on `net`, capturing a trace. An
+/// app.cores other than the fabric's node count throws
+/// std::invalid_argument naming both.
 ExecutionRun run_execution(const fullsys::AppParams& app, const NetSpec& net,
                            const fullsys::FullSysParams& sys);
 

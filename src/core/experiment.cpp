@@ -1,7 +1,9 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace sctm::core {
 
@@ -28,26 +30,28 @@ constexpr Spelling<ReplayMode> kReplayModeNames[] = {
     {ReplayMode::kSelfCorrecting, "sctm"},
 };
 
+/// An integer key that must be at least `min`, rejected naming key and line.
+int at_least(const Config& cfg, const char* key, int def, int min) {
+  const int v = cfg.get_as(key, def);
+  if (v < min) {
+    cfg.reject(key, std::to_string(v) + " is below " + std::to_string(min));
+  }
+  return v;
+}
+
 }  // namespace
 
 noc::Topology topology_from_config(const Config& cfg) {
   const std::string kind = cfg.get_string("net.topology", "mesh");
-  const auto extent = [&cfg](const char* key, int def, int min) {
-    const int v = cfg.get_as(key, def);
-    if (v < min) {
-      cfg.reject(key, std::to_string(v) + " is below " + std::to_string(min));
-    }
-    return v;
-  };
-  const int w = extent("net.mesh_width", 4, 1);
-  const int h = extent("net.mesh_height", 4, 1);
+  const int w = at_least(cfg, "net.mesh_width", 4, 1);
+  const int h = at_least(cfg, "net.mesh_height", 4, 1);
   if (kind == "mesh") return noc::Topology::mesh(w, h);
   if (kind == "torus") return noc::Topology::torus(w, h);
   if (kind == "ring") {
-    return noc::Topology::ring(extent("net.ring_nodes", w * h, 2));
+    return noc::Topology::ring(at_least(cfg, "net.ring_nodes", w * h, 2));
   }
   if (kind == "mesh3d" || kind == "torus3d") {
-    const int d = extent("net.mesh_depth", 2, 1);
+    const int d = at_least(cfg, "net.mesh_depth", 2, 1);
     return kind == "mesh3d" ? noc::Topology::mesh3d(w, h, d)
                             : noc::Topology::torus3d(w, h, d);
   }
@@ -87,9 +91,16 @@ NetSpec netspec_from_config(const Config& cfg, const std::string& which) {
 fullsys::AppParams app_from_config(const Config& cfg) {
   fullsys::AppParams app;
   app.name = cfg.get_string("app.name", "fft");
-  app.cores = cfg.get_as("app.cores", 16);
-  app.lines_per_core = cfg.get_as("app.lines_per_core", 16);
-  app.iterations = cfg.get_as("app.iterations", 2);
+  const std::vector<std::string> names = fullsys::app_names();
+  if (std::find(names.begin(), names.end(), app.name) == names.end()) {
+    std::string known;
+    for (const std::string& n : names) known += (known.empty() ? "" : ", ") + n;
+    cfg.reject("app.name",
+               "unknown value '" + app.name + "' (known: " + known + ")");
+  }
+  app.cores = at_least(cfg, "app.cores", 16, 2);
+  app.lines_per_core = at_least(cfg, "app.lines_per_core", 16, 1);
+  app.iterations = at_least(cfg, "app.iterations", 2, 1);
   app.compute_per_line = cfg.get_as("app.compute_per_line", 8);
   app.seed = cfg.get_as("app.seed", std::uint64_t{1});
   return app;

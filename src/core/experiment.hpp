@@ -39,6 +39,9 @@ noc::Topology topology_from_config(const Config& cfg);
 /// and file fabrics run without extra keys.
 NetSpec netspec_from_config(const Config& cfg, const std::string& which);
 
+/// Reads app.*; an unknown app.name (the known ones are listed), app.cores
+/// below 2, or app.lines_per_core or app.iterations below 1 throws naming
+/// the key and its line.
 fullsys::AppParams app_from_config(const Config& cfg);
 ReplayConfig replay_from_config(const Config& cfg);
 

@@ -11,7 +11,10 @@
 // have arrived *in the replay*, and is injected at
 //     t'(r) = max over deps (arrival'(parent) + slack),
 // where slack = inject(r) − arrival(parent) as captured: ReplayTrace proves
-// that identity at load, so slack is recomputed, never stored.
+// that identity at load, so slack is recomputed, never stored. Each delivery
+// resolves its record's enforced dependencies at once; records that become
+// eligible in the same cycle are injected together, sorted in capture order,
+// by that cycle's one late-band flush (EligibilityBatcher).
 // Dependency-free records anchor at their captured timestamps. Because every
 // dependency points to an earlier record (ReplayTrace::finalize enforces
 // it), a single event-driven pass yields the exact fixed point when
@@ -24,8 +27,9 @@
 // also carries a baseline time (initially the captured timestamp) that acts
 // as a lower bound. ReplaySession::run() then iterates: after each pass the
 // baselines are re-derived from the full dependency list evaluated against
-// the previous pass's arrival times, until injection times stop moving —
-// the "self-correction ... in a reasonable period of time" trade-off knob.
+// the previous pass's arrival times, until injection times stop moving (mean
+// shift below ReplayConfig::convergence_threshold) — the "self-correction ...
+// in a reasonable period of time" trade-off knob.
 #pragma once
 
 #include <algorithm>
@@ -53,8 +57,9 @@ struct ReplayConfig {
   std::uint32_t dependency_window = std::numeric_limits<std::uint32_t>::max();
   /// Iterative refinement for truncated windows (see ReplaySession::run).
   int max_iterations = 8;
-  /// Converged when the mean |Δinject| between passes drops below this.
-  double convergence_threshold = 0.5;
+  /// Converged when the mean |Δinject| between passes drops below this
+  /// (half a cycle: the schedule has stopped moving).
+  static constexpr double convergence_threshold = 0.5;
   /// Replay is serial; kept because perfbench/bench.cpp prints this value.
   static constexpr unsigned threads = 1;
 };

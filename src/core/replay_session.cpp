@@ -103,63 +103,40 @@ void ReplaySession::inject_record(std::uint32_t idx) {
 // Same-cycle injections must enter the network in capture order (record ids
 // increase with capture event order), or arbitration ties resolve
 // differently and the fixed-point property breaks. Eligible records are
-// therefore batched per cycle and flushed sorted from the cycle's unified
-// late-band event (on_cycle), which drains the cycle's deliveries first —
-// so children unlocked by a same-cycle delivery land in the same sorted
-// batch, never in a second sub-batch that would split the capture order.
-void ReplaySession::mark_eligible(std::uint32_t idx, Cycle t) {
-  if (eligible_.add(t, idx)) ensure_cycle_event(t);
-}
-
-void ReplaySession::ensure_cycle_event(Cycle t) {
-  if (cycle_event_at_.find(t) != nullptr) return;
-  cycle_event_at_.insert(t, 1);
-  auto ev = [this, t] { on_cycle(t); };
-  static_assert(InlineFn::fits_inline<decltype(ev)>());
-  sim_.schedule_late(t, std::move(ev));
-}
-
-// The per-cycle merge point: all of cycle t's deliveries ran in the normal
-// band, so the delivered buffer is complete when this late event fires. A
-// delivery that slips in afterwards (a zero-latency network injecting from
-// the flush below) re-arms the event — the late band keeps draining until
+// therefore batched per cycle, and the batch that opens a cycle schedules
+// that cycle's late-band flush, which injects it sorted. Every delivery of
+// cycle t runs in the normal band, before the flush, so a child that a
+// same-cycle delivery unlocks lands in the same sorted batch as its
+// cycle-mates. A delivery made from inside the flush (a zero-latency network)
+// opens a fresh batch with its own flush; the late band keeps draining until
 // empty, so nothing waits a cycle.
-void ReplaySession::on_cycle(Cycle t) {
-  drain_deliveries();
-  // Retire the sentinel only after the scan: a child the scan makes eligible
-  // at this same cycle must join the batch flushed below, not re-arm.
-  cycle_event_at_.erase(t);
-  eligible_.flush(t, [this](std::uint32_t i) { inject_record(i); });
+void ReplaySession::mark_eligible(std::uint32_t idx, Cycle t) {
+  if (!eligible_.add(t, idx)) return;
+  auto flush = [this, t] {
+    eligible_.flush(t, [this](std::uint32_t i) { inject_record(i); });
+  };
+  static_assert(InlineFn::fits_inline<decltype(flush)>());
+  sim_.schedule_late(t, std::move(flush));
 }
 
+// Resolves the delivered record's kept edges: max-fold its arrival + slack
+// into each child's ready time, and mark a child eligible once its last kept
+// parent has arrived. Which delivery unlocks a child does not depend on the
+// delivery order, because a pending count only reaches zero once every kept
+// parent has been applied.
 void ReplaySession::on_deliver(const noc::Message& msg) {
   const auto idx = static_cast<std::uint32_t>(msg.tag);
-  result_.arrive_time[idx] = msg.arrive_time;
+  const Cycle arrive = msg.arrive_time;
+  result_.arrive_time[idx] = arrive;
   if (naive_) return;
-  if (rt_.edge_begin(idx) == rt_.edge_end(idx)) return;
-  delivered_.push_back(idx);
-  ensure_cycle_event(sim_.now());
-}
-
-// The eligibility scan over this cycle's deliveries, in delivery order:
-// for each kept edge of a delivered parent, max-fold its arrival + slack
-// into the child's ready time, and mark the child eligible once its last
-// kept parent has arrived. Which delivery unlocks a child does not depend
-// on the scan order, because a pending count only reaches zero once every
-// kept parent of the cycle has been applied.
-void ReplaySession::drain_deliveries() {
-  for (const std::uint32_t idx : delivered_) {
-    const Cycle arrive = result_.arrive_time[idx];
-    for (std::uint32_t e = rt_.edge_begin(idx); e < rt_.edge_end(idx); ++e) {
-      if (!kept_[e]) continue;
-      const std::uint32_t c = rt_.child(e);
-      ready_[c] = std::max(ready_[c], arrive + rt_.slack(c, idx));
-      if (--pending_[c] == 0) {
-        mark_eligible(c, std::max({ready_[c], bound_[c], sim_.now()}));
-      }
+  for (std::uint32_t e = rt_.edge_begin(idx); e < rt_.edge_end(idx); ++e) {
+    if (!kept_[e]) continue;
+    const std::uint32_t c = rt_.child(e);
+    ready_[c] = std::max(ready_[c], arrive + rt_.slack(c, idx));
+    if (--pending_[c] == 0) {
+      mark_eligible(c, std::max({ready_[c], bound_[c], sim_.now()}));
     }
   }
-  delivered_.clear();
 }
 
 std::uint32_t ReplaySession::kept_count(std::uint32_t i) const {
@@ -178,8 +155,6 @@ void ReplaySession::run_pass_prepared() {
 
   result_.inject_time.assign(n, kNoCycle);
   result_.arrive_time.assign(n, kNoCycle);
-  delivered_.clear();
-  cycle_event_at_.clear();
 
   // Seed: fill the pending counts; everything without pending kept deps
   // starts at its bound, marked in ascending record order.
@@ -267,7 +242,7 @@ const ReplayResult& ReplaySession::run() {
       log_.push_back({iter, shift, result_.events, pass_wall_});
       result_.iterations = iter;
       result_.residual = shift;
-      if (shift < config_.convergence_threshold) break;
+      if (shift < ReplayConfig::convergence_threshold) break;
     }
   }
   result_.events = total_events;

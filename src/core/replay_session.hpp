@@ -20,6 +20,12 @@
 // and passes 2..N run without a single heap allocation (asserted by the
 // alloc-counting test).
 //
+// Within a pass the network's delivery callback does the dependency work: it
+// stamps the arrival, folds it into each kept child's ready time and, when a
+// child's last kept parent has arrived, adds the child to its cycle's
+// eligibility batch. Opening a cycle's batch schedules that cycle's one
+// late-band flush, which injects the batch in capture order.
+//
 // The session is the one replay engine. run_replay() (core/driver.hpp) runs
 // a throwaway one; exploration keeps one long-lived session per worker and
 // rebind()s it to each candidate: an equal spec keeps the network, any other
@@ -95,9 +101,6 @@ class ReplaySession {
   void inject_record(std::uint32_t idx);
   void mark_eligible(std::uint32_t idx, Cycle t);
   void on_deliver(const noc::Message& msg);
-  void ensure_cycle_event(Cycle t);
-  void on_cycle(Cycle t);
-  void drain_deliveries();
   std::uint32_t kept_count(std::uint32_t i) const;  // kept edges into i
 
   const ReplayTrace& rt_;
@@ -118,13 +121,6 @@ class ReplaySession {
   std::vector<Cycle> prev_inject_;  // previous pass's schedule (residual)
   EligibilityBatcher eligible_;
   std::vector<ReplayResult::IterationRecord> log_;  // run()'s pass log
-
-  /// Records delivered this cycle that have children, in delivery order;
-  /// the cycle's late-band event scans them before the eligibility flush.
-  std::vector<std::uint32_t> delivered_;
-  /// Cycles with a scheduled on_cycle event (the unified late-band event:
-  /// delivered scan, then eligibility flush — one per cycle).
-  FlatMap<Cycle, std::uint32_t> cycle_event_at_;
 
   ReplayResult result_;
   double pass_wall_ = 0.0;  // wall seconds of the latest pass

@@ -44,7 +44,6 @@ void EnocNetwork::reset() {
   outbox_.clear();
   link_wire_.clear();
   credit_wire_.clear();
-  in_flight_ = 0;
   // The tick event (if any) died with the simulator's queue reset; the next
   // inject re-arms the clock.
   ticking_ = false;
@@ -64,7 +63,6 @@ void EnocNetwork::inject(noc::Message msg) {
   pending_.insert(msg.id, PendingMsg{msg, nflits});
   routers_[static_cast<std::size_t>(msg.src)]->inject(msg, nflits);
   mark_active(msg.src);
-  ++in_flight_;
   ensure_ticking();
 }
 
@@ -124,7 +122,6 @@ void EnocNetwork::apply_eject(NodeId node, const Flit& flit) {
       handle_corrupt_message(msg);
       return;
     }
-    --in_flight_;
     if (fm != nullptr) fm->on_clean_delivery(msg.id, sim().now());
     deliver(msg);
   }
@@ -156,9 +153,9 @@ void EnocNetwork::apply_link_faults(NodeId node, int out_dir,
 }
 
 // Tail reassembly found a bad flit: ask the model whether the retry budget
-// allows another attempt. While the NACK is in flight the message stays
-// counted in in_flight_, so the clock keeps running and idle() stays false —
-// the lossless contract (and replay's drain) never observes a gap.
+// allows another attempt. While the NACK is in flight the message is still
+// undelivered, so the clock keeps running and idle() stays false — the
+// lossless contract (and replay's drain) never observes a gap.
 void EnocNetwork::handle_corrupt_message(const noc::Message& msg) {
   fault::FaultModel& fm = *fault_model();
   if (fm.on_corrupt_message(msg.id, sim().now()) ==
@@ -172,7 +169,6 @@ void EnocNetwork::handle_corrupt_message(const noc::Message& msg) {
   }
   // Budget exhausted: surface the (corrupt) message anyway — networks stay
   // lossless — with the loss recorded in <name>.fault.messages_lost.
-  --in_flight_;
   deliver(msg);
 }
 
@@ -250,7 +246,7 @@ void EnocNetwork::tick() {
     }
   }
   drain_outbox();
-  if (in_flight_ > 0) {
+  if (!idle()) {
     sim().schedule_in(1, [this] { tick(); });
   } else {
     ticking_ = false;

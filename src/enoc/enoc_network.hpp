@@ -2,8 +2,9 @@
 //
 // This is the "baseline NOC simulator" of the paper's case study: a
 // cycle-accurate VC wormhole mesh/torus/ring. The network self-clocks: it
-// ticks only while any message is in flight, so an idle network costs no
-// events (crucial for trace replay speed).
+// ticks only while !idle() (some injected message is undelivered, a
+// corrupted one awaiting its retransmission included), so an idle network
+// costs no events (crucial for trace replay speed).
 //
 // Quiescence-aware scheduling: within a running clock, only *active* routers
 // are ticked. A router is active while it holds flits (injection backlog or
@@ -58,7 +59,6 @@ class EnocNetwork final : public noc::Network {
               const EnocParams& params);
 
   void inject(noc::Message msg) override;
-  bool idle() const override { return in_flight_ == 0; }
 
   /// Session reset: routers, in-flight table, activity scoreboard and
   /// datapath counters return to freshly-constructed state with all
@@ -165,7 +165,6 @@ class EnocNetwork final : public noc::Network {
   /// Flits and credits on the wire, in delivery order (capacity retained).
   Ring<WireFlit> link_wire_;
   Ring<WireCredit> credit_wire_;
-  std::uint64_t in_flight_ = 0;
   bool ticking_ = false;
   bool exhaustive_tick_ = false;
   std::uint64_t active_cycles_ = 0;

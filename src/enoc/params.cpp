@@ -11,21 +11,20 @@ constexpr Spelling<ArbiterKind> kArbiterKindNames[] = {
     {ArbiterKind::kMatrix, "matrix"},
 };
 
-[[noreturn]] void reject(const char* key, const std::string& why) {
-  throw std::invalid_argument(std::string(key) + ": " + why);
-}
-
-void check_range(const char* key, std::int64_t v, std::int64_t lo,
-                 std::int64_t hi) {
-  if (v < lo || v > hi) {
-    reject(key, std::to_string(v) + " is out of range [" + std::to_string(lo) +
-                    ", " + std::to_string(hi) + "]");
-  }
-}
-
 }  // namespace
 
-void EnocParams::validate(bool needs_dateline) const {
+void EnocParams::validate(bool needs_dateline, const Config* source) const {
+  const auto reject = [source](const char* key, const std::string& why) {
+    if (source != nullptr) source->reject(key, why);
+    throw std::invalid_argument(std::string(key) + ": " + why);
+  };
+  const auto check_range = [&reject](const char* key, std::int64_t v,
+                                     std::int64_t lo, std::int64_t hi) {
+    if (v < lo || v > hi) {
+      reject(key, std::to_string(v) + " is out of range [" +
+                      std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    }
+  };
   check_range("enoc.vnets", vnets, 1, kMaxVcs);
   check_range("enoc.vcs_per_vnet", vcs_per_vnet, 1, kMaxVcs);
   const std::int64_t vcs = std::int64_t{vnets} * vcs_per_vnet;
@@ -60,7 +59,7 @@ EnocParams EnocParams::from_config(const Config& cfg) {
   p.arbiter =
       cfg.get_enum("enoc.arbiter", kArbiterKindNames).value_or(p.arbiter);
 
-  p.validate(false);
+  p.validate(false, &cfg);
   return p;
 }
 

@@ -53,8 +53,10 @@ struct EnocParams {
   }
 
   /// Throws std::invalid_argument naming the offending "enoc.*" key when a
-  /// value is out of range or the datapath cannot hold it.
-  void validate(bool needs_dateline) const;
+  /// value is out of range or the datapath cannot hold it. `source`, when
+  /// given, is the config the values were read from, and the error then also
+  /// names the key's line.
+  void validate(bool needs_dateline, const Config* source = nullptr) const;
 
   /// Reads "enoc.*" keys with these defaults and validates the result
   /// (without the dateline check, which depends on the topology). A value

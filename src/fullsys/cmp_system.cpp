@@ -100,14 +100,7 @@ MsgId CmpSystem::send(ProtoMsg type, NodeId src, NodeId dst,
     ev.msg = m;
     ev.msg.inject_time = now();  // the network stamps the real copy too
     ev.proto = type;
-    ev.deps.reserve(causes.size());
-    for (const MsgId c : causes) {
-      const Cycle* arrived = arrival_time_.find(c);
-      if (arrived == nullptr) {
-        throw std::logic_error(name() + ": cause message never arrived");
-      }
-      ev.deps.push_back({c, now() - *arrived});
-    }
+    ev.causes = causes;
     observer_(ev);
   }
   net_.inject(m);
@@ -115,7 +108,6 @@ MsgId CmpSystem::send(ProtoMsg type, NodeId src, NodeId dst,
 }
 
 void CmpSystem::on_deliver(const noc::Message& msg) {
-  arrival_time_.insert_or_assign(msg.id, now());
   if (deliver_observer_) deliver_observer_(msg);
   const ProtoMsg type = tag_type(msg.tag);
   const std::uint64_t line = tag_line(msg.tag);

@@ -3,17 +3,19 @@
 //
 // This is the execution-driven front end of the simulator. It doubles as the
 // trace *capture* source: every protocol message injection is reported to an
-// optional observer together with its causal dependencies (which arrivals at
-// the sending node gated it, and with how much endpoint slack) — exactly the
+// optional observer together with its causes (the arrivals at the sending
+// node that gated it), and every arrival to a second observer before its
+// endpoint sees it. The observer records each arrival once and derives each
+// dependency's endpoint slack from it (trace/capture.hpp) — exactly the
 // records the Self-Correction Trace Model consumes.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "common/flat_map.hpp"
 #include "fullsys/app.hpp"
 #include "fullsys/barrier.hpp"
 #include "fullsys/core_model.hpp"
@@ -26,15 +28,13 @@
 
 namespace sctm::fullsys {
 
-/// One captured injection: the message plus its causal dependencies.
+/// One captured injection: the message plus its causes, the messages whose
+/// *arrival* at the sending node gated it. `causes` views the sender's list
+/// and is valid only during the observer call.
 struct InjectionEvent {
-  struct Dep {
-    MsgId parent = kInvalidMsg;  // message whose *arrival* gates this send
-    Cycle slack = 0;             // send_time - parent_arrival_time
-  };
   noc::Message msg;
   ProtoMsg proto = ProtoMsg::kGetS;
-  std::vector<Dep> deps;
+  std::span<const MsgId> causes;
 };
 
 class CmpSystem final : public Component, public Fabric {
@@ -51,7 +51,8 @@ class CmpSystem final : public Component, public Fabric {
   }
 
   /// Observer for message arrivals (delivery time stamping); set before
-  /// start(). Called before the message is dispatched to its endpoint.
+  /// start(). Called before the message is dispatched to its endpoint, so an
+  /// arrival is observed before any send it causes.
   void set_deliver_observer(std::function<void(const noc::Message&)> fn) {
     deliver_observer_ = std::move(fn);
   }
@@ -107,10 +108,7 @@ class CmpSystem final : public Component, public Fabric {
 
   std::function<void(const InjectionEvent&)> observer_;
   std::function<void(const noc::Message&)> deliver_observer_;
-  /// Arrival stamp per delivered message (slack derivation). Open-addressing
-  /// with retained capacity: no per-message node allocation on the hot
-  /// delivery path.
-  FlatMap<MsgId, Cycle> arrival_time_;
+  /// Messages are numbered 1, 2, ... in send order.
   MsgId next_msg_id_ = 1;
   double run_wall_seconds_ = 0.0;
   std::uint64_t run_events_ = 0;

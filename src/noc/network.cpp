@@ -26,16 +26,13 @@ void Network::reset() {
   injected_ = 0;
   delivered_ = 0;
   latency_.reset();
-  for (auto& h : latency_by_class_) h.reset();
   if (fault_) fault_->reset();
 }
 
 void Network::deliver(Message msg) {
   msg.arrive_time = sim().now();
   ++delivered_;
-  const Cycle lat = msg.latency();
-  latency_.add(lat);
-  latency_by_class_[static_cast<int>(msg.cls)].add(lat);
+  latency_.add(msg.latency());
   if (deliver_) deliver_(msg);
 }
 
@@ -44,11 +41,6 @@ IdealNetwork::IdealNetwork(Simulator& sim, std::string name,
     : Network(sim, std::move(name), topo.node_count()),
       topo_(topo),
       params_(params) {}
-
-void IdealNetwork::reset() {
-  Network::reset();
-  in_flight_ = 0;
-}
 
 Cycle IdealNetwork::model_latency(const Message& msg) const {
   const int hops = msg.src == msg.dst ? 0 : topo_.distance(msg.src, msg.dst);
@@ -63,11 +55,7 @@ Cycle IdealNetwork::model_latency(const Message& msg) const {
 void IdealNetwork::inject(Message msg) {
   note_injected(msg);
   const Cycle lat = model_latency(msg);
-  ++in_flight_;
-  auto ev = [this, msg]() mutable {
-    --in_flight_;
-    deliver(msg);
-  };
+  auto ev = [this, msg]() mutable { deliver(msg); };
   static_assert(InlineFn::fits_inline<decltype(ev)>(),
                 "delivery closure must stay within the event SBO budget");
   sim().schedule_in(lat, std::move(ev));

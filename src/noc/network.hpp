@@ -4,7 +4,9 @@
 // generators) talks to this interface, so the electrical baseline, the ONOC
 // and the ideal model are interchangeable per experiment. A network's
 // parameters are fixed at construction: reset() returns it to its
-// constructed state, and different parameters mean a new network.
+// constructed state, and different parameters mean a new network. The base
+// counts injected and delivered messages, and idle() compares the two, so no
+// backend keeps an in-flight count of its own.
 #pragma once
 
 #include <memory>
@@ -43,8 +45,10 @@ class Network : public Component {
 
   int node_count() const { return node_count_; }
 
-  /// True when no message is in flight (used by drivers to detect drain).
-  virtual bool idle() const = 0;
+  /// True when every injected message has been delivered (used by drivers
+  /// to detect drain). A message held for a retransmission or still waiting
+  /// on a control plane counts as in flight until it is delivered.
+  bool idle() const { return injected_ == delivered_; }
 
   /// Session reset: returns the network to its freshly-constructed state
   /// while retaining allocated capacity (buffers, tables, histograms keep
@@ -69,11 +73,6 @@ class Network : public Component {
   std::uint64_t delivered_count() const { return delivered_; }
   const Histogram& latency_histogram() const { return latency_; }
 
-  /// Per-class latency view (request/reply/data/control).
-  const Histogram& latency_histogram(MsgClass cls) const {
-    return latency_by_class_[static_cast<int>(cls)];
-  }
-
  protected:
   /// Subclasses call this at arrival time; it stamps arrive_time, records
   /// latency and invokes the delivery callback.
@@ -90,7 +89,6 @@ class Network : public Component {
   std::uint64_t injected_ = 0;
   std::uint64_t delivered_ = 0;
   Histogram latency_;
-  Histogram latency_by_class_[kMsgClassCount];
 };
 
 /// Contention-free network: latency = base + per_hop * distance +
@@ -110,8 +108,7 @@ class IdealNetwork final : public Network {
                const Params& params);
 
   void inject(Message msg) override;
-  bool idle() const override { return in_flight_ == 0; }
-  void reset() override;
+  void reset() override { Network::reset(); }
 
   /// Deterministic latency this model assigns to a message.
   Cycle model_latency(const Message& msg) const;
@@ -121,7 +118,6 @@ class IdealNetwork final : public Network {
  private:
   Topology topo_;
   Params params_;
-  std::uint64_t in_flight_ = 0;
 };
 
 }  // namespace sctm::noc

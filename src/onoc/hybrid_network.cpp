@@ -15,7 +15,7 @@ HybridNetwork::HybridNetwork(Simulator& sim, std::string name,
   optical_ = std::make_unique<OnocNetwork>(sim, this->name() + ".op", topo_,
                                            optical);
   // Both layers deliver into the hybrid's single delivery stream; latency
-  // accounting happens here so per-class histograms cover both layers.
+  // accounting happens here so the histogram covers both layers.
   // DeliverFn is move-only, so each layer gets its own instance.
   install_deliver_up(*electrical_);
   install_deliver_up(*optical_);
@@ -62,10 +62,6 @@ void HybridNetwork::inject(noc::Message msg) {
     ++electrical_count_;
     electrical_->inject(msg);
   }
-}
-
-bool HybridNetwork::idle() const {
-  return electrical_->idle() && optical_->idle();
 }
 
 double HybridNetwork::optical_fraction() const {

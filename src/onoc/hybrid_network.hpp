@@ -38,7 +38,6 @@ class HybridNetwork final : public noc::Network {
                 const HybridParams& steering);
 
   void inject(noc::Message msg) override;
-  bool idle() const override;
 
   /// Session reset: both layers and the steering counters return to
   /// freshly-constructed state (capacity retained). Reset the Simulator first.

@@ -71,12 +71,7 @@ void OnocNetwork::reset() {
   pending_.clear();
   next_pending_id_ = 1;
   next_ctrl_msg_id_ = 1;
-  in_flight_ = 0;
   data_bytes_ = 0;
-}
-
-bool OnocNetwork::idle() const {
-  return in_flight_ == 0 && (!ctrl_ || ctrl_->idle());
 }
 
 Cycle OnocNetwork::zero_load_latency(const noc::Message& msg) const {
@@ -91,15 +86,11 @@ Cycle OnocNetwork::zero_load_latency(const noc::Message& msg) const {
 
 void OnocNetwork::inject(noc::Message msg) {
   note_injected(msg);
-  ++in_flight_;
 
   if (msg.src == msg.dst) {
     // Local loopback: conversion + serialization only, no arbitration.
     const Cycle lat = zero_load_latency(msg);
-    auto ev = [this, msg]() mutable {
-      --in_flight_;
-      deliver(msg);
-    };
+    auto ev = [this, msg]() mutable { deliver(msg); };
     static_assert(InlineFn::fits_inline<decltype(ev)>());
     sim().schedule_in(lat, std::move(ev));
     return;
@@ -228,8 +219,8 @@ void OnocNetwork::complete_transmission(noc::Message msg) {
     if (fm->draw_optical_corrupt(p)) {
       if (fm->on_corrupt_message(msg.id, sim().now()) ==
           fault::FaultModel::Action::kRetransmit) {
-        // NACK turnaround, then re-contend from scratch; in_flight_ stays
-        // held so idle() (and replay's drain) never observes a gap.
+        // NACK turnaround, then re-contend from scratch; the message stays
+        // undelivered, so idle() (and replay's drain) never observes a gap.
         const noc::Message m = msg;
         auto ev = [this, m] { route_to_arbitration(m); };
         static_assert(InlineFn::fits_inline<decltype(ev)>(),
@@ -239,13 +230,11 @@ void OnocNetwork::complete_transmission(noc::Message msg) {
       }
       // Budget exhausted: surface the (corrupt) transfer anyway — the
       // fabric stays lossless — counted in <name>.fault.messages_lost.
-      --in_flight_;
       deliver(msg);
       return;
     }
     fm->on_clean_delivery(msg.id, sim().now());
   }
-  --in_flight_;
   deliver(msg);
 }
 

@@ -13,6 +13,9 @@
 //    packets); the receiver grants FCFS and the grant travels back before
 //    data moves. Setup costs two electrical traversals but arbitrates
 //    precisely and supports back-to-back streaming to distinct receivers.
+//    A message counts as in flight until its data arrives, and every setup
+//    and grant on the control mesh belongs to such a message, so idle()
+//    needs no control-mesh term: the mesh drains with the data plane.
 //
 // The data plane is event-driven (no per-cycle clock): an idle ONOC costs
 // zero events, so trace replay over it is fast.
@@ -23,8 +26,11 @@
 // schedules one late-band flush per cycle, which walks channels in ascending
 // order and grants each channel's requests in arrival order. Every request
 // of a cycle carries the same timestamp, so the grant times equal what an
-// immediate per-request acquire would produce; the ascending-channel walk
-// fixes the order of stat adds and scheduled transmissions.
+// immediate per-request acquire would produce; the grant events do not. The
+// ascending-channel walk in the late band fixes the order of stat adds and
+// scheduled transmissions, and with it the execution-driven model's event
+// order: granting at inject leaves replay schedules alone but changes
+// execution-driven runtimes, so it would be a model change (DESIGN.md §10).
 #pragma once
 
 #include <deque>
@@ -48,7 +54,6 @@ class OnocNetwork : public noc::Network {
               const OnocParams& params);
 
   void inject(noc::Message msg) override;
-  bool idle() const override;
 
   /// Session reset: arbitration state (token rings / channel horizons /
   /// receiver queues), the control mesh (when present), pending tables and
@@ -135,7 +140,6 @@ class OnocNetwork : public noc::Network {
   std::uint64_t next_pending_id_ = 1;
   std::uint64_t next_ctrl_msg_id_ = 1;
 
-  std::uint64_t in_flight_ = 0;
   std::uint64_t data_bytes_ = 0;
   /// Worst-case link BER under the installed fault spec (0 = error-free).
   /// Spec-derived, not session state: survives reset().

@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace sctm::trace {
 
@@ -12,7 +14,25 @@ TraceCapture::TraceCapture(fullsys::CmpSystem& cmp, std::string app_name,
   trace_.nodes = nodes;
 
   cmp.set_inject_observer([this](const fullsys::InjectionEvent& ev) {
+    std::vector<TraceRecord>& records = trace_.records;
     TraceRecord r;
+    r.deps.reserve(ev.causes.size());
+    for (const MsgId c : ev.causes) {
+      const TraceRecord* cause =
+          c >= 1 && c <= records.size() ? &records[c - 1] : nullptr;
+      if (cause == nullptr || cause->arrive_time == kNoCycle) {
+        throw std::logic_error("TraceCapture: cause " + std::to_string(c) +
+                               " of message " + std::to_string(ev.msg.id) +
+                               " never arrived");
+      }
+      r.deps.push_back({c, ev.msg.inject_time - cause->arrive_time});
+    }
+    if (ev.msg.id != records.size() + 1) {
+      throw std::logic_error("TraceCapture: send " +
+                             std::to_string(records.size() + 1) +
+                             " carries id " + std::to_string(ev.msg.id) +
+                             " (ids must number sends 1, 2, ...)");
+    }
     r.id = ev.msg.id;
     r.src = ev.msg.src;
     r.dst = ev.msg.dst;
@@ -20,17 +40,13 @@ TraceCapture::TraceCapture(fullsys::CmpSystem& cmp, std::string app_name,
     r.cls = ev.msg.cls;
     r.proto = static_cast<std::uint8_t>(ev.proto);
     r.inject_time = ev.msg.inject_time;
-    r.deps.reserve(ev.deps.size());
-    for (const auto& d : ev.deps) r.deps.push_back({d.parent, d.slack});
-    index_.emplace(r.id, trace_.records.size());
-    trace_.records.push_back(std::move(r));
+    records.push_back(std::move(r));
   });
   cmp.set_deliver_observer([this](const noc::Message& m) {
-    const auto it = index_.find(m.id);
-    if (it == index_.end()) {
+    if (m.id < 1 || m.id > trace_.records.size()) {
       throw std::logic_error("TraceCapture: delivery of unrecorded message");
     }
-    trace_.records[it->second].arrive_time = m.arrive_time;
+    trace_.records[m.id - 1].arrive_time = m.arrive_time;
   });
 }
 
@@ -41,20 +57,6 @@ Trace TraceCapture::finalize(Cycle capture_runtime, double* wall_seconds) && {
     if (r.arrive_time == kNoCycle) {
       throw std::logic_error("TraceCapture: message " + std::to_string(r.id) +
                              " never arrived");
-    }
-    for (const auto& d : r.deps) {
-      const auto it = index_.find(d.parent);
-      if (it == index_.end()) {
-        throw std::logic_error("TraceCapture: dependency on unknown message");
-      }
-      const TraceRecord& p = trace_.records[it->second];
-      // Capture-time invariant: slack was computed as inject - arrival, so
-      // every dependency reconstructs the injection time exactly.
-      if (p.arrive_time + d.slack != r.inject_time) {
-        throw std::logic_error(
-            "TraceCapture: inconsistent dependency slack for message " +
-            std::to_string(r.id));
-      }
     }
   }
   if (wall_seconds) {

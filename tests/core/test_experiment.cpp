@@ -177,6 +177,47 @@ TEST(Experiment, AppFromConfig) {
   EXPECT_EQ(app.seed, 42u);
 }
 
+// An app build_app cannot make fails at parse, naming the key and its line,
+// before any network is built.
+TEST(Experiment, AppFromConfigRejectsWhatBuildAppCannotMake) {
+  for (const std::string line :
+       {"app.name = ffft", "app.cores = 1", "app.lines_per_core = 0",
+        "app.iterations = -2"}) {
+    try {
+      (void)app_from_config(Config::from_string("app.seed = 3\n" + line));
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::invalid_argument& e) {
+      const std::string key = line.substr(0, line.find(' '));
+      EXPECT_NE(std::string(e.what()).find(key + " (line 2): "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  try {
+    (void)app_from_config(Config::from_string("app.name = ffft\n"));
+    ADD_FAILURE() << "accepted app.name = ffft";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("known: jacobi, fft,"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// One op stream per node: a core count other than the fabric's names both.
+TEST(Experiment, RunExecutionRejectsCoresOtherThanTheFabricNodes) {
+  fullsys::AppParams app;
+  app.cores = 8;
+  NetSpec spec;  // 4x4 mesh
+  try {
+    (void)run_execution(app, spec, {});
+    ADD_FAILURE() << "ran 8 cores on 16 nodes";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("app.cores = 8"), std::string::npos) << what;
+    EXPECT_NE(what.find("mesh 4x4 has 16 nodes"), std::string::npos) << what;
+  }
+}
+
 TEST(Experiment, ReplayFromConfig) {
   const auto cfg = Config::from_string(
       "replay.mode = naive\nreplay.window = 2\nreplay.max_iterations = 5\n");

@@ -238,7 +238,6 @@ TEST(Replay, TruncatedWindowConvergesWithIterations) {
   ReplayConfig cfg;
   cfg.dependency_window = 1;
   cfg.max_iterations = 12;
-  cfg.convergence_threshold = 0.5;
   const ReplayTrace rt(exec.trace);
   const auto rep = run_replay(rt, ideal_spec(20), cfg);
   EXPECT_GT(rep.result.iterations, 1);

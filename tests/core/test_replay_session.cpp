@@ -3,12 +3,14 @@
 // bit-identical to fresh construction on every network kind and in both
 // replay modes, including after rebind() and across randomized walks over the
 // design space. The pinned-output suite additionally holds every kind's
-// complete replay output to hashes recorded at commit 3e04a31.
+// replay schedules and stat report to hashes unchanged since commit 3e04a31,
+// and its kernel event count to a pinned number.
 #include "core/replay_session.hpp"
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -18,6 +20,7 @@
 #include "common/rng.hpp"
 #include "core/driver.hpp"
 #include "noc/routing.hpp"
+#include "trace/record.hpp"
 #include "tracestore/format.hpp"
 
 namespace sctm::core {
@@ -155,7 +158,6 @@ TEST(ReplaySession, IterativeRefinementMatchesFresh) {
   ReplayConfig cfg;
   cfg.dependency_window = 1;
   cfg.max_iterations = 12;
-  cfg.convergence_threshold = 0.5;
 
   const ReplayResult fresh = fresh_run(rt, target, cfg);
   ASSERT_GT(fresh.iterations, 1);  // the config must actually iterate
@@ -296,20 +298,104 @@ TEST(ReplaySession, TakeResultLeavesSessionReusable) {
   expect_identical(again, taken, "run after take_result");
 }
 
+// A zero-latency network: every message arrives in the cycle it is injected,
+// either from inside inject() or from a zero-delay event, and the network
+// records the order in which messages were injected.
+class SameCycleNetwork final : public noc::Network {
+ public:
+  SameCycleNetwork(Simulator& sim, int nodes, bool deliver_inline,
+                   std::vector<MsgId>& order)
+      : Network(sim, "same-cycle", nodes),
+        deliver_inline_(deliver_inline),
+        order_(order) {}
+
+  void inject(noc::Message msg) override {
+    note_injected(msg);
+    order_.push_back(msg.id);
+    if (deliver_inline_) {
+      deliver(msg);
+      return;
+    }
+    sim().schedule_in(0, [this, msg] { deliver(msg); });
+  }
+  void reset() override {
+    Network::reset();
+    order_.clear();
+  }
+
+ private:
+  bool deliver_inline_;
+  std::vector<MsgId>& order_;
+};
+
+// Records whose parents all arrive in one cycle become eligible in that
+// cycle and are injected sorted by record (capture) order; a record that an
+// injection of the cycle unlocks joins a later batch of the same cycle.
+// Every record has size 0 and zero slack, so the whole trace replays at the
+// captured cycles 0 and 5. The order is the one the engine produced when this
+// test was written; the fixed point holds on top of it.
+TEST(ReplaySession, SameCycleUnlocksKeepCaptureOrder) {
+  trace::Trace t;
+  t.app = "same-cycle";
+  t.capture_network = "same-cycle";
+  t.nodes = 4;
+  const auto add = [&t](MsgId id, NodeId src, NodeId dst, Cycle at,
+                        std::vector<MsgId> parents) {
+    trace::TraceRecord r;
+    r.id = id;
+    r.src = src;
+    r.dst = dst;
+    r.inject_time = at;
+    r.arrive_time = at;
+    for (const MsgId p : parents) r.deps.push_back({p, 0});
+    t.records.push_back(std::move(r));
+  };
+  add(1, 0, 1, 0, {});
+  add(2, 1, 2, 0, {});
+  add(3, 2, 3, 0, {2});
+  add(4, 1, 0, 0, {1});  // unlocked before 3, injected after it
+  add(5, 3, 0, 0, {});   // an anchor ordered after 3 and 4, injected first
+  add(6, 3, 1, 0, {3, 4});
+  add(7, 0, 2, 5, {});
+  add(8, 2, 1, 5, {7});
+  add(9, 1, 3, 5, {7, 8});
+  const ReplayTrace rt(t);
+
+  for (const bool deliver_inline : {true, false}) {
+    std::vector<MsgId> order;
+    const NetworkFactory factory = [&](Simulator& sim) {
+      return std::make_unique<SameCycleNetwork>(sim, 4, deliver_inline, order);
+    };
+    ReplaySession session(rt, factory, ReplayConfig{});
+    const ReplayResult& r = session.run();
+    EXPECT_EQ(order, (std::vector<MsgId>{1, 2, 5, 3, 4, 6, 7, 8, 9}))
+        << "inline delivery: " << deliver_inline;
+    for (std::uint32_t i = 0; i < rt.size(); ++i) {
+      EXPECT_EQ(r.inject_time[i], rt.inject_time(i)) << "record " << i;
+    }
+  }
+}
+
 // --- Pinned serial outputs -------------------------------------------------
 
-// One FNV-1a hash per network kind over a replay's complete output: the
-// inject and arrive schedules, the kernel event count and the rendered stat
-// registry. The expected values were computed at commit 3e04a31; they pin
-// event order, arbitration tie-breaks and stat accounting of the serial
-// engine. Three workloads per kind: the 16-core jacobi trace at full window,
-// the same trace at window 1 (iterative refinement), and a jacobi trace
-// captured on a 4x4x2 mesh3d.
+// A replay's output, pinned in two parts. `hash` is an FNV-1a hash over what
+// the replay simulates: the inject and arrive schedules and the rendered stat
+// registry. `events` is the kernel event count, which measures how the engine
+// got there. An engine change that leaves the simulation alone and only
+// schedules fewer events moves `events` alone. The hashes pin event order,
+// arbitration tie-breaks and stat accounting of the serial engine. Three
+// workloads per kind: the 16-core jacobi trace at full window, the same trace
+// at window 1 (iterative refinement), and a jacobi trace captured on a 4x4x2
+// mesh3d.
+struct PinnedOutput {
+  std::uint64_t hash;
+  std::uint64_t events;
+};
+
 std::uint64_t output_hash(const ReplayResult& r) {
   tracestore::Fnv1a64 h;
   h.update(r.inject_time.data(), r.inject_time.size() * sizeof(Cycle));
   h.update(r.arrive_time.data(), r.arrive_time.size() * sizeof(Cycle));
-  h.update_scalar(r.events);
   const std::string report = r.stats.report();
   h.update(report.data(), report.size());
   return h.value();
@@ -334,53 +420,68 @@ const ReplayTrace& mesh3d_rt() {
   return rt;
 }
 
-struct PinnedHashes {
-  std::uint64_t jacobi;
-  std::uint64_t jacobi_window1;
-  std::uint64_t mesh3d;
+struct PinnedKind {
+  PinnedOutput jacobi;
+  PinnedOutput jacobi_window1;
+  PinnedOutput mesh3d;
 };
 
 // Indexed like kAllKinds.
-constexpr PinnedHashes kPinned[] = {
-    {0xa59a172ce67e464bull, 0x9bb15448e8ca9493ull, 0x595c8ece50700319ull},
-    {0xb5b572faebc973bcull, 0x1b6effa03957c04dull, 0xcf3826a7a034806aull},
-    {0x13a5bab8eff2d7a5ull, 0x03a4cdf83b45e03dull, 0xeb811f0f41917351ull},
-    {0xca14ea48a2f1e906ull, 0xaeab1f4d3302f573ull, 0x5b8f2498dada21dfull},
-    {0x892271a0423cb233ull, 0x3617e139ce5fc1b7ull, 0xa1d5baf0a1774bf4ull},
-    {0x34b691c8bea5ba2eull, 0x30791413513220eaull, 0x8ffca26f2fadd89dull},
+constexpr PinnedKind kPinned[] = {
+    {{0x4a878b8e4a101109ull, 2210},
+     {0x4a878b8e4a101109ull, 6587},
+     {0xcf555f795f7ddce8ull, 4209}},
+    {{0xab764b38c1b63f23ull, 9005},
+     {0xab764b38c1b63f23ull, 18010},
+     {0xdf5793805f4c55efull, 22158}},
+    {{0xcafdb96bef09227dull, 3127},
+     {0x1e4f231b60cb7da4ull, 18770},
+     {0x3bba7c7bdd48ec3bull, 6362}},
+    {{0x3703152827438e4eull, 10881},
+     {0x951d9f803df32195ull, 32653},
+     {0x9a682ec4f7849718ull, 22908}},
+    {{0xbe799fc7a3eed54cull, 3219},
+     {0x491aa0ec84c13097ull, 12888},
+     {0xfd6c4798762978d5ull, 6304}},
+    {{0xe9733dceaba7504eull, 3682},
+     {0xb28e9e69039526feull, 14709},
+     {0x47ead6a2addc529bull, 6758}},
 };
 
-const PinnedHashes& pinned_for(NetKind kind) {
+const PinnedKind& pinned_for(NetKind kind) {
   for (std::size_t i = 0; i < std::size(kAllKinds); ++i) {
     if (kAllKinds[i] == kind) return kPinned[i];
   }
-  throw std::logic_error("no pinned hashes for this kind");
+  throw std::logic_error("no pinned outputs for this kind");
 }
 
-std::uint64_t replay_hash(const ReplayTrace& rt, const NetSpec& spec,
-                          const ReplayConfig& cfg) {
+void expect_pinned(const ReplayTrace& rt, const NetSpec& spec,
+                   const ReplayConfig& cfg, const PinnedOutput& pin) {
   ReplaySession session(rt, spec, cfg);
-  return output_hash(session.run());
+  const ReplayResult& r = session.run();
+  const std::uint64_t hash = output_hash(r);
+  EXPECT_EQ(hash, pin.hash) << std::hex << "hash 0x" << hash;
+  EXPECT_EQ(r.events, pin.events);
 }
 
 class PinnedSerialOutput : public ::testing::TestWithParam<NetKind> {};
 
 TEST_P(PinnedSerialOutput, JacobiFullWindow) {
-  EXPECT_EQ(replay_hash(jacobi_rt(), spec_of(GetParam()), ReplayConfig{}),
-            pinned_for(GetParam()).jacobi);
+  expect_pinned(jacobi_rt(), spec_of(GetParam()), ReplayConfig{},
+                pinned_for(GetParam()).jacobi);
 }
 
 TEST_P(PinnedSerialOutput, JacobiWindowOneIterates) {
   ReplayConfig cfg;
   cfg.dependency_window = 1;
-  EXPECT_EQ(replay_hash(jacobi_rt(), spec_of(GetParam()), cfg),
-            pinned_for(GetParam()).jacobi_window1);
+  expect_pinned(jacobi_rt(), spec_of(GetParam()), cfg,
+                pinned_for(GetParam()).jacobi_window1);
 }
 
 TEST_P(PinnedSerialOutput, Mesh3DFullWindow) {
   const NetSpec spec = spec_on(GetParam(), noc::Topology::mesh3d(4, 4, 2));
-  EXPECT_EQ(replay_hash(mesh3d_rt(), spec, ReplayConfig{}),
-            pinned_for(GetParam()).mesh3d);
+  expect_pinned(mesh3d_rt(), spec, ReplayConfig{},
+                pinned_for(GetParam()).mesh3d);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, PinnedSerialOutput,
@@ -393,55 +494,61 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, PinnedSerialOutput,
                          });
 
 // The pins above run the ENoC only with round-robin arbiters and 4 VCs.
-// These hold the router's other datapath configurations to the same output
-// hash: each arbiter kind, VA request masks wider than one 64-bit word,
+// These hold the router's other datapath configurations to the same two-part
+// output: each arbiter kind, VA request masks wider than one 64-bit word,
 // dateline VCs, adaptive routing and multi-cycle links and credits. The
-// values were computed at commit 116ff49. The mesh3d configuration replays
-// the 4x4x2 jacobi capture (32 nodes); every other one replays the 16-core
-// jacobi capture.
+// mesh3d configuration replays the 4x4x2 jacobi capture (32 nodes); every
+// other one replays the 16-core jacobi capture.
 struct PinnedEnocConfig {
   const char* name;
   void (*apply)(NetSpec&);
-  std::uint64_t jacobi;
-  std::uint64_t jacobi_window1;
+  PinnedOutput jacobi;
+  PinnedOutput jacobi_window1;
 };
 
 constexpr PinnedEnocConfig kPinnedEnocConfigs[] = {
     {"matrix",
      [](NetSpec& s) { s.enoc.arbiter = enoc::ArbiterKind::kMatrix; },
-     0x3c54ae05902b6254ull, 0xdceb1d9f71ae06ccull},
+     {0xa3805b3a82d9161cull, 9011},
+     {0x441c4eb2e1886f6cull, 18022}},
     {"vcs8", [](NetSpec& s) { s.enoc.vcs_per_vnet = 8; },
-     0x65bf595791873bf1ull, 0xa99f1db607b7c2fbull},
+     {0x000a2df25c3039dfull, 8986},
+     {0x7bbd75527c8dd207ull, 17972}},
     {"matrix_vcs8",
      [](NetSpec& s) {
        s.enoc.arbiter = enoc::ArbiterKind::kMatrix;
        s.enoc.vcs_per_vnet = 8;
      },
-     0xe0001e7d76f917e7ull, 0x5b25d9ddad15d96dull},
+     {0xc38726be71602d41ull, 9010},
+     {0x433fd24185a5ca71ull, 18020}},
     {"torus_dor",
      [](NetSpec& s) {
        s.topo = noc::Topology::torus(4, 4);
        s.enoc.routing = noc::RoutingAlgo::kTorusDor;
      },
-     0x6b178ebd4710ae46ull, 0x578ba87c921d2880ull},
+     {0xf707ed90086c4356ull, 7005},
+     {0x000237304e54c667ull, 28087}},
     {"odd_even_adaptive",
      [](NetSpec& s) {
        s.enoc.routing = noc::RoutingAlgo::kOddEven;
        s.enoc.adaptive = true;
      },
-     0x4a8699c47bfc1545ull, 0xbe56873e919cd0e2ull},
+     {0xb053171cdc7e52f6ull, 9001},
+     {0x5fc236b6d4dad0c9ull, 18035}},
     {"link3_credit2",
      [](NetSpec& s) {
        s.enoc.link_latency = 3;
        s.enoc.credit_latency = 2;
      },
-     0x7e525b91efe6df78ull, 0xb451f9894c50e67bull},
+     {0xe442c29e17fa19fbull, 9247},
+     {0xba45b817c1fe3040ull, 18500}},
     {"mesh3d_vcs8",
      [](NetSpec& s) {
        s = spec_on(NetKind::kEnoc, noc::Topology::mesh3d(4, 4, 2));
        s.enoc.vcs_per_vnet = 8;
      },
-     0xfdb252ab63b3391full, 0x8f337aae1b4cd5c5ull},
+     {0x2920e55870d99a20ull, 22132},
+     {0xb82af6899f8339feull, 66426}},
 };
 
 void PrintTo(const PinnedEnocConfig& c, std::ostream* os) { *os << c.name; }
@@ -459,13 +566,13 @@ class PinnedEnocOutput : public ::testing::TestWithParam<PinnedEnocConfig> {
 };
 
 TEST_P(PinnedEnocOutput, JacobiFullWindow) {
-  EXPECT_EQ(replay_hash(trace(), spec(), ReplayConfig{}), GetParam().jacobi);
+  expect_pinned(trace(), spec(), ReplayConfig{}, GetParam().jacobi);
 }
 
 TEST_P(PinnedEnocOutput, JacobiWindowOneIterates) {
   ReplayConfig cfg;
   cfg.dependency_window = 1;
-  EXPECT_EQ(replay_hash(trace(), spec(), cfg), GetParam().jacobi_window1);
+  expect_pinned(trace(), spec(), cfg, GetParam().jacobi_window1);
 }
 
 INSTANTIATE_TEST_SUITE_P(EnocConfigs, PinnedEnocOutput,

@@ -56,16 +56,20 @@ TEST(EnocParams, ValidationRejectsWhatTheDatapathCannotHold) {
   EXPECT_THROW(p.validate(false), std::invalid_argument);
 }
 
-// The error names the offending key, and a 64-bit value is never narrowed
-// into range.
+// The error names the offending key and its line, both for a value its field
+// cannot hold and for one the datapath rejects, and a 64-bit value is never
+// narrowed into range.
 TEST(EnocParams, FromConfigRejectsOutOfRangeValuesNamingTheKey) {
-  const auto expect_rejects = [](const std::string& text,
+  const auto expect_rejects = [](const std::string& line,
                                  const std::string& key) {
+    // The bad key sits on line 2, below a valid one.
+    const std::string text = "enoc.arbiter = matrix\n" + line;
     try {
       (void)EnocParams::from_config(Config::from_string(text));
       ADD_FAILURE() << "accepted: " << text;
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+      EXPECT_NE(std::string(e.what()).find(key + " (line 2): "),
+                std::string::npos)
           << e.what();
     }
   };

@@ -553,5 +553,41 @@ TEST(FaultedNetwork, OnocReservationLossRetriesAreBounded) {
   EXPECT_GT(sim.stats().counter_value("net.fault.reservation_loss"), 0u);
 }
 
+// Every setup and grant on the control mesh belongs to a data message that
+// has not been delivered yet, re-issued grants included. So whenever every
+// injected data message has arrived, the control mesh is idle too: at each
+// delivery that drains the data plane, and after each drained run.
+TEST(FaultedNetwork, OnocSetupControlMeshDrainsWithTheDataPlane) {
+  const auto topo = noc::Topology::mesh(4, 4);
+  onoc::OnocParams params;
+  params.arbitration = onoc::Arbitration::kPathSetup;
+  FaultSpec fs;
+  fs.seed = 11;
+  fs.onoc_reservation_loss_rate = 0.3;
+  fs.max_retries = 3;
+
+  Simulator sim;
+  onoc::OnocNetwork net(sim, "net", topo, params);
+  net.install_fault_model(fs);
+  int drained_deliveries = 0;
+  net.set_deliver_callback([&](const noc::Message&) {
+    if (net.injected_count() != net.delivered_count()) return;
+    ++drained_deliveries;
+    EXPECT_TRUE(net.control_network()->idle()) << "at cycle " << sim.now();
+  });
+  MsgId id = 1;
+  for (int wave = 0; wave < 3; ++wave) {
+    for (NodeId s = 0; s < 16; ++s) {
+      net.inject(make_msg(id++, s, static_cast<NodeId>((s + 5 + wave) % 16),
+                          64));
+    }
+    sim.run();
+    EXPECT_TRUE(net.idle());
+    EXPECT_TRUE(net.control_network()->idle());
+  }
+  EXPECT_EQ(drained_deliveries, 3);
+  EXPECT_GT(sim.stats().counter_value("net.fault.reservation_loss"), 0u);
+}
+
 }  // namespace
 }  // namespace sctm::fault

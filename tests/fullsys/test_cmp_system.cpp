@@ -159,15 +159,23 @@ TEST(CmpSystem, ObserverSeesEveryInjectionWithValidDeps) {
   streams[0] = ops({ld(5), st(5), bar(), done()});
   streams[1] = ops({ld(5), bar(), done()});
   CmpSystem cmp(sim, "cmp", net, topo, tiny_caches(), streams);
-  std::vector<InjectionEvent> events;
-  cmp.set_inject_observer(
-      [&](const InjectionEvent& ev) { events.push_back(ev); });
+  // The event's causes view the sender's list for the call only: copy them.
+  struct Seen {
+    MsgId id;
+    ProtoMsg proto;
+    std::vector<MsgId> causes;
+  };
+  std::vector<Seen> events;
+  cmp.set_inject_observer([&](const InjectionEvent& ev) {
+    events.push_back(
+        {ev.msg.id, ev.proto, {ev.causes.begin(), ev.causes.end()}});
+  });
   cmp.run_to_completion();
   EXPECT_EQ(events.size(), cmp.messages_sent());
   for (const auto& ev : events) {
-    for (const auto& dep : ev.deps) {
-      EXPECT_NE(dep.parent, kInvalidMsg);
-      EXPECT_LT(dep.parent, ev.msg.id);  // causes precede effects
+    for (const MsgId cause : ev.causes) {
+      EXPECT_NE(cause, kInvalidMsg);
+      EXPECT_LT(cause, ev.id);  // causes precede effects
     }
   }
   // Barrier releases must depend on all four arrivals.
@@ -175,7 +183,7 @@ TEST(CmpSystem, ObserverSeesEveryInjectionWithValidDeps) {
   for (const auto& ev : events) {
     if (ev.proto == ProtoMsg::kBarRelease) {
       saw_release = true;
-      EXPECT_EQ(ev.deps.size(), 4u);
+      EXPECT_EQ(ev.causes.size(), 4u);
     }
   }
   EXPECT_TRUE(saw_release);

@@ -2,9 +2,14 @@
 
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "analytic/trace_profile.hpp"
 #include "core/driver.hpp"
+#include "fullsys/cmp_system.hpp"
+#include "trace/capture.hpp"
 #include "trace/trace_io.hpp"
 
 namespace sctm::trace {
@@ -48,6 +53,29 @@ TEST(TraceCaptureTest, DependenciesValidateAsDag) {
   EXPECT_GE(p.roots, 1u);
   // Most records are causally chained (this is the property SCTM exploits).
   EXPECT_LT(p.roots, t.records.size() / 4);
+}
+
+// A send whose cause has not arrived at the sending node has no slack to
+// record, so capture refuses it: a cause still in flight, and an id no send
+// produced.
+TEST(TraceCaptureTest, RejectsSendWhoseCauseHasNotArrived) {
+  Simulator sim;
+  const auto topo = noc::Topology::mesh(2, 2);
+  noc::IdealNetwork net(sim, "net", topo, {});
+  fullsys::CmpSystem cmp(sim, "cmp", net, topo, fullsys::FullSysParams{},
+                         std::vector<std::vector<fullsys::Op>>(4));
+  TraceCapture capture(cmp, "none", "ideal", 4);
+  const MsgId in_flight = cmp.send(fullsys::ProtoMsg::kGetS, 0, 1, 0, {});
+  for (const MsgId cause : {in_flight, in_flight + 7}) {
+    try {
+      cmp.send(fullsys::ProtoMsg::kData, 1, 0, 0, {cause});
+      ADD_FAILURE() << "accepted a send caused by message " << cause;
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("never arrived"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(TraceIo, BinaryRoundTripIsExact) {
