@@ -16,11 +16,9 @@ using namespace sctm;
 
 Cycle run_app_on_pool(const fullsys::AppParams& app, int channels) {
   Simulator sim;
-  onoc::OnocParams p;
-  p.arbitration = onoc::Arbitration::kSharedPool;
-  p.pool_channels = channels;
   const auto topo = noc::Topology::mesh(4, 4);
-  onoc::OnocNetwork net(sim, "net", topo, p);
+  onoc::OnocNetwork net(sim, "net", topo, {}, onoc::Arbitration::kSharedPool,
+                        {}, channels);
   fullsys::CmpSystem cmp(sim, "cmp", net, topo, {}, fullsys::build_app(app));
   return cmp.run_to_completion();
 }

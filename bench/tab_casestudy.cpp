@@ -32,21 +32,14 @@ Row run_case(const fullsys::AppParams& app, const core::NetSpec& spec) {
   double pj = 0;
   if (spec.kind == core::NetKind::kEnoc) {
     auto& e = static_cast<enoc::EnocNetwork&>(*net);
-    pj = enoc::compute_enoc_energy(sim.stats(), e.name(),
-                                   e.topology().node_count(),
-                                   e.active_cycles(), {})
-             .total_pj();
+    pj = enoc::compute_enoc_energy(e).total_pj();
   } else if (spec.kind == core::NetKind::kHybrid) {
     auto& hy = static_cast<onoc::HybridNetwork&>(*net);
-    pj = enoc::compute_enoc_energy(sim.stats(), hy.electrical().name(),
-                                   hy.electrical().topology().node_count(),
-                                   hy.electrical().active_cycles(), {})
-             .total_pj() +
-         onoc::compute_onoc_energy(hy.optical(), runtime, sim.stats())
-             .total_pj();
+    pj = enoc::compute_enoc_energy(hy.electrical()).total_pj() +
+         onoc::compute_onoc_energy(hy.optical(), runtime).total_pj();
   } else {
     auto& o = static_cast<onoc::OnocNetwork&>(*net);
-    pj = onoc::compute_onoc_energy(o, runtime, sim.stats()).total_pj();
+    pj = onoc::compute_onoc_energy(o, runtime).total_pj();
   }
   return Row{runtime, net->latency_histogram().mean(),
              static_cast<double>(net->latency_histogram().percentile(0.99)),

@@ -49,13 +49,10 @@ NetResult run_on(const fullsys::AppParams& app, const core::NetSpec& spec) {
   double energy_pj = 0;
   if (spec.kind == core::NetKind::kEnoc) {
     auto& e = static_cast<enoc::EnocNetwork&>(*net);
-    energy_pj = enoc::compute_enoc_energy(sim.stats(), e.name(),
-                                          e.topology().node_count(),
-                                          e.active_cycles(), {})
-                    .total_pj();
+    energy_pj = enoc::compute_enoc_energy(e).total_pj();
   } else {
     auto& o = static_cast<onoc::OnocNetwork&>(*net);
-    energy_pj = onoc::compute_onoc_energy(o, runtime, sim.stats()).total_pj();
+    energy_pj = onoc::compute_onoc_energy(o, runtime).total_pj();
   }
   return NetResult{runtime, net->latency_histogram().mean(), energy_pj * 1e-6};
 }

@@ -127,11 +127,20 @@ const std::map<std::string, std::string>& flag_keys() {
       "the same)\n"
       "explore --threads N replays N candidates at once (0 = one per "
       "hardware thread); each replay itself runs on one thread\n"
-      "any other flag is an error\n"
-      "networks: ideal enoc onoc-token onoc-setup onoc-swmr hybrid\n"
-      "apps: jacobi fft lu sort barnes stream\n"
-      "run flags are experiment keys (--net is net.kind, --window is "
-      "replay.window, ...; see README): a bad value fails naming its key\n");
+      "any other flag is an error\n");
+  // The spelling tables the parsers read, so the lists cannot drift.
+  std::fprintf(stderr, "networks:");
+  for (const auto& k : core::kNetKindNames) {
+    std::fprintf(stderr, " %s", k.name);
+  }
+  std::fprintf(stderr, "\napps:");
+  for (const std::string& a : fullsys::app_names()) {
+    std::fprintf(stderr, " %s", a.c_str());
+  }
+  std::fprintf(stderr,
+               "\nrun flags are experiment keys (--net is net.kind, --window "
+               "is replay.window, ...; see README): a bad value fails naming "
+               "its key\n");
   std::exit(2);
 }
 

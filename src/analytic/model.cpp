@@ -8,6 +8,7 @@
 #include "noc/route_table.hpp"
 #include "noc/routing.hpp"
 #include "onoc/loss.hpp"
+#include "onoc/power.hpp"
 
 namespace sctm::analytic {
 
@@ -290,19 +291,21 @@ double retx_factor(double ber, double mean_bytes) {
   return 1.0 / (1.0 - p_bad);
 }
 
+/// `electrical` is the block the path-setup control mesh runs on (the
+/// spec's `enoc`, as in the network); the other organizations ignore it.
 AnalyticModel::LatencyCore onoc_core(const TraceProfile& p,
                                      const noc::Topology& topo,
                                      const onoc::OnocParams& prm,
-                                     onoc::Arbitration arb, double ber,
+                                     onoc::Arbitration arb,
+                                     const enoc::EnocParams& electrical,
+                                     double ber,
                                      const PairClassFilter& filter) {
   const double span = static_cast<double>(p.span());
   const double bpc = prm.bytes_per_cycle();
   const double guard = static_cast<double>(prm.guard_cycles);
   const double eo = static_cast<double>(prm.eo_latency);
   const double oe = static_cast<double>(prm.oe_latency);
-  const bool pooled = arb == onoc::Arbitration::kSharedPool;
-  const std::size_t channels =
-      pooled ? 1 : static_cast<std::size_t>(p.nodes);
+  const auto channels = static_cast<std::size_t>(p.nodes);
   const double round =
       static_cast<double>(prm.token_round_cycles(p.nodes));
 
@@ -314,29 +317,28 @@ AnalyticModel::LatencyCore onoc_core(const TraceProfile& p,
         return 0.5 * round;  // mean token position when requested
       case onoc::Arbitration::kSwmr:
         return 0.0;  // the source owns its channel outright
-      case onoc::Arbitration::kSharedPool:
-        return 0.5 * round;  // every grant pays the arbitration round
       case onoc::Arbitration::kPathSetup: {
         // Setup request + grant over the electrical control mesh.
         const double fl = std::max(
             1.0, (static_cast<double>(prm.ctrl_msg_bytes) +
-                  static_cast<double>(prm.ctrl.head_bytes)) /
-                     static_cast<double>(prm.ctrl.flit_bytes));
+                  static_cast<double>(electrical.head_bytes)) /
+                     static_cast<double>(electrical.flit_bytes));
         const double one_way =
             dist * (kRouterPipeline +
-                    static_cast<double>(prm.ctrl.link_latency)) +
+                    static_cast<double>(electrical.link_latency)) +
             (fl - 1.0) + kEjection;
         return 2.0 * one_way;
       }
+      case onoc::Arbitration::kSharedPool:
+        break;  // no NetKind names it (R-E3 builds the network directly)
     }
-    return 0.0;
+    throw std::invalid_argument("onoc_core: no model for a shared pool");
   };
 
   const auto serc = [&](double bytes) { return std::max(1.0, bytes / bpc); };
 
   // Pass 1: per-channel load. Channel key: destination for MWSR schemes
-  // (token, path setup's receiver), source for SWMR, the single pool for
-  // kSharedPool.
+  // (token, path setup's receiver), source for SWMR.
   std::array<double, noc::kMsgClassCount> cv2{};
   for (std::size_t c = 0; c < noc::kMsgClassCount; ++c) {
     cv2[c] = p.cls[c].cv_sq();
@@ -348,10 +350,8 @@ AnalyticModel::LatencyCore onoc_core(const TraceProfile& p,
     if (fw.src == fw.dst || !filter.accept(p, fw.src, fw.dst, fw.cls)) {
       continue;
     }
-    const std::size_t ch =
-        pooled ? 0
-               : static_cast<std::size_t>(
-                     arb == onoc::Arbitration::kSwmr ? fw.src : fw.dst);
+    const auto ch = static_cast<std::size_t>(
+        arb == onoc::Arbitration::kSwmr ? fw.src : fw.dst);
     const double svc = (serc(fw.mean_bytes) + guard) *
                        retx_factor(ber, fw.mean_bytes);
     ch_msgs[ch] += fw.msgs;
@@ -362,29 +362,17 @@ AnalyticModel::LatencyCore onoc_core(const TraceProfile& p,
 
   // Per-channel queueing wait.
   const double cap = wait_cap(p);
-  const int servers = pooled ? std::max(1, prm.pool_channels) : 1;
   std::vector<double> ch_wait(channels, 0.0);
   double bottleneck = 0.0;
   for (std::size_t ch = 0; ch < channels; ++ch) {
     if (ch_msgs[ch] == 0) continue;
-    bottleneck =
-        std::max(bottleneck, ch_busy[ch] / static_cast<double>(servers));
+    bottleneck = std::max(bottleneck, ch_busy[ch]);
     const double lambda = ch_msgs[ch] / span;
     const double es = ch_busy[ch] / ch_msgs[ch];
     const double es2 = ch_s2[ch] / ch_msgs[ch];
-    const double rho =
-        lambda * es / static_cast<double>(servers);
+    const double rho = lambda * es;
     const double headroom = std::max(kMinHeadroom, 1.0 - rho);
-    double wq;
-    if (servers == 1) {
-      wq = lambda * es2 / (2.0 * headroom);
-    } else {
-      // Sakasegawa's M/G/m approximation.
-      const double m = static_cast<double>(servers);
-      const double cs2 = es2 / (es * es) - 1.0;
-      wq = std::pow(rho, std::sqrt(2.0 * (m + 1.0)) - 1.0) / (m * headroom) *
-           es * (1.0 + std::max(0.0, cs2)) / 2.0;
-    }
+    const double wq = lambda * es2 / (2.0 * headroom);
     ch_wait[ch] = std::min(cap, finite_pop(ch_msgs[ch]) * wq);
   }
 
@@ -410,10 +398,8 @@ AnalyticModel::LatencyCore onoc_core(const TraceProfile& p,
         static_cast<double>(prm.tof_cycles(dist, topo.width()));
     const double l0 =
         eo + serc(fw.mean_bytes) * rf + tof + oe + fixed_arb(dist);
-    const std::size_t ch =
-        pooled ? 0
-               : static_cast<std::size_t>(
-                     arb == onoc::Arbitration::kSwmr ? fw.src : fw.dst);
+    const auto ch = static_cast<std::size_t>(
+        arb == onoc::Arbitration::kSwmr ? fw.src : fw.dst);
     acc.add(fw.cls, fw.msgs, l0, ch_wait[ch]);
   }
   return acc.finish(bottleneck);
@@ -445,33 +431,32 @@ struct EnocModel final : AnalyticModel {
   }
 };
 
+/// The eroded-budget BER the simulator derives for the same optical plane
+/// (onoc/loss.hpp); 0 without faults.
+double faulted_ber(const onoc::OnocParams& prm, const noc::Topology& topo,
+                   const fault::FaultSpec& fault) {
+  if (!fault.enabled()) return 0.0;
+  return onoc::faulted_bit_error_rate(
+      onoc::budget_inputs_for(prm, topo.node_count()),
+      fault.onoc_ring_drift_sigma_c, fault.onoc_laser_degradation_db);
+}
+
 struct OnocModel final : AnalyticModel {
   noc::Topology topo;
   onoc::OnocParams prm;
   onoc::Arbitration arb;
+  enoc::EnocParams electrical;  // the path-setup control mesh's block
   double ber = 0;
   OnocModel(const noc::Topology& t, const onoc::OnocParams& pr,
-            onoc::Arbitration a, const fault::FaultSpec& fault)
-      : topo(t), prm(pr), arb(a) {
+            onoc::Arbitration a, const enoc::EnocParams& el,
+            const fault::FaultSpec& fault)
+      : topo(t), prm(pr), arb(a), electrical(el) {
     prm.validate();
-    if (fault.enabled()) {
-      // Same eroded-budget BER the simulator derives (onoc/loss.hpp).
-      onoc::LossBudgetInputs in;
-      in.nodes = topo.node_count();
-      in.wavelengths = prm.wavelengths;
-      in.channels_per_node = topo.node_count() - 1;
-      in.die_edge_cm = prm.die_edge_cm;
-      in.ring = prm.ring;
-      in.waveguide = prm.waveguide;
-      in.detector = prm.detector;
-      in.laser = prm.laser;
-      ber = onoc::faulted_bit_error_rate(in, fault.onoc_ring_drift_sigma_c,
-                                         fault.onoc_laser_degradation_db);
-    }
+    ber = faulted_ber(prm, topo, fault);
   }
   const char* name() const override { return "onoc"; }
   LatencyCore core(const TraceProfile& p) const override {
-    return onoc_core(p, topo, prm, arb, ber, {});
+    return onoc_core(p, topo, prm, arb, electrical, ber, {});
   }
 };
 
@@ -485,25 +470,16 @@ struct HybridModel final : AnalyticModel {
   onoc::OnocParams op_prm;
   onoc::HybridParams prm;
   noc::RoutingTable routes;  // electrical plane
-  double ber = 0;
+  double ber;
   HybridModel(const noc::Topology& t, const enoc::EnocParams& el,
               const onoc::OnocParams& op, const onoc::HybridParams& pr,
               const fault::FaultSpec& fault)
-      : topo(t), el_prm(el), op_prm(op), prm(pr), routes(t, el.routing) {
-    if (fault.enabled()) {
-      onoc::LossBudgetInputs in;
-      in.nodes = topo.node_count();
-      in.wavelengths = op_prm.wavelengths;
-      in.channels_per_node = topo.node_count() - 1;
-      in.die_edge_cm = op_prm.die_edge_cm;
-      in.ring = op_prm.ring;
-      in.waveguide = op_prm.waveguide;
-      in.detector = op_prm.detector;
-      in.laser = op_prm.laser;
-      ber = onoc::faulted_bit_error_rate(in, fault.onoc_ring_drift_sigma_c,
-                                         fault.onoc_laser_degradation_db);
-    }
-  }
+      : topo(t),
+        el_prm(el),
+        op_prm(op),
+        prm(pr),
+        routes(t, el.routing),
+        ber(faulted_ber(op, t, fault)) {}
   const char* name() const override { return "hybrid"; }
 
   LatencyCore core(const TraceProfile& p) const override {
@@ -530,7 +506,8 @@ struct HybridModel final : AnalyticModel {
     const LatencyCore el =
         enoc_core(p, topo, el_prm, routes, {&mask, false});
     const LatencyCore op =
-        onoc_core(p, topo, op_prm, op_prm.arbitration, ber, {&mask, true});
+        onoc_core(p, topo, op_prm, onoc::HybridNetwork::kOpticalOrganization,
+                  el_prm, ber, {&mask, true});
     LatencyCore out{};
     out.weight = el.weight + op.weight;
     if (out.weight > 0) {
@@ -584,14 +561,11 @@ std::unique_ptr<AnalyticModel> make_model(const core::NetSpec& spec) {
     case core::NetKind::kEnoc:
       return std::make_unique<EnocModel>(spec.topo, spec.enoc);
     case core::NetKind::kOnocToken:
-      return std::make_unique<OnocModel>(
-          spec.topo, spec.onoc, onoc::Arbitration::kTokenRing, spec.fault);
     case core::NetKind::kOnocSetup:
-      return std::make_unique<OnocModel>(
-          spec.topo, spec.onoc, onoc::Arbitration::kPathSetup, spec.fault);
     case core::NetKind::kOnocSwmr:
       return std::make_unique<OnocModel>(
-          spec.topo, spec.onoc, onoc::Arbitration::kSwmr, spec.fault);
+          spec.topo, spec.onoc, core::optical_organization(spec.kind),
+          spec.enoc, spec.fault);
     case core::NetKind::kHybrid:
       return std::make_unique<HybridModel>(spec.topo, spec.enoc, spec.onoc,
                                            spec.hybrid, spec.fault);

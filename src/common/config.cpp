@@ -200,17 +200,6 @@ bool Config::get_bool(std::string_view key, bool def) const {
   return lookup(key) ? get_bool(key) : def;
 }
 
-void Config::merge(const Config& other) {
-  for (const auto& [k, v] : other.values_) {
-    values_[k] = v;
-    if (const auto it = other.lines_.find(k); it != other.lines_.end()) {
-      lines_[k] = it->second;
-    } else {
-      lines_.erase(k);
-    }
-  }
-}
-
 void Config::reject_unread(std::string_view prefix) const {
   const std::string* first = nullptr;
   const auto order = [this](const std::string& k) {

@@ -63,7 +63,7 @@ class Config {
   /// Throws std::runtime_error on malformed lines and on a key assigned
   /// twice (the error names both lines): a silent first-or-last-wins would
   /// turn a copy-paste slip in an experiment file into a quietly different
-  /// run. Programmatic overrides go through set()/merge(), which keep their
+  /// run. Programmatic overrides go through set(), which keeps its
   /// last-wins semantics.
   static Config from_string(std::string_view text);
 
@@ -143,9 +143,6 @@ class Config {
   /// its keys: a key nothing read would otherwise silently mean "the
   /// default".
   void reject_unread(std::string_view prefix) const;
-
-  /// Merges `other` on top of this config (other wins on conflicts).
-  void merge(const Config& other);
 
   /// Source line of `key` when this config was parsed from text (1-based);
   /// nullopt for keys set programmatically. Error attribution for consumers

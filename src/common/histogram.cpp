@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <sstream>
 
 #include "common/json.hpp"
 
@@ -29,42 +28,6 @@ void Histogram::add(std::uint64_t value) {
   } else {
     ++overflow_[value];
   }
-}
-
-void Histogram::add_count(std::uint64_t value, std::uint64_t n) {
-  if (n == 0) return;
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  count_ += n;
-  sum_lo_ += value * n;
-  if (value < dense_limit_) {
-    if (dense_.size() <= value) dense_.resize(std::bit_ceil(value + 1), 0);
-    dense_[value] += n;
-  } else {
-    overflow_[value] += n;
-  }
-}
-
-void Histogram::merge(const Histogram& other) {
-  // Count-wise fold: one add_count per distinct value in `other`, so merging
-  // per-worker/per-candidate histograms for sweep-level stats costs
-  // O(distinct values), not O(total samples). add_count re-buckets under
-  // this histogram's dense_limit_, which makes mismatched-limit operands
-  // exact: a value dense in `other` may land in our overflow map and vice
-  // versa. Guard against self-merge (iterating containers we mutate).
-  if (&other == this) {
-    Histogram copy = other;
-    merge(copy);
-    return;
-  }
-  for (std::uint64_t v = 0; v < other.dense_.size(); ++v) {
-    add_count(v, other.dense_[v]);
-  }
-  for (const auto& [v, n] : other.overflow_) add_count(v, n);
 }
 
 void Histogram::reset() {
@@ -109,14 +72,6 @@ std::uint64_t Histogram::count_at(std::uint64_t value) const {
   if (value < dense_.size()) return dense_[value];
   const auto it = overflow_.find(value);
   return it == overflow_.end() ? 0 : it->second;
-}
-
-std::string Histogram::summary() const {
-  std::ostringstream ss;
-  ss << "n=" << count_ << " mean=" << mean() << " p50=" << percentile(0.5)
-     << " p95=" << percentile(0.95) << " p99=" << percentile(0.99)
-     << " max=" << max();
-  return ss.str();
 }
 
 void Histogram::write_json(JsonWriter& w, bool with_buckets) const {

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 namespace sctm {
@@ -22,15 +21,6 @@ class Histogram {
   explicit Histogram(std::uint64_t dense_limit = 4096);
 
   void add(std::uint64_t value);
-
-  /// Adds `n` samples equal to `value` in O(1) (amortized).
-  void add_count(std::uint64_t value, std::uint64_t n);
-
-  /// Folds `other` into this histogram count-wise: O(distinct values in
-  /// other), not O(total sample count). Values are re-bucketed under *this*
-  /// histogram's dense limit, so operands with mismatched dense limits merge
-  /// exactly. Result is bit-identical to replaying every sample via add().
-  void merge(const Histogram& other);
 
   void reset();
 
@@ -47,9 +37,6 @@ class Histogram {
 
   /// Count of samples exactly equal to `value`.
   std::uint64_t count_at(std::uint64_t value) const;
-
-  /// One-line summary "n=... mean=... p50=... p95=... p99=... max=...".
-  std::string summary() const;
 
   /// Emits {"count","mean","min","max","p50","p95","p99"} as the writer's
   /// next value; `with_buckets` appends "buckets": [[value, count], ...]

@@ -25,6 +25,23 @@ std::string NetSpec::describe() const {
   return std::string(to_string(kind)) + " " + topo.describe();
 }
 
+onoc::Arbitration optical_organization(NetKind kind) {
+  switch (kind) {
+    case NetKind::kOnocToken:
+      return onoc::Arbitration::kTokenRing;
+    case NetKind::kOnocSetup:
+      return onoc::Arbitration::kPathSetup;
+    case NetKind::kOnocSwmr:
+      return onoc::Arbitration::kSwmr;
+    case NetKind::kIdeal:
+    case NetKind::kEnoc:
+    case NetKind::kHybrid:
+      break;
+  }
+  throw std::invalid_argument(std::string("optical_organization: ") +
+                              to_string(kind) + " is not an onoc-* kind");
+}
+
 namespace {
 
 NetworkFactory make_base_factory(const NetSpec& spec) {
@@ -39,27 +56,14 @@ NetworkFactory make_base_factory(const NetSpec& spec) {
         return std::make_unique<enoc::EnocNetwork>(sim, "net", spec.topo,
                                                    spec.enoc);
       };
-    case NetKind::kOnocToken: {
-      NetSpec s = spec;
-      s.onoc.arbitration = onoc::Arbitration::kTokenRing;
-      return [s](Simulator& sim) -> std::unique_ptr<noc::Network> {
-        return std::make_unique<onoc::OnocNetwork>(sim, "net", s.topo, s.onoc);
+    case NetKind::kOnocToken:
+    case NetKind::kOnocSetup:
+    case NetKind::kOnocSwmr:
+      return [spec, org = optical_organization(spec.kind)](
+                 Simulator& sim) -> std::unique_ptr<noc::Network> {
+        return std::make_unique<onoc::OnocNetwork>(sim, "net", spec.topo,
+                                                   spec.onoc, org, spec.enoc);
       };
-    }
-    case NetKind::kOnocSetup: {
-      NetSpec s = spec;
-      s.onoc.arbitration = onoc::Arbitration::kPathSetup;
-      return [s](Simulator& sim) -> std::unique_ptr<noc::Network> {
-        return std::make_unique<onoc::OnocNetwork>(sim, "net", s.topo, s.onoc);
-      };
-    }
-    case NetKind::kOnocSwmr: {
-      NetSpec s = spec;
-      s.onoc.arbitration = onoc::Arbitration::kSwmr;
-      return [s](Simulator& sim) -> std::unique_ptr<noc::Network> {
-        return std::make_unique<onoc::OnocNetwork>(sim, "net", s.topo, s.onoc);
-      };
-    }
     case NetKind::kHybrid:
       return [spec](Simulator& sim) -> std::unique_ptr<noc::Network> {
         return std::make_unique<onoc::HybridNetwork>(

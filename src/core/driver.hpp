@@ -5,10 +5,12 @@
 //   naive trace       - capture once, replay frozen timestamps (fast, wrong)
 //   self-correcting   - capture once, dependency-corrected replay
 // and builds networks from a small declarative spec so a bench can sweep
-// network kinds/parameters in a few lines. A NetSpec holds each parameter
-// block once (the hybrid reuses `enoc` and `onoc`), and make_factory is the
-// one way to build a network from it — for capture, for replay, and for
-// every ReplaySession rebind.
+// network kinds/parameters in a few lines. A NetSpec names exactly one
+// network: the kind alone names the optical organization, and `enoc` is the
+// one electrical block (the ENoC itself, the hybrid's electrical layer and
+// the onoc-setup control mesh). make_factory is the one way to build a
+// network from it — for capture, for replay, and for every ReplaySession
+// rebind.
 #pragma once
 
 #include <memory>
@@ -37,14 +39,23 @@ inline constexpr Spelling<NetKind> kNetKindNames[] = {
 
 inline const char* to_string(NetKind k) { return spelling_of(kNetKindNames, k); }
 
+/// The channel organization an onoc-* kind names: the one NetKind ->
+/// organization mapping, shared by make_factory and analytic::make_model.
+/// Throws std::invalid_argument for a kind that is not onoc-* (the hybrid's
+/// optical layer is always onoc::HybridNetwork::kOpticalOrganization).
+onoc::Arbitration optical_organization(NetKind kind);
+
 struct NetSpec {
   NetKind kind = NetKind::kEnoc;
   noc::Topology topo = noc::Topology::mesh(4, 4);
   noc::IdealNetwork::Params ideal{};
+  /// The electrical block: the ENoC, the hybrid's electrical layer and the
+  /// onoc-setup control mesh (with one vnet) all run on it.
   enoc::EnocParams enoc{};
+  /// Optical device and channel parameters; `kind` names the organization.
   onoc::OnocParams onoc{};
   /// Steering thresholds only: a hybrid builds its electrical layer from
-  /// `enoc` and its optical layer from `onoc`.
+  /// `enoc` and its token-ring optical layer from `onoc`.
   onoc::HybridParams hybrid{};
   /// Fault regime (default-constructed = inert: no model installed, the
   /// fault-free paths and --stats-json output are byte-identical to before

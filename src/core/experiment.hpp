@@ -33,7 +33,8 @@ noc::Topology topology_from_config(const Config& cfg);
 
 /// NetSpec from config: `<which>.kind` selects the network, the fabric comes
 /// from topology_from_config(), module parameters from enoc.*/onoc.*, and
-/// the fault regime from fault.* (absent keys = inert spec). Without an
+/// the fault regime from fault.* (absent keys = inert spec).
+/// A config and code that set the same fields build equal specs. Without an
 /// enoc.routing key the spec leaves the algorithm unset, and the routing
 /// table resolves it to the fabric's natural one (noc::default_algo), so 3D
 /// and file fabrics run without extra keys.

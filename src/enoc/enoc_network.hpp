@@ -86,6 +86,13 @@ class EnocNetwork final : public noc::Network {
   /// Cycles during which the network clock was running (power accounting).
   std::uint64_t active_cycles() const { return active_cycles_; }
 
+  /// Micro-operation counts summed over every router (power accounting).
+  RouterOps router_ops() const {
+    RouterOps sum;
+    for (const auto& r : routers_) r->add_ops_to(sum);
+    return sum;
+  }
+
   /// Individual router ticks executed (quiescence metric: with the activity
   /// scoreboard this scales with flit occupancy, not node_count() *
   /// active_cycles()).

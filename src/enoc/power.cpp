@@ -8,32 +8,28 @@ double EnergyBreakdown::watts(std::uint64_t cycles, double clock_ghz) const {
   return total_pj() * 1e-12 / seconds;
 }
 
-EnergyBreakdown compute_enoc_energy(const StatRegistry& stats,
-                                    const std::string& network_name,
-                                    int router_count,
+EnergyBreakdown compute_enoc_energy(const RouterOps& ops, int router_count,
                                     std::uint64_t active_cycles,
                                     const EnocEnergyParams& params) {
+  const auto pj = [](std::uint64_t count, double per_op) {
+    return static_cast<double>(count) * per_op;
+  };
   EnergyBreakdown out;
-  const std::string prefix = network_name + ".r";
-  for (const auto& name : stats.names()) {
-    if (name.rfind(prefix, 0) != 0) continue;
-    const auto val = static_cast<double>(stats.counter_value(name));
-    if (name.ends_with(".buffer_writes")) {
-      out.buffer_pj += val * params.buffer_write_pj;
-    } else if (name.ends_with(".buffer_reads")) {
-      out.buffer_pj += val * params.buffer_read_pj;
-    } else if (name.ends_with(".xbar_traversals")) {
-      out.xbar_pj += val * params.xbar_traversal_pj;
-    } else if (name.ends_with(".link_traversals")) {
-      out.link_pj += val * params.link_traversal_pj;
-    } else if (name.ends_with(".sa_grants") || name.ends_with(".va_grants")) {
-      out.arbiter_pj += val * params.arbitration_pj;
-    }
-  }
+  out.buffer_pj = pj(ops.buffer_writes, params.buffer_write_pj) +
+                  pj(ops.buffer_reads, params.buffer_read_pj);
+  out.xbar_pj = pj(ops.xbar_traversals, params.xbar_traversal_pj);
+  out.link_pj = pj(ops.link_traversals, params.link_traversal_pj);
+  out.arbiter_pj = pj(ops.sa_grants + ops.va_grants, params.arbitration_pj);
   out.static_pj = params.router_leakage_pj_per_cycle *
                   static_cast<double>(router_count) *
                   static_cast<double>(active_cycles);
   return out;
+}
+
+EnergyBreakdown compute_enoc_energy(const EnocNetwork& net,
+                                    const EnocEnergyParams& params) {
+  return compute_enoc_energy(net.router_ops(), net.node_count(),
+                             net.active_cycles(), params);
 }
 
 }  // namespace sctm::enoc

@@ -8,9 +8,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-#include "common/stats.hpp"
+#include "enoc/enoc_network.hpp"
 
 namespace sctm::enoc {
 
@@ -40,13 +39,16 @@ struct EnergyBreakdown {
   double watts(std::uint64_t cycles, double clock_ghz) const;
 };
 
-/// Sums the per-router counters registered under `<network>.r*` prefixes in
-/// `stats` and applies the per-op energies. `active_cycles` is the number of
+/// Applies the per-op energies to `ops`. `active_cycles` is the number of
 /// cycles the network clock ran; `router_count` scales leakage.
-EnergyBreakdown compute_enoc_energy(const StatRegistry& stats,
-                                    const std::string& network_name,
-                                    int router_count,
+EnergyBreakdown compute_enoc_energy(const RouterOps& ops, int router_count,
                                     std::uint64_t active_cycles,
                                     const EnocEnergyParams& params);
+
+/// Energy of `net` since construction or its last reset: its routers'
+/// summed counters (EnocNetwork::router_ops), one leaking router per node,
+/// over its active cycles.
+EnergyBreakdown compute_enoc_energy(const EnocNetwork& net,
+                                    const EnocEnergyParams& params = {});
 
 }  // namespace sctm::enoc

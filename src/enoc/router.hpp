@@ -146,6 +146,17 @@ class Ring {
   std::size_t count_ = 0;
 };
 
+/// Micro-operation counts the energy model charges (enoc/power.hpp): a
+/// router's own counters, or their sum over a network.
+struct RouterOps {
+  std::uint64_t buffer_writes = 0;
+  std::uint64_t buffer_reads = 0;
+  std::uint64_t xbar_traversals = 0;
+  std::uint64_t link_traversals = 0;
+  std::uint64_t sa_grants = 0;
+  std::uint64_t va_grants = 0;
+};
+
 class Router : public Component {
  public:
   /// `routes` is the network-owned routing table (stable address). Route
@@ -189,6 +200,16 @@ class Router : public Component {
 
   /// Free credits on output port `port` across all VCs (adaptive metric).
   int free_credits(int port) const;
+
+  /// Adds this router's micro-operation counters to `sum`.
+  void add_ops_to(RouterOps& sum) const {
+    sum.buffer_writes += stat_buffer_writes_;
+    sum.buffer_reads += stat_buffer_reads_;
+    sum.xbar_traversals += stat_xbar_;
+    sum.link_traversals += stat_link_;
+    sum.sa_grants += stat_sa_grants_;
+    sum.va_grants += stat_va_grants_;
+  }
 
  private:
   struct InputVc {

@@ -13,7 +13,7 @@ HybridNetwork::HybridNetwork(Simulator& sim, std::string name,
   electrical_ = std::make_unique<enoc::EnocNetwork>(
       sim, this->name() + ".el", topo_, electrical);
   optical_ = std::make_unique<OnocNetwork>(sim, this->name() + ".op", topo_,
-                                           optical);
+                                           optical, kOpticalOrganization);
   // Both layers deliver into the hybrid's single delivery stream; latency
   // accounting happens here so the histogram covers both layers.
   // DeliverFn is move-only, so each layer gets its own instance.
@@ -43,8 +43,6 @@ void HybridNetwork::reset() {
   Network::reset();
   electrical_->reset();
   optical_->reset();
-  optical_count_ = 0;
-  electrical_count_ = 0;
 }
 
 bool HybridNetwork::goes_optical(const noc::Message& msg) const {
@@ -56,19 +54,17 @@ bool HybridNetwork::goes_optical(const noc::Message& msg) const {
 void HybridNetwork::inject(noc::Message msg) {
   note_injected(msg);
   if (goes_optical(msg)) {
-    ++optical_count_;
     optical_->inject(msg);
   } else {
-    ++electrical_count_;
     electrical_->inject(msg);
   }
 }
 
 double HybridNetwork::optical_fraction() const {
-  const auto total = optical_count_ + electrical_count_;
-  return total == 0
-             ? 0.0
-             : static_cast<double>(optical_count_) / static_cast<double>(total);
+  const auto total = optical_count() + electrical_count();
+  return total == 0 ? 0.0
+                    : static_cast<double>(optical_count()) /
+                          static_cast<double>(total);
 }
 
 }  // namespace sctm::onoc

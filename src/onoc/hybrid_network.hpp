@@ -11,7 +11,8 @@
 // The hybrid is itself a noc::Network, so the full-system substrate, trace
 // capture and self-correcting replay all work over it unchanged. Its layers
 // take the same parameter blocks the standalone networks do (a NetSpec's
-// `enoc` and `onoc`); HybridParams holds only the steering thresholds.
+// `enoc` and `onoc`); HybridParams holds only the steering thresholds. The
+// optical layer is a token ring (kOpticalOrganization).
 #pragma once
 
 #include <memory>
@@ -33,6 +34,10 @@ struct HybridParams {
 
 class HybridNetwork final : public noc::Network {
  public:
+  /// The optical layer's channel organization, which the analytic
+  /// HybridModel scores too.
+  static constexpr Arbitration kOpticalOrganization = Arbitration::kTokenRing;
+
   HybridNetwork(Simulator& sim, std::string name, const noc::Topology& topo,
                 const enoc::EnocParams& electrical, const OnocParams& optical,
                 const HybridParams& steering);
@@ -58,8 +63,11 @@ class HybridNetwork final : public noc::Network {
   const enoc::EnocNetwork& electrical() const { return *electrical_; }
   const OnocNetwork& optical() const { return *optical_; }
 
-  std::uint64_t optical_count() const { return optical_count_; }
-  std::uint64_t electrical_count() const { return electrical_count_; }
+  /// Messages steered to each layer: the layer's own injected count.
+  std::uint64_t optical_count() const { return optical_->injected_count(); }
+  std::uint64_t electrical_count() const {
+    return electrical_->injected_count();
+  }
   /// Fraction of injected messages steered to the optical layer.
   double optical_fraction() const;
 
@@ -70,8 +78,6 @@ class HybridNetwork final : public noc::Network {
   HybridParams params_;
   std::unique_ptr<enoc::EnocNetwork> electrical_;
   std::unique_ptr<OnocNetwork> optical_;
-  std::uint64_t optical_count_ = 0;
-  std::uint64_t electrical_count_ = 0;
 };
 
 }  // namespace sctm::onoc

@@ -8,10 +8,13 @@
 namespace sctm::onoc {
 
 OnocNetwork::OnocNetwork(Simulator& sim, std::string name,
-                         const noc::Topology& topo, const OnocParams& params)
+                         const noc::Topology& topo, const OnocParams& params,
+                         Arbitration organization,
+                         const enoc::EnocParams& electrical, int pool_channels)
     : Network(sim, std::move(name), topo.node_count()),
       topo_(topo),
       params_(params),
+      organization_(organization),
       stat_arb_wait_(accumulator("arb_wait")),
       stat_ser_(accumulator("serialization")),
       stat_transmissions_(counter("transmissions")) {
@@ -19,27 +22,30 @@ OnocNetwork::OnocNetwork(Simulator& sim, std::string name,
   // The optical plane keys channels off node ids alone (single-hop
   // waveguides), so any tile layout with coordinates works: distance and
   // width only scale the time-of-flight.
-  if (params_.arbitration == Arbitration::kTokenRing) {
+  if (organization_ == Arbitration::kTokenRing) {
     tokens_.reserve(static_cast<std::size_t>(topo_.node_count()));
     for (int i = 0; i < topo_.node_count(); ++i) {
       tokens_.emplace_back(topo_.node_count(), params_.token_hop_latency);
     }
     arb_chan_.resize(static_cast<std::size_t>(topo_.node_count()));
-  } else if (params_.arbitration == Arbitration::kSwmr) {
+  } else if (organization_ == Arbitration::kSwmr) {
     src_channel_free_.assign(static_cast<std::size_t>(topo_.node_count()), 0);
     arb_chan_.resize(static_cast<std::size_t>(topo_.node_count()));
-  } else if (params_.arbitration == Arbitration::kSharedPool) {
-    if (params_.pool_channels < 1) {
+  } else if (organization_ == Arbitration::kSharedPool) {
+    if (pool_channels < 1) {
       throw std::invalid_argument(this->name() + ": pool_channels must be >= 1");
     }
-    pool_free_.assign(static_cast<std::size_t>(params_.pool_channels), 0);
+    pool_free_.assign(static_cast<std::size_t>(pool_channels), 0);
   } else {
     receivers_.resize(static_cast<std::size_t>(topo_.node_count()));
     // The electrical control plane rides the same tile layout and routes
     // like any ENoC: an unset algorithm resolves to the fabric's natural
-    // one, and an explicit one the fabric cannot use is an error.
-    ctrl_ = std::make_unique<enoc::EnocNetwork>(
-        sim, this->name() + ".ctrl", topo_, params_.ctrl);
+    // one, and an explicit one the fabric cannot use is an error. It
+    // carries only kControl packets, which ride vnet 0, so one vnet serves.
+    enoc::EnocParams mesh = electrical;
+    mesh.vnets = 1;
+    ctrl_ = std::make_unique<enoc::EnocNetwork>(sim, this->name() + ".ctrl",
+                                                topo_, mesh);
     auto up = [this](const noc::Message& m) { on_ctrl_deliver(m); };
     static_assert(noc::Network::DeliverFn::fits_inline<decltype(up)>(),
                   "control-plane callback must stay within the SBO budget");
@@ -49,9 +55,9 @@ OnocNetwork::OnocNetwork(Simulator& sim, std::string name,
 
 void OnocNetwork::install_fault_model(const fault::FaultSpec& spec) {
   Network::install_fault_model(spec);
-  optical_ber_ = faulted_bit_error_rate(budget_inputs_for(*this),
-                                        spec.onoc_ring_drift_sigma_c,
-                                        spec.onoc_laser_degradation_db);
+  optical_ber_ = faulted_bit_error_rate(
+      budget_inputs_for(params_, node_count()), spec.onoc_ring_drift_sigma_c,
+      spec.onoc_laser_degradation_db);
 }
 
 void OnocNetwork::reset() {
@@ -104,7 +110,7 @@ void OnocNetwork::inject(noc::Message msg) {
 // one (new arbitration wait, new path-setup transaction) while keeping its
 // identity and original inject_time.
 void OnocNetwork::route_to_arbitration(const noc::Message& msg) {
-  if (params_.arbitration == Arbitration::kTokenRing) {
+  if (organization_ == Arbitration::kTokenRing) {
     // Per-channel arbitration defers to the cycle's late-band flush; the
     // grant values are what the immediate acquire would have produced (same
     // cycle, same per-channel order).
@@ -112,13 +118,13 @@ void OnocNetwork::route_to_arbitration(const noc::Message& msg) {
     return;
   }
 
-  if (params_.arbitration == Arbitration::kSwmr) {
+  if (organization_ == Arbitration::kSwmr) {
     // The source's own channel is the only shared resource.
     queue_arbitration(msg, msg.src);
     return;
   }
 
-  if (params_.arbitration == Arbitration::kSharedPool) {
+  if (organization_ == Arbitration::kSharedPool) {
     // FCFS over the earliest-free channel of the pool, plus a token round
     // of global arbitration latency per grant.
     std::size_t best = 0;
@@ -161,7 +167,7 @@ void OnocNetwork::arb_flush() {
   for (std::size_t c = 0; c < arb_chan_.size(); ++c) {
     std::vector<noc::Message>& reqs = arb_chan_[c];
     if (reqs.empty()) continue;
-    if (params_.arbitration == Arbitration::kTokenRing) {
+    if (organization_ == Arbitration::kTokenRing) {
       TokenRing& ring = tokens_[c];
       fault::FaultModel* fm = fault_model();
       for (const noc::Message& m : reqs) {

@@ -3,19 +3,23 @@
 // Architecture: a WDM multiple-writer single-reader (MWSR) crossbar — every
 // node owns one receive channel that every other node can modulate onto.
 // Transfer latency = arbitration wait + E/O + serialization + time-of-flight
-// + O/E. Two arbitration schemes are modeled:
+// + O/E. The organization is fixed at construction (a core::NetKind names
+// it); besides SWMR and the shared pool (onoc/params.hpp), two MWSR
+// arbitration schemes are modeled:
 //
 //  * kTokenRing — a token per channel circulates the writers (Corona-like);
 //    arbitration is fully optical and needs no electrical network, but the
 //    token round-trip grows with radix.
 //  * kPathSetup — a writer first sends a setup request over an electrical
 //    control mesh (a full EnocNetwork instance carrying 1-flit control
-//    packets); the receiver grants FCFS and the grant travels back before
-//    data moves. Setup costs two electrical traversals but arbitrates
-//    precisely and supports back-to-back streaming to distinct receivers.
-//    A message counts as in flight until its data arrives, and every setup
-//    and grant on the control mesh belongs to such a message, so idle()
-//    needs no control-mesh term: the mesh drains with the data plane.
+//    packets, built from the electrical block the constructor takes, with
+//    one vnet); the receiver grants FCFS and the grant travels back before
+//    data moves. Setup costs two electrical traversals
+//    but arbitrates precisely and supports back-to-back streaming to
+//    distinct receivers. A message counts as in flight until its data
+//    arrives, and every setup and grant on the control mesh belongs to such
+//    a message, so idle() needs no control-mesh term: the mesh drains with
+//    the data plane.
 //
 // The data plane is event-driven (no per-cycle clock): an idle ONOC costs
 // zero events, so trace replay over it is fast.
@@ -49,9 +53,13 @@ namespace sctm::onoc {
 class OnocNetwork : public noc::Network {
  public:
   /// `topo` fixes the tile layout (time-of-flight distances) and, in
-  /// path-setup mode, the control mesh. Mesh topologies only.
+  /// path-setup mode, the control mesh's fabric. `organization` selects the
+  /// channel organization. A kPathSetup network runs its control mesh on
+  /// `electrical` with one vnet; a kSharedPool network pools
+  /// `pool_channels` (>= 1) channels. The other organizations ignore both.
   OnocNetwork(Simulator& sim, std::string name, const noc::Topology& topo,
-              const OnocParams& params);
+              const OnocParams& params, Arbitration organization,
+              const enoc::EnocParams& electrical = {}, int pool_channels = 0);
 
   void inject(noc::Message msg) override;
 
@@ -111,6 +119,7 @@ class OnocNetwork : public noc::Network {
 
   noc::Topology topo_;
   OnocParams params_;
+  Arbitration organization_;
 
   // Token mode: one ring per destination channel.
   std::vector<TokenRing> tokens_;

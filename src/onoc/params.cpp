@@ -70,15 +70,6 @@ OnocParams OnocParams::from_config(const Config& cfg) {
       cfg.get_as("onoc.token_hop_latency", p.token_hop_latency);
   p.die_edge_cm = cfg.get_double("onoc.die_edge_cm", p.die_edge_cm);
   p.ctrl_msg_bytes = cfg.get_as("onoc.ctrl_msg_bytes", p.ctrl_msg_bytes);
-
-  p.arbitration = cfg.get_enum("onoc.arbitration", kArbitrationNames)
-                      .value_or(p.arbitration);
-  p.pool_channels = cfg.get_as("onoc.pool_channels", p.pool_channels);
-
-  p.ctrl = enoc::EnocParams::from_config(cfg);
-  // The control mesh carries only short control packets: one vnet suffices
-  // unless the config says otherwise.
-  p.ctrl.vnets = cfg.get_as("onoc.ctrl_vnets", 1);
   p.validate(&cfg);
   return p;
 }

@@ -5,12 +5,13 @@
 
 #include "common/config.hpp"
 #include "common/units.hpp"
-#include "enoc/params.hpp"
 #include "onoc/devices.hpp"
 
 namespace sctm::onoc {
 
-/// Channel organization / arbitration scheme of the data plane.
+/// Channel organization / arbitration scheme of the data plane. A NetKind
+/// names it (core::optical_organization) and the network takes it at
+/// construction; it is not a parameter of OnocParams.
 enum class Arbitration {
   kTokenRing,  // MWSR: Corona-style circulating token per receiver channel
   kPathSetup,  // MWSR: circuit setup/grant over an electrical control mesh
@@ -18,23 +19,13 @@ enum class Arbitration {
                // inter-node arbitration, only head-of-line at the source.
                // Receivers are modeled contention-free (broadband drop
                // filters), the scheme's optimistic assumption.
-  kSharedPool, // FlexiShare-style: a pool of `pool_channels` channels shared
-               // by all pairs; a transfer takes the earliest-free channel
-               // after a token round of arbitration. Trades channel count
-               // (rings, laser power) against queueing.
+  kSharedPool, // FlexiShare-style: a pool of channels shared by all pairs
+               // (its size is a constructor argument of the network); a
+               // transfer takes the earliest-free channel after a token
+               // round of arbitration. Trades channel count (rings, laser
+               // power) against queueing. No NetKind names it: R-E3 builds
+               // it directly.
 };
-
-/// The onoc.arbitration spellings.
-inline constexpr Spelling<Arbitration> kArbitrationNames[] = {
-    {Arbitration::kTokenRing, "token-ring"},
-    {Arbitration::kPathSetup, "path-setup"},
-    {Arbitration::kSwmr, "swmr"},
-    {Arbitration::kSharedPool, "shared-pool"},
-};
-
-inline const char* to_string(Arbitration a) {
-  return spelling_of(kArbitrationNames, a);
-}
 
 struct OnocParams {
   int wavelengths = 16;
@@ -46,10 +37,6 @@ struct OnocParams {
   Cycle guard_cycles = 1; // channel guard band between transmissions
   Cycle token_hop_latency = 1;
 
-  Arbitration arbitration = Arbitration::kTokenRing;
-  /// Channel-pool size for kSharedPool (must be >= 1).
-  int pool_channels = 8;
-
   double die_edge_cm = 2.0;
   MicroringParams ring;
   WaveguideParams waveguide;
@@ -58,8 +45,6 @@ struct OnocParams {
 
   /// Control-message payload for path setup/grant (bytes).
   std::uint32_t ctrl_msg_bytes = 8;
-  /// Electrical control mesh parameters (path-setup mode only).
-  enoc::EnocParams ctrl;
 
   bool operator==(const OnocParams&) const = default;
 

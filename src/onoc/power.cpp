@@ -11,12 +11,11 @@ double OnocEnergyBreakdown::watts(std::uint64_t cycles,
   return total_pj() * 1e-12 / seconds;
 }
 
-LossBudgetInputs budget_inputs_for(const OnocNetwork& net) {
-  const OnocParams& p = net.params();
+LossBudgetInputs budget_inputs_for(const OnocParams& p, int nodes) {
   LossBudgetInputs in;
-  in.nodes = net.node_count();
+  in.nodes = nodes;
   in.wavelengths = p.wavelengths;
-  in.channels_per_node = net.node_count() - 1;
+  in.channels_per_node = nodes - 1;
   in.die_edge_cm = p.die_edge_cm;
   in.ring = p.ring;
   in.waveguide = p.waveguide;
@@ -26,10 +25,10 @@ LossBudgetInputs budget_inputs_for(const OnocNetwork& net) {
 }
 
 OnocEnergyBreakdown compute_onoc_energy(const OnocNetwork& net,
-                                        std::uint64_t elapsed_cycles,
-                                        const StatRegistry& stats) {
+                                        std::uint64_t elapsed_cycles) {
   const OnocParams& p = net.params();
-  const LaserRequirement laser = compute_laser(budget_inputs_for(net));
+  const LaserRequirement laser =
+      compute_laser(budget_inputs_for(p, net.node_count()));
   const double seconds =
       static_cast<double>(elapsed_cycles) / (p.clock_ghz * 1e9);
 
@@ -43,9 +42,7 @@ OnocEnergyBreakdown compute_onoc_energy(const OnocNetwork& net,
                    1e-3;  // fJ -> pJ
 
   if (const auto* ctrl = net.control_network()) {
-    const auto e = enoc::compute_enoc_energy(
-        stats, ctrl->name(), ctrl->node_count(), ctrl->active_cycles(), {});
-    out.ctrl_pj = e.total_pj();
+    out.ctrl_pj = enoc::compute_enoc_energy(*ctrl).total_pj();
   }
   return out;
 }

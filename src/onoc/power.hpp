@@ -28,12 +28,13 @@ struct OnocEnergyBreakdown {
 
 /// Energy of `net` over `elapsed_cycles` of simulated time. Uses the loss
 /// budget implied by the network's own parameters; control-mesh energy is
-/// computed from `stats` (the same registry the control EnocNetwork logs to).
+/// the control EnocNetwork's own (enoc::compute_enoc_energy).
 OnocEnergyBreakdown compute_onoc_energy(const OnocNetwork& net,
-                                        std::uint64_t elapsed_cycles,
-                                        const StatRegistry& stats);
+                                        std::uint64_t elapsed_cycles);
 
-/// The loss-budget inputs an OnocNetwork implies (shared with R-T3).
-LossBudgetInputs budget_inputs_for(const OnocNetwork& net);
+/// The loss-budget inputs `p` implies for a `nodes`-node MWSR crossbar: the
+/// one derivation the network's fault BER, its energy and the analytic
+/// screen share.
+LossBudgetInputs budget_inputs_for(const OnocParams& p, int nodes);
 
 }  // namespace sctm::onoc

@@ -113,16 +113,21 @@ TEST(AnalyticModel, MonotoneInOfferedLoad) {
   }
 }
 
+// onoc-setup's path setup crosses the control mesh, which runs on the
+// spec's `enoc` block as in the network, so its estimate follows it too.
 TEST(AnalyticModel, MonotoneInLinkLatency) {
   const TraceProfile p = profile_trace(uniform_traffic(4, 400));
-  double prev = 0;
-  for (const std::uint32_t ll : {1u, 2u, 4u, 8u}) {
-    core::NetSpec s = spec_of(core::NetKind::kEnoc);
-    s.enoc.link_latency = ll;
-    const auto r = estimate(p, s);
-    EXPECT_GT(r.est_mean_latency, prev) << "link_latency=" << ll;
-    EXPECT_GE(r.est_runtime, prev);
-    prev = r.est_mean_latency;
+  for (const auto kind : {core::NetKind::kEnoc, core::NetKind::kOnocSetup}) {
+    SCOPED_TRACE(core::to_string(kind));
+    double prev = 0;
+    for (const std::uint32_t ll : {1u, 2u, 4u, 8u}) {
+      core::NetSpec s = spec_of(kind);
+      s.enoc.link_latency = ll;
+      const auto r = estimate(p, s);
+      EXPECT_GT(r.est_mean_latency, prev) << "link_latency=" << ll;
+      EXPECT_GE(r.est_runtime, prev);
+      prev = r.est_mean_latency;
+    }
   }
 }
 

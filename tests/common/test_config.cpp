@@ -227,15 +227,6 @@ TEST(Config, MalformedLineThrows) {
   EXPECT_THROW(Config::from_string("= value\n"), std::runtime_error);
 }
 
-TEST(Config, MergeOverrides) {
-  auto a = Config::from_string("x = 1\ny = 2\n");
-  const auto b = Config::from_string("y = 3\nz = 4\n");
-  a.merge(b);
-  EXPECT_EQ(a.get_int("x"), 1);
-  EXPECT_EQ(a.get_int("y"), 3);
-  EXPECT_EQ(a.get_int("z"), 4);
-}
-
 TEST(Config, ConsumedDumpTracksReads) {
   const auto cfg = Config::from_string("a = 1\nb = 2\n");
   (void)cfg.get_int("a");

@@ -114,145 +114,12 @@ TEST(Histogram, PercentilesMatchSortedVector) {
   }
 }
 
-TEST(Histogram, MergePreservesCountsAndShape) {
-  Histogram a, b;
-  for (std::uint64_t v = 0; v < 10; ++v) a.add(v);
-  for (std::uint64_t v = 10; v < 20; ++v) b.add(v);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 20u);
-  EXPECT_EQ(a.min(), 0u);
-  EXPECT_EQ(a.max(), 19u);
-  EXPECT_DOUBLE_EQ(a.mean(), 9.5);
-}
-
-TEST(Histogram, AddCountEqualsRepeatedAdd) {
-  Histogram repeated;
-  for (int i = 0; i < 1000; ++i) repeated.add(7);
-  for (int i = 0; i < 3; ++i) repeated.add(1000);
-  Histogram batch;
-  batch.add_count(7, 1000);
-  batch.add_count(1000, 3);
-  EXPECT_EQ(batch.count(), repeated.count());
-  EXPECT_EQ(batch.count_at(7), repeated.count_at(7));
-  EXPECT_EQ(batch.count_at(1000), repeated.count_at(1000));
-  EXPECT_DOUBLE_EQ(batch.mean(), repeated.mean());
-  EXPECT_EQ(batch.min(), repeated.min());
-  EXPECT_EQ(batch.max(), repeated.max());
-}
-
-/// merge() must be bit-identical to replaying every one of the other
-/// histogram's samples through add() — counts, moments, and percentiles.
-TEST(Histogram, MergeBitIdenticalToSampleReplay) {
-  Rng rng(7);
-  Histogram a(64), b(64);
-  std::vector<std::uint64_t> b_samples;
-  for (int i = 0; i < 2000; ++i) a.add(rng.next_below(300));
-  for (int i = 0; i < 2500; ++i) {
-    // Mix of dense-region and deep-overflow values, with heavy repeats.
-    const std::uint64_t v =
-        (i % 5 == 0) ? 100000 + rng.next_below(4) : rng.next_below(200);
-    b.add(v);
-    b_samples.push_back(v);
-  }
-
-  Histogram merged = a;
-  merged.merge(b);
-  Histogram replayed = a;
-  for (const auto v : b_samples) replayed.add(v);
-
-  EXPECT_EQ(merged.count(), replayed.count());
-  EXPECT_EQ(merged.min(), replayed.min());
-  EXPECT_EQ(merged.max(), replayed.max());
-  EXPECT_DOUBLE_EQ(merged.mean(), replayed.mean());
-  for (const double q : {0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
-    EXPECT_EQ(merged.percentile(q), replayed.percentile(q)) << "q=" << q;
-  }
-  for (std::uint64_t v = 0; v < 300; ++v) {
-    ASSERT_EQ(merged.count_at(v), replayed.count_at(v)) << "v=" << v;
-  }
-  for (std::uint64_t v = 100000; v < 100004; ++v) {
-    ASSERT_EQ(merged.count_at(v), replayed.count_at(v)) << "v=" << v;
-  }
-}
-
-/// Values sitting exactly on the dense/overflow boundary must land in the
-/// same region after a merge as after direct adds.
-TEST(Histogram, MergeDenseOverflowBoundary) {
-  Histogram a(16), b(16);
-  b.add(15);  // last dense slot
-  b.add(16);  // first overflow value
-  b.add_count(17, 5);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 7u);
-  EXPECT_EQ(a.count_at(15), 1u);
-  EXPECT_EQ(a.count_at(16), 1u);
-  EXPECT_EQ(a.count_at(17), 5u);
-  EXPECT_EQ(a.min(), 15u);
-  EXPECT_EQ(a.max(), 17u);
-}
-
-/// Merging histograms with different dense limits re-buckets under the
-/// destination's limit without losing any counts.
-TEST(Histogram, MergeMismatchedDenseLimits) {
-  Histogram wide(4096), narrow(8);
-  // In `narrow`, 100 and 3000 live in the overflow map; in `wide` both fit
-  // the dense region.
-  narrow.add_count(3, 4);
-  narrow.add_count(100, 2);
-  narrow.add(3000);
-  wide.add(50);
-  wide.merge(narrow);
-  EXPECT_EQ(wide.count(), 8u);
-  EXPECT_EQ(wide.count_at(3), 4u);
-  EXPECT_EQ(wide.count_at(50), 1u);
-  EXPECT_EQ(wide.count_at(100), 2u);
-  EXPECT_EQ(wide.count_at(3000), 1u);
-  EXPECT_EQ(wide.percentile(0.5), 3u);
-  EXPECT_EQ(wide.max(), 3000u);
-
-  // And the reverse direction: dense-region values of `wide2` overflow in
-  // `narrow2`.
-  Histogram narrow2(8), wide2(4096);
-  wide2.add_count(100, 3);
-  narrow2.add(1);
-  narrow2.merge(wide2);
-  EXPECT_EQ(narrow2.count(), 4u);
-  EXPECT_EQ(narrow2.count_at(100), 3u);
-  EXPECT_EQ(narrow2.percentile(1.0), 100u);
-}
-
-TEST(Histogram, MergeWithEmptyAndSelf) {
-  Histogram a, empty;
-  a.add(5);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_EQ(empty.min(), 5u);
-
-  Histogram s(16);
-  s.add(3);
-  s.add(40);
-  s.merge(s);  // self-merge doubles every bucket
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_EQ(s.count_at(3), 2u);
-  EXPECT_EQ(s.count_at(40), 2u);
-}
-
 TEST(Histogram, ResetClears) {
   Histogram h;
   h.add(5);
   h.reset();
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.max(), 0u);
-}
-
-TEST(Histogram, SummaryMentionsKeyFields) {
-  Histogram h;
-  h.add(7);
-  const auto s = h.summary();
-  EXPECT_NE(s.find("n=1"), std::string::npos);
-  EXPECT_NE(s.find("p50=7"), std::string::npos);
 }
 
 }  // namespace

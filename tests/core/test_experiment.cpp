@@ -300,6 +300,15 @@ TEST(Experiment, UnreadKeyFailsBeforeAnythingRuns) {
                  "unknown key 'app.lines' (line 3); known app.* keys: ");
   expect_unknown("target.kind = enoc\nnet.mesh_widht = 8\n",
                  "unknown key 'net.mesh_widht' (line 2)");
+  // The kind alone names the optical organization, no kind builds a shared
+  // pool, and the path-setup control mesh is the enoc.* block with one vnet
+  // (it carries only control packets): none of these keys is read.
+  expect_unknown("target.kind = onoc-token\nonoc.arbitration = swmr\n",
+                 "unknown key 'onoc.arbitration' (line 2)");
+  expect_unknown("target.kind = onoc-token\nonoc.pool_channels = 1\n",
+                 "unknown key 'onoc.pool_channels' (line 2)");
+  expect_unknown("target.kind = onoc-setup\nonoc.ctrl_vnets = 0\n",
+                 "unknown key 'onoc.ctrl_vnets' (line 2)");
 }
 
 // Every section parses before the first simulated cycle, whatever the mode:

@@ -197,6 +197,20 @@ TEST(ExploreConfigParse, UnreadCandidateKeyIsAnError) {
       "candidate.a.net.kind = enoc\n"
       "candidate.a.net.mesh = 16x16\n",
       "cands.cfg:2: candidate 'a': unknown key 'net.mesh'");
+  // The kind alone names the optical organization, and the path-setup
+  // control mesh always runs one vnet.
+  expect_unknown(
+      "candidate.a.net.kind = onoc-token\n"
+      "candidate.a.onoc.arbitration = swmr\n",
+      "cands.cfg:2: candidate 'a': unknown key 'onoc.arbitration'");
+  expect_unknown(
+      "candidate.a.net.kind = onoc-token\n"
+      "candidate.a.onoc.pool_channels = 1\n",
+      "cands.cfg:2: candidate 'a': unknown key 'onoc.pool_channels'");
+  expect_unknown(
+      "candidate.a.net.kind = onoc-setup\n"
+      "candidate.a.onoc.ctrl_vnets = 2\n",
+      "cands.cfg:2: candidate 'a': unknown key 'onoc.ctrl_vnets'");
 }
 
 // The benchmark's design spaces still parse with every key read

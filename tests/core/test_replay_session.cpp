@@ -19,6 +19,7 @@
 
 #include "common/rng.hpp"
 #include "core/driver.hpp"
+#include "core/experiment.hpp"
 #include "noc/routing.hpp"
 #include "trace/record.hpp"
 #include "tracestore/format.hpp"
@@ -664,6 +665,21 @@ TEST(InPlaceRebind, EqualSpecIsNoop) {
   session.rebind(spec);
   EXPECT_EQ(&session.network(), before);  // same object, not rebuilt
   expect_identical(session.run(), fresh, "after noop rebind");
+}
+
+// A NetSpec names one network however it was built: a config and code that
+// set the same fields give equal specs, which replay to one schedule (the
+// onoc-setup control mesh runs on the spec's own enoc block).
+TEST(NetSpec, ConfigAndCodeBuildTheSameOnocSetupNetwork) {
+  const NetSpec parsed = netspec_from_config(
+      Config::from_string("net.kind = onoc-setup\nenoc.link_latency = 3\n"),
+      "net");
+  NetSpec built = spec_of(NetKind::kOnocSetup);
+  built.enoc.link_latency = 3;
+  EXPECT_TRUE(parsed == built);
+  const ReplayConfig cfg;
+  expect_identical(fresh_run(shared_rt(), parsed, cfg),
+                   fresh_run(shared_rt(), built, cfg), "config vs code");
 }
 
 }  // namespace

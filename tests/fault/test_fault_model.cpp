@@ -520,34 +520,35 @@ TEST(FaultedNetwork, EnocStaysLosslessUnderHeavyFaults) {
 
 TEST(FaultedNetwork, OnocTokenLossCompletesAndSlowsArbitration) {
   const auto topo = noc::Topology::mesh(4, 4);
-  onoc::OnocParams params;
-  params.arbitration = onoc::Arbitration::kTokenRing;
+  const onoc::OnocParams params;
   FaultSpec fs;
   fs.seed = 5;
   fs.onoc_token_loss_rate = 0.05;
 
   Simulator sim;
-  onoc::OnocNetwork net(sim, "net", topo, params);
+  onoc::OnocNetwork net(sim, "net", topo, params,
+                        onoc::Arbitration::kTokenRing);
   net.install_fault_model(fs);
   const Cycle faulted_finish = run_all_pairs(sim, net);
   EXPECT_GT(sim.stats().counter_value("net.fault.token_loss"), 0u);
 
   Simulator clean_sim;
-  onoc::OnocNetwork clean(clean_sim, "net", topo, params);
+  onoc::OnocNetwork clean(clean_sim, "net", topo, params,
+                          onoc::Arbitration::kTokenRing);
   EXPECT_GT(faulted_finish, run_all_pairs(clean_sim, clean));
 }
 
 TEST(FaultedNetwork, OnocReservationLossRetriesAreBounded) {
   const auto topo = noc::Topology::mesh(4, 4);
-  onoc::OnocParams params;
-  params.arbitration = onoc::Arbitration::kPathSetup;
+  const onoc::OnocParams params;
   FaultSpec fs;
   fs.seed = 7;
   fs.onoc_reservation_loss_rate = 0.2;  // heavy: most paths retry at least once
   fs.max_retries = 2;
 
   Simulator sim;
-  onoc::OnocNetwork net(sim, "net", topo, params);
+  onoc::OnocNetwork net(sim, "net", topo, params,
+                        onoc::Arbitration::kPathSetup);
   net.install_fault_model(fs);
   (void)run_all_pairs(sim, net);  // completes: grant retries are bounded
   EXPECT_GT(sim.stats().counter_value("net.fault.reservation_loss"), 0u);
@@ -559,15 +560,15 @@ TEST(FaultedNetwork, OnocReservationLossRetriesAreBounded) {
 // delivery that drains the data plane, and after each drained run.
 TEST(FaultedNetwork, OnocSetupControlMeshDrainsWithTheDataPlane) {
   const auto topo = noc::Topology::mesh(4, 4);
-  onoc::OnocParams params;
-  params.arbitration = onoc::Arbitration::kPathSetup;
+  const onoc::OnocParams params;
   FaultSpec fs;
   fs.seed = 11;
   fs.onoc_reservation_loss_rate = 0.3;
   fs.max_retries = 3;
 
   Simulator sim;
-  onoc::OnocNetwork net(sim, "net", topo, params);
+  onoc::OnocNetwork net(sim, "net", topo, params,
+                        onoc::Arbitration::kPathSetup);
   net.install_fault_model(fs);
   int drained_deliveries = 0;
   net.set_deliver_callback([&](const noc::Message&) {

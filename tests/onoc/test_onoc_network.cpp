@@ -28,23 +28,11 @@ Message make_msg(MsgId id, NodeId src, NodeId dst, std::uint32_t bytes) {
   return m;
 }
 
-OnocParams token_params() {
-  OnocParams p;
-  p.arbitration = Arbitration::kTokenRing;
-  return p;
-}
-
-OnocParams setup_params() {
-  OnocParams p;
-  p.arbitration = Arbitration::kPathSetup;
-  return p;
-}
-
 TEST(OnocNetwork, ChannelsKeyOffNodeCountNotLayout) {
   // The crossbar is keyed by node id, so any topology kind works as the tile
   // layout — here a ring, which the pre-graph implementation rejected.
   Simulator sim;
-  OnocNetwork net(sim, "onoc", Topology::ring(8), token_params());
+  OnocNetwork net(sim, "onoc", Topology::ring(8), {}, Arbitration::kTokenRing);
   std::vector<Message> got;
   net.set_deliver_callback([&](const Message& m) { got.push_back(m); });
   net.inject(make_msg(1, 0, 5, 64));
@@ -56,7 +44,7 @@ TEST(OnocNetwork, ChannelsKeyOffNodeCountNotLayout) {
 TEST(OnocNetwork, TokenModeDeliversSingleMessage) {
   Simulator sim;
   const auto t = Topology::mesh(4, 4);
-  OnocNetwork net(sim, "onoc", t, token_params());
+  OnocNetwork net(sim, "onoc", t, {}, Arbitration::kTokenRing);
   std::vector<Message> got;
   net.set_deliver_callback([&](const Message& m) { got.push_back(m); });
   net.inject(make_msg(1, 0, 15, 64));
@@ -69,7 +57,7 @@ TEST(OnocNetwork, TokenModeDeliversSingleMessage) {
 TEST(OnocNetwork, SetupModeDeliversSingleMessage) {
   Simulator sim;
   const auto t = Topology::mesh(4, 4);
-  OnocNetwork net(sim, "onoc", t, setup_params());
+  OnocNetwork net(sim, "onoc", t, {}, Arbitration::kPathSetup);
   std::vector<Message> got;
   net.set_deliver_callback([&](const Message& m) { got.push_back(m); });
   net.inject(make_msg(1, 0, 15, 64));
@@ -83,11 +71,11 @@ TEST(OnocNetwork, SetupModeDeliversSingleMessage) {
 TEST(OnocNetwork, ZeroLoadLatencyFormula) {
   Simulator sim;
   const auto t = Topology::mesh(4, 4);
-  OnocParams p = token_params();
+  OnocParams p;
   p.wavelengths = 16;          // 16 * 10 Gb/s / 8 / 2GHz = 10 B/cycle
   p.eo_latency = 2;
   p.oe_latency = 3;
-  OnocNetwork net(sim, "onoc", t, p);
+  OnocNetwork net(sim, "onoc", t, p, Arbitration::kTokenRing);
   const auto m = make_msg(1, 0, 15, 100);  // ser = 10 cycles
   const Cycle tof = p.tof_cycles(t.distance(0, 15), t.width());
   EXPECT_EQ(net.zero_load_latency(m), 2u + 10u + tof + 3u);
@@ -96,7 +84,7 @@ TEST(OnocNetwork, ZeroLoadLatencyFormula) {
 TEST(OnocNetwork, SelfMessageSkipsArbitration) {
   Simulator sim;
   const auto t = Topology::mesh(2, 2);
-  OnocNetwork net(sim, "onoc", t, token_params());
+  OnocNetwork net(sim, "onoc", t, {}, Arbitration::kTokenRing);
   Message got;
   net.set_deliver_callback([&](const Message& m) { got = m; });
   net.inject(make_msg(1, 3, 3, 64));
@@ -107,7 +95,7 @@ TEST(OnocNetwork, SelfMessageSkipsArbitration) {
 TEST(OnocNetwork, TokenContentionSerializesSameDestination) {
   Simulator sim;
   const auto t = Topology::mesh(4, 4);
-  OnocNetwork net(sim, "onoc", t, token_params());
+  OnocNetwork net(sim, "onoc", t, {}, Arbitration::kTokenRing);
   std::vector<Message> got;
   net.set_deliver_callback([&](const Message& m) { got.push_back(m); });
   // Three writers to node 15 at the same time: transfers must serialize.
@@ -127,7 +115,7 @@ TEST(OnocNetwork, TokenContentionSerializesSameDestination) {
 TEST(OnocNetwork, SetupContentionSerializesSameDestination) {
   Simulator sim;
   const auto t = Topology::mesh(4, 4);
-  OnocNetwork net(sim, "onoc", t, setup_params());
+  OnocNetwork net(sim, "onoc", t, {}, Arbitration::kPathSetup);
   std::vector<Message> got;
   net.set_deliver_callback([&](const Message& m) { got.push_back(m); });
   net.inject(make_msg(1, 0, 15, 640));
@@ -146,7 +134,7 @@ TEST(OnocNetwork, SetupContentionSerializesSameDestination) {
 TEST(OnocNetwork, DistinctDestinationsProceedInParallel) {
   Simulator sim;
   const auto t = Topology::mesh(4, 4);
-  OnocNetwork net(sim, "onoc", t, token_params());
+  OnocNetwork net(sim, "onoc", t, {}, Arbitration::kTokenRing);
   std::vector<Message> got;
   net.set_deliver_callback([&](const Message& m) { got.push_back(m); });
   net.inject(make_msg(1, 0, 12, 640));
@@ -165,7 +153,7 @@ TEST(OnocNetwork, LargeTransferFasterThanEnocWouldBe) {
   // per hop chain — sanity-check the bandwidth math only.
   Simulator sim;
   const auto t = Topology::mesh(4, 4);
-  OnocNetwork net(sim, "onoc", t, token_params());
+  OnocNetwork net(sim, "onoc", t, {}, Arbitration::kTokenRing);
   Message got;
   net.set_deliver_callback([&](const Message& m) { got = m; });
   net.inject(make_msg(1, 0, 15, 4096));
@@ -178,7 +166,7 @@ TEST(OnocNetwork, LargeTransferFasterThanEnocWouldBe) {
 TEST(OnocNetwork, LosslessUnderSyntheticLoadTokenMode) {
   Simulator sim;
   const auto t = Topology::mesh(4, 4);
-  OnocNetwork net(sim, "onoc", t, token_params());
+  OnocNetwork net(sim, "onoc", t, {}, Arbitration::kTokenRing);
   noc::TrafficGenerator::Params tp;
   tp.injection_rate = 0.2;
   tp.warmup = 200;
@@ -193,7 +181,7 @@ TEST(OnocNetwork, LosslessUnderSyntheticLoadTokenMode) {
 TEST(OnocNetwork, LosslessUnderSyntheticLoadSetupMode) {
   Simulator sim;
   const auto t = Topology::mesh(4, 4);
-  OnocNetwork net(sim, "onoc", t, setup_params());
+  OnocNetwork net(sim, "onoc", t, {}, Arbitration::kPathSetup);
   noc::TrafficGenerator::Params tp;
   tp.injection_rate = 0.15;
   tp.warmup = 200;
@@ -209,7 +197,7 @@ TEST(OnocNetwork, DeterministicAcrossRuns) {
   auto run = [] {
     Simulator sim;
     const auto t = Topology::mesh(4, 4);
-    OnocNetwork net(sim, "onoc", t, setup_params());
+    OnocNetwork net(sim, "onoc", t, {}, Arbitration::kPathSetup);
     noc::TrafficGenerator::Params tp;
     tp.injection_rate = 0.1;
     tp.warmup = 100;
@@ -223,9 +211,9 @@ TEST(OnocNetwork, DeterministicAcrossRuns) {
 }
 
 TEST(OnocNetwork, MoreWavelengthsCutSerialization) {
-  OnocParams a = token_params();
+  OnocParams a;
   a.wavelengths = 8;
-  OnocParams b = token_params();
+  OnocParams b;
   b.wavelengths = 64;
   EXPECT_GT(a.ser_cycles(4096), b.ser_cycles(4096));
   EXPECT_NEAR(static_cast<double>(a.ser_cycles(4096)),
@@ -235,7 +223,7 @@ TEST(OnocNetwork, MoreWavelengthsCutSerialization) {
 TEST(OnocNetwork, DataBytesAccounted) {
   Simulator sim;
   const auto t = Topology::mesh(2, 2);
-  OnocNetwork net(sim, "onoc", t, token_params());
+  OnocNetwork net(sim, "onoc", t, {}, Arbitration::kTokenRing);
   net.inject(make_msg(1, 0, 3, 100));
   net.inject(make_msg(2, 1, 2, 50));
   sim.run();
@@ -273,14 +261,13 @@ FlushRun run_contended(Plane which, bool chain) {
   std::unique_ptr<noc::Network> net;
   switch (which) {
     case Plane::kToken:
-      net = std::make_unique<OnocNetwork>(sim, "onoc", topo, token_params());
+      net = std::make_unique<OnocNetwork>(sim, "onoc", topo, OnocParams{},
+                                          Arbitration::kTokenRing);
       break;
-    case Plane::kSwmr: {
-      OnocParams p;
-      p.arbitration = Arbitration::kSwmr;
-      net = std::make_unique<OnocNetwork>(sim, "onoc", topo, p);
+    case Plane::kSwmr:
+      net = std::make_unique<OnocNetwork>(sim, "onoc", topo, OnocParams{},
+                                          Arbitration::kSwmr);
       break;
-    }
     case Plane::kHybrid:
       net = std::make_unique<HybridNetwork>(sim, "hybrid", topo,
                                             enoc::EnocParams{}, OnocParams{},

@@ -37,28 +37,23 @@ TEST(OnocParams, ValidationRejectsBadValues) {
 TEST(OnocParams, FromConfigDefaults) {
   const auto p = OnocParams::from_config(Config{});
   EXPECT_EQ(p.wavelengths, 16);
-  EXPECT_EQ(p.arbitration, Arbitration::kTokenRing);
-  EXPECT_EQ(p.ctrl.vnets, 1);  // control mesh runs one vnet by default
-  EXPECT_EQ(p.pool_channels, 8);
+  EXPECT_EQ(p, OnocParams{});
 }
 
 TEST(OnocParams, FromConfigOverrides) {
   const auto cfg = Config::from_string(
       "onoc.wavelengths = 64\nonoc.gbps_per_wavelength = 20\n"
-      "onoc.arbitration = shared-pool\nonoc.pool_channels = 4\n"
       "onoc.eo_latency = 2\nonoc.die_edge_cm = 1.5\n");
   const auto p = OnocParams::from_config(cfg);
   EXPECT_EQ(p.wavelengths, 64);
   EXPECT_DOUBLE_EQ(p.gbps_per_wavelength, 20.0);
-  EXPECT_EQ(p.arbitration, Arbitration::kSharedPool);
-  EXPECT_EQ(p.pool_channels, 4);
   EXPECT_EQ(p.eo_latency, 2u);
   EXPECT_DOUBLE_EQ(p.die_edge_cm, 1.5);
 }
 
 TEST(OnocParams, FromConfigRejectsOutOfRangeIntegersNamingTheKey) {
   for (const std::string key :
-       {"onoc.ctrl_vnets = 4294967298", "onoc.eo_latency = -1",
+       {"onoc.guard_cycles = -1", "onoc.eo_latency = -1",
         "onoc.wavelengths = 4294967312", "onoc.ctrl_msg_bytes = -8"}) {
     try {
       (void)OnocParams::from_config(Config::from_string(key + "\n"));
@@ -71,17 +66,26 @@ TEST(OnocParams, FromConfigRejectsOutOfRangeIntegersNamingTheKey) {
   }
 }
 
+// The NetKind alone names the organization: from_config reads no scheme
+// key, so one naming a scheme, known or not, is left unread and the
+// unread-key rule rejects it by name instead of running the default.
 TEST(OnocParams, FromConfigRejectsUnknownScheme) {
-  EXPECT_THROW(OnocParams::from_config(
-                   Config::from_string("onoc.arbitration = semaphore\n")),
-               std::invalid_argument);
-}
-
-TEST(OnocParams, SchemeNames) {
-  EXPECT_STREQ(to_string(Arbitration::kTokenRing), "token-ring");
-  EXPECT_STREQ(to_string(Arbitration::kPathSetup), "path-setup");
-  EXPECT_STREQ(to_string(Arbitration::kSwmr), "swmr");
-  EXPECT_STREQ(to_string(Arbitration::kSharedPool), "shared-pool");
+  for (const std::string text :
+       {"onoc.arbitration = semaphore\n", "onoc.arbitration = swmr\n"}) {
+    const auto cfg = Config::from_string(text);
+    (void)OnocParams::from_config(cfg);
+    try {
+      cfg.reject_unread("onoc.");
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const UnreadKeyError& e) {
+      EXPECT_EQ(e.key(), "onoc.arbitration");
+      EXPECT_NE(std::string(e.what()).find("(line 1)"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("onoc.wavelengths"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 /// `text` must fail in OnocParams::from_config, naming `key` and line 1:

@@ -8,9 +8,7 @@ namespace {
 using noc::Topology;
 
 OnocNetwork make_net(Simulator& sim, Arbitration arb) {
-  OnocParams p;
-  p.arbitration = arb;
-  return OnocNetwork(sim, "onoc", Topology::mesh(4, 4), p);
+  return OnocNetwork(sim, "onoc", Topology::mesh(4, 4), {}, arb);
 }
 
 noc::Message msg(MsgId id, NodeId s, NodeId d, std::uint32_t bytes) {
@@ -26,7 +24,7 @@ noc::Message msg(MsgId id, NodeId s, NodeId d, std::uint32_t bytes) {
 TEST(OnocPower, StaticFloorWithoutTraffic) {
   Simulator sim;
   auto net = make_net(sim, Arbitration::kTokenRing);
-  const auto e = compute_onoc_energy(net, 10000, sim.stats());
+  const auto e = compute_onoc_energy(net, 10000);
   EXPECT_GT(e.laser_pj, 0.0);
   EXPECT_GT(e.tuning_pj, 0.0);
   EXPECT_DOUBLE_EQ(e.dynamic_pj, 0.0);
@@ -38,7 +36,7 @@ TEST(OnocPower, DynamicScalesWithBytes) {
   auto net = make_net(sim, Arbitration::kTokenRing);
   net.inject(msg(1, 0, 15, 1024));
   sim.run();
-  const auto e1 = compute_onoc_energy(net, sim.now(), sim.stats());
+  const auto e1 = compute_onoc_energy(net, sim.now());
   EXPECT_GT(e1.dynamic_pj, 0.0);
 
   Simulator sim2;
@@ -46,7 +44,7 @@ TEST(OnocPower, DynamicScalesWithBytes) {
   net2.inject(msg(1, 0, 15, 1024));
   net2.inject(msg(2, 1, 14, 1024));
   sim2.run();
-  const auto e2 = compute_onoc_energy(net2, sim2.now(), sim2.stats());
+  const auto e2 = compute_onoc_energy(net2, sim2.now());
   EXPECT_NEAR(e2.dynamic_pj, 2.0 * e1.dynamic_pj, 1e-6);
 }
 
@@ -55,7 +53,7 @@ TEST(OnocPower, ControlMeshChargedInSetupMode) {
   auto net = make_net(sim, Arbitration::kPathSetup);
   net.inject(msg(1, 0, 15, 256));
   sim.run();
-  const auto e = compute_onoc_energy(net, sim.now(), sim.stats());
+  const auto e = compute_onoc_energy(net, sim.now());
   EXPECT_GT(e.ctrl_pj, 0.0);
 }
 
@@ -65,7 +63,7 @@ TEST(OnocPower, StaticDominatesAtLowUtilization) {
   net.inject(msg(1, 0, 15, 64));
   sim.run();
   // One cache line over a window of 100k cycles: laser+tuning >> dynamic.
-  const auto e = compute_onoc_energy(net, 100000, sim.stats());
+  const auto e = compute_onoc_energy(net, 100000);
   EXPECT_GT(e.laser_pj + e.tuning_pj, 100.0 * e.dynamic_pj);
 }
 
@@ -78,7 +76,7 @@ TEST(OnocPower, WattsConversion) {
 TEST(OnocPower, BudgetInputsMirrorNetwork) {
   Simulator sim;
   auto net = make_net(sim, Arbitration::kTokenRing);
-  const auto in = budget_inputs_for(net);
+  const auto in = budget_inputs_for(net.params(), net.node_count());
   EXPECT_EQ(in.nodes, 16);
   EXPECT_EQ(in.channels_per_node, 15);
   EXPECT_EQ(in.wavelengths, net.params().wavelengths);

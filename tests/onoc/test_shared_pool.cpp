@@ -21,24 +21,18 @@ Message make_msg(MsgId id, NodeId src, NodeId dst, std::uint32_t bytes) {
   return m;
 }
 
-OnocParams pool_params(int channels) {
-  OnocParams p;
-  p.arbitration = Arbitration::kSharedPool;
-  p.pool_channels = channels;
-  return p;
-}
-
 TEST(SharedPool, RejectsEmptyPool) {
   Simulator sim;
   EXPECT_THROW(
-      OnocNetwork(sim, "onoc", Topology::mesh(4, 4), pool_params(0)),
+      OnocNetwork(sim, "onoc", Topology::mesh(4, 4), OnocParams{},
+                  Arbitration::kSharedPool, {}, 0),
       std::invalid_argument);
 }
 
 TEST(SharedPool, SingleMessagePaysArbitrationRound) {
   Simulator sim;
   const auto t = Topology::mesh(4, 4);
-  OnocNetwork net(sim, "onoc", t, pool_params(4));
+  OnocNetwork net(sim, "onoc", t, {}, Arbitration::kSharedPool, {}, 4);
   Message got;
   net.set_deliver_callback([&](const Message& m) { got = m; });
   net.inject(make_msg(1, 0, 15, 64));
@@ -52,7 +46,7 @@ TEST(SharedPool, ParallelismBoundedByPoolSize) {
   // exactly one must wait a full serialization behind the others.
   Simulator sim;
   const auto t = Topology::mesh(4, 4);
-  OnocNetwork net(sim, "onoc", t, pool_params(2));
+  OnocNetwork net(sim, "onoc", t, {}, Arbitration::kSharedPool, {}, 2);
   std::vector<Message> got;
   net.set_deliver_callback([&](const Message& m) { got.push_back(m); });
   net.inject(make_msg(1, 0, 12, 640));
@@ -72,7 +66,8 @@ TEST(SharedPool, MoreChannelsMeanLowerLatencyUnderLoad) {
   auto mean_latency = [](int channels) {
     Simulator sim;
     const auto t = Topology::mesh(4, 4);
-    OnocNetwork net(sim, "onoc", t, pool_params(channels));
+    OnocNetwork net(sim, "onoc", t, OnocParams{},
+                    Arbitration::kSharedPool, {}, channels);
     noc::TrafficGenerator::Params tp;
     tp.injection_rate = 0.1;
     tp.warmup = 300;
@@ -88,7 +83,7 @@ TEST(SharedPool, MoreChannelsMeanLowerLatencyUnderLoad) {
 TEST(SharedPool, LosslessUnderLoad) {
   Simulator sim;
   const auto t = Topology::mesh(4, 4);
-  OnocNetwork net(sim, "onoc", t, pool_params(4));
+  OnocNetwork net(sim, "onoc", t, {}, Arbitration::kSharedPool, {}, 4);
   noc::TrafficGenerator::Params tp;
   tp.injection_rate = 0.15;
   tp.warmup = 200;
@@ -107,20 +102,17 @@ TEST(SharedPool, FixedPointBitExact) {
   app.cores = 16;
   app.lines_per_core = 8;
   app.iterations = 1;
-  NetSpec spec;
-  spec.kind = NetKind::kOnocToken;  // placeholder, overridden below
-  spec.onoc.arbitration = Arbitration::kSharedPool;
-  spec.onoc.pool_channels = 4;
-  // Drive through the factory path that honors spec.onoc as-is: token kind
-  // overwrites arbitration, so build the network directly instead.
+  // No NetKind names a shared pool, so the network is built directly.
+  const noc::Topology topo = noc::Topology::mesh(4, 4);
   auto factory = [&](Simulator& sim) -> std::unique_ptr<noc::Network> {
-    return std::make_unique<OnocNetwork>(sim, "net", spec.topo, spec.onoc);
+    return std::make_unique<OnocNetwork>(sim, "net", topo, OnocParams{},
+                                         Arbitration::kSharedPool,
+                                         enoc::EnocParams{}, 4);
   };
   // Execution-driven capture over the same factory.
   Simulator sim;
   auto net = factory(sim);
-  fullsys::CmpSystem cmp(sim, "cmp", *net, spec.topo, {},
-                         fullsys::build_app(app));
+  fullsys::CmpSystem cmp(sim, "cmp", *net, topo, {}, fullsys::build_app(app));
   trace::TraceCapture capture(cmp, app.name, "shared-pool", 16);
   const Cycle rt = cmp.run_to_completion();
   const auto tr = std::move(capture).finalize(rt);

@@ -20,16 +20,10 @@ Message make_msg(MsgId id, NodeId src, NodeId dst, std::uint32_t bytes) {
   return m;
 }
 
-OnocParams swmr_params() {
-  OnocParams p;
-  p.arbitration = Arbitration::kSwmr;
-  return p;
-}
-
 TEST(Swmr, SingleMessageAtZeroLoadLatency) {
   Simulator sim;
   const auto t = Topology::mesh(4, 4);
-  OnocNetwork net(sim, "onoc", t, swmr_params());
+  OnocNetwork net(sim, "onoc", t, {}, Arbitration::kSwmr);
   Message got;
   net.set_deliver_callback([&](const Message& m) { got = m; });
   net.inject(make_msg(1, 0, 15, 64));
@@ -40,7 +34,7 @@ TEST(Swmr, SingleMessageAtZeroLoadLatency) {
 TEST(Swmr, SameSourceSerializes) {
   Simulator sim;
   const auto t = Topology::mesh(4, 4);
-  OnocNetwork net(sim, "onoc", t, swmr_params());
+  OnocNetwork net(sim, "onoc", t, {}, Arbitration::kSwmr);
   std::vector<Message> got;
   net.set_deliver_callback([&](const Message& m) { got.push_back(m); });
   // Two large messages from node 0 to distinct receivers: the shared source
@@ -58,7 +52,7 @@ TEST(Swmr, SameSourceSerializes) {
 TEST(Swmr, DifferentSourcesToSameDestinationProceedInParallel) {
   Simulator sim;
   const auto t = Topology::mesh(4, 4);
-  OnocNetwork net(sim, "onoc", t, swmr_params());
+  OnocNetwork net(sim, "onoc", t, {}, Arbitration::kSwmr);
   std::vector<Message> got;
   net.set_deliver_callback([&](const Message& m) { got.push_back(m); });
   // The MWSR bottleneck case is free under SWMR (modeled receivers are
@@ -76,7 +70,7 @@ TEST(Swmr, DifferentSourcesToSameDestinationProceedInParallel) {
 TEST(Swmr, LosslessUnderSyntheticLoad) {
   Simulator sim;
   const auto t = Topology::mesh(4, 4);
-  OnocNetwork net(sim, "onoc", t, swmr_params());
+  OnocNetwork net(sim, "onoc", t, {}, Arbitration::kSwmr);
   noc::TrafficGenerator::Params tp;
   tp.injection_rate = 0.2;
   tp.warmup = 200;
@@ -114,9 +108,7 @@ TEST(Swmr, BeatsTokenOnReceiverHotspot) {
   auto hotspot_latency = [](Arbitration arb) {
     Simulator sim;
     const auto t = Topology::mesh(4, 4);
-    OnocParams p;
-    p.arbitration = arb;
-    OnocNetwork net(sim, "onoc", t, p);
+    OnocNetwork net(sim, "onoc", t, {}, arb);
     noc::TrafficGenerator::Params tp;
     tp.pattern = noc::TrafficPattern::kHotspot;
     tp.hotspot_fraction = 0.6;
