@@ -8,15 +8,21 @@
 // ratio is the price of construction the reset protocol eliminates;
 // exploration and the iterative engine pay it per pass, so it multiplies.
 //
+// Each rep times one fresh pass and one session pass back to back, so a
+// clock shift during the run moves both sides of a pair alike; the table
+// reports per-side medians and the median of the per-pair ratios. The
+// enoc ratio sits near 1.05, within one pass's timing noise, so even
+// `--smoke` takes 21 pairs to keep that median steady.
+//
 // Emits bench_results/BENCH_replay_session.json and exits non-zero if the
-// session schedule is not bit-identical to fresh construction or a session
-// pass is slower than a fresh pass. `--smoke` runs a reduced configuration
-// for CI.
+// session schedule is not bit-identical to fresh construction or the median
+// per-pair ratio is below 1 (a session pass slower than a fresh one).
+// `--smoke` runs a reduced configuration for CI.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,23 +34,26 @@
 namespace sctm {
 namespace {
 
-/// Best-of-N wall time of fn, in seconds.
-double best_seconds(int reps, const std::function<void()>& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
+/// Wall time of fn, in seconds.
+template <typename Fn>
+double seconds_of(Fn&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Median of an odd-sized sample.
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
 }
 
 struct KindResult {
   std::string name;
-  double fresh_s = 0;       // new session: build + pass + teardown
-  double session_s = 0;     // one warmed run_pass(): reset + pass
-  double speedup = 0;       // fresh_s / session_s
+  double fresh_s = 0;       // median new session: build + pass + teardown
+  double session_s = 0;     // median warmed run_pass(): reset + pass
+  double speedup = 0;       // median of the per-rep fresh/session ratios
   std::uint64_t events = 0; // kernel events per pass
   bool identical = false;   // session schedule == fresh schedule
 };
@@ -62,19 +71,25 @@ KindResult measure(const std::string& name, const core::ReplayTrace& rt,
     return fresh_session.take_result();
   };
   const core::ReplayResult fresh = fresh_pass();
-  out.fresh_s = best_seconds(reps, [&] { fresh_pass(); });
 
   core::ReplaySession session(rt, spec, cfg);
   session.run_pass();  // warmup: size every retained-capacity structure
   session.run_pass();
-  out.session_s = best_seconds(reps, [&] { session.run_pass(); });
+  std::vector<double> fresh_s, session_s, ratio;
+  for (int r = 0; r < reps; ++r) {
+    fresh_s.push_back(seconds_of([&] { fresh_pass(); }));
+    session_s.push_back(seconds_of([&] { session.run_pass(); }));
+    ratio.push_back(fresh_s.back() / session_s.back());
+  }
+  out.fresh_s = median(fresh_s);
+  out.session_s = median(session_s);
+  out.speedup = median(ratio);
 
   const core::ReplayResult& reused = session.result();
   out.identical = reused.inject_time == fresh.inject_time &&
                   reused.arrive_time == fresh.arrive_time &&
                   reused.runtime == fresh.runtime;
   out.events = reused.events;
-  out.speedup = out.session_s > 0 ? out.fresh_s / out.session_s : 0.0;
   return out;
 }
 
@@ -86,7 +101,7 @@ int run(bool smoke) {
   app.iterations = smoke ? 1 : 4;
   const auto exec = core::run_execution(app, bench::enoc_spec(), {});
   const core::ReplayTrace rt(exec.trace);
-  const int reps = smoke ? 5 : 15;
+  const int reps = smoke ? 21 : 31;
 
   std::vector<KindResult> results;
   results.push_back(measure("ideal", rt, bench::ideal_spec(1), reps));

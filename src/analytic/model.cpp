@@ -36,23 +36,24 @@ double wait_cap(const TraceProfile& p) {
 /// station used by a single message never waits, which is what replay does.
 double finite_pop(double m) { return m <= 1.0 ? 0.0 : (m - 1.0) / m; }
 
-/// Steering mask for the hybrid: one byte per (pair, class), 1 = optical.
-/// Pure-kind models pass no mask and see all traffic.
-struct PairClassFilter {
-  const std::vector<std::uint8_t>* mask = nullptr;
-  bool want_optical = false;
+using Flows = std::vector<TraceProfile::Flow>;
 
-  bool accept(const TraceProfile& p, NodeId s, NodeId d, int c) const {
-    if (mask == nullptr) return true;
-    const std::size_t i = p.pair_index(s, d) * kClasses +
-                          static_cast<std::size_t>(c);
-    return ((*mask)[i] != 0) == want_optical;
-  }
+/// Per-message quantities of one latency core. `weight` is the message
+/// count the core covers (the hybrid scores disjoint flow subsets through
+/// two cores and recombines them by weight).
+struct LatencyCore {
+  double weight = 0;
+  double mean_latency = 0;     // includes waiting
+  double mean_wait = 0;        // waiting share of mean_latency
+  double max_zero_load = 0;    // slowest pair at zero load
+  double bottleneck_busy = 0;  // busy cycles on the most-loaded resource
+  std::array<double, noc::kMsgClassCount> class_weight{};
+  std::array<double, noc::kMsgClassCount> class_latency{};  // means
 };
 
-/// Weighted accumulation of per-(pair,class) latencies into a LatencyCore.
+/// Weighted accumulation of per-flow latencies into a LatencyCore.
 struct CoreAcc {
-  AnalyticModel::LatencyCore out{};
+  LatencyCore out{};
 
   void add(int c, double msgs, double zero_load, double wait) {
     out.weight += msgs;
@@ -64,7 +65,7 @@ struct CoreAcc {
         msgs * (zero_load + wait);
   }
 
-  AnalyticModel::LatencyCore finish(double bottleneck_busy) {
+  LatencyCore finish(double bottleneck_busy) {
     if (out.weight > 0) {
       out.mean_latency /= out.weight;
       out.mean_wait /= out.weight;
@@ -82,13 +83,12 @@ struct CoreAcc {
 // Ideal network: replicates noc::IdealNetwork::model_latency exactly (the
 // contention-free agreement anchor — see tests/analytic/test_model.cpp).
 
-AnalyticModel::LatencyCore ideal_core(const TraceProfile& p,
-                                      const noc::Topology& topo,
-                                      const noc::IdealNetwork::Params& prm) {
+LatencyCore ideal_core(const Flows& flows, const noc::Topology& topo,
+                       const noc::IdealNetwork::Params& prm) {
   CoreAcc acc;
   NodeId dist_src = kInvalidNode, dist_dst = kInvalidNode;
   int hops = 0;
-  for (const auto& f : p.flows) {
+  for (const auto& f : flows) {
     if (f.src != dist_src || f.dst != dist_dst) {
       dist_src = f.src;
       dist_dst = f.dst;
@@ -108,11 +108,9 @@ AnalyticModel::LatencyCore ideal_core(const TraceProfile& p,
 // order (requests ahead of replies ahead of data ahead of control), the
 // order the vnet partition drains under round-robin in practice.
 
-AnalyticModel::LatencyCore enoc_core(const TraceProfile& p,
-                                     const noc::Topology& topo,
-                                     const enoc::EnocParams& prm,
-                                     const noc::RoutingTable& routes,
-                                     const PairClassFilter& filter) {
+LatencyCore enoc_core(const TraceProfile& p, const Flows& flows,
+                      const noc::Topology& topo, const enoc::EnocParams& prm,
+                      const noc::RoutingTable& routes) {
   const int radix = topo.radix();
   const auto links =
       static_cast<std::size_t>(p.nodes) * static_cast<std::size_t>(radix);
@@ -131,7 +129,7 @@ AnalyticModel::LatencyCore enoc_core(const TraceProfile& p,
 
   // Group the pair-major flow list by pair and walk each route exactly once
   // (the flows of one pair share it): the whole core is O(active flows +
-  // active pairs * hops), never O(nodes^2 * classes).
+  // active pairs * hops).
   struct PairGroup {
     std::size_t fbegin, fend;     // flow range
     std::uint32_t rbegin, rend;   // route range (rend - rbegin == hops)
@@ -146,13 +144,11 @@ AnalyticModel::LatencyCore enoc_core(const TraceProfile& p,
                         (algo == noc::RoutingAlgo::kXY ||
                          algo == noc::RoutingAlgo::kYX);
   const int width = topo.width();
-  for (std::size_t f = 0; f < p.flows.size();) {
-    const NodeId s = p.flows[f].src;
-    const NodeId d = p.flows[f].dst;
+  for (std::size_t f = 0; f < flows.size();) {
+    const NodeId s = flows[f].src;
+    const NodeId d = flows[f].dst;
     std::size_t g = f;
-    while (g < p.flows.size() && p.flows[g].src == s && p.flows[g].dst == d) {
-      ++g;
-    }
+    while (g < flows.size() && flows[g].src == s && flows[g].dst == d) ++g;
     const auto rbegin = static_cast<std::uint32_t>(route.size());
     if (dor_mesh) {
       int cx = static_cast<int>(s) % width, cy = static_cast<int>(s) / width;
@@ -202,8 +198,7 @@ AnalyticModel::LatencyCore enoc_core(const TraceProfile& p,
   // Pass 1: offered load per link.
   for (const auto& grp : groups) {
     for (std::size_t f = grp.fbegin; f < grp.fend; ++f) {
-      const auto& fw = p.flows[f];
-      if (!filter.accept(p, fw.src, fw.dst, fw.cls)) continue;
+      const auto& fw = flows[f];
       const double fl = flits_of(fw.mean_bytes);
       const double fl2 =
           fl * fl * (1.0 + cv2[static_cast<std::size_t>(fw.cls)]);
@@ -255,8 +250,7 @@ AnalyticModel::LatencyCore enoc_core(const TraceProfile& p,
   for (const auto& grp : groups) {
     const int hops = static_cast<int>(grp.rend - grp.rbegin);
     for (std::size_t f = grp.fbegin; f < grp.fend; ++f) {
-      const auto& fw = p.flows[f];
-      if (!filter.accept(p, fw.src, fw.dst, fw.cls)) continue;
+      const auto& fw = flows[f];
       const double fl = flits_of(fw.mean_bytes);
       const double l0 =
           hops * (kRouterPipeline + static_cast<double>(prm.link_latency)) +
@@ -293,13 +287,10 @@ double retx_factor(double ber, double mean_bytes) {
 
 /// `electrical` is the block the path-setup control mesh runs on (the
 /// spec's `enoc`, as in the network); the other organizations ignore it.
-AnalyticModel::LatencyCore onoc_core(const TraceProfile& p,
-                                     const noc::Topology& topo,
-                                     const onoc::OnocParams& prm,
-                                     onoc::Arbitration arb,
-                                     const enoc::EnocParams& electrical,
-                                     double ber,
-                                     const PairClassFilter& filter) {
+LatencyCore onoc_core(const TraceProfile& p, const Flows& flows,
+                      const noc::Topology& topo, const onoc::OnocParams& prm,
+                      onoc::Arbitration arb,
+                      const enoc::EnocParams& electrical, double ber) {
   const double span = static_cast<double>(p.span());
   const double bpc = prm.bytes_per_cycle();
   const double guard = static_cast<double>(prm.guard_cycles);
@@ -346,10 +337,8 @@ AnalyticModel::LatencyCore onoc_core(const TraceProfile& p,
   std::vector<double> ch_msgs(channels, 0.0);
   std::vector<double> ch_busy(channels, 0.0);   // Sum msgs * (ser + guard)
   std::vector<double> ch_s2(channels, 0.0);     // Sum msgs * S^2 * (1+cv^2)
-  for (const auto& fw : p.flows) {
-    if (fw.src == fw.dst || !filter.accept(p, fw.src, fw.dst, fw.cls)) {
-      continue;
-    }
+  for (const auto& fw : flows) {
+    if (fw.src == fw.dst) continue;
     const auto ch = static_cast<std::size_t>(
         arb == onoc::Arbitration::kSwmr ? fw.src : fw.dst);
     const double svc = (serc(fw.mean_bytes) + guard) *
@@ -381,8 +370,7 @@ AnalyticModel::LatencyCore onoc_core(const TraceProfile& p,
   CoreAcc acc;
   NodeId dist_src = kInvalidNode, dist_dst = kInvalidNode;
   int dist = 0;
-  for (const auto& fw : p.flows) {
-    if (!filter.accept(p, fw.src, fw.dst, fw.cls)) continue;
+  for (const auto& fw : flows) {
     const double rf = retx_factor(ber, fw.mean_bytes);
     if (fw.src == fw.dst) {
       // Local loopback: conversion + serialization, no arbitration.
@@ -405,32 +393,6 @@ AnalyticModel::LatencyCore onoc_core(const TraceProfile& p,
   return acc.finish(bottleneck);
 }
 
-// ---------------------------------------------------------------------------
-// Concrete models.
-
-struct IdealModel final : AnalyticModel {
-  noc::Topology topo;
-  noc::IdealNetwork::Params prm;
-  IdealModel(const noc::Topology& t, const noc::IdealNetwork::Params& pr)
-      : topo(t), prm(pr) {}
-  const char* name() const override { return "ideal"; }
-  LatencyCore core(const TraceProfile& p) const override {
-    return ideal_core(p, topo, prm);
-  }
-};
-
-struct EnocModel final : AnalyticModel {
-  noc::Topology topo;
-  enoc::EnocParams prm;
-  noc::RoutingTable routes;
-  EnocModel(const noc::Topology& t, const enoc::EnocParams& pr)
-      : topo(t), prm(pr), routes(t, pr.routing) {}
-  const char* name() const override { return "enoc"; }
-  LatencyCore core(const TraceProfile& p) const override {
-    return enoc_core(p, topo, prm, routes, {});
-  }
-};
-
 /// The eroded-budget BER the simulator derives for the same optical plane
 /// (onoc/loss.hpp); 0 without faults.
 double faulted_ber(const onoc::OnocParams& prm, const noc::Topology& topo,
@@ -441,103 +403,101 @@ double faulted_ber(const onoc::OnocParams& prm, const noc::Topology& topo,
       fault.onoc_ring_drift_sigma_c, fault.onoc_laser_degradation_db);
 }
 
-struct OnocModel final : AnalyticModel {
-  noc::Topology topo;
-  onoc::OnocParams prm;
-  onoc::Arbitration arb;
-  enoc::EnocParams electrical;  // the path-setup control mesh's block
-  double ber = 0;
-  OnocModel(const noc::Topology& t, const onoc::OnocParams& pr,
-            onoc::Arbitration a, const enoc::EnocParams& el,
-            const fault::FaultSpec& fault)
-      : topo(t), prm(pr), arb(a), electrical(el) {
-    prm.validate();
-    ber = faulted_ber(prm, topo, fault);
-  }
-  const char* name() const override { return "onoc"; }
-  LatencyCore core(const TraceProfile& p) const override {
-    return onoc_core(p, topo, prm, arb, electrical, ber, {});
-  }
-};
+// ---------------------------------------------------------------------------
+// Hybrid: each flow goes to the plane HybridNetwork::goes_optical picks for a
+// message of the flow's mean size, each plane is scored on its own flows
+// (ascending order kept), and the two cores recombine by message weight.
 
-/// Steering-threshold-weighted mix: the profile's (pair, class) buckets are
-/// assigned to a plane by the same rule HybridNetwork::goes_optical applies
-/// per message (using the bucket's mean size), each plane is modeled on its
-/// own sub-load, and the cores recombine by message weight.
-struct HybridModel final : AnalyticModel {
-  noc::Topology topo;
-  enoc::EnocParams el_prm;
-  onoc::OnocParams op_prm;
-  onoc::HybridParams prm;
-  noc::RoutingTable routes;  // electrical plane
-  double ber;
-  HybridModel(const noc::Topology& t, const enoc::EnocParams& el,
-              const onoc::OnocParams& op, const onoc::HybridParams& pr,
-              const fault::FaultSpec& fault)
-      : topo(t),
-        el_prm(el),
-        op_prm(op),
-        prm(pr),
-        routes(t, el.routing),
-        ber(faulted_ber(op, t, fault)) {}
-  const char* name() const override { return "hybrid"; }
-
-  LatencyCore core(const TraceProfile& p) const override {
-    std::vector<std::uint8_t> mask(
-        static_cast<std::size_t>(p.nodes) * static_cast<std::size_t>(p.nodes) *
-            kClasses,
-        0);
-    NodeId dist_src = kInvalidNode, dist_dst = kInvalidNode;
-    bool far = false;
-    for (const auto& fw : p.flows) {
-      if (fw.src == fw.dst) continue;  // loopbacks stay electrical
+LatencyCore hybrid_core(const TraceProfile& p, const core::NetSpec& spec,
+                        const noc::RoutingTable& routes, double ber) {
+  const auto big = static_cast<double>(spec.hybrid.size_threshold);
+  Flows electrical, optical;
+  NodeId dist_src = kInvalidNode, dist_dst = kInvalidNode;
+  bool far = false;
+  for (const auto& fw : p.flows) {
+    bool goes_optical = false;
+    if (fw.src != fw.dst) {  // loopbacks stay electrical
       if (fw.src != dist_src || fw.dst != dist_dst) {
         dist_src = fw.src;
         dist_dst = fw.dst;
-        far = topo.distance(fw.src, fw.dst) >= prm.distance_threshold;
+        far = spec.topo.distance(fw.src, fw.dst) >=
+              spec.hybrid.distance_threshold;
       }
-      const bool big =
-          fw.mean_bytes >= static_cast<double>(prm.size_threshold);
-      if (big || far) {
-        mask[p.pair_index(fw.src, fw.dst) * kClasses +
-             static_cast<std::size_t>(fw.cls)] = 1;
-      }
+      goes_optical = far || fw.mean_bytes >= big;
     }
-    const LatencyCore el =
-        enoc_core(p, topo, el_prm, routes, {&mask, false});
-    const LatencyCore op =
-        onoc_core(p, topo, op_prm, onoc::HybridNetwork::kOpticalOrganization,
-                  el_prm, ber, {&mask, true});
-    LatencyCore out{};
-    out.weight = el.weight + op.weight;
-    if (out.weight > 0) {
-      out.mean_latency = (el.weight * el.mean_latency +
-                          op.weight * op.mean_latency) /
-                         out.weight;
-      out.mean_wait =
-          (el.weight * el.mean_wait + op.weight * op.mean_wait) / out.weight;
-    }
-    out.max_zero_load = std::max(el.max_zero_load, op.max_zero_load);
-    out.bottleneck_busy = std::max(el.bottleneck_busy, op.bottleneck_busy);
-    for (int c = 0; c < kClasses; ++c) {
-      const auto i = static_cast<std::size_t>(c);
-      out.class_weight[i] = el.class_weight[i] + op.class_weight[i];
-      if (out.class_weight[i] > 0) {
-        out.class_latency[i] = (el.class_weight[i] * el.class_latency[i] +
-                                op.class_weight[i] * op.class_latency[i]) /
-                               out.class_weight[i];
-      }
-    }
-    return out;
+    (goes_optical ? optical : electrical).push_back(fw);
   }
-};
+  const LatencyCore el = enoc_core(p, electrical, spec.topo, spec.enoc, routes);
+  const LatencyCore op =
+      onoc_core(p, optical, spec.topo, spec.onoc,
+                onoc::HybridNetwork::kOpticalOrganization, spec.enoc, ber);
+  LatencyCore out{};
+  out.weight = el.weight + op.weight;
+  if (out.weight > 0) {
+    out.mean_latency =
+        (el.weight * el.mean_latency + op.weight * op.mean_latency) /
+        out.weight;
+    out.mean_wait =
+        (el.weight * el.mean_wait + op.weight * op.mean_wait) / out.weight;
+  }
+  out.max_zero_load = std::max(el.max_zero_load, op.max_zero_load);
+  out.bottleneck_busy = std::max(el.bottleneck_busy, op.bottleneck_busy);
+  for (int c = 0; c < kClasses; ++c) {
+    const auto i = static_cast<std::size_t>(c);
+    out.class_weight[i] = el.class_weight[i] + op.class_weight[i];
+    if (out.class_weight[i] > 0) {
+      out.class_latency[i] = (el.class_weight[i] * el.class_latency[i] +
+                              op.class_weight[i] * op.class_latency[i]) /
+                             out.class_weight[i];
+    }
+  }
+  return out;
+}
 
 }  // namespace
+
+AnalyticModel::AnalyticModel(const core::NetSpec& spec) : spec_(spec) {
+  switch (spec_.kind) {
+    case core::NetKind::kIdeal:
+      return;
+    case core::NetKind::kEnoc:
+      routes_.emplace(spec_.topo, spec_.enoc.routing);
+      return;
+    case core::NetKind::kOnocToken:
+    case core::NetKind::kOnocSetup:
+    case core::NetKind::kOnocSwmr:
+      spec_.onoc.validate();
+      ber_ = faulted_ber(spec_.onoc, spec_.topo, spec_.fault);
+      return;
+    case core::NetKind::kHybrid:
+      routes_.emplace(spec_.topo, spec_.enoc.routing);
+      ber_ = faulted_ber(spec_.onoc, spec_.topo, spec_.fault);
+      return;
+  }
+  throw std::invalid_argument("AnalyticModel: bad NetKind");
+}
 
 AnalyticResult AnalyticModel::estimate(const TraceProfile& p) const {
   AnalyticResult r;
   if (p.records == 0) return r;
-  const LatencyCore c = core(p);
+  LatencyCore c;
+  switch (spec_.kind) {
+    case core::NetKind::kIdeal:
+      c = ideal_core(p.flows, spec_.topo, spec_.ideal);
+      break;
+    case core::NetKind::kEnoc:
+      c = enoc_core(p, p.flows, spec_.topo, spec_.enoc, *routes_);
+      break;
+    case core::NetKind::kOnocToken:
+    case core::NetKind::kOnocSetup:
+    case core::NetKind::kOnocSwmr:
+      c = onoc_core(p, p.flows, spec_.topo, spec_.onoc,
+                    core::optical_organization(spec_.kind), spec_.enoc, ber_);
+      break;
+    case core::NetKind::kHybrid:
+      c = hybrid_core(p, spec_, *routes_, ber_);
+      break;
+  }
   r.est_mean_latency = c.mean_latency;
   r.per_class = c.class_latency;
   // Exponential tail approximation on the waiting share: p99 = slowest
@@ -555,26 +515,11 @@ AnalyticResult AnalyticModel::estimate(const TraceProfile& p) const {
 }
 
 std::unique_ptr<AnalyticModel> make_model(const core::NetSpec& spec) {
-  switch (spec.kind) {
-    case core::NetKind::kIdeal:
-      return std::make_unique<IdealModel>(spec.topo, spec.ideal);
-    case core::NetKind::kEnoc:
-      return std::make_unique<EnocModel>(spec.topo, spec.enoc);
-    case core::NetKind::kOnocToken:
-    case core::NetKind::kOnocSetup:
-    case core::NetKind::kOnocSwmr:
-      return std::make_unique<OnocModel>(
-          spec.topo, spec.onoc, core::optical_organization(spec.kind),
-          spec.enoc, spec.fault);
-    case core::NetKind::kHybrid:
-      return std::make_unique<HybridModel>(spec.topo, spec.enoc, spec.onoc,
-                                           spec.hybrid, spec.fault);
-  }
-  throw std::invalid_argument("make_model: bad NetKind");
+  return std::make_unique<AnalyticModel>(spec);
 }
 
 AnalyticResult estimate(const TraceProfile& p, const core::NetSpec& spec) {
-  return make_model(spec)->estimate(p);
+  return AnalyticModel(spec).estimate(p);
 }
 
 }  // namespace sctm::analytic

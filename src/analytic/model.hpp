@@ -1,14 +1,14 @@
-// Tier-0 analytic latency estimators, one per NetKind.
+// Tier-0 analytic latency estimator, one class for every NetKind.
 //
-// Each model maps a TraceProfile plus a candidate NetSpec to an
-// AnalyticResult in O(nodes^2 * classes) — no events, no records. The
-// estimators follow the priority-class queueing treatment of Mandal et al.
-// ("Analytical Performance Models for NoCs with Multiple Priority Traffic
-// Classes"): each shared resource (a mesh link, an optical receive/source
-// channel, the shared pool) is an M/G/1-style station fed by the profile's
-// offered-load matrix, and a message's latency is its zero-load path time
-// plus the waiting terms of every station on its path. DESIGN.md §12 gives
-// the per-kind equations and the known blind spots.
+// AnalyticModel maps a TraceProfile plus a candidate NetSpec to an
+// AnalyticResult in O(flows + active pairs * hops) — no events, no
+// records. The estimator follows the priority-class queueing treatment of
+// Mandal et al. ("Analytical Performance Models for NoCs with Multiple
+// Priority Traffic Classes"): each shared resource (a mesh link, an optical
+// receive/source channel) is an M/G/1-style station fed by the profile's
+// flows, and a message's latency is its zero-load path time plus the
+// waiting terms of every station on its path. DESIGN.md §12 gives the
+// per-kind equations and the known blind spots.
 //
 // Estimates are consistent with replay in the two regimes the tests pin
 // down: they agree exactly with replay on a contention-free single-flow
@@ -18,9 +18,11 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 
 #include "analytic/trace_profile.hpp"
 #include "core/driver.hpp"
+#include "noc/route_table.hpp"
 
 namespace sctm::analytic {
 
@@ -34,37 +36,32 @@ struct AnalyticResult {
   std::array<double, noc::kMsgClassCount> per_class{};
 };
 
-/// One latency estimator, bound to a candidate's topology and parameters.
+/// The latency estimator bound to one candidate spec.
 class AnalyticModel {
  public:
-  virtual ~AnalyticModel() = default;
-  virtual const char* name() const = 0;
+  /// Caches what scoring reads besides the profile: the routing table of the
+  /// electrical plane (enoc, hybrid) and the optical plane's fault BER
+  /// (onoc-*, hybrid). Throws where the simulators' own constructors do:
+  /// invalid optical parameters for the onoc-* kinds, and a fabric the
+  /// electrical plane's routing table cannot be built on (a disconnected
+  /// table-routed topology) for enoc and hybrid.
+  explicit AnalyticModel(const core::NetSpec& spec);
 
-  /// Full estimate: latency core plus the profile's critical-path envelope
-  /// and throughput bound combined into est_runtime.
+  /// Full estimate: the kind's latency core plus the profile's
+  /// critical-path envelope and throughput bound combined into
+  /// est_runtime.
   AnalyticResult estimate(const TraceProfile& p) const;
 
-  /// Intermediate per-message quantities, exposed for the hybrid mix and
-  /// the tests. `weight` is the message count this core covers (the hybrid
-  /// steers disjoint subsets through two cores and recombines by weight).
-  struct LatencyCore {
-    double weight = 0;
-    double mean_latency = 0;   // includes waiting
-    double mean_wait = 0;      // waiting share of mean_latency
-    double max_zero_load = 0;  // slowest pair at zero load
-    double bottleneck_busy = 0;  // busy cycles on the most-loaded resource
-    std::array<double, noc::kMsgClassCount> class_weight{};
-    std::array<double, noc::kMsgClassCount> class_latency{};  // means
-  };
-  virtual LatencyCore core(const TraceProfile& p) const = 0;
+ private:
+  core::NetSpec spec_;
+  std::optional<noc::RoutingTable> routes_;  // electrical plane
+  double ber_ = 0;                           // optical plane, 0 fault-free
 };
 
-/// Builds the estimator for `spec` (resolving NetKind to the arbitration
-/// scheme exactly as core::make_factory does). Throws on unsupported
-/// topologies, mirroring the simulators' own constructors.
+/// Builds the estimator for `spec`.
 std::unique_ptr<AnalyticModel> make_model(const core::NetSpec& spec);
 
-/// One-shot convenience: make_model(spec)->estimate(p).
+/// One-shot convenience: AnalyticModel(spec).estimate(p).
 AnalyticResult estimate(const TraceProfile& p, const core::NetSpec& spec);
 
 }  // namespace sctm::analytic

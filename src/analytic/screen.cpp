@@ -4,8 +4,6 @@
 #include <chrono>
 #include <numeric>
 #include <stdexcept>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analytic/trace_profile.hpp"
@@ -37,9 +35,10 @@ std::vector<core::ExploreResult> explore_screened(
   }
   const std::size_t k = cfg.screen_top_k;
   const std::size_t n = candidates.size();
+  const auto index = core::index_by_name(candidates);
 
-  // Tier 0: one streaming pass over the trace, then O(nodes^2 * classes)
-  // per candidate — no Simulator, no network, no events.
+  // Tier 0: one streaming pass over the trace, then O(flows + active pairs
+  // * hops) per candidate — no Simulator, no network, no events.
   const TraceProfile profile = profile_trace(rt);
   std::vector<core::ExploreResult> out(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -73,18 +72,9 @@ std::vector<core::ExploreResult> explore_screened(
   const std::vector<core::ExploreResult> confirmed =
       core::explore(rt, top, cfg);
 
-  // Overlay replay numbers onto the screened entries. Names within the
-  // top-K may repeat (callers are free to hand-build duplicate candidate
-  // lists), so each replay result claims the first still-unclaimed screened
-  // entry with its name.
-  std::unordered_map<std::string, std::vector<std::size_t>> by_name;
-  for (std::size_t r = 0; r < k; ++r) {
-    by_name[candidates[order[r]].name].push_back(order[r]);
-  }
+  // Overlay replay numbers onto the screened entries.
   for (const auto& c : confirmed) {
-    auto& slots = by_name.at(c.name);
-    const std::size_t i = slots.back();
-    slots.pop_back();
+    const std::size_t i = index.at(c.name);
     out[i].replayed = true;
     out[i].runtime = c.runtime;
     out[i].mean_latency = c.mean_latency;

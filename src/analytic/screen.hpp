@@ -4,10 +4,10 @@
 // pipeline. With ExploreConfig::screen_top_k == 0 it is exactly
 // core::explore() (every candidate replayed). With K >= 1 it profiles the
 // trace once (O(records)), scores every candidate analytically
-// (O(nodes^2) each — microseconds), ranks by estimated runtime, and spends
-// full self-correcting replay only on the top K. Every result carries its
-// analytic rank and estimates; the K confirmed ones carry replay numbers
-// too, and sort ahead of the analytic-only tail.
+// (O(flows + active pairs * hops) each — microseconds), ranks by estimated
+// runtime, and spends full self-correcting replay only on the top K. Every
+// result carries its analytic rank and estimates; the K confirmed ones
+// carry replay numbers too, and sort ahead of the analytic-only tail.
 #pragma once
 
 #include <vector>
@@ -20,7 +20,8 @@ namespace sctm::analytic {
 /// Screened exploration (see file comment). Deterministic at any thread
 /// count: scoring is a pure function per candidate, replay is
 /// core::explore(). Throws std::invalid_argument on an empty candidate
-/// list, like core::explore().
+/// list or a repeated candidate name, like core::explore(), before
+/// anything runs.
 std::vector<core::ExploreResult> explore_screened(
     const core::ReplayTrace& rt,
     const std::vector<core::Candidate>& candidates,

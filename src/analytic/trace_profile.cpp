@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
+
+#include "common/flat_map.hpp"
 
 namespace sctm::analytic {
 
@@ -66,20 +69,26 @@ TraceProfile profile_trace(const core::ReplayTrace& rt) {
   p.records = n;
   p.capture_runtime = rt.capture_runtime();
 
-  // finalize() keeps every endpoint inside [0, nodes), so the load
-  // matrices index by node id without bounds checks.
   p.nodes = std::max(rt.nodes(), 1);
-  const auto nn = static_cast<std::size_t>(p.nodes) *
-                  static_cast<std::size_t>(p.nodes);
-  p.pair_msgs.assign(nn, 0);
-  p.pair_bytes.assign(nn, 0.0);
-  p.pair_cls_msgs.assign(nn * noc::kMsgClassCount, 0);
-  p.pair_cls_bytes.assign(nn * noc::kMsgClassCount, 0.0);
-
   if (n == 0) return p;
 
   p.first_inject = kNoCycle;
   p.last_inject = 0;
+
+  // Offered load per flow key (src * nodes + dst) * classes + cls. finalize()
+  // keeps every endpoint inside [0, nodes), so keys are unique and their
+  // order is (src, dst, cls) order; the largest, 4 * nodes^2 - 1, stays
+  // below FlatMap's all-ones sentinel for any int32 node count. Bytes sum as
+  // integers: each partial sum is exact, so a flow's mean is the same double
+  // at any record order.
+  static_assert(noc::kMsgClassCount <= 4, "flow keys must fit 64 bits");
+  struct FlowSum {
+    std::uint64_t msgs = 0;
+    std::uint64_t bytes = 0;
+  };
+  FlatMap<std::uint64_t, FlowSum> load;
+  const auto nodes = static_cast<std::uint64_t>(p.nodes);
+  std::uint64_t dep_edges = 0;
 
   // Dominant-chain DP. Two summaries per record — the chain maximizing the
   // accumulated base and the chain maximizing the depth — both feed the
@@ -89,7 +98,6 @@ TraceProfile profile_trace(const core::ReplayTrace& rt) {
   std::vector<std::uint32_t> depth_b(n), depth_d(n);
   // depth -> max base at that depth (dense; depth <= n).
   std::vector<double> best_at_depth;
-  double slack_sum = 0;
 
   for (std::uint32_t i = 0; i < n; ++i) {
     const auto bytes = static_cast<double>(rt.size_bytes(i));
@@ -98,15 +106,20 @@ TraceProfile profile_trace(const core::ReplayTrace& rt) {
     p.first_inject = std::min(p.first_inject, inj);
     p.last_inject = std::max(p.last_inject, inj);
 
-    const std::size_t pi = p.pair_index(rt.src(i), rt.dst(i));
-    p.pair_msgs[pi] += 1;
-    p.pair_bytes[pi] += bytes;
-    p.pair_cls_msgs[pi * noc::kMsgClassCount + c] += 1;
-    p.pair_cls_bytes[pi * noc::kMsgClassCount + c] += bytes;
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(rt.src(i)) * nodes +
+         static_cast<std::uint64_t>(rt.dst(i))) *
+            noc::kMsgClassCount +
+        c;
+    if (FlowSum* f = load.find(key)) {
+      f->msgs += 1;
+      f->bytes += rt.size_bytes(i);
+    } else {
+      load.insert(key, {1, rt.size_bytes(i)});
+    }
     p.cls[c].messages += 1;
     p.cls[c].sum_bytes += bytes;
     p.cls[c].sum_bytes_sq += bytes * bytes;
-    p.size_hist.add(rt.size_bytes(i));
 
     const std::uint32_t fanin = rt.dep_count(i);
     if (fanin == 0) {
@@ -121,7 +134,6 @@ TraceProfile profile_trace(const core::ReplayTrace& rt) {
       for (std::uint32_t k = 0; k < fanin; ++k) {
         const std::uint32_t parent = rt.dep_parent_index(i, k);
         const auto slack = static_cast<double>(rt.slack(i, parent));
-        slack_sum += slack;
         // Both parent summaries are candidate chains through this edge.
         const double cand_base[2] = {base_b[parent] + slack,
                                      base_d[parent] + slack};
@@ -146,7 +158,7 @@ TraceProfile profile_trace(const core::ReplayTrace& rt) {
       base_d[i] = bd;
       depth_d[i] = dd;
     }
-    p.dep_edges += fanin;
+    dep_edges += fanin;
     p.critical_depth = std::max(p.critical_depth, depth_d[i]);
 
     for (const std::uint32_t d : {depth_b[i], depth_d[i]}) {
@@ -156,24 +168,25 @@ TraceProfile profile_trace(const core::ReplayTrace& rt) {
     }
   }
 
-  // Compact pair-major flow list (the estimators' iteration surface).
-  for (std::size_t pi = 0; pi < nn; ++pi) {
-    if (p.pair_msgs[pi] == 0) continue;
-    const auto s = static_cast<NodeId>(pi / static_cast<std::size_t>(p.nodes));
-    const auto d = static_cast<NodeId>(pi % static_cast<std::size_t>(p.nodes));
-    for (int c = 0; c < static_cast<int>(noc::kMsgClassCount); ++c) {
-      const std::size_t ci = pi * noc::kMsgClassCount +
-                             static_cast<std::size_t>(c);
-      const std::uint64_t msgs = p.pair_cls_msgs[ci];
-      if (msgs == 0) continue;
-      p.flows.push_back({s, d, c, static_cast<double>(msgs),
-                         p.pair_cls_bytes[ci] / static_cast<double>(msgs)});
-    }
+  // Only the active keys are sorted, never one key per record.
+  std::vector<std::pair<std::uint64_t, FlowSum>> active;
+  active.reserve(load.size());
+  load.for_each([&](std::uint64_t key, const FlowSum& f) {
+    active.emplace_back(key, f);
+  });
+  std::sort(active.begin(), active.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  p.flows.reserve(active.size());
+  for (const auto& [key, f] : active) {
+    const std::uint64_t pair = key / noc::kMsgClassCount;
+    const auto msgs = static_cast<double>(f.msgs);
+    p.flows.push_back({static_cast<NodeId>(pair / nodes),
+                       static_cast<NodeId>(pair % nodes),
+                       static_cast<std::int32_t>(key % noc::kMsgClassCount),
+                       msgs, static_cast<double>(f.bytes) / msgs});
   }
 
-  p.mean_fanin = static_cast<double>(p.dep_edges) / static_cast<double>(n);
-  p.mean_slack =
-      p.dep_edges == 0 ? 0.0 : slack_sum / static_cast<double>(p.dep_edges);
+  p.mean_fanin = static_cast<double>(dep_edges) / static_cast<double>(n);
 
   std::vector<TraceProfile::ChainLine> lines;
   lines.reserve(best_at_depth.size());

@@ -4,14 +4,13 @@
 // cost is independent of trace length, so everything a latency estimator
 // needs is reduced here, once, into a TraceProfile:
 //
-//  * offered-load matrices — messages and payload bytes per (source,
-//    destination) pair, split by message class, so a candidate's route walk
-//    can reconstruct per-link / per-channel arrival rates without touching
-//    the records again;
+//  * offered load — the active (source, destination, class) flows, each with
+//    its message count and mean payload, so a candidate's route walk can
+//    reconstruct per-link / per-channel arrival rates without touching the
+//    records again;
 //  * message-size moments — first and second moment per class (the M/G/1
-//    waiting terms need E[S^2], i.e. the squared coefficient of variation)
-//    plus the exact size histogram;
-//  * dependency summary — fan-in, slack and root (dependency-free) counts;
+//    waiting terms need E[S^2], i.e. the squared coefficient of variation);
+//  * dependency summary — fan-in and root (dependency-free) counts;
 //  * the critical-path skeleton — for every record, the dominant dependency
 //    chain reaching it is summarized as a line `base + depth * L`, where
 //    `base` is the chain's anchor inject time plus its accumulated slack and
@@ -22,15 +21,16 @@
 //    candidate. On a single anchored chain over a fixed-latency network the
 //    envelope is *exact*: it reproduces replay's t'(r) recursion.
 //
-// Scoring a candidate then costs O(nodes^2 * classes + log hull) — for a
-// 4x4 mesh a few microseconds — versus a full replay pass at O(records).
+// Profiling costs O(records + flows log flows) and keeps O(flows) offered
+// load, whatever the node count. Scoring a candidate then costs
+// O(flows + active pairs * hops + log hull) — for a 4x4 mesh a few
+// microseconds — versus a full replay pass at O(records).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
-#include "common/histogram.hpp"
 #include "common/units.hpp"
 #include "core/replay_input.hpp"
 #include "noc/message.hpp"
@@ -66,28 +66,11 @@ struct TraceProfile {
     return last_inject >= first_inject ? last_inject - first_inject + 1 : 1;
   }
 
-  // -- offered load (nodes * nodes, row = source) --------------------------
-  std::vector<std::uint64_t> pair_msgs;
-  std::vector<double> pair_bytes;
-  /// Per (pair, class): index = pair_index(s, d) * kMsgClassCount + cls.
-  std::vector<std::uint64_t> pair_cls_msgs;
-  std::vector<double> pair_cls_bytes;
-
-  std::size_t pair_index(NodeId s, NodeId d) const {
-    return static_cast<std::size_t>(s) * static_cast<std::size_t>(nodes) +
-           static_cast<std::size_t>(d);
-  }
-  double pair_cls_mean_bytes(NodeId s, NodeId d, int c) const {
-    const std::size_t i = pair_index(s, d) * noc::kMsgClassCount +
-                          static_cast<std::size_t>(c);
-    return pair_cls_msgs[i] == 0
-               ? 0.0
-               : pair_cls_bytes[i] / static_cast<double>(pair_cls_msgs[i]);
-  }
-
-  /// Nonzero (pair, class) buckets in pair-major order — the compact
-  /// iteration surface of the estimators: scoring walks O(active flows)
-  /// entries instead of the dense O(nodes^2 * classes) matrices.
+  // -- offered load ------------------------------------------------------
+  /// One active (source, destination, class) bucket: the screen's one
+  /// offered-load representation. `flows` lists every bucket that carries a
+  /// message, in ascending (src, dst, cls) order, so the flows of one pair
+  /// are adjacent and scoring walks O(active flows) entries.
   struct Flow {
     NodeId src = 0;
     NodeId dst = 0;
@@ -99,13 +82,10 @@ struct TraceProfile {
 
   // -- size distribution ---------------------------------------------------
   std::array<ClassStats, noc::kMsgClassCount> cls{};
-  Histogram size_hist;
 
   // -- dependency structure ------------------------------------------------
-  std::uint64_t dep_edges = 0;
   std::uint64_t roots = 0;  // dependency-free (anchored) records
   double mean_fanin = 0;    // dep edges per record
-  double mean_slack = 0;    // mean slack over all dep edges (cycles)
   std::uint32_t critical_depth = 0;  // records on the longest chain
 
   // -- critical-path skeleton (upper envelope of base + depth * L) ---------

@@ -130,6 +130,18 @@ std::vector<Candidate> candidates_from_config(const Config& cfg,
   return out;
 }
 
+std::unordered_map<std::string, std::size_t> index_by_name(
+    const std::vector<Candidate>& candidates) {
+  std::unordered_map<std::string, std::size_t> index;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (!index.emplace(candidates[i].name, i).second) {
+      throw std::invalid_argument("explore: candidate name '" +
+                                  candidates[i].name + "' repeats");
+    }
+  }
+  return index;
+}
+
 std::vector<ExploreResult> explore(const ReplayTrace& rt,
                                    const std::vector<Candidate>& candidates,
                                    const ExploreConfig& cfg) {
@@ -137,6 +149,7 @@ std::vector<ExploreResult> explore(const ReplayTrace& rt,
     throw std::invalid_argument(
         "explore: empty candidate list (nothing to rank)");
   }
+  index_by_name(candidates);
   std::vector<ExploreResult> out(candidates.size());
 
   if (rt.empty()) {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/config.hpp"
@@ -76,12 +77,19 @@ ExploreConfig explore_config_from(const Config& cfg,
 std::vector<Candidate> candidates_from_config(const Config& cfg,
                                               const std::string& source);
 
+/// Each candidate's index by name. Results name their candidate, so a name
+/// must pick out one: throws std::invalid_argument naming the first name
+/// that repeats.
+std::unordered_map<std::string, std::size_t> index_by_name(
+    const std::vector<Candidate>& candidates);
+
 /// Replays `rt` over every candidate (parallel across cfg.threads workers;
 /// 0 = hardware concurrency) and returns results sorted by runtime
 /// ascending (ties by name). Deterministic: thread scheduling cannot change
 /// any result, only the wall clock. Throws std::invalid_argument on an
-/// empty candidate list. cfg.screen_top_k is ignored here — screening
-/// lives in analytic::explore_screened, which delegates to this.
+/// empty candidate list or a repeated candidate name, before anything runs.
+/// cfg.screen_top_k is ignored here — screening lives in
+/// analytic::explore_screened, which delegates to this.
 std::vector<ExploreResult> explore(const ReplayTrace& rt,
                                    const std::vector<Candidate>& candidates,
                                    const ExploreConfig& cfg = {});

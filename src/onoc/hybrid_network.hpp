@@ -34,8 +34,8 @@ struct HybridParams {
 
 class HybridNetwork final : public noc::Network {
  public:
-  /// The optical layer's channel organization, which the analytic
-  /// HybridModel scores too.
+  /// The optical layer's channel organization, which the analytic screen
+  /// scores the hybrid's optical flows on too.
   static constexpr Arbitration kOpticalOrganization = Arbitration::kTokenRing;
 
   HybridNetwork(Simulator& sim, std::string name, const noc::Topology& topo,

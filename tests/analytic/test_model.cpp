@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/driver.hpp"
+#include "fullsys/app.hpp"
 #include "trace/record.hpp"
 
 namespace sctm::analytic {
@@ -147,6 +148,64 @@ TEST(AnalyticModel, EmptyProfileEstimatesZero) {
   const auto r = estimate(p, spec_of(core::NetKind::kEnoc));
   EXPECT_DOUBLE_EQ(r.est_runtime, 0.0);
   EXPECT_DOUBLE_EQ(r.est_mean_latency, 0.0);
+}
+
+// Estimates on the 16-core fft capture tests/analytic/test_screen.cpp
+// screens, pinned bit for bit as hex floats: a change to how the profile
+// keeps offered load or how a kind is scored must not move any of them.
+TEST(AnalyticModel, PinnedEstimates) {
+  fullsys::AppParams app;
+  app.name = "fft";
+  app.cores = 16;
+  app.lines_per_core = 8;
+  app.iterations = 1;
+  const TraceProfile p = profile_trace(core::ReplayTrace(
+      core::run_execution(app, spec_of(core::NetKind::kEnoc), {}).trace));
+  core::NetSpec hybrid5 = spec_of(core::NetKind::kHybrid);
+  hybrid5.hybrid.distance_threshold = 5;
+  struct Pin {
+    core::NetSpec spec;
+    AnalyticResult want;
+  };
+  const Pin pins[] = {
+      {spec_of(core::NetKind::kIdeal),
+       {0x1.0af5555555555p+11, 0x1.5555555555555p+2, 0x1.8p+3,
+        {0x1.2cf914c1bacf9p+2, 0x1.1611a7b9611a8p+2, 0x1.ep+2, 0x0p+0}}},
+      {spec_of(core::NetKind::kEnoc),
+       {0x1.25262fb360e84p+11, 0x1.0545d57378c2ap+3, 0x1.cf3a96b4ebdffp+4,
+        {0x1.f9d491b236302p+2, 0x1.9e1c0e3274611p+2, 0x1.53abbce3d4c46p+3,
+         0x0p+0}}},
+      {spec_of(core::NetKind::kOnocToken),
+       {0x1.3fcfbd16a51edp+11, 0x1.61828e24d3717p+3, 0x1.22e72aa2da986p+4,
+        {0x1.4179eb69c796ap+3, 0x1.32a5fec87ee1dp+3, 0x1.cb850b94c13c5p+3,
+         0x0p+0}}},
+      {spec_of(core::NetKind::kOnocSetup),
+       {0x1.899489e371ebep+11, 0x1.305ae0ac0352ep+4, 0x1.e17395516d4c3p+5,
+        {0x1.318c8700ff783p+4, 0x1.00fab8c559ec7p+4, 0x1.67c285ca609e3p+4,
+         0x0p+0}}},
+      {spec_of(core::NetKind::kOnocSwmr),
+       {0x1.0b4dd02ba5ea3p+11, 0x1.57b984a39e8bcp+2, 0x1.4c8ba6ee408d1p+3,
+        {0x1.f7c81e26da17p+1, 0x1.f980428fdd3aep+1, 0x1.299d4e4dafb89p+3,
+         0x0p+0}}},
+      {spec_of(core::NetKind::kHybrid),
+       {0x1.24c2ba45a5eebp+11, 0x1.03edc2abc17eep+3, 0x1.1ac79b3f2593ap+4,
+        {0x1.b0c959ac42441p+2, 0x1.77482e787e918p+2, 0x1.9e64c8d12b64p+3,
+         0x0p+0}}},
+      {hybrid5,
+       {0x1.26cdbf2d5eadbp+11, 0x1.0aff1fbf8cb9bp+3, 0x1.198de915dfef7p+4,
+        {0x1.c9a446637615p+2, 0x1.83bfecb64db4ap+2, 0x1.9e34cc73806bp+3,
+         0x0p+0}}},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(testing::Message()
+                 << core::to_string(pin.spec.kind) << " distance_threshold="
+                 << pin.spec.hybrid.distance_threshold);
+    const AnalyticResult got = estimate(p, pin.spec);
+    EXPECT_EQ(got.est_runtime, pin.want.est_runtime);
+    EXPECT_EQ(got.est_mean_latency, pin.want.est_mean_latency);
+    EXPECT_EQ(got.est_p99, pin.want.est_p99);
+    EXPECT_EQ(got.per_class, pin.want.per_class);
+  }
 }
 
 TEST(AnalyticModel, HybridBlendsElectricalAndOptical) {

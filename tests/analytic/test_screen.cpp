@@ -51,6 +51,24 @@ TEST(Screen, EmptyCandidateListThrows) {
   EXPECT_THROW(explore_screened(rt, {}, cfg), std::invalid_argument);
 }
 
+// Replay results map back to screened entries by name, so a repeated name
+// is refused before the screen runs, as core::explore refuses it.
+TEST(Screen, RepeatedCandidateNameIsAnError) {
+  const auto rt = capture("fft");
+  auto space = all_kinds_space();
+  space.push_back(space.back());
+  ExploreConfig cfg;
+  cfg.screen_top_k = 2;
+  try {
+    explore_screened(rt, space, cfg);
+    FAIL() << "a repeated candidate name was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'hybrid' repeats"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Screen, DisabledScreenMatchesFullExplore) {
   const auto rt = capture("fft");
   const auto space = all_kinds_space();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "trace/record.hpp"
@@ -51,6 +53,13 @@ core::ReplayTrace chain(std::uint32_t k, Cycle slack, Cycle capture_latency) {
   return make_rt(std::move(recs), 16);
 }
 
+void expect_flow(const TraceProfile::Flow& f, NodeId src, NodeId dst,
+                 noc::MsgClass cls) {
+  EXPECT_EQ(f.src, src);
+  EXPECT_EQ(f.dst, dst);
+  EXPECT_EQ(f.cls, static_cast<int>(cls));
+}
+
 TEST(TraceProfile, RequiresFinalizedTrace) {
   core::ReplayTrace rt;
   rt.set_meta("a", "n", 4, 100, 0);
@@ -58,27 +67,46 @@ TEST(TraceProfile, RequiresFinalizedTrace) {
 }
 
 TEST(TraceProfile, OfferedLoadMatrices) {
+  // Records out of (src, dst, cls) order: the flow list comes from the sort.
   const auto rt = make_rt(
-      {rec(1, 0, 1, 32, noc::MsgClass::kRequest, 0, 5),
+      {rec(1, 2, 3, 16, noc::MsgClass::kReply, 0, 8),
        rec(2, 0, 1, 96, noc::MsgClass::kData, 2, 9),
-       rec(3, 2, 3, 16, noc::MsgClass::kReply, 4, 8)},
+       rec(3, 0, 1, 32, noc::MsgClass::kRequest, 3, 5),
+       rec(4, 0, 1, 64, noc::MsgClass::kData, 4, 9)},
       4);
   const TraceProfile p = profile_trace(rt);
   EXPECT_EQ(p.nodes, 4);
-  EXPECT_EQ(p.records, 3u);
+  EXPECT_EQ(p.records, 4u);
   EXPECT_EQ(p.first_inject, 0u);
   EXPECT_EQ(p.last_inject, 4u);
   EXPECT_EQ(p.span(), 5u);
-  EXPECT_EQ(p.pair_msgs[p.pair_index(0, 1)], 2u);
-  EXPECT_DOUBLE_EQ(p.pair_bytes[p.pair_index(0, 1)], 128.0);
-  EXPECT_EQ(p.pair_msgs[p.pair_index(2, 3)], 1u);
-  EXPECT_EQ(p.pair_msgs[p.pair_index(1, 0)], 0u);
-  // Class split within the (0, 1) pair.
-  const int kReq = static_cast<int>(noc::MsgClass::kRequest);
-  const int kData = static_cast<int>(noc::MsgClass::kData);
-  EXPECT_DOUBLE_EQ(p.pair_cls_mean_bytes(0, 1, kReq), 32.0);
-  EXPECT_DOUBLE_EQ(p.pair_cls_mean_bytes(0, 1, kData), 96.0);
-  EXPECT_EQ(p.size_hist.count(), 3u);
+  ASSERT_EQ(p.flows.size(), 3u);
+  expect_flow(p.flows[0], 0, 1, noc::MsgClass::kRequest);
+  expect_flow(p.flows[1], 0, 1, noc::MsgClass::kData);
+  expect_flow(p.flows[2], 2, 3, noc::MsgClass::kReply);
+  EXPECT_DOUBLE_EQ(p.flows[0].msgs, 1.0);
+  EXPECT_DOUBLE_EQ(p.flows[0].mean_bytes, 32.0);
+  EXPECT_DOUBLE_EQ(p.flows[1].msgs, 2.0);
+  EXPECT_DOUBLE_EQ(p.flows[1].mean_bytes, 80.0);  // (96 + 64) / 2
+  EXPECT_DOUBLE_EQ(p.flows[2].msgs, 1.0);
+  EXPECT_DOUBLE_EQ(p.flows[2].mean_bytes, 16.0);
+}
+
+// Offered load is kept per active flow, never per node pair: a trace that
+// names INT32_MAX nodes profiles without allocating for them, and the
+// largest flow key (last node to itself, last class) still sorts last.
+TEST(TraceProfile, CostIndependentOfNodeCount) {
+  constexpr NodeId kLast = std::numeric_limits<std::int32_t>::max() - 1;
+  const auto rt = make_rt(
+      {rec(1, kLast, kLast, 8, noc::MsgClass::kControl, 0, 4),
+       rec(2, 5, kLast, 64, noc::MsgClass::kData, 1, 9),
+       rec(3, 0, 7, 8, noc::MsgClass::kReply, 2, 6)},
+      std::numeric_limits<std::int32_t>::max());
+  const TraceProfile p = profile_trace(rt);
+  ASSERT_EQ(p.flows.size(), 3u);
+  expect_flow(p.flows[0], 0, 7, noc::MsgClass::kReply);
+  expect_flow(p.flows[1], 5, kLast, noc::MsgClass::kData);
+  expect_flow(p.flows[2], kLast, kLast, noc::MsgClass::kControl);
 }
 
 TEST(TraceProfile, ClassMomentsAndCv) {
@@ -103,10 +131,8 @@ TEST(TraceProfile, DependencySummary) {
   const auto rt = make_rt(
       {rec(1, 0, 1, 8, noc::MsgClass::kRequest, 0, 8), child}, 4);
   const TraceProfile p = profile_trace(rt);
-  EXPECT_EQ(p.dep_edges, 1u);
   EXPECT_EQ(p.roots, 1u);
   EXPECT_DOUBLE_EQ(p.mean_fanin, 0.5);
-  EXPECT_DOUBLE_EQ(p.mean_slack, 4.0);
   EXPECT_EQ(p.critical_depth, 2u);
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace sctm::core {
 namespace {
 
@@ -104,6 +107,19 @@ TEST(Explore, EqualSpecCandidatesYieldIdenticalResults) {
 TEST(Explore, EmptySpaceIsAnError) {
   const auto rt = capture_fft();
   EXPECT_THROW(explore(rt, {}), std::invalid_argument);
+}
+
+TEST(Explore, RepeatedCandidateNameIsAnError) {
+  const auto rt = capture_fft();
+  auto space = small_space();
+  space.push_back(space.front());
+  try {
+    explore(rt, space);
+    FAIL() << "a repeated candidate name was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'enoc' repeats"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Explore, MoreWavelengthsRankHigher) {

@@ -110,7 +110,9 @@ TEST(App, JacobiOwnBlockHomedLocally) {
   const auto app = build_app(small("jacobi"));
   // Core 2's stores all target lines homed at node 2.
   for (const auto& op : app[2]) {
-    if (op.kind == OpKind::kStore) EXPECT_EQ(op.arg % 8, 2u);
+    if (op.kind == OpKind::kStore) {
+      EXPECT_EQ(op.arg % 8, 2u);
+    }
   }
 }
 

@@ -60,7 +60,9 @@ TEST(Routing, YXReachesEveryPairMinimally) {
   const auto t = Topology::mesh(3, 5);
   for (NodeId s = 0; s < t.node_count(); ++s) {
     for (NodeId d = 0; d < t.node_count(); ++d) {
-      if (s != d) EXPECT_EQ(walk(t, RoutingAlgo::kYX, s, d), t.distance(s, d));
+      if (s != d) {
+        EXPECT_EQ(walk(t, RoutingAlgo::kYX, s, d), t.distance(s, d));
+      }
     }
   }
 }

@@ -209,7 +209,9 @@ TEST(TraceStoreV2, RandomizedRoundTripsAcrossChunkSizes) {
     const std::string bytes = ss.str();
     TraceReader reader(memory_source(bytes.data(), bytes.size()));
     EXPECT_EQ(reader.record_count(), t.records.size());
-    if (chunk == 7) EXPECT_EQ(reader.chunk_count(), (200 + 6) / 7);
+    if (chunk == 7) {
+      EXPECT_EQ(reader.chunk_count(), (200 + 6) / 7);
+    }
     EXPECT_EQ(reader.read_all(/*parallel=*/false), t) << "chunk=" << chunk;
     EXPECT_EQ(reader.read_all(/*parallel=*/true), t) << "chunk=" << chunk;
   }
