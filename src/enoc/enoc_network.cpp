@@ -45,8 +45,10 @@ void EnocNetwork::reset() {
   link_wire_.clear();
   credit_wire_.clear();
   // The tick event (if any) died with the simulator's queue reset; the next
-  // inject re-arms the clock.
+  // inject re-arms the clock. A tick that outlived it (the simulator was not
+  // reset) carries the old generation and throws.
   ticking_ = false;
+  ++clock_gen_;
   active_cycles_ = 0;
   router_ticks_ = 0;
   activity_hash_ = 0;
@@ -87,17 +89,6 @@ void EnocNetwork::apply_forward(NodeId node, int out_dir, const Flit& flit) {
   }
   link_wire_.push_back({sim().now() + params_.link_latency, next,
                         topo_.arrival_port(node, out_dir), flit});
-  sim().schedule_in(params_.link_latency, [this] { arrive_flit(); });
-}
-
-void EnocNetwork::arrive_flit() {
-  if (link_wire_.empty() || link_wire_.front().due != sim().now()) {
-    throw std::logic_error(name() + ": link FIFO out of order");
-  }
-  const WireFlit& w = link_wire_.front();
-  routers_[static_cast<std::size_t>(w.node)]->receive_flit(w.port, w.flit);
-  mark_active(w.node);
-  link_wire_.pop_front();
 }
 
 void EnocNetwork::apply_eject(NodeId node, const Flit& flit) {
@@ -193,29 +184,49 @@ void EnocNetwork::apply_credit(NodeId node, int in_dir, int vc) {
   }
   credit_wire_.push_back({sim().now() + params_.credit_latency, up,
                           topo_.arrival_port(node, in_dir), vc});
-  sim().schedule_in(params_.credit_latency, [this] { arrive_credit(); });
 }
 
-// A credit can unblock a router, but never *activate* one: a credit-starved
-// router still holds the blocked flits, so has_work() keeps it in the active
-// set until they drain.
-void EnocNetwork::arrive_credit() {
-  if (credit_wire_.empty() || credit_wire_.front().due != sim().now()) {
-    throw std::logic_error(name() + ": credit FIFO out of order");
+// Link entries land exactly on their due cycle; credits land at the first
+// tick at or after theirs (see "Wire FIFOs" in the header). A credit can
+// unblock a router, but never *activate* one: a credit-starved router still
+// holds the blocked flits, so has_work() keeps it in the active set until
+// they drain.
+void EnocNetwork::land_wires() {
+  const Cycle now = sim().now();
+  while (!link_wire_.empty() && link_wire_.front().due <= now) {
+    const WireFlit& w = link_wire_.front();
+    if (w.due != now) {
+      throw std::logic_error(name() + ": link FIFO out of order");
+    }
+    routers_[static_cast<std::size_t>(w.node)]->receive_flit(w.port, w.flit);
+    mark_active(w.node);
+    link_wire_.pop_front();
   }
-  const WireCredit& w = credit_wire_.front();
-  routers_[static_cast<std::size_t>(w.node)]->receive_credit(w.port, w.vc);
-  credit_wire_.pop_front();
+  while (!credit_wire_.empty() && credit_wire_.front().due <= now) {
+    const WireCredit& w = credit_wire_.front();
+    routers_[static_cast<std::size_t>(w.node)]->receive_credit(w.port, w.vc);
+    credit_wire_.pop_front();
+  }
 }
 
 void EnocNetwork::ensure_ticking() {
   if (ticking_) return;
   ticking_ = true;
-  sim().schedule_in(1, [this] { tick(); });
+  schedule_tick();
 }
 
-void EnocNetwork::tick() {
+void EnocNetwork::schedule_tick() {
+  sim().schedule_in(1, [this, gen = clock_gen_] { tick(gen); });
+}
+
+void EnocNetwork::tick(std::uint64_t gen) {
+  if (gen != clock_gen_) {
+    throw std::logic_error(name() +
+                           ": stale clock tick (network reset while its tick "
+                           "was pending)");
+  }
   ++active_cycles_;
+  land_wires();
   if (exhaustive_tick_) {
     // Seed policy (kept as a test oracle): tick every router every cycle,
     // through the same outbox and drain as the scoreboard path.
@@ -247,7 +258,7 @@ void EnocNetwork::tick() {
   }
   drain_outbox();
   if (!idle()) {
-    sim().schedule_in(1, [this] { tick(); });
+    schedule_tick();
   } else {
     ticking_ = false;
   }

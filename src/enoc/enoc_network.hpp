@@ -20,23 +20,28 @@
 //
 // Deferred side effects: router ticks write forwards, ejections and credits
 // into one RouterOutbox, which the network drains in router-id order after
-// the cycle's scan; that order fixes the event schedule. Every link and
-// credit path has latency >= 1, so nothing a router emits in cycle t can be
-// observed by another router before t+1, and deferring the emission to the
-// end of the cycle changes nothing. Routers that report no work are cleared
-// from the scoreboard during the scan, before the drain, so activations
-// fired while draining (ejection -> delivery -> same-cycle reply inject)
-// survive. The exhaustive oracle goes through the same outbox and drain.
+// the cycle's scan; that order fixes the wire FIFO order and the delivery
+// order. Every link and credit path has latency >= 1, so nothing a router
+// emits in cycle t can be observed by another router before t+1, and
+// deferring the emission to the end of the cycle changes nothing. Routers
+// that report no work are cleared from the scoreboard during the scan,
+// before the drain, so activations fired while draining (ejection ->
+// delivery -> same-cycle reply inject) survive. The exhaustive oracle goes
+// through the same outbox and drain.
 //
 // Wire FIFOs: a drained forward pushes the flit, its destination and its due
-// cycle onto the link FIFO and schedules one event that captures only
-// `this`; credits do the same on the credit FIFO. Every link event has the
-// same latency (params.link_latency), as does every credit event, and the
-// kernel runs same-cycle events in scheduling order, so link events fire in
-// exactly the order their entries were pushed: each event pops the front
-// entry and checks that its due cycle is now. Event count and event order
-// are those of one closure per traversal, without copying the flit into
-// each closure.
+// cycle onto the link FIFO; a drained credit does the same on the credit
+// FIFO. Neither schedules an event: each clock tick first lands every link
+// entry due now and every credit entry due at or before now, then scans. Every link entry has the
+// same latency (params.link_latency), as does every credit entry, so each
+// FIFO is in due order. A flit's message is undelivered while the flit is
+// on the wire, so the clock ticks on its due cycle; a link entry found past
+// its due cycle throws. A credit can outlive the clock (the last tail
+// ejects while its credits are in flight) and lands at the next tick,
+// which is exact because nothing outside a tick reads credits. Landing at
+// the start of the tick is exact too: nothing that runs earlier in the
+// cycle reads input buffers or credits (inject writes only the staging
+// ring, which the router pulls only for flits injected before now).
 //
 // Parameters, the routing table and every router datapath are fixed at
 // construction; reset() only clears what the network has seen.
@@ -64,8 +69,9 @@ class EnocNetwork final : public noc::Network {
   /// datapath counters return to freshly-constructed state with all
   /// capacity retained. The exhaustive tick mode survives. The owning
   /// Simulator must be reset first — the self-clocking tick event lives in
-  /// its queue. Parameters are fixed at construction; a different
-  /// EnocParams means a new network.
+  /// its queue; a tick that survives this reset throws when it runs.
+  /// Parameters are fixed at construction; a different EnocParams means a
+  /// new network.
   void reset() override;
 
   /// Fault injection (DESIGN.md §11): link-level faults — payload
@@ -121,13 +127,13 @@ class EnocNetwork final : public noc::Network {
   void handle_corrupt_message(const noc::Message& msg);
   void reinject_for_retry(const noc::Message& msg);
 
-  // Wire FIFO events: deliver the front entry, which is due this cycle.
-  void arrive_flit();
-  void arrive_credit();
+  // Delivers the wire FIFO entries due by now; the first step of each tick.
+  void land_wires();
 
-  void tick();
+  void tick(std::uint64_t gen);
   void drain_outbox();
   void ensure_ticking();
+  void schedule_tick();
   void mark_active(NodeId n);
 
   struct WireFlit {
@@ -173,6 +179,9 @@ class EnocNetwork final : public noc::Network {
   Ring<WireFlit> link_wire_;
   Ring<WireCredit> credit_wire_;
   bool ticking_ = false;
+  /// Bumped by reset(); a tick event carries the value it was scheduled
+  /// under, so a tick from before the reset is caught as stale.
+  std::uint64_t clock_gen_ = 0;
   bool exhaustive_tick_ = false;
   std::uint64_t active_cycles_ = 0;
   std::uint64_t router_ticks_ = 0;

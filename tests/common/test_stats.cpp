@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 namespace sctm {
@@ -119,7 +120,11 @@ TEST(StatRegistry, CounterPersistsAndIncrements) {
 TEST(StatRegistry, ReferencesStableAcrossInsertions) {
   StatRegistry reg;
   auto& a = reg.counter("a");
-  for (int i = 0; i < 1000; ++i) reg.counter("k" + std::to_string(i));
+  for (int i = 0; i < 1000; ++i) {
+    std::string name = "k";
+    name += std::to_string(i);
+    reg.counter(name);
+  }
   a = 42;
   EXPECT_EQ(reg.counter_value("a"), 42u);
 }

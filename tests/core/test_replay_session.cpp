@@ -432,21 +432,21 @@ constexpr PinnedKind kPinned[] = {
     {{0x4a878b8e4a101109ull, 2210},
      {0x4a878b8e4a101109ull, 6587},
      {0xcf555f795f7ddce8ull, 4209}},
-    {{0xab764b38c1b63f23ull, 9005},
-     {0xab764b38c1b63f23ull, 18010},
-     {0xdf5793805f4c55efull, 22158}},
+    {{0xab764b38c1b63f23ull, 2937},
+     {0xab764b38c1b63f23ull, 5874},
+     {0xdf5793805f4c55efull, 3810}},
     {{0xcafdb96bef09227dull, 3127},
      {0x1e4f231b60cb7da4ull, 18770},
      {0x3bba7c7bdd48ec3bull, 6362}},
-    {{0x3703152827438e4eull, 10881},
-     {0x951d9f803df32195ull, 32653},
-     {0x9a682ec4f7849718ull, 22908}},
+    {{0x3703152827438e4eull, 5849},
+     {0x951d9f803df32195ull, 17557},
+     {0x9a682ec4f7849718ull, 9700}},
     {{0xbe799fc7a3eed54cull, 3219},
      {0x491aa0ec84c13097ull, 12888},
      {0xfd6c4798762978d5ull, 6304}},
-    {{0xe9733dceaba7504eull, 3682},
-     {0xb28e9e69039526feull, 14709},
-     {0x47ead6a2addc529bull, 6758}},
+    {{0xe9733dceaba7504eull, 3302},
+     {0xb28e9e69039526feull, 13189},
+     {0x47ead6a2addc529bull, 6074}},
 };
 
 const PinnedKind& pinned_for(NetKind kind) {
@@ -510,46 +510,46 @@ struct PinnedEnocConfig {
 constexpr PinnedEnocConfig kPinnedEnocConfigs[] = {
     {"matrix",
      [](NetSpec& s) { s.enoc.arbiter = enoc::ArbiterKind::kMatrix; },
-     {0xa3805b3a82d9161cull, 9011},
-     {0x441c4eb2e1886f6cull, 18022}},
+     {0xa3805b3a82d9161cull, 2943},
+     {0x441c4eb2e1886f6cull, 5886}},
     {"vcs8", [](NetSpec& s) { s.enoc.vcs_per_vnet = 8; },
-     {0x000a2df25c3039dfull, 8986},
-     {0x7bbd75527c8dd207ull, 17972}},
+     {0x000a2df25c3039dfull, 2918},
+     {0x7bbd75527c8dd207ull, 5836}},
     {"matrix_vcs8",
      [](NetSpec& s) {
        s.enoc.arbiter = enoc::ArbiterKind::kMatrix;
        s.enoc.vcs_per_vnet = 8;
      },
-     {0xc38726be71602d41ull, 9010},
-     {0x433fd24185a5ca71ull, 18020}},
+     {0xc38726be71602d41ull, 2942},
+     {0x433fd24185a5ca71ull, 5884}},
     {"torus_dor",
      [](NetSpec& s) {
        s.topo = noc::Topology::torus(4, 4);
        s.enoc.routing = noc::RoutingAlgo::kTorusDor;
      },
-     {0xf707ed90086c4356ull, 7005},
-     {0x000237304e54c667ull, 28087}},
+     {0xf707ed90086c4356ull, 2961},
+     {0x000237304e54c667ull, 11911}},
     {"odd_even_adaptive",
      [](NetSpec& s) {
        s.enoc.routing = noc::RoutingAlgo::kOddEven;
        s.enoc.adaptive = true;
      },
-     {0xb053171cdc7e52f6ull, 9001},
-     {0x5fc236b6d4dad0c9ull, 18035}},
+     {0xb053171cdc7e52f6ull, 2933},
+     {0x5fc236b6d4dad0c9ull, 5899}},
     {"link3_credit2",
      [](NetSpec& s) {
        s.enoc.link_latency = 3;
        s.enoc.credit_latency = 2;
      },
-     {0xe442c29e17fa19fbull, 9247},
-     {0xba45b817c1fe3040ull, 18500}},
+     {0xe442c29e17fa19fbull, 3179},
+     {0xba45b817c1fe3040ull, 6364}},
     {"mesh3d_vcs8",
      [](NetSpec& s) {
        s = spec_on(NetKind::kEnoc, noc::Topology::mesh3d(4, 4, 2));
        s.enoc.vcs_per_vnet = 8;
      },
-     {0x2920e55870d99a20ull, 22132},
-     {0xb82af6899f8339feull, 66426}},
+     {0x2920e55870d99a20ull, 3784},
+     {0xb82af6899f8339feull, 11382}},
 };
 
 void PrintTo(const PinnedEnocConfig& c, std::ostream* os) { *os << c.name; }

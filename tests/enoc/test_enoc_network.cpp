@@ -225,24 +225,38 @@ TEST(EnocNetwork, WideStarHubUsesPortsBeyond255) {
   EXPECT_TRUE(net.idle());
 }
 
-// Link and credit events pop their wire FIFO's front entry, which is only
-// right while events fire in push order. An event whose entry is missing or
-// not due now (here: a network reset without resetting the simulator that
-// still holds its events) throws instead of delivering a stale flit.
-TEST(EnocNetwork, WireEventWithoutItsEntryThrows) {
+// The clock tick lands the wire FIFOs. A network reset without resetting
+// the simulator leaves the old tick pending; once an inject re-arms the
+// clock, two tick chains would tick every router twice per cycle. The
+// stale tick throws instead.
+TEST(EnocNetwork, StaleClockTickAfterResetThrows) {
   Simulator sim;
   EnocNetwork net(sim, "enoc", Topology::mesh(2, 2), small_params());
   net.inject(make_msg(1, 0, 3, 4096));  // 257 flits: links busy for a while
   sim.run_until(20);
   net.reset();
+  net.inject(make_msg(2, 0, 3, 4096));
   try {
     sim.run();
-    ADD_FAILURE() << "stale wire events ran without an error";
+    ADD_FAILURE() << "a stale clock tick ran without an error";
   } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("FIFO out of order"),
-              std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("stale clock"), std::string::npos)
         << e.what();
   }
+}
+
+// A flit hop and a credit return cost no kernel event: the wires land in the
+// network's clock tick, so a lone message costs one event per active cycle.
+TEST(EnocNetwork, HopsCostNoEventBeyondTheClock) {
+  Simulator sim;
+  EnocNetwork net(sim, "enoc", Topology::mesh(4, 4), small_params());
+  std::vector<Message> got;
+  net.set_deliver_callback([&](const Message& m) { got.push_back(m); });
+  net.inject(make_msg(1, 0, 15, 4096));  // 257 flits over 6 hops
+  sim.run();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_GT(net.active_cycles(), 257u);
+  EXPECT_LE(sim.events_executed(), net.active_cycles() + 2);
 }
 
 TEST(EnocNetwork, StatsCountersPopulated) {

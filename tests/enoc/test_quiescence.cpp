@@ -71,8 +71,8 @@ TEST(Quiescence, SparseWorkloadCostScalesWithActiveCyclesNotWallClock) {
             static_cast<std::uint64_t>(net.node_count()) *
                 net.active_cycles() / 4u);
 
-  // Event count likewise tracks activity (flit hops + credits + per-cycle
-  // ticks while running), not the wall-clock span.
+  // Event count likewise tracks activity (one clock tick per running cycle;
+  // flit hops and credits land inside it), not the wall-clock span.
   EXPECT_LT(sim.events_executed(), 20000u);
 }
 

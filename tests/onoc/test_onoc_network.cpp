@@ -300,34 +300,46 @@ FlushRun run_contended(Plane which, bool chain) {
   return out;
 }
 
-/// FNV-1a over the delivery schedule, the kernel event count and the full
-/// stat report.
-std::uint64_t run_hash(const FlushRun& r) {
+/// FNV-1a over what the run simulates: the delivery schedule and the full
+/// stat report. The kernel event count, which measures how the kernel got
+/// there, is pinned apart, as the replay pins do.
+std::uint64_t schedule_hash(const FlushRun& r) {
   tracestore::Fnv1a64 h;
   for (const auto& [id, at] : r.deliveries) {
     h.update_scalar(id);
     h.update_scalar(at);
   }
-  h.update_scalar(r.events);
   h.update(r.stats_report.data(), r.stats_report.size());
   return h.value();
 }
 
-// Expected run_hash values, computed at commit 3e04a31. Indexed by Plane;
-// {plain, chained}.
-constexpr std::uint64_t kFlushHash[3][2] = {
-    {0x9e24121cbecf9cd9ull, 0xdd2fd1d4aa03f742ull},  // token
-    {0x2b220fd6b9727541ull, 0x0c9abaa660624f25ull},  // swmr
-    {0xeace5d8cf94b0773ull, 0xafb1821bd4b220faull},  // hybrid
+struct FlushPin {
+  std::uint64_t hash;
+  std::uint64_t events;
 };
+
+// Schedule hashes computed at commit 507a62c, whose ENoC still scheduled an
+// event per link traversal and per credit return; the hybrid's event counts
+// are those of the ENoC plane that lands its wires in its clock tick.
+// Indexed by Plane; {plain, chained}.
+constexpr FlushPin kFlushPins[3][2] = {
+    {{0x856d34a6ef453a6dull, 204}, {0x1a054a242688e937ull, 484}},  // token
+    {{0x25f6a0ee9a5ea9edull, 204}, {0x9173785d18039648ull, 420}},  // swmr
+    {{0x62e7123f96d34939ull, 245}, {0xfde18c323dba1fd7ull, 602}},  // hybrid
+};
+
+void expect_pinned(const FlushRun& run, const FlushPin& pin) {
+  const std::uint64_t hash = schedule_hash(run);
+  EXPECT_EQ(hash, pin.hash) << std::hex << "hash 0x" << hash;
+  EXPECT_EQ(run.events, pin.events);
+}
 
 class ArbitrationFlush : public ::testing::TestWithParam<Plane> {};
 
 TEST_P(ArbitrationFlush, ContendedBurstsMatchPinnedSchedule) {
   const FlushRun run = run_contended(GetParam(), /*chain=*/false);
   ASSERT_EQ(run.deliveries.size(), 96u);
-  EXPECT_EQ(run_hash(run), kFlushHash[static_cast<int>(GetParam())][0])
-      << std::hex << run_hash(run);
+  expect_pinned(run, kFlushPins[static_cast<int>(GetParam())][0]);
 }
 
 TEST_P(ArbitrationFlush, DeliveryChainedInjectsReArmTheFlush) {
@@ -336,8 +348,7 @@ TEST_P(ArbitrationFlush, DeliveryChainedInjectsReArmTheFlush) {
   // cycle, and every reply must arrive.
   const FlushRun run = run_contended(GetParam(), /*chain=*/true);
   ASSERT_EQ(run.deliveries.size(), 192u);  // originals + replies
-  EXPECT_EQ(run_hash(run), kFlushHash[static_cast<int>(GetParam())][1])
-      << std::hex << run_hash(run);
+  expect_pinned(run, kFlushPins[static_cast<int>(GetParam())][1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(OpticalPlanes, ArbitrationFlush,

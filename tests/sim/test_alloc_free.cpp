@@ -125,7 +125,7 @@ TEST(AllocFreeKernel, SteadyStateSchedulesAndDispatchesWithoutHeapTraffic) {
 
 TEST(AllocFreeKernel, SteadyStateRouterTraversalIsAllocationFree) {
   // The full flit datapath — network inject, flit synthesis into the staging
-  // ring, VC buffering, three-phase pipeline, link events, credits, ejection
+  // ring, VC buffering, three-phase pipeline, wire FIFOs, credits, ejection
   // and delivery — must stop touching the heap once every retained-capacity
   // structure (flit rings, pending-message table, wheel buckets, latency
   // histogram) has warmed up to the workload's footprint.
