@@ -17,14 +17,20 @@
 //    saturation. The workloads are deterministic pre-computed injection
 //    schedules — not the open-loop TrafficGenerator, whose per-node-per-
 //    cycle generator events would mask the network-advance cost being
-//    measured. Bars: >= 2.0x sparse, >= 0.95x saturated; both modes must
-//    also produce identical activity hashes (bit-exact datapath).
+//    measured. The two modes run as interleaved pairs, and the speedup is
+//    the median of the per-pair time ratios: at saturation both modes tick
+//    the same routers, so the ratio sits near 1.0 and separate best-of-N
+//    timings of each mode could not resolve the 5% margin. Bars: >= 2.0x
+//    sparse, >= 0.95x saturated; both modes must also produce identical
+//    activity hashes (bit-exact datapath).
 //
 // The binary exits non-zero if any bar fails. Pass --smoke to run only the
-// two comparisons (reduced reps, same bars) and skip the google-benchmark
-// suite — the Release CI job uses this as a perf regression gate.
+// two comparisons (fewer reps and pairs, same bars) and skip the
+// google-benchmark suite — the Release CI job uses this as a perf
+// regression gate.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -377,12 +383,49 @@ struct DataPlaneResult {
   std::uint64_t delivered = 0;
   std::uint64_t ticks_exhaustive = 0;
   std::uint64_t ticks_scoreboard = 0;
-  double exhaustive_mcps = 0;  // million simulated network cycles/second
-  double scoreboard_mcps = 0;
-  double speedup = 0;
+  double exhaustive_mcps = 0;  // million simulated network cycles/second,
+  double scoreboard_mcps = 0;  // at each mode's median run time
+  double speedup = 0;          // median per-pair exhaustive/scoreboard time
 };
 
-int run_data_plane_comparison(int reps, int scale) {
+double seconds_of(const std::function<void()>& run) {
+  const auto t0 = std::chrono::steady_clock::now();
+  run();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+/// Times `pairs` interleaved (scoreboard, exhaustive) run pairs of `w`,
+/// alternating which mode goes first, so a host-speed shift during the bench
+/// moves both sides of a pair alike. Fills the result's rates (from each
+/// mode's median time) and its speedup (the median per-pair time ratio).
+void time_data_plane_pairs(const DataPlaneWorkload& w, int pairs,
+                           DataPlaneResult& r) {
+  const std::function<void()> sb = [&] { run_data_plane(w, false); };
+  const std::function<void()> ex = [&] { run_data_plane(w, true); };
+  std::vector<double> sb_s, ex_s, ratio;
+  for (int p = 0; p < pairs; ++p) {
+    if (p % 2 == 0) {
+      sb_s.push_back(seconds_of(sb));
+      ex_s.push_back(seconds_of(ex));
+    } else {
+      ex_s.push_back(seconds_of(ex));
+      sb_s.push_back(seconds_of(sb));
+    }
+    ratio.push_back(ex_s.back() / sb_s.back());
+  }
+  const auto cycles = static_cast<double>(r.active_cycles);
+  r.scoreboard_mcps = cycles / median(sb_s) / 1e6;
+  r.exhaustive_mcps = cycles / median(ex_s) / 1e6;
+  r.speedup = median(ratio);
+}
+
+int run_data_plane_comparison(int pairs, int scale) {
   struct Case {
     DataPlaneWorkload workload;
     double bar;
@@ -415,11 +458,7 @@ int run_data_plane_comparison(int reps, int scale) {
     r.delivered = sb.delivered;
     r.ticks_exhaustive = ex.router_ticks;
     r.ticks_scoreboard = sb.router_ticks;
-    r.scoreboard_mcps = best_of_meps(
-        [&] { run_data_plane(w, false); }, r.active_cycles, reps);
-    r.exhaustive_mcps = best_of_meps(
-        [&] { run_data_plane(w, true); }, r.active_cycles, reps);
-    r.speedup = r.scoreboard_mcps / r.exhaustive_mcps;
+    time_data_plane_pairs(w, pairs, r);
     if (r.speedup < c.bar) all_ok = false;
     results.push_back(r);
   }
@@ -447,6 +486,7 @@ int run_data_plane_comparison(int reps, int scale) {
     m.manifest.set("kernel",
                    std::string("quiescence-aware activity scoreboard vs "
                                "exhaustive per-cycle router ticking"));
+    m.manifest.set("pairs", pairs);
     JsonWriter jw;
     jw.begin_object();
     jw.key("workloads");
@@ -645,9 +685,10 @@ int main(int argc, char** argv) {
     }
   }
   const int reps = smoke ? 3 : 5;
+  const int pairs = smoke ? 21 : 31;
   const int scale = smoke ? 1 : 2;
   const int kernel_rc = run_event_kernel_comparison(reps);
-  const int data_plane_rc = run_data_plane_comparison(reps, scale);
+  const int data_plane_rc = run_data_plane_comparison(pairs, scale);
   if (smoke) return kernel_rc != 0 || data_plane_rc != 0 ? 1 : 0;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -30,12 +30,6 @@ void Histogram::add(std::uint64_t value) {
   }
 }
 
-void Histogram::reset() {
-  dense_.clear();
-  overflow_.clear();
-  count_ = sum_lo_ = min_ = max_ = 0;
-}
-
 double Histogram::mean() const {
   return count_ ? static_cast<double>(sum_lo_) / static_cast<double>(count_)
                 : 0.0;

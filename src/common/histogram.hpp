@@ -22,8 +22,6 @@ class Histogram {
 
   void add(std::uint64_t value);
 
-  void reset();
-
   std::uint64_t count() const { return count_; }
   double mean() const;
   std::uint64_t min() const;

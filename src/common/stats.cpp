@@ -38,8 +38,6 @@ void Accumulator::merge(const Accumulator& other) {
   max_ = std::max(max_, other.max_);
 }
 
-void Accumulator::reset() { *this = Accumulator{}; }
-
 double Accumulator::variance() const {
   if (n_ < 2) return 0.0;
   // Sample variance: m2_ accumulates the sum of squared deviations, Bessel's
@@ -139,11 +137,6 @@ void StatRegistry::write_json(JsonWriter& w) const {
 void StatRegistry::reset() {
   counters_.clear();
   accumulators_.clear();
-}
-
-void StatRegistry::zero() {
-  for (auto& [k, v] : counters_) v = 0;
-  for (auto& [k, a] : accumulators_) a.reset();
 }
 
 }  // namespace sctm

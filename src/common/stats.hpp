@@ -21,7 +21,6 @@ class Accumulator {
  public:
   void add(double x);
   void merge(const Accumulator& other);
-  void reset();
 
   std::uint64_t count() const { return n_; }
   double sum() const { return mean_ * static_cast<double>(n_); }
@@ -83,14 +82,8 @@ class StatRegistry {
 
   /// Erases every entry. Only safe when no component still holds a reference
   /// returned by counter()/accumulator() — i.e. when the components are being
-  /// rebuilt too. For in-place reuse, use zero().
+  /// rebuilt too (Simulator::reset()).
   void reset();
-
-  /// Zeroes every registered value in place, keeping the entries (and thus
-  /// every reference handed out by counter()/accumulator()) valid. This is
-  /// the session-reset path: components cache stat references at
-  /// construction, so a reused simulator must not erase the map nodes.
-  void zero();
 
  private:
   std::map<std::string, std::uint64_t, std::less<>> counters_;

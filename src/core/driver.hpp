@@ -64,15 +64,13 @@ struct NetSpec {
 
   std::string describe() const;
 
-  /// Memberwise equality across kind, topology and every parameter block.
-  /// ReplaySession::rebind keys on this: an equal spec keeps the constructed
-  /// network across resets, any other spec rebuilds it (parameters are
-  /// fixed at construction).
+  /// Memberwise equality across kind, topology and every parameter block:
+  /// equal specs build the same network.
   bool operator==(const NetSpec&) const = default;
 };
 
-/// Builds `spec`'s network: ReplaySession binds it for replay, and
-/// run_execution captures over it.
+/// Builds `spec`'s network: ReplaySession binds it and builds one network
+/// per replay pass, and run_execution captures over it.
 NetworkFactory make_factory(const NetSpec& spec);
 
 struct ExecutionRun {

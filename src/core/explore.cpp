@@ -23,10 +23,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 /// One worker: drains candidates off the shared counter with a single
-/// long-lived ReplaySession. Rebinding to each candidate keeps the network
-/// when the spec equals the bound one (the reset protocol reuses it) and
-/// rebuilds it otherwise — always keeping the session's trace binding,
-/// kept-edge flags and pass buffers.
+/// long-lived ReplaySession. Rebinding to each candidate builds its network
+/// and keeps the session's trace binding, kept-edge flags and pass buffers.
 void evaluate_candidates(const ReplayTrace& rt,
                          const std::vector<Candidate>& candidates,
                          const ReplayConfig& config,

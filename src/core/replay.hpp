@@ -99,7 +99,8 @@ struct ReplayResult {
 };
 
 /// Builds a replay network inside the given Simulator; ReplaySession calls
-/// it at bind time. The network must have one endpoint per trace node.
+/// it at bind time and at the start of every pass. The network must have one
+/// endpoint per trace node.
 using NetworkFactory =
     std::function<std::unique_ptr<noc::Network>(Simulator&)>;
 
@@ -155,18 +156,6 @@ class EligibilityBatcher {
     for (std::size_t i = 0; i < pool_[slot].size(); ++i) fn(pool_[slot][i]);
     pool_[slot].clear();
     free_.push_back(slot);
-  }
-
-  /// Levels every pooled batch's capacity up to the high-water batch size.
-  /// The slot->cycle assignment permutes across passes (LIFO free-list
-  /// recycling), so without this a slot that only ever held small batches
-  /// re-grows when a later identical pass hands it a large one — capacities
-  /// converge only after several passes. The session calls this at pass end
-  /// so that pass 2 onward batches without touching the heap.
-  void equalize() {
-    std::size_t cap = 0;
-    for (const auto& b : pool_) cap = std::max(cap, b.capacity());
-    for (auto& b : pool_) b.reserve(cap);
   }
 
   std::size_t open_batches() const { return slot_at_.size(); }

@@ -22,12 +22,12 @@ std::string node_mismatch(int net_nodes, const ReplayTrace& rt) {
 
 }  // namespace
 
-ReplaySession::ReplaySession(const ReplayTrace& rt,
-                             const NetworkFactory& factory,
+ReplaySession::ReplaySession(const ReplayTrace& rt, NetworkFactory factory,
                              const ReplayConfig& config)
     : rt_(rt),
       config_(config),
-      naive_(config.mode == ReplayMode::kNaive) {
+      naive_(config.mode == ReplayMode::kNaive),
+      factory_(std::move(factory)) {
   if (!rt_.finalized()) {
     throw std::logic_error("replay: ReplayTrace not finalized");
   }
@@ -39,17 +39,19 @@ ReplaySession::ReplaySession(const ReplayTrace& rt,
   prev_inject_.assign(n, 0);
   result_.inject_time.reserve(n);
   result_.arrive_time.reserve(n);
-  bind_network(factory);
+  build_network();
 }
 
 ReplaySession::ReplaySession(const ReplayTrace& rt, const NetSpec& spec,
                              const ReplayConfig& config)
-    : ReplaySession(rt, make_factory(spec), config) {
-  bound_spec_ = spec;
-}
+    : ReplaySession(rt, make_factory(spec), config) {}
 
-void ReplaySession::bind_network(const NetworkFactory& factory) {
-  std::unique_ptr<noc::Network> net = factory(sim_);
+void ReplaySession::build_network() {
+  // Destroy the old network before erasing the stat entries its components
+  // hold references into; the kernel then rewinds for the fresh build.
+  net_.reset();
+  sim_.reset();
+  std::unique_ptr<noc::Network> net = factory_(sim_);
   if (!net) throw std::logic_error("replay: factory returned null network");
   if (net->node_count() != rt_.nodes()) {
     throw std::invalid_argument(node_mismatch(net->node_count(), rt_));
@@ -70,22 +72,14 @@ noc::Network& ReplaySession::bound_network() const {
 }
 
 void ReplaySession::rebind(const NetSpec& spec) {
-  if (bound_spec_ == spec) return;  // the next pass resets the network
   // Reject what cannot replay this trace before tearing anything down, so
-  // the session stays bound to its old network and spec.
+  // the session stays bound to its old factory and network.
   if (spec.topo.node_count() != rt_.nodes()) {
     throw std::invalid_argument(node_mismatch(spec.topo.node_count(), rt_));
   }
-  const NetworkFactory build = make_factory(spec);
-  // Destroy the old network before erasing the stat entries its components
-  // hold references into, then rewind the kernel for the fresh build.
-  net_.reset();
-  bound_spec_.reset();
-  sim_.stats().reset();
-  sim_.reset();
+  factory_ = make_factory(spec);
   rebind_target_ = spec.describe();  // named by bound_network() on failure
-  bind_network(build);
-  bound_spec_ = spec;
+  build_network();
 }
 
 void ReplaySession::inject_record(std::uint32_t idx) {
@@ -147,11 +141,8 @@ void ReplaySession::run_pass_prepared() {
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint32_t n = rt_.size();
 
-  // The whole point: reset, don't rebuild. Both calls retain capacity, so
-  // after a warmup pass this entire function is allocation-free.
-  noc::Network& net = bound_network();
-  sim_.reset();
-  net.reset();
+  bound_network();  // throws after a failed rebind
+  build_network();
 
   result_.inject_time.assign(n, kNoCycle);
   result_.arrive_time.assign(n, kNoCycle);
@@ -165,7 +156,6 @@ void ReplaySession::run_pass_prepared() {
   }
 
   sim_.run();
-  eligible_.equalize();  // next pass batches allocation-free in any slot
 
   for (std::uint32_t i = 0; i < n; ++i) {
     if (result_.arrive_time[i] == kNoCycle) {

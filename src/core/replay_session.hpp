@@ -1,24 +1,17 @@
-// Reusable replay sessions: one Simulator + one network + all pass-scoped
-// buffers, recycled across passes and across runs.
+// Replay sessions: one trace binding, one Simulator and the trace-sized
+// pass state, kept across passes and across runs; a pass builds its network.
 //
 // The replay engines are multi-pass by nature (iterative self-correction)
 // and multi-run by usage (design-space exploration replays one trace over
-// dozens of candidates). The original engine rebuilt the Simulator, the
-// network and every per-pass vector from scratch for each pass — paying
-// construction, allocation and page-faulting costs that dwarf the event
-// kernel on small traces. A ReplaySession instead owns all of that state
-// and threads the reset() protocol through it between passes:
-//
-//   sim_.reset()    — queue cleared with its tie-break counter rewound,
-//                     stat values zeroed in place (entries survive, so
-//                     components' cached references stay valid),
-//   net_->reset()   — routers / arbitration / pending tables back to
-//                     freshly-constructed state, capacity retained.
-//
-// Reset-reuse is bit-identical to fresh construction (the differential
-// tests replay every network kind both ways and compare full schedules),
-// and passes 2..N run without a single heap allocation (asserted by the
-// alloc-counting test).
+// dozens of candidates). What is sized by the trace is built once per
+// session: the kept-edge flags, the per-record pass buffers and the
+// eligibility batcher, plus the Simulator, whose event-wheel buckets keep
+// their capacity. What a pass simulates is built per pass: each pass
+// destroys the previous network, rewinds the kernel (Simulator::reset(),
+// which also erases the stat entries) and builds a new network through the
+// bound factory. Building a network costs a small share of a pass (DESIGN.md
+// §9), and a network that never outlives its pass needs no way to rewind
+// itself.
 //
 // Within a pass the network's delivery callback does the dependency work: it
 // stamps the arrival, folds it into each kept child's ready time and, when a
@@ -28,12 +21,11 @@
 //
 // The session is the one replay engine. run_replay() (core/driver.hpp) runs
 // a throwaway one; exploration keeps one long-lived session per worker and
-// rebind()s it to each candidate: an equal spec keeps the network, any other
-// spec rebuilds it through make_factory.
+// rebind()s it to each candidate, which binds the candidate's factory and
+// builds its network.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,15 +36,14 @@ namespace sctm::core {
 
 class ReplaySession {
  public:
-  /// Binds the session to `rt` (borrowed; must outlive the session) and
-  /// builds the network once from `spec`, which rebind(NetSpec) compares
-  /// against.
+  /// Binds the session to `rt` (borrowed; must outlive the session) and to
+  /// make_factory(spec), and builds the network, so a spec whose node count
+  /// differs from the trace's throws std::invalid_argument here.
   ReplaySession(const ReplayTrace& rt, const NetSpec& spec,
                 const ReplayConfig& config);
 
-  /// Same over a network no NetSpec can name. The first rebind() always
-  /// rebuilds, since there is no bound spec to compare against.
-  ReplaySession(const ReplayTrace& rt, const NetworkFactory& factory,
+  /// Same over a network no NetSpec can name.
+  ReplaySession(const ReplayTrace& rt, NetworkFactory factory,
                 const ReplayConfig& config);
 
   ReplaySession(const ReplaySession&) = delete;
@@ -64,26 +55,23 @@ class ReplaySession {
   /// next run. Includes a final stat snapshot.
   const ReplayResult& run();
 
-  /// One replay pass: reset, anchor dependency-free records at their
-  /// captured times, drain. The stat snapshot is deferred to
-  /// snapshot_stats() — after a warmup pass this makes repeated calls
-  /// allocation-free, which the steady-state alloc test asserts. The result
-  /// reference stays valid until the next pass.
+  /// One replay pass: rewind the kernel, build the network, anchor
+  /// dependency-free records at their captured times, drain. The stat
+  /// snapshot is deferred to snapshot_stats(), so a timed pass does not
+  /// copy the registry. The result reference stays valid until the next
+  /// pass.
   const ReplayResult& run_pass();
 
   /// Rebinds to `spec`, keeping the trace binding, kept-edge flags and every
-  /// pass buffer. A spec equal to the bound one keeps the network (the next
-  /// pass resets it); any other spec rebuilds it through make_factory,
-  /// erasing the old network's stat entries. A spec whose node count differs
-  /// from the trace's throws std::invalid_argument and leaves the session
-  /// bound to its old network and spec. If the rebuild itself throws, no
-  /// network is bound: run(), run_pass() and network() throw
-  /// std::logic_error naming the failed rebind until a later rebind
-  /// succeeds.
+  /// pass buffer: binds make_factory(spec) and builds its network, erasing
+  /// the old network's stat entries. A spec whose node count differs from
+  /// the trace's throws std::invalid_argument and leaves the session bound
+  /// to its old factory and network. If the build itself throws, no network
+  /// is bound: run(), run_pass() and network() throw std::logic_error naming
+  /// the failed rebind until a later rebind succeeds.
   void rebind(const NetSpec& spec);
 
-  /// Copies the simulator's stat registry into result().stats (the one
-  /// allocating step run_pass() defers).
+  /// Copies the simulator's stat registry into result().stats.
   void snapshot_stats();
 
   /// Moves the result out. The session's result buffers are left empty;
@@ -95,7 +83,7 @@ class ReplaySession {
   noc::Network& network() { return bound_network(); }
 
  private:
-  void bind_network(const NetworkFactory& factory);
+  void build_network();  // the old network goes, then the kernel rewinds
   noc::Network& bound_network() const;  // throws after a failed rebind
   void run_pass_prepared();  // bound_ already filled; core of every pass
   void inject_record(std::uint32_t idx);
@@ -110,9 +98,9 @@ class ReplaySession {
   std::vector<bool> kept_;  // per children-CSR edge: enforced under config_
 
   Simulator sim_;
+  NetworkFactory factory_;             // builds each pass's network
   std::unique_ptr<noc::Network> net_;  // null only after a failed rebind
-  std::optional<NetSpec> bound_spec_;  // empty for a factory-built network
-  std::string rebind_target_;          // spec of the latest rebuild
+  std::string rebind_target_;          // spec of the latest rebind
 
   // Pass-scoped state, sized once to rt_.size() and recycled every pass.
   std::vector<std::uint32_t> pending_;  // unresolved kept deps per record

@@ -40,9 +40,6 @@ class Arbiter {
                                          : grant_round_robin(requests);
   }
 
-  /// Restores the freshly-constructed priority state.
-  void reset();
-
  private:
   // Inline: the router calls it once per port with requests, every cycle.
   int grant_round_robin(const std::uint64_t* requests) {

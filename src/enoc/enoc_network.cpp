@@ -1,7 +1,9 @@
 #include "enoc/enoc_network.hpp"
 
 #include <bit>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "sim/simulator.hpp"
 
@@ -35,33 +37,25 @@ void EnocNetwork::install_fault_model(const fault::FaultSpec& spec) {
   link_stuck_until_.assign(routers_.size() * link_stride_, 0);
 }
 
-void EnocNetwork::reset() {
-  Network::reset();
-  for (auto& r : routers_) r->reset();
-  pending_.clear();
-  for (auto& w : active_bits_) w = 0;
-  for (auto& c : link_stuck_until_) c = 0;
-  outbox_.clear();
-  link_wire_.clear();
-  credit_wire_.clear();
-  // The tick event (if any) died with the simulator's queue reset; the next
-  // inject re-arms the clock. A tick that outlived it (the simulator was not
-  // reset) carries the old generation and throws.
-  ticking_ = false;
-  ++clock_gen_;
-  active_cycles_ = 0;
-  router_ticks_ = 0;
-  activity_hash_ = 0;
-}
-
 void EnocNetwork::mark_active(NodeId n) {
   active_bits_[static_cast<std::size_t>(n) >> 6] |=
       std::uint64_t{1} << (static_cast<std::size_t>(n) & 63);
 }
 
+std::uint32_t EnocNetwork::flit_count(const noc::Message& msg) const {
+  const std::uint64_t nflits = params_.flits_for(msg.size_bytes);
+  if (nflits > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        name() + ": message " + std::to_string(msg.id) + " of " +
+        std::to_string(msg.size_bytes) + " bytes needs " +
+        std::to_string(nflits) + " flits, more than a 32-bit flit count holds");
+  }
+  return static_cast<std::uint32_t>(nflits);
+}
+
 void EnocNetwork::inject(noc::Message msg) {
+  const std::uint32_t nflits = flit_count(msg);
   note_injected(msg);
-  const std::uint32_t nflits = params_.flits_for(msg.size_bytes);
   pending_.insert(msg.id, PendingMsg{msg, nflits});
   routers_[static_cast<std::size_t>(msg.src)]->inject(msg, nflits);
   mark_active(msg.src);
@@ -167,7 +161,7 @@ void EnocNetwork::handle_corrupt_message(const noc::Message& msg) {
 // id, and crucially the original inject_time: end-to-end latency includes
 // every failed attempt plus the NACK turnarounds.
 void EnocNetwork::reinject_for_retry(const noc::Message& msg) {
-  const std::uint32_t nflits = params_.flits_for(msg.size_bytes);
+  const std::uint32_t nflits = flit_count(msg);
   pending_.insert(msg.id, PendingMsg{msg, nflits, false});
   routers_[static_cast<std::size_t>(msg.src)]->inject(msg, nflits);
   mark_active(msg.src);
@@ -216,15 +210,10 @@ void EnocNetwork::ensure_ticking() {
 }
 
 void EnocNetwork::schedule_tick() {
-  sim().schedule_in(1, [this, gen = clock_gen_] { tick(gen); });
+  sim().schedule_in(1, [this] { tick(); });
 }
 
-void EnocNetwork::tick(std::uint64_t gen) {
-  if (gen != clock_gen_) {
-    throw std::logic_error(name() +
-                           ": stale clock tick (network reset while its tick "
-                           "was pending)");
-  }
+void EnocNetwork::tick() {
   ++active_cycles_;
   land_wires();
   if (exhaustive_tick_) {

@@ -44,7 +44,7 @@
 // ring, which the router pulls only for flits injected before now).
 //
 // Parameters, the routing table and every router datapath are fixed at
-// construction; reset() only clears what the network has seen.
+// construction.
 #pragma once
 
 #include <memory>
@@ -63,16 +63,10 @@ class EnocNetwork final : public noc::Network {
   EnocNetwork(Simulator& sim, std::string name, const noc::Topology& topo,
               const EnocParams& params);
 
+  /// Segments `msg` into params().flits_for(size_bytes) flits. Throws
+  /// std::invalid_argument naming the message id and size when that count
+  /// does not fit the 32-bit flit counters (reachable with a 1-byte flit).
   void inject(noc::Message msg) override;
-
-  /// Session reset: routers, in-flight table, activity scoreboard and
-  /// datapath counters return to freshly-constructed state with all
-  /// capacity retained. The exhaustive tick mode survives. The owning
-  /// Simulator must be reset first — the self-clocking tick event lives in
-  /// its queue; a tick that survives this reset throws when it runs.
-  /// Parameters are fixed at construction; a different EnocParams means a
-  /// new network.
-  void reset() override;
 
   /// Fault injection (DESIGN.md §11): link-level faults — payload
   /// corruption, flit drop, stuck-at episodes — are drawn per link traversal
@@ -127,10 +121,13 @@ class EnocNetwork final : public noc::Network {
   void handle_corrupt_message(const noc::Message& msg);
   void reinject_for_retry(const noc::Message& msg);
 
+  // Flit count of `msg`; throws when it does not fit 32 bits.
+  std::uint32_t flit_count(const noc::Message& msg) const;
+
   // Delivers the wire FIFO entries due by now; the first step of each tick.
   void land_wires();
 
-  void tick(std::uint64_t gen);
+  void tick();
   void drain_outbox();
   void ensure_ticking();
   void schedule_tick();
@@ -179,9 +176,6 @@ class EnocNetwork final : public noc::Network {
   Ring<WireFlit> link_wire_;
   Ring<WireCredit> credit_wire_;
   bool ticking_ = false;
-  /// Bumped by reset(); a tick event carries the value it was scheduled
-  /// under, so a tick from before the reset is caught as stale.
-  std::uint64_t clock_gen_ = 0;
   bool exhaustive_tick_ = false;
   std::uint64_t active_cycles_ = 0;
   std::uint64_t router_ticks_ = 0;

@@ -41,14 +41,16 @@ struct EnocParams {
   ArbiterKind arbiter = ArbiterKind::kRoundRobin;
 
   /// Memberwise equality: two parameter sets are interchangeable iff all
-  /// fields match (session reuse keys on this; see core/replay_session.hpp).
+  /// fields match.
   bool operator==(const EnocParams&) const = default;
 
   int total_vcs() const { return vnets * vcs_per_vnet; }
 
   /// Flits for a message of `payload` bytes (>=1; header piggybacks).
-  std::uint32_t flits_for(std::uint32_t payload) const {
-    const std::uint32_t bytes = payload + head_bytes;
+  /// Computed in 64 bits: a payload near 4 GiB plus the header would wrap a
+  /// 32-bit sum.
+  std::uint64_t flits_for(std::uint32_t payload) const {
+    const std::uint64_t bytes = std::uint64_t{payload} + head_bytes;
     return bytes == 0 ? 1 : (bytes + flit_bytes - 1) / flit_bytes;
   }
 

@@ -45,9 +45,9 @@ EnergyBreakdown compute_enoc_energy(const RouterOps& ops, int router_count,
                                     std::uint64_t active_cycles,
                                     const EnocEnergyParams& params);
 
-/// Energy of `net` since construction or its last reset: its routers'
-/// summed counters (EnocNetwork::router_ops), one leaking router per node,
-/// over its active cycles.
+/// Energy of `net` since construction: its routers' summed counters
+/// (EnocNetwork::router_ops), one leaking router per node, over its active
+/// cycles.
 EnergyBreakdown compute_enoc_energy(const EnocNetwork& net,
                                     const EnocEnergyParams& params = {});
 

@@ -41,7 +41,9 @@ Router::Router(Simulator& sim, std::string name, NodeId id,
 
   inputs_.assign(nvc, InputVc{});
   slab_.assign(nvc * static_cast<std::size_t>(params_.buffer_depth), Flit{});
-  credits_.assign(nvc, 0);
+  credits_.assign(nvc, params_.buffer_depth);
+  std::fill_n(credits_.begin() + vc_index(local_, 0), vcount_,
+              kInfiniteCredits);
   busy_.assign(ports * vc_words_, 0);
   occ_.assign((nvc + 63) / 64, 0);
 
@@ -76,26 +78,6 @@ Router::Router(Simulator& sim, std::string name, NodeId id,
   va_list_.reserve(nvc);
   rc_list_.reserve(nvc);
   sa_reexposed_.reserve(ports);
-  reset();
-}
-
-void Router::reset() {
-  std::fill(inputs_.begin(), inputs_.end(), InputVc{});
-  std::fill(occ_.begin(), occ_.end(), 0);
-  for (int p = 0; p < ports_; ++p) {
-    const int credits = p == local_ ? kInfiniteCredits : params_.buffer_depth;
-    std::fill_n(credits_.begin() + vc_index(p, 0), vcount_, credits);
-  }
-  std::fill(busy_.begin(), busy_.end(), 0);
-  for (auto* arbs : {&sa_input_arb_, &sa_output_arb_, &va_arb_}) {
-    for (Arbiter& a : *arbs) a.reset();
-  }
-  va_list_.clear();
-  rc_list_.clear();
-  sa_reexposed_.clear();
-  inj_queue_.clear();
-  inj_active_vc_ = -1;
-  inj_active_msg_ = kInvalidMsg;
 }
 
 int Router::first_free_vc(int port, VcRange r) const {

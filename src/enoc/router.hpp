@@ -125,11 +125,6 @@ class Ring {
     if (++head_ == buf_.size()) head_ = 0;
     --count_;
   }
-  /// Empties the ring, retaining its buffer (session reset path).
-  void clear() {
-    head_ = 0;
-    count_ = 0;
-  }
 
  private:
   void regrow(std::size_t cap) {
@@ -186,13 +181,6 @@ class Router : public Component {
   /// router moves them into local-port VCs as space frees). Flits are
   /// synthesized straight into the staging ring — no intermediate container.
   void inject(const noc::Message& msg, std::uint32_t nflits);
-
-  /// Session reset: restores freshly-constructed datapath state (VC buffers,
-  /// RC/VA results, credits, arbiter pointers, injection staging, occupancy
-  /// bitmap) without releasing any buffer capacity. Cached stat references
-  /// stay valid — the owning simulator zeroes values via
-  /// StatRegistry::zero().
-  void reset();
 
   NodeId id() const { return id_; }
   bool has_work() const;

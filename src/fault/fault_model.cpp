@@ -47,16 +47,6 @@ FaultModel::FaultModel(const FaultSpec& spec, StatRegistry& stats,
   retries_.reserve(16);
 }
 
-void FaultModel::reset() {
-  enoc_rng_ = Rng(derive_seed(spec_.seed, kStreamEnoc));
-  resv_rng_ = Rng(derive_seed(spec_.seed, kStreamResv));
-  opt_rng_ = Rng(derive_seed(spec_.seed, kStreamOpt));
-  for (std::size_t c = 0; c < chan_rng_.size(); ++c) {
-    chan_rng_[c] = Rng(derive_seed(spec_.seed, kStreamChanBase + c));
-  }
-  retries_.clear();
-}
-
 bool FaultModel::draw_flit_corrupt() {
   if (spec_.enoc_flit_corrupt_rate <= 0) return false;
   if (!enoc_rng_.next_bool(spec_.enoc_flit_corrupt_rate)) return false;

@@ -14,9 +14,9 @@
 //    follow that channel's own request order, so the token-loss schedule of
 //    one channel does not depend on traffic on any other channel.
 //
-// reset() re-derives every stream from the spec seed and clears the retry
-// table in place, so a reset-reused session replays the exact fault schedule
-// of a fresh one (the session protocol zeroes the stat registry alongside).
+// The streams are derived from the spec seed at construction, so two models
+// built from one spec draw the same fault schedule; a replay pass builds its
+// network, and with it a fresh model, every time.
 #pragma once
 
 #include <cstdint>
@@ -34,16 +34,10 @@ namespace sctm::fault {
 class FaultModel {
  public:
   /// Registers counters under "<stat_prefix>.*" in `stats` (the registry
-  /// must outlive the model; Simulator::reset zeroes the values in place so
-  /// the cached references stay valid). `channels` sizes the per-channel
-  /// token-loss stream family — pass the network's node count.
+  /// must keep the entries while the model lives). `channels` sizes the
+  /// per-channel token-loss stream family — pass the network's node count.
   FaultModel(const FaultSpec& spec, StatRegistry& stats,
              const std::string& stat_prefix, int channels);
-
-  /// Rewinds every stream to its construction state and clears the retry
-  /// table, retaining capacity. Counters are zeroed by the registry owner
-  /// (Simulator::reset), exactly like every other component stat.
-  void reset();
 
   const FaultSpec& spec() const { return spec_; }
 

@@ -4,11 +4,11 @@
 // per-event probabilities for each fault class, the timeout constants of the
 // recovery protocol, and one root seed from which every fault stream is
 // derived. The spec is plain data with memberwise equality so it can ride in
-// core::NetSpec (exploration keys session reuse on spec equality) and be
-// parsed from the same "fault.*" config vocabulary everywhere (CLI --faults
-// files, experiment configs, explore candidates). A default-constructed spec
-// is inert: enabled() is false and no FaultModel is built from it, so
-// fault-free runs execute byte-for-byte the code they always did.
+// core::NetSpec (equal specs build the same network) and be parsed from the
+// same "fault.*" config vocabulary everywhere (CLI --faults files, experiment
+// configs, explore candidates). A default-constructed spec is inert:
+// enabled() is false and no FaultModel is built from it, so fault-free runs
+// execute byte-for-byte the code they always did.
 #pragma once
 
 #include <cstdint>

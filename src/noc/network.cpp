@@ -18,17 +18,6 @@ void Network::install_fault_model(const fault::FaultSpec& spec) {
       spec, sim().stats(), name() + ".fault", node_count_);
 }
 
-// Pure virtual with a body: subclasses' overrides delegate here for the
-// counters/histograms the base owns. The delivery callback is deliberately
-// kept — a session re-runs against the same sink. The fault model (if any)
-// rewinds its streams so a reused session replays the fresh fault schedule.
-void Network::reset() {
-  injected_ = 0;
-  delivered_ = 0;
-  latency_.reset();
-  if (fault_) fault_->reset();
-}
-
 void Network::deliver(Message msg) {
   msg.arrive_time = sim().now();
   ++delivered_;

@@ -2,10 +2,10 @@
 //
 // Everything above the network (full-system engine, trace replay, traffic
 // generators) talks to this interface, so the electrical baseline, the ONOC
-// and the ideal model are interchangeable per experiment. A network's
-// parameters are fixed at construction: reset() returns it to its
-// constructed state, and different parameters mean a new network. The base
-// counts injected and delivered messages, and idle() compares the two, so no
+// and the ideal model are interchangeable per experiment. A network is built
+// for one run on one Simulator: its parameters are fixed at construction, and
+// a new run or different parameters mean a new network. The base counts
+// injected and delivered messages, and idle() compares the two, so no
 // backend keeps an in-flight count of its own.
 #pragma once
 
@@ -50,17 +50,9 @@ class Network : public Component {
   /// on a control plane counts as in flight until it is delivered.
   bool idle() const { return injected_ == delivered_; }
 
-  /// Session reset: returns the network to its freshly-constructed state
-  /// while retaining allocated capacity (buffers, tables, histograms keep
-  /// their storage). The delivery callback is preserved. Call after (or
-  /// together with) Simulator::reset() — any in-flight events the queue
-  /// dropped are forgotten here too. Overrides must call Network::reset().
-  virtual void reset() = 0;
-
   /// Installs a fault model built from `spec` (must be enabled() — inert
   /// specs build no model so the fault-free path stays byte-identical).
-  /// Counters register under "<name>.fault.*". Call once, before traffic;
-  /// the model survives reset() (streams rewound, same schedule as fresh).
+  /// Counters register under "<name>.fault.*". Call once, before traffic.
   /// Backends that model no faults (Ideal) run fault-transparent: the model
   /// is installed but nothing draws from it. Composites (Hybrid) override to
   /// hand each layer its own model with a derived seed.
@@ -108,7 +100,6 @@ class IdealNetwork final : public Network {
                const Params& params);
 
   void inject(Message msg) override;
-  void reset() override { Network::reset(); }
 
   /// Deterministic latency this model assigns to a message.
   Cycle model_latency(const Message& msg) const;

@@ -134,8 +134,8 @@ class Topology {
   std::string describe() const;
 
   /// Memberwise for the regular kinds; structural (adjacency + coords) for
-  /// file fabrics, so NetSpec equality — which decides whether a session
-  /// rebind keeps its network, and fault spec identity — stays meaningful.
+  /// file fabrics, so NetSpec equality (two specs build the same network)
+  /// stays meaningful.
   bool operator==(const Topology& other) const;
 
  private:

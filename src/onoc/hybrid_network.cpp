@@ -39,12 +39,6 @@ void HybridNetwork::install_fault_model(const fault::FaultSpec& spec) {
   optical_->install_fault_model(spec.with_seed(~spec.seed));
 }
 
-void HybridNetwork::reset() {
-  Network::reset();
-  electrical_->reset();
-  optical_->reset();
-}
-
 bool HybridNetwork::goes_optical(const noc::Message& msg) const {
   if (msg.src == msg.dst) return false;  // loopback stays local/electrical
   if (msg.size_bytes >= params_.size_threshold) return true;

@@ -44,10 +44,6 @@ class HybridNetwork final : public noc::Network {
 
   void inject(noc::Message msg) override;
 
-  /// Session reset: both layers and the steering counters return to
-  /// freshly-constructed state (capacity retained). Reset the Simulator first.
-  void reset() override;
-
   /// Faults install per layer (counters under "<name>.el.fault.*" /
   /// "<name>.op.fault.*"), with decorrelated root seeds so both planes draw
   /// independent fault schedules from one configured seed. The hybrid shell

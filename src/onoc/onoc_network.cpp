@@ -60,26 +60,6 @@ void OnocNetwork::install_fault_model(const fault::FaultSpec& spec) {
       spec.onoc_laser_degradation_db);
 }
 
-void OnocNetwork::reset() {
-  Network::reset();
-  for (auto& ring : tokens_) ring.reset();
-  for (auto& c : src_channel_free_) c = 0;
-  for (auto& c : pool_free_) c = 0;
-  // Arbitration queues: the flush event (if any) died with the simulator's
-  // queue reset; drop whatever it would have served, capacity retained.
-  for (auto& reqs : arb_chan_) reqs.clear();
-  arb_scheduled_ = false;
-  if (ctrl_) ctrl_->reset();
-  for (auto& r : receivers_) {
-    r.busy = false;
-    r.queue.clear();
-  }
-  pending_.clear();
-  next_pending_id_ = 1;
-  next_ctrl_msg_id_ = 1;
-  data_bytes_ = 0;
-}
-
 Cycle OnocNetwork::zero_load_latency(const noc::Message& msg) const {
   const Cycle ser = params_.ser_cycles(msg.size_bytes);
   if (msg.src == msg.dst) {

@@ -63,12 +63,6 @@ class OnocNetwork : public noc::Network {
 
   void inject(noc::Message msg) override;
 
-  /// Session reset: arbitration state (token rings / channel horizons /
-  /// receiver queues), the control mesh (when present), pending tables and
-  /// id counters return to freshly-constructed state, retaining capacity.
-  /// The owning Simulator must be reset first.
-  void reset() override;
-
   /// Fault injection (DESIGN.md §11) on the optical plane: token loss
   /// (timeout-regenerated at the ring's home node), path-setup grant loss
   /// (receiver re-issues after the reservation timeout), and whole-transfer
@@ -151,7 +145,6 @@ class OnocNetwork : public noc::Network {
 
   std::uint64_t data_bytes_ = 0;
   /// Worst-case link BER under the installed fault spec (0 = error-free).
-  /// Spec-derived, not session state: survives reset().
   double optical_ber_ = 0.0;
 
   Accumulator& stat_arb_wait_;

@@ -40,15 +40,6 @@ class TokenRing {
 
   std::uint64_t grants() const { return grants_; }
 
-  /// Session reset: token back at node 0, channel free, history cleared —
-  /// exactly the freshly-constructed state for the same (nodes, hop).
-  void reset() {
-    pos_ = 0;
-    free_at_ = 0;
-    last_call_ = 0;
-    grants_ = 0;
-  }
-
  private:
   int nodes_;
   Cycle hop_;

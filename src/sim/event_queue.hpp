@@ -84,8 +84,7 @@ class EventQueue {
   /// queue is observationally identical to a freshly constructed one
   /// (total_pushed() restarts at zero, tie-break seqs repeat bit-exactly)
   /// while every bucket vector, the far heap and the migration scratch
-  /// retain their grown capacity. This is what makes replay passes 2..N
-  /// allocation-free.
+  /// retain their grown capacity for the next replay pass.
   void reset();
 
   /// Total events ever pushed (event-count metric for bench R-A2).

@@ -55,7 +55,7 @@ bool Simulator::step() {
 
 void Simulator::reset() {
   queue_.reset();
-  stats_.zero();
+  stats_.reset();
   now_ = 0;
   executed_ = 0;
   stopped_ = false;

@@ -11,8 +11,9 @@
 // and no per-event priority-queue maintenance.
 //
 // reset() is the one way to rewind the kernel: it drops pending events,
-// rewinds the tie-break counter and zeroes stat values, so a reset kernel
-// replays exactly like a fresh one.
+// rewinds the tie-break counter and erases every stat entry, so a reset
+// kernel replays exactly like a fresh one. Components are not reset: a replay
+// pass destroys its network before the reset and builds a new one after it.
 #pragma once
 
 #include <cstdint>
@@ -59,15 +60,13 @@ class Simulator {
   void stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
 
-  /// Session reset, the kernel's only one: it becomes observationally
-  /// identical to a freshly constructed Simulator — queue emptied with its
-  /// sequence counter rewound (tie-break order repeats bit-exactly),
-  /// time/executed-count/stop flag zeroed, and every registered stat *value*
-  /// zeroed. Stat registry *entries* survive, so components holding cached
-  /// counter/accumulator references (routers, networks) stay valid across
-  /// resets; capacity of the queue's wheel buckets and far heap is retained.
-  /// Components whose events the queue dropped must be reset too (see
-  /// noc::Network::reset()).
+  /// Rewinds the kernel to the state of a freshly constructed Simulator:
+  /// queue emptied with its sequence counter rewound (tie-break order
+  /// repeats bit-exactly), time/executed-count/stop flag zeroed, and every
+  /// stat entry erased. Erasing invalidates the counter/accumulator
+  /// references components cache, so every component built on this kernel
+  /// must be destroyed first (core::ReplaySession builds a new network after
+  /// each reset). The queue's wheel buckets and far heap keep their capacity.
   void reset();
 
   StatRegistry& stats() { return stats_; }

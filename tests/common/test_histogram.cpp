@@ -114,13 +114,5 @@ TEST(Histogram, PercentilesMatchSortedVector) {
   }
 }
 
-TEST(Histogram, ResetClears) {
-  Histogram h;
-  h.add(5);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.max(), 0u);
-}
-
 }  // namespace
 }  // namespace sctm

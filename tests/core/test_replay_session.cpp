@@ -1,10 +1,10 @@
-// Differential tests for the session reset/reuse protocol: a ReplaySession
-// recycled through Simulator::reset() + Network::reset() must be
-// bit-identical to fresh construction on every network kind and in both
-// replay modes, including after rebind() and across randomized walks over the
-// design space. The pinned-output suite additionally holds every kind's
-// replay schedules and stat report to hashes unchanged since commit 3e04a31,
-// and its kernel event count to a pinned number.
+// Differential tests for session reuse: a long-lived ReplaySession, which
+// builds its network at the start of every pass, must be bit-identical to a
+// freshly constructed one on every network kind and in both replay modes,
+// including after rebind() and across randomized walks over the design
+// space. The pinned-output suite additionally holds every kind's replay
+// schedules and stat report to hashes unchanged since commit 3e04a31, and
+// its kernel event count to a pinned number.
 #include "core/replay_session.hpp"
 
 #include <gtest/gtest.h>
@@ -101,7 +101,7 @@ void expect_identical(const ReplayResult& reused, const ReplayResult& fresh,
 class SessionKindMode
     : public ::testing::TestWithParam<std::tuple<NetKind, ReplayMode>> {};
 
-// Reset-reuse differential: one session run repeatedly must reproduce the
+// Reuse differential: one session run repeatedly must reproduce the
 // fresh-construction result exactly, on every network kind in both modes.
 TEST_P(SessionKindMode, ResetReuseMatchesFresh) {
   const auto [kind, mode] = GetParam();
@@ -118,8 +118,8 @@ TEST_P(SessionKindMode, ResetReuseMatchesFresh) {
 }
 
 // Same differential for the single-pass entry point, which defers the stat
-// snapshot (the allocation-free steady-state path): every reused pass must
-// match the first pass of a freshly built session.
+// snapshot: every reused pass must match the first pass of a freshly built
+// session.
 TEST_P(SessionKindMode, RunPassReuseMatchesReplayOnce) {
   const auto [kind, mode] = GetParam();
   const ReplayTrace& rt = shared_rt();
@@ -198,8 +198,8 @@ TEST(ReplaySession, RebindMatchesFresh) {
 }
 
 // Randomized walk: one session driven through a random sequence of network
-// kinds (pure reset when the kind repeats, rebind when it changes) must
-// match fresh construction at every step. Seeded, so failures reproduce.
+// kinds (rerun when the kind repeats, rebind when it changes) must match
+// fresh construction at every step. Seeded, so failures reproduce.
 TEST(ReplaySession, RandomizedWalkMatchesFresh) {
   const ReplayTrace& rt = shared_rt();
   for (const ReplayMode mode :
@@ -265,7 +265,7 @@ TEST(ReplaySession, RebindToUnbuildableSpecLeavesNoNetworkToRun) {
 }
 
 // A spec with the wrong node count is rejected before the bound network is
-// torn down: the session keeps its network and its spec.
+// torn down: the session keeps its network and its factory.
 TEST(ReplaySession, RebindToWrongNodeCountKeepsTheBoundNetwork) {
   const ReplayTrace& rt = jacobi_rt();
   const ReplayConfig cfg;
@@ -279,8 +279,6 @@ TEST(ReplaySession, RebindToWrongNodeCountKeepsTheBoundNetwork) {
   EXPECT_EQ(&session.network(), before);
   expect_identical(session.run(), fresh_run(rt, ideal, cfg),
                    "after a rejected rebind");
-  session.rebind(ideal);  // still the bound spec: no rebuild
-  EXPECT_EQ(&session.network(), before);
 }
 
 // take_result() moves the schedule out and the next run must rebuild it
@@ -318,10 +316,6 @@ class SameCycleNetwork final : public noc::Network {
       return;
     }
     sim().schedule_in(0, [this, msg] { deliver(msg); });
-  }
-  void reset() override {
-    Network::reset();
-    order_.clear();
   }
 
  private:
@@ -582,9 +576,9 @@ INSTANTIATE_TEST_SUITE_P(EnocConfigs, PinnedEnocOutput,
                            return std::string(info.param.name);
                          });
 
-// --- Rebind rule ------------------------------------------------------------
+// --- Rebind -----------------------------------------------------------------
 
-// Parameter-only spec changes rebuild the network like any other change and
+// Parameter-only spec changes build a new network like any other rebind and
 // must be bit-identical to a freshly built session, including the walk back
 // to the original parameters.
 TEST(InPlaceRebind, EnocParameterChangesMatchFresh) {
@@ -650,21 +644,6 @@ TEST(InPlaceRebind, StructuralChangesFallBackToRebuild) {
   session.rebind(torus);  // topology change
   expect_identical(session.run(), fresh_run(rt, torus, cfg),
                    "topology change rebuilds");
-}
-
-// An equal spec keeps the network (the pure reset-reuse path).
-TEST(InPlaceRebind, EqualSpecIsNoop) {
-  const ReplayTrace& rt = jacobi_rt();
-  const ReplayConfig cfg;
-  const NetSpec spec = spec_of(NetKind::kEnoc);
-
-  ReplaySession session(rt, spec, cfg);
-  const ReplayResult fresh = fresh_run(rt, spec, cfg);
-  expect_identical(session.run(), fresh, "before");
-  const noc::Network* before = &session.network();
-  session.rebind(spec);
-  EXPECT_EQ(&session.network(), before);  // same object, not rebuilt
-  expect_identical(session.run(), fresh, "after noop rebind");
 }
 
 // A NetSpec names one network however it was built: a config and code that

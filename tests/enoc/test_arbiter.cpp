@@ -55,13 +55,6 @@ TEST(RoundRobin, FairUnderSaturation) {
   for (int i = 0; i < 4; ++i) EXPECT_EQ(wins[i], 100);
 }
 
-TEST(RoundRobin, ResetRestoresPriority) {
-  Arbiter a(ArbiterKind::kRoundRobin, 4);
-  (void)grant(a, bits({0, 1}, 4));
-  a.reset();
-  EXPECT_EQ(grant(a, bits({0, 1}, 4)), 0);
-}
-
 TEST(Matrix, SingleRequesterWins) {
   Arbiter a(ArbiterKind::kMatrix, 4);
   EXPECT_EQ(grant(a, bits({3}, 4)), 3);
@@ -113,7 +106,6 @@ class RefRoundRobin {
     }
     return -1;
   }
-  void reset() { next_ = 0; }
 
  private:
   int width_;
@@ -122,9 +114,8 @@ class RefRoundRobin {
 
 class RefMatrix {
  public:
-  explicit RefMatrix(int width) : width_(width) { reset(); }
-  void reset() {
-    prio_.assign(width_, std::vector<bool>(width_, false));
+  explicit RefMatrix(int width)
+      : width_(width), prio_(width, std::vector<bool>(width, false)) {
     for (int i = 0; i < width_; ++i) {
       for (int j = i + 1; j < width_; ++j) prio_[i][j] = true;
     }
@@ -167,9 +158,9 @@ void run_differential(ArbiterKind kind, int width, std::uint64_t seed) {
   std::vector<bool> req(static_cast<std::size_t>(width));
   std::vector<std::uint64_t> words(Arbiter::words_for(width));
   for (int step = 0; step < 2000; ++step) {
-    if (rng.next_below(200) == 0) {
-      mask.reset();
-      ref.reset();
+    if (rng.next_below(200) == 0) {  // restart both from fresh priority
+      mask = Arbiter(kind, width);
+      ref = Ref(width);
     }
     // Vary the density so single requesters, sparse sets, full sets and
     // empty sets all occur.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -225,24 +227,25 @@ TEST(EnocNetwork, WideStarHubUsesPortsBeyond255) {
   EXPECT_TRUE(net.idle());
 }
 
-// The clock tick lands the wire FIFOs. A network reset without resetting
-// the simulator leaves the old tick pending; once an inject re-arms the
-// clock, two tick chains would tick every router twice per cycle. The
-// stale tick throws instead.
-TEST(EnocNetwork, StaleClockTickAfterResetThrows) {
+// A message whose flit count does not fit the 32-bit flit counters is
+// rejected at inject, naming its id and size, before anything is staged or
+// counted.
+TEST(EnocNetwork, InjectRejectsAFlitCountBeyond32Bits) {
   Simulator sim;
-  EnocNetwork net(sim, "enoc", Topology::mesh(2, 2), small_params());
-  net.inject(make_msg(1, 0, 3, 4096));  // 257 flits: links busy for a while
-  sim.run_until(20);
-  net.reset();
-  net.inject(make_msg(2, 0, 3, 4096));
+  EnocParams p = small_params();
+  p.flit_bytes = 1;
+  EnocNetwork net(sim, "enoc", Topology::mesh(2, 2), p);
   try {
-    sim.run();
-    ADD_FAILURE() << "a stale clock tick ran without an error";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("stale clock"), std::string::npos)
-        << e.what();
+    net.inject(make_msg(7, 0, 3, std::numeric_limits<std::uint32_t>::max()));
+    ADD_FAILURE() << "a 4 GiB message of 1-byte flits was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("message 7 "), std::string::npos) << what;
+    EXPECT_NE(what.find("4294967295 bytes"), std::string::npos) << what;
   }
+  EXPECT_EQ(net.injected_count(), 0u);
+  EXPECT_TRUE(net.idle());
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 // A flit hop and a credit return cost no kernel event: the wires land in the

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -23,6 +25,23 @@ TEST(EnocParams, FlitSegmentation) {
   EXPECT_EQ(p.flits_for(9), 2u);
   EXPECT_EQ(p.flits_for(64), 5u);
   EXPECT_EQ(p.flits_for(4096), 257u);
+}
+
+// Sizes come from trace files, so payload + header must not wrap 32 bits.
+// With the default 8 B header and 16 B flits, a 32-bit sum gave 0 flits for
+// payloads of 4,294,967,273-4,294,967,287 B (an ENoC clock that never
+// stops) and 1 flit from 4,294,967,288 B on.
+TEST(EnocParams, FlitSegmentationDoesNotWrapNear4GiB) {
+  EnocParams p;
+  EXPECT_EQ(p.flits_for(4'294'967'272u), 268'435'455u);
+  EXPECT_EQ(p.flits_for(4'294'967'273u), 268'435'456u);  // was 0
+  EXPECT_EQ(p.flits_for(4'294'967'287u), 268'435'456u);  // was 0
+  EXPECT_EQ(p.flits_for(4'294'967'288u), 268'435'456u);  // was 1
+  EXPECT_EQ(p.flits_for(std::numeric_limits<std::uint32_t>::max()),
+            268'435'457u);  // was 1
+  p.flit_bytes = 1;  // the count itself outgrows 32 bits
+  EXPECT_EQ(p.flits_for(std::numeric_limits<std::uint32_t>::max()),
+            4'294'967'303u);
 }
 
 TEST(EnocParams, ValidationRejectsBadValues) {

@@ -1,6 +1,6 @@
 // Determinism matrix for fault injection (DESIGN.md §11): with every fault
-// class armed, on every network kind, a reset-reused session must replay the
-// fresh fault schedule bit-identically. The suite also pins the zero-rate
+// class armed, on every network kind, a reused session must replay the fresh
+// fault schedule bit-identically. The suite also pins the zero-rate
 // identity (an inert FaultSpec leaves results and stats byte-identical to a
 // run without the fault field), rebinds across fault regimes, and the
 // manifest echo of the fault regime in the metrics document.
@@ -84,8 +84,8 @@ MatrixRun run_full(const NetSpec& spec) {
 
 class FaultedReplayMatrix : public ::testing::TestWithParam<NetKind> {};
 
-// A reset-reused session must replay the fresh fault schedule: run() twice
-// on one session, both bit-identical to a freshly built replay.
+// A reused session must replay the fresh fault schedule: run() twice on one
+// session, both bit-identical to a freshly built replay.
 TEST_P(FaultedReplayMatrix, ResetReuseReplaysTheFreshFaultSchedule) {
   const NetSpec spec = faulted_spec(GetParam());
   const ReplayConfig cfg;

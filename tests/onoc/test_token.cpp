@@ -162,36 +162,5 @@ TEST(TokenRingProperty, RandomizedSequencesMatchNaiveReference) {
   }
 }
 
-// Session-reset property: replaying any request sequence after reset() must
-// grant bit-identically to both the first run and a freshly constructed
-// ring — reset() is exactly the constructed state for the same (nodes, hop).
-TEST(TokenRingProperty, ResetReplayIsBitIdenticalToFreshRing) {
-  Rng rng(0x53537);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int nodes = static_cast<int>(rng.next_range(1, 24));
-    const Cycle hop = static_cast<Cycle>(rng.next_range(1, 5));
-    const auto seq = random_sequence(rng, nodes, 200);
-
-    TokenRing ring(nodes, hop);
-    std::vector<Cycle> first;
-    first.reserve(seq.size());
-    for (const Req& r : seq) first.push_back(ring.acquire(r.s, r.t, r.hold));
-
-    ring.reset();
-    TokenRing fresh(nodes, hop);
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      const Req& r = seq[i];
-      const Cycle replayed = ring.acquire(r.s, r.t, r.hold);
-      ASSERT_EQ(replayed, first[i]) << "trial " << trial << " req " << i;
-      ASSERT_EQ(replayed, fresh.acquire(r.s, r.t, r.hold))
-          << "trial " << trial << " req " << i;
-      ASSERT_EQ(ring.free_at(), fresh.free_at()) << "trial " << trial;
-    }
-    EXPECT_EQ(ring.grants(), fresh.grants());
-    EXPECT_EQ(ring.position_at(seq.back().t + 1000),
-              fresh.position_at(seq.back().t + 1000));
-  }
-}
-
 }  // namespace
 }  // namespace sctm::onoc

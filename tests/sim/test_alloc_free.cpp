@@ -13,10 +13,10 @@
 #include <cstdlib>
 #include <new>
 
-#include "core/driver.hpp"
 #include "core/replay.hpp"
-#include "core/replay_session.hpp"
 #include "enoc/enoc_network.hpp"
+#include "onoc/hybrid_network.hpp"
+#include "onoc/onoc_network.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -123,22 +123,23 @@ TEST(AllocFreeKernel, SteadyStateSchedulesAndDispatchesWithoutHeapTraffic) {
   EXPECT_EQ(InlineFn::heap_fallbacks() - fallbacks_before, 0u);
 }
 
-TEST(AllocFreeKernel, SteadyStateRouterTraversalIsAllocationFree) {
-  // The full flit datapath — network inject, flit synthesis into the staging
-  // ring, VC buffering, three-phase pipeline, wire FIFOs, credits, ejection
-  // and delivery — must stop touching the heap once every retained-capacity
-  // structure (flit rings, pending-message table, wheel buckets, latency
-  // histogram) has warmed up to the workload's footprint.
-  Simulator sim;
-  const auto topo = noc::Topology::mesh(4, 4);
-  enoc::EnocNetwork net(sim, "enoc", topo, enoc::EnocParams{});
+// Feeds `net` rounds of `per_round` messages on one Simulator: message i
+// goes from node i % nodes to a scattered destination and carries
+// bytes_of(i) bytes. Four warmup rounds grow every retained-capacity
+// structure (flit rings, pending-message tables, arbitration queues, wheel
+// buckets, latency histogram) to the workload's footprint; the eight rounds
+// after them must not touch the heap. Rounds start phase-aligned to the
+// 64-bucket calendar wheel so the steady-state rounds revisit exactly the
+// bucket indices the warmup rounds grew (bucket capacity is retained per
+// index; an unaligned burst would land its event spike in a cold bucket and
+// honestly need to grow it).
+template <typename BytesOf>
+void expect_steady_rounds_allocation_free(Simulator& sim, noc::Network& net,
+                                          int per_round, BytesOf bytes_of) {
+  const int nodes = net.node_count();
   std::uint64_t delivered = 0;
   net.set_deliver_callback([&](const noc::Message&) { ++delivered; });
 
-  // Rounds start phase-aligned to the 64-bucket calendar wheel so the
-  // steady-state rounds revisit exactly the bucket indices the warmup rounds
-  // grew (bucket capacity is retained per index; an unaligned burst would
-  // land its event spike in a cold bucket and honestly need to grow it).
   constexpr Cycle kRoundStride = 512;
   static_assert(kRoundStride % 64 == 0);
   MsgId next_id = 1;
@@ -146,13 +147,13 @@ TEST(AllocFreeKernel, SteadyStateRouterTraversalIsAllocationFree) {
   auto run_round = [&] {
     const Cycle start = static_cast<Cycle>(round++) * kRoundStride;
     sim.schedule_at(start, [&] {
-      for (int i = 0; i < 16; ++i) {
+      for (int i = 0; i < per_round; ++i) {
         noc::Message m;
         m.id = next_id++;
-        m.src = static_cast<NodeId>(i);
-        m.dst = static_cast<NodeId>((i * 7 + 5) % 16);
-        if (m.dst == m.src) m.dst = (m.dst + 1) % 16;
-        m.size_bytes = 64;
+        m.src = static_cast<NodeId>(i % nodes);
+        m.dst = static_cast<NodeId>((i * 7 + 5) % nodes);
+        if (m.dst == m.src) m.dst = (m.dst + 1) % nodes;
+        m.size_bytes = bytes_of(i);
         m.cls = noc::MsgClass::kData;
         net.inject(m);
       }
@@ -161,15 +162,52 @@ TEST(AllocFreeKernel, SteadyStateRouterTraversalIsAllocationFree) {
   };
 
   for (int r = 0; r < 4; ++r) run_round();
-  ASSERT_EQ(delivered, 64u);
+  const auto per = static_cast<std::uint64_t>(per_round);
+  ASSERT_EQ(delivered, 4 * per);
 
   const std::uint64_t allocs_before = g_allocs;
   const std::uint64_t fallbacks_before = InlineFn::heap_fallbacks();
   for (int r = 0; r < 8; ++r) run_round();
-  EXPECT_EQ(delivered, 192u);
+  EXPECT_EQ(delivered, 12 * per);
   EXPECT_EQ(g_allocs - allocs_before, 0u)
-      << "steady-state flit injection/forwarding hit the heap";
+      << "steady-state rounds on " << net.name() << " hit the heap";
   EXPECT_EQ(InlineFn::heap_fallbacks() - fallbacks_before, 0u);
+}
+
+TEST(AllocFreeKernel, SteadyStateRouterTraversalIsAllocationFree) {
+  // The full flit datapath — network inject, flit synthesis into the staging
+  // ring, VC buffering, three-phase pipeline, wire FIFOs, credits, ejection
+  // and delivery.
+  Simulator sim;
+  enoc::EnocNetwork net(sim, "enoc", noc::Topology::mesh(4, 4),
+                        enoc::EnocParams{});
+  expect_steady_rounds_allocation_free(sim, net, 16,
+                                       [](int) { return 64u; });
+}
+
+TEST(AllocFreeKernel, SteadyStateHybridSteeringIsAllocationFree) {
+  // Both planes of a long-lived hybrid: the steering splits the rounds
+  // between the electrical mesh and the token-ring optical layer, whose
+  // per-channel arbitration queues each hold two requests per round (two
+  // messages share every destination).
+  Simulator sim;
+  onoc::HybridNetwork net(sim, "hybrid", noc::Topology::mesh(4, 4),
+                          enoc::EnocParams{}, onoc::OnocParams{},
+                          onoc::HybridParams{});
+  expect_steady_rounds_allocation_free(
+      sim, net, 32, [](int i) { return i % 2 == 0 ? 64u : 8u; });
+  EXPECT_GT(net.optical_count(), 0u);
+  EXPECT_GT(net.electrical_count(), 0u);
+}
+
+TEST(AllocFreeKernel, SteadyStateSwmrArbitrationIsAllocationFree) {
+  // The SWMR optical plane: every source channel's arbitration queue holds
+  // two requests per round (each node sends twice in the round's cycle).
+  Simulator sim;
+  onoc::OnocNetwork net(sim, "swmr", noc::Topology::mesh(4, 4),
+                        onoc::OnocParams{}, onoc::Arbitration::kSwmr);
+  expect_steady_rounds_allocation_free(sim, net, 32,
+                                       [](int) { return 64u; });
 }
 
 TEST(AllocFreeKernel, ReplayEligibilityBatcherSteadyStateIsAllocationFree) {
@@ -207,53 +245,6 @@ TEST(AllocFreeKernel, ReplayEligibilityBatcherSteadyStateIsAllocationFree) {
   EXPECT_EQ(dispatched, (256u + 2048u) * kBatch);
   EXPECT_EQ(g_allocs - allocs_before, 0u)
       << "steady-state eligibility batching hit the heap";
-}
-
-TEST(AllocFreeKernel, ReplaySessionPassesAfterWarmupAreAllocationFree) {
-  // The session reset protocol end-to-end: capture a mesh workload (free to
-  // allocate), bind one ReplaySession, run two warmup passes — the first
-  // sizes every pass buffer, wheel bucket, flit ring and batch slot; the
-  // second proves the footprint converged — then assert that further passes
-  // never touch the heap. This is the acceptance bar for reset() being
-  // capacity-retaining at every layer (simulator, network, routers, replay
-  // buffers) rather than a convenience clear. The hybrid steers the workload
-  // across both planes, so its passes also hold the ONoC per-channel
-  // arbitration queues to the bar.
-  fullsys::AppParams app;
-  app.name = "jacobi";
-  app.cores = 16;
-  app.lines_per_core = 8;
-  app.iterations = 1;
-  fullsys::FullSysParams sys;
-  sys.l1_sets = 8;
-  sys.l1_ways = 2;
-  sys.l2_sets = 32;
-  sys.l2_ways = 4;
-  for (const core::NetKind kind : {core::NetKind::kEnoc,
-                                   core::NetKind::kHybrid}) {
-    SCOPED_TRACE(core::to_string(kind));
-    core::NetSpec spec;
-    spec.kind = kind;
-    const auto exec = core::run_execution(app, spec, sys);
-    const core::ReplayTrace rt(exec.trace);
-    ASSERT_FALSE(rt.empty());
-
-    core::ReplaySession session(rt, spec, {});
-    session.run_pass();  // warmup: size pass buffers, buckets, rings
-    session.run_pass();  // warmup: prove the footprint converged
-    const Cycle runtime = session.result().runtime;
-
-    const std::uint64_t allocs_before = g_allocs;
-    const std::uint64_t fallbacks_before = InlineFn::heap_fallbacks();
-    constexpr int kPasses = 8;
-    for (int p = 0; p < kPasses; ++p) {
-      const auto& res = session.run_pass();
-      ASSERT_EQ(res.runtime, runtime);  // still the exact schedule
-    }
-    EXPECT_EQ(g_allocs - allocs_before, 0u)
-        << "replay passes 2..N hit the heap (reset protocol leaked capacity)";
-    EXPECT_EQ(InlineFn::heap_fallbacks() - fallbacks_before, 0u);
-  }
 }
 
 TEST(AllocFreeKernel, FarHeapPathAllocatesOnlyForGrowth) {
