@@ -338,8 +338,8 @@ int cmd_replay(Config& f) {
   const auto trace = require_flag(f, "trace");
   require_flag(f, "net");
   const core::ReplayConfig cfg = core::replay_from_config(f);
-  // v2 containers stream chunk-at-a-time into the replay representation; a
-  // whole record vector-of-vectors is never materialized.
+  // v2 containers decode straight into the replay representation; a whole
+  // record vector-of-vectors is never materialized.
   const auto loaded = core::load_replay_trace(trace);
   // Without --mesh or --topo, a trace of k*k nodes replays on a k x k mesh.
   if (!f.contains("net.topology")) {
@@ -405,7 +405,7 @@ int cmd_explore(const Config& f) {
   // --screen-top (explore.screen.top_k) wins over the candidates file's.
   const core::ExploreConfig cfg =
       core::explore_config_from(f, core::explore_config_from(cand_cfg, base));
-  // v2 containers stream chunk-at-a-time into the replay representation.
+  // v2 containers decode straight into the replay representation.
   const auto rt = core::load_replay_trace(tr);
 
   const auto results = analytic::explore_screened(rt, candidates, cfg);

@@ -75,7 +75,7 @@ TraceProfile profile_trace(const core::ReplayTrace& rt) {
   p.first_inject = kNoCycle;
   p.last_inject = 0;
 
-  // Offered load per flow key (src * nodes + dst) * classes + cls. finalize()
+  // Offered load per flow key (src * nodes + dst) * classes + cls. The load
   // keeps every endpoint inside [0, nodes), so keys are unique and their
   // order is (src, dst, cls) order; the largest, 4 * nodes^2 - 1, stays
   // below FlatMap's all-ones sentinel for any int32 node count. Bytes sum as

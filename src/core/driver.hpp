@@ -111,9 +111,10 @@ ReplayRun run_replay(const ReplayTrace& rt, const NetSpec& net,
                      const ReplayConfig& config);
 
 /// Loads a trace file straight into replay form, dispatching on the on-disk
-/// format: v2 containers stream chunk-at-a-time into the flat arrays (peak
-/// memory is the replay representation plus one decoded chunk, not the whole
-/// record vector-of-vectors), v1 monoliths go through the in-memory reader.
+/// format: v2 containers decode chunk by chunk, in parallel, into the flat
+/// arrays (peak memory is the replay representation plus the chunks in
+/// flight, not the whole record vector-of-vectors), v1 monoliths go through
+/// the in-memory reader.
 ReplayTrace load_replay_trace(const std::string& path);
 
 /// Short provenance string identifying `rt` in run manifests

@@ -16,8 +16,8 @@
 // eligible in the same cycle are injected together, sorted in capture order,
 // by that cycle's one late-band flush (EligibilityBatcher).
 // Dependency-free records anchor at their captured timestamps. Because every
-// dependency points to an earlier record (ReplayTrace::finalize enforces
-// it), a single event-driven pass yields the exact fixed point when
+// dependency points to an earlier record (ReplayTrace enforces it at
+// load), a single event-driven pass yields the exact fixed point when
 // dependencies are complete — replaying on the capture network reproduces
 // the captured schedule bit-exactly (tested).
 //

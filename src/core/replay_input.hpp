@@ -1,16 +1,28 @@
-// Replay-side trace representation: seven per-record arrays plus two CSRs
+// Replay-side trace representation: eight per-record columns plus two CSRs
 // over the same dependency edges (each record's parents as record indices;
 // each record's dependents), built from an in-memory trace::Trace or
-// streamed chunk-at-a-time out of a v2 container (src/tracestore). Peak
-// memory is the arrays plus one decoded chunk, however the trace arrived.
+// decoded out of a v2 container (src/tracestore).
 //
-// finalize() is the one validator of the trace contract that makes
-// self-correcting replay exact: ids strictly increase in record order,
-// every endpoint lies in [0, nodes), every dependency names an earlier
-// record, and parent arrival + slack reproduces the captured injection. A
-// violation throws std::invalid_argument naming the record index and id.
-// The last identity makes slack derived data: finalize() drops the recorded
-// dependencies, and slack() recomputes it from the captured times.
+// Both constructions run one pipeline over blocks of records (the v2
+// chunks, or 4,096-record blocks of an in-memory trace) through
+// parallel_for: workers copy or decode blocks straight into the columns,
+// while two folders consume the blocks in record order. The check folder
+// validates the trace contract that makes self-correcting replay exact —
+// ids strictly increase in record order, every endpoint lies in
+// [0, nodes), every dependency names an earlier record, and parent arrival
+// + slack reproduces the captured injection — resolves each dependency to
+// its parent's record index and builds the children CSR. The hash folder
+// folds tracestore's canonical content hash from the checked columns.
+// Whatever the thread timing, a load throws the error a serial load meets
+// first: the lowest damaged v2 chunk's tracestore::TraceStoreError, else
+// std::invalid_argument naming the record index and id of the first id or
+// endpoint violation in record order, else of the first dependency
+// violation. The last identity makes slack derived data: no slack is
+// stored, and slack() recomputes it from the captured times.
+//
+// A v2 load holds the columns, the parent indices and the children
+// (8 bytes per dependency), plus each in-flight chunk's payload and
+// decoded dependencies, however long the container is.
 #pragma once
 
 #include <cstdint>
@@ -27,33 +39,27 @@ namespace sctm::core {
 
 class ReplayTrace {
  public:
+  /// An empty placeholder to assign a loaded trace to: finalized() is
+  /// false, and replay and the screen reject it.
   ReplayTrace() = default;
 
-  /// One-shot construction from an in-memory trace (meta + every record +
-  /// finalize()).
+  /// Validates and indexes an in-memory trace (see the file comment).
   explicit ReplayTrace(const trace::Trace& t);
 
-  /// Streams every chunk of `reader` through append(); a background thread
-  /// decodes the next chunk while this one is ingested.
+  /// Decodes every chunk of `reader` in parallel and validates as the
+  /// in-memory constructor does; also throws tracestore::TraceStoreError,
+  /// naming both hashes, when the records do not hash to the content hash
+  /// stored in the footer.
   static ReplayTrace from_store(const tracestore::TraceReader& reader);
 
-  // -- streaming builder --------------------------------------------------
-  void set_meta(std::string app, std::string capture_network,
-                std::int32_t nodes, Cycle capture_runtime,
-                std::uint64_t seed);
-  void reserve(std::uint64_t records);
-  void append(const trace::TraceRecord& r);
-  /// Validates (see the file comment) and builds the dependency CSRs;
-  /// append() is invalid after.
-  void finalize();
+  /// True for every trace built from records (not default-constructed).
   bool finalized() const { return finalized_; }
 
   /// Canonical trace identity: identical to tracestore::content_hash() of
-  /// the trace these records came from, folded incrementally as set_meta()
-  /// and append() stream by (so the streaming path never materializes a
-  /// trace::Trace just to hash it). Run manifests record it so a ranking is
-  /// attributable to an exact trace, and it keys the tracestore catalog.
-  std::uint64_t content_hash() const { return hash_state_; }
+  /// the trace these records came from. Run manifests record it so a
+  /// ranking is attributable to an exact trace, and it keys the tracestore
+  /// catalog.
+  std::uint64_t content_hash() const { return content_hash_; }
 
   // -- meta ---------------------------------------------------------------
   const std::string& app() const { return app_; }
@@ -70,6 +76,8 @@ class ReplayTrace {
   NodeId dst(std::uint32_t i) const { return dst_[i]; }
   std::uint32_t size_bytes(std::uint32_t i) const { return size_bytes_[i]; }
   noc::MsgClass cls(std::uint32_t i) const { return cls_[i]; }
+  /// Protocol type byte (fullsys::ProtoMsg value), as captured.
+  std::uint8_t proto(std::uint32_t i) const { return proto_[i]; }
   Cycle inject_time(std::uint32_t i) const { return inject_[i]; }
   Cycle arrive_time(std::uint32_t i) const { return arrive_[i]; }
 
@@ -77,13 +85,13 @@ class ReplayTrace {
   std::uint32_t dep_count(std::uint32_t i) const {
     return dep_offset_[i + 1] - dep_offset_[i];
   }
-  /// Record index of record i's k-th dependency (resolved in finalize()).
+  /// Record index of record i's k-th dependency.
   std::uint32_t dep_parent_index(std::uint32_t i, std::uint32_t k) const {
     return dep_parent_idx_[dep_offset_[i] + k];
   }
   /// Slack of the dependency of record `child` on record `parent`: the
   /// cycles from the parent's captured arrival to the child's captured
-  /// injection, which finalize() proved equal to the recorded slack.
+  /// injection, which construction proved equal to the recorded slack.
   Cycle slack(std::uint32_t child, std::uint32_t parent) const {
     return inject_[child] - arrive_[parent];
   }
@@ -113,6 +121,14 @@ class ReplayTrace {
   }
 
  private:
+  ReplayTrace(std::string app, std::string capture_network,
+              std::int32_t nodes, Cycle capture_runtime, std::uint64_t seed);
+
+  /// The pipeline of the file comment over `source`'s blocks
+  /// (replay_input.cpp).
+  template <typename Source>
+  void ingest(Source& source);
+
   std::string app_;
   std::string capture_network_;
   std::int32_t nodes_ = 0;
@@ -124,20 +140,17 @@ class ReplayTrace {
   std::vector<NodeId> dst_;
   std::vector<std::uint32_t> size_bytes_;
   std::vector<noc::MsgClass> cls_;
+  std::vector<std::uint8_t> proto_;
   std::vector<Cycle> inject_;
   std::vector<Cycle> arrive_;
 
-  std::vector<std::uint32_t> dep_offset_;  // size()+1 after finalize
-  std::vector<trace::TraceDep> deps_;  // as recorded; emptied by finalize
+  std::vector<std::uint32_t> dep_offset_;  // size()+1
   std::vector<std::uint32_t> dep_parent_idx_;
 
-  std::vector<std::uint32_t> child_offset_;  // size()+1 after finalize
+  std::vector<std::uint32_t> child_offset_;  // size()+1
   std::vector<std::uint32_t> children_;
 
-  /// FNV-1a/64 state (offset basis before any update), advanced by
-  /// set_meta()/append() through the tracestore canonical-hash helpers.
-  std::uint64_t hash_state_ = 0xcbf29ce484222325ull;
-
+  std::uint64_t content_hash_ = 0;
   bool finalized_ = false;
 };
 

@@ -211,7 +211,7 @@ const ReplayResult& ReplaySession::run() {
         }
         Cycle b = 0;
         for (std::uint32_t k = 0; k < dc; ++k) {
-          // Parents were resolved to record indices at finalize() — no id
+          // Parents were resolved to record indices at load — no id
           // lookup in the iteration hot loop.
           const std::uint32_t p = rt_.dep_parent_index(i, k);
           b = std::max(b, result_.arrive_time[p] + rt_.slack(i, p));

@@ -6,8 +6,8 @@
 // delivery stamps that record's arrival, and a send derives each
 // dependency's slack from the arrival its cause's record already holds
 // (slack = send time - cause arrival). The slack identity that
-// core::ReplayTrace::finalize checks on every loaded trace therefore holds
-// by construction here.
+// core::ReplayTrace checks on every loaded trace therefore holds by
+// construction here.
 #pragma once
 
 #include <string>

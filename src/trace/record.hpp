@@ -52,7 +52,7 @@ struct Trace {
   std::uint64_t seed = 0;
 
   /// Records in injection order. Invariants (TraceCapture produces them;
-  /// core::ReplayTrace::finalize rejects a trace that breaks one): ids
+  /// core::ReplayTrace rejects a trace that breaks one): ids
   /// strictly increase in record order, src and dst lie in [0, nodes), and
   /// every dependency names an earlier record whose arrival + slack equals
   /// this record's inject_time.

@@ -1,59 +1,15 @@
 #include "tracestore/chunk_codec.hpp"
 
-#include <stdexcept>
-#include <string>
-
-#include "tracestore/format.hpp"
-
 namespace sctm::tracestore {
-namespace {
 
-/// Bounds-checked LEB128 cursor for decode.
-class VarintReader {
- public:
-  VarintReader(const char* data, std::size_t len) : data_(data), len_(len) {}
+namespace detail {
 
-  std::uint64_t get() {
-    std::uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-      if (pos_ >= len_) {
-        throw std::runtime_error("chunk payload truncated at byte " +
-                                 std::to_string(pos_));
-      }
-      const auto b = static_cast<unsigned char>(data_[pos_++]);
-      if (shift == 63 && b > 1) {
-        throw std::runtime_error("overlong varint at byte " +
-                                 std::to_string(pos_ - 1));
-      }
-      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) return v;
-      shift += 7;
-      if (shift > 63) {
-        throw std::runtime_error("overlong varint at byte " +
-                                 std::to_string(pos_ - 1));
-      }
-    }
-  }
+void bad_record(const char* what, std::uint32_t i) {
+  throw std::runtime_error(std::string(what) + " in record " +
+                           std::to_string(i));
+}
 
-  std::uint8_t get_byte() {
-    if (pos_ >= len_) {
-      throw std::runtime_error("chunk payload truncated at byte " +
-                               std::to_string(pos_));
-    }
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-
-  std::size_t pos() const { return pos_; }
-  std::size_t remaining() const { return len_ - pos_; }
-
- private:
-  const char* data_;
-  std::size_t len_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
+}  // namespace detail
 
 void ChunkEncoder::add(const trace::TraceRecord& r) {
   put_varint(buf_, zigzag(wrap_delta(r.id, prev_id_)));
@@ -73,65 +29,17 @@ void ChunkEncoder::add(const trace::TraceRecord& r) {
   prev_inject_ = r.inject_time;
 }
 
-void decode_chunk(const char* data, std::size_t len,
-                  std::uint32_t expect_count,
-                  std::vector<trace::TraceRecord>& out) {
-  VarintReader in(data, len);
-  std::uint64_t prev_id = 0;
-  std::uint64_t prev_inject = 0;
-  out.reserve(out.size() + expect_count);
-  for (std::uint32_t i = 0; i < expect_count; ++i) {
-    trace::TraceRecord r;
-    r.id = prev_id + static_cast<std::uint64_t>(unzigzag(in.get()));
-    const auto src = unzigzag(in.get());
-    const auto dst = unzigzag(in.get());
-    if (src < INT32_MIN || src > INT32_MAX || dst < INT32_MIN ||
-        dst > INT32_MAX) {
-      throw std::runtime_error("node id out of range in record " +
-                               std::to_string(i));
-    }
-    r.src = static_cast<NodeId>(src);
-    r.dst = static_cast<NodeId>(dst);
-    const auto size = in.get();
-    if (size > UINT32_MAX) {
-      throw std::runtime_error("message size out of range in record " +
-                               std::to_string(i));
-    }
-    r.size_bytes = static_cast<std::uint32_t>(size);
-    const auto cls = in.get_byte();
-    if (cls >= noc::kMsgClassCount) {
-      throw std::runtime_error("invalid message class in record " +
-                               std::to_string(i));
-    }
-    r.cls = static_cast<noc::MsgClass>(cls);
-    r.proto = in.get_byte();
-    r.inject_time =
-        prev_inject + static_cast<std::uint64_t>(unzigzag(in.get()));
-    r.arrive_time =
-        r.inject_time + static_cast<std::uint64_t>(unzigzag(in.get()));
-    const auto deps = in.get();
-    // Each dependency is at least 2 bytes; a count past the remaining
-    // payload is corruption, not a large trace.
-    if (deps > in.remaining() / 2 + 1) {
-      throw std::runtime_error("dependency count " + std::to_string(deps) +
-                               " exceeds remaining payload in record " +
-                               std::to_string(i));
-    }
-    r.deps.reserve(deps);
-    for (std::uint64_t d = 0; d < deps; ++d) {
-      trace::TraceDep dep;
-      dep.parent = r.id - static_cast<std::uint64_t>(unzigzag(in.get()));
-      dep.slack = in.get();
-      r.deps.push_back(dep);
-    }
-    prev_id = r.id;
-    prev_inject = r.inject_time;
-    out.push_back(std::move(r));
-  }
-  if (in.remaining() != 0) {
-    throw std::runtime_error(std::to_string(in.remaining()) +
-                             " trailing bytes after last record in chunk");
-  }
+void AppendRecords::record(const RecordFields& f) {
+  trace::TraceRecord& r = out.emplace_back();
+  r.id = f.id;
+  r.src = f.src;
+  r.dst = f.dst;
+  r.size_bytes = f.size_bytes;
+  r.cls = f.cls;
+  r.proto = f.proto;
+  r.inject_time = f.inject_time;
+  r.arrive_time = f.arrive_time;
+  r.deps.reserve(f.dep_count);
 }
 
 }  // namespace sctm::tracestore

@@ -18,9 +18,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "trace/record.hpp"
+#include "tracestore/format.hpp"
 
 namespace sctm::tracestore {
 
@@ -43,13 +47,160 @@ class ChunkEncoder {
   std::uint64_t prev_inject_ = 0;
 };
 
-/// Decodes a chunk payload holding exactly `expect_count` records, appending
-/// to `out` (which is NOT cleared — the streaming ingester decodes straight
-/// into its working set). Throws std::runtime_error on any malformation:
-/// truncated varint, overlong varint, dependency count exceeding the
-/// remaining payload, or trailing bytes after the last record.
+/// A record's scalar fields as decoded, ahead of its `dep_count`
+/// dependencies.
+struct RecordFields {
+  MsgId id = kInvalidMsg;
+  NodeId src = kInvalidNode;
+  NodeId dst = kInvalidNode;
+  std::uint32_t size_bytes = 0;
+  noc::MsgClass cls = noc::MsgClass::kRequest;
+  std::uint8_t proto = 0;
+  Cycle inject_time = kNoCycle;
+  Cycle arrive_time = kNoCycle;
+  std::uint64_t dep_count = 0;
+};
+
+namespace detail {
+
+/// Bounds-checked LEB128 cursor for decode.
+class VarintReader {
+ public:
+  VarintReader(const char* data, std::size_t len) : data_(data), len_(len) {}
+
+  std::uint64_t get() {
+    // Trace fields are almost all one to three bytes long: those decode
+    // without a check per byte.
+    if (len_ - pos_ >= 3) {
+      const auto* p = reinterpret_cast<const unsigned char*>(data_ + pos_);
+      if (p[0] < 0x80) {
+        pos_ += 1;
+        return p[0];
+      }
+      if (p[1] < 0x80) {
+        pos_ += 2;
+        return (p[0] & 0x7fu) | std::uint64_t{p[1]} << 7;
+      }
+      if (p[2] < 0x80) {
+        pos_ += 3;
+        return (p[0] & 0x7fu) | std::uint64_t{p[1] & 0x7fu} << 7 |
+               std::uint64_t{p[2]} << 14;
+      }
+    }
+    return get_checked();
+  }
+
+  std::uint8_t get_byte() {
+    if (pos_ >= len_) truncated();
+    return static_cast<std::uint8_t>(data_[pos_++]);
+  }
+
+  std::size_t remaining() const { return len_ - pos_; }
+
+ private:
+  std::uint64_t get_checked() {
+    std::uint64_t v = 0;
+    int shift = 0;
+    for (;;) {
+      if (pos_ >= len_) truncated();
+      const auto b = static_cast<unsigned char>(data_[pos_++]);
+      if (shift == 63 && b > 1) overlong();
+      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) return v;
+      shift += 7;
+      if (shift > 63) overlong();
+    }
+  }
+
+  [[noreturn]] void truncated() const {
+    throw std::runtime_error("chunk payload truncated at byte " +
+                             std::to_string(pos_));
+  }
+  [[noreturn]] void overlong() const {
+    throw std::runtime_error("overlong varint at byte " +
+                             std::to_string(pos_ - 1));
+  }
+
+  const char* data_;
+  std::size_t len_;
+  std::size_t pos_ = 0;
+};
+
+[[noreturn]] void bad_record(const char* what, std::uint32_t i);
+
+}  // namespace detail
+
+/// Decodes a chunk payload holding exactly `expect_count` records into
+/// `sink`: for each record in order, sink.record(const RecordFields&), then
+/// sink.dep(parent, slack) once per dependency. Throws std::runtime_error on
+/// any malformation: truncated varint, overlong varint, a field out of its
+/// type's range, a dependency count exceeding the remaining payload, or
+/// trailing bytes after the last record; the sink may have received the
+/// records before the bad one. Every dep() call follows at least
+/// kMinDepBytes of payload, so a chunk of n bytes yields at most
+/// n / kMinDepBytes of them.
+template <typename Sink>
 void decode_chunk(const char* data, std::size_t len,
-                  std::uint32_t expect_count,
-                  std::vector<trace::TraceRecord>& out);
+                  std::uint32_t expect_count, Sink& sink) {
+  detail::VarintReader in(data, len);
+  std::uint64_t prev_id = 0;
+  std::uint64_t prev_inject = 0;
+  for (std::uint32_t i = 0; i < expect_count; ++i) {
+    RecordFields r;
+    r.id = prev_id + static_cast<std::uint64_t>(unzigzag(in.get()));
+    const auto src = unzigzag(in.get());
+    const auto dst = unzigzag(in.get());
+    if (src < INT32_MIN || src > INT32_MAX || dst < INT32_MIN ||
+        dst > INT32_MAX) {
+      detail::bad_record("node id out of range", i);
+    }
+    r.src = static_cast<NodeId>(src);
+    r.dst = static_cast<NodeId>(dst);
+    const auto size = in.get();
+    if (size > UINT32_MAX) detail::bad_record("message size out of range", i);
+    r.size_bytes = static_cast<std::uint32_t>(size);
+    const auto cls = in.get_byte();
+    if (cls >= noc::kMsgClassCount) {
+      detail::bad_record("invalid message class", i);
+    }
+    r.cls = static_cast<noc::MsgClass>(cls);
+    r.proto = in.get_byte();
+    r.inject_time =
+        prev_inject + static_cast<std::uint64_t>(unzigzag(in.get()));
+    r.arrive_time =
+        r.inject_time + static_cast<std::uint64_t>(unzigzag(in.get()));
+    r.dep_count = in.get();
+    // Each dependency is at least kMinDepBytes; a count past the remaining
+    // payload is corruption, not a large trace.
+    if (r.dep_count > in.remaining() / kMinDepBytes + 1) {
+      throw std::runtime_error("dependency count " +
+                               std::to_string(r.dep_count) +
+                               " exceeds remaining payload in record " +
+                               std::to_string(i));
+    }
+    sink.record(r);
+    for (std::uint64_t d = 0; d < r.dep_count; ++d) {
+      const MsgId parent =
+          r.id - static_cast<std::uint64_t>(unzigzag(in.get()));
+      sink.dep(parent, Cycle{in.get()});
+    }
+    prev_id = r.id;
+    prev_inject = r.inject_time;
+  }
+  if (in.remaining() != 0) {
+    throw std::runtime_error(std::to_string(in.remaining()) +
+                             " trailing bytes after last record in chunk");
+  }
+}
+
+/// decode_chunk sink that appends TraceRecords to `out` (not cleared).
+struct AppendRecords {
+  std::vector<trace::TraceRecord>& out;
+
+  void record(const RecordFields& f);
+  void dep(MsgId parent, Cycle slack) {
+    out.back().deps.push_back({parent, slack});
+  }
+};
 
 }  // namespace sctm::tracestore

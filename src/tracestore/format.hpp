@@ -33,8 +33,10 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <cstring>
 #include <array>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace sctm::tracestore {
@@ -54,6 +56,8 @@ inline constexpr std::size_t kFooterBytes = 8 + 8 + 8 + 8 + 4 + 8;
 /// Smallest encoded record (chunk_codec.hpp): seven varints of at least one
 /// byte each, plus the class and proto bytes.
 inline constexpr std::size_t kMinRecordBytes = 7 + 2;
+/// Smallest encoded dependency: two varints of at least one byte each.
+inline constexpr std::size_t kMinDepBytes = 2;
 
 // ---------------------------------------------------------------------------
 // Varint + zigzag
@@ -88,18 +92,25 @@ inline std::int64_t wrap_delta(std::uint64_t a, std::uint64_t b) {
 // CRC32 (IEEE 802.3 / zlib polynomial, reflected, init/xorout 0xFFFFFFFF)
 
 namespace detail {
-consteval std::array<std::uint32_t, 256> make_crc32_table() {
-  std::array<std::uint32_t, 256> t{};
+/// Slicing-by-8 tables: t[0] is the classic byte table, and t[k][b] is the
+/// CRC of byte b followed by k zero bytes, so eight bytes fold per step.
+consteval std::array<std::array<std::uint32_t, 256>, 8> make_crc32_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    t[i] = c;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+    }
   }
   return t;
 }
-inline constexpr auto kCrc32Table = make_crc32_table();
+inline constexpr auto kCrc32Tables = make_crc32_tables();
 }  // namespace detail
 
 /// Incremental CRC32; crc32("123456789") == 0xCBF43926.
@@ -107,10 +118,20 @@ class Crc32 {
  public:
   void update(const void* data, std::size_t len) {
     const auto* p = static_cast<const unsigned char*>(data);
+    const auto& t = detail::kCrc32Tables;
     std::uint32_t c = state_;
-    for (std::size_t i = 0; i < len; ++i) {
-      c = detail::kCrc32Table[(c ^ p[i]) & 0xff] ^ (c >> 8);
+    for (; len >= 8; p += 8, len -= 8) {
+      // The repo targets little-endian hosts throughout.
+      std::uint32_t lo = 0;
+      std::uint32_t hi = 0;
+      std::memcpy(&lo, p, 4);
+      std::memcpy(&hi, p + 4, 4);
+      lo ^= c;
+      c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+          t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
     }
+    for (; len > 0; ++p, --len) c = t[0][(c ^ *p) & 0xff] ^ (c >> 8);
     state_ = c;
   }
   std::uint32_t value() const { return state_ ^ 0xFFFFFFFFu; }
@@ -128,28 +149,49 @@ inline std::uint32_t crc32(const void* data, std::size_t len) {
 // ---------------------------------------------------------------------------
 // FNV-1a/64 (content addressing)
 
+namespace detail {
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+consteval std::array<std::uint64_t, 9> make_fnv_prime_powers() {
+  std::array<std::uint64_t, 9> p{};
+  p[0] = 1;
+  for (std::size_t k = 1; k < p.size(); ++k) p[k] = p[k - 1] * kFnvPrime;
+  return p;
+}
+inline constexpr auto kFnvPrimePowers = make_fnv_prime_powers();
+}  // namespace detail
+
 /// Incremental FNV-1a over 64 bits; fnv("") == 0xcbf29ce484222325.
 class Fnv1a64 {
  public:
   Fnv1a64() = default;
-  /// Resumes hashing from a previously exported value() — incremental
-  /// hashers (core::ReplayTrace) carry the raw state between updates.
-  explicit Fnv1a64(std::uint64_t state) : state_(state) {}
 
   void update(const void* data, std::size_t len) {
     const auto* p = static_cast<const unsigned char*>(data);
     std::uint64_t h = state_;
     for (std::size_t i = 0; i < len; ++i) {
       h ^= p[i];
-      h *= 0x100000001b3ull;
+      h *= detail::kFnvPrime;
     }
     state_ = h;
   }
-  /// Hashes the little-endian bytes of a trivially-copyable scalar.
+  /// Hashes the little-endian bytes of an integral scalar, exactly as
+  /// update(&v, sizeof v) does. A zero byte only multiplies the state by
+  /// the prime, so the run of zero high bytes that small values end in
+  /// folds into one multiply by a power of it; trace fields are mostly
+  /// small, so most of a trace's bytes fold that way.
   template <typename T>
   void update_scalar(T v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    update(&v, sizeof v);  // the repo targets little-endian hosts throughout
+    static_assert(std::is_integral_v<T> && sizeof(T) <= 8);
+    // The repo targets little-endian hosts throughout.
+    auto bits = static_cast<std::uint64_t>(
+        static_cast<std::make_unsigned_t<T>>(v));
+    std::uint64_t h = state_;
+    std::size_t k = 0;
+    for (; bits != 0; bits >>= 8, ++k) {
+      h ^= bits & 0xff;
+      h *= detail::kFnvPrime;
+    }
+    state_ = h * detail::kFnvPrimePowers[sizeof(T) - k];
   }
   std::uint64_t value() const { return state_; }
 

@@ -1,12 +1,9 @@
 #include "tracestore/trace_store.hpp"
 
-#include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "common/parallel.hpp"
 
@@ -66,8 +63,8 @@ class SpanReader {
 // The hash is over the *logical* trace (meta + records in v1 field order),
 // not the container bytes, so a trace hashes identically in v1 and v2 form
 // and `sctm_cli trace hash` is a format-independent identity. Declared in
-// trace_store.hpp so streaming hashers (core::ReplayTrace) fold the same
-// canonical field stream incrementally.
+// trace_store.hpp so core::ReplayTrace folds the same canonical field
+// stream from its columns.
 
 void hash_meta(Fnv1a64& h, const std::string& app, const std::string& net,
                std::int32_t nodes, Cycle runtime, std::uint64_t seed) {
@@ -81,19 +78,9 @@ void hash_meta(Fnv1a64& h, const std::string& app, const std::string& net,
 }
 
 void hash_record(Fnv1a64& h, const trace::TraceRecord& r) {
-  h.update_scalar(r.id);
-  h.update_scalar(r.src);
-  h.update_scalar(r.dst);
-  h.update_scalar(r.size_bytes);
-  h.update_scalar(static_cast<std::uint8_t>(r.cls));
-  h.update_scalar(r.proto);
-  h.update_scalar(static_cast<std::uint64_t>(r.inject_time));
-  h.update_scalar(static_cast<std::uint64_t>(r.arrive_time));
-  h.update_scalar(static_cast<std::uint64_t>(r.deps.size()));
-  for (const auto& d : r.deps) {
-    h.update_scalar(static_cast<std::uint64_t>(d.parent));
-    h.update_scalar(static_cast<std::uint64_t>(d.slack));
-  }
+  hash_fields(h, {r.id, r.src, r.dst, r.size_bytes, r.cls, r.proto,
+                  r.inject_time, r.arrive_time, r.deps.size()});
+  for (const auto& d : r.deps) hash_dep(h, d.parent, d.slack);
 }
 
 namespace {
@@ -492,18 +479,18 @@ void TraceReader::read_payload(std::size_t i, std::vector<char>& buf) const {
   }
 }
 
+void TraceReader::decode_failed(std::size_t i, const std::runtime_error& e) {
+  throw TraceStoreError("trace-store: chunk " + std::to_string(i) +
+                            " decode failed: " + e.what(),
+                        static_cast<std::int64_t>(i));
+}
+
 void TraceReader::read_chunk(std::size_t i,
                              std::vector<trace::TraceRecord>& out) const {
   std::vector<char> payload;
-  read_payload(i, payload);
-  try {
-    decode_chunk(payload.data(), payload.size(), chunks_[i].record_count,
-                 out);
-  } catch (const std::runtime_error& e) {
-    throw TraceStoreError("trace-store: chunk " + std::to_string(i) +
-                              " decode failed: " + e.what(),
-                          static_cast<std::int64_t>(i));
-  }
+  out.reserve(out.size() + chunks_[i].record_count);
+  AppendRecords sink{out};
+  decode_chunk(i, payload, sink);
 }
 
 trace::Trace TraceReader::read_all(bool parallel) const {
@@ -535,88 +522,6 @@ trace::Trace TraceReader::read_all(bool parallel) const {
     }
   });
   return t;
-}
-
-// ---------------------------------------------------------------------------
-// ChunkCursor
-
-struct ChunkCursor::Prefetcher {
-  explicit Prefetcher(const TraceReader& reader) : reader_(reader) {
-    worker_ = std::thread([this] { run(); });
-  }
-
-  ~Prefetcher() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    worker_.join();
-  }
-
-  void run() {
-    const std::size_t n = reader_.chunk_count();
-    for (std::size_t i = 0; i < n; ++i) {
-      std::vector<trace::TraceRecord> chunk;
-      try {
-        reader_.read_chunk(i, chunk);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu_);
-        error_ = std::current_exception();
-        done_ = true;
-        cv_.notify_all();
-        return;
-      }
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return ready_.size() < 2 || stop_; });
-      if (stop_) return;
-      ready_.push_back(std::move(chunk));
-      cv_.notify_all();
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    done_ = true;
-    cv_.notify_all();
-  }
-
-  /// False at end; rethrows worker errors on the consumer thread.
-  bool next(std::vector<trace::TraceRecord>& out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return !ready_.empty() || done_; });
-    if (ready_.empty()) {
-      if (error_) std::rethrow_exception(error_);
-      return false;
-    }
-    out = std::move(ready_.front());
-    ready_.pop_front();
-    cv_.notify_all();
-    return true;
-  }
-
-  const TraceReader& reader_;
-  std::thread worker_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::vector<trace::TraceRecord>> ready_;
-  std::exception_ptr error_;
-  bool done_ = false;
-  bool stop_ = false;
-};
-
-ChunkCursor::ChunkCursor(const TraceReader& reader, bool prefetch)
-    : reader_(reader) {
-  if (prefetch && reader.chunk_count() > 1) {
-    prefetcher_ = std::make_unique<Prefetcher>(reader);
-  }
-}
-
-ChunkCursor::~ChunkCursor() = default;
-
-bool ChunkCursor::next(std::vector<trace::TraceRecord>& out) {
-  if (prefetcher_) return prefetcher_->next(out);
-  if (next_chunk_ >= reader_.chunk_count()) return false;
-  out.clear();
-  reader_.read_chunk(next_chunk_++, out);
-  return true;
 }
 
 // ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@
 // the growing 40-byte-per-chunk index), so a capture farm can stream a
 // multi-gigabyte trace to disk without ever materializing it. TraceReader
 // parses the header/index/footer eagerly (validating their checksums) and
-// then serves chunks on demand: whole-trace loads can decode chunks in
-// parallel (common/parallel.hpp — chunks are independent), and ChunkCursor
-// iterates chunk-at-a-time with an optional background prefetch-decode
-// thread so replay ingestion overlaps decode with simulation setup.
+// then serves chunks on demand, in any order and from any thread: chunks
+// are independent, so whole-trace loads decode them in parallel
+// (common/parallel.hpp), read_all into a trace::Trace and
+// core::ReplayTrace::from_store straight into replay's columns.
 #pragma once
 
 #include <cstdint>
@@ -130,10 +130,29 @@ void write_v2_file(const trace::Trace& t, const std::string& path,
 std::uint64_t content_hash(const trace::Trace& t);
 
 /// Incremental pieces of content_hash(): fold the meta first, then every
-/// record in id order. Streaming consumers (core::ReplayTrace) use these to
-/// compute the canonical identity without materializing a trace::Trace.
+/// record in id order, each as its fields followed by its dependencies.
+/// core::ReplayTrace folds the same stream from its columns, so it never
+/// materializes a trace::Trace to hash one.
 void hash_meta(Fnv1a64& h, const std::string& app, const std::string& net,
                std::int32_t nodes, Cycle runtime, std::uint64_t seed);
+
+inline void hash_fields(Fnv1a64& h, const RecordFields& r) {
+  h.update_scalar(r.id);
+  h.update_scalar(r.src);
+  h.update_scalar(r.dst);
+  h.update_scalar(r.size_bytes);
+  h.update_scalar(static_cast<std::uint8_t>(r.cls));
+  h.update_scalar(r.proto);
+  h.update_scalar(static_cast<std::uint64_t>(r.inject_time));
+  h.update_scalar(static_cast<std::uint64_t>(r.arrive_time));
+  h.update_scalar(r.dep_count);
+}
+
+inline void hash_dep(Fnv1a64& h, MsgId parent, Cycle slack) {
+  h.update_scalar(static_cast<std::uint64_t>(parent));
+  h.update_scalar(static_cast<std::uint64_t>(slack));
+}
+
 void hash_record(Fnv1a64& h, const trace::TraceRecord& r);
 
 // ---------------------------------------------------------------------------
@@ -162,14 +181,30 @@ class TraceReader {
   /// Throws TraceStoreError carrying `i` on corruption.
   void read_chunk(std::size_t i, std::vector<trace::TraceRecord>& out) const;
 
+  /// Reads and CRC-checks chunk `i`'s payload into `buf`, then decodes it
+  /// into `sink` (chunk_codec.hpp). Allocates nothing when `buf` already
+  /// has the capacity, so parallel decoders can run on buffers sized up
+  /// front. Throws TraceStoreError carrying `i` on corruption.
+  template <typename Sink>
+  void decode_chunk(std::size_t i, std::vector<char>& buf, Sink& sink) const {
+    read_payload(i, buf);
+    try {
+      tracestore::decode_chunk(buf.data(), buf.size(),
+                               chunks_[i].record_count, sink);
+    } catch (const std::runtime_error& e) {
+      decode_failed(i, e);
+    }
+  }
+
   /// Decodes the whole container into a Trace. With `parallel`, chunks are
   /// decoded concurrently via parallel_for (deterministic: each chunk lands
   /// at its indexed position).
   trace::Trace read_all(bool parallel = true) const;
 
  private:
-  friend class ChunkCursor;
   void read_payload(std::size_t i, std::vector<char>& buf) const;
+  [[noreturn]] static void decode_failed(std::size_t i,
+                                         const std::runtime_error& e);
 
   std::unique_ptr<ByteSource> source_;
   TraceMeta meta_;
@@ -177,30 +212,6 @@ class TraceReader {
   std::uint64_t record_count_ = 0;
   std::uint64_t content_hash_ = 0;
   std::uint32_t chunk_target_ = 0;
-};
-
-/// Sequential chunk iteration, optionally with a background prefetch-decode
-/// thread (one chunk of lookahead): while the consumer processes chunk i,
-/// the worker reads+decodes chunk i+1. The cursor is the sole user of the
-/// reader while iterating.
-class ChunkCursor {
- public:
-  ChunkCursor(const TraceReader& reader, bool prefetch);
-  ~ChunkCursor();
-
-  ChunkCursor(const ChunkCursor&) = delete;
-  ChunkCursor& operator=(const ChunkCursor&) = delete;
-
-  /// Swaps the next decoded chunk into `out` (contents replaced). Returns
-  /// false at end. Rethrows any decode error (on the calling thread even
-  /// when prefetching).
-  bool next(std::vector<trace::TraceRecord>& out);
-
- private:
-  struct Prefetcher;
-  const TraceReader& reader_;
-  std::size_t next_chunk_ = 0;
-  std::unique_ptr<Prefetcher> prefetcher_;
 };
 
 // ---------------------------------------------------------------------------

@@ -61,8 +61,7 @@ void expect_flow(const TraceProfile::Flow& f, NodeId src, NodeId dst,
 }
 
 TEST(TraceProfile, RequiresFinalizedTrace) {
-  core::ReplayTrace rt;
-  rt.set_meta("a", "n", 4, 100, 0);
+  const core::ReplayTrace rt;
   EXPECT_THROW(profile_trace(rt), std::logic_error);
 }
 

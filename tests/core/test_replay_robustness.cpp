@@ -1,21 +1,41 @@
 // Failure injection on the trace pipeline: corrupt captured traces in every
 // way a buggy producer or a damaged file could, and assert that ingestion
-// (ReplayTrace) rejects them loudly instead of replaying garbage. Plus a
-// property sweep: at every window size, the self-correcting schedule
-// respects each record's kept (smallest-slack) dependencies.
+// (ReplayTrace) rejects them loudly instead of replaying garbage, in memory
+// and through a v2 container alike. Plus a property sweep: at every window
+// size, the self-correcting schedule respects each record's kept
+// (smallest-slack) dependencies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/driver.hpp"
 #include "core/replay_session.hpp"
+#include "tracestore/trace_store.hpp"
 
 namespace sctm::core {
 namespace {
+
+ReplayTrace in_memory(const trace::Trace& t) { return ReplayTrace(t); }
+
+/// Through a v2 container in 16-record chunks, so that the load decodes it
+/// on several threads.
+ReplayTrace via_v2(const trace::Trace& t) {
+  std::ostringstream out;
+  tracestore::write_v2(t, out, /*chunk_records=*/16);
+  const std::string bytes = out.str();
+  return ReplayTrace::from_store(tracestore::TraceReader(
+      tracestore::memory_source(bytes.data(), bytes.size())));
+}
+
+/// The two ways a trace reaches replay, by name.
+constexpr std::pair<const char*, ReplayTrace (*)(const trace::Trace&)>
+    kLoaders[] = {{"in memory", in_memory},
+                  {"v2 in 16-record chunks", via_v2}};
 
 trace::Trace good_trace() {
   fullsys::AppParams app;
@@ -44,7 +64,9 @@ TEST(ReplayRobustness, DanglingParentRejected) {
       break;
     }
   }
-  EXPECT_THROW(ReplayTrace{t}, std::invalid_argument);
+  for (const auto& [how, load] : kLoaders) {
+    EXPECT_THROW(load(t), std::invalid_argument) << how;
+  }
 }
 
 TEST(ReplayRobustness, CorruptedSlackRejected) {
@@ -55,7 +77,9 @@ TEST(ReplayRobustness, CorruptedSlackRejected) {
       break;
     }
   }
-  EXPECT_THROW(ReplayTrace{t}, std::invalid_argument);
+  for (const auto& [how, load] : kLoaders) {
+    EXPECT_THROW(load(t), std::invalid_argument) << how;
+  }
 }
 
 TEST(ReplayRobustness, ForwardDependencyRejected) {
@@ -65,14 +89,18 @@ TEST(ReplayRobustness, ForwardDependencyRejected) {
   auto& victim = t.records[2];
   victim.deps.clear();
   victim.deps.push_back({t.records.back().id, 0});
-  EXPECT_THROW(ReplayTrace{t}, std::invalid_argument);
+  for (const auto& [how, load] : kLoaders) {
+    EXPECT_THROW(load(t), std::invalid_argument) << how;
+  }
 }
 
 TEST(ReplayRobustness, DuplicateIdRejected) {
   auto t = good_trace();
   ASSERT_GT(t.records.size(), 2u);
   t.records[1].id = t.records[0].id;
-  EXPECT_THROW(ReplayTrace{t}, std::invalid_argument);
+  for (const auto& [how, load] : kLoaders) {
+    EXPECT_THROW(load(t), std::invalid_argument) << how;
+  }
 }
 
 TEST(ReplayRobustness, CorruptedTimestampRejected) {
@@ -83,21 +111,25 @@ TEST(ReplayRobustness, CorruptedTimestampRejected) {
       break;
     }
   }
-  EXPECT_THROW(ReplayTrace{t}, std::invalid_argument);
+  for (const auto& [how, load] : kLoaders) {
+    EXPECT_THROW(load(t), std::invalid_argument) << how;
+  }
 }
 
 TEST(ReplayRobustness, InvalidEndpointRejectedAtLoad) {
   auto t = good_trace();
   t.records[3].dst = 99;  // off the 16-node fabric
-  try {
-    const ReplayTrace rt(t);
-    FAIL() << "endpoint 99 accepted on a 16-node trace";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("record 3 (id " + std::to_string(t.records[3].id)),
-              std::string::npos)
-        << what;
-    EXPECT_NE(what.find("endpoint 99"), std::string::npos) << what;
+  for (const auto& [how, load] : kLoaders) {
+    try {
+      const ReplayTrace rt = load(t);
+      FAIL() << "endpoint 99 accepted on a 16-node trace " << how;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("record 3 (id " + std::to_string(t.records[3].id)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("endpoint 99"), std::string::npos) << what;
+    }
   }
 }
 

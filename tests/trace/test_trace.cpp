@@ -298,7 +298,7 @@ TEST(TraceIo, TextDumpPrintsNoCycleSymbolically) {
 }
 
 // The trace's dependency graph is validated where replay ingests it:
-// core::ReplayTrace::finalize.
+// core::ReplayTrace's constructors.
 
 TraceRecord rec(MsgId id, NodeId src, NodeId dst, Cycle inject,
                 Cycle arrive) {

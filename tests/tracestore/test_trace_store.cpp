@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <random>
+#include <set>
 #include <sstream>
 
 #include "core/driver.hpp"
@@ -230,24 +232,6 @@ TEST(TraceStoreV2, EmptyTraceRoundTrips) {
   EXPECT_EQ(reader.read_all(), t);
 }
 
-TEST(TraceStoreV2, ChunkCursorMatchesReadAllWithAndWithoutPrefetch) {
-  std::mt19937_64 rng(99);
-  const trace::Trace t = random_trace(rng, 150);
-  std::ostringstream ss;
-  write_v2(t, ss, 16);
-  const std::string bytes = ss.str();
-  const TraceReader reader(memory_source(bytes.data(), bytes.size()));
-  for (const bool prefetch : {false, true}) {
-    ChunkCursor cursor(reader, prefetch);
-    std::vector<trace::TraceRecord> chunk;
-    std::vector<trace::TraceRecord> all;
-    while (cursor.next(chunk)) {
-      all.insert(all.end(), chunk.begin(), chunk.end());
-    }
-    EXPECT_EQ(all, t.records) << "prefetch=" << prefetch;
-  }
-}
-
 TEST(TraceStoreV2, ReadBinaryDispatchesOnMagic) {
   // The legacy entry points accept v2 transparently.
   const trace::Trace t = tiny_trace();
@@ -418,10 +402,10 @@ TEST(TraceStoreV2, ChunkRecordCountBeyondItsPayloadIsRejectedAtOpen) {
 }
 
 // ---------------------------------------------------------------------------
-// Streamed replay equivalence (the acceptance criterion: replaying from a
-// streamed v2 container is bit-identical to replaying the in-memory trace).
+// Replay loads (the acceptance criterion: replaying from a v2 container is
+// bit-identical to replaying the in-memory trace).
 
-TEST(TraceStoreV2, StreamedReplayMatchesInMemoryReplayBitExactly) {
+trace::Trace captured_trace() {
   fullsys::AppParams app;
   app.name = "fft";
   app.cores = 16;
@@ -434,7 +418,190 @@ TEST(TraceStoreV2, StreamedReplayMatchesInMemoryReplayBitExactly) {
   sys.l2_ways = 4;
   core::NetSpec net;
   net.kind = core::NetKind::kEnoc;
-  const trace::Trace t = core::run_execution(app, net, sys).trace;
+  return core::run_execution(app, net, sys).trace;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void expect_same_replay_trace(const core::ReplayTrace& a,
+                              const core::ReplayTrace& b) {
+  EXPECT_TRUE(a.finalized());
+  EXPECT_TRUE(b.finalized());
+  EXPECT_EQ(a.content_hash(), b.content_hash());
+  EXPECT_EQ(a.app(), b.app());
+  EXPECT_EQ(a.capture_network(), b.capture_network());
+  EXPECT_EQ(a.nodes(), b.nodes());
+  EXPECT_EQ(a.capture_runtime(), b.capture_runtime());
+  EXPECT_EQ(a.seed(), b.seed());
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.edge_count(), b.edge_count());
+  for (std::uint32_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a.id(i), b.id(i)) << i;
+    ASSERT_EQ(a.src(i), b.src(i)) << i;
+    ASSERT_EQ(a.dst(i), b.dst(i)) << i;
+    ASSERT_EQ(a.size_bytes(i), b.size_bytes(i)) << i;
+    ASSERT_EQ(a.cls(i), b.cls(i)) << i;
+    ASSERT_EQ(a.proto(i), b.proto(i)) << i;
+    ASSERT_EQ(a.inject_time(i), b.inject_time(i)) << i;
+    ASSERT_EQ(a.arrive_time(i), b.arrive_time(i)) << i;
+    ASSERT_EQ(a.dep_count(i), b.dep_count(i)) << i;
+    for (std::uint32_t k = 0; k < a.dep_count(i); ++k) {
+      ASSERT_EQ(a.dep_parent_index(i, k), b.dep_parent_index(i, k)) << i;
+    }
+    ASSERT_EQ(a.edge_begin(i), b.edge_begin(i)) << i;
+    ASSERT_EQ(a.edge_end(i), b.edge_end(i)) << i;
+  }
+  for (std::uint32_t e = 0; e < a.edge_count(); ++e) {
+    ASSERT_EQ(a.child(e), b.child(e)) << e;
+  }
+}
+
+// Every chunking the parallel load can meet: one record per chunk, chunks
+// that split records' dependency runs, the default-ish size, one chunk
+// larger than the trace, and no chunk at all.
+TEST(TraceStoreV2, LoadReplayTraceEqualsInMemoryReplayTrace) {
+  const trace::Trace t = captured_trace();
+  ASSERT_GT(t.records.size(), 100u);
+  const core::ReplayTrace mem(t);
+  EXPECT_EQ(mem.content_hash(), content_hash(t));
+  const auto chunk_sizes = {
+      1u, 7u, 128u, static_cast<std::uint32_t>(t.records.size() + 5)};
+  for (const std::uint32_t chunk : chunk_sizes) {
+    SCOPED_TRACE("chunk_records=" + std::to_string(chunk));
+    const std::string path = "/tmp/sctm_load_equals_memory.trc2";
+    write_v2_file(t, path, chunk);
+    expect_same_replay_trace(core::load_replay_trace(path), mem);
+    std::remove(path.c_str());
+  }
+
+  trace::Trace empty;
+  empty.app = "empty";
+  empty.capture_network = "none";
+  empty.nodes = 4;
+  const std::string path = "/tmp/sctm_load_equals_memory_empty.trc2";
+  write_v2_file(empty, path);
+  const core::ReplayTrace loaded = core::load_replay_trace(path);
+  expect_same_replay_trace(loaded, core::ReplayTrace(empty));
+  EXPECT_EQ(loaded.content_hash(), content_hash(empty));
+  EXPECT_TRUE(loaded.empty());
+  std::remove(path.c_str());
+}
+
+TEST(TraceStoreV2, ProtoRoundTripsIntoReplayTrace) {
+  const trace::Trace t = captured_trace();
+  std::set<std::uint8_t> protos;
+  for (const auto& r : t.records) protos.insert(r.proto);
+  ASSERT_GT(protos.size(), 2u) << "the capture exercises several protocols";
+
+  const std::string path = "/tmp/sctm_proto_round_trip.trc2";
+  write_v2_file(t, path, /*chunk_records=*/64);
+  const core::ReplayTrace mem(t);
+  const core::ReplayTrace loaded = core::load_replay_trace(path);
+  ASSERT_EQ(mem.size(), t.records.size());
+  ASSERT_EQ(loaded.size(), t.records.size());
+  for (std::uint32_t i = 0; i < mem.size(); ++i) {
+    EXPECT_EQ(mem.proto(i), t.records[i].proto) << i;
+    EXPECT_EQ(loaded.proto(i), t.records[i].proto) << i;
+  }
+  std::remove(path.c_str());
+}
+
+// A footer whose content hash is forged, with its checksum re-sealed, opens
+// cleanly; the load recomputes the hash and fails naming both.
+TEST(TraceStoreV2, ForgedFooterHashFailsTheLoad) {
+  const trace::Trace t = captured_trace();
+  const std::string path = "/tmp/sctm_forged_footer_hash.trc2";
+  write_v2_file(t, path, /*chunk_records=*/128);
+  std::string bytes = read_bytes(path);
+  const std::size_t footer = bytes.size() - kFooterBytes;
+  const std::uint64_t forged = content_hash(t) ^ 0x5a5a;
+  std::memcpy(bytes.data() + footer + 24, &forged, sizeof forged);
+  const std::uint32_t crc = crc32(bytes.data() + footer, 32);
+  std::memcpy(bytes.data() + footer + 32, &crc, sizeof crc);
+  write_bytes(path, bytes);
+
+  ASSERT_EQ(TraceReader::open_file(path).stored_content_hash(), forged);
+  try {
+    (void)core::load_replay_trace(path);
+    ADD_FAILURE() << "loaded a trace whose footer hash is forged";
+  } catch (const TraceStoreError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(hash_hex(forged)), std::string::npos) << what;
+    EXPECT_NE(what.find(hash_hex(content_hash(t))), std::string::npos)
+        << what;
+  }
+  EXPECT_FALSE(verify_v2_file(path).ok);
+  std::remove(path.c_str());
+}
+
+// Chunks decode on several threads, yet the load reports the damage that
+// comes first in record order, every time.
+TEST(TraceStoreV2, LoadReportsTheLowerOfTwoCorruptChunks) {
+  const trace::Trace t = captured_trace();
+  const std::string path = "/tmp/sctm_two_corrupt_chunks.trc2";
+  write_v2_file(t, path, /*chunk_records=*/16);
+  std::string bytes = read_bytes(path);
+  const TraceReader clean(memory_source(bytes.data(), bytes.size()));
+  ASSERT_GT(clean.chunk_count(), 9u);
+  for (const std::size_t c : {3u, 9u}) {
+    const ChunkInfo& info = clean.chunk_info(c);
+    bytes[info.file_offset + kChunkHeaderBytes + info.payload_len / 2] ^= 0x40;
+  }
+  write_bytes(path, bytes);
+
+  for (int rep = 0; rep < 20; ++rep) {
+    try {
+      (void)core::load_replay_trace(path);
+      ADD_FAILURE() << "loaded a trace with two corrupt chunks";
+    } catch (const TraceStoreError& e) {
+      ASSERT_EQ(e.chunk(), 3) << e.what();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// As in a serial load, which decodes every chunk before it checks the
+// trace contract, a damaged chunk is reported ahead of a dependency
+// violation in an earlier one.
+TEST(TraceStoreV2, LoadReportsADamagedChunkBeforeAnEarlierViolation) {
+  trace::Trace t = captured_trace();
+  const auto victim =
+      std::find_if(t.records.begin() + 20, t.records.end(),
+                   [](const auto& r) { return !r.deps.empty(); });
+  ASSERT_NE(victim, t.records.end());
+  victim->deps[0].slack += 7;
+  const std::string path = "/tmp/sctm_damage_before_violation.trc2";
+  write_v2_file(t, path, /*chunk_records=*/16);
+  EXPECT_THROW((void)core::load_replay_trace(path), std::invalid_argument);
+
+  std::string bytes = read_bytes(path);
+  const TraceReader clean(memory_source(bytes.data(), bytes.size()));
+  const std::size_t last = clean.chunk_count() - 1;
+  ASSERT_GT(last * 16, static_cast<std::size_t>(victim - t.records.begin()));
+  const ChunkInfo& info = clean.chunk_info(last);
+  bytes[info.file_offset + kChunkHeaderBytes + info.payload_len / 2] ^= 0x40;
+  write_bytes(path, bytes);
+  try {
+    (void)core::load_replay_trace(path);
+    ADD_FAILURE() << "loaded a trace with a damaged chunk";
+  } catch (const TraceStoreError& e) {
+    EXPECT_EQ(e.chunk(), static_cast<std::int64_t>(last)) << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceStoreV2, StreamedReplayMatchesInMemoryReplayBitExactly) {
+  const trace::Trace t = captured_trace();
   ASSERT_GT(t.records.size(), 100u);
 
   const std::string path = "/tmp/sctm_streamed_replay.trc2";
