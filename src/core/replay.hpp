@@ -29,7 +29,13 @@
 // baselines are re-derived from the full dependency list evaluated against
 // the previous pass's arrival times, until injection times stop moving (mean
 // shift below ReplayConfig::convergence_threshold) — the "self-correction ...
-// in a reasonable period of time" trade-off knob.
+// in a reasonable period of time" trade-off knob. Before it simulates the
+// next pass, run() checks whether the re-derived baselines prove that pass
+// would repeat the last one event for event: every record keeps its
+// baseline, or had one below its injection time and gets one no later than
+// it. Then it stops without simulating that pass, at residual 0; the
+// iteration count, event count and iteration log cover simulated passes
+// only.
 #pragma once
 
 #include <algorithm>
@@ -82,13 +88,16 @@ struct ReplayResult {
   std::vector<Cycle> arrive_time;
   /// Predicted application runtime (latest arrival).
   Cycle runtime = 0;
-  /// Kernel events executed across all passes (cost metric, R-A2).
+  /// Kernel events executed across all simulated passes (cost metric,
+  /// R-A2).
   std::uint64_t events = 0;
-  /// Iterations actually used (1 for single-pass engines).
+  /// Passes simulated (1 for single-pass engines). A pass proven to repeat
+  /// the last one is not simulated and not counted.
   int iterations = 1;
-  /// Mean |Δinject| of the final iteration (0 when exactly converged).
+  /// Mean |Δinject| of the final simulated pass against the one before it
+  /// (0 when exactly converged, and after a proven repeat).
   double residual = 0.0;
-  /// One record per pass, in pass order.
+  /// One record per simulated pass, in pass order.
   std::vector<IterationRecord> iteration_log;
   /// Stat-registry snapshot of the (final) pass's simulator — the target
   /// network's counters (transmissions, arbitration waits, scoreboard

@@ -202,7 +202,19 @@ const ReplayResult& ReplaySession::run() {
     // record's lower bound from its *full* dependency list evaluated against
     // the previous pass's arrival times, then replay again, until injection
     // times stop moving.
+    //
+    // A record injects at I = max(B, X): its bound B, and X, its kept
+    // parents' arrivals plus slack and the cycle the last of them landed. A
+    // pass is a deterministic function of its bounds (it builds its network
+    // afresh), so by induction over simulated time X repeats in the next
+    // pass as long as every injection does. A record whose bound stays put
+    // (B' = B) then injects at I again, and so does one whose bound did not
+    // bind (B < I, so X = I) and still does not (B' <= I). When every record
+    // is one of the two, the next pass would repeat this one event for
+    // event: the loop stops without simulating it, at residual 0. (B' <= I
+    // alone is not enough: where B binds, X may lie below it.)
     for (int iter = 2; iter <= config_.max_iterations; ++iter) {
+      bool repeats = true;
       for (std::uint32_t i = 0; i < n; ++i) {
         const std::uint32_t dc = rt_.dep_count(i);
         if (dc == 0) {
@@ -216,7 +228,14 @@ const ReplayResult& ReplaySession::run() {
           const std::uint32_t p = rt_.dep_parent_index(i, k);
           b = std::max(b, result_.arrive_time[p] + rt_.slack(i, p));
         }
+        const Cycle inject = result_.inject_time[i];
+        repeats = repeats &&
+                  (b == bound_[i] || (bound_[i] < inject && b <= inject));
         bound_[i] = b;
+      }
+      if (repeats) {
+        result_.residual = 0.0;
+        break;
       }
       prev_inject_.swap(result_.inject_time);
       run_pass_prepared();

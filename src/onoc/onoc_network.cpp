@@ -1,5 +1,6 @@
 #include "onoc/onoc_network.hpp"
 
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -22,15 +23,19 @@ OnocNetwork::OnocNetwork(Simulator& sim, std::string name,
   // The optical plane keys channels off node ids alone (single-hop
   // waveguides), so any tile layout with coordinates works: distance and
   // width only scale the time-of-flight.
+  if (organization_ == Arbitration::kTokenRing ||
+      organization_ == Arbitration::kSwmr) {
+    const auto channels = static_cast<std::size_t>(topo_.node_count());
+    arb_chan_.resize(channels);
+    arb_queued_.assign((channels + 63) / 64, 0);
+  }
   if (organization_ == Arbitration::kTokenRing) {
     tokens_.reserve(static_cast<std::size_t>(topo_.node_count()));
     for (int i = 0; i < topo_.node_count(); ++i) {
       tokens_.emplace_back(topo_.node_count(), params_.token_hop_latency);
     }
-    arb_chan_.resize(static_cast<std::size_t>(topo_.node_count()));
   } else if (organization_ == Arbitration::kSwmr) {
     src_channel_free_.assign(static_cast<std::size_t>(topo_.node_count()), 0);
-    arb_chan_.resize(static_cast<std::size_t>(topo_.node_count()));
   } else if (organization_ == Arbitration::kSharedPool) {
     if (pool_channels < 1) {
       throw std::invalid_argument(this->name() + ": pool_channels must be >= 1");
@@ -128,7 +133,9 @@ void OnocNetwork::route_to_arbitration(const noc::Message& msg) {
 }
 
 void OnocNetwork::queue_arbitration(const noc::Message& msg, NodeId channel) {
-  arb_chan_[static_cast<std::size_t>(channel)].push_back(msg);
+  const auto c = static_cast<std::size_t>(channel);
+  arb_chan_[c].push_back(msg);
+  arb_queued_[c >> 6] |= std::uint64_t{1} << (c & 63);
   if (!arb_scheduled_) {
     arb_scheduled_ = true;
     auto flush = [this] { arb_flush(); };
@@ -140,13 +147,15 @@ void OnocNetwork::queue_arbitration(const noc::Message& msg, NodeId channel) {
 // One flush per cycle with queued requests. All of the cycle's deliveries
 // (and hence any same-cycle re-injections from the replay engine's late
 // flush) either landed before this event or reschedule it — the late band
-// keeps draining until empty, so no request waits a cycle.
+// keeps draining until empty, so no request waits a cycle. The walk reads
+// the live mask, so a request queued during it is visited exactly when a
+// walk over every channel would visit it.
 void OnocNetwork::arb_flush() {
   arb_scheduled_ = false;
   const Cycle t = sim().now();  // every queued request shares this cycle
-  for (std::size_t c = 0; c < arb_chan_.size(); ++c) {
+  for (std::size_t c = next_queued_channel(0); c < arb_chan_.size();
+       c = next_queued_channel(c + 1)) {
     std::vector<noc::Message>& reqs = arb_chan_[c];
-    if (reqs.empty()) continue;
     if (organization_ == Arbitration::kTokenRing) {
       TokenRing& ring = tokens_[c];
       fault::FaultModel* fm = fault_model();
@@ -169,7 +178,19 @@ void OnocNetwork::arb_flush() {
       }
     }
     reqs.clear();
+    arb_queued_[c >> 6] &= ~(std::uint64_t{1} << (c & 63));
   }
+}
+
+std::size_t OnocNetwork::next_queued_channel(std::size_t from) const {
+  std::size_t w = from >> 6;
+  if (w >= arb_queued_.size()) return arb_chan_.size();
+  std::uint64_t bits = arb_queued_[w] & (~std::uint64_t{0} << (from & 63));
+  while (bits == 0) {
+    if (++w == arb_queued_.size()) return arb_chan_.size();
+    bits = arb_queued_[w];
+  }
+  return (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
 }
 
 void OnocNetwork::grant(const noc::Message& msg, Cycle start, Cycle now) {

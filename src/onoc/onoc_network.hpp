@@ -26,14 +26,15 @@
 //
 // Per-cycle arbitration flush: token-ring and SWMR arbitration are
 // per-channel independent — one TokenRing per receive channel, one busy
-// horizon per source channel. inject() queues the request on its channel and
-// schedules one late-band flush per cycle, which walks channels in ascending
-// order and grants each channel's requests in arrival order. Every request
-// of a cycle carries the same timestamp, so the grant times equal what an
-// immediate per-request acquire would produce; the grant events do not. The
-// ascending-channel walk in the late band fixes the order of stat adds and
-// scheduled transmissions, and with it the execution-driven model's event
-// order: granting at inject leaves replay schedules alone but changes
+// horizon per source channel. inject() queues the request on its channel,
+// marks the channel in a bitmask and schedules one late-band flush per
+// cycle, which walks the marked channels in ascending order and grants each
+// channel's requests in arrival order. Every request of a cycle carries the
+// same timestamp, so the grant times equal what an immediate per-request
+// acquire would produce; the grant events do not. The ascending-channel
+// walk in the late band fixes the order of stat adds and scheduled
+// transmissions, and with it the execution-driven model's event order:
+// granting at inject leaves replay schedules alone but changes
 // execution-driven runtimes, so it would be a model change (DESIGN.md §10).
 #pragma once
 
@@ -108,6 +109,9 @@ class OnocNetwork : public noc::Network {
   void receiver_freed(NodeId dst);
   void queue_arbitration(const noc::Message& msg, NodeId channel);
   void arb_flush();
+  /// Lowest channel >= `from` with queued requests, read from the live
+  /// mask; arb_chan_.size() when there is none.
+  std::size_t next_queued_channel(std::size_t from) const;
   /// Records the arbitration wait and schedules the transmission start.
   void grant(const noc::Message& msg, Cycle start, Cycle now);
 
@@ -125,6 +129,8 @@ class OnocNetwork : public noc::Network {
   /// SWMR: keyed by src), in arrival order — exactly the per-channel
   /// subsequence of the immediate-acquire call order. Capacity retained.
   std::vector<std::vector<noc::Message>> arb_chan_;
+  /// Bit c % 64 of word c / 64 is set while arb_chan_[c] holds requests.
+  std::vector<std::uint64_t> arb_queued_;
   bool arb_scheduled_ = false;
 
   // Shared-pool mode: busy horizon per pooled channel.

@@ -427,7 +427,7 @@ constexpr PinnedKind kPinned[] = {
      {0x4a878b8e4a101109ull, 6587},
      {0xcf555f795f7ddce8ull, 4209}},
     {{0xab764b38c1b63f23ull, 2937},
-     {0xab764b38c1b63f23ull, 5874},
+     {0xab764b38c1b63f23ull, 2937},
      {0xdf5793805f4c55efull, 3810}},
     {{0xcafdb96bef09227dull, 3127},
      {0x1e4f231b60cb7da4ull, 18770},
@@ -575,6 +575,66 @@ INSTANTIATE_TEST_SUITE_P(EnocConfigs, PinnedEnocOutput,
                          [](const auto& info) {
                            return std::string(info.param.name);
                          });
+
+// --- Proven stop ------------------------------------------------------------
+
+// A truncated-window run does not simulate a pass that its re-derived bounds
+// prove would repeat the last one. The schedule, stat report and residual
+// stay those of a run that simulates the repeat (the hashes below were taken
+// from an engine that did); only the pass count, events and pass log lose
+// the repeat.
+
+// At W = 0 every record's bound is its injection, so every bound binds, and
+// on the faster ideal network every re-derived bound is lower. The schedule
+// still moves: a stop on "new bound <= injection" alone would end it here.
+TEST(ProvenStop, WindowZeroOntoFasterTargetKeepsIterating) {
+  ReplayConfig cfg;
+  cfg.dependency_window = 0;
+  ReplaySession session(jacobi_rt(), spec_of(NetKind::kIdeal), cfg);
+  const ReplayResult& r = session.run();
+  EXPECT_GT(r.iterations, 1);
+  EXPECT_EQ(output_hash(r), 0x3812a9b3f755252full)
+      << std::hex << "hash 0x" << output_hash(r);
+}
+
+// On the capture network the first pass of any window W >= 1 reproduces the
+// full-window schedule, and its re-derived bounds prove it: one pass.
+TEST(ProvenStop, CaptureNetworkWindowsEndAfterOnePass) {
+  const ReplayTrace& rt = jacobi_rt();
+  const NetSpec spec = spec_of(NetKind::kEnoc);
+  const ReplayResult full = fresh_run(rt, spec, ReplayConfig{});
+  for (const std::uint32_t w : {1u, 2u, 4u}) {
+    ReplayConfig cfg;
+    cfg.dependency_window = w;
+    ReplaySession session(rt, spec, cfg);
+    const ReplayResult& r = session.run();
+    const std::string what = "W=" + std::to_string(w);
+    expect_identical(r, full, what);  // one pass, one pass's events
+    EXPECT_EQ(r.residual, 0.0) << what;
+    EXPECT_EQ(r.iteration_log.size(), 1u) << what;
+    EXPECT_EQ(output_hash(r), output_hash(full)) << what;
+  }
+}
+
+// fft captured on ideal and replayed on the ENoC at W = 1: pass 2 moves the
+// schedule and pass 3 would repeat it, so the run ends after two passes at
+// residual exactly 0, with two `iter N` phases.
+TEST(ProvenStop, StopsAfterAMovingPassAtResidualZero) {
+  const ReplayTrace rt(
+      run_execution(small_app("fft"), spec_of(NetKind::kIdeal), {}).trace);
+  ReplayConfig cfg;
+  cfg.dependency_window = 1;
+  const ReplayRun run = run_replay(rt, spec_of(NetKind::kEnoc), cfg);
+  const ReplayResult& r = run.result;
+  ASSERT_EQ(r.iterations, 2);
+  ASSERT_EQ(r.iteration_log.size(), 2u);
+  EXPECT_GE(r.iteration_log[1].residual, ReplayConfig::convergence_threshold);
+  EXPECT_EQ(r.residual, 0.0);
+  EXPECT_EQ(output_hash(r), 0x40e0f2decea0371aull)
+      << std::hex << "hash 0x" << output_hash(r);
+  EXPECT_EQ(r.events, r.iteration_log[0].events + r.iteration_log[1].events);
+  EXPECT_EQ(run.phases.size(), 2u);
+}
 
 // --- Rebind -----------------------------------------------------------------
 
