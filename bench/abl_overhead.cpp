@@ -31,11 +31,9 @@ int main() {
     // Reference: the full execution-driven run on the same target.
     const auto exec_target = core::run_execution(app, enoc_spec(), {});
 
-    std::uint64_t deps = 0, bytes = 0;
-    for (const auto& r : capture.trace.records) {
-      deps += r.deps.size();
-      bytes += 38 + 16 * r.deps.size();  // serialized size
-    }
+    const std::uint64_t deps = capture.trace.records.parent.size();
+    const std::uint64_t bytes =
+        38 * capture.trace.records.size() + 16 * deps;  // serialized size
     const double ratio = static_cast<double>(sctm.result.events) /
                          static_cast<double>(naive.result.events);
     ok = ok && ratio < 2.0 && sctm.result.events <= exec_target.events;

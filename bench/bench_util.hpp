@@ -7,9 +7,11 @@
 // as an end-to-end check.
 #pragma once
 
+#include <algorithm>
 #include <ctime>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "common/json.hpp"
 #include "common/run_metrics.hpp"
@@ -117,6 +119,43 @@ inline void emit(const Table& table, const std::string& slug,
   if (ec) return;
   table.write_csv("bench_results/" + slug + ".csv");
   metrics.write_file("bench_results/" + slug + ".json");
+}
+
+inline double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+/// What interleaved_pairs() measured.
+struct PairTiming {
+  double a_s = 0;    // median seconds of side a
+  double b_s = 0;    // median seconds of side b
+  double ratio = 0;  // median per-pair ratio b / a
+  int a_wins = 0;    // pairs in which a took less time than b
+};
+
+/// Runs `pairs` pairs of `a` and `b`, each returning the seconds it took,
+/// alternating which side goes first, so a host-speed shift during the bench
+/// moves both sides of a pair alike.
+template <typename A, typename B>
+PairTiming interleaved_pairs(int pairs, A&& a, B&& b) {
+  std::vector<double> a_s, b_s, ratio;
+  PairTiming out;
+  for (int p = 0; p < pairs; ++p) {
+    if (p % 2 == 0) {
+      a_s.push_back(a());
+      b_s.push_back(b());
+    } else {
+      b_s.push_back(b());
+      a_s.push_back(a());
+    }
+    ratio.push_back(b_s.back() / std::max(1e-9, a_s.back()));
+    if (a_s.back() < b_s.back()) ++out.a_wins;
+  }
+  out.a_s = median(a_s);
+  out.b_s = median(b_s);
+  out.ratio = median(ratio);
+  return out;
 }
 
 /// Exit helper: prints a verdict line and returns the process exit code.

@@ -9,18 +9,12 @@
 // sctm/naive is the median per-pair ratio: a host-speed shift moves both
 // sides of a pair alike.
 #include <algorithm>
-#include <vector>
 
 #include "bench/bench_util.hpp"
 
 namespace {
 
 constexpr int kPairs = 11;
-
-double median(std::vector<double> v) {
-  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-  return v[v.size() / 2];
-}
 
 }  // namespace
 
@@ -51,29 +45,20 @@ int main() {
     core::ReplayConfig naive_cfg;
     naive_cfg.mode = core::ReplayMode::kNaive;
     core::ReplayRun naive, sctm;
-    std::vector<double> naive_s, sctm_s, ratios;
-    const auto run_naive = [&] {
-      naive = core::run_replay(rt, onoc_token_spec(), naive_cfg);
-      naive_s.push_back(naive.wall_seconds);
-    };
-    const auto run_sctm = [&] {
-      sctm = core::run_replay(rt, onoc_token_spec(), {});
-      sctm_s.push_back(sctm.wall_seconds);
-    };
-    for (int p = 0; p < kPairs; ++p) {  // alternating which mode goes first
-      if (p % 2 == 0) {
-        run_naive();
-        run_sctm();
-      } else {
-        run_sctm();
-        run_naive();
-      }
-      ratios.push_back(sctm_s.back() / std::max(1e-9, naive_s.back()));
-    }
-    naive.wall_seconds = median(naive_s);
-    sctm.wall_seconds = median(sctm_s);
+    const PairTiming pairs = interleaved_pairs(
+        kPairs,
+        [&] {
+          naive = core::run_replay(rt, onoc_token_spec(), naive_cfg);
+          return naive.wall_seconds;
+        },
+        [&] {
+          sctm = core::run_replay(rt, onoc_token_spec(), {});
+          return sctm.wall_seconds;
+        });
+    naive.wall_seconds = pairs.a_s;
+    sctm.wall_seconds = pairs.b_s;
 
-    const double ratio = median(ratios);
+    const double ratio = pairs.ratio;
     const double speedup =
         truth_detailed.wall_seconds / std::max(1e-9, sctm.wall_seconds);
     worst_ratio = std::max(worst_ratio, ratio);

@@ -386,6 +386,7 @@ struct DataPlaneResult {
   double exhaustive_mcps = 0;  // million simulated network cycles/second,
   double scoreboard_mcps = 0;  // at each mode's median run time
   double speedup = 0;          // median per-pair exhaustive/scoreboard time
+  int scoreboard_wins = 0;     // pairs in which the scoreboard ran faster
 };
 
 double seconds_of(const std::function<void()>& run) {
@@ -395,34 +396,19 @@ double seconds_of(const std::function<void()>& run) {
       .count();
 }
 
-double median(std::vector<double> v) {
-  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-  return v[v.size() / 2];
-}
-
-/// Times `pairs` interleaved (scoreboard, exhaustive) run pairs of `w`,
-/// alternating which mode goes first, so a host-speed shift during the bench
-/// moves both sides of a pair alike. Fills the result's rates (from each
-/// mode's median time) and its speedup (the median per-pair time ratio).
+/// Times `pairs` interleaved (scoreboard, exhaustive) run pairs of `w`
+/// (bench::interleaved_pairs). Fills the result's rates (from each mode's
+/// median time) and its speedup (the median per-pair time ratio).
 void time_data_plane_pairs(const DataPlaneWorkload& w, int pairs,
                            DataPlaneResult& r) {
-  const std::function<void()> sb = [&] { run_data_plane(w, false); };
-  const std::function<void()> ex = [&] { run_data_plane(w, true); };
-  std::vector<double> sb_s, ex_s, ratio;
-  for (int p = 0; p < pairs; ++p) {
-    if (p % 2 == 0) {
-      sb_s.push_back(seconds_of(sb));
-      ex_s.push_back(seconds_of(ex));
-    } else {
-      ex_s.push_back(seconds_of(ex));
-      sb_s.push_back(seconds_of(sb));
-    }
-    ratio.push_back(ex_s.back() / sb_s.back());
-  }
+  const bench::PairTiming t = bench::interleaved_pairs(
+      pairs, [&] { return seconds_of([&] { run_data_plane(w, false); }); },
+      [&] { return seconds_of([&] { run_data_plane(w, true); }); });
   const auto cycles = static_cast<double>(r.active_cycles);
-  r.scoreboard_mcps = cycles / median(sb_s) / 1e6;
-  r.exhaustive_mcps = cycles / median(ex_s) / 1e6;
-  r.speedup = median(ratio);
+  r.scoreboard_mcps = cycles / t.a_s / 1e6;
+  r.exhaustive_mcps = cycles / t.b_s / 1e6;
+  r.speedup = t.ratio;
+  r.scoreboard_wins = t.a_wins;
 }
 
 int run_data_plane_comparison(int pairs, int scale) {
@@ -509,6 +495,8 @@ int run_data_plane_comparison(int pairs, int scale) {
       jw.value(r.scoreboard_mcps);
       jw.key("speedup");
       jw.value(r.speedup);
+      jw.key("scoreboard_faster_pairs");
+      jw.value(r.scoreboard_wins);
       jw.end_object();
     }
     jw.end_array();

@@ -1,10 +1,11 @@
 // Trace-store bench: v1 monolith vs v2 chunked container.
 //
 // Measures encode/decode throughput of both on-disk formats (all in memory,
-// so the numbers are codec-bound, not filesystem-bound), serial and
-// parallel v2 decode, on two traces: a real workload capture (where id/time
-// locality makes the delta codec shine) and a synthetic uniform-traffic
-// trace (the adversarial-ish case: random src/dst, jittered timestamps).
+// so the numbers are codec-bound, not filesystem-bound; both decodes run the
+// one ingest, which checks the trace contract) on two traces: a real
+// workload capture (where id/time locality makes the delta codec shine) and
+// a synthetic uniform-traffic trace (the adversarial-ish case: random
+// src/dst, jittered timestamps).
 // The captured-trace compression ratio v1/v2 is the headline number and
 // carries the floor. Replay's own load (core::load_replay_trace) is timed
 // by perfbench's load_s.
@@ -49,6 +50,8 @@ double mrec_per_s(std::size_t records, double s) {
 
 /// Uniform random traffic with jittered timestamps and 0-2 deps/record:
 /// none of the capture-time locality, so it shows the codec's worst side.
+/// As in a capture, a record's parents are recent records that arrived by
+/// its injection, so the trace keeps the contract every reader checks.
 trace::Trace synthetic_trace(std::size_t records) {
   Rng rng(42);
   trace::Trace t;
@@ -56,29 +59,26 @@ trace::Trace synthetic_trace(std::size_t records) {
   t.capture_network = "none";
   t.nodes = 64;
   t.seed = 42;
+  trace::Records& r = t.records;
   MsgId id = 0;
   Cycle now = 0;
-  std::vector<MsgId> recent;
   for (std::size_t i = 0; i < records; ++i) {
-    trace::TraceRecord r;
     id += 1 + rng.next_below(9);
     now += rng.next_below(200);
-    r.id = id;
-    r.src = static_cast<NodeId>(rng.next_below(64));
-    r.dst = static_cast<NodeId>(rng.next_below(64));
-    r.size_bytes = 8u << rng.next_below(7);
-    r.cls = rng.next_bool(0.5) ? noc::MsgClass::kData : noc::MsgClass::kReply;
-    r.inject_time = now;
-    r.arrive_time = now + 10 + rng.next_below(500);
-    const std::size_t ndeps = rng.next_below(3);
-    for (std::size_t k = 0; k < ndeps && k < recent.size(); ++k) {
-      trace::TraceDep d;
-      d.parent = recent[recent.size() - 1 - k];
-      d.slack = rng.next_below(1000);
-      r.deps.push_back(d);
+    r.append(id, static_cast<NodeId>(rng.next_below(64)),
+             static_cast<NodeId>(rng.next_below(64)),
+             8u << rng.next_below(7),
+             rng.next_bool(0.5) ? noc::MsgClass::kData
+                                : noc::MsgClass::kReply,
+             0, now, now + 10 + rng.next_below(500));
+    // Up to 2 of the latest 16 records that had arrived by `now`.
+    std::size_t ndeps = rng.next_below(3);
+    for (std::size_t p = i; p-- > 0 && p + 16 >= i && ndeps > 0;) {
+      if (r.arrive[p] <= now) {
+        r.add_parent(static_cast<std::uint32_t>(p));
+        --ndeps;
+      }
     }
-    recent.push_back(r.id);
-    t.records.push_back(r);
   }
   t.capture_runtime = now + 1000;
   return t;
@@ -94,7 +94,7 @@ struct PathResult {
 struct TraceResults {
   std::string label;
   std::size_t records = 0;
-  std::vector<PathResult> paths;  // v1, v2, v2 parallel dec
+  std::vector<PathResult> paths;  // v1, v2
   double ratio = 0;
   bool round_trips_ok = false;
   bool hash_ok = false;
@@ -133,22 +133,12 @@ TraceResults measure(const std::string& label, const trace::Trace& t,
   v2.decode_s = best_seconds(reps, [&] {
     tracestore::TraceReader reader(
         tracestore::memory_source(v2_bytes.data(), v2_bytes.size()));
-    v2_back = reader.read_all(false);
+    v2_back = reader.read_all();
   });
 
-  PathResult v2p{"v2 parallel dec"};
-  v2p.bytes = v2.bytes;
-  v2p.encode_s = v2.encode_s;
-  trace::Trace v2p_back;
-  v2p.decode_s = best_seconds(reps, [&] {
-    tracestore::TraceReader reader(
-        tracestore::memory_source(v2_bytes.data(), v2_bytes.size()));
-    v2p_back = reader.read_all(true);
-  });
-
-  out.paths = {v1, v2, v2p};
+  out.paths = {v1, v2};
   out.ratio = v2.bytes > 0 ? static_cast<double>(v1.bytes) / v2.bytes : 0.0;
-  out.round_trips_ok = v1_back == t && v2_back == t && v2p_back == t;
+  out.round_trips_ok = v1_back == t && v2_back == t;
   out.hash_ok =
       tracestore::content_hash(t) ==
       tracestore::TraceReader(
@@ -177,8 +167,6 @@ void results_json(JsonWriter& w, const TraceResults& r) {
   w.value(mrec_per_s(r.records, r.paths[1].encode_s));
   w.key("v2_decode_mrec_s");
   w.value(mrec_per_s(r.records, r.paths[1].decode_s));
-  w.key("v2_parallel_decode_mrec_s");
-  w.value(mrec_per_s(r.records, r.paths[2].decode_s));
   w.end_object();
 }
 

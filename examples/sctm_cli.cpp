@@ -452,8 +452,9 @@ int cmd_explore(const Config& f) {
 }
 
 int cmd_inspect(const Config& f) {
-  const auto loaded = trace::read_binary_file(require_flag(f, "trace"));
-  const core::ReplayTrace rt(loaded);  // validates before anything prints
+  // Validates before anything prints.
+  const auto rt = core::load_replay_trace(require_flag(f, "trace"));
+  const trace::Trace& loaded = rt.trace();
   const analytic::TraceProfile profile = analytic::profile_trace(rt);
   const auto s = core::summarize(loaded);
   std::printf("app=%s capture-net='%s' nodes=%d seed=%llu\n",
@@ -479,7 +480,9 @@ int cmd_inspect(const Config& f) {
     m.manifest.set("nodes", loaded.nodes);
     m.manifest.set("seed", loaded.seed);
     Histogram lat;
-    for (const auto& r : loaded.records) lat.add(r.latency());
+    for (std::size_t i = 0; i < loaded.records.size(); ++i) {
+      lat.add(loaded.records.latency(i));
+    }
     m.add_histogram("latency", lat, /*with_buckets=*/true);
     JsonWriter results;
     results.begin_object();
@@ -639,8 +642,8 @@ int cmd_trace_verify(const Config& f) {
     std::fprintf(stderr, "%s: CORRUPT in chunk %lld: %s\n", path.c_str(),
                  static_cast<long long>(rep.bad_chunk), rep.error.c_str());
   } else {
-    std::fprintf(stderr, "%s: CORRUPT (header/index/footer): %s\n",
-                 path.c_str(), rep.error.c_str());
+    std::fprintf(stderr, "%s: CORRUPT: %s\n", path.c_str(),
+                 rep.error.c_str());
   }
   return 1;
 }

@@ -172,7 +172,9 @@ RunMetrics metrics_for_execution(const fullsys::AppParams& app,
   m.set_stats(run.stats);
 
   Histogram lat;
-  for (const auto& r : run.trace.records) lat.add(r.latency());
+  for (std::size_t i = 0; i < run.trace.records.size(); ++i) {
+    lat.add(run.trace.records.latency(i));
+  }
   m.add_histogram("latency", lat);
 
   JsonWriter results;

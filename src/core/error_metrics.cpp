@@ -20,7 +20,9 @@ double rel_err(double model, double truth) {
 RunSummary summarize(const trace::Trace& trace) {
   RunSummary s;
   Histogram h;
-  for (const auto& r : trace.records) h.add(r.latency());
+  for (std::size_t i = 0; i < trace.records.size(); ++i) {
+    h.add(trace.records.latency(i));
+  }
   s.messages = h.count();
   s.mean_latency = h.mean();
   s.p50_latency = h.percentile(0.5);

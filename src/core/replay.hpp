@@ -167,8 +167,6 @@ class EligibilityBatcher {
     free_.push_back(slot);
   }
 
-  std::size_t open_batches() const { return slot_at_.size(); }
-
  private:
   FlatMap<Cycle, std::uint32_t> slot_at_;
   std::vector<std::vector<std::uint32_t>> pool_;

@@ -1,9 +1,9 @@
 #include "trace/capture.hpp"
 
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace sctm::trace {
 
@@ -14,18 +14,13 @@ TraceCapture::TraceCapture(fullsys::CmpSystem& cmp, std::string app_name,
   trace_.nodes = nodes;
 
   cmp.set_inject_observer([this](const fullsys::InjectionEvent& ev) {
-    std::vector<TraceRecord>& records = trace_.records;
-    TraceRecord r;
-    r.deps.reserve(ev.causes.size());
+    Records& records = trace_.records;
     for (const MsgId c : ev.causes) {
-      const TraceRecord* cause =
-          c >= 1 && c <= records.size() ? &records[c - 1] : nullptr;
-      if (cause == nullptr || cause->arrive_time == kNoCycle) {
+      if (c < 1 || c > records.size() || records.arrive[c - 1] == kNoCycle) {
         throw std::logic_error("TraceCapture: cause " + std::to_string(c) +
                                " of message " + std::to_string(ev.msg.id) +
                                " never arrived");
       }
-      r.deps.push_back({c, ev.msg.inject_time - cause->arrive_time});
     }
     if (ev.msg.id != records.size() + 1) {
       throw std::logic_error("TraceCapture: send " +
@@ -33,30 +28,33 @@ TraceCapture::TraceCapture(fullsys::CmpSystem& cmp, std::string app_name,
                              " carries id " + std::to_string(ev.msg.id) +
                              " (ids must number sends 1, 2, ...)");
     }
-    r.id = ev.msg.id;
-    r.src = ev.msg.src;
-    r.dst = ev.msg.dst;
-    r.size_bytes = ev.msg.size_bytes;
-    r.cls = ev.msg.cls;
-    r.proto = static_cast<std::uint8_t>(ev.proto);
-    r.inject_time = ev.msg.inject_time;
-    records.push_back(std::move(r));
+    if (records.size() == UINT32_MAX ||
+        records.parent.size() + ev.causes.size() > UINT32_MAX) {
+      throw std::length_error("TraceCapture: over 2^32 - 1 records or deps");
+    }
+    records.append(ev.msg.id, ev.msg.src, ev.msg.dst, ev.msg.size_bytes,
+                   ev.msg.cls, static_cast<std::uint8_t>(ev.proto),
+                   ev.msg.inject_time, kNoCycle);
+    for (const MsgId c : ev.causes) {
+      records.add_parent(static_cast<std::uint32_t>(c - 1));
+    }
   });
   cmp.set_deliver_observer([this](const noc::Message& m) {
     if (m.id < 1 || m.id > trace_.records.size()) {
       throw std::logic_error("TraceCapture: delivery of unrecorded message");
     }
-    trace_.records[m.id - 1].arrive_time = m.arrive_time;
+    trace_.records.arrive[m.id - 1] = m.arrive_time;
   });
 }
 
 Trace TraceCapture::finalize(Cycle capture_runtime, double* wall_seconds) && {
   const auto t0 = std::chrono::steady_clock::now();
   trace_.capture_runtime = capture_runtime;
-  for (const auto& r : trace_.records) {
-    if (r.arrive_time == kNoCycle) {
-      throw std::logic_error("TraceCapture: message " + std::to_string(r.id) +
-                             " never arrived");
+  const Records& r = trace_.records;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    if (r.arrive[i] == kNoCycle) {
+      throw std::logic_error("TraceCapture: message " +
+                             std::to_string(r.id[i]) + " never arrived");
     }
   }
   if (wall_seconds) {

@@ -1,13 +1,12 @@
 // Trace capture: subscribes to a CmpSystem's injection and delivery
-// observers and materializes a Trace.
+// observers and appends each message to a Trace's columns.
 //
 // Each message's facts are stored once, in its record. CmpSystem numbers
 // messages 1, 2, ... in send order, so message `id` is record `id - 1`: a
-// delivery stamps that record's arrival, and a send derives each
-// dependency's slack from the arrival its cause's record already holds
-// (slack = send time - cause arrival). The slack identity that
-// core::ReplayTrace checks on every loaded trace therefore holds by
-// construction here.
+// delivery stamps that record's arrival, and a send names each cause by its
+// record index, after checking that the cause has arrived. The slack of a
+// dependency is derived (send time - cause arrival), so the trace contract
+// that every reader checks holds by construction here.
 #pragma once
 
 #include <string>
@@ -32,8 +31,6 @@ class TraceCapture {
   /// materializing the trace (the "finalize_trace" phase of the run-metrics
   /// document).
   Trace finalize(Cycle capture_runtime, double* wall_seconds = nullptr) &&;
-
-  std::size_t captured() const { return trace_.records.size(); }
 
  private:
   Trace trace_;

@@ -1,5 +1,6 @@
 #include "trace/trace_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -8,6 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "tracestore/ingest.hpp"
 #include "tracestore/trace_store.hpp"
 
 namespace sctm::trace {
@@ -17,41 +19,13 @@ constexpr char kMagic[8] = {'S', 'C', 'T', 'M', 'T', 'R', 'C', '1'};
 
 // v1 serialization is fully buffered: the writer encodes the whole trace
 // into one byte vector and issues a single ostream::write; the reader
-// slurps the stream once and decodes from a memory cursor. The encoded
-// bytes are field-for-field identical to the original per-field stream I/O
-// (the golden round-trip test pins the layout).
+// slurps the stream once and decodes from a memory cursor (the golden
+// round-trip test pins the layout).
 //
 // The reader is strict: every length and count is validated against the
 // bytes actually present before anything is allocated, and every error
 // names the byte offset where decoding stopped — a truncated or corrupted
 // file can never come back as a silently shorter Trace.
-
-class ByteWriter {
- public:
-  void reserve(std::size_t n) { buf_.reserve(n); }
-
-  template <typename T>
-  void put(T v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto n = buf_.size();
-    buf_.resize(n + sizeof v);
-    std::memcpy(buf_.data() + n, &v, sizeof v);
-  }
-
-  void put_bytes(const char* data, std::size_t len) {
-    buf_.insert(buf_.end(), data, data + len);
-  }
-
-  void put_string(const std::string& s) {
-    put<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
-    put_bytes(s.data(), s.size());
-  }
-
-  const std::vector<char>& bytes() const { return buf_; }
-
- private:
-  std::vector<char> buf_;
-};
 
 [[noreturn]] void fail_at(std::size_t pos, const std::string& what) {
   throw std::runtime_error("trace: " + what + " at byte " +
@@ -104,109 +78,160 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// Decodes a v1 byte image (post-magic validation happens in the caller).
-Trace read_v1_bytes(const char* data, std::size_t len) {
-  ByteReader r(data, len);
-  r.skip(sizeof kMagic);
+/// Every record occupies at least 40 bytes, every dependency 16.
+constexpr std::size_t kMinRecordBytes = 8 + 4 + 4 + 4 + 1 + 1 + 8 + 8 + 2;
+constexpr std::size_t kDepBytes = 16;
 
-  Trace t;
-  t.app = r.get_string("app name");
-  t.capture_network = r.get_string("capture network");
-  t.nodes = r.get<std::int32_t>("node count");
-  if (t.nodes < 0) {
-    fail_at(r.pos() - 4, "negative node count");
+/// Reads record i into `sink` (tracestore::decode_chunk's sink form),
+/// checking every count against the bytes present.
+template <typename Sink>
+void read_v1_record(ByteReader& r, std::uint64_t i, Sink& sink) {
+  tracestore::RecordFields f;
+  f.id = r.get<std::uint64_t>("record id");
+  f.src = r.get<std::int32_t>("src");
+  f.dst = r.get<std::int32_t>("dst");
+  f.size_bytes = r.get<std::uint32_t>("size");
+  const auto cls = r.get<std::uint8_t>("class");
+  if (cls >= noc::kMsgClassCount) {
+    fail_at(r.pos() - 1, "invalid message class " + std::to_string(cls) +
+                             " in record " + std::to_string(i));
   }
-  t.capture_runtime = r.get<std::uint64_t>("capture runtime");
-  t.seed = r.get<std::uint64_t>("seed");
-  const auto count = r.get<std::uint64_t>("record count");
-  // Every record occupies at least 40 bytes; a count beyond what the
-  // remaining bytes can hold is corruption, not a large trace — reject it
-  // before reserving anything.
-  constexpr std::size_t kMinRecordBytes = 8 + 4 + 4 + 4 + 1 + 1 + 8 + 8 + 2;
-  if (count > r.remaining() / kMinRecordBytes) {
-    fail_at(r.pos() - 8, "record count " + std::to_string(count) +
+  f.cls = static_cast<noc::MsgClass>(cls);
+  f.proto = r.get<std::uint8_t>("proto");
+  f.inject_time = r.get<std::uint64_t>("inject time");
+  f.arrive_time = r.get<std::uint64_t>("arrive time");
+  const auto deps = r.get<std::uint16_t>("dependency count");
+  if (deps * kDepBytes > r.remaining()) {
+    fail_at(r.pos() - 2, "dependency count " + std::to_string(deps) +
                              " exceeds remaining " +
-                             std::to_string(r.remaining()) + " bytes");
+                             std::to_string(r.remaining()) +
+                             " bytes in record " + std::to_string(i));
   }
-  t.records.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    TraceRecord rec;
-    rec.id = r.get<std::uint64_t>("record id");
-    rec.src = r.get<std::int32_t>("src");
-    rec.dst = r.get<std::int32_t>("dst");
-    rec.size_bytes = r.get<std::uint32_t>("size");
-    const auto cls = r.get<std::uint8_t>("class");
-    if (cls >= noc::kMsgClassCount) {
-      fail_at(r.pos() - 1, "invalid message class " + std::to_string(cls) +
-                               " in record " + std::to_string(i));
-    }
-    rec.cls = static_cast<noc::MsgClass>(cls);
-    rec.proto = r.get<std::uint8_t>("proto");
-    rec.inject_time = r.get<std::uint64_t>("inject time");
-    rec.arrive_time = r.get<std::uint64_t>("arrive time");
-    const auto deps = r.get<std::uint16_t>("dependency count");
-    if (deps * std::size_t{16} > r.remaining()) {
-      fail_at(r.pos() - 2, "dependency count " + std::to_string(deps) +
-                               " exceeds remaining " +
-                               std::to_string(r.remaining()) +
-                               " bytes in record " + std::to_string(i));
-    }
-    rec.deps.reserve(deps);
-    for (int d = 0; d < deps; ++d) {
-      TraceDep dep;
-      dep.parent = r.get<std::uint64_t>("dependency parent");
-      dep.slack = r.get<std::uint64_t>("dependency slack");
-      rec.deps.push_back(dep);
-    }
-    t.records.push_back(std::move(rec));
+  f.dep_count = deps;
+  sink.record(f);
+  for (int d = 0; d < deps; ++d) {
+    const auto parent = r.get<std::uint64_t>("dependency parent");
+    sink.dep(parent, r.get<std::uint64_t>("dependency slack"));
   }
-  if (r.remaining() != 0) {
-    fail_at(r.pos(), std::to_string(r.remaining()) +
-                         " trailing bytes after the last record");
+}
+
+/// A v1 byte image as one ingest block: v1 has no index to split it by, so
+/// its records decode serially. The constructor reads the header into the
+/// trace's meta; the decode frees the image once every dependency is in its
+/// slot, before the check folder resolves them.
+class V1Block final : public tracestore::RecordBlocks {
+ public:
+  V1Block(std::vector<char> bytes, Trace& t)
+      : bytes_(std::move(bytes)), r_(bytes_.data(), bytes_.size()) {
+    r_.skip(sizeof kMagic);
+    t.app = r_.get_string("app name");
+    t.capture_network = r_.get_string("capture network");
+    t.nodes = r_.get<std::int32_t>("node count");
+    if (t.nodes < 0) {
+      fail_at(r_.pos() - 4, "negative node count");
+    }
+    t.capture_runtime = r_.get<std::uint64_t>("capture runtime");
+    t.seed = r_.get<std::uint64_t>("seed");
+    records_ = r_.get<std::uint64_t>("record count");
+    // A count beyond what the remaining bytes can hold is corruption, not a
+    // large trace — reject it before reserving anything.
+    if (records_ > r_.remaining() / kMinRecordBytes) {
+      fail_at(r_.pos() - 8, "record count " + std::to_string(records_) +
+                                " exceeds remaining " +
+                                std::to_string(r_.remaining()) + " bytes");
+    }
+    first.push_back(records_);
+    // Each dependency read takes kDepBytes of what is left, even in a file
+    // whose records do not fit the count.
+    dep_bound = r_.remaining() / kDepBytes;
+    block_dep_bound = dep_bound;
   }
+
+  void decode(std::size_t /*b*/, std::vector<char>& /*buffer*/,
+              tracestore::ColumnSink& sink) override {
+    for (std::uint64_t i = 0; i < records_; ++i) read_v1_record(r_, i, sink);
+    if (r_.remaining() != 0) {
+      fail_at(r_.pos(), std::to_string(r_.remaining()) +
+                            " trailing bytes after the last record");
+    }
+    std::vector<char>().swap(bytes_);
+  }
+
+ private:
+  std::vector<char> bytes_;
+  ByteReader r_;
+  std::uint64_t records_ = 0;
+};
+
+/// Decodes a v1 byte image (post-magic validation happens in the caller).
+Trace read_v1_bytes(std::vector<char> bytes) {
+  Trace t;
+  V1Block block(std::move(bytes), t);
+  tracestore::ingest(block, t, nullptr, nullptr);
   return t;
 }
 
-std::size_t encoded_size(const Trace& trace) {
+/// The v1 bytes of `trace`; throws before encoding anything when a record
+/// has more dependencies than v1's u16 count can say.
+std::vector<char> encode_v1(const Trace& trace) {
+  const Records& r = trace.records;
   // magic + 2 length-prefixed strings + nodes/runtime/seed/count header.
   std::size_t n = sizeof kMagic + 4 + trace.app.size() + 4 +
                   trace.capture_network.size() + 4 + 8 + 8 + 8;
-  for (const auto& r : trace.records) {
-    n += 8 + 4 + 4 + 4 + 1 + 1 + 8 + 8 + 2 + r.deps.size() * 16;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    if (r.dep_count(i) > UINT16_MAX) {
+      throw std::length_error(
+          "trace: record " + std::to_string(i) + " (id " +
+          std::to_string(r.id[i]) + ") has " +
+          std::to_string(r.dep_count(i)) +
+          " dependencies; v1 stores at most 65535 per record (write v2)");
+    }
+    n += kMinRecordBytes + r.dep_count(i) * kDepBytes;
   }
-  return n;
+  std::vector<char> out(n);
+  char* at = out.data();
+  const auto put = [&at](auto v) {
+    std::memcpy(at, &v, sizeof v);
+    at += sizeof v;
+  };
+  const auto put_string = [&](const std::string& s) {
+    put(static_cast<std::uint32_t>(s.size()));
+    at = std::copy(s.begin(), s.end(), at);
+  };
+  at = std::copy(kMagic, kMagic + sizeof kMagic, at);
+  put_string(trace.app);
+  put_string(trace.capture_network);
+  put(std::int32_t{trace.nodes});
+  put(std::uint64_t{trace.capture_runtime});
+  put(std::uint64_t{trace.seed});
+  put(std::uint64_t{r.size()});
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    put(std::uint64_t{r.id[i]});
+    put(std::int32_t{r.src[i]});
+    put(std::int32_t{r.dst[i]});
+    put(std::uint32_t{r.size_bytes[i]});
+    put(static_cast<std::uint8_t>(r.cls[i]));
+    put(std::uint8_t{r.proto[i]});
+    put(std::uint64_t{r.inject[i]});
+    put(std::uint64_t{r.arrive[i]});
+    put(static_cast<std::uint16_t>(r.dep_count(i)));
+    for (std::uint32_t k = r.dep_offset[i]; k < r.dep_offset[i + 1]; ++k) {
+      put(std::uint64_t{r.id[r.parent[k]]});
+      put(std::uint64_t{r.slack(i, r.parent[k])});
+    }
+  }
+  return out;
+}
+
+void write_bytes(const std::vector<char>& bytes, std::ostream& out) {
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!out) throw std::runtime_error("trace: write failed");
 }
 
 }  // namespace
 
 void write_binary(const Trace& trace, std::ostream& out) {
-  ByteWriter w;
-  w.reserve(encoded_size(trace));
-  w.put_bytes(kMagic, sizeof kMagic);
-  w.put_string(trace.app);
-  w.put_string(trace.capture_network);
-  w.put<std::int32_t>(trace.nodes);
-  w.put<std::uint64_t>(trace.capture_runtime);
-  w.put<std::uint64_t>(trace.seed);
-  w.put<std::uint64_t>(trace.records.size());
-  for (const auto& r : trace.records) {
-    w.put<std::uint64_t>(r.id);
-    w.put<std::int32_t>(r.src);
-    w.put<std::int32_t>(r.dst);
-    w.put<std::uint32_t>(r.size_bytes);
-    w.put<std::uint8_t>(static_cast<std::uint8_t>(r.cls));
-    w.put<std::uint8_t>(r.proto);
-    w.put<std::uint64_t>(r.inject_time);
-    w.put<std::uint64_t>(r.arrive_time);
-    w.put<std::uint16_t>(static_cast<std::uint16_t>(r.deps.size()));
-    for (const auto& d : r.deps) {
-      w.put<std::uint64_t>(d.parent);
-      w.put<std::uint64_t>(d.slack);
-    }
-  }
-  out.write(w.bytes().data(),
-            static_cast<std::streamsize>(w.bytes().size()));
-  if (!out) throw std::runtime_error("trace: write failed");
+  write_bytes(encode_v1(trace), out);
 }
 
 Trace read_binary(std::istream& in) {
@@ -229,13 +254,14 @@ Trace read_binary(std::istream& in) {
       std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
     throw std::runtime_error("trace: bad magic (not an SCTM trace?)");
   }
-  return read_v1_bytes(bytes.data(), bytes.size());
+  return read_v1_bytes(std::move(bytes));
 }
 
 void write_binary_file(const Trace& trace, const std::string& path) {
+  const std::vector<char> bytes = encode_v1(trace);
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("trace: cannot open " + path);
-  write_binary(trace, out);
+  write_bytes(bytes, out);
 }
 
 Trace read_binary_file(const std::string& path) {
@@ -277,17 +303,18 @@ std::string to_text(const Trace& trace) {
   const auto cyc = [](Cycle c) {
     return c == kNoCycle ? std::string("none") : std::to_string(c);
   };
+  const Records& r = trace.records;
   std::ostringstream ss;
   ss << "# app=" << trace.app << " net=" << trace.capture_network
      << " nodes=" << trace.nodes << " runtime=" << cyc(trace.capture_runtime)
-     << " records=" << trace.records.size() << '\n';
-  for (const auto& r : trace.records) {
-    ss << r.id << ' ' << r.src << "->" << r.dst << " bytes=" << r.size_bytes
-       << " cls=" << noc::to_string(r.cls) << " t=" << cyc(r.inject_time)
-       << ".." << cyc(r.arrive_time) << " deps=[";
-    for (std::size_t i = 0; i < r.deps.size(); ++i) {
-      if (i) ss << ',';
-      ss << r.deps[i].parent << '+' << r.deps[i].slack;
+     << " records=" << r.size() << '\n';
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    ss << r.id[i] << ' ' << r.src[i] << "->" << r.dst[i]
+       << " bytes=" << r.size_bytes[i] << " cls=" << noc::to_string(r.cls[i])
+       << " t=" << cyc(r.inject[i]) << ".." << cyc(r.arrive[i]) << " deps=[";
+    for (std::uint32_t k = r.dep_offset[i]; k < r.dep_offset[i + 1]; ++k) {
+      if (k != r.dep_offset[i]) ss << ',';
+      ss << r.id[r.parent[k]] << '+' << r.slack(i, r.parent[k]);
     }
     ss << "]\n";
   }

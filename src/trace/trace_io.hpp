@@ -42,12 +42,16 @@ inline const char* to_string(TraceFormat f) {
   return spelling_of(kTraceFormatNames, f);
 }
 
-/// Always emits the legacy v1 layout.
+/// Always emits the legacy v1 layout. A record with more than 65,535
+/// dependencies, which v1's u16 count cannot say, throws std::length_error
+/// naming it before anything is written (v2 has no such limit).
 void write_binary(const Trace& trace, std::ostream& out);
 
-/// Reads either format (dispatches on the magic). Fails loudly: any
-/// truncation, trailing garbage, or implausible length/count throws
-/// std::runtime_error naming the byte offset — a Trace is never returned
+/// Reads either format (dispatches on the magic) through the one ingest
+/// (tracestore/ingest.hpp). Fails loudly: any truncation, trailing garbage,
+/// or implausible length/count throws std::runtime_error naming the byte
+/// offset, and a trace that breaks the trace contract throws
+/// std::invalid_argument naming the record — a Trace is never returned
 /// partially filled.
 Trace read_binary(std::istream& in);
 

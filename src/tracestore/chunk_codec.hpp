@@ -23,32 +23,14 @@
 #include <string>
 #include <vector>
 
-#include "trace/record.hpp"
+#include "common/units.hpp"
+#include "noc/message.hpp"
 #include "tracestore/format.hpp"
 
 namespace sctm::tracestore {
 
-/// Streaming chunk encoder; reset() starts a new chunk.
-class ChunkEncoder {
- public:
-  void reset() {
-    buf_.clear();
-    prev_id_ = 0;
-    prev_inject_ = 0;
-  }
-
-  void add(const trace::TraceRecord& r);
-
-  const std::vector<char>& bytes() const { return buf_; }
-
- private:
-  std::vector<char> buf_;
-  std::uint64_t prev_id_ = 0;
-  std::uint64_t prev_inject_ = 0;
-};
-
-/// A record's scalar fields as decoded, ahead of its `dep_count`
-/// dependencies.
+/// A record's scalar fields as the files store them, ahead of its
+/// `dep_count` dependencies.
 struct RecordFields {
   MsgId id = kInvalidMsg;
   NodeId src = kInvalidNode;
@@ -59,6 +41,40 @@ struct RecordFields {
   Cycle inject_time = kNoCycle;
   Cycle arrive_time = kNoCycle;
   std::uint64_t dep_count = 0;
+};
+
+/// A dependency as the files store it: the parent's id and the slack.
+/// Trivial, so that a load's decode slots stay untouched until used.
+struct FileDep {
+  MsgId parent;
+  Cycle slack;
+
+  bool operator==(const FileDep&) const = default;
+};
+
+/// Streaming chunk encoder, the mirror of decode_chunk's sink: record()
+/// appends a record's fields, then dep() each of its `dep_count`
+/// dependencies. reset() starts a new chunk.
+class ChunkEncoder {
+ public:
+  void reset() {
+    buf_.clear();
+    prev_id_ = 0;
+    prev_inject_ = 0;
+  }
+
+  void record(const RecordFields& f);
+  void dep(MsgId parent, Cycle slack) {
+    put_varint(buf_, zigzag(wrap_delta(prev_id_, parent)));
+    put_varint(buf_, slack);
+  }
+
+  const std::vector<char>& bytes() const { return buf_; }
+
+ private:
+  std::vector<char> buf_;
+  std::uint64_t prev_id_ = 0;  // of the record being encoded, once record() ran
+  std::uint64_t prev_inject_ = 0;
 };
 
 namespace detail {
@@ -192,15 +208,5 @@ void decode_chunk(const char* data, std::size_t len,
                              " trailing bytes after last record in chunk");
   }
 }
-
-/// decode_chunk sink that appends TraceRecords to `out` (not cleared).
-struct AppendRecords {
-  std::vector<trace::TraceRecord>& out;
-
-  void record(const RecordFields& f);
-  void dep(MsgId parent, Cycle slack) {
-    out.back().deps.push_back({parent, slack});
-  }
-};
 
 }  // namespace sctm::tracestore

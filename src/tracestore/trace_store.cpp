@@ -5,7 +5,6 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "common/parallel.hpp"
 
 namespace sctm::tracestore {
 namespace {
@@ -18,6 +17,25 @@ void put(std::vector<char>& buf, T v) {
   const auto n = buf.size();
   buf.resize(n + sizeof v);
   std::memcpy(buf.data() + n, &v, sizeof v);
+}
+
+// --- canonical content hashing: a record's fields, then its dependencies --
+
+void hash_fields(Fnv1a64& h, const RecordFields& r) {
+  h.update_scalar(r.id);
+  h.update_scalar(r.src);
+  h.update_scalar(r.dst);
+  h.update_scalar(r.size_bytes);
+  h.update_scalar(static_cast<std::uint8_t>(r.cls));
+  h.update_scalar(r.proto);
+  h.update_scalar(static_cast<std::uint64_t>(r.inject_time));
+  h.update_scalar(static_cast<std::uint64_t>(r.arrive_time));
+  h.update_scalar(r.dep_count);
+}
+
+void hash_dep(Fnv1a64& h, MsgId parent, Cycle slack) {
+  h.update_scalar(static_cast<std::uint64_t>(parent));
+  h.update_scalar(static_cast<std::uint64_t>(slack));
 }
 
 /// Bounds-checked fixed-width cursor (header/index/footer parsing).
@@ -66,21 +84,28 @@ class SpanReader {
 // trace_store.hpp so core::ReplayTrace folds the same canonical field
 // stream from its columns.
 
-void hash_meta(Fnv1a64& h, const std::string& app, const std::string& net,
-               std::int32_t nodes, Cycle runtime, std::uint64_t seed) {
-  h.update_scalar(static_cast<std::uint32_t>(app.size()));
-  h.update(app.data(), app.size());
-  h.update_scalar(static_cast<std::uint32_t>(net.size()));
-  h.update(net.data(), net.size());
-  h.update_scalar(nodes);
-  h.update_scalar(static_cast<std::uint64_t>(runtime));
-  h.update_scalar(seed);
+void hash_meta(Fnv1a64& h, const trace::TraceMeta& m) {
+  h.update_scalar(static_cast<std::uint32_t>(m.app.size()));
+  h.update(m.app.data(), m.app.size());
+  h.update_scalar(static_cast<std::uint32_t>(m.capture_network.size()));
+  h.update(m.capture_network.data(), m.capture_network.size());
+  h.update_scalar(m.nodes);
+  h.update_scalar(static_cast<std::uint64_t>(m.capture_runtime));
+  h.update_scalar(m.seed);
 }
 
-void hash_record(Fnv1a64& h, const trace::TraceRecord& r) {
-  hash_fields(h, {r.id, r.src, r.dst, r.size_bytes, r.cls, r.proto,
-                  r.inject_time, r.arrive_time, r.deps.size()});
-  for (const auto& d : r.deps) hash_dep(h, d.parent, d.slack);
+void hash_records(Fnv1a64& h, const trace::Records& r, std::size_t begin,
+                  std::size_t end) {
+  const std::uint32_t* const parent = r.parent.data();
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::uint32_t k0 = r.dep_offset[i];
+    const std::uint32_t k1 = r.dep_offset[i + 1];
+    hash_fields(h, {r.id[i], r.src[i], r.dst[i], r.size_bytes[i], r.cls[i],
+                    r.proto[i], r.inject[i], r.arrive[i], k1 - k0});
+    for (std::uint32_t k = k0; k < k1; ++k) {
+      hash_dep(h, r.id[parent[k]], r.slack(i, parent[k]));
+    }
+  }
 }
 
 namespace {
@@ -176,15 +201,15 @@ bool is_v2_magic(const char* data, std::size_t len) {
 
 std::uint64_t content_hash(const trace::Trace& t) {
   Fnv1a64 h;
-  hash_meta(h, t.app, t.capture_network, t.nodes, t.capture_runtime, t.seed);
-  for (const auto& r : t.records) hash_record(h, r);
+  hash_meta(h, t);
+  hash_records(h, t.records, 0, t.records.size());
   return h.value();
 }
 
 // ---------------------------------------------------------------------------
 // TraceWriter
 
-TraceWriter::TraceWriter(std::ostream& out, TraceMeta meta,
+TraceWriter::TraceWriter(std::ostream& out, const trace::TraceMeta& meta,
                          std::uint32_t chunk_records)
     : out_(out), chunk_records_(chunk_records == 0 ? 1 : chunk_records) {
   std::vector<char> hdr;
@@ -204,26 +229,30 @@ TraceWriter::TraceWriter(std::ostream& out, TraceMeta meta,
   out_.write(hdr.data(), static_cast<std::streamsize>(hdr.size()));
   if (!out_) throw TraceStoreError("trace-store: header write failed");
   offset_ = hdr.size();
-  hash_meta(hash_, meta.app, meta.capture_network, meta.nodes,
-            meta.capture_runtime, meta.seed);
+  hash_meta(hash_, meta);
   encoder_.reset();
 }
 
 TraceWriter::~TraceWriter() = default;
 
-void TraceWriter::append(const trace::TraceRecord& r) {
+void TraceWriter::append(RecordFields f, std::span<const FileDep> deps) {
   if (finished_) {
     throw std::logic_error("trace-store: append after finish");
   }
-  encoder_.add(r);
-  hash_record(hash_, r);
-  if (r.inject_time != kNoCycle) {
-    chunk_min_ = (chunk_min_ == kNoCycle) ? r.inject_time
-                                          : std::min(chunk_min_, r.inject_time);
+  f.dep_count = deps.size();
+  encoder_.record(f);
+  hash_fields(hash_, f);
+  for (const FileDep& d : deps) {
+    encoder_.dep(d.parent, d.slack);
+    hash_dep(hash_, d.parent, d.slack);
   }
-  if (r.arrive_time != kNoCycle) {
-    chunk_max_ = (chunk_max_ == kNoCycle) ? r.arrive_time
-                                          : std::max(chunk_max_, r.arrive_time);
+  if (f.inject_time != kNoCycle) {
+    chunk_min_ = (chunk_min_ == kNoCycle) ? f.inject_time
+                                          : std::min(chunk_min_, f.inject_time);
+  }
+  if (f.arrive_time != kNoCycle) {
+    chunk_max_ = (chunk_max_ == kNoCycle) ? f.arrive_time
+                                          : std::max(chunk_max_, f.arrive_time);
   }
   ++records_;
   if (++in_chunk_ == chunk_records_) flush_chunk();
@@ -298,14 +327,18 @@ void TraceWriter::finish() {
 
 void write_v2(const trace::Trace& t, std::ostream& out,
               std::uint32_t chunk_records) {
-  TraceMeta meta;
-  meta.app = t.app;
-  meta.capture_network = t.capture_network;
-  meta.nodes = t.nodes;
-  meta.capture_runtime = t.capture_runtime;
-  meta.seed = t.seed;
-  TraceWriter w(out, std::move(meta), chunk_records);
-  for (const auto& r : t.records) w.append(r);
+  TraceWriter w(out, t, chunk_records);
+  const trace::Records& r = t.records;
+  std::vector<FileDep> deps;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    deps.clear();
+    for (std::uint32_t k = r.dep_offset[i]; k < r.dep_offset[i + 1]; ++k) {
+      deps.push_back({r.id[r.parent[k]], r.slack(i, r.parent[k])});
+    }
+    w.append({r.id[i], r.src[i], r.dst[i], r.size_bytes[i], r.cls[i],
+              r.proto[i], r.inject[i], r.arrive[i], deps.size()},
+             deps);
+  }
   w.finish();
 }
 
@@ -479,49 +512,57 @@ void TraceReader::read_payload(std::size_t i, std::vector<char>& buf) const {
   }
 }
 
-void TraceReader::decode_failed(std::size_t i, const std::runtime_error& e) {
-  throw TraceStoreError("trace-store: chunk " + std::to_string(i) +
-                            " decode failed: " + e.what(),
-                        static_cast<std::int64_t>(i));
+void TraceReader::decode_chunk(std::size_t i, std::vector<char>& buf,
+                               ColumnSink& sink) const {
+  read_payload(i, buf);
+  try {
+    tracestore::decode_chunk(buf.data(), buf.size(), chunks_[i].record_count,
+                             sink);
+  } catch (const std::runtime_error& e) {
+    throw TraceStoreError("trace-store: chunk " + std::to_string(i) +
+                              " decode failed: " + e.what(),
+                          static_cast<std::int64_t>(i));
+  }
 }
 
-void TraceReader::read_chunk(std::size_t i,
-                             std::vector<trace::TraceRecord>& out) const {
-  std::vector<char> payload;
-  out.reserve(out.size() + chunks_[i].record_count);
-  AppendRecords sink{out};
-  decode_chunk(i, payload, sink);
-}
-
-trace::Trace TraceReader::read_all(bool parallel) const {
-  trace::Trace t;
-  t.app = meta_.app;
-  t.capture_network = meta_.capture_network;
-  t.nodes = meta_.nodes;
-  t.capture_runtime = meta_.capture_runtime;
-  t.seed = meta_.seed;
-  if (chunks_.empty()) return t;
-
-  if (!parallel || chunks_.size() == 1) {
-    t.records.reserve(record_count_);
-    for (std::size_t i = 0; i < chunks_.size(); ++i) {
-      read_chunk(i, t.records);
+/// The chunks of a v2 container as ingest blocks; a chunk's payload is read
+/// into the decode buffer.
+class TraceReader::ChunkBlocks final : public RecordBlocks {
+ public:
+  explicit ChunkBlocks(const TraceReader& reader) : reader_(reader) {
+    for (std::size_t b = 0; b < reader.chunk_count(); ++b) {
+      const ChunkInfo& c = reader.chunk_info(b);
+      first.push_back(c.first_record + c.record_count);
+      buffer_bytes = std::max<std::size_t>(buffer_bytes, c.payload_len);
+      // The reader checked at open that the payload holds kMinRecordBytes
+      // per record; each dependency takes kMinDepBytes of the rest.
+      dep_bound += (c.payload_len - kMinRecordBytes * c.record_count) /
+                   kMinDepBytes;
     }
-    return t;
+    // decode_chunk makes at most payload / kMinDepBytes dep() calls, even
+    // on a corrupt chunk.
+    block_dep_bound = buffer_bytes / kMinDepBytes;
   }
 
-  // Chunks decode independently; each lands at its indexed slot, so the
-  // result is bit-identical to the sequential path.
-  t.records.resize(record_count_);
-  parallel_for(chunks_.size(), [&](std::size_t i) {
-    std::vector<trace::TraceRecord> local;
-    read_chunk(i, local);
-    const std::size_t base = chunks_[i].first_record;
-    for (std::size_t k = 0; k < local.size(); ++k) {
-      t.records[base + k] = std::move(local[k]);
-    }
-  });
-  return t;
+  void decode(std::size_t b, std::vector<char>& buffer,
+              ColumnSink& sink) override {
+    reader_.decode_chunk(b, buffer, sink);
+  }
+
+ private:
+  const TraceReader& reader_;
+};
+
+void TraceReader::ingest(trace::Trace& t, Children* children,
+                         std::uint64_t* hash) const {
+  static_cast<trace::TraceMeta&>(t) = meta_;
+  ChunkBlocks blocks(*this);
+  tracestore::ingest(blocks, t, children, hash);
+  if (hash && *hash != content_hash_) {
+    throw TraceStoreError("trace-store: content hash mismatch: stored " +
+                          hash_hex(content_hash_) + ", computed " +
+                          hash_hex(*hash));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -529,43 +570,21 @@ trace::Trace TraceReader::read_all(bool parallel) const {
 
 VerifyReport verify_v2_file(const std::string& path, bool deep) {
   VerifyReport rep;
-  std::optional<TraceReader> reader;
   try {
-    reader.emplace(open_file_source(path));
+    const TraceReader reader(open_file_source(path));
+    rep.chunks = reader.chunk_count();
+    trace::Trace t;
+    std::uint64_t hash = 0;
+    reader.ingest(t, nullptr, deep ? &hash : nullptr);
+    rep.records = t.records.size();
+    rep.hash_checked = deep;
+    rep.ok = true;
   } catch (const TraceStoreError& e) {
     rep.error = e.what();
     rep.bad_chunk = e.chunk();
-    return rep;
+  } catch (const std::logic_error& e) {  // the trace contract
+    rep.error = e.what();
   }
-  rep.chunks = reader->chunk_count();
-  Fnv1a64 h;
-  const TraceMeta& m = reader->meta();
-  hash_meta(h, m.app, m.capture_network, m.nodes, m.capture_runtime, m.seed);
-  std::vector<trace::TraceRecord> scratch;
-  for (std::size_t i = 0; i < reader->chunk_count(); ++i) {
-    scratch.clear();
-    try {
-      reader->read_chunk(i, scratch);
-    } catch (const TraceStoreError& e) {
-      rep.error = e.what();
-      rep.bad_chunk = e.chunk();
-      return rep;
-    }
-    rep.records += scratch.size();
-    if (deep) {
-      for (const auto& r : scratch) hash_record(h, r);
-    }
-  }
-  if (deep) {
-    rep.hash_checked = true;
-    if (h.value() != reader->stored_content_hash()) {
-      rep.error = "content hash mismatch: stored " +
-                  hash_hex(reader->stored_content_hash()) + ", computed " +
-                  hash_hex(h.value());
-      return rep;
-    }
-  }
-  rep.ok = true;
   return rep;
 }
 

@@ -7,21 +7,21 @@
 // multi-gigabyte trace to disk without ever materializing it. TraceReader
 // parses the header/index/footer eagerly (validating their checksums) and
 // then serves chunks on demand, in any order and from any thread: chunks
-// are independent, so whole-trace loads decode them in parallel
-// (common/parallel.hpp), read_all into a trace::Trace and
-// core::ReplayTrace::from_store straight into replay's columns.
+// are independent, so a whole-trace load decodes them in parallel through
+// the one ingest (ingest.hpp), which proves the trace contract.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "trace/record.hpp"
 #include "tracestore/chunk_codec.hpp"
 #include "tracestore/format.hpp"
+#include "tracestore/ingest.hpp"
 
 namespace sctm::tracestore {
 
@@ -36,16 +36,6 @@ class TraceStoreError : public std::runtime_error {
 
  private:
   std::int64_t chunk_;
-};
-
-/// Trace provenance carried by the container header (everything the v1
-/// monolith stored, minus the records).
-struct TraceMeta {
-  std::string app;
-  std::string capture_network;
-  std::int32_t nodes = 0;
-  Cycle capture_runtime = 0;
-  std::uint64_t seed = 0;
 };
 
 /// One chunk as described by the (crc-protected) index.
@@ -85,14 +75,16 @@ class TraceWriter {
  public:
   /// Starts a container on `out` (header is written immediately). The
   /// stream must remain valid until finish().
-  TraceWriter(std::ostream& out, TraceMeta meta,
+  TraceWriter(std::ostream& out, const trace::TraceMeta& meta,
               std::uint32_t chunk_records = kDefaultChunkRecords);
   ~TraceWriter();
 
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
-  void append(const trace::TraceRecord& r);
+  /// Appends one record in the file's form: its fields (dep_count is
+  /// taken from `deps`) and its dependencies as (parent id, slack) pairs.
+  void append(RecordFields fields, std::span<const FileDep> deps);
 
   /// Flushes the pending chunk and writes the index + footer. Must be
   /// called exactly once; append() is invalid afterwards.
@@ -126,34 +118,17 @@ void write_v2_file(const trace::Trace& t, const std::string& path,
 
 /// Content hash of a trace independent of container format: FNV-1a/64 over
 /// the canonical little-endian field stream (meta, then every record in v1
-/// field order). A v1 file and its v2 conversion hash identically.
+/// field order, each dependency as its parent's id and the derived slack).
+/// A v1 file and its v2 conversion hash identically.
 std::uint64_t content_hash(const trace::Trace& t);
 
 /// Incremental pieces of content_hash(): fold the meta first, then every
-/// record in id order, each as its fields followed by its dependencies.
-/// core::ReplayTrace folds the same stream from its columns, so it never
-/// materializes a trace::Trace to hash one.
-void hash_meta(Fnv1a64& h, const std::string& app, const std::string& net,
-               std::int32_t nodes, Cycle runtime, std::uint64_t seed);
+/// record in order, each as its fields followed by its dependencies.
+void hash_meta(Fnv1a64& h, const trace::TraceMeta& m);
 
-inline void hash_fields(Fnv1a64& h, const RecordFields& r) {
-  h.update_scalar(r.id);
-  h.update_scalar(r.src);
-  h.update_scalar(r.dst);
-  h.update_scalar(r.size_bytes);
-  h.update_scalar(static_cast<std::uint8_t>(r.cls));
-  h.update_scalar(r.proto);
-  h.update_scalar(static_cast<std::uint64_t>(r.inject_time));
-  h.update_scalar(static_cast<std::uint64_t>(r.arrive_time));
-  h.update_scalar(r.dep_count);
-}
-
-inline void hash_dep(Fnv1a64& h, MsgId parent, Cycle slack) {
-  h.update_scalar(static_cast<std::uint64_t>(parent));
-  h.update_scalar(static_cast<std::uint64_t>(slack));
-}
-
-void hash_record(Fnv1a64& h, const trace::TraceRecord& r);
+/// Folds records [begin, end) of `r`, whose earlier records are folded.
+void hash_records(Fnv1a64& h, const trace::Records& r, std::size_t begin,
+                  std::size_t end);
 
 // ---------------------------------------------------------------------------
 // Reader
@@ -168,7 +143,7 @@ class TraceReader {
     return TraceReader(open_file_source(path));
   }
 
-  const TraceMeta& meta() const { return meta_; }
+  const trace::TraceMeta& meta() const { return meta_; }
   std::uint64_t record_count() const { return record_count_; }
   std::uint64_t stored_content_hash() const { return content_hash_; }
   std::uint32_t chunk_target() const { return chunk_target_; }
@@ -177,37 +152,31 @@ class TraceReader {
   std::size_t chunk_count() const { return chunks_.size(); }
   const ChunkInfo& chunk_info(std::size_t i) const { return chunks_[i]; }
 
-  /// Reads, CRC-checks, and decodes chunk `i`, *appending* to `out`.
-  /// Throws TraceStoreError carrying `i` on corruption.
-  void read_chunk(std::size_t i, std::vector<trace::TraceRecord>& out) const;
+  /// Decodes every chunk into `t`, meta included, through the one ingest
+  /// (ingest.hpp), which proves the trace contract. With `children`, also
+  /// fills the children CSR. With `hash`, also recomputes the content hash
+  /// into it, throwing TraceStoreError naming both hashes when the footer's
+  /// differs.
+  void ingest(trace::Trace& t, Children* children, std::uint64_t* hash) const;
 
-  /// Reads and CRC-checks chunk `i`'s payload into `buf`, then decodes it
-  /// into `sink` (chunk_codec.hpp). Allocates nothing when `buf` already
-  /// has the capacity, so parallel decoders can run on buffers sized up
-  /// front. Throws TraceStoreError carrying `i` on corruption.
-  template <typename Sink>
-  void decode_chunk(std::size_t i, std::vector<char>& buf, Sink& sink) const {
-    read_payload(i, buf);
-    try {
-      tracestore::decode_chunk(buf.data(), buf.size(),
-                               chunks_[i].record_count, sink);
-    } catch (const std::runtime_error& e) {
-      decode_failed(i, e);
-    }
+  /// ingest() without the children or the hash check.
+  trace::Trace read_all() const {
+    trace::Trace t;
+    ingest(t, nullptr, nullptr);
+    return t;
   }
 
-  /// Decodes the whole container into a Trace. With `parallel`, chunks are
-  /// decoded concurrently via parallel_for (deterministic: each chunk lands
-  /// at its indexed position).
-  trace::Trace read_all(bool parallel = true) const;
-
  private:
+  class ChunkBlocks;  // the chunks as ingest blocks
+
   void read_payload(std::size_t i, std::vector<char>& buf) const;
-  [[noreturn]] static void decode_failed(std::size_t i,
-                                         const std::runtime_error& e);
+  /// read_payload(), then decodes the payload into `sink`; throws
+  /// TraceStoreError carrying `i` on corruption.
+  void decode_chunk(std::size_t i, std::vector<char>& buf,
+                    ColumnSink& sink) const;
 
   std::unique_ptr<ByteSource> source_;
-  TraceMeta meta_;
+  trace::TraceMeta meta_;
   std::vector<ChunkInfo> chunks_;
   std::uint64_t record_count_ = 0;
   std::uint64_t content_hash_ = 0;
@@ -224,15 +193,18 @@ bool is_v2_magic(const char* data, std::size_t len);
 struct VerifyReport {
   bool ok = false;
   std::string error;        // empty when ok
-  std::int64_t bad_chunk = -1;  // offending chunk, -1 = header/index/footer
+  /// Offending chunk; -1 when the header, index or footer is damaged, the
+  /// content hash differs, or the records break the trace contract.
+  std::int64_t bad_chunk = -1;
   std::uint64_t records = 0;
   std::uint64_t chunks = 0;
   bool hash_checked = false;  // content hash recomputed and compared
 };
 
 /// Full integrity scan of a v2 file: header/index/footer checksums, every
-/// chunk CRC + decode, and (with `deep`) the content hash against the
-/// footer. Never throws on corruption — it reports.
+/// chunk CRC + decode, the trace contract (TraceReader::ingest), and (with
+/// `deep`) the content hash against the footer. Never throws on corruption
+/// or a contract violation — it reports.
 VerifyReport verify_v2_file(const std::string& path, bool deep = true);
 
 }  // namespace sctm::tracestore

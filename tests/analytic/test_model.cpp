@@ -6,41 +6,25 @@
 
 #include "core/driver.hpp"
 #include "fullsys/app.hpp"
-#include "trace/record.hpp"
+#include "support/trace_builder.hpp"
 
 namespace sctm::analytic {
 namespace {
 
-trace::TraceRecord rec(MsgId id, NodeId src, NodeId dst, std::uint32_t bytes,
-                       noc::MsgClass cls, Cycle inject, Cycle arrive) {
-  trace::TraceRecord r;
-  r.id = id;
-  r.src = src;
-  r.dst = dst;
-  r.size_bytes = bytes;
-  r.cls = cls;
-  r.inject_time = inject;
-  r.arrive_time = arrive;
-  return r;
+fixtures::Rec rec(MsgId id, NodeId src, NodeId dst, std::uint32_t bytes,
+                 noc::MsgClass cls, Cycle inject, Cycle arrive) {
+  return {id, src, dst, inject, arrive, {}, bytes, cls};
 }
 
-core::ReplayTrace make_rt(std::vector<trace::TraceRecord> records,
+core::ReplayTrace make_rt(const std::vector<fixtures::Rec>& records,
                           std::int32_t nodes) {
-  trace::Trace t;
-  t.app = "synthetic";
-  t.capture_network = "test";
-  t.nodes = nodes;
-  t.records = std::move(records);
-  for (const auto& r : t.records) {
-    if (r.arrive_time > t.capture_runtime) t.capture_runtime = r.arrive_time;
-  }
-  return core::ReplayTrace(t);
+  return core::ReplayTrace(fixtures::make_trace(nodes, records));
 }
 
 /// Uniform all-to-neighbour traffic: `per_pair` messages on every
 /// (i, i+1 mod n) pair, spread over [0, span).
 core::ReplayTrace uniform_traffic(std::uint32_t per_pair, Cycle span) {
-  std::vector<trace::TraceRecord> recs;
+  std::vector<fixtures::Rec> recs;
   MsgId id = 1;
   const std::int32_t n = 16;
   for (std::uint32_t m = 0; m < per_pair; ++m) {
@@ -50,7 +34,7 @@ core::ReplayTrace uniform_traffic(std::uint32_t per_pair, Cycle span) {
                          t, t + 10));
     }
   }
-  return make_rt(std::move(recs), n);
+  return make_rt(recs, n);
 }
 
 core::NetSpec spec_of(core::NetKind kind) {
@@ -79,15 +63,15 @@ TEST(AnalyticModel, ExactOnContentionFreeIdealFlow) {
   // A single anchored chain on one pair has zero contention, so the
   // analytic ideal estimate must agree with full replay *exactly*: same
   // per-message latency, same completion time.
-  std::vector<trace::TraceRecord> recs;
+  std::vector<fixtures::Rec> recs;
   Cycle inject = 20;
   for (std::uint32_t i = 0; i < 9; ++i) {
     auto r = rec(i + 1, 0, 5, 100, noc::MsgClass::kData, inject, inject + 7);
-    if (i > 0) r.deps.push_back({MsgId{i}, 2});
+    if (i > 0) r.parents.push_back(i);
     recs.push_back(r);
-    inject = recs.back().arrive_time + 2;
+    inject = recs.back().arrive + 2;
   }
-  const auto rt = make_rt(std::move(recs), 16);
+  const auto rt = make_rt(recs, 16);
 
   const core::NetSpec spec = spec_of(core::NetKind::kIdeal);
   const auto rep = core::run_replay(rt, spec, {});

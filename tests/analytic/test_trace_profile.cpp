@@ -6,51 +6,35 @@
 #include <limits>
 #include <stdexcept>
 
-#include "trace/record.hpp"
+#include "support/trace_builder.hpp"
 
 namespace sctm::analytic {
 namespace {
 
-trace::TraceRecord rec(MsgId id, NodeId src, NodeId dst, std::uint32_t bytes,
-                       noc::MsgClass cls, Cycle inject, Cycle arrive) {
-  trace::TraceRecord r;
-  r.id = id;
-  r.src = src;
-  r.dst = dst;
-  r.size_bytes = bytes;
-  r.cls = cls;
-  r.inject_time = inject;
-  r.arrive_time = arrive;
-  return r;
+fixtures::Rec rec(MsgId id, NodeId src, NodeId dst, std::uint32_t bytes,
+                 noc::MsgClass cls, Cycle inject, Cycle arrive) {
+  return {id, src, dst, inject, arrive, {}, bytes, cls};
 }
 
-core::ReplayTrace make_rt(std::vector<trace::TraceRecord> records,
+core::ReplayTrace make_rt(const std::vector<fixtures::Rec>& records,
                           std::int32_t nodes) {
-  trace::Trace t;
-  t.app = "synthetic";
-  t.capture_network = "test";
-  t.nodes = nodes;
-  t.records = std::move(records);
-  for (const auto& r : t.records) {
-    if (r.arrive_time > t.capture_runtime) t.capture_runtime = r.arrive_time;
-  }
-  return core::ReplayTrace(t);
+  return core::ReplayTrace(fixtures::make_trace(nodes, records));
 }
 
 /// A k-record chain on one (src, dst) pair: each record depends on the
 /// previous with the given slack (capture latency L0 per hop keeps the
 /// arrive + slack == inject invariant).
 core::ReplayTrace chain(std::uint32_t k, Cycle slack, Cycle capture_latency) {
-  std::vector<trace::TraceRecord> recs;
+  std::vector<fixtures::Rec> recs;
   Cycle inject = 10;
   for (std::uint32_t i = 0; i < k; ++i) {
     auto r = rec(i + 1, 0, 5, 64, noc::MsgClass::kData, inject,
                  inject + capture_latency);
-    if (i > 0) r.deps.push_back({MsgId{i}, slack});
+    if (i > 0) r.parents.push_back(i);
     recs.push_back(r);
-    inject = recs.back().arrive_time + slack;
+    inject = recs.back().arrive + slack;
   }
-  return make_rt(std::move(recs), 16);
+  return make_rt(recs, 16);
 }
 
 void expect_flow(const TraceProfile::Flow& f, NodeId src, NodeId dst,
@@ -126,7 +110,7 @@ TEST(TraceProfile, ClassMomentsAndCv) {
 
 TEST(TraceProfile, DependencySummary) {
   auto child = rec(2, 1, 2, 8, noc::MsgClass::kReply, 12, 20);
-  child.deps.push_back({MsgId{1}, 4});  // parent arrives at 8, slack 4
+  child.parents.push_back(1);  // parent arrives at 8, slack 4
   const auto rt = make_rt(
       {rec(1, 0, 1, 8, noc::MsgClass::kRequest, 0, 8), child}, 4);
   const TraceProfile p = profile_trace(rt);
@@ -153,16 +137,16 @@ TEST(TraceProfile, HullEnvelopeIsMonotoneAndMaxOverChains) {
   // Two independent chains: a deep one (depth 5, low base) and a shallow
   // late one (depth 1, high base). Small L -> the late root dominates;
   // large L -> the deep chain does. The envelope takes the max.
-  std::vector<trace::TraceRecord> recs;
+  std::vector<fixtures::Rec> recs;
   Cycle inject = 0;
   for (std::uint32_t i = 0; i < 5; ++i) {
     auto r = rec(i + 1, 0, 1, 16, noc::MsgClass::kData, inject, inject + 4);
-    if (i > 0) r.deps.push_back({MsgId{i}, 0});
+    if (i > 0) r.parents.push_back(i);
     recs.push_back(r);
-    inject = recs.back().arrive_time;
+    inject = recs.back().arrive;
   }
   recs.push_back(rec(100, 2, 3, 16, noc::MsgClass::kData, 100, 104));
-  const TraceProfile p = profile_trace(make_rt(std::move(recs), 4));
+  const TraceProfile p = profile_trace(make_rt(recs, 4));
   EXPECT_DOUBLE_EQ(p.hull_eval(1.0), 101.0);   // late root: 100 + 1
   EXPECT_DOUBLE_EQ(p.hull_eval(50.0), 250.0);  // deep chain: 0 + 5*50
   double prev = 0;

@@ -7,6 +7,7 @@
 
 #include "core/driver.hpp"
 #include "core/error_metrics.hpp"
+#include "support/trace_builder.hpp"
 
 namespace sctm::core {
 namespace {
@@ -51,9 +52,9 @@ TEST(Replay, FixedPointOnCaptureNetworkIdeal) {
   const auto rep = run_replay(ReplayTrace(exec.trace), ideal_spec(), {});
   ASSERT_EQ(rep.result.inject_time.size(), exec.trace.records.size());
   for (std::size_t i = 0; i < exec.trace.records.size(); ++i) {
-    EXPECT_EQ(rep.result.inject_time[i], exec.trace.records[i].inject_time)
+    EXPECT_EQ(rep.result.inject_time[i], exec.trace.records.inject[i])
         << "record " << i;
-    EXPECT_EQ(rep.result.arrive_time[i], exec.trace.records[i].arrive_time)
+    EXPECT_EQ(rep.result.arrive_time[i], exec.trace.records.arrive[i])
         << "record " << i;
   }
   EXPECT_EQ(rep.result.runtime, exec.trace.capture_runtime);
@@ -72,8 +73,8 @@ TEST_P(FixedPointAllApps, EnocReplayBitExact) {
   const auto rep = run_replay(ReplayTrace(exec.trace), enoc_spec(), {});
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < exec.trace.records.size(); ++i) {
-    if (rep.result.inject_time[i] != exec.trace.records[i].inject_time ||
-        rep.result.arrive_time[i] != exec.trace.records[i].arrive_time) {
+    if (rep.result.inject_time[i] != exec.trace.records.inject[i] ||
+        rep.result.arrive_time[i] != exec.trace.records.arrive[i]) {
       ++mismatches;
     }
   }
@@ -92,8 +93,8 @@ TEST(Replay, FixedPointOnOnocTokenNetwork) {
   const auto rep = run_replay(ReplayTrace(exec.trace), onoc, {});
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < exec.trace.records.size(); ++i) {
-    if (rep.result.inject_time[i] != exec.trace.records[i].inject_time ||
-        rep.result.arrive_time[i] != exec.trace.records[i].arrive_time) {
+    if (rep.result.inject_time[i] != exec.trace.records.inject[i] ||
+        rep.result.arrive_time[i] != exec.trace.records.arrive[i]) {
       ++mismatches;
     }
   }
@@ -108,7 +109,7 @@ TEST(Replay, NaiveAlsoExactOnCaptureNetworkIdeal) {
   cfg.mode = ReplayMode::kNaive;
   const auto rep = run_replay(ReplayTrace(exec.trace), ideal_spec(), cfg);
   for (std::size_t i = 0; i < exec.trace.records.size(); ++i) {
-    EXPECT_EQ(rep.result.inject_time[i], exec.trace.records[i].inject_time);
+    EXPECT_EQ(rep.result.inject_time[i], exec.trace.records.inject[i]);
   }
 }
 
@@ -127,9 +128,9 @@ TEST(Replay, SelfCorrectingTracksSlowerTarget) {
   EXPECT_GT(rep_sctm.result.runtime, exec.trace.capture_runtime * 2);
   for (std::size_t i = 0; i < exec.trace.records.size(); ++i) {
     EXPECT_EQ(rep_naive.result.inject_time[i],
-              exec.trace.records[i].inject_time);
+              exec.trace.records.inject[i]);
     EXPECT_GE(rep_sctm.result.inject_time[i],
-              exec.trace.records[i].inject_time);
+              exec.trace.records.inject[i]);
   }
 }
 
@@ -171,7 +172,7 @@ TEST(Replay, DependencyRespectedInReplaySchedule) {
     for (std::uint32_t k = 0; k < rt.dep_count(i); ++k) {
       const auto p = rt.dep_parent_index(i, k);
       EXPECT_GE(rep.result.inject_time[i],
-                rep.result.arrive_time[p] + exec.trace.records[i].deps[k].slack)
+                rep.result.arrive_time[p] + exec.trace.records.slack(i, p))
           << "dependency violated at record " << i;
     }
   }
@@ -187,26 +188,12 @@ TEST(Replay, DependencyRespectedInReplaySchedule) {
 //   W=3: R+5 = 79 — P arrives first, but one P edge must not count twice.
 // Z names P alone, sharing P's dependents list with X's two edges.
 TEST(Replay, KeptSetBreaksSlackTiesByIdAndCountsDuplicateParents) {
-  const auto rec = [](MsgId id, NodeId src, Cycle inject, Cycle arrive,
-                      std::vector<trace::TraceDep> deps) {
-    trace::TraceRecord r;
-    r.id = id;
-    r.src = src;
-    r.dst = 1 - src;
-    r.size_bytes = 16;
-    r.inject_time = inject;
-    r.arrive_time = arrive;
-    r.deps = std::move(deps);
-    return r;
-  };
-  trace::Trace t;
-  t.nodes = 4;
-  t.records = {rec(1, 0, 50, 90, {}),  // P
-               rec(2, 0, 40, 95, {}),  // Q
-               rec(3, 0, 70, 95, {}),  // R
-               rec(4, 1, 100, 110, {{1, 10}, {1, 10}, {2, 5}, {3, 5}}),  // X
-               rec(5, 1, 93, 99, {{1, 3}})};  // Z
-  const ReplayTrace rt(t);
+  const ReplayTrace rt(fixtures::make_trace(
+      4, {{1, 0, 1, 50, 90, {}, 16},              // P
+          {2, 0, 1, 40, 95, {}, 16},              // Q
+          {3, 0, 1, 70, 95, {}, 16},              // R
+          {4, 1, 0, 100, 110, {1, 1, 2, 3}, 16},  // X
+          {5, 1, 0, 93, 99, {1}, 16}}));          // Z
   NetSpec spec = ideal_spec();
   spec.topo = noc::Topology::mesh(2, 2);
   const std::map<std::uint32_t, std::vector<Cycle>> expected = {
@@ -229,7 +216,7 @@ TEST(Replay, WindowZeroFirstPassIsNaive) {
   cfg.max_iterations = 1;
   const auto rep = run_replay(ReplayTrace(exec.trace), ideal_spec(), cfg);
   for (std::size_t i = 0; i < exec.trace.records.size(); ++i) {
-    EXPECT_EQ(rep.result.inject_time[i], exec.trace.records[i].inject_time);
+    EXPECT_EQ(rep.result.inject_time[i], exec.trace.records.inject[i]);
   }
 }
 

@@ -1,41 +1,76 @@
 // Failure injection on the trace pipeline: corrupt captured traces in every
 // way a buggy producer or a damaged file could, and assert that ingestion
-// (ReplayTrace) rejects them loudly instead of replaying garbage, in memory
-// and through a v2 container alike. Plus a property sweep: at every window
-// size, the self-correcting schedule respects each record's kept
-// (smallest-slack) dependencies.
+// rejects them loudly instead of replaying garbage. Ids, endpoints and
+// forward references are corrupted in the in-memory trace and reach replay
+// in memory and through v1 and v2 files alike; a parent id, a slack or an
+// injection time that no longer agree are corrupted in the files' own form
+// (the in-memory trace holds parent indices and no slack), below the Trace.
+// Plus a property sweep: at every window size, the self-correcting schedule
+// respects each record's kept (smallest-slack) dependencies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
-#include <sstream>
+#include <cstdio>
+#include <fstream>
+#include <functional>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/driver.hpp"
 #include "core/replay_session.hpp"
-#include "tracestore/trace_store.hpp"
+#include "support/trace_builder.hpp"
+#include "trace/trace_io.hpp"
 
 namespace sctm::core {
 namespace {
 
-ReplayTrace in_memory(const trace::Trace& t) { return ReplayTrace(t); }
-
-/// Through a v2 container in 16-record chunks, so that the load decodes it
-/// on several threads.
-ReplayTrace via_v2(const trace::Trace& t) {
-  std::ostringstream out;
-  tracestore::write_v2(t, out, /*chunk_records=*/16);
-  const std::string bytes = out.str();
-  return ReplayTrace::from_store(tracestore::TraceReader(
-      tracestore::memory_source(bytes.data(), bytes.size())));
+/// A file path of its own for each test and format, since tests run in
+/// parallel.
+std::string scratch_path(const char* format) {
+  return std::string("/tmp/sctm_robustness_") +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "." + format;
 }
 
-/// The two ways a trace reaches replay, by name.
-constexpr std::pair<const char*, ReplayTrace (*)(const trace::Trace&)>
-    kLoaders[] = {{"in memory", in_memory},
-                  {"v2 in 16-record chunks", via_v2}};
+/// Loads `bytes` for replay from a file, as `sctm_cli replay` does.
+ReplayTrace load_file(const std::string& bytes, const char* format) {
+  const std::string path = scratch_path(format);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  struct Remove {
+    const std::string& path;
+    ~Remove() { std::remove(path.c_str()); }
+  } remove{path};
+  return load_replay_trace(path);
+}
+
+ReplayTrace v1_file(const fixtures::FileTrace& f) {
+  return load_file(fixtures::v1_bytes(f), "trc");
+}
+
+/// In 16-record chunks, so that the load decodes it on several threads.
+ReplayTrace v2_file(const fixtures::FileTrace& f) {
+  return load_file(fixtures::v2_bytes(f, /*chunk_records=*/16), "trc2");
+}
+
+/// The two file formats a stored trace reaches replay through, by name.
+constexpr std::pair<const char*, ReplayTrace (*)(const fixtures::FileTrace&)>
+    kFileLoaders[] = {{"v1 file", v1_file},
+                      {"v2 file in 16-record chunks", v2_file}};
+
+/// Every way a trace reaches replay, by name.
+const std::vector<
+    std::pair<const char*, std::function<ReplayTrace(const trace::Trace&)>>>
+    kLoaders = {
+        {"in memory", [](const trace::Trace& t) { return ReplayTrace(t); }},
+        {"v1 file",
+         [](const trace::Trace& t) { return v1_file(fixtures::file_form(t)); }},
+        {"v2 file in 16-record chunks",
+         [](const trace::Trace& t) { return v2_file(fixtures::file_form(t)); }},
+};
 
 trace::Trace good_trace() {
   fullsys::AppParams app;
@@ -55,40 +90,54 @@ NetSpec ideal(Cycle per_hop = 4) {
   return s;
 }
 
-TEST(ReplayRobustness, DanglingParentRejected) {
-  auto t = good_trace();
-  // Point some record's dependency at a message that does not exist.
-  for (auto& r : t.records) {
+/// The file form of good_trace() and its first record with a dependency.
+std::pair<fixtures::FileTrace, fixtures::FileRecord*> first_with_deps() {
+  std::pair<fixtures::FileTrace, fixtures::FileRecord*> out{
+      fixtures::file_form(good_trace()), nullptr};
+  for (auto& r : out.first.records) {
     if (!r.deps.empty()) {
-      r.deps[0].parent = 0xdeadbeef;
+      out.second = &r;
       break;
     }
   }
-  for (const auto& [how, load] : kLoaders) {
-    EXPECT_THROW(load(t), std::invalid_argument) << how;
+  return out;
+}
+
+/// Every file loader rejects `f` with a message containing `what`.
+void expect_files_rejected(const fixtures::FileTrace& f,
+                           const std::string& what) {
+  for (const auto& [how, load] : kFileLoaders) {
+    try {
+      load(f);
+      ADD_FAILURE() << "accepted through a " << how;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << how << ": " << e.what();
+    }
   }
 }
 
+TEST(ReplayRobustness, DanglingParentRejected) {
+  // Point some record's dependency at a message that does not exist.
+  auto [f, victim] = first_with_deps();
+  ASSERT_NE(victim, nullptr);
+  victim->deps[0].parent = 0xdeadbeef;
+  expect_files_rejected(f, "unknown parent id 3735928559");
+}
+
 TEST(ReplayRobustness, CorruptedSlackRejected) {
-  auto t = good_trace();
-  for (auto& r : t.records) {
-    if (!r.deps.empty()) {
-      r.deps[0].slack += 7;  // breaks arrival+slack == inject
-      break;
-    }
-  }
-  for (const auto& [how, load] : kLoaders) {
-    EXPECT_THROW(load(t), std::invalid_argument) << how;
-  }
+  auto [f, victim] = first_with_deps();
+  ASSERT_NE(victim, nullptr);
+  victim->deps[0].slack += 7;  // breaks arrival+slack == inject
+  expect_files_rejected(f, "arrival + slack does not reproduce the injection");
 }
 
 TEST(ReplayRobustness, ForwardDependencyRejected) {
   auto t = good_trace();
   ASSERT_GT(t.records.size(), 10u);
   // Make an early record depend on a much later one.
-  auto& victim = t.records[2];
-  victim.deps.clear();
-  victim.deps.push_back({t.records.back().id, 0});
+  const auto last = static_cast<std::uint32_t>(t.records.size() - 1);
+  fixtures::replace_parents(t, 2, {last});
   for (const auto& [how, load] : kLoaders) {
     EXPECT_THROW(load(t), std::invalid_argument) << how;
   }
@@ -97,35 +146,29 @@ TEST(ReplayRobustness, ForwardDependencyRejected) {
 TEST(ReplayRobustness, DuplicateIdRejected) {
   auto t = good_trace();
   ASSERT_GT(t.records.size(), 2u);
-  t.records[1].id = t.records[0].id;
+  t.records.id[1] = t.records.id[0];
   for (const auto& [how, load] : kLoaders) {
     EXPECT_THROW(load(t), std::invalid_argument) << how;
   }
 }
 
 TEST(ReplayRobustness, CorruptedTimestampRejected) {
-  auto t = good_trace();
-  for (auto& r : t.records) {
-    if (!r.deps.empty()) {
-      r.inject_time += 3;  // slack no longer reconstructs the injection
-      break;
-    }
-  }
-  for (const auto& [how, load] : kLoaders) {
-    EXPECT_THROW(load(t), std::invalid_argument) << how;
-  }
+  auto [f, victim] = first_with_deps();
+  ASSERT_NE(victim, nullptr);
+  victim->fields.inject_time += 3;  // slack no longer reconstructs it
+  expect_files_rejected(f, "arrival + slack does not reproduce the injection");
 }
 
 TEST(ReplayRobustness, InvalidEndpointRejectedAtLoad) {
   auto t = good_trace();
-  t.records[3].dst = 99;  // off the 16-node fabric
+  t.records.dst[3] = 99;  // off the 16-node fabric
   for (const auto& [how, load] : kLoaders) {
     try {
       const ReplayTrace rt = load(t);
       FAIL() << "endpoint 99 accepted on a 16-node trace " << how;
     } catch (const std::invalid_argument& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find("record 3 (id " + std::to_string(t.records[3].id)),
+      EXPECT_NE(what.find("record 3 (id " + std::to_string(t.records.id[3])),
                 std::string::npos)
           << what;
       EXPECT_NE(what.find("endpoint 99"), std::string::npos) << what;
@@ -149,19 +192,19 @@ TEST(ReplayRobustness, NodeCountMismatchNamesBothCounts) {
   }
 }
 
-// Indices into r.deps of the dependencies enforced online at window w: the
-// w smallest by (slack, parent id), ranked here from the source trace
-// rather than through the engine's own kept set.
-std::vector<std::size_t> kept_at(const trace::TraceRecord& r,
-                                 std::uint32_t w) {
-  std::vector<std::size_t> order(r.deps.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
-    return std::tie(r.deps[a].slack, r.deps[a].parent) <
-           std::tie(r.deps[b].slack, r.deps[b].parent);
+// Parents (record indices) of record i's dependencies enforced online at
+// window w: the w smallest by (slack, parent id), ranked here from the
+// source trace rather than through the engine's own kept set.
+std::vector<std::uint32_t> kept_at(const trace::Records& r, std::size_t i,
+                                   std::uint32_t w) {
+  std::vector<std::uint32_t> parents(r.parent.begin() + r.dep_offset[i],
+                                     r.parent.begin() + r.dep_offset[i + 1]);
+  std::stable_sort(parents.begin(), parents.end(), [&](auto a, auto b) {
+    return std::tuple(r.slack(i, a), r.id[a]) <
+           std::tuple(r.slack(i, b), r.id[b]);
   });
-  order.resize(std::min<std::size_t>(order.size(), w));
-  return order;
+  parents.resize(std::min<std::size_t>(parents.size(), w));
+  return parents;
 }
 
 class WindowSweep : public ::testing::TestWithParam<std::uint32_t> {};
@@ -176,15 +219,10 @@ TEST_P(WindowSweep, DependenciesRespectedAtEveryWindow) {
   // Kept dependencies `res` violates (every dependency at full window).
   const auto violations = [&](const ReplayResult& res) {
     std::size_t v = 0;
-    for (std::size_t i = 0; i < t.records.size(); ++i) {
-      const auto& r = t.records[i];
-      for (const std::size_t k : kept_at(r, w)) {
-        const auto& d = r.deps[k];
-        const auto p = std::lower_bound(
-            t.records.begin(), t.records.end(), d.parent,
-            [](const auto& rec, MsgId id) { return rec.id < id; });
-        const auto pi = static_cast<std::size_t>(p - t.records.begin());
-        if (res.inject_time[i] < res.arrive_time[pi] + d.slack) ++v;
+    const trace::Records& r = t.records;
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      for (const std::uint32_t p : kept_at(r, i, w)) {
+        if (res.inject_time[i] < res.arrive_time[p] + r.slack(i, p)) ++v;
       }
     }
     return v;

@@ -21,6 +21,7 @@
 #include "core/driver.hpp"
 #include "core/experiment.hpp"
 #include "noc/routing.hpp"
+#include "support/trace_builder.hpp"
 #include "trace/record.hpp"
 #include "tracestore/format.hpp"
 
@@ -330,31 +331,16 @@ class SameCycleNetwork final : public noc::Network {
 // captured cycles 0 and 5. The order is the one the engine produced when this
 // test was written; the fixed point holds on top of it.
 TEST(ReplaySession, SameCycleUnlocksKeepCaptureOrder) {
-  trace::Trace t;
-  t.app = "same-cycle";
-  t.capture_network = "same-cycle";
-  t.nodes = 4;
-  const auto add = [&t](MsgId id, NodeId src, NodeId dst, Cycle at,
-                        std::vector<MsgId> parents) {
-    trace::TraceRecord r;
-    r.id = id;
-    r.src = src;
-    r.dst = dst;
-    r.inject_time = at;
-    r.arrive_time = at;
-    for (const MsgId p : parents) r.deps.push_back({p, 0});
-    t.records.push_back(std::move(r));
-  };
-  add(1, 0, 1, 0, {});
-  add(2, 1, 2, 0, {});
-  add(3, 2, 3, 0, {2});
-  add(4, 1, 0, 0, {1});  // unlocked before 3, injected after it
-  add(5, 3, 0, 0, {});   // an anchor ordered after 3 and 4, injected first
-  add(6, 3, 1, 0, {3, 4});
-  add(7, 0, 2, 5, {});
-  add(8, 2, 1, 5, {7});
-  add(9, 1, 3, 5, {7, 8});
-  const ReplayTrace rt(t);
+  const ReplayTrace rt(fixtures::make_trace(
+      4, {{1, 0, 1, 0, 0},
+          {2, 1, 2, 0, 0},
+          {3, 2, 3, 0, 0, {2}},
+          {4, 1, 0, 0, 0, {1}},  // unlocked before 3, injected after it
+          {5, 3, 0, 0, 0},  // an anchor ordered after 3 and 4, injected first
+          {6, 3, 1, 0, 0, {3, 4}},
+          {7, 0, 2, 5, 5},
+          {8, 2, 1, 5, 5, {7}},
+          {9, 1, 3, 5, 5, {7, 8}}}));
 
   for (const bool deliver_inline : {true, false}) {
     std::vector<MsgId> order;

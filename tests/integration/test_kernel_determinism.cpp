@@ -62,9 +62,9 @@ TEST_P(KernelDeterminism, ReExecutionAndFixedPointAreBitExact) {
   const auto rep = core::run_replay(core::ReplayTrace(first.trace), spec, {});
   ASSERT_EQ(rep.result.inject_time.size(), first.trace.records.size());
   for (std::size_t i = 0; i < first.trace.records.size(); ++i) {
-    ASSERT_EQ(rep.result.inject_time[i], first.trace.records[i].inject_time)
+    ASSERT_EQ(rep.result.inject_time[i], first.trace.records.inject[i])
         << "record " << i << " injected off the captured cycle";
-    ASSERT_EQ(rep.result.arrive_time[i], first.trace.records[i].arrive_time)
+    ASSERT_EQ(rep.result.arrive_time[i], first.trace.records.arrive[i])
         << "record " << i << " arrived off the captured cycle";
   }
   EXPECT_EQ(rep.result.runtime, first.trace.capture_runtime);

@@ -67,7 +67,7 @@ TEST_P(PipelineMatrix, CaptureSerializeReplay) {
     for (std::uint32_t k = 0; k < rt.dep_count(i); ++k) {
       const auto p = rt.dep_parent_index(i, k);
       EXPECT_GE(rep.result.inject_time[i],
-                rep.result.arrive_time[p] + loaded.records[i].deps[k].slack);
+                rep.result.arrive_time[p] + loaded.records.slack(i, p));
     }
   }
 
@@ -81,7 +81,7 @@ TEST_P(PipelineMatrix, CaptureSerializeReplay) {
       double sum = 0;
       for (std::size_t i = 0; i < loaded.records.size(); ++i) {
         const auto a = rep.result.arrive_time[i];
-        const auto b = loaded.records[i].arrive_time;
+        const auto b = loaded.records.arrive[i];
         sum += static_cast<double>(a > b ? a - b : b - a);
       }
       EXPECT_LT(sum / static_cast<double>(loaded.records.size()), 5.0);
@@ -92,8 +92,8 @@ TEST_P(PipelineMatrix, CaptureSerializeReplay) {
       EXPECT_LT(rt_err, 0.02);
     } else {
       for (std::size_t i = 0; i < loaded.records.size(); ++i) {
-        ASSERT_EQ(rep.result.inject_time[i], loaded.records[i].inject_time);
-        ASSERT_EQ(rep.result.arrive_time[i], loaded.records[i].arrive_time);
+        ASSERT_EQ(rep.result.inject_time[i], loaded.records.inject[i]);
+        ASSERT_EQ(rep.result.arrive_time[i], loaded.records.arrive[i]);
       }
     }
   }

@@ -79,8 +79,8 @@ void run_pipeline(const noc::Topology& topo, const std::string& tag) {
   const core::ReplayTrace rt(loaded);
   const auto same_net = core::run_replay(rt, cap_spec, core::ReplayConfig{});
   for (std::size_t i = 0; i < loaded.records.size(); ++i) {
-    ASSERT_EQ(same_net.result.inject_time[i], loaded.records[i].inject_time);
-    ASSERT_EQ(same_net.result.arrive_time[i], loaded.records[i].arrive_time);
+    ASSERT_EQ(same_net.result.inject_time[i], loaded.records.inject[i]);
+    ASSERT_EQ(same_net.result.arrive_time[i], loaded.records.arrive[i]);
   }
 
   // Screened exploration: rank parameter variants analytically, confirm the

@@ -124,8 +124,8 @@ TEST(SharedPool, FixedPointBitExact) {
   const ReplayResult& rep = session.run();
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < tr.records.size(); ++i) {
-    if (rep.inject_time[i] != tr.records[i].inject_time ||
-        rep.arrive_time[i] != tr.records[i].arrive_time) {
+    if (rep.inject_time[i] != tr.records.inject[i] ||
+        rep.arrive_time[i] != tr.records.arrive[i]) {
       ++mismatches;
     }
   }

@@ -95,8 +95,8 @@ TEST(Swmr, FixedPointThroughDriver) {
   const auto rep = run_replay(ReplayTrace(exec.trace), spec, {});
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < exec.trace.records.size(); ++i) {
-    if (rep.result.inject_time[i] != exec.trace.records[i].inject_time ||
-        rep.result.arrive_time[i] != exec.trace.records[i].arrive_time) {
+    if (rep.result.inject_time[i] != exec.trace.records.inject[i] ||
+        rep.result.arrive_time[i] != exec.trace.records.arrive[i]) {
       ++mismatches;
     }
   }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -9,6 +12,7 @@
 #include "analytic/trace_profile.hpp"
 #include "core/driver.hpp"
 #include "fullsys/cmp_system.hpp"
+#include "support/trace_builder.hpp"
 #include "trace/capture.hpp"
 #include "trace/trace_io.hpp"
 
@@ -37,9 +41,9 @@ TEST(TraceCaptureTest, ProducesConsistentTrace) {
   EXPECT_EQ(t.nodes, 16);
   EXPECT_EQ(t.app, "fft");
   EXPECT_GT(t.capture_runtime, 0u);
-  for (const auto& r : t.records) {
-    EXPECT_NE(r.arrive_time, kNoCycle);
-    EXPECT_GE(r.arrive_time, r.inject_time);
+  for (std::size_t i = 0; i < t.records.size(); ++i) {
+    EXPECT_NE(t.records.arrive[i], kNoCycle);
+    EXPECT_GE(t.records.arrive[i], t.records.inject[i]);
   }
 }
 
@@ -95,29 +99,13 @@ TEST(TraceIo, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
+using fixtures::golden_trace;
+
 TEST(TraceIo, GoldenByteLayoutIsStable) {
   // The exact on-disk bytes for a tiny trace, pinned by hand from the header
   // comment in trace_io.hpp. Guards the buffered serializer (and any future
   // rewrite) against silent format drift: traces written by old builds must
   // stay readable bit-for-bit.
-  Trace t;
-  t.app = "ab";
-  t.capture_network = "m";
-  t.nodes = 2;
-  t.capture_runtime = 100;
-  t.seed = 7;
-  TraceRecord r;
-  r.id = 7;
-  r.src = 0;
-  r.dst = 1;
-  r.size_bytes = 64;
-  r.cls = noc::MsgClass::kData;  // = 2
-  r.proto = 9;
-  r.inject_time = 10;
-  r.arrive_time = 20;
-  r.deps.push_back({3, 5});
-  t.records.push_back(r);
-
   static const unsigned char kExpected[] = {
       // magic
       'S', 'C', 'T', 'M', 'T', 'R', 'C', '1',
@@ -129,24 +117,35 @@ TEST(TraceIo, GoldenByteLayoutIsStable) {
       2, 0, 0, 0,
       100, 0, 0, 0, 0, 0, 0, 0,
       7, 0, 0, 0, 0, 0, 0, 0,
-      1, 0, 0, 0, 0, 0, 0, 0,
-      // record: u64 id, i32 src, i32 dst, u32 size, u8 cls, u8 proto
+      2, 0, 0, 0, 0, 0, 0, 0,
+      // record 0: u64 id, i32 src, i32 dst, u32 size, u8 cls, u8 proto
       7, 0, 0, 0, 0, 0, 0, 0,
       0, 0, 0, 0,
       1, 0, 0, 0,
       64, 0, 0, 0,
       2,
       9,
-      // u64 inject, u64 arrive, u16 dep count, dep (u64 parent, u64 slack)
+      // u64 inject, u64 arrive, u16 dep count
       10, 0, 0, 0, 0, 0, 0, 0,
       20, 0, 0, 0, 0, 0, 0, 0,
+      0, 0,
+      // record 1: u64 id, i32 src, i32 dst, u32 size, u8 cls, u8 proto
+      8, 0, 0, 0, 0, 0, 0, 0,
+      1, 0, 0, 0,
+      0, 0, 0, 0,
+      8, 0, 0, 0,
+      1,
+      3,
+      // u64 inject, u64 arrive, u16 dep count, dep (u64 parent, u64 slack)
+      25, 0, 0, 0, 0, 0, 0, 0,
+      31, 0, 0, 0, 0, 0, 0, 0,
       1, 0,
-      3, 0, 0, 0, 0, 0, 0, 0,
+      7, 0, 0, 0, 0, 0, 0, 0,
       5, 0, 0, 0, 0, 0, 0, 0,
   };
 
   std::stringstream buf;
-  write_binary(t, buf);
+  write_binary(golden_trace(), buf);
   const std::string bytes = buf.str();
   ASSERT_EQ(bytes.size(), sizeof kExpected);
   for (std::size_t i = 0; i < sizeof kExpected; ++i) {
@@ -157,7 +156,86 @@ TEST(TraceIo, GoldenByteLayoutIsStable) {
   // And the pinned bytes parse back to the identical trace.
   std::stringstream in(std::string(
       reinterpret_cast<const char*>(kExpected), sizeof kExpected));
-  EXPECT_EQ(read_binary(in), t);
+  EXPECT_EQ(read_binary(in), golden_trace());
+}
+
+/// `what` throws std::invalid_argument whose message contains `part`.
+template <typename Fn>
+void expect_rejected_at(Fn&& what, const std::string& part) {
+  try {
+    what();
+    FAIL() << "accepted; expected a rejection naming " << part;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(part), std::string::npos)
+        << e.what();
+  }
+}
+
+// The layout test's bytes before the trace contract was checked at read:
+// its one record (id 7) names parent id 3, which is not in the trace.
+// Every v1 reader rejects them, naming the record and the parent.
+TEST(TraceIo, ReadersRejectTheOldGoldenTrace) {
+  static const unsigned char kOldGolden[] = {
+      'S', 'C', 'T', 'M', 'T', 'R', 'C', '1', 2, 0, 0, 0, 'a', 'b', 1, 0,
+      0, 0, 'm', 2, 0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0,
+      0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+      1, 0, 0, 0, 64, 0, 0, 0, 2, 9, 10, 0, 0, 0, 0, 0, 0, 0, 20, 0, 0,
+      0, 0, 0, 0, 0, 1, 0, 3, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0,
+      0,
+  };
+  const std::string bytes(reinterpret_cast<const char*>(kOldGolden),
+                          sizeof kOldGolden);
+  const std::string rejection = "record 0 (id 7): unknown parent id 3";
+  expect_rejected_at(
+      [&] {
+        std::stringstream in(bytes);
+        read_binary(in);
+      },
+      rejection);
+  const std::string path = "/tmp/sctm_old_golden.trc";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  expect_rejected_at([&] { read_binary_file(path); }, rejection);
+  expect_rejected_at([&] { core::load_replay_trace(path); }, rejection);
+  std::remove(path.c_str());
+}
+
+// v1 stores a record's dependency count as a u16. A record with one more
+// dependency than that can say — a barrier release on a 65,536-core
+// capture — fails the write, naming the record, before any byte is
+// written; v2 stores the count as a varint and keeps every dependency.
+TEST(TraceIo, V1WriterRejectsADependencyCountPastItsU16) {
+  std::vector<fixtures::Rec> recs;
+  std::vector<MsgId> all;
+  for (MsgId id = 1; id <= 65536; ++id) {
+    recs.push_back({id, 0, 1, id, id + 1});
+    all.push_back(id);
+  }
+  recs.push_back({65537, 1, 0, 65537 + 1, 65537 + 2, all});
+  const Trace t = fixtures::make_trace(2, recs);
+  ASSERT_EQ(t.records.dep_count(65536), 65536u);
+
+  std::stringstream out;
+  try {
+    write_binary(t, out);
+    ADD_FAILURE() << "wrote a record with 65,536 dependencies as v1";
+  } catch (const std::length_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("record 65536 (id 65537)"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("65535"), std::string::npos) << what;
+  }
+  EXPECT_TRUE(out.str().empty());
+  const std::string path = "/tmp/sctm_v1_dep_count.trc";
+  std::remove(path.c_str());
+  EXPECT_THROW(write_binary_file(t, path), std::length_error);
+  EXPECT_FALSE(std::filesystem::exists(path));
+
+  write_file(t, path, TraceFormat::kV2);
+  EXPECT_EQ(read_binary_file(path), t);
+  std::remove(path.c_str());
 }
 
 TEST(TraceIo, BadMagicRejected) {
@@ -175,28 +253,11 @@ TEST(TraceIo, TruncatedInputRejected) {
   EXPECT_THROW(read_binary(cut), std::runtime_error);
 }
 
-// Serialized bytes of the golden tiny trace (see GoldenByteLayoutIsStable),
-// for corruption tests that patch specific fields.
+// Serialized bytes of the golden trace (see GoldenByteLayoutIsStable), for
+// corruption tests that patch specific fields of its first record.
 std::string golden_v1_bytes() {
-  Trace t;
-  t.app = "ab";
-  t.capture_network = "m";
-  t.nodes = 2;
-  t.capture_runtime = 100;
-  t.seed = 7;
-  TraceRecord r;
-  r.id = 7;
-  r.src = 0;
-  r.dst = 1;
-  r.size_bytes = 64;
-  r.cls = noc::MsgClass::kData;
-  r.proto = 9;
-  r.inject_time = 10;
-  r.arrive_time = 20;
-  r.deps.push_back({3, 5});
-  t.records.push_back(r);
   std::stringstream buf;
-  write_binary(t, buf);
+  write_binary(golden_trace(), buf);
   return buf.str();
 }
 
@@ -243,12 +304,15 @@ TEST(TraceIoStrictness, InvalidMessageClassRejected) {
 }
 
 TEST(TraceIoStrictness, AbsurdDependencyCountRejected) {
-  // u16 dep count at offset 85 (record header 22 + inject 8 + arrive 8).
-  std::string bytes = golden_v1_bytes();
-  bytes[85] = static_cast<char>(0xFF);
-  bytes[86] = static_cast<char>(0xFF);
-  std::stringstream in(bytes);
-  EXPECT_THROW(read_binary(in), std::runtime_error);
+  // u16 dep count of record 0 at offset 85 (record header 22 + inject 8 +
+  // arrive 8): more than the bytes left, and 2, which fits in the bytes
+  // left but not beside record 1.
+  for (const std::uint16_t deps : {0xFFFF, 2}) {
+    std::string bytes = golden_v1_bytes();
+    std::memcpy(bytes.data() + 85, &deps, sizeof deps);
+    std::stringstream in(bytes);
+    EXPECT_THROW(read_binary(in), std::runtime_error) << deps;
+  }
 }
 
 TEST(TraceIoStrictness, ErrorsNameTheByteOffset) {
@@ -264,111 +328,87 @@ TEST(TraceIoStrictness, ErrorsNameTheByteOffset) {
 }
 
 TEST(TraceIo, TextDumpMentionsEveryRecord) {
-  Trace t;
+  Trace t = fixtures::make_trace(2, {{7, 0, 1, 10, 20, {}, 64}});
   t.app = "demo";
-  t.nodes = 2;
-  TraceRecord r;
-  r.id = 7;
-  r.src = 0;
-  r.dst = 1;
-  r.size_bytes = 64;
-  r.inject_time = 10;
-  r.arrive_time = 20;
-  t.records.push_back(r);
   const auto text = to_text(t);
   EXPECT_NE(text.find("demo"), std::string::npos);
   EXPECT_NE(text.find("0->1"), std::string::npos);
 }
 
 TEST(TraceIo, TextDumpPrintsNoCycleSymbolically) {
-  // An unset timestamp must never leak as the raw u64 sentinel.
-  Trace t;
+  // An unset timestamp must never leak as the raw u64 sentinel: record 1
+  // is in flight / never delivered.
+  Trace t = fixtures::make_trace(2, {{1, 0, 1, 10, kNoCycle}});
   t.app = "demo";
-  t.nodes = 2;
-  TraceRecord r;
-  r.id = 1;
-  r.src = 0;
-  r.dst = 1;
-  r.inject_time = 10;
-  r.arrive_time = kNoCycle;  // in-flight / never delivered
-  t.records.push_back(r);
   const auto text = to_text(t);
   EXPECT_NE(text.find("t=10..none"), std::string::npos) << text;
   EXPECT_EQ(text.find(std::to_string(kNoCycle)), std::string::npos) << text;
 }
 
-// The trace's dependency graph is validated where replay ingests it:
-// core::ReplayTrace's constructors.
+// The trace contract is proved where a trace enters: core::ReplayTrace's
+// constructor for an in-memory trace, and the one ingest behind every file
+// reader, which also resolves each stored parent id and checks each stored
+// slack. What the in-memory form cannot hold — a parent id that is no
+// record's, a stored slack — is written as v1 and v2 bytes below the Trace.
 
-TraceRecord rec(MsgId id, NodeId src, NodeId dst, Cycle inject,
-                Cycle arrive) {
-  TraceRecord r;
-  r.id = id;
-  r.src = src;
-  r.dst = dst;
-  r.inject_time = inject;
-  r.arrive_time = arrive;
-  return r;
-}
+using fixtures::make_trace;
 
 /// Record 1 (id 2) depends on record 0 (id 1) with slack 2.
 Trace two_record_chain() {
-  Trace t;
-  t.nodes = 2;
-  t.records = {rec(1, 0, 1, 0, 5), rec(2, 1, 0, 7, 15)};
-  t.records[1].deps.push_back({1, 2});
-  return t;
+  return make_trace(2, {{1, 0, 1, 0, 5}, {2, 1, 0, 7, 15, {1}}});
 }
 
-/// `what` throws std::invalid_argument whose message names `record`.
-template <typename Fn>
-void expect_rejected_at(Fn&& what, const std::string& record) {
-  try {
-    what();
-    FAIL() << "accepted; expected a rejection naming " << record;
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find(record), std::string::npos)
-        << e.what();
+/// Reads `f` back from its v1 and from its v2 bytes, in 1-record chunks.
+template <typename Check>
+void for_each_format(const fixtures::FileTrace& f, Check&& check) {
+  for (const std::string& bytes :
+       {fixtures::v1_bytes(f), fixtures::v2_bytes(f, 1)}) {
+    SCOPED_TRACE(bytes.substr(0, 8));
+    check([bytes] {
+      std::stringstream in(bytes);
+      return read_binary(in);
+    });
   }
 }
 
 TEST(DependencyGraphTest, RejectsUnknownParent) {
-  Trace t;
-  t.nodes = 2;
-  t.records = {rec(1, 0, 1, 0, 5)};
-  t.records[0].deps.push_back({999, 0});
-  expect_rejected_at([&] { core::ReplayTrace{t}; }, "record 0 (id 1)");
+  fixtures::FileTrace f = fixtures::file_form(make_trace(2, {{1, 0, 1, 0, 5}}));
+  f.records[0].deps.push_back({999, 0});
+  f.records[0].fields.dep_count = 1;
+  for_each_format(f, [](auto read) {
+    expect_rejected_at(read, "record 0 (id 1): unknown parent id 999");
+  });
 }
 
 TEST(DependencyGraphTest, RejectsForwardDependency) {
-  Trace t = two_record_chain();
-  t.records[0].deps.push_back({2, 0});  // depends on a later message
-  t.records[0].inject_time = 15;
-  expect_rejected_at([&] { core::ReplayTrace{t}; }, "record 0 (id 1)");
+  Trace t = make_trace(2, {{1, 0, 1, 15, 20, {2}}, {2, 1, 0, 7, 15, {1}}});
+  expect_rejected_at([&] { core::ReplayTrace{t}; },
+                     "record 0 (id 1): parent id 2 does not precede");
+  for_each_format(fixtures::file_form(t), [](auto read) {
+    expect_rejected_at(read, "record 0 (id 1): parent id 2 does not precede");
+  });
 }
 
 TEST(DependencyGraphTest, RejectsInconsistentSlack) {
-  Trace t = two_record_chain();
-  t.records[1].deps[0].slack = 3;  // 5 + 3 != 7
-  expect_rejected_at([&] { core::ReplayTrace{t}; }, "record 1 (id 2)");
+  fixtures::FileTrace f = fixtures::file_form(two_record_chain());
+  f.records[1].deps[0].slack = 3;  // 5 + 3 != 7
+  for_each_format(f, [](auto read) {
+    expect_rejected_at(read, "record 1 (id 2): parent id 1 arrival + slack");
+  });
 }
 
 // A causal chain stored newest-first: every parent lies *after* its
 // dependent in the record order replay walks, so a profile or replay built
 // over it would see three roots instead of one chain.
 TEST(DependencyGraphTest, RejectsRecordsOutOfIdOrder) {
-  Trace t;
-  t.nodes = 2;
-  t.records = {rec(3, 0, 1, 14, 19), rec(2, 1, 0, 7, 12), rec(1, 0, 1, 0, 5)};
-  t.records[0].deps.push_back({2, 2});
-  t.records[1].deps.push_back({1, 2});
+  const Trace t = make_trace(2, {{3, 0, 1, 14, 19, {2}},
+                                 {2, 1, 0, 7, 12, {1}},
+                                 {1, 0, 1, 0, 5}});
   expect_rejected_at([&] { core::ReplayTrace{t}; }, "record 1 (id 2)");
 }
 
 TEST(DependencyGraphTest, RejectsDuplicateId) {
-  Trace t = two_record_chain();
-  t.records[1].id = 1;
-  t.records[1].deps.clear();
+  const Trace t = make_trace(2, {{1, 0, 1, 0, 5}, {1, 1, 0, 7, 15}});
   expect_rejected_at([&] { core::ReplayTrace{t}; }, "record 1 (id 1)");
 }
 
@@ -378,6 +418,7 @@ TEST(DependencyGraphTest, ChildrenAndRoots) {
   EXPECT_EQ(rt.dep_count(0), 0u);
   ASSERT_EQ(rt.dep_count(1), 1u);
   EXPECT_EQ(rt.dep_parent_index(1, 0), 0u);
+  EXPECT_EQ(rt.slack(1, 0), 2u);
   ASSERT_EQ(rt.edge_end(0) - rt.edge_begin(0), 1u);
   EXPECT_EQ(rt.child(rt.edge_begin(0)), 1u);
   EXPECT_EQ(rt.edge_end(1), rt.edge_begin(1));
@@ -388,31 +429,37 @@ TEST(DependencyGraphTest, ChildrenAndRoots) {
   EXPECT_DOUBLE_EQ(p.mean_fanin, 0.5);
 }
 
-// Ids with a gap (a trace not straight from TraceCapture): a parent's id
-// offset from the first id no longer gives its index (id 12 sits at index 1,
-// not 2), so resolution must search, with the same rejections.
+// Ids with a gap (a trace not straight from TraceCapture): a stored
+// parent's id offset from the first id no longer gives its index (id 12
+// sits at index 1, not 2), so resolution must search, with the same
+// rejections.
 TEST(DependencyGraphTest, ResolvesParentsAcrossIdGaps) {
-  Trace t;
-  t.nodes = 2;
-  t.records = {rec(10, 0, 1, 0, 5), rec(12, 1, 0, 7, 12),
-               rec(13, 0, 1, 14, 19)};
-  t.records[1].deps.push_back({10, 2});
-  t.records[2].deps.push_back({12, 2});
-  t.records[2].deps.push_back({10, 9});
-  const core::ReplayTrace rt(t);
-  EXPECT_EQ(rt.dep_parent_index(1, 0), 0u);
-  EXPECT_EQ(rt.dep_parent_index(2, 0), 1u);
-  EXPECT_EQ(rt.dep_parent_index(2, 1), 0u);
-  ASSERT_EQ(rt.edge_end(0) - rt.edge_begin(0), 2u);
-  EXPECT_EQ(rt.child(rt.edge_begin(0)), 1u);
-  EXPECT_EQ(rt.child(rt.edge_begin(0) + 1), 2u);
+  const Trace t = make_trace(2, {{10, 0, 1, 0, 5},
+                                 {12, 1, 0, 7, 12, {10}},
+                                 {13, 0, 1, 14, 19, {12, 10}}});
+  const fixtures::FileTrace f = fixtures::file_form(t);
+  for_each_format(f, [&](auto read) {
+    const Trace back = read();
+    EXPECT_EQ(back, t);
+    const core::ReplayTrace rt(back);
+    EXPECT_EQ(rt.dep_parent_index(1, 0), 0u);
+    EXPECT_EQ(rt.dep_parent_index(2, 0), 1u);
+    EXPECT_EQ(rt.dep_parent_index(2, 1), 0u);
+    ASSERT_EQ(rt.edge_end(0) - rt.edge_begin(0), 2u);
+    EXPECT_EQ(rt.child(rt.edge_begin(0)), 1u);
+    EXPECT_EQ(rt.child(rt.edge_begin(0) + 1), 2u);
+  });
 
-  Trace bad = t;
+  fixtures::FileTrace bad = f;
   bad.records[1].deps[0].parent = 11;  // inside the id range, not an id
-  expect_rejected_at([&] { core::ReplayTrace{bad}; }, "record 1 (id 12)");
-  bad = t;
+  for_each_format(bad, [](auto read) {
+    expect_rejected_at(read, "record 1 (id 12): unknown parent id 11");
+  });
+  bad = f;
   bad.records[1].deps[0] = {13, 0};  // a later record
-  expect_rejected_at([&] { core::ReplayTrace{bad}; }, "record 1 (id 12)");
+  for_each_format(bad, [](auto read) {
+    expect_rejected_at(read, "record 1 (id 12): parent id 13 does not");
+  });
 }
 
 }  // namespace

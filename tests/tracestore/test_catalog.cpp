@@ -4,7 +4,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
+#include "support/trace_builder.hpp"
 #include "trace/trace_io.hpp"
 #include "tracestore/catalog.hpp"
 
@@ -15,23 +17,17 @@ namespace fs = std::filesystem;
 
 trace::Trace make_trace(const char* app, std::uint64_t seed,
                         std::size_t records) {
-  trace::Trace t;
+  std::vector<fixtures::Rec> recs;
+  for (std::size_t i = 0; i < records; ++i) {
+    recs.push_back({i + 1, static_cast<NodeId>(i % 4),
+                    static_cast<NodeId>((i + 1) % 4), 10 * i, 10 * i + 5, {},
+                    64, noc::MsgClass::kData});
+  }
+  trace::Trace t = fixtures::make_trace(4, recs);
   t.app = app;
   t.capture_network = "enoc mesh 2x2";
-  t.nodes = 4;
   t.capture_runtime = 1000;
   t.seed = seed;
-  for (std::size_t i = 0; i < records; ++i) {
-    trace::TraceRecord r;
-    r.id = i + 1;
-    r.src = static_cast<NodeId>(i % 4);
-    r.dst = static_cast<NodeId>((i + 1) % 4);
-    r.size_bytes = 64;
-    r.cls = noc::MsgClass::kData;
-    r.inject_time = 10 * i;
-    r.arrive_time = 10 * i + 5;
-    t.records.push_back(r);
-  }
   return t;
 }
 

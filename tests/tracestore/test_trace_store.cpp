@@ -7,8 +7,10 @@
 #include <random>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "core/driver.hpp"
+#include "support/trace_builder.hpp"
 #include "trace/trace_io.hpp"
 #include "tracestore/trace_store.hpp"
 
@@ -89,32 +91,13 @@ TEST(Format, HashHexRoundTrip) {
 // ---------------------------------------------------------------------------
 // Golden layout
 
-trace::Trace tiny_trace() {
-  trace::Trace t;
-  t.app = "ab";
-  t.capture_network = "m";
-  t.nodes = 2;
-  t.capture_runtime = 100;
-  t.seed = 7;
-  trace::TraceRecord r;
-  r.id = 7;
-  r.src = 0;
-  r.dst = 1;
-  r.size_bytes = 64;
-  r.cls = noc::MsgClass::kData;  // = 2
-  r.proto = 9;
-  r.inject_time = 10;
-  r.arrive_time = 20;
-  r.deps.push_back({3, 5});
-  t.records.push_back(r);
-  return t;
-}
+using fixtures::golden_trace;
 
 TEST(TraceStoreV2, GoldenByteLayoutIsStable) {
-  // The exact container bytes for the same tiny trace the v1 golden test
-  // pins, hand-checked against the layout comment in format.hpp. Guards the
-  // writer (and any rewrite) against silent format drift: v2 files written
-  // by old builds must stay readable bit-for-bit.
+  // The exact container bytes for the same two-record trace the v1 golden
+  // test pins, hand-checked against the layout comment in format.hpp.
+  // Guards the writer (and any rewrite) against silent format drift: v2
+  // files written by old builds must stay readable bit-for-bit.
   static const unsigned char kExpected[] = {
       // magic, u32 flags, u32 chunk_target (4096)
       0x53, 0x43, 0x54, 0x4d, 0x54, 0x52, 0x43, 0x32, 0x00, 0x00, 0x00, 0x00,
@@ -125,31 +108,34 @@ TEST(TraceStoreV2, GoldenByteLayoutIsStable) {
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       // u32 header_crc
       0x2a, 0xb6, 0xe1, 0xc7,
-      // chunk 0 header: payload crc, payload_len=11, record_count=1,
-      // first_record=0, min_cycle=10, max_cycle=20
-      0x5a, 0xd5, 0x60, 0x7d, 0x0b, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+      // chunk 0 header: payload crc, payload_len=20, record_count=2,
+      // first_record=0, min_cycle=10, max_cycle=31
+      0x98, 0xf2, 0xca, 0xcd, 0x14, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      // payload: vz(7-0)=14, vz(src 0), vz(dst 1)=2, v(64), cls 2, proto 9,
-      // vz(inject 10)=20, vz(arrive-inject 10)=20, v(deps 1),
-      // vz(id-parent 4)=8, v(slack 5)
-      0x0e, 0x00, 0x02, 0x40, 0x02, 0x09, 0x14, 0x14, 0x01, 0x08, 0x05,
+      0x00, 0x00, 0x00, 0x00, 0x1f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // payload, record 0: vz(7-0)=14, vz(src 0), vz(dst 1)=2, v(64),
+      // cls 2, proto 9, vz(inject 10)=20, vz(arrive-inject 10)=20, v(deps 0)
+      0x0e, 0x00, 0x02, 0x40, 0x02, 0x09, 0x14, 0x14, 0x00,
+      // record 1: vz(8-7)=2, vz(src 1)=2, vz(dst 0), v(8), cls 1, proto 3,
+      // vz(inject 25-10)=30, vz(arrive-inject 6)=12, v(deps 1),
+      // vz(id-parent 1)=2, v(slack 5)
+      0x02, 0x02, 0x00, 0x08, 0x01, 0x03, 0x1e, 0x0c, 0x01, 0x02, 0x05,
       // index: u32 index_crc, u32 index_len=40, then one 40-byte entry
       // (file_offset=0x33, payload_len, record_count, first, min, max)
-      0x71, 0xcb, 0xf4, 0x22, 0x28, 0x00, 0x00, 0x00, 0x33, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x0b, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x28, 0x98, 0x98, 0x3b, 0x28, 0x00, 0x00, 0x00, 0x33, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      // footer: index_offset=0x62, chunk_count=1, record_count=1,
+      0x00, 0x00, 0x00, 0x00, 0x1f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // footer: index_offset=0x6b, chunk_count=1, record_count=2,
       // content_hash, footer_crc, trailer "SCTMEND2"
-      0x62, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x67, 0xd8, 0xe8, 0x93, 0xc1, 0x37, 0xee, 0x91, 0x11, 0xed, 0xc6, 0xc7,
+      0x6b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0xac, 0x2d, 0x96, 0x0a, 0xa6, 0xd2, 0x1d, 0x35, 0xac, 0x07, 0x86, 0xe7,
       0x53, 0x43, 0x54, 0x4d, 0x45, 0x4e, 0x44, 0x32,
   };
 
   std::ostringstream ss;
-  write_v2(tiny_trace(), ss);
+  write_v2(golden_trace(), ss);
   const std::string bytes = ss.str();
   ASSERT_EQ(bytes.size(), sizeof kExpected);
   for (std::size_t i = 0; i < sizeof kExpected; ++i) {
@@ -160,12 +146,142 @@ TEST(TraceStoreV2, GoldenByteLayoutIsStable) {
   // And the pinned bytes parse back to the identical trace.
   TraceReader reader(memory_source(
       reinterpret_cast<const char*>(kExpected), sizeof kExpected));
-  EXPECT_EQ(reader.read_all(), tiny_trace());
+  EXPECT_EQ(reader.read_all(), golden_trace());
+}
+
+// The layout test's bytes before the trace contract was checked at read:
+// its one record (id 7) names parent id 3, which is not in the trace. The
+// container is intact, so only the contract can reject it, and every v2
+// reader does, naming the record and the parent.
+TEST(TraceStoreV2, ReadersRejectTheOldGoldenTrace) {
+  static const unsigned char kOldGolden[] = {
+      0x53, 0x43, 0x54, 0x4d, 0x54, 0x52, 0x43, 0x32, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x10, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x61, 0x62, 0x01, 0x00,
+      0x00, 0x00, 0x6d, 0x02, 0x00, 0x00, 0x00, 0x64, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2a,
+      0xb6, 0xe1, 0xc7, 0x5a, 0xd5, 0x60, 0x7d, 0x0b, 0x00, 0x00, 0x00, 0x01,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0a,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x0e, 0x00, 0x02, 0x40, 0x02, 0x09, 0x14, 0x14, 0x01,
+      0x08, 0x05, 0x71, 0xcb, 0xf4, 0x22, 0x28, 0x00, 0x00, 0x00, 0x33, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0b, 0x00, 0x00, 0x00, 0x01, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0a, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x62, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x67, 0xd8, 0xe8, 0x93, 0xc1, 0x37, 0xee, 0x91, 0x11, 0xed,
+      0xc6, 0xc7, 0x53, 0x43, 0x54, 0x4d, 0x45, 0x4e, 0x44, 0x32,
+  };
+  const std::string bytes(reinterpret_cast<const char*>(kOldGolden),
+                          sizeof kOldGolden);
+  const std::string rejection = "record 0 (id 7): unknown parent id 3";
+  const auto expect_rejected = [&](const char* reader, auto&& read) {
+    try {
+      read();
+      ADD_FAILURE() << reader << " accepted the old golden trace";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(rejection), std::string::npos)
+          << reader << ": " << e.what();
+    }
+  };
+  const TraceReader reader(memory_source(bytes.data(), bytes.size()));
+  expect_rejected("read_all", [&] { (void)reader.read_all(); });
+  expect_rejected("from_store",
+                  [&] { (void)core::ReplayTrace::from_store(reader); });
+  expect_rejected("read_binary", [&] {
+    std::stringstream in(bytes);
+    (void)trace::read_binary(in);
+  });
+  const std::string path = "/tmp/sctm_old_golden.trc2";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  expect_rejected("read_binary_file",
+                  [&] { (void)trace::read_binary_file(path); });
+  expect_rejected("load_replay_trace",
+                  [&] { (void)core::load_replay_trace(path); });
+  for (const bool deep : {true, false}) {
+    const VerifyReport rep = verify_v2_file(path, deep);
+    EXPECT_FALSE(rep.ok);
+    EXPECT_EQ(rep.bad_chunk, -1);
+    EXPECT_NE(rep.error.find(rejection), std::string::npos) << rep.error;
+  }
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Chunk codec: any field value survives a round trip, whatever it means.
+
+/// decode_chunk sink that collects what it receives in the file form.
+struct CollectRecords {
+  std::vector<fixtures::FileRecord>& out;
+
+  void record(const RecordFields& f) { out.push_back({f, {}}); }
+  void dep(MsgId parent, Cycle slack) {
+    out.back().deps.push_back({parent, slack});
+  }
+};
+
+TEST(ChunkCodec, RoundTripsArbitraryFieldValues) {
+  std::mt19937_64 rng(12345);
+  for (const std::size_t n : {1u, 7u, 64u, 500u}) {
+    std::vector<fixtures::FileRecord> in;
+    MsgId id = rng() % 1000;
+    Cycle inject = rng() % 1000;
+    for (std::size_t i = 0; i < n; ++i) {
+      fixtures::FileRecord& r = in.emplace_back();
+      id += 1 + rng() % 50;
+      r.fields.id = (rng() % 32 == 0) ? rng() : id;
+      r.fields.src = static_cast<NodeId>(rng());
+      r.fields.dst = static_cast<NodeId>(rng() % 64);
+      r.fields.size_bytes = static_cast<std::uint32_t>(rng());
+      r.fields.cls = static_cast<noc::MsgClass>(rng() % noc::kMsgClassCount);
+      r.fields.proto = static_cast<std::uint8_t>(rng() % 256);
+      // Mostly monotone timestamps (the case the delta coder targets), with
+      // arbitrary u64s and kNoCycle arrivals for the wrapping-delta path.
+      inject += rng() % 2000;
+      r.fields.inject_time = (rng() % 16 == 0) ? rng() : inject;
+      r.fields.arrive_time =
+          (rng() % 10 == 0) ? kNoCycle : r.fields.inject_time + rng() % 500;
+      // The codec does not interpret dependencies: any parent and slack,
+      // later records' and unknown ids included, must survive.
+      r.fields.dep_count = rng() % 4;
+      for (std::uint64_t d = 0; d < r.fields.dep_count; ++d) {
+        r.deps.push_back({rng() % 2 ? id - rng() % 100 : rng(), rng()});
+      }
+    }
+    ChunkEncoder enc;
+    enc.reset();
+    for (const fixtures::FileRecord& r : in) {
+      enc.record(r.fields);
+      for (const FileDep& d : r.deps) enc.dep(d.parent, d.slack);
+    }
+    std::vector<fixtures::FileRecord> out;
+    CollectRecords sink{out};
+    decode_chunk(enc.bytes().data(), enc.bytes().size(),
+                 static_cast<std::uint32_t>(n), sink);
+    ASSERT_EQ(out.size(), in.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      const RecordFields& a = in[i].fields;
+      const RecordFields& b = out[i].fields;
+      EXPECT_EQ(std::tie(a.id, a.src, a.dst, a.size_bytes, a.cls, a.proto,
+                         a.inject_time, a.arrive_time, a.dep_count),
+                std::tie(b.id, b.src, b.dst, b.size_bytes, b.cls, b.proto,
+                         b.inject_time, b.arrive_time, b.dep_count))
+          << "record " << i << " of " << n;
+      EXPECT_EQ(in[i].deps, out[i].deps) << "record " << i << " of " << n;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Round trips
 
+/// A random trace the contract accepts: ids ascend with gaps, and each
+/// record names up to three earlier records. Timestamps are mostly
+/// monotone, with arbitrary u64 injections and kNoCycle arrivals, so the
+/// derived slacks wrap too.
 trace::Trace random_trace(std::mt19937_64& rng, std::size_t n) {
   trace::Trace t;
   t.app = "rnd";
@@ -173,31 +289,23 @@ trace::Trace random_trace(std::mt19937_64& rng, std::size_t n) {
   t.nodes = 64;
   t.capture_runtime = rng();
   t.seed = rng();
+  trace::Records& r = t.records;
   MsgId id = rng() % 1000;
   Cycle inject = rng() % 1000;
-  t.records.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    trace::TraceRecord r;
     id += 1 + rng() % 50;
-    r.id = id;
-    r.src = static_cast<NodeId>(rng() % 64);
-    r.dst = static_cast<NodeId>(rng() % 64);
-    r.size_bytes = static_cast<std::uint32_t>(rng() % 100000);
-    r.cls = static_cast<noc::MsgClass>(rng() % noc::kMsgClassCount);
-    r.proto = static_cast<std::uint8_t>(rng() % 256);
-    // Mostly monotone timestamps (the case the delta coder targets), with
-    // occasional arbitrary u64s to stress the wrapping-delta path.
     inject += rng() % 2000;
-    r.inject_time = (rng() % 16 == 0) ? rng() : inject;
-    r.arrive_time =
-        (rng() % 10 == 0) ? kNoCycle : r.inject_time + rng() % 500;
-    // The codec does not interpret dependencies; any parent/slack must
-    // survive the trip.
-    const std::size_t deps = rng() % 4;
-    for (std::size_t d = 0; d < deps && !t.records.empty(); ++d) {
-      r.deps.push_back({t.records[rng() % t.records.size()].id, rng()});
+    const Cycle injected = (rng() % 16 == 0) ? rng() : inject;
+    r.append(id, static_cast<NodeId>(rng() % 64),
+             static_cast<NodeId>(rng() % 64),
+             static_cast<std::uint32_t>(rng() % 100000),
+             static_cast<noc::MsgClass>(rng() % noc::kMsgClassCount),
+             static_cast<std::uint8_t>(rng() % 256), injected,
+             (rng() % 10 == 0) ? kNoCycle : injected + rng() % 500);
+    const std::size_t deps = i == 0 ? 0 : rng() % 4;
+    for (std::size_t d = 0; d < deps; ++d) {
+      r.add_parent(static_cast<std::uint32_t>(rng() % i));
     }
-    t.records.push_back(std::move(r));
   }
   return t;
 }
@@ -214,8 +322,10 @@ TEST(TraceStoreV2, RandomizedRoundTripsAcrossChunkSizes) {
     if (chunk == 7) {
       EXPECT_EQ(reader.chunk_count(), (200 + 6) / 7);
     }
-    EXPECT_EQ(reader.read_all(/*parallel=*/false), t) << "chunk=" << chunk;
-    EXPECT_EQ(reader.read_all(/*parallel=*/true), t) << "chunk=" << chunk;
+    EXPECT_EQ(reader.read_all(), t) << "chunk=" << chunk;
+    std::stringstream v1;
+    trace::write_binary(t, v1);
+    EXPECT_EQ(trace::read_binary(v1), t) << "chunk=" << chunk;
   }
 }
 
@@ -234,7 +344,7 @@ TEST(TraceStoreV2, EmptyTraceRoundTrips) {
 
 TEST(TraceStoreV2, ReadBinaryDispatchesOnMagic) {
   // The legacy entry points accept v2 transparently.
-  const trace::Trace t = tiny_trace();
+  const trace::Trace t = golden_trace();
   std::stringstream ss;
   write_v2(t, ss);
   EXPECT_EQ(trace::read_binary(ss), t);
@@ -249,20 +359,16 @@ TEST(TraceStoreV2, ReadBinaryDispatchesOnMagic) {
 TEST(TraceStoreV2, WriterStreamsAndHashesIncrementally) {
   std::mt19937_64 rng(7);
   const trace::Trace t = random_trace(rng, 60);
-  TraceMeta meta;
-  meta.app = t.app;
-  meta.capture_network = t.capture_network;
-  meta.nodes = t.nodes;
-  meta.capture_runtime = t.capture_runtime;
-  meta.seed = t.seed;
+  const fixtures::FileTrace f = fixtures::file_form(t);
   std::ostringstream ss;
-  TraceWriter w(ss, meta, 10);
-  for (const auto& r : t.records) w.append(r);
+  TraceWriter w(ss, f.meta, 10);
+  for (const auto& r : f.records) w.append(r.fields, r.deps);
   w.finish();
   EXPECT_EQ(w.records_written(), t.records.size());
   EXPECT_EQ(w.content_hash(), content_hash(t));
   EXPECT_THROW(w.finish(), std::logic_error);
-  EXPECT_THROW(w.append(t.records[0]), std::logic_error);
+  EXPECT_THROW(w.append(f.records[0].fields, f.records[0].deps),
+               std::logic_error);
 
   const std::string bytes = ss.str();
   const TraceReader reader(memory_source(bytes.data(), bytes.size()));
@@ -271,7 +377,7 @@ TEST(TraceStoreV2, WriterStreamsAndHashesIncrementally) {
 }
 
 TEST(TraceStoreV2, ContentHashIsFormatIndependent) {
-  const trace::Trace t = tiny_trace();
+  const trace::Trace t = golden_trace();
   const std::string v1 = "/tmp/sctm_hash_check.bin";
   const std::string v2 = "/tmp/sctm_hash_check.trc2";
   trace::write_file(t, v1, trace::TraceFormat::kV1);
@@ -339,7 +445,7 @@ TEST(TraceStoreV2, EveryOneByteCorruptionIsDetectedAndAttributed) {
 
 TEST(TraceStoreV2, TruncationRejected) {
   std::ostringstream ss;
-  write_v2(tiny_trace(), ss);
+  write_v2(golden_trace(), ss);
   const std::string full = ss.str();
   for (const std::size_t keep : {0ul, 7ul, 20ul, full.size() / 2,
                                  full.size() - 1}) {
@@ -499,8 +605,8 @@ TEST(TraceStoreV2, LoadReplayTraceEqualsInMemoryReplayTrace) {
 
 TEST(TraceStoreV2, ProtoRoundTripsIntoReplayTrace) {
   const trace::Trace t = captured_trace();
-  std::set<std::uint8_t> protos;
-  for (const auto& r : t.records) protos.insert(r.proto);
+  const std::set<std::uint8_t> protos(t.records.proto.begin(),
+                                      t.records.proto.end());
   ASSERT_GT(protos.size(), 2u) << "the capture exercises several protocols";
 
   const std::string path = "/tmp/sctm_proto_round_trip.trc2";
@@ -510,8 +616,8 @@ TEST(TraceStoreV2, ProtoRoundTripsIntoReplayTrace) {
   ASSERT_EQ(mem.size(), t.records.size());
   ASSERT_EQ(loaded.size(), t.records.size());
   for (std::uint32_t i = 0; i < mem.size(); ++i) {
-    EXPECT_EQ(mem.proto(i), t.records[i].proto) << i;
-    EXPECT_EQ(loaded.proto(i), t.records[i].proto) << i;
+    EXPECT_EQ(mem.proto(i), t.records.proto[i]) << i;
+    EXPECT_EQ(loaded.proto(i), t.records.proto[i]) << i;
   }
   std::remove(path.c_str());
 }
@@ -574,20 +680,21 @@ TEST(TraceStoreV2, LoadReportsTheLowerOfTwoCorruptChunks) {
 // trace contract, a damaged chunk is reported ahead of a dependency
 // violation in an earlier one.
 TEST(TraceStoreV2, LoadReportsADamagedChunkBeforeAnEarlierViolation) {
-  trace::Trace t = captured_trace();
+  const trace::Trace t = captured_trace();
+  fixtures::FileTrace f = fixtures::file_form(t);
   const auto victim =
-      std::find_if(t.records.begin() + 20, t.records.end(),
+      std::find_if(f.records.begin() + 20, f.records.end(),
                    [](const auto& r) { return !r.deps.empty(); });
-  ASSERT_NE(victim, t.records.end());
+  ASSERT_NE(victim, f.records.end());
   victim->deps[0].slack += 7;
   const std::string path = "/tmp/sctm_damage_before_violation.trc2";
-  write_v2_file(t, path, /*chunk_records=*/16);
+  write_bytes(path, fixtures::v2_bytes(f, /*chunk_records=*/16));
   EXPECT_THROW((void)core::load_replay_trace(path), std::invalid_argument);
 
   std::string bytes = read_bytes(path);
   const TraceReader clean(memory_source(bytes.data(), bytes.size()));
   const std::size_t last = clean.chunk_count() - 1;
-  ASSERT_GT(last * 16, static_cast<std::size_t>(victim - t.records.begin()));
+  ASSERT_GT(last * 16, static_cast<std::size_t>(victim - f.records.begin()));
   const ChunkInfo& info = clean.chunk_info(last);
   bytes[info.file_offset + kChunkHeaderBytes + info.payload_len / 2] ^= 0x40;
   write_bytes(path, bytes);
