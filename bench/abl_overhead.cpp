@@ -1,11 +1,24 @@
 // R-A2 ablation: replay-engine overhead accounting.
 //
-// Kernel events, trace memory footprint and wall time of self-correcting
-// replay vs naive replay vs the execution-driven front end, per application.
+// Kernel events and trace file size (v1 and v2, each written in memory) of
+// self-correcting replay vs naive replay vs the execution-driven front end,
+// per application.
 // The claim under test: the correction machinery adds bounded overhead on
 // top of naive replay (it is the same event-driven network simulation plus
 // O(deps) bookkeeping per message).
+#include <sstream>
+
 #include "bench/bench_util.hpp"
+#include "trace/trace_io.hpp"
+#include "tracestore/trace_store.hpp"
+
+namespace {
+
+double mib(const std::ostringstream& file) {
+  return static_cast<double>(file.str().size()) / (1024.0 * 1024.0);
+}
+
+}  // namespace
 
 int main() {
   using namespace sctm;
@@ -18,7 +31,7 @@ int main() {
   Table t("R-A2: cost accounting per mode (capture: ideal, target: enoc "
           "mesh)");
   t.set_header({"app", "msgs", "deps/msg", "exec events", "naive events",
-                "sctm events", "sctm/naive events", "trace MiB"});
+                "sctm events", "sctm/naive events", "v1 MiB", "v2 MiB"});
 
   bool ok = true;
   for (const auto& app : standard_apps(16, 32, 4)) {
@@ -32,8 +45,9 @@ int main() {
     const auto exec_target = core::run_execution(app, enoc_spec(), {});
 
     const std::uint64_t deps = capture.trace.records.parent.size();
-    const std::uint64_t bytes =
-        38 * capture.trace.records.size() + 16 * deps;  // serialized size
+    std::ostringstream v1_file, v2_file;
+    trace::write_binary(capture.trace, v1_file);
+    tracestore::write_v2(capture.trace, v2_file);
     const double ratio = static_cast<double>(sctm.result.events) /
                          static_cast<double>(naive.result.events);
     ok = ok && ratio < 2.0 && sctm.result.events <= exec_target.events;
@@ -45,7 +59,7 @@ int main() {
                           2),
                Table::fmt(exec_target.events), Table::fmt(naive.result.events),
                Table::fmt(sctm.result.events), Table::fmt(ratio, 2) + "x",
-               Table::fmt(static_cast<double>(bytes) / (1024.0 * 1024.0), 2)});
+               Table::fmt(mib(v1_file), 2), Table::fmt(mib(v2_file), 2)});
   }
   emit(t, "ra2_overhead");
   return verdict(ok, "R-A2 sctm event overhead < 2x naive and below "

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <algorithm>
-#include <ctime>
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -70,16 +70,6 @@ inline core::NetSpec ideal_spec(Cycle per_hop,
   return s;
 }
 
-/// ISO-8601 UTC timestamp for bench manifests.
-inline std::string now_iso8601() {
-  const std::time_t t = std::time(nullptr);
-  std::tm tm{};
-  gmtime_r(&t, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
-
 /// Builds the standard bench metrics document: manifest identifying the
 /// bench, the result table under results.table. Callers may add phases /
 /// stats / extra manifest entries before emit() writes it out.
@@ -124,6 +114,15 @@ inline void emit(const Table& table, const std::string& slug,
 inline double median(std::vector<double> v) {
   std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
   return v[v.size() / 2];
+}
+
+/// Wall-clock seconds one call of `run` takes.
+template <typename F>
+double seconds_of(F&& run) {
+  const auto t0 = std::chrono::steady_clock::now();
+  run();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 /// What interleaved_pairs() measured.

@@ -7,17 +7,17 @@
 // a synthetic uniform-traffic trace (the adversarial-ish case: random
 // src/dst, jittered timestamps).
 // The captured-trace compression ratio v1/v2 is the headline number and
-// carries the floor. Replay's own load (core::load_replay_trace) is timed
-// by perfbench's load_s.
+// carries the floor. The v1 and v2 encodes, and the v1 and v2 decodes, run
+// as interleaved pairs (bench::interleaved_pairs): rates are at each side's
+// median time, and v2/v1 is the median per-pair time ratio. Replay's own
+// load (core::load_replay_trace) is timed by perfbench's load_s.
 //
 // Emits bench_results/BENCH_trace_store.json and exits non-zero if any
 // round-trip is not bit-identical or the captured-trace compression ratio
 // falls below the 1.5x floor. `--smoke` runs a reduced configuration for CI.
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,18 +31,6 @@
 
 namespace sctm {
 namespace {
-
-/// Best-of-N wall time of fn, in seconds.
-double best_seconds(int reps, const std::function<void()>& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
 
 double mrec_per_s(std::size_t records, double s) {
   return s > 0 ? static_cast<double>(records) / s / 1e6 : 0.0;
@@ -96,47 +84,58 @@ struct TraceResults {
   std::size_t records = 0;
   std::vector<PathResult> paths;  // v1, v2
   double ratio = 0;
+  double encode_v2_over_v1 = 0;  // median per-pair v2/v1 time
+  double decode_v2_over_v1 = 0;
   bool round_trips_ok = false;
   bool hash_ok = false;
 };
 
 TraceResults measure(const std::string& label, const trace::Trace& t,
-                     int reps) {
+                     int pairs) {
   TraceResults out;
   out.label = label;
-  const std::size_t n = t.records.size();
-  out.records = n;
+  out.records = t.records.size();
 
-  PathResult v1{"v1 monolith"};
-  std::string v1_bytes;
-  v1.encode_s = best_seconds(reps, [&] {
-    std::ostringstream os;
-    trace::write_binary(t, os);
-    v1_bytes = std::move(os).str();
-  });
-  v1.bytes = v1_bytes.size();
-  trace::Trace v1_back;
-  v1.decode_s = best_seconds(reps, [&] {
-    std::istringstream is(v1_bytes);
-    v1_back = trace::read_binary(is);
-  });
+  std::string v1_bytes, v2_bytes;
+  const bench::PairTiming encode = bench::interleaved_pairs(
+      pairs,
+      [&] {
+        return bench::seconds_of([&] {
+          std::ostringstream os;
+          trace::write_binary(t, os);
+          v1_bytes = std::move(os).str();
+        });
+      },
+      [&] {
+        return bench::seconds_of([&] {
+          std::ostringstream os;
+          tracestore::write_v2(t, os);
+          v2_bytes = std::move(os).str();
+        });
+      });
+  trace::Trace v1_back, v2_back;
+  const bench::PairTiming decode = bench::interleaved_pairs(
+      pairs,
+      [&] {
+        return bench::seconds_of([&] {
+          std::istringstream is(v1_bytes);
+          v1_back = trace::read_binary(is);
+        });
+      },
+      [&] {
+        return bench::seconds_of([&] {
+          tracestore::TraceReader reader(
+              tracestore::memory_source(v2_bytes.data(), v2_bytes.size()));
+          v2_back = reader.read_all();
+        });
+      });
 
-  PathResult v2{"v2 chunked"};
-  std::string v2_bytes;
-  v2.encode_s = best_seconds(reps, [&] {
-    std::ostringstream os;
-    tracestore::write_v2(t, os);
-    v2_bytes = std::move(os).str();
-  });
-  v2.bytes = v2_bytes.size();
-  trace::Trace v2_back;
-  v2.decode_s = best_seconds(reps, [&] {
-    tracestore::TraceReader reader(
-        tracestore::memory_source(v2_bytes.data(), v2_bytes.size()));
-    v2_back = reader.read_all();
-  });
-
+  const PathResult v1{"v1 monolith", v1_bytes.size(), encode.a_s,
+                      decode.a_s};
+  const PathResult v2{"v2 chunked", v2_bytes.size(), encode.b_s, decode.b_s};
   out.paths = {v1, v2};
+  out.encode_v2_over_v1 = encode.ratio;
+  out.decode_v2_over_v1 = decode.ratio;
   out.ratio = v2.bytes > 0 ? static_cast<double>(v1.bytes) / v2.bytes : 0.0;
   out.round_trips_ok = v1_back == t && v2_back == t;
   out.hash_ok =
@@ -167,6 +166,10 @@ void results_json(JsonWriter& w, const TraceResults& r) {
   w.value(mrec_per_s(r.records, r.paths[1].encode_s));
   w.key("v2_decode_mrec_s");
   w.value(mrec_per_s(r.records, r.paths[1].decode_s));
+  w.key("encode_time_v2_over_v1");
+  w.value(r.encode_v2_over_v1);
+  w.key("decode_time_v2_over_v1");
+  w.value(r.decode_v2_over_v1);
   w.end_object();
 }
 
@@ -177,12 +180,12 @@ int run(bool smoke) {
   app.lines_per_core = 16;
   app.iterations = smoke ? 1 : 6;
   const auto exec = core::run_execution(app, bench::enoc_spec(), {});
-  const int reps = smoke ? 3 : 7;
+  const int pairs = smoke ? 5 : 11;
 
   const TraceResults captured =
-      measure("captured (fft @ enoc 4x4)", exec.trace, reps);
+      measure("captured (fft @ enoc 4x4)", exec.trace, pairs);
   const TraceResults synthetic = measure(
-      "synthetic uniform", synthetic_trace(smoke ? 4000 : 50000), reps);
+      "synthetic uniform", synthetic_trace(smoke ? 4000 : 50000), pairs);
 
   Table table("trace container formats: v1 monolith vs v2 chunked");
   table.set_header(
@@ -201,6 +204,7 @@ int run(bool smoke) {
   }
 
   RunMetrics m = bench::bench_metrics(table, "BENCH_trace_store");
+  m.manifest.set("pairs", pairs);
   {
     JsonWriter results;
     results.begin_object();
@@ -229,6 +233,12 @@ int run(bool smoke) {
 
   std::printf("\ncompression ratio v1/v2: captured %.2fx, synthetic %.2fx\n",
               captured.ratio, synthetic.ratio);
+  for (const TraceResults* r : {&captured, &synthetic}) {
+    std::printf("%s: v2/v1 time, median of %d interleaved pairs: encode "
+                "%.2f, decode %.2f\n",
+                r->label.c_str(), pairs, r->encode_v2_over_v1,
+                r->decode_v2_over_v1);
+  }
 
   int rc = 0;
   rc |= bench::verdict(captured.round_trips_ok,

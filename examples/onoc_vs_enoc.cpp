@@ -8,7 +8,6 @@
 // Build & run:  ./build/examples/onoc_vs_enoc [--stats-json <file>]
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <memory>
 #include <string>
 
@@ -23,15 +22,6 @@
 namespace {
 
 using namespace sctm;
-
-std::string now_iso8601() {
-  const std::time_t t = std::time(nullptr);
-  std::tm tm{};
-  gmtime_r(&t, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
 
 struct NetResult {
   Cycle runtime;

@@ -10,10 +10,10 @@
 // Build & run:  ./build/examples/quickstart [--stats-json <file>]
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <string>
 
 #include "common/json.hpp"
+#include "common/run_metrics.hpp"
 #include "core/driver.hpp"
 #include "core/error_metrics.hpp"
 
@@ -25,15 +25,6 @@ std::string flag_value(int argc, char** argv, const char* flag) {
     if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
   }
   return {};
-}
-
-std::string now_iso8601() {
-  const std::time_t t = std::time(nullptr);
-  std::tm tm{};
-  gmtime_r(&t, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
 }
 
 }  // namespace

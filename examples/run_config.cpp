@@ -10,25 +10,11 @@
 // document.
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <string>
 
 #include "common/json.hpp"
 #include "common/run_metrics.hpp"
 #include "core/experiment.hpp"
-
-namespace {
-
-std::string now_iso8601() {
-  const std::time_t t = std::time(nullptr);
-  std::tm tm{};
-  gmtime_r(&t, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string cfg_path;
@@ -58,7 +44,7 @@ int main(int argc, char** argv) {
     if (!stats_json.empty()) {
       sctm::RunMetrics m;
       m.manifest.tool = "run_config";
-      m.manifest.created = now_iso8601();
+      m.manifest.created = sctm::now_iso8601();
       m.manifest.set("config_file", cfg_path);
       sctm::JsonWriter results;
       results.begin_object();

@@ -42,7 +42,6 @@
 // Networks: ideal | enoc | onoc-token | onoc-setup | onoc-swmr | hybrid.
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <fstream>
 #include <map>
 #include <set>
@@ -275,17 +274,6 @@ fault::FaultSpec faults_flag(const Config& f) {
   } catch (const std::exception& e) {
     throw std::runtime_error("--faults " + path + ": " + e.what());
   }
-}
-
-/// ISO-8601 UTC timestamp for run manifests (the metrics layer itself never
-/// reads the clock).
-std::string now_iso8601() {
-  const std::time_t t = std::time(nullptr);
-  std::tm tm{};
-  gmtime_r(&t, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
 }
 
 /// Writes `m` when --stats-json was given; reports the path on stdout.

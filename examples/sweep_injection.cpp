@@ -6,7 +6,6 @@
 // Build & run:  ./build/examples/sweep_injection [--stats-json <file>]
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <memory>
 #include <string>
 
@@ -15,19 +14,6 @@
 #include "common/table.hpp"
 #include "core/driver.hpp"
 #include "noc/traffic.hpp"
-
-namespace {
-
-std::string now_iso8601() {
-  const std::time_t t = std::time(nullptr);
-  std::tm tm{};
-  gmtime_r(&t, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace sctm;

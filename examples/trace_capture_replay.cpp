@@ -7,25 +7,12 @@
 //                                                     [--stats-json <file>]
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <string>
 
 #include "analytic/trace_profile.hpp"
+#include "common/run_metrics.hpp"
 #include "core/driver.hpp"
 #include "trace/trace_io.hpp"
-
-namespace {
-
-std::string now_iso8601() {
-  const std::time_t t = std::time(nullptr);
-  std::tm tm{};
-  gmtime_r(&t, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace sctm;

@@ -76,15 +76,6 @@ class FlatMap {
     }
   }
 
-  /// Inserts or overwrites.
-  Value& insert_or_assign(Key key, Value value) {
-    if (Value* v = find(key)) {
-      *v = std::move(value);
-      return *v;
-    }
-    return insert(key, std::move(value));
-  }
-
   /// Removes `key` if present; returns whether it was. Backward-shift
   /// deletion keeps probe chains intact without tombstones, so lookup cost
   /// stays bounded by the live load factor forever.

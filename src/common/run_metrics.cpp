@@ -1,6 +1,7 @@
 #include "common/run_metrics.hpp"
 
 #include <cstdio>
+#include <ctime>
 #include <stdexcept>
 
 #include "common/json.hpp"
@@ -25,6 +26,15 @@ void write_table_json(JsonWriter& w, const Table& t) {
   }
   w.end_array();
   w.end_object();
+}
+
+std::string now_iso8601() {
+  const std::time_t t = std::time(nullptr);
+  std::tm tm{};
+  gmtime_r(&t, &tm);
+  char buf[32];
+  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
+  return buf;
 }
 
 void RunManifest::set(std::string_view key, std::string value) {

@@ -13,8 +13,8 @@
 //   }
 // `manifest.config` is an ordered echo of whatever identifies the run (app,
 // net spec, trace id, replay mode/window, seed). `created` is a timestamp
-// string passed in by the caller — this layer never reads the clock, so
-// documents stay reproducible under test. `phases` carries per-phase wall
+// string passed in by the caller (tools pass now_iso8601()) — RunMetrics
+// never reads the clock, so documents stay reproducible under test. `phases` carries per-phase wall
 // time and kernel event counts; `stats` is a full StatRegistry snapshot plus
 // named latency histograms; `results` is a free-form object each tool builds
 // with the same JsonWriter.
@@ -47,6 +47,10 @@ struct PhaseMetrics {
   /// Kernel events executed during the phase; 0 when not applicable.
   std::uint64_t events = 0;
 };
+
+/// The current UTC time as ISO-8601 ("2026-01-31T12:00:00Z"): the `created`
+/// stamp tools put in their manifests.
+std::string now_iso8601();
 
 /// Provenance header of a metrics document.
 struct RunManifest {

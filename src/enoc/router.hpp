@@ -184,7 +184,6 @@ class Router : public Component {
 
   NodeId id() const { return id_; }
   bool has_work() const;
-  std::size_t injection_backlog() const { return inj_queue_.size(); }
 
   /// Free credits on output port `port` across all VCs (adaptive metric).
   int free_credits(int port) const;

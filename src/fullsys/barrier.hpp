@@ -19,8 +19,6 @@ class BarrierManager : public Component {
 
   void on_arrive(NodeId src, MsgId msg_id);
 
-  std::uint64_t epochs_completed() const { return stat_epochs_; }
-
  private:
   NodeId home_;
   int cores_;

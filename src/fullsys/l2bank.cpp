@@ -17,19 +17,6 @@ L2Bank::L2Bank(Simulator& sim, std::string name, NodeId id,
       stat_mem_reads_(counter("mem_reads")),
       stat_mem_writes_(counter("mem_writes")) {}
 
-std::vector<std::tuple<std::uint64_t, int, NodeId, int, int>>
-L2Bank::busy_snapshot() const {
-  std::vector<std::tuple<std::uint64_t, int, NodeId, int, int>> out;
-  for (const auto& [line, txn] : busy_) {
-    const auto dit = deferred_.find(line);
-    const int dcount =
-        dit == deferred_.end() ? 0 : static_cast<int>(dit->second.size());
-    out.emplace_back(line, static_cast<int>(txn.phase), txn.requester,
-                     txn.pending_acks, dcount);
-  }
-  return out;
-}
-
 void L2Bank::send_after(Cycle delay, ProtoMsg type, NodeId dst,
                         std::uint64_t line, std::vector<MsgId> causes) {
   auto ev = [this, type, dst, line, causes = std::move(causes)] {

@@ -37,15 +37,7 @@ class L2Bank : public Component {
   /// Protocol messages addressed to this bank.
   void on_message(ProtoMsg type, NodeId src, std::uint64_t line, MsgId msg_id);
 
-  std::uint64_t l2_hits() const { return data_.hits(); }
-  std::uint64_t l2_misses() const { return data_.misses(); }
-  std::size_t directory_entries() const { return dir_.size(); }
   bool quiescent() const { return busy_.empty(); }
-
-  /// Diagnostic snapshot of in-flight transactions:
-  /// (line, phase as int, requester, pending_acks, deferred_count).
-  std::vector<std::tuple<std::uint64_t, int, NodeId, int, int>>
-  busy_snapshot() const;
 
   /// Calls `fn(line, state, owner, sharers)` for each directory entry
   /// (audit; only meaningful when quiescent()).

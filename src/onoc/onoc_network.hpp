@@ -75,10 +75,6 @@ class OnocNetwork : public noc::Network {
   /// streams, so one channel's draws never depend on another's traffic.
   void install_fault_model(const fault::FaultSpec& spec) override;
 
-  /// BER the installed fault spec implies for the worst-case optical link
-  /// (0 without a model or with drift/degradation unset).
-  double optical_bit_error_rate() const { return optical_ber_; }
-
   const OnocParams& params() const { return params_; }
   const noc::Topology& topology() const { return topo_; }
 
