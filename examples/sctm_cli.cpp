@@ -11,7 +11,7 @@
 //   sctm_cli exec     --app fft --net onoc-setup [...]   (execution-driven)
 //   sctm_cli validate --json metrics.json     (schema-check a metrics doc)
 //
-// Container tooling (the v2 trace store):
+// Trace file tooling (both formats; --chunk sets a v2 file's chunk size):
 //
 //   sctm_cli trace info    --trace <file> [--chunks]
 //   sctm_cli trace convert --in <file> --out <file> [--format v1|v2]
@@ -541,28 +541,23 @@ int cmd_validate(const Config& f) {
 
 int cmd_trace_info(const Config& f) {
   const auto path = require_flag(f, "trace");
-  const auto fmt = trace::sniff_format(path);
-  if (fmt == trace::TraceFormat::kV1) {
-    const auto t = trace::read_binary_file(path);
-    std::printf("%s: format=v1 app=%s capture-net='%s' nodes=%d seed=%llu "
-                "records=%zu content-hash=%s\n",
-                path.c_str(), t.app.c_str(), t.capture_network.c_str(),
-                t.nodes, static_cast<unsigned long long>(t.seed),
-                t.records.size(),
-                tracestore::hash_hex(tracestore::content_hash(t)).c_str());
-    return 0;
-  }
   const auto reader = tracestore::TraceReader::open_file(path);
   const auto& m = reader.meta();
-  std::printf("%s: format=v2 app=%s capture-net='%s' nodes=%d seed=%llu\n",
-              path.c_str(), m.app.c_str(), m.capture_network.c_str(), m.nodes,
+  std::uint64_t hash = reader.stored_content_hash();
+  if (reader.format() == trace::TraceFormat::kV1) {
+    trace::Trace t;  // v1 stores no hash: recompute it
+    reader.ingest(t, nullptr, &hash);
+  }
+  std::printf("%s: format=%s app=%s capture-net='%s' nodes=%d seed=%llu\n",
+              path.c_str(), trace::to_string(reader.format()), m.app.c_str(),
+              m.capture_network.c_str(), m.nodes,
               static_cast<unsigned long long>(m.seed));
   std::printf("records=%llu chunks=%zu chunk-target=%u bytes=%llu "
               "content-hash=%s\n",
               static_cast<unsigned long long>(reader.record_count()),
               reader.chunk_count(), reader.chunk_target(),
               static_cast<unsigned long long>(reader.file_bytes()),
-              tracestore::hash_hex(reader.stored_content_hash()).c_str());
+              tracestore::hash_hex(hash).c_str());
   if (f.contains("chunks")) {
     for (std::size_t i = 0; i < reader.chunk_count(); ++i) {
       const auto& c = reader.chunk_info(i);
@@ -583,22 +578,30 @@ int cmd_trace_convert(const Config& f) {
   const auto in = require_flag(f, "in");
   const auto out = require_flag(f, "out");
   const auto format = format_flag(f);
-  const auto chunk = f.get_as<std::uint32_t>("chunk", 0);
-  const auto t = trace::read_binary_file(in);
-  if (format == trace::TraceFormat::kV2 && f.contains("chunk")) {
+  if (format != trace::TraceFormat::kV2 && f.contains("chunk")) {
+    usage("--chunk sets the records per chunk of a v2 file; v1 has no chunks");
+  }
+  const auto chunk =
+      f.get_as<std::uint32_t>("chunk", tracestore::kDefaultChunkRecords);
+  if (chunk == 0) {
+    f.reject("chunk", "0 is out of range [1, " + std::to_string(UINT32_MAX) +
+                          "]");
+  }
+  const auto reader = tracestore::TraceReader::open_file(in);
+  const auto t = reader.read_all();
+  if (format == trace::TraceFormat::kV2) {
     tracestore::write_v2_file(t, out, chunk);
   } else {
     trace::write_file(t, out, format);
   }
-  const auto in_bytes = std::ifstream(in, std::ios::binary | std::ios::ate)
-                            .tellg();
   const auto out_bytes = std::ifstream(out, std::ios::binary | std::ios::ate)
                              .tellg();
-  std::printf("%s (%s, %lld bytes) -> %s (%s, %lld bytes), ratio %.2fx\n",
-              in.c_str(), trace::to_string(trace::sniff_format(in)),
-              static_cast<long long>(in_bytes), out.c_str(),
-              trace::to_string(format), static_cast<long long>(out_bytes),
-              out_bytes > 0 ? static_cast<double>(in_bytes) /
+  std::printf("%s (%s, %llu bytes) -> %s (%s, %lld bytes), ratio %.2fx\n",
+              in.c_str(), trace::to_string(reader.format()),
+              static_cast<unsigned long long>(reader.file_bytes()),
+              out.c_str(), trace::to_string(format),
+              static_cast<long long>(out_bytes),
+              out_bytes > 0 ? static_cast<double>(reader.file_bytes()) /
                                   static_cast<double>(out_bytes)
                             : 0.0);
   return 0;
@@ -606,32 +609,26 @@ int cmd_trace_convert(const Config& f) {
 
 int cmd_trace_verify(const Config& f) {
   const auto path = require_flag(f, "trace");
-  if (trace::sniff_format(path) == trace::TraceFormat::kV1) {
-    // v1 has no checksums: "verify" = the strict reader accepts every byte.
-    try {
-      const auto t = trace::read_binary_file(path);
-      std::printf("%s: OK (v1, %zu records; no checksums in v1)\n",
-                  path.c_str(), t.records.size());
-      return 0;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: CORRUPT (v1): %s\n", path.c_str(), e.what());
-      return 1;
-    }
-  }
-  const auto rep = tracestore::verify_v2_file(path, /*deep=*/!f.contains("quick"));
+  const auto rep = tracestore::verify_file(path, /*deep=*/!f.contains("quick"));
+  const bool v1 = rep.format == trace::TraceFormat::kV1;
   if (rep.ok) {
-    std::printf("%s: OK (v2, %llu records in %llu chunks%s)\n", path.c_str(),
-                static_cast<unsigned long long>(rep.records),
-                static_cast<unsigned long long>(rep.chunks),
-                rep.hash_checked ? ", content hash verified" : "");
+    if (v1) {  // v1 has no checksums: "verify" = every byte reads back
+      std::printf("%s: OK (v1, %llu records; no checksums in v1)\n",
+                  path.c_str(), static_cast<unsigned long long>(rep.records));
+    } else {
+      std::printf("%s: OK (v2, %llu records in %llu chunks%s)\n",
+                  path.c_str(), static_cast<unsigned long long>(rep.records),
+                  static_cast<unsigned long long>(rep.chunks),
+                  rep.hash_checked ? ", content hash verified" : "");
+    }
     return 0;
   }
   if (rep.bad_chunk >= 0) {
     std::fprintf(stderr, "%s: CORRUPT in chunk %lld: %s\n", path.c_str(),
                  static_cast<long long>(rep.bad_chunk), rep.error.c_str());
   } else {
-    std::fprintf(stderr, "%s: CORRUPT: %s\n", path.c_str(),
-                 rep.error.c_str());
+    std::fprintf(stderr, "%s: CORRUPT%s: %s\n", path.c_str(),
+                 v1 ? " (v1)" : "", rep.error.c_str());
   }
   return 1;
 }

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
 
   // --- inspect ---
   // Validates the dependency annotations once; every replay below reuses it.
-  const core::ReplayTrace loaded(trace::read_binary_file(path));
+  const core::ReplayTrace loaded = core::load_replay_trace(path);
   const analytic::TraceProfile profile = analytic::profile_trace(loaded);
   std::printf("trace: app=%s capture-net='%s' nodes=%d runtime=%llu\n",
               loaded.app().c_str(), loaded.capture_network().c_str(),

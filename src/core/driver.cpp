@@ -7,7 +7,6 @@
 #include "common/json.hpp"
 #include "core/replay_session.hpp"
 #include "trace/capture.hpp"
-#include "trace/trace_io.hpp"
 #include "tracestore/trace_store.hpp"
 
 namespace sctm::core {
@@ -138,12 +137,7 @@ ReplayRun run_replay(const ReplayTrace& rt, const NetSpec& net,
 }
 
 ReplayTrace load_replay_trace(const std::string& path) {
-  if (trace::sniff_format(path) == trace::TraceFormat::kV2) {
-    const tracestore::TraceReader reader =
-        tracestore::TraceReader::open_file(path);
-    return ReplayTrace::from_store(reader);
-  }
-  return ReplayTrace(trace::read_binary_file(path));
+  return ReplayTrace::from_store(tracestore::TraceReader::open_file(path));
 }
 
 std::string trace_id(const ReplayTrace& rt) {

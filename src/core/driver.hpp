@@ -110,11 +110,10 @@ struct ReplayRun {
 ReplayRun run_replay(const ReplayTrace& rt, const NetSpec& net,
                      const ReplayConfig& config);
 
-/// Loads a trace file straight into replay form, dispatching on the on-disk
-/// format: v2 containers decode chunk by chunk, in parallel, into the flat
-/// arrays (peak memory is the replay representation plus the chunks in
-/// flight, not the whole record vector-of-vectors), v1 monoliths go through
-/// the in-memory reader.
+/// Loads a trace file of either format straight into replay form:
+/// ReplayTrace::from_store over tracestore::TraceReader, which decodes it
+/// chunk by chunk, in parallel, into the columns (peak memory is the replay
+/// representation plus the chunks in flight, not the file).
 ReplayTrace load_replay_trace(const std::string& path);
 
 /// Short provenance string identifying `rt` in run manifests

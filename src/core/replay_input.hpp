@@ -1,9 +1,10 @@
 // Replay-side trace representation: a trace::Trace held by value, plus the
 // reverse CSR of each record's dependents and the content hash. An in-memory
 // trace is taken over (ReplayTrace(std::move(run.trace)) copies nothing) and
-// checked with tracestore::index_trace; a v2 container loads through the
-// one ingest (tracestore/ingest.hpp). Either way a trace that breaks the
-// contract throws std::invalid_argument naming the record index and id.
+// checked with tracestore::index_trace; a trace file of either format loads
+// through the one ingest (tracestore/ingest.hpp). Either way a trace that
+// breaks the contract throws std::invalid_argument naming the record index
+// and id.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +32,7 @@ class ReplayTrace {
 
   /// Loads every chunk of `reader` in parallel through the one ingest; also
   /// throws tracestore::TraceStoreError, naming both hashes, when the
-  /// records do not hash to the content hash stored in the footer.
+  /// records do not hash to the content hash a v2 footer stores.
   static ReplayTrace from_store(const tracestore::TraceReader& reader);
 
   /// True for every trace built from records (not default-constructed).

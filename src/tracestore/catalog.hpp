@@ -58,8 +58,8 @@ class TraceCatalog {
   /// the content hash is already present the existing entry is returned
   /// untouched (content addressing makes adds idempotent).
   /// (Import of an on-disk file in either format is a caller composition:
-  /// load with trace::read_binary_file — which dispatches v1/v2 — then
-  /// add(). The catalog itself only ever writes v2.)
+  /// load with TraceReader::read_all, which reads both, then add(). The
+  /// catalog itself only ever writes v2.)
   CatalogEntry add(const trace::Trace& t, const std::string& created,
                    std::uint32_t chunk_records = kDefaultChunkRecords);
 

@@ -1,10 +1,26 @@
-// On-disk primitives of the v2 trace container ("SCTMTRC2"): LEB128
-// varints, zigzag mapping for signed deltas, CRC32 (IEEE 802.3, the zlib
-// polynomial) for per-chunk integrity, and FNV-1a/64 for content addressing.
-// All hand-rolled — the container must build with zero external
-// dependencies, like every other subsystem in the repo.
+// On-disk primitives of the trace files: both layouts, LEB128 varints,
+// zigzag mapping for signed deltas, CRC32 (IEEE 802.3, the zlib polynomial)
+// for per-chunk integrity, and FNV-1a/64 for content addressing. All
+// hand-rolled — the container must build with zero external dependencies,
+// like every other subsystem in the repo. TraceReader (trace_store.hpp)
+// reads both formats, telling them apart by the magic.
 //
-// File layout (little-endian; varints only inside chunk payloads):
+// v1 layout ("SCTMTRC1"; little-endian, fixed-width — frozen forever; files
+// written by old builds must stay readable bit-for-bit):
+//
+//   magic "SCTMTRC1" (8 bytes)
+//   u32 app_len, app bytes
+//   u32 net_len, net bytes
+//   i32 nodes, u64 capture_runtime, u64 seed, u64 record_count
+//   per record:
+//     u64 id, i32 src, i32 dst, u32 size, u8 cls, u8 proto,
+//     u64 inject, u64 arrive, u16 dep_count, dep_count x (u64 parent,
+//     u64 slack)
+//
+// v1 has no index or checksum; TraceReader scans its record boundaries into
+// chunks when it opens the file.
+//
+// v2 layout ("SCTMTRC2"; little-endian, varints only inside chunk payloads):
 //
 //   magic "SCTMTRC2" (8 bytes)
 //   u32 flags (reserved, 0)
@@ -25,7 +41,7 @@
 //     u64 index_offset, u64 chunk_count, u64 record_count,
 //     u64 content_hash, u32 footer_crc, trailer "SCTMEND2"
 //
-// Every byte of the file is covered by exactly one checksum (header_crc,
+// Every byte of a v2 file is covered by exactly one checksum (header_crc,
 // a chunk crc, index_crc, or footer_crc — chunk headers are covered by
 // being duplicated in the crc-protected index), so any one-byte corruption
 // is detectable and attributable. See DESIGN.md §8.
@@ -39,8 +55,26 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/config.hpp"
+
 namespace sctm::tracestore {
 
+enum class TraceFormat {
+  kV1,  // fixed-width monolith (SCTMTRC1)
+  kV2,  // chunked container (SCTMTRC2)
+};
+
+/// The `--format` spellings.
+inline constexpr Spelling<TraceFormat> kTraceFormatNames[] = {
+    {TraceFormat::kV1, "v1"},
+    {TraceFormat::kV2, "v2"},
+};
+
+inline const char* to_string(TraceFormat f) {
+  return spelling_of(kTraceFormatNames, f);
+}
+
+inline constexpr char kMagicV1[8] = {'S', 'C', 'T', 'M', 'T', 'R', 'C', '1'};
 inline constexpr char kMagicV2[8] = {'S', 'C', 'T', 'M', 'T', 'R', 'C', '2'};
 inline constexpr char kTrailerV2[8] = {'S', 'C', 'T', 'M', 'E', 'N', 'D', '2'};
 
@@ -58,6 +92,16 @@ inline constexpr std::size_t kFooterBytes = 8 + 8 + 8 + 8 + 4 + 8;
 inline constexpr std::size_t kMinRecordBytes = 7 + 2;
 /// Smallest encoded dependency: two varints of at least one byte each.
 inline constexpr std::size_t kMinDepBytes = 2;
+
+/// A v1 record's fixed part and a v1 dependency, in bytes.
+inline constexpr std::size_t kV1RecordBytes = 8 + 4 + 4 + 4 + 1 + 1 + 8 + 8 + 2;
+inline constexpr std::size_t kV1DepBytes = 8 + 8;
+/// A scanned v1 chunk closes at kDefaultChunkRecords records, or before a
+/// record that would take it past kV1ChunkBytes; a record larger than that
+/// is a chunk of its own. A 32x32 barrier release names 1,024 parents, so
+/// the byte bound is what keeps a chunk's payload and its decoded
+/// dependencies near 1 MiB each.
+inline constexpr std::size_t kV1ChunkBytes = std::size_t{1} << 20;
 
 // ---------------------------------------------------------------------------
 // Varint + zigzag

@@ -69,8 +69,8 @@ void fill_children(const trace::Records& r, Children& children) {
   }
 }
 
-/// Decoding a block costs about twice checking it, so two decode workers
-/// keep the in-order check folder busy; more would only hold more blocks'
+/// Decoding a chunk costs about twice checking it, so two decode workers
+/// keep the in-order check folder busy; more would only hold more chunks'
 /// dependencies in flight.
 constexpr std::size_t kMaxWorkers = 2;
 
@@ -126,23 +126,42 @@ void index_trace(const trace::Trace& t, Children& children,
 }
 
 // Tasks of one parallel_for: 0 is the check folder, then the hash folder
-// when a hash is asked for, the rest decode workers. Blocks are claimed in
-// order through `claim`; a worker claims block b only while b < checked +
-// window, which bounds the blocks whose dependencies are held, and the check
-// folder decodes a block no worker has claimed yet itself. Only the check
-// folder waits on a worker (for a block it claimed, which the worker is
+// when a hash is asked for, the rest decode workers. Chunks are claimed in
+// order through `claim`; a worker claims chunk b only while b < checked +
+// window, which bounds the chunks whose dependencies are held, and the check
+// folder decodes a chunk no worker has claimed yet itself. Only the check
+// folder waits on a worker (for a chunk it claimed, which the worker is
 // decoding), so no thread count deadlocks; with one thread the tasks run in
 // order and the check folder decodes everything. Errors come in the order
 // of a serial load (the file comment), so after a violation the check
-// folder still consumes every block, checking ids and endpoints only.
-void ingest(RecordBlocks& source, trace::Trace& t, Children* children,
-            std::uint64_t* hash) {
+// folder still consumes every chunk, checking ids and endpoints only.
+void TraceReader::ingest(trace::Trace& t, Children* children,
+                         std::uint64_t* hash) const {
+  static_cast<trace::TraceMeta&>(t) = meta_;
   trace::Records& rec = t.records;
-  const std::size_t blocks = source.first.size() - 1;
-  const std::size_t n = source.first.back();
+  const std::size_t chunks = chunks_.size();
+  const std::size_t n = record_count_;
   if (n > UINT32_MAX) {
     throw std::length_error("ReplayTrace: " + std::to_string(n) +
                             " records exceed 2^32 - 1");
+  }
+  const auto first = [&](std::size_t b) {
+    return static_cast<std::size_t>(chunks_[b].first_record);
+  };
+  const auto end_of = [&](std::size_t b) {
+    return first(b) + chunks_[b].record_count;
+  };
+  // A decode reads a chunk's payload into a buffer and yields at most one
+  // dependency per min_dep bytes of it, even from a corrupt chunk, and none
+  // from the min_record bytes each record's fields take.
+  const bool v1 = format_ == TraceFormat::kV1;
+  const std::size_t min_record = v1 ? kV1RecordBytes : kMinRecordBytes;
+  const std::size_t min_dep = v1 ? kV1DepBytes : kMinDepBytes;
+  std::size_t buffer_bytes = 0;
+  std::uint64_t dep_bound = 0;
+  for (const ChunkInfo& c : chunks_) {
+    buffer_bytes = std::max<std::size_t>(buffer_bytes, c.payload_len);
+    dep_bound += (c.payload_len - min_record * c.record_count) / min_dep;
   }
   rec.id.resize(n);
   rec.src.resize(n);
@@ -154,22 +173,22 @@ void ingest(RecordBlocks& source, trace::Trace& t, Children* children,
   rec.arrive.resize(n);
   rec.dep_offset.assign(n + 1, 0);
   rec.parent.clear();
-  rec.parent.reserve(source.dep_bound);
+  rec.parent.reserve(dep_bound);
   if (children) children->offset.assign(n + 1, 0);
 
   const unsigned hw = default_parallelism();
   const std::size_t folders = hash ? 2 : 1;
   const std::size_t workers =
-      hw > folders && blocks > 1
-          ? std::min<std::size_t>({hw - folders, kMaxWorkers, blocks - 1})
+      hw > folders && chunks > 1
+          ? std::min<std::size_t>({hw - folders, kMaxWorkers, chunks - 1})
           : 0;
   const std::size_t window =
-      std::max<std::size_t>(1, std::min(blocks, 2 * (workers + 1)));
+      std::max<std::size_t>(1, std::min(chunks, 2 * (workers + 1)));
   std::vector<std::vector<char>> buffers(workers + 1);  // one per lane
-  for (auto& buffer : buffers) buffer.reserve(source.buffer_bytes);
-  // Block b's dependencies decode into slot b % window. Left uninitialized:
-  // only what a block decodes is touched.
-  const std::size_t slot_cap = source.block_dep_bound;
+  for (auto& buffer : buffers) buffer.reserve(buffer_bytes);
+  // Chunk b's dependencies decode into slot b % window. Left uninitialized:
+  // only what a chunk decodes is touched.
+  const std::size_t slot_cap = buffer_bytes / min_dep;
   const auto slots = std::make_unique_for_overwrite<FileDep[]>(
       window * slot_cap);
   const auto slot = [&](std::size_t b) {
@@ -177,11 +196,11 @@ void ingest(RecordBlocks& source, trace::Trace& t, Children* children,
   };
 
   enum : std::uint8_t { kPending, kDecoded, kFailed };
-  std::vector<std::atomic<std::uint8_t>> state(blocks);
-  std::vector<std::exception_ptr> decode_error(blocks);
+  std::vector<std::atomic<std::uint8_t>> state(chunks);
+  std::vector<std::exception_ptr> decode_error(chunks);
   std::atomic<std::size_t> claim{0};
-  std::atomic<std::size_t> checked{0};   // blocks the check folder consumed
-  std::atomic<std::size_t> resolved{0};  // leading blocks free of violations
+  std::atomic<std::size_t> checked{0};   // chunks the check folder consumed
+  std::atomic<std::size_t> resolved{0};  // leading chunks free of violations
   std::atomic<bool> check_done{false};   // neither count moves any more
   std::exception_ptr error;
   Violation order_violation;  // ids and endpoints
@@ -189,8 +208,8 @@ void ingest(RecordBlocks& source, trace::Trace& t, Children* children,
 
   const auto decode = [&](std::size_t b, std::size_t lane) {
     try {
-      ColumnSink sink{rec, source.first[b], slot(b)};
-      source.decode(b, buffers[lane], sink);
+      ColumnSink sink{rec, first(b), slot(b)};
+      decode_chunk(b, buffers[lane], sink);
       state[b].store(kDecoded, std::memory_order_release);
     } catch (...) {
       decode_error[b] = std::current_exception();
@@ -201,7 +220,7 @@ void ingest(RecordBlocks& source, trace::Trace& t, Children* children,
   const auto worker = [&](std::size_t lane) {
     while (!check_done.load(std::memory_order_relaxed)) {
       std::size_t b = claim.load(std::memory_order_relaxed);
-      if (b >= blocks) return;
+      if (b >= chunks) return;
       if (b >= checked.load(std::memory_order_acquire) + window) {
         std::this_thread::yield();
       } else if (claim.compare_exchange_weak(b, b + 1,
@@ -250,7 +269,7 @@ void ingest(RecordBlocks& source, trace::Trace& t, Children* children,
 
   const auto check_folder = [&] {
     std::uint64_t deps = 0;
-    for (std::size_t b = 0; b < blocks; ++b) {
+    for (std::size_t b = 0; b < chunks; ++b) {
       std::size_t unclaimed = b;
       if (claim.compare_exchange_strong(unclaimed, b + 1,
                                         std::memory_order_acq_rel)) {
@@ -262,17 +281,17 @@ void ingest(RecordBlocks& source, trace::Trace& t, Children* children,
       if (state[b].load(std::memory_order_relaxed) == kFailed) {
         std::rethrow_exception(decode_error[b]);
       }
-      const FileDep* block_deps = slot(b);
-      const std::size_t end = source.first[b + 1];
-      for (std::size_t i = source.first[b];
+      const FileDep* chunk_deps = slot(b);
+      const std::size_t end = end_of(b);
+      for (std::size_t i = first(b);
            i < end && !order_violation.found(); ++i) {
         if (!check_order(rec, t.nodes, i, order_violation) ||
             dep_violation.found()) {
           continue;
         }
         const std::uint32_t count = rec.dep_offset[i + 1];
-        if (!resolve(i, block_deps, count)) continue;
-        block_deps += count;
+        if (!resolve(i, chunk_deps, count)) continue;
+        chunk_deps += count;
         deps += count;
         if (deps > UINT32_MAX) {
           throw std::length_error("ReplayTrace: more than 2^32 - 1 "
@@ -291,13 +310,13 @@ void ingest(RecordBlocks& source, trace::Trace& t, Children* children,
     fill_children(rec, *children);
   };
 
-  // Folds the content hash over resolved blocks: each dependency's parent
+  // Folds the content hash over resolved chunks: each dependency's parent
   // id and slack come from the parent's row, which the check folder proved
   // equal to the stored ones.
   const auto hash_folder = [&] {
     Fnv1a64 h;
     hash_meta(h, t);
-    for (std::size_t b = 0; b < blocks; ++b) {
+    for (std::size_t b = 0; b < chunks; ++b) {
       while (resolved.load(std::memory_order_acquire) <= b) {
         if (check_done.load(std::memory_order_acquire) &&
             resolved.load(std::memory_order_acquire) <= b) {
@@ -305,7 +324,7 @@ void ingest(RecordBlocks& source, trace::Trace& t, Children* children,
         }
         std::this_thread::yield();
       }
-      hash_records(h, rec, source.first[b], source.first[b + 1]);
+      hash_records(h, rec, first(b), end_of(b));
     }
     *hash = h.value();
   };
@@ -341,6 +360,11 @@ void ingest(RecordBlocks& source, trace::Trace& t, Children* children,
                    : "unknown parent id " + std::to_string(v.parent);
     }
     reject(rec, v);
+  }
+  if (hash && format_ == TraceFormat::kV2 && *hash != content_hash_) {
+    throw TraceStoreError("trace-store: content hash mismatch: stored " +
+                          hash_hex(content_hash_) + ", computed " +
+                          hash_hex(*hash));
   }
 }
 

@@ -38,17 +38,25 @@ void hash_dep(Fnv1a64& h, MsgId parent, Cycle slack) {
   h.update_scalar(static_cast<std::uint64_t>(slack));
 }
 
-/// Bounds-checked fixed-width cursor (header/index/footer parsing).
-class SpanReader {
+[[noreturn]] void fail_at(std::uint64_t pos, const std::string& what) {
+  throw TraceStoreError("trace: " + what + " at byte " + std::to_string(pos));
+}
+
+/// Bounds-checked little-endian cursor over `len` bytes that sit at file
+/// offset `base`: it reads both formats' fixed-width fields, and every error
+/// names the file offset where reading stopped.
+class Cursor {
  public:
-  SpanReader(const char* data, std::size_t len) : data_(data), len_(len) {}
+  Cursor(const char* data, std::size_t len, std::uint64_t base)
+      : data_(data), len_(len), base_(base) {}
 
   template <typename T>
-  T get() {
+  T get(const char* field) {
     static_assert(std::is_trivially_copyable_v<T>);
     if (len_ - pos_ < sizeof(T)) {
-      throw TraceStoreError("trace-store: truncated structure at byte " +
-                            std::to_string(pos_));
+      fail_at(pos(), std::string("truncated input reading ") + field +
+                         " (need " + std::to_string(sizeof(T)) + " bytes, " +
+                         std::to_string(len_ - pos_) + " left)");
     }
     T v{};
     std::memcpy(&v, data_ + pos_, sizeof v);
@@ -56,24 +64,62 @@ class SpanReader {
     return v;
   }
 
-  std::string get_string(std::uint32_t len) {
-    if (len_ - pos_ < len) {
-      throw TraceStoreError("trace-store: truncated string at byte " +
-                            std::to_string(pos_));
+  /// A u32 length of at most `max_len`, then that many bytes.
+  std::string get_string(const char* field, std::uint32_t max_len) {
+    const auto len = get<std::uint32_t>(field);
+    if (len > max_len) {
+      fail_at(pos() - 4, "absurd length " + std::to_string(len) + " for " +
+                             field);
     }
+    if (len_ - pos_ < len) fail_at(pos(), std::string("truncated ") + field);
     std::string s(data_ + pos_, len);
     pos_ += len;
     return s;
   }
 
-  std::size_t pos() const { return pos_; }
+  /// File offset of the next byte.
+  std::uint64_t pos() const { return base_ + pos_; }
   std::size_t remaining() const { return len_ - pos_; }
 
  private:
   const char* data_;
   std::size_t len_;
+  std::uint64_t base_;
   std::size_t pos_ = 0;
 };
+
+/// Widens [lo, hi] to a record's injection and arrival; an unset time
+/// (kNoCycle) widens nothing.
+void widen_cycles(Cycle& lo, Cycle& hi, Cycle inject, Cycle arrive) {
+  if (inject != kNoCycle) lo = lo == kNoCycle ? inject : std::min(lo, inject);
+  if (arrive != kNoCycle) hi = hi == kNoCycle ? arrive : std::max(hi, arrive);
+}
+
+/// v1's longest accepted app or network name, and so its longest header.
+constexpr std::uint32_t kV1MaxName = 1u << 20;
+constexpr std::size_t kV1MaxHeaderBytes = 2 * (4 + kV1MaxName) + 4 + 8 + 8 + 8;
+/// Bytes the v1 scan reads at a time.
+constexpr std::size_t kScanWindow = 64 << 10;
+
+/// Reads v1 record i's fixed-width fields; the class byte must name a class.
+RecordFields read_v1_fields(Cursor& r, std::uint64_t i) {
+  RecordFields f;
+  f.id = r.get<std::uint64_t>("record id");
+  f.src = r.get<std::int32_t>("src");
+  f.dst = r.get<std::int32_t>("dst");
+  f.size_bytes = r.get<std::uint32_t>("size");
+  const auto cls = r.get<std::uint8_t>("class");
+  if (cls >= noc::kMsgClassCount) {
+    fail_at(r.pos() - 1, "invalid message class " + std::to_string(cls) +
+                             " in record " + std::to_string(i));
+  }
+  f.cls = static_cast<noc::MsgClass>(cls);
+  f.proto = r.get<std::uint8_t>("proto");
+  f.inject_time = r.get<std::uint64_t>("inject time");
+  f.arrive_time = r.get<std::uint64_t>("arrive time");
+  f.dep_count = r.get<std::uint16_t>("dependency count");
+  return f;
+}
 
 }  // namespace
 
@@ -116,6 +162,7 @@ class MemorySource final : public ByteSource {
  public:
   MemorySource(const char* data, std::size_t len) : data_(data), len_(len) {}
   std::uint64_t size() const override { return len_; }
+  std::string name() const override { return "the input"; }
   void read_at(std::uint64_t off, void* dst, std::size_t n) override {
     if (off > len_ || len_ - off < n) {
       throw TraceStoreError("trace-store: read past end of buffer (offset " +
@@ -140,6 +187,7 @@ class FileSource final : public ByteSource {
     size_ = static_cast<std::uint64_t>(in_.tellg());
   }
   std::uint64_t size() const override { return size_; }
+  std::string name() const override { return path_; }
   void read_at(std::uint64_t off, void* dst, std::size_t n) override {
     // Serialized so parallel chunk decode can share the source; decode
     // itself (the expensive part) runs outside this lock.
@@ -159,6 +207,22 @@ class FileSource final : public ByteSource {
   std::uint64_t size_ = 0;
   std::mutex mu_;
 };
+
+/// The format whose magic `source` starts with.
+TraceFormat magic_format(ByteSource& source) {
+  char magic[8] = {};
+  if (source.size() >= sizeof magic) {
+    source.read_at(0, magic, sizeof magic);
+    if (std::memcmp(magic, kMagicV1, sizeof magic) == 0) {
+      return TraceFormat::kV1;
+    }
+    if (std::memcmp(magic, kMagicV2, sizeof magic) == 0) {
+      return TraceFormat::kV2;
+    }
+  }
+  throw TraceStoreError("trace: " + source.name() +
+                        " starts with neither SCTMTRC1 nor SCTMTRC2");
+}
 
 }  // namespace
 
@@ -194,11 +258,6 @@ bool parse_hash_hex(const std::string& s, std::uint64_t* out) {
   return true;
 }
 
-bool is_v2_magic(const char* data, std::size_t len) {
-  return len >= sizeof kMagicV2 &&
-         std::memcmp(data, kMagicV2, sizeof kMagicV2) == 0;
-}
-
 std::uint64_t content_hash(const trace::Trace& t) {
   Fnv1a64 h;
   hash_meta(h, t);
@@ -211,7 +270,11 @@ std::uint64_t content_hash(const trace::Trace& t) {
 
 TraceWriter::TraceWriter(std::ostream& out, const trace::TraceMeta& meta,
                          std::uint32_t chunk_records)
-    : out_(out), chunk_records_(chunk_records == 0 ? 1 : chunk_records) {
+    : out_(out), chunk_records_(chunk_records) {
+  if (chunk_records_ == 0) {
+    throw std::invalid_argument(
+        "trace-store: a chunk of 0 records; a chunk holds at least one");
+  }
   std::vector<char> hdr;
   hdr.insert(hdr.end(), kMagicV2, kMagicV2 + sizeof kMagicV2);
   put<std::uint32_t>(hdr, 0);  // flags
@@ -246,14 +309,7 @@ void TraceWriter::append(RecordFields f, std::span<const FileDep> deps) {
     encoder_.dep(d.parent, d.slack);
     hash_dep(hash_, d.parent, d.slack);
   }
-  if (f.inject_time != kNoCycle) {
-    chunk_min_ = (chunk_min_ == kNoCycle) ? f.inject_time
-                                          : std::min(chunk_min_, f.inject_time);
-  }
-  if (f.arrive_time != kNoCycle) {
-    chunk_max_ = (chunk_max_ == kNoCycle) ? f.arrive_time
-                                          : std::max(chunk_max_, f.arrive_time);
-  }
+  widen_cycles(chunk_min_, chunk_max_, f.inject_time, f.arrive_time);
   ++records_;
   if (++in_chunk_ == chunk_records_) flush_chunk();
 }
@@ -353,7 +409,84 @@ void write_v2_file(const trace::Trace& t, const std::string& path,
 // TraceReader
 
 TraceReader::TraceReader(std::unique_ptr<ByteSource> source)
-    : source_(std::move(source)) {
+    : source_(std::move(source)), format_(magic_format(*source_)) {
+  if (format_ == TraceFormat::kV1) {
+    open_v1();
+  } else {
+    open_v2();
+  }
+}
+
+// The scan reads each record's fixed-width fields through a window of the
+// source and skips its dependencies, so it holds one window of the file, not
+// the file. It checks every field the decode would: the record count
+// against the bytes, each class byte, each dependency count against the
+// bytes left, and trailing bytes; so a v1 file fails here, at the byte
+// offset where it is damaged, before any contract check.
+void TraceReader::open_v1() {
+  const std::uint64_t size = source_->size();
+  std::vector<char> window;
+  std::uint64_t window_at = 0;
+  // A cursor over the `n` bytes at `at`, or over the rest of the file when
+  // fewer are left; `at` never moves back.
+  const auto cursor = [&](std::uint64_t at, std::size_t n) {
+    n = std::min<std::uint64_t>(n, size - at);
+    if (at + n > window_at + window.size()) {
+      window.resize(std::max<std::uint64_t>(
+          n, std::min<std::uint64_t>(kScanWindow, size - at)));
+      if (!window.empty()) source_->read_at(at, window.data(), window.size());
+      window_at = at;
+    }
+    return Cursor(window.data() + (at - window_at), n, at);
+  };
+
+  Cursor h = cursor(sizeof kMagicV1, kV1MaxHeaderBytes);
+  meta_.app = h.get_string("app name", kV1MaxName);
+  meta_.capture_network = h.get_string("capture network", kV1MaxName);
+  meta_.nodes = h.get<std::int32_t>("node count");
+  if (meta_.nodes < 0) fail_at(h.pos() - 4, "negative node count");
+  meta_.capture_runtime = h.get<std::uint64_t>("capture runtime");
+  meta_.seed = h.get<std::uint64_t>("seed");
+  record_count_ = h.get<std::uint64_t>("record count");
+  std::uint64_t at = h.pos();
+  // A count beyond what the remaining bytes can hold is corruption, not a
+  // large trace — reject it before reserving anything.
+  if (record_count_ > (size - at) / kV1RecordBytes) {
+    fail_at(at - 8, "record count " + std::to_string(record_count_) +
+                        " exceeds remaining " + std::to_string(size - at) +
+                        " bytes");
+  }
+  chunk_target_ = kDefaultChunkRecords;
+
+  ChunkInfo c;  // the chunk being scanned
+  for (std::uint64_t i = 0; i < record_count_; ++i) {
+    Cursor r = cursor(at, kV1RecordBytes);
+    const RecordFields f = read_v1_fields(r, i);
+    const std::uint64_t left = size - r.pos();
+    if (f.dep_count * kV1DepBytes > left) {
+      fail_at(r.pos() - 2, "dependency count " + std::to_string(f.dep_count) +
+                               " exceeds remaining " + std::to_string(left) +
+                               " bytes in record " + std::to_string(i));
+    }
+    const std::uint64_t bytes = kV1RecordBytes + f.dep_count * kV1DepBytes;
+    if (c.record_count == 0 || c.record_count == kDefaultChunkRecords ||
+        c.payload_len + bytes > kV1ChunkBytes) {
+      if (c.record_count > 0) chunks_.push_back(c);
+      c = {.file_offset = at, .first_record = i};
+    }
+    c.payload_len += static_cast<std::uint32_t>(bytes);
+    ++c.record_count;
+    widen_cycles(c.min_cycle, c.max_cycle, f.inject_time, f.arrive_time);
+    at += bytes;
+  }
+  if (c.record_count > 0) chunks_.push_back(c);
+  if (at != size) {
+    fail_at(at, std::to_string(size - at) +
+                    " trailing bytes after the last record");
+  }
+}
+
+void TraceReader::open_v2() {
   const std::uint64_t sz = source_->size();
   // Smallest valid file: 48-byte header (empty strings), empty index (8),
   // footer (44).
@@ -369,12 +502,12 @@ TraceReader::TraceReader(std::unique_ptr<ByteSource> source)
   if (std::memcmp(fbuf + 36, kTrailerV2, sizeof kTrailerV2) != 0) {
     throw TraceStoreError("trace-store: bad trailer magic (truncated file?)");
   }
-  SpanReader fr(fbuf, sizeof fbuf);
-  const auto index_offset = fr.get<std::uint64_t>();
-  const auto chunk_count = fr.get<std::uint64_t>();
-  record_count_ = fr.get<std::uint64_t>();
-  content_hash_ = fr.get<std::uint64_t>();
-  const auto footer_crc = fr.get<std::uint32_t>();
+  Cursor fr(fbuf, sizeof fbuf, sz - kFooterBytes);
+  const auto index_offset = fr.get<std::uint64_t>("index offset");
+  const auto chunk_count = fr.get<std::uint64_t>("chunk count");
+  record_count_ = fr.get<std::uint64_t>("record count");
+  content_hash_ = fr.get<std::uint64_t>("content hash");
+  const auto footer_crc = fr.get<std::uint32_t>("footer checksum");
   if (crc32(fbuf, 32) != footer_crc) {
     throw TraceStoreError("trace-store: footer checksum mismatch");
   }
@@ -386,9 +519,9 @@ TraceReader::TraceReader(std::unique_ptr<ByteSource> source)
   // Index.
   std::vector<char> ibuf(8 + chunk_count * kIndexEntryBytes);
   source_->read_at(index_offset, ibuf.data(), ibuf.size());
-  SpanReader ir(ibuf.data(), ibuf.size());
-  const auto index_crc = ir.get<std::uint32_t>();
-  const auto index_len = ir.get<std::uint32_t>();
+  Cursor ir(ibuf.data(), ibuf.size(), index_offset);
+  const auto index_crc = ir.get<std::uint32_t>("index checksum");
+  const auto index_len = ir.get<std::uint32_t>("index length");
   if (index_len != chunk_count * kIndexEntryBytes) {
     throw TraceStoreError("trace-store: index length field mismatch");
   }
@@ -399,12 +532,12 @@ TraceReader::TraceReader(std::unique_ptr<ByteSource> source)
   std::uint64_t running_records = 0;
   for (std::uint64_t i = 0; i < chunk_count; ++i) {
     ChunkInfo& c = chunks_[i];
-    c.file_offset = ir.get<std::uint64_t>();
-    c.payload_len = ir.get<std::uint32_t>();
-    c.record_count = ir.get<std::uint32_t>();
-    c.first_record = ir.get<std::uint64_t>();
-    c.min_cycle = ir.get<std::uint64_t>();
-    c.max_cycle = ir.get<std::uint64_t>();
+    c.file_offset = ir.get<std::uint64_t>("chunk offset");
+    c.payload_len = ir.get<std::uint32_t>("payload length");
+    c.record_count = ir.get<std::uint32_t>("record count");
+    c.first_record = ir.get<std::uint64_t>("first record");
+    c.min_cycle = ir.get<std::uint64_t>("min cycle");
+    c.max_cycle = ir.get<std::uint64_t>("max cycle");
     if (c.first_record != running_records || c.record_count == 0) {
       throw TraceStoreError("trace-store: chunk " + std::to_string(i) +
                             " record range inconsistent");
@@ -456,26 +589,21 @@ TraceReader::TraceReader(std::unique_ptr<ByteSource> source)
   }
   std::vector<char> hbuf(header_len);
   source_->read_at(0, hbuf.data(), hbuf.size());
-  if (!is_v2_magic(hbuf.data(), hbuf.size())) {
-    throw TraceStoreError("trace-store: bad magic (not an SCTMTRC2 file)");
-  }
-  SpanReader hr(hbuf.data(), hbuf.size());
-  hr.get_string(sizeof kMagicV2);  // skip magic
-  const auto flags = hr.get<std::uint32_t>();
+  Cursor hr(hbuf.data() + sizeof kMagicV2, hbuf.size() - sizeof kMagicV2,
+            sizeof kMagicV2);
+  const auto flags = hr.get<std::uint32_t>("header flags");
   if (flags != 0) {
     throw TraceStoreError("trace-store: unknown header flags " +
                           std::to_string(flags));
   }
-  chunk_target_ = hr.get<std::uint32_t>();
-  const auto app_len = hr.get<std::uint32_t>();
-  meta_.app = hr.get_string(app_len);
-  const auto net_len = hr.get<std::uint32_t>();
-  meta_.capture_network = hr.get_string(net_len);
-  meta_.nodes = hr.get<std::int32_t>();
-  meta_.capture_runtime = hr.get<std::uint64_t>();
-  meta_.seed = hr.get<std::uint64_t>();
+  chunk_target_ = hr.get<std::uint32_t>("chunk target");
+  meta_.app = hr.get_string("app name", UINT32_MAX);
+  meta_.capture_network = hr.get_string("capture network", UINT32_MAX);
+  meta_.nodes = hr.get<std::int32_t>("node count");
+  meta_.capture_runtime = hr.get<std::uint64_t>("capture runtime");
+  meta_.seed = hr.get<std::uint64_t>("seed");
   const std::size_t crc_pos = hr.pos();
-  const auto header_crc = hr.get<std::uint32_t>();
+  const auto header_crc = hr.get<std::uint32_t>("header checksum");
   if (hr.remaining() != 0) {
     throw TraceStoreError("trace-store: header length mismatch");
   }
@@ -488,13 +616,13 @@ void TraceReader::read_payload(std::size_t i, std::vector<char>& buf) const {
   const ChunkInfo& info = chunks_[i];
   char hdr[kChunkHeaderBytes];
   source_->read_at(info.file_offset, hdr, sizeof hdr);
-  SpanReader hr(hdr, sizeof hdr);
-  const auto payload_crc = hr.get<std::uint32_t>();
-  const auto payload_len = hr.get<std::uint32_t>();
-  const auto record_count = hr.get<std::uint32_t>();
-  const auto first_record = hr.get<std::uint64_t>();
-  const auto min_cycle = hr.get<std::uint64_t>();
-  const auto max_cycle = hr.get<std::uint64_t>();
+  Cursor hr(hdr, sizeof hdr, info.file_offset);
+  const auto payload_crc = hr.get<std::uint32_t>("payload checksum");
+  const auto payload_len = hr.get<std::uint32_t>("payload length");
+  const auto record_count = hr.get<std::uint32_t>("record count");
+  const auto first_record = hr.get<std::uint64_t>("first record");
+  const auto min_cycle = hr.get<std::uint64_t>("min cycle");
+  const auto max_cycle = hr.get<std::uint64_t>("max cycle");
   if (payload_len != info.payload_len || record_count != info.record_count ||
       first_record != info.first_record || min_cycle != info.min_cycle ||
       max_cycle != info.max_cycle) {
@@ -514,6 +642,21 @@ void TraceReader::read_payload(std::size_t i, std::vector<char>& buf) const {
 
 void TraceReader::decode_chunk(std::size_t i, std::vector<char>& buf,
                                ColumnSink& sink) const {
+  if (format_ == TraceFormat::kV1) {
+    const ChunkInfo& c = chunks_[i];
+    buf.resize(c.payload_len);
+    source_->read_at(c.file_offset, buf.data(), buf.size());
+    Cursor r(buf.data(), buf.size(), c.file_offset);
+    for (std::uint64_t k = 0; k < c.record_count; ++k) {
+      const RecordFields f = read_v1_fields(r, c.first_record + k);
+      sink.record(f);
+      for (std::uint64_t d = 0; d < f.dep_count; ++d) {
+        const auto parent = r.get<std::uint64_t>("dependency parent");
+        sink.dep(parent, r.get<std::uint64_t>("dependency slack"));
+      }
+    }
+    return;
+  }
   read_payload(i, buf);
   try {
     tracestore::decode_chunk(buf.data(), buf.size(), chunks_[i].record_count,
@@ -525,59 +668,22 @@ void TraceReader::decode_chunk(std::size_t i, std::vector<char>& buf,
   }
 }
 
-/// The chunks of a v2 container as ingest blocks; a chunk's payload is read
-/// into the decode buffer.
-class TraceReader::ChunkBlocks final : public RecordBlocks {
- public:
-  explicit ChunkBlocks(const TraceReader& reader) : reader_(reader) {
-    for (std::size_t b = 0; b < reader.chunk_count(); ++b) {
-      const ChunkInfo& c = reader.chunk_info(b);
-      first.push_back(c.first_record + c.record_count);
-      buffer_bytes = std::max<std::size_t>(buffer_bytes, c.payload_len);
-      // The reader checked at open that the payload holds kMinRecordBytes
-      // per record; each dependency takes kMinDepBytes of the rest.
-      dep_bound += (c.payload_len - kMinRecordBytes * c.record_count) /
-                   kMinDepBytes;
-    }
-    // decode_chunk makes at most payload / kMinDepBytes dep() calls, even
-    // on a corrupt chunk.
-    block_dep_bound = buffer_bytes / kMinDepBytes;
-  }
-
-  void decode(std::size_t b, std::vector<char>& buffer,
-              ColumnSink& sink) override {
-    reader_.decode_chunk(b, buffer, sink);
-  }
-
- private:
-  const TraceReader& reader_;
-};
-
-void TraceReader::ingest(trace::Trace& t, Children* children,
-                         std::uint64_t* hash) const {
-  static_cast<trace::TraceMeta&>(t) = meta_;
-  ChunkBlocks blocks(*this);
-  tracestore::ingest(blocks, t, children, hash);
-  if (hash && *hash != content_hash_) {
-    throw TraceStoreError("trace-store: content hash mismatch: stored " +
-                          hash_hex(content_hash_) + ", computed " +
-                          hash_hex(*hash));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // verify
 
-VerifyReport verify_v2_file(const std::string& path, bool deep) {
+VerifyReport verify_file(const std::string& path, bool deep) {
+  std::unique_ptr<ByteSource> source = open_file_source(path);
   VerifyReport rep;
   try {
-    const TraceReader reader(open_file_source(path));
+    rep.format = magic_format(*source);
+    const TraceReader reader(std::move(source));
     rep.chunks = reader.chunk_count();
     trace::Trace t;
     std::uint64_t hash = 0;
-    reader.ingest(t, nullptr, deep ? &hash : nullptr);
+    const bool check_hash = deep && rep.format == TraceFormat::kV2;
+    reader.ingest(t, nullptr, check_hash ? &hash : nullptr);
     rep.records = t.records.size();
-    rep.hash_checked = deep;
+    rep.hash_checked = check_hash;
     rep.ok = true;
   } catch (const TraceStoreError& e) {
     rep.error = e.what();

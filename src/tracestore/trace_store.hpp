@@ -1,14 +1,16 @@
-// The v2 trace container: streaming writer, seeking/streaming reader, and
-// whole-file helpers. See format.hpp for the byte layout and DESIGN.md §8
-// for the rationale and compatibility policy.
+// Trace files: the v2 container's streaming writer, the one reader of both
+// formats, and whole-file helpers. See format.hpp for the byte layouts and
+// DESIGN.md §8 for the rationale and compatibility policy.
 //
 // TraceWriter appends records with bounded memory (one encoded chunk plus
 // the growing 40-byte-per-chunk index), so a capture farm can stream a
 // multi-gigabyte trace to disk without ever materializing it. TraceReader
-// parses the header/index/footer eagerly (validating their checksums) and
-// then serves chunks on demand, in any order and from any thread: chunks
-// are independent, so a whole-trace load decodes them in parallel through
-// the one ingest (ingest.hpp), which proves the trace contract.
+// opens either format by its magic: it parses a v2 file's header, index and
+// footer eagerly (validating their checksums), and scans a v1 file's record
+// boundaries into chunks. It then serves chunks on demand, in any order and
+// from any thread: chunks are independent, so a whole-trace load decodes
+// them in parallel through the one ingest (ingest.hpp), which proves the
+// trace contract.
 #pragma once
 
 #include <cstdint>
@@ -25,22 +27,24 @@
 
 namespace sctm::tracestore {
 
-/// Container error with an optional offending chunk index (-1 when the
-/// corruption is in the header, index, or footer).
+/// Trace file error with an optional offending chunk index (-1 when the
+/// damage is in a v2 header, index or footer, or in a v1 file).
 class TraceStoreError : public std::runtime_error {
  public:
   TraceStoreError(std::string what, std::int64_t chunk = -1)
       : std::runtime_error(std::move(what)), chunk_(chunk) {}
-  /// Offending chunk, or -1 for header/index/footer damage.
+  /// Offending v2 chunk, or -1.
   std::int64_t chunk() const { return chunk_; }
 
  private:
   std::int64_t chunk_;
 };
 
-/// One chunk as described by the (crc-protected) index.
+/// One chunk as described by the (crc-protected) index of a v2 file, or as
+/// the open-time scan of a v1 file found it.
 struct ChunkInfo {
-  std::uint64_t file_offset = 0;  // of the chunk header (its crc32 field)
+  /// Of the chunk header (its crc32 field) in v2, of the first record in v1.
+  std::uint64_t file_offset = 0;
   std::uint32_t payload_len = 0;
   std::uint32_t record_count = 0;
   std::uint64_t first_record = 0;
@@ -55,6 +59,8 @@ class ByteSource {
  public:
   virtual ~ByteSource() = default;
   virtual std::uint64_t size() const = 0;
+  /// The source as errors name it: a file's path.
+  virtual std::string name() const = 0;
   /// Reads exactly [off, off+n); throws TraceStoreError on a short read.
   /// Implementations are safe to call from one thread at a time; FileSource
   /// additionally serializes internally so parallel chunk decode can share
@@ -74,7 +80,8 @@ std::unique_ptr<ByteSource> memory_source(const char* data, std::size_t len);
 class TraceWriter {
  public:
   /// Starts a container on `out` (header is written immediately). The
-  /// stream must remain valid until finish().
+  /// stream must remain valid until finish(). Throws std::invalid_argument
+  /// when `chunk_records` is 0.
   TraceWriter(std::ostream& out, const trace::TraceMeta& meta,
               std::uint32_t chunk_records = kDefaultChunkRecords);
   ~TraceWriter();
@@ -133,19 +140,26 @@ void hash_records(Fnv1a64& h, const trace::Records& r, std::size_t begin,
 // ---------------------------------------------------------------------------
 // Reader
 
+/// The one way to open a trace file, v1 or v2.
 class TraceReader {
  public:
-  /// Parses and validates header, index, and footer (checksums included);
-  /// throws TraceStoreError on any inconsistency.
+  /// Reads the magic, then opens the file: a v2 file's header, index and
+  /// footer are parsed and validated (checksums included), and a v1 file's
+  /// header is parsed and its records scanned into chunks, checking every
+  /// fixed-width field. Throws TraceStoreError on any inconsistency, and
+  /// names the source when it starts with neither magic.
   explicit TraceReader(std::unique_ptr<ByteSource> source);
 
   static TraceReader open_file(const std::string& path) {
     return TraceReader(open_file_source(path));
   }
 
+  TraceFormat format() const { return format_; }
   const trace::TraceMeta& meta() const { return meta_; }
   std::uint64_t record_count() const { return record_count_; }
+  /// The footer's content hash; 0 for v1, which stores none.
   std::uint64_t stored_content_hash() const { return content_hash_; }
+  /// The most records a chunk holds: the header's (v2) or the scan's (v1).
   std::uint32_t chunk_target() const { return chunk_target_; }
   std::uint64_t file_bytes() const { return source_->size(); }
 
@@ -155,8 +169,8 @@ class TraceReader {
   /// Decodes every chunk into `t`, meta included, through the one ingest
   /// (ingest.hpp), which proves the trace contract. With `children`, also
   /// fills the children CSR. With `hash`, also recomputes the content hash
-  /// into it, throwing TraceStoreError naming both hashes when the footer's
-  /// differs.
+  /// into it, throwing TraceStoreError naming both hashes when a v2
+  /// footer's differs.
   void ingest(trace::Trace& t, Children* children, std::uint64_t* hash) const;
 
   /// ingest() without the children or the hash check.
@@ -167,15 +181,16 @@ class TraceReader {
   }
 
  private:
-  class ChunkBlocks;  // the chunks as ingest blocks
-
+  void open_v1();
+  void open_v2();
   void read_payload(std::size_t i, std::vector<char>& buf) const;
-  /// read_payload(), then decodes the payload into `sink`; throws
-  /// TraceStoreError carrying `i` on corruption.
+  /// Reads chunk i into `buf` and decodes it into `sink`; throws
+  /// TraceStoreError on corruption, carrying `i` when a v2 chunk is bad.
   void decode_chunk(std::size_t i, std::vector<char>& buf,
                     ColumnSink& sink) const;
 
   std::unique_ptr<ByteSource> source_;
+  TraceFormat format_ = TraceFormat::kV2;
   trace::TraceMeta meta_;
   std::vector<ChunkInfo> chunks_;
   std::uint64_t record_count_ = 0;
@@ -186,25 +201,25 @@ class TraceReader {
 // ---------------------------------------------------------------------------
 // Whole-file helpers
 
-/// True when the first 8 bytes of `data` are the v2 magic.
-bool is_v2_magic(const char* data, std::size_t len);
-
 /// Outcome of an integrity scan.
 struct VerifyReport {
+  TraceFormat format = TraceFormat::kV2;  // as the magic says
   bool ok = false;
   std::string error;        // empty when ok
-  /// Offending chunk; -1 when the header, index or footer is damaged, the
-  /// content hash differs, or the records break the trace contract.
+  /// Offending v2 chunk; -1 when the header, index or footer is damaged,
+  /// the content hash differs, the records break the trace contract, or the
+  /// file is v1.
   std::int64_t bad_chunk = -1;
   std::uint64_t records = 0;
   std::uint64_t chunks = 0;
   bool hash_checked = false;  // content hash recomputed and compared
 };
 
-/// Full integrity scan of a v2 file: header/index/footer checksums, every
-/// chunk CRC + decode, the trace contract (TraceReader::ingest), and (with
-/// `deep`) the content hash against the footer. Never throws on corruption
-/// or a contract violation — it reports.
-VerifyReport verify_v2_file(const std::string& path, bool deep = true);
+/// Full integrity scan of a trace file: every record decoded and the trace
+/// contract proved (TraceReader::ingest); for v2 also the header, index,
+/// footer and chunk checksums and (with `deep`) the content hash against the
+/// footer. Never throws on corruption or a contract violation — it reports;
+/// throws TraceStoreError only when `path` cannot be opened.
+VerifyReport verify_file(const std::string& path, bool deep = true);
 
 }  // namespace sctm::tracestore

@@ -65,11 +65,11 @@ void run_pipeline(const noc::Topology& topo, const std::string& tag) {
   const auto exec = core::run_execution(app_on(topo), cap_spec, {});
   ASSERT_GT(exec.trace.records.size(), 100u);
 
-  // Round-trip through the v2 container (the store only writes v2; the
-  // generic reader dispatches on magic).
+  // Round-trip through the v2 container (the store only writes v2;
+  // TraceReader reads either format).
   const std::string path = "/tmp/sctm_topo_pipeline_" + tag + ".trc2";
   tracestore::write_v2_file(exec.trace, path);
-  const auto verify = tracestore::verify_v2_file(path);
+  const auto verify = tracestore::verify_file(path);
   EXPECT_TRUE(verify.ok) << verify.error;
   const auto loaded = trace::read_binary_file(path);
   std::remove(path.c_str());

@@ -133,7 +133,7 @@ inline std::string v2_bytes(
   return out.str();
 }
 
-/// The v1 bytes of `f`, laid out as trace_io.hpp documents.
+/// The v1 bytes of `f`, laid out as tracestore/format.hpp documents.
 inline std::string v1_bytes(const FileTrace& f) {
   std::string b;
   const auto put = [&b](auto v) {

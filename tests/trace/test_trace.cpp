@@ -102,8 +102,8 @@ TEST(TraceIo, FileRoundTrip) {
 using fixtures::golden_trace;
 
 TEST(TraceIo, GoldenByteLayoutIsStable) {
-  // The exact on-disk bytes for a tiny trace, pinned by hand from the header
-  // comment in trace_io.hpp. Guards the buffered serializer (and any future
+  // The exact on-disk bytes for a tiny trace, pinned by hand from the v1
+  // layout comment in tracestore/format.hpp. Guards the buffered serializer (and any future
   // rewrite) against silent format drift: traces written by old builds must
   // stay readable bit-for-bit.
   static const unsigned char kExpected[] = {
@@ -242,6 +242,26 @@ TEST(TraceIo, BadMagicRejected) {
   std::stringstream buf;
   buf << "NOTATRACE-------";
   EXPECT_THROW(read_binary(buf), std::runtime_error);
+
+  // A file with neither magic fails naming its path.
+  const std::string path = "/tmp/sctm_bad_magic.trc";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "NOTATRACE-------";
+  }
+  const auto expect_path_named = [&](auto&& read) {
+    try {
+      read();
+      ADD_FAILURE() << "read a file with neither magic";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path + " starts with neither"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_path_named([&] { (void)read_binary_file(path); });
+  expect_path_named([&] { (void)core::load_replay_trace(path); });
+  std::remove(path.c_str());
 }
 
 TEST(TraceIo, TruncatedInputRejected) {

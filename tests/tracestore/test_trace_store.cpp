@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <numeric>
 #include <random>
 #include <set>
 #include <sstream>
@@ -202,7 +203,7 @@ TEST(TraceStoreV2, ReadersRejectTheOldGoldenTrace) {
   expect_rejected("load_replay_trace",
                   [&] { (void)core::load_replay_trace(path); });
   for (const bool deep : {true, false}) {
-    const VerifyReport rep = verify_v2_file(path, deep);
+    const VerifyReport rep = verify_file(path, deep);
     EXPECT_FALSE(rep.ok);
     EXPECT_EQ(rep.bad_chunk, -1);
     EXPECT_NE(rep.error.find(rejection), std::string::npos) << rep.error;
@@ -351,9 +352,15 @@ TEST(TraceStoreV2, ReadBinaryDispatchesOnMagic) {
 
   const std::string path = "/tmp/sctm_tracestore_dispatch.trc2";
   write_v2_file(t, path);
-  EXPECT_EQ(trace::sniff_format(path), trace::TraceFormat::kV2);
+  EXPECT_EQ(TraceReader::open_file(path).format(), TraceFormat::kV2);
   EXPECT_EQ(trace::read_binary_file(path), t);
   std::remove(path.c_str());
+}
+
+TEST(TraceStoreV2, WriterRejectsAChunkOfZeroRecords) {
+  std::ostringstream ss;
+  EXPECT_THROW(TraceWriter(ss, golden_trace(), 0), std::invalid_argument);
+  EXPECT_TRUE(ss.str().empty());
 }
 
 TEST(TraceStoreV2, WriterStreamsAndHashesIncrementally) {
@@ -408,7 +415,7 @@ TEST(TraceStoreV2, EveryOneByteCorruptionIsDetectedAndAttributed) {
     buf << in.rdbuf();
     clean = buf.str();
   }
-  const VerifyReport ok = verify_v2_file(path);
+  const VerifyReport ok = verify_file(path);
   ASSERT_TRUE(ok.ok) << ok.error;
   ASSERT_GE(ok.chunks, 3u);
 
@@ -429,7 +436,7 @@ TEST(TraceStoreV2, EveryOneByteCorruptionIsDetectedAndAttributed) {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
     }
-    const VerifyReport rep = verify_v2_file(path);
+    const VerifyReport rep = verify_file(path);
     ASSERT_FALSE(rep.ok) << "corruption at byte " << i << " went undetected";
     std::int64_t expected_chunk = -1;
     for (std::size_t c = 0; c < spans.size(); ++c) {
@@ -500,7 +507,7 @@ TEST(TraceStoreV2, ChunkRecordCountBeyondItsPayloadIsRejectedAtOpen) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  const VerifyReport rep = verify_v2_file(path);
+  const VerifyReport rep = verify_file(path);
   EXPECT_FALSE(rep.ok);
   EXPECT_EQ(rep.bad_chunk, 0) << rep.error;
   EXPECT_THROW((void)core::load_replay_trace(path), TraceStoreError);
@@ -646,7 +653,7 @@ TEST(TraceStoreV2, ForgedFooterHashFailsTheLoad) {
     EXPECT_NE(what.find(hash_hex(content_hash(t))), std::string::npos)
         << what;
   }
-  EXPECT_FALSE(verify_v2_file(path).ok);
+  EXPECT_FALSE(verify_file(path).ok);
   std::remove(path.c_str());
 }
 
@@ -723,6 +730,118 @@ TEST(TraceStoreV2, StreamedReplayMatchesInMemoryReplayBitExactly) {
   EXPECT_EQ(streamed.result.arrive_time, mem.result.arrive_time);
   EXPECT_EQ(streamed.result.runtime, mem.result.runtime);
   EXPECT_EQ(streamed.result.events, mem.result.events);
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// v1 files: TraceReader scans them into chunks, which the ingest decodes on
+// its workers as it does v2's.
+
+/// 5,000 chained records, more than one chunk's 4,096; then 80 barrier
+/// releases naming 1,000 arrivals each, whose dependencies pass
+/// kV1ChunkBytes; then one record with v1's most dependencies, larger than
+/// kV1ChunkBytes on its own.
+trace::Trace many_chunk_trace() {
+  std::vector<fixtures::Rec> recs;
+  for (MsgId id = 1; id <= 5000; ++id) {
+    recs.push_back({id, static_cast<NodeId>(id % 16),
+                    static_cast<NodeId>((id + 1) % 16), 10 * id, 10 * id + 5,
+                    id > 1 ? std::vector<MsgId>{id - 1}
+                           : std::vector<MsgId>{}});
+  }
+  std::vector<MsgId> arrivals(1000);
+  std::iota(arrivals.begin(), arrivals.end(), MsgId{4001});
+  for (MsgId id = 5001; id <= 5080; ++id) {
+    recs.push_back({id, 0, static_cast<NodeId>(id % 16), 60000, 60010,
+                    arrivals});
+  }
+  std::vector<MsgId> most(UINT16_MAX);
+  for (std::size_t k = 0; k < most.size(); ++k) most[k] = arrivals[k % 1000];
+  recs.push_back({5081, 1, 2, 60020, 60030, most});
+  return fixtures::make_trace(16, recs);
+}
+
+TEST(TraceStoreV1, ReadsAFileOfManyScannedChunks) {
+  const trace::Trace t = many_chunk_trace();
+  std::stringstream v1;
+  trace::write_binary(t, v1);
+  const std::string bytes = v1.str();
+  const TraceReader reader(memory_source(bytes.data(), bytes.size()));
+  EXPECT_EQ(reader.format(), TraceFormat::kV1);
+  EXPECT_EQ(reader.record_count(), t.records.size());
+  ASSERT_GT(reader.chunk_count(), 2u);
+  for (std::size_t i = 0; i < reader.chunk_count(); ++i) {
+    const ChunkInfo& c = reader.chunk_info(i);
+    EXPECT_LE(c.record_count, kDefaultChunkRecords) << i;
+    EXPECT_TRUE(c.payload_len <= kV1ChunkBytes || c.record_count == 1) << i;
+  }
+  EXPECT_EQ(reader.chunk_info(0).record_count, kDefaultChunkRecords);
+  const ChunkInfo& last = reader.chunk_info(reader.chunk_count() - 1);
+  EXPECT_EQ(last.record_count, 1u);
+  EXPECT_GT(last.payload_len, kV1ChunkBytes);
+  EXPECT_EQ(reader.read_all(), t);
+  EXPECT_EQ(trace::read_binary(v1), t);
+
+  const std::string path = "/tmp/sctm_v1_many_chunks.trc";
+  trace::write_binary_file(t, path);
+  EXPECT_EQ(trace::read_binary_file(path), t);
+  expect_same_replay_trace(core::load_replay_trace(path), core::ReplayTrace(t));
+  std::remove(path.c_str());
+}
+
+// Chunks decode on several threads, yet a v1 load reports what a serial
+// load meets first: damage anywhere (the scan at open finds it) before a
+// contract violation in an earlier chunk, and of two violations the one in
+// the lower chunk.
+TEST(TraceStoreV1, LoadReportsErrorsInSerialOrderAcrossChunks) {
+  std::vector<fixtures::Rec> recs;
+  for (MsgId id = 1; id <= 4 * kDefaultChunkRecords; ++id) {
+    recs.push_back({id, 0, 1, 10 * id, 10 * id + 5,
+                    id > 1 ? std::vector<MsgId>{id - 1}
+                           : std::vector<MsgId>{}});
+  }
+  const fixtures::FileTrace clean =
+      fixtures::file_form(fixtures::make_trace(2, recs));
+  const std::string path = "/tmp/sctm_v1_serial_order.trc";
+
+  // Record 9,000 is in chunk 2. Its class byte is 20 bytes into it, after
+  // the 57-byte header, record 0's 40 bytes and 8,999 records of 56.
+  fixtures::FileTrace f = clean;
+  f.records[5].deps[0].parent = 999999;
+  f.records[9000].fields.cls = static_cast<noc::MsgClass>(7);
+  write_bytes(path, fixtures::v1_bytes(f));
+  const std::string class_error =
+      "invalid message class 7 in record 9000 at byte " +
+      std::to_string(57 + 40 + 8999 * 56 + 20);
+  try {
+    (void)core::load_replay_trace(path);
+    ADD_FAILURE() << "loaded a trace with a bad class byte";
+  } catch (const TraceStoreError& e) {
+    EXPECT_NE(std::string(e.what()).find(class_error), std::string::npos)
+        << e.what();
+  }
+
+  f = clean;
+  f.records[5000].deps[0].parent = 999999;
+  f.records[3 * kDefaultChunkRecords + 2].deps[0].parent = 999998;
+  write_bytes(path, fixtures::v1_bytes(f));
+  const TraceReader reader = TraceReader::open_file(path);
+  ASSERT_EQ(reader.chunk_count(), 4u);
+  const auto expect_first_named = [](auto&& load) {
+    try {
+      load();
+      ADD_FAILURE() << "loaded a trace with two unknown parents";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "record 5000 (id 5001): unknown parent id 999999"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_first_named([&] { (void)reader.read_all(); });
+  for (int rep = 0; rep < 20; ++rep) {
+    expect_first_named([&] { (void)core::load_replay_trace(path); });
+  }
   std::remove(path.c_str());
 }
 
