@@ -477,7 +477,8 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, PinnedSerialOutput,
 // The pins above run the ENoC only with round-robin arbiters and 4 VCs.
 // These hold the router's other datapath configurations to the same two-part
 // output: each arbiter kind, VA request masks wider than one 64-bit word,
-// dateline VCs, adaptive routing and multi-cycle links and credits. The
+// dateline VCs, adaptive routing, multi-cycle links and credits, and link
+// faults, whose draws follow the order in which routers emit their hops. The
 // mesh3d configuration replays the 4x4x2 jacobi capture (32 nodes); every
 // other one replays the 16-core jacobi capture.
 struct PinnedEnocConfig {
@@ -530,6 +531,15 @@ constexpr PinnedEnocConfig kPinnedEnocConfigs[] = {
      },
      {0x2920e55870d99a20ull, 3784},
      {0xb82af6899f8339feull, 11382}},
+    {"faults",
+     [](NetSpec& s) {
+       s.fault.seed = 7;
+       s.fault.enoc_flit_corrupt_rate = 0.02;
+       s.fault.enoc_flit_drop_rate = 0.01;
+       s.fault.enoc_link_stuck_rate = 0.002;
+     },
+     {0x630112f69c692869ull, 3861},
+     {0x083b35159e94a926ull, 31109}},
 };
 
 void PrintTo(const PinnedEnocConfig& c, std::ostream* os) { *os << c.name; }

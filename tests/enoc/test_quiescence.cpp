@@ -5,14 +5,17 @@
 // node count; (2) determinism — draining the active set in ascending
 // router-id order is bit-identical to the seed policy of ticking every
 // router every cycle (same activity hash, same delivered timestamps, same
-// per-cycle arbitration history), including when a delivery re-activates a
-// router during the cycle's outbox drain.
+// per-cycle arbitration history), including when a delivery inside a
+// router's tick re-activates a router the scan has already passed, or
+// activates an idle router it has yet to reach.
 #include "enoc/enoc_network.hpp"
 
 #include <gtest/gtest.h>
 
 #include <utility>
 #include <vector>
+
+#include "tracestore/format.hpp"
 
 namespace sctm::enoc {
 namespace {
@@ -81,14 +84,39 @@ struct WorkloadResult {
   std::uint64_t router_ticks = 0;
   std::uint64_t events = 0;
   std::vector<std::pair<MsgId, Cycle>> deliveries;
+  /// Replies injected at a router that held no work and has a higher id
+  /// than the router whose ejection delivered the original.
+  int replies_at_idle_higher_router = 0;
+};
+
+/// FNV-1a over the (id, cycle) delivery list.
+std::uint64_t delivery_hash(const WorkloadResult& r) {
+  tracestore::Fnv1a64 h;
+  for (const auto& [id, at] : r.deliveries) {
+    h.update_scalar(static_cast<std::uint64_t>(id));
+    h.update_scalar(static_cast<std::uint64_t>(at));
+  }
+  return h.value();
+}
+
+/// Who answers each original message with a same-cycle reply, injected from
+/// inside the delivery callback (which runs inside the ejecting router's
+/// tick).
+enum class Reply {
+  kNone,
+  /// The delivering node: the ejecting router re-activates itself.
+  kFromDestination,
+  /// Originals stay among nodes 0-31 and node 63 - dst replies: a router
+  /// with a higher id than the ejecting one, often idle, so the scan reaches
+  /// it after the activation in the same cycle.
+  kFromMirror,
 };
 
 /// A contended deterministic workload: staggered all-to-few bursts on an
 /// 8x8 mesh, enough overlap to exercise credit stalls, VC contention and
-/// multi-flit wormhole interleaving. `chain` adds a delivery-triggered
-/// same-cycle reply inject — the drain-time activation path that the
-/// clear-before-drain ordering rule exists for.
-WorkloadResult run_workload(bool exhaustive, bool chain = false) {
+/// multi-flit wormhole interleaving, with optional delivery-triggered
+/// same-cycle replies.
+WorkloadResult run_workload(bool exhaustive, Reply reply = Reply::kNone) {
   Simulator sim;
   const auto topo = Topology::mesh(8, 8);
   EnocNetwork net(sim, "enoc", topo, small_params());
@@ -97,19 +125,23 @@ WorkloadResult run_workload(bool exhaustive, bool chain = false) {
   MsgId reply_next = 100000;  // distinct id space: one reply per original
   net.set_deliver_callback([&](const Message& m) {
     out.deliveries.emplace_back(m.id, sim.now());
-    if (chain && m.id < 100000) {
-      // Same-cycle reply from the delivering node: activates a router while
-      // the drain is running, after the scan cleared its idle bit.
-      net.inject(make_msg(reply_next++, m.dst, m.src, 32));
+    if (reply == Reply::kNone || m.id >= 100000) return;
+    const NodeId from =
+        reply == Reply::kFromDestination ? m.dst : 63 - m.dst;
+    if (from > m.dst && !net.router(from).has_work()) {
+      ++out.replies_at_idle_higher_router;
     }
+    net.inject(make_msg(reply_next++, from, m.src, 32));
   });
+  const int span = reply == Reply::kFromMirror ? 32 : 64;
   MsgId next = 1;
   for (int burst = 0; burst < 8; ++burst) {
-    sim.schedule_in(static_cast<Cycle>(burst * 40), [&net, &next, burst] {
+    sim.schedule_in(static_cast<Cycle>(burst * 40), [&net, &next, burst,
+                                                     span] {
       for (int i = 0; i < 12; ++i) {
-        const auto src = static_cast<NodeId>((burst * 13 + i * 5) % 64);
-        auto dst = static_cast<NodeId>((i * 17 + burst * 7 + 3) % 64);
-        if (dst == src) dst = (dst + 1) % 64;
+        const auto src = static_cast<NodeId>((burst * 13 + i * 5) % span);
+        auto dst = static_cast<NodeId>((i * 17 + burst * 7 + 3) % span);
+        if (dst == src) dst = (dst + 1) % span;
         net.inject(make_msg(next++, src, dst, 64 + 32 * (i % 3)));
       }
     });
@@ -136,18 +168,46 @@ TEST(Quiescence, ScoreboardIsBitIdenticalToExhaustiveTicking) {
   EXPECT_LT(sb.router_ticks, ex.router_ticks);
 }
 
-TEST(Quiescence, DrainTimeActivationsSurviveScoreboardClears) {
-  // Regression for the drain ordering rule: idle routers are cleared from the
-  // scoreboard before the outbox drain, so a router activated by a
-  // drain-time delivery (ejection -> deliver -> same-cycle reply inject)
-  // keeps its active bit. If the order were reversed, the reply's source
-  // router would be cleared and its flits stranded — the run would either
-  // deadlock (caught by the suite timeout) or lose deliveries.
-  const WorkloadResult sb = run_workload(/*exhaustive=*/false, /*chain=*/true);
+TEST(Quiescence, TickTimeActivationsSurviveScoreboardClears) {
+  // A router's ejection delivers inside its tick, and the delivery callback
+  // may inject a reply at once (ejection -> deliver -> same-cycle reply
+  // inject). The scan clears a router's bit only right after that router's
+  // own tick, so an activation of a router it has already passed keeps its
+  // bit. Were bits cleared after the scan instead, the reply's source
+  // router would be cleared and its flits stranded: the run would either
+  // deadlock (caught by the suite timeout) or lose deliveries. The hashes
+  // pin the schedule across builds.
+  const WorkloadResult sb =
+      run_workload(/*exhaustive=*/false, Reply::kFromDestination);
   ASSERT_EQ(sb.deliveries.size(), 192u);  // 96 originals + 96 replies
-  const WorkloadResult ex = run_workload(/*exhaustive=*/true, /*chain=*/true);
+  const WorkloadResult ex =
+      run_workload(/*exhaustive=*/true, Reply::kFromDestination);
   EXPECT_EQ(sb.activity_hash, ex.activity_hash);
   EXPECT_EQ(sb.deliveries, ex.deliveries);
+  EXPECT_EQ(sb.activity_hash, 0x04ff753d78c3566cull)
+      << std::hex << "activity hash 0x" << sb.activity_hash;
+  EXPECT_EQ(delivery_hash(sb), 0xefa73ada4dc60e61ull)
+      << std::hex << "delivery hash 0x" << delivery_hash(sb);
+}
+
+TEST(Quiescence, ReplyAtAnIdleHigherRouterWaitsForTheNextCycle) {
+  // The reply's source router is idle and has a higher id than the ejecting
+  // one, so the scan can reach it in the cycle of the activation. Its
+  // injection waits for the next cycle all the same (the router pulls only
+  // flits injected before now), so the schedule is the exhaustive oracle's
+  // and the pinned one.
+  const WorkloadResult sb =
+      run_workload(/*exhaustive=*/false, Reply::kFromMirror);
+  ASSERT_EQ(sb.deliveries.size(), 192u);
+  EXPECT_GT(sb.replies_at_idle_higher_router, 0);
+  const WorkloadResult ex =
+      run_workload(/*exhaustive=*/true, Reply::kFromMirror);
+  EXPECT_EQ(sb.activity_hash, ex.activity_hash);
+  EXPECT_EQ(sb.deliveries, ex.deliveries);
+  EXPECT_EQ(sb.activity_hash, 0x5fe7b66927d94333ull)
+      << std::hex << "activity hash 0x" << sb.activity_hash;
+  EXPECT_EQ(delivery_hash(sb), 0xaddccfa537a9d0d0ull)
+      << std::hex << "delivery hash 0x" << delivery_hash(sb);
 }
 
 TEST(Quiescence, ScoreboardRunIsSelfDeterministic) {

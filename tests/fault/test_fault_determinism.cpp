@@ -12,6 +12,7 @@
 #include "core/driver.hpp"
 #include "core/replay_session.hpp"
 #include "fault/fault_spec.hpp"
+#include "tracestore/trace_store.hpp"
 
 namespace sctm::core {
 namespace {
@@ -193,12 +194,19 @@ TEST(FaultedReplay, MetricsCarryFaultRegimeAndCounters) {
 }
 
 // Execution-driven capture with faults: the captured trace replays, and the
-// fault counters ride in the execution metrics document.
+// fault counters ride in the execution metrics document. The capture itself
+// is pinned: its content hash, runtime and kernel event count hold the ENoC
+// fault schedule, whose draws follow the order in which routers emit their
+// hops.
 TEST(FaultedReplay, ExecutionCaptureUnderFaultsProducesReplayableTrace) {
   const NetSpec spec = faulted_spec(NetKind::kEnoc);
   const fullsys::AppParams app = small_app("fft");
   const ExecutionRun run = run_execution(app, spec, small_sys());
   EXPECT_GT(run.stats.counter_value("net.fault.retransmissions"), 0u);
+  const std::uint64_t hash = tracestore::content_hash(run.trace);
+  EXPECT_EQ(hash, 0x3ee1232ebecfccf1ull) << std::hex << "hash 0x" << hash;
+  EXPECT_EQ(run.runtime, 3284u);
+  EXPECT_EQ(run.events, 4870u);
   const RunMetrics m =
       metrics_for_execution(app, spec, run, "test", "2026-08-09");
   std::string err;
