@@ -2,7 +2,9 @@
 //
 // A message is segmented into one head flit (carrying routing state) plus
 // body flits and a tail flit. Flits carry only what the datapath needs; the
-// owning EnocNetwork keeps the full Message until tail ejection.
+// owning EnocNetwork keeps the full Message until tail ejection, and the
+// injection time stays in the router's staging ring, the one place that
+// reads it. That keeps a flit, which every hop copies twice, at 32 bytes.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +30,6 @@ struct Flit {
 
   /// VC the flit occupies at its *current* input buffer (set on arrival).
   std::int16_t vc = -1;
-
-  Cycle injected_at = kNoCycle;  // network acceptance time (head of packet)
 };
 
 }  // namespace sctm::enoc

@@ -9,7 +9,8 @@
 // Stream placement fixes the fault schedule (DESIGN.md §11):
 //
 //  * One stream per class for ENoC flit faults, reservation loss and
-//    optical data corruption, consumed in event and outbox-drain order.
+//    optical data corruption, consumed in event order and, on the ENoC, in
+//    the order routers emit their hops (router id, then emission order).
 //  * One child stream per channel for token loss. Each channel's draws
 //    follow that channel's own request order, so the token-loss schedule of
 //    one channel does not depend on traffic on any other channel.
@@ -41,7 +42,7 @@ class FaultModel {
 
   const FaultSpec& spec() const { return spec_; }
 
-  // --- ENoC plane: called from the outbox drain ----------------------------
+  // --- ENoC plane: called as a router emits each link traversal -----------
   bool draw_flit_corrupt();
   bool draw_flit_drop();
   bool draw_link_stuck_onset();

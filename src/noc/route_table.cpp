@@ -15,7 +15,18 @@ RoutingTable::RoutingTable(const Topology& topo,
     : topo_(topo), algo_(algo.value_or(default_algo(topo))) {
   nodes_ = topo_.node_count();
   stride_ = topo_.radix();
-  if (table_backed()) build_tables();
+  if (table_backed()) {
+    build_tables();
+    return;
+  }
+  coords_.resize(static_cast<std::size_t>(nodes_));
+  for (NodeId n = 0; n < nodes_; ++n) {
+    coords_[static_cast<std::size_t>(n)] = topo_.coords(n);
+  }
+}
+
+void RoutingTable::throw_invalid_node() {
+  throw std::logic_error("RoutingTable::route: invalid node");
 }
 
 void RoutingTable::build_tables() {
@@ -157,33 +168,6 @@ void RoutingTable::build_tables() {
       du_[cell] = static_cast<std::uint16_t>(best);
     }
   }
-}
-
-RoutePorts RoutingTable::route(NodeId src, NodeId cur, NodeId dst,
-                               int in_port) const {
-  if (!table_backed()) {
-    return route_ports(topo_, algo_, src, cur, dst);
-  }
-  if (!topo_.valid_node(cur) || !topo_.valid_node(dst) ||
-      !topo_.valid_node(src)) {
-    throw std::logic_error("RoutingTable::route: invalid node");
-  }
-  RoutePorts out;
-  if (cur == dst) return out;
-  // Arriving over a down edge (the hop into us went down, i.e. our port back
-  // to the sender goes up) commits the packet to the down phase.
-  const bool committed =
-      in_port >= 0 && in_port < stride_ &&
-      up_[static_cast<std::size_t>(cur) * stride_ +
-          static_cast<std::size_t>(in_port)] != 0;
-  const std::size_t cell =
-      static_cast<std::size_t>(cur) * nodes_ + static_cast<std::size_t>(dst);
-  const std::int16_t hop = committed ? down_hop_[cell] : free_hop_[cell];
-  if (hop < 0) {
-    throw std::logic_error("RoutingTable::route: no admissible port");
-  }
-  out.push_back(hop);
-  return out;
 }
 
 RouteAudit audit_routes(const RoutingTable& rt) {

@@ -5,11 +5,14 @@
 // A RoutingTable wraps one (topology, algorithm) pair for its whole life
 // (its owner keeps it at a stable address). It is where an unconfigured
 // algorithm resolves to the fabric's natural one (default_algo), so every
-// consumer reads the resolved algo(). For the coordinate algorithms it is a
-// thin dispatcher onto noc::route_ports() — stateless, allocation-free,
-// bit-identical to calling the free function. For kTable it builds up*/down*
-// shortest-path next-hop tables once at construction (network build time),
-// so the per-flit hot path is two array reads.
+// consumer reads the resolved algo(). For the coordinate algorithms it keeps
+// every node's coordinates (O(nodes), derived once at construction) and
+// routes through noc::route_coords(), the one implementation the stateless
+// noc::route_ports() also runs, so the two agree bit for bit and a route
+// computation divides nothing. For kTable it builds up*/down* shortest-path
+// next-hop tables once at construction (network build time), so the
+// per-flit hot path is two array reads. route() is inline: it compiles into
+// the router's tick.
 //
 // Up*/down* (Autonet): a BFS spanning tree from node 0 assigns each node a
 // level; nodes are totally ordered by (level, id). A hop u -> v is "up" when
@@ -50,7 +53,31 @@ class RoutingTable {
   /// `in_port` is the input port the packet occupies at `cur` (-1 for the
   /// injection port); only table routing reads it, to derive the up*/down*
   /// phase. Allocation-free.
-  RoutePorts route(NodeId src, NodeId cur, NodeId dst, int in_port) const;
+  RoutePorts route(NodeId src, NodeId cur, NodeId dst, int in_port) const {
+    if (!topo_.valid_node(cur) || !topo_.valid_node(dst) ||
+        !topo_.valid_node(src)) {
+      throw_invalid_node();
+    }
+    if (cur == dst) return {};
+    if (!table_backed()) {
+      return route_coords(topo_, algo_, coords_[static_cast<std::size_t>(src)],
+                          coords_[static_cast<std::size_t>(cur)],
+                          coords_[static_cast<std::size_t>(dst)]);
+    }
+    // Arriving over a down edge (the hop into us went down, i.e. our port
+    // back to the sender goes up) commits the packet to the down phase.
+    const bool committed =
+        in_port >= 0 && in_port < stride_ &&
+        up_[static_cast<std::size_t>(cur) * stride_ +
+            static_cast<std::size_t>(in_port)] != 0;
+    const std::size_t cell =
+        static_cast<std::size_t>(cur) * nodes_ + static_cast<std::size_t>(dst);
+    const std::int16_t hop = committed ? down_hop_[cell] : free_hop_[cell];
+    if (hop < 0) throw_no_admissible_port();
+    RoutePorts out;
+    out.push_back(hop);
+    return out;
+  }
 
   const Topology& topology() const { return topo_; }
   RoutingAlgo algo() const { return algo_; }
@@ -94,11 +121,14 @@ class RoutingTable {
 
  private:
   void build_tables();
+  [[noreturn, gnu::cold]] static void throw_invalid_node();
 
   Topology topo_;
   RoutingAlgo algo_;
   int nodes_ = 0;
   int stride_ = 0;
+  // Coordinate algorithms: every node's coordinates; empty for kTable.
+  std::vector<Coord> coords_;
   // kTable state; empty for coordinate algorithms.
   std::vector<std::int16_t> free_hop_;  // [cur * nodes + dst]
   std::vector<std::int16_t> down_hop_;  // [cur * nodes + dst]

@@ -6,6 +6,12 @@
 // fixed preference order, and a router with no better information takes the
 // first.
 //
+// Every coordinate algorithm has one implementation, route_coords(), which
+// reads the three nodes' coordinates and the fabric's extents. The stateless
+// route_ports() derives the coordinates from the topology on each call; a
+// RoutingTable (noc/route_table.hpp) derives every node's once and routes
+// the datapath from them, so a route computation divides nothing.
+//
 // Deadlock freedom: XY and YX are dimension-ordered (cyclic turn sequences
 // are impossible); odd-even restricts turns per Chiu's odd-even rules (needs
 // the packet's source column, hence the src parameter); torus DOR, XYZ on
@@ -66,10 +72,141 @@ struct RoutePorts {
 
 /// Admissible output ports (directional indices; never the local port — the
 /// caller ejects when cur == dst). Empty result is a contract violation and
-/// throws std::logic_error. Allocation-free (datapath hot path). kTable is
-/// rejected here: table routes live in a RoutingTable owned by the network.
+/// throws std::logic_error. Allocation-free. kTable is rejected here: table
+/// routes live in a RoutingTable owned by the network.
 RoutePorts route_ports(const Topology& topo, RoutingAlgo algo, NodeId src,
                        NodeId cur, NodeId dst);
+
+/// Throw paths of route_coords(), kept out of line.
+[[noreturn, gnu::cold]] void throw_table_needs_routing_table();
+[[noreturn, gnu::cold]] void throw_no_admissible_port();
+
+namespace detail {
+
+/// (to - from) mod extent, for coordinates in [0, extent).
+inline int forward_hops(int from, int to, int extent) {
+  const int hops = to - from;
+  return hops < 0 ? hops + extent : hops;
+}
+
+inline RoutePorts xy_route(Coord c, Coord d, bool x_first) {
+  RoutePorts out;
+  auto push_x = [&] {
+    if (d.x > c.x) out.push_back(kEast);
+    else if (d.x < c.x) out.push_back(kWest);
+  };
+  auto push_y = [&] {
+    if (d.y > c.y) out.push_back(kSouth);
+    else if (d.y < c.y) out.push_back(kNorth);
+  };
+  if (x_first) {
+    push_x();
+    if (out.empty()) push_y();
+  } else {
+    push_y();
+    if (out.empty()) push_x();
+  }
+  return out;
+}
+
+// Chiu's odd-even minimal adaptive routing (IEEE TPDS 2000, Fig. 3).
+// Even columns forbid EN/ES turns; odd columns forbid NW/SW turns. The
+// vertical direction sign does not affect the rules, so our y-down
+// convention is immaterial.
+inline RoutePorts odd_even_route(Coord s, Coord c, Coord d) {
+  RoutePorts out;
+  const int e0 = d.x - c.x;
+  const int e1 = d.y - c.y;
+  const int vertical = e1 > 0 ? kSouth : kNorth;
+
+  if (e0 == 0) {
+    if (e1 != 0) out.push_back(vertical);
+    return out;
+  }
+  if (e0 > 0) {  // eastbound
+    if (e1 == 0) {
+      out.push_back(kEast);
+    } else {
+      if (c.x % 2 == 1 || c.x == s.x) out.push_back(vertical);
+      if (d.x % 2 == 1 || e0 != 1) out.push_back(kEast);
+    }
+  } else {  // westbound
+    out.push_back(kWest);
+    if (c.x % 2 == 0 && e1 != 0) out.push_back(vertical);
+  }
+  return out;
+}
+
+// A ring node's x coordinate is its id, and the ring's width its size.
+inline RoutePorts ring_route(Coord c, Coord d, int count) {
+  const int fwd = forward_hops(c.x, d.x, count);
+  const int bwd = count - fwd;
+  RoutePorts out;
+  out.push_back(fwd <= bwd ? kRingCw : kRingCcw);
+  return out;
+}
+
+// Dimension-ordered x -> y -> z. On mesh3d each dimension has one
+// productive direction; on torus3d the shorter way wins (ties break toward
+// the positive direction, matching torus_dor_route).
+inline RoutePorts xyz_route(const Topology& topo, Coord c, Coord d) {
+  const bool wraps = topo.kind() == Topology::Kind::kTorus3D;
+  RoutePorts out;
+  const auto resolve = [&](int cc, int dc, int extent, int pos, int neg) {
+    if (cc == dc) return false;
+    if (wraps) {
+      const int fwd = forward_hops(cc, dc, extent);
+      out.push_back(fwd <= extent - fwd ? pos : neg);
+    } else {
+      out.push_back(dc > cc ? pos : neg);
+    }
+    return true;
+  };
+  if (resolve(c.x, d.x, topo.width(), kEast, kWest)) return out;
+  if (resolve(c.y, d.y, topo.height(), kSouth, kNorth)) return out;
+  resolve(c.z, d.z, topo.depth(), kUp, kDown);
+  return out;
+}
+
+inline RoutePorts torus_dor_route(const Topology& topo, Coord c, Coord d) {
+  RoutePorts out;
+  if (c.x != d.x) {
+    const int w = topo.width();
+    const int east_hops = forward_hops(c.x, d.x, w);
+    const int west_hops = w - east_hops;
+    out.push_back(east_hops <= west_hops ? kEast : kWest);
+    return out;
+  }
+  const int h = topo.height();
+  const int south_hops = forward_hops(c.y, d.y, h);
+  const int north_hops = h - south_hops;
+  out.push_back(south_hops <= north_hops ? kSouth : kNorth);
+  return out;
+}
+
+}  // namespace detail
+
+/// route_ports() from coordinates: `s`, `c` and `d` are the source, current
+/// and destination nodes' coordinates, with c != d, and `topo` supplies the
+/// extents. Every caller routes through here. Inline, so a router's route
+/// computation compiles into its tick.
+inline RoutePorts route_coords(const Topology& topo, RoutingAlgo algo,
+                               Coord s, Coord c, Coord d) {
+  RoutePorts out;
+  switch (algo) {
+    case RoutingAlgo::kXY: out = detail::xy_route(c, d, /*x_first=*/true); break;
+    case RoutingAlgo::kYX: out = detail::xy_route(c, d, /*x_first=*/false); break;
+    case RoutingAlgo::kOddEven: out = detail::odd_even_route(s, c, d); break;
+    case RoutingAlgo::kRingShortest:
+      out = detail::ring_route(c, d, topo.width());
+      break;
+    case RoutingAlgo::kTorusDor: out = detail::torus_dor_route(topo, c, d); break;
+    case RoutingAlgo::kXyz: out = detail::xyz_route(topo, c, d); break;
+    case RoutingAlgo::kTable: throw_table_needs_routing_table();
+  }
+  if (out.empty()) throw_no_admissible_port();
+  return out;
+}
 
 /// Vector-returning convenience wrapper over route_ports() (tests, tools).
 std::vector<int> route_candidates(const Topology& topo, RoutingAlgo algo,

@@ -66,12 +66,20 @@ class ByteSource {
   /// additionally serializes internally so parallel chunk decode can share
   /// one source.
   virtual void read_at(std::uint64_t off, void* dst, std::size_t n) = 0;
+  /// [off, off+n) in place, valid while the source lives, when the source
+  /// holds its bytes in memory; nullptr when it must read_at() them. A
+  /// memory source throws TraceStoreError, as read_at() does, when the
+  /// range runs past its end. Safe to call from any thread.
+  virtual const char* view(std::uint64_t /*off*/, std::size_t /*n*/) {
+    return nullptr;
+  }
 };
 
 /// Opens `path` for random access (throws TraceStoreError when unreadable).
 std::unique_ptr<ByteSource> open_file_source(const std::string& path);
 
-/// Wraps caller-owned bytes (the caller keeps them alive).
+/// Wraps caller-owned bytes (the caller keeps them alive). Readers decode
+/// and check them in place (ByteSource::view), without copying.
 std::unique_ptr<ByteSource> memory_source(const char* data, std::size_t len);
 
 // ---------------------------------------------------------------------------
@@ -183,9 +191,17 @@ class TraceReader {
  private:
   void open_v1();
   void open_v2();
-  void read_payload(std::size_t i, std::vector<char>& buf) const;
-  /// Reads chunk i into `buf` and decodes it into `sink`; throws
-  /// TraceStoreError on corruption, carrying `i` when a v2 chunk is bad.
+  /// [off, off+n) of the source: in place when it offers a view, else read
+  /// into `buf`.
+  const char* bytes_at(std::uint64_t off, std::size_t n,
+                       std::vector<char>& buf) const;
+  /// Chunk i's v2 payload (chunk_info(i).payload_len bytes), its header
+  /// checked against the index and its checksum verified; in `buf` unless
+  /// the source offers a view.
+  const char* read_payload(std::size_t i, std::vector<char>& buf) const;
+  /// Decodes chunk i into `sink`, reading it into `buf` unless the source
+  /// offers a view; throws TraceStoreError on corruption, carrying `i` when
+  /// a v2 chunk is bad.
   void decode_chunk(std::size_t i, std::vector<char>& buf,
                     ColumnSink& sink) const;
 

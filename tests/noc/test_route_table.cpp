@@ -173,16 +173,37 @@ TEST(RouteTable, CoordinateAlgorithmsAuditCleanOnEveryKind) {
 }
 
 TEST(RouteTable, DispatchesCoordinateAlgosToStatelessFunctions) {
-  const auto t = Topology::mesh(4, 4);
-  const RoutingTable rt(t, RoutingAlgo::kXY);
-  for (NodeId s = 0; s < t.node_count(); ++s) {
-    for (NodeId d = 0; d < t.node_count(); ++d) {
-      const auto a = rt.route(s, s, d, -1);
-      const auto b = route_ports(t, RoutingAlgo::kXY, s, s, d);
-      ASSERT_EQ(a.size(), b.size());
-      for (int i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a.ports[static_cast<std::size_t>(i)],
-                  b.ports[static_cast<std::size_t>(i)]);
+  // The table routes from the coordinates it cached at construction, the
+  // stateless entry point from coordinates it derives on each call; both run
+  // route_coords(), so they agree on every (src, cur, dst), odd-even's
+  // source-column rule included.
+  const struct {
+    Topology topo;
+    RoutingAlgo algo;
+  } cases[] = {
+      {Topology::mesh(4, 4), RoutingAlgo::kXY},
+      {Topology::mesh(4, 3), RoutingAlgo::kYX},
+      {Topology::mesh(5, 5), RoutingAlgo::kOddEven},
+      {Topology::torus(4, 3), RoutingAlgo::kTorusDor},
+      {Topology::ring(7), RoutingAlgo::kRingShortest},
+      {Topology::mesh3d(3, 2, 2), RoutingAlgo::kXyz},
+      {Topology::torus3d(3, 3, 2), RoutingAlgo::kXyz},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.topo.describe() + " / " + to_string(c.algo));
+    const RoutingTable rt(c.topo, c.algo);
+    const NodeId n = c.topo.node_count();
+    for (NodeId s = 0; s < n; ++s) {
+      for (NodeId cur = 0; cur < n; ++cur) {
+        for (NodeId d = 0; d < n; ++d) {
+          const auto a = rt.route(s, cur, d, -1);
+          const auto b = route_ports(c.topo, c.algo, s, cur, d);
+          ASSERT_EQ(a.size(), b.size());
+          for (int i = 0; i < a.size(); ++i) {
+            ASSERT_EQ(a.ports[static_cast<std::size_t>(i)],
+                      b.ports[static_cast<std::size_t>(i)]);
+          }
+        }
       }
     }
   }
