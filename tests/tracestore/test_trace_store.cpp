@@ -514,6 +514,51 @@ TEST(TraceStoreV2, ChunkRecordCountBeyondItsPayloadIsRejectedAtOpen) {
   std::remove(path.c_str());
 }
 
+// A chunk whose first record claims as dependencies the bytes its second
+// record needs, with the payload checksum re-sealed, fails to decode at the
+// truncated second record. Its first record yields more dependencies than
+// (payload - kMinRecordBytes x records) / kMinDepBytes, so the decode must
+// have room for one per kMinDepBytes of the whole payload (run it under
+// AddressSanitizer to see a write past that room).
+TEST(TraceStoreV2, DependenciesEatingALaterRecordAreRejectedInBounds) {
+  std::mt19937_64 rng(2);
+  const trace::Trace t = random_trace(rng, 2);
+  std::ostringstream ss;
+  write_v2(t, ss);
+  std::string bytes = ss.str();
+  const auto get = [&bytes](std::size_t at, auto v) {
+    std::memcpy(&v, bytes.data() + at, sizeof v);
+    return v;
+  };
+  const std::size_t footer = bytes.size() - kFooterBytes;
+  const std::size_t index = get(footer, std::uint64_t{0});
+  ASSERT_EQ(get(footer + 8, std::uint64_t{0}), 1u);  // one chunk
+  const std::size_t chunk_offset = get(index + 8, std::uint64_t{0});
+  const std::size_t payload_len = get(index + 16, std::uint32_t{0});
+  ASSERT_EQ(get(index + 20, std::uint32_t{0}), 2u);  // of two records
+  ASSERT_GE(payload_len, 2 * kMinRecordBytes);
+  ASSERT_LT(payload_len, 2 * 128 + kMinRecordBytes);  // a one-byte count
+
+  // Record 0: eight one-byte fields, then a dependency count that spends
+  // every byte left on two-byte (0, 0) dependencies.
+  const std::size_t deps = (payload_len - kMinRecordBytes) / kMinDepBytes;
+  ASSERT_GT(deps, (payload_len - 2 * kMinRecordBytes) / kMinDepBytes);
+  char* const payload = bytes.data() + chunk_offset + kChunkHeaderBytes;
+  std::memset(payload, 0, payload_len);
+  payload[8] = static_cast<char>(deps);
+  const std::uint32_t crc = crc32(payload, payload_len);
+  std::memcpy(bytes.data() + chunk_offset, &crc, sizeof crc);
+
+  try {
+    (void)TraceReader(memory_source(bytes.data(), bytes.size())).read_all();
+    ADD_FAILURE() << "decoded a chunk whose second record is truncated";
+  } catch (const TraceStoreError& e) {
+    EXPECT_EQ(e.chunk(), 0) << e.what();
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Replay loads (the acceptance criterion: replaying from a v2 container is
 // bit-identical to replaying the in-memory trace).
