@@ -298,6 +298,7 @@ Topology Topology::parse(std::istream& in, const std::string& source) {
   g->nbr.assign(cells, kInvalidNode);
   g->arrival.assign(cells, -1);
   g->axis.assign(cells, 0);
+  g->wrap.assign(cells, 0);
   g->degree.assign(static_cast<std::size_t>(nodes), 0);
   for (NodeId n = 0; n < nodes; ++n) {
     const auto& row = adj[static_cast<std::size_t>(n)];
@@ -365,18 +366,6 @@ NodeId Topology::node_at(Coord c) const {
   return (c.z * dy_ + c.y) * dx_ + c.x;
 }
 
-NodeId Topology::neighbor(NodeId n, int dir) const {
-  if (!valid_node(n) || dir < 0 || dir >= radix_) return kInvalidNode;
-  return graph_->nbr[static_cast<std::size_t>(n) * radix_ +
-                     static_cast<std::size_t>(dir)];
-}
-
-int Topology::arrival_port(NodeId n, int dir) const {
-  if (!valid_node(n) || dir < 0 || dir >= radix_) return -1;
-  return graph_->arrival[static_cast<std::size_t>(n) * radix_ +
-                         static_cast<std::size_t>(dir)];
-}
-
 int Topology::opposite(int dir) {
   switch (dir) {
     case kEast: return kWest;
@@ -387,19 +376,6 @@ int Topology::opposite(int dir) {
     case kDown: return kUp;
     default: return -1;
   }
-}
-
-bool Topology::wrap_link(NodeId n, int dir) const {
-  if (!valid_node(n) || dir < 0 || dir >= radix_) return false;
-  if (graph_->wrap.empty()) return false;
-  return graph_->wrap[static_cast<std::size_t>(n) * radix_ +
-                      static_cast<std::size_t>(dir)] != 0;
-}
-
-int Topology::port_axis(NodeId n, int dir) const {
-  if (!valid_node(n) || dir < 0 || dir >= radix_) return 0;
-  return graph_->axis[static_cast<std::size_t>(n) * radix_ +
-                      static_cast<std::size_t>(dir)];
 }
 
 int Topology::distance(NodeId a, NodeId b) const {

@@ -87,14 +87,21 @@ class Topology {
   NodeId node_at(Coord c) const;
   bool valid_node(NodeId n) const { return n >= 0 && n < nodes_; }
 
+  // The per-port accessors below read the shared graph tables inline, so a
+  // router's per-hop calls cost a bounds check and a load.
+
   /// Neighbor through directional port `dir`; kInvalidNode at a mesh edge or
   /// a disconnected file-fabric port slot.
-  NodeId neighbor(NodeId n, int dir) const;
+  NodeId neighbor(NodeId n, int dir) const {
+    return has_port(n, dir) ? graph_->nbr[cell(n, dir)] : kInvalidNode;
+  }
 
   /// Port on the neighbor that a flit leaving `n` through `dir` arrives on.
   /// For the regular kinds this is opposite(dir) (ring: the other ring
   /// direction); file fabrics store it per edge.
-  int arrival_port(NodeId n, int dir) const;
+  int arrival_port(NodeId n, int dir) const {
+    return has_port(n, dir) ? graph_->arrival[cell(n, dir)] : -1;
+  }
 
   /// The opposite of a 2D/3D lattice direction (E<->W, N<->S, U<->D);
   /// -1 otherwise. Ring and file fabrics need arrival_port().
@@ -102,7 +109,9 @@ class Topology {
 
   /// True when the link out of `n` through `dir` crosses the wrap-around
   /// seam of a torus/torus3d/ring dimension (dateline VC discipline).
-  bool wrap_link(NodeId n, int dir) const;
+  bool wrap_link(NodeId n, int dir) const {
+    return has_port(n, dir) && graph_->wrap[cell(n, dir)] != 0;
+  }
 
   /// True for the wrap-around kinds (torus, torus3d, ring): some links cross
   /// a dimension seam, so routers apply the dateline VC discipline.
@@ -114,7 +123,9 @@ class Topology {
   /// Dimension index of directional port `dir` at node `n` (x=0, y=1, z=2;
   /// both ring directions are axis 0; file-fabric ports are all axis 0 —
   /// irregular fabrics have no dateline discipline to key off axes).
-  int port_axis(NodeId n, int dir) const;
+  int port_axis(NodeId n, int dir) const {
+    return has_port(n, dir) ? graph_->axis[cell(n, dir)] : 0;
+  }
 
   /// Minimal hop count between two nodes: closed-form for the regular kinds,
   /// an all-pairs BFS table for file fabrics.
@@ -154,6 +165,14 @@ class Topology {
 
   Topology(Kind kind, int dx, int dy, int dz);
   void build_graph();
+  bool has_port(NodeId n, int dir) const {
+    return valid_node(n) && dir >= 0 && dir < radix_;
+  }
+  /// Index of (n, dir) in the graph tables.
+  std::size_t cell(NodeId n, int dir) const {
+    return static_cast<std::size_t>(n) * static_cast<std::size_t>(radix_) +
+           static_cast<std::size_t>(dir);
+  }
   static Topology parse(std::istream& in, const std::string& source);
 
   Kind kind_;
