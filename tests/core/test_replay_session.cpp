@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -24,6 +26,7 @@
 #include "support/trace_builder.hpp"
 #include "trace/record.hpp"
 #include "tracestore/format.hpp"
+#include "tracestore/trace_store.hpp"
 
 namespace sctm::core {
 namespace {
@@ -466,6 +469,56 @@ TEST_P(PinnedSerialOutput, Mesh3DFullWindow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, PinnedSerialOutput,
+                         ::testing::ValuesIn(kAllKinds), [](const auto& info) {
+                           std::string name = to_string(info.param);
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
+
+// The execution-driven run that each pin above replays the capture of, run
+// on every kind: the 16-core jacobi capture's content hash (its meta and
+// every record), the application runtime, the kernel event count and an
+// FNV-1a of the stats report. They hold how the run simulates and how it is
+// recorded.
+struct PinnedCapture {
+  std::uint64_t content_hash;
+  Cycle runtime;
+  std::uint64_t events;
+  std::uint64_t stats_hash;
+};
+
+// Indexed like kAllKinds.
+constexpr PinnedCapture kPinnedCaptures[] = {
+    {0x753256314e43bb45ull, 1759, 2911, 0xc9a9f78afd09a679ull},
+    {0xf5aad2e9bf9115c2ull, 2127, 3475, 0x5efed6f57fb3e016ull},
+    {0x15b859de7c39ec60ull, 2182, 3697, 0x76ab303b9582a164ull},
+    {0x6543ace046a88ba3ull, 3165, 6397, 0x3955ec4133fc8314ull},
+    {0xa2f29c0816a8356eull, 1908, 3714, 0xdf8d6e606c1fa58cull},
+    {0x6ee973e969f22f21ull, 2110, 3894, 0xa024c27d48f8572bull},
+};
+
+class PinnedCaptureOutput : public ::testing::TestWithParam<NetKind> {};
+
+TEST_P(PinnedCaptureOutput, Jacobi) {
+  const PinnedCapture& pin =
+      kPinnedCaptures[std::find(std::begin(kAllKinds), std::end(kAllKinds),
+                                GetParam()) -
+                      std::begin(kAllKinds)];
+  const ExecutionRun run =
+      run_execution(small_app("jacobi"), spec_of(GetParam()), small_sys());
+  const std::uint64_t hash = tracestore::content_hash(run.trace);
+  tracestore::Fnv1a64 stats;
+  stats.update(run.stats_report.data(), run.stats_report.size());
+  EXPECT_EQ(hash, pin.content_hash) << std::hex << "hash 0x" << hash;
+  EXPECT_EQ(run.runtime, pin.runtime);
+  EXPECT_EQ(run.events, pin.events);
+  EXPECT_EQ(stats.value(), pin.stats_hash)
+      << std::hex << "stats 0x" << stats.value();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, PinnedCaptureOutput,
                          ::testing::ValuesIn(kAllKinds), [](const auto& info) {
                            std::string name = to_string(info.param);
                            for (char& c : name) {
