@@ -6,7 +6,6 @@
 
 #include "common/json.hpp"
 #include "core/replay_session.hpp"
-#include "trace/capture.hpp"
 #include "tracestore/trace_store.hpp"
 
 namespace sctm::core {
@@ -101,14 +100,17 @@ ExecutionRun run_execution(const fullsys::AppParams& app, const NetSpec& net,
   auto network = make_factory(net)(sim);
   fullsys::CmpSystem cmp(sim, "cmp", *network, net.topo, sys,
                          fullsys::build_app(app));
-  trace::TraceCapture capture(cmp, app.name, net.describe(),
-                              net.topo.node_count());
   ExecutionRun out;
   const double build_seconds = seconds_since(t0);
   out.runtime = cmp.run_to_completion();
-  double finalize_seconds = 0;
-  out.trace = std::move(capture).finalize(out.runtime, &finalize_seconds);
+  const auto t_finalize = std::chrono::steady_clock::now();
+  out.trace.app = app.name;
+  out.trace.capture_network = net.describe();
+  out.trace.nodes = net.topo.node_count();
+  out.trace.capture_runtime = out.runtime;
   out.trace.seed = app.seed;
+  out.trace.records = cmp.take_records();
+  const double finalize_seconds = seconds_since(t_finalize);
   out.events = sim.events_executed();
   out.stats_report = sim.stats().report();
   out.stats = sim.stats();

@@ -74,7 +74,7 @@ struct NetSpec {
 NetworkFactory make_factory(const NetSpec& spec);
 
 struct ExecutionRun {
-  trace::Trace trace;     // capture of the run (also the ground-truth record)
+  trace::Trace trace;     // the CMP's record of the run (the ground truth)
   Cycle runtime = 0;      // application runtime in cycles
   double wall_seconds = 0;
   std::uint64_t events = 0;  // kernel events executed
@@ -84,7 +84,8 @@ struct ExecutionRun {
   /// stats — everything Components registered) for JSON export.
   StatRegistry stats;
   /// Per-phase timing: "build" (network + CMP construction), "execute"
-  /// (kernel run, with its event count), "finalize_trace" (validation).
+  /// (kernel run, with its event count), "finalize_trace" (the check that
+  /// every message arrived and the hand-over of the CMP's records).
   std::vector<PhaseMetrics> phases;
 };
 

@@ -17,17 +17,15 @@ double rel_err(double model, double truth) {
 
 }  // namespace
 
-RunSummary summarize(const trace::Trace& trace) {
+RunSummary summarize(const trace::Records& records, Cycle runtime) {
   RunSummary s;
   Histogram h;
-  for (std::size_t i = 0; i < trace.records.size(); ++i) {
-    h.add(trace.records.latency(i));
-  }
+  for (std::size_t i = 0; i < records.size(); ++i) h.add(records.latency(i));
   s.messages = h.count();
   s.mean_latency = h.mean();
   s.p50_latency = h.percentile(0.5);
   s.p99_latency = h.percentile(0.99);
-  s.runtime = trace.capture_runtime;
+  s.runtime = runtime;
   return s;
 }
 

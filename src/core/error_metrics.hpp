@@ -23,8 +23,13 @@ struct RunSummary {
   Cycle runtime = 0;
 };
 
+/// Summary of an execution-driven run from its records and runtime.
+RunSummary summarize(const trace::Records& records, Cycle runtime);
+
 /// Summary of an execution-driven run (from its capture trace).
-RunSummary summarize(const trace::Trace& trace);
+inline RunSummary summarize(const trace::Trace& trace) {
+  return summarize(trace.records, trace.capture_runtime);
+}
 
 /// Summary of a replay run.
 RunSummary summarize(const ReplayResult& replayed);

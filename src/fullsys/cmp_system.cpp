@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace sctm::fullsys {
 
@@ -86,29 +89,48 @@ NodeId CmpSystem::mc_for(std::uint64_t line) const {
 
 MsgId CmpSystem::send(ProtoMsg type, NodeId src, NodeId dst,
                       std::uint64_t line, const std::vector<MsgId>& causes) {
+  const MsgId id = records_.size() + 1;
+  for (const MsgId c : causes) {
+    if (c < 1 || c >= id || records_.arrive[c - 1] == kNoCycle) {
+      throw std::logic_error(name() + ": cause " + std::to_string(c) +
+                             " of message " + std::to_string(id) +
+                             " never arrived");
+    }
+  }
+  if (records_.size() == UINT32_MAX ||
+      records_.parent.size() + causes.size() > UINT32_MAX) {
+    throw std::length_error(name() + ": over 2^32 - 1 records or deps");
+  }
   noc::Message m;
-  m.id = next_msg_id_++;
+  m.id = id;
   m.src = src;
   m.dst = dst;
   m.size_bytes = size_of(type);
   m.cls = class_of(type);
   m.tag = encode_tag(type, line);
   ++stat_msgs_;
-
-  if (observer_) {
-    InjectionEvent ev;
-    ev.msg = m;
-    ev.msg.inject_time = now();  // the network stamps the real copy too
-    ev.proto = type;
-    ev.causes = causes;
-    observer_(ev);
+  records_.append(id, src, dst, m.size_bytes, m.cls,
+                  static_cast<std::uint8_t>(type), now(), kNoCycle);
+  for (const MsgId c : causes) {
+    records_.add_parent(static_cast<std::uint32_t>(c - 1));
   }
   net_.inject(m);
-  return m.id;
+  return id;
+}
+
+trace::Records CmpSystem::take_records() {
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    if (records_.arrive[i] == kNoCycle) {
+      throw std::logic_error(name() + ": message " +
+                             std::to_string(records_.id[i]) +
+                             " never arrived");
+    }
+  }
+  return std::exchange(records_, {});
 }
 
 void CmpSystem::on_deliver(const noc::Message& msg) {
-  if (deliver_observer_) deliver_observer_(msg);
+  records_.arrive[msg.id - 1] = msg.arrive_time;
   const ProtoMsg type = tag_type(msg.tag);
   const std::uint64_t line = tag_line(msg.tag);
   switch (type) {

@@ -23,10 +23,10 @@ void Core::start() {
 
 void Core::step() {
   // Fold hits and computes into one pass; schedule only at blocking points.
-  // In the detailed front-end modes, re-enter per op (or per compute cycle)
-  // instead of folding: the cycle-level schedule is identical, but the
-  // kernel pays an event per instruction the way an interpreting front end
-  // would (see FullSysParams::core_detail).
+  // In per-cycle mode, re-enter per hit and per compute cycle instead of
+  // folding: the cycle-level schedule is identical, but the kernel pays an
+  // event per instruction the way an interpreting front end would (see
+  // FullSysParams::core_detail).
   Cycle acc = 0;
   while (pc_ < stream_.size()) {
     const Op& op = stream_[pc_];
@@ -36,11 +36,6 @@ void Core::step() {
           if (compute_remaining_ == 0) compute_remaining_ = op.arg;
           if (--compute_remaining_ == 0) ++pc_;
           sim().schedule_in(acc + 1, [this] { step(); });
-          return;
-        }
-        if (params_.core_detail == CoreDetail::kPerOp) {
-          ++pc_;
-          sim().schedule_in(acc + op.arg, [this] { step(); });
           return;
         }
         acc += op.arg;
@@ -61,7 +56,7 @@ void Core::step() {
         const bool hit =
             (st == LineState::kM) || (st == LineState::kS && !is_write);
         if (hit) {
-          if (params_.core_detail != CoreDetail::kFolded) {
+          if (params_.core_detail == CoreDetail::kPerCycle) {
             ++pc_;
             sim().schedule_in(params_.l1_hit_latency, [this] { step(); });
             return;

@@ -7,7 +7,6 @@ namespace {
 
 constexpr Spelling<CoreDetail> kCoreDetailNames[] = {
     {CoreDetail::kFolded, "folded"},
-    {CoreDetail::kPerOp, "per-op"},
     {CoreDetail::kPerCycle, "per-cycle"},
 };
 

@@ -16,7 +16,6 @@ namespace sctm::fullsys {
 /// makes trace-driven exploration economically interesting (R-F3).
 enum class CoreDetail {
   kFolded,    // fold compute+hit chains into single events (fast, default)
-  kPerOp,     // one kernel event per operation
   kPerCycle,  // one kernel event per compute cycle (instruction-level cost)
 };
 

@@ -21,7 +21,6 @@ void Network::install_fault_model(const fault::FaultSpec& spec) {
 void Network::deliver(Message msg) {
   msg.arrive_time = sim().now();
   ++delivered_;
-  latency_.add(msg.latency());
   if (deliver_) deliver_(msg);
 }
 

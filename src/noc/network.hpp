@@ -12,7 +12,6 @@
 #include <memory>
 #include <string>
 
-#include "common/histogram.hpp"
 #include "common/inline_fn.hpp"
 #include "fault/fault_model.hpp"
 #include "noc/message.hpp"
@@ -63,11 +62,10 @@ class Network : public Component {
 
   std::uint64_t injected_count() const { return injected_; }
   std::uint64_t delivered_count() const { return delivered_; }
-  const Histogram& latency_histogram() const { return latency_; }
 
  protected:
-  /// Subclasses call this at arrival time; it stamps arrive_time, records
-  /// latency and invokes the delivery callback.
+  /// Subclasses call this at arrival time; it stamps arrive_time, counts the
+  /// delivery and invokes the delivery callback.
   void deliver(Message msg);
 
   void note_injected(Message& msg);
@@ -80,7 +78,6 @@ class Network : public Component {
   std::unique_ptr<fault::FaultModel> fault_;
   std::uint64_t injected_ = 0;
   std::uint64_t delivered_ = 0;
-  Histogram latency_;
 };
 
 /// Contention-free network: latency = base + per_hop * distance +

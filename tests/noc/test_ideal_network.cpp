@@ -65,14 +65,14 @@ TEST(IdealNetwork, TracksInFlightAndIdle) {
   EXPECT_TRUE(net.idle());
 }
 
-TEST(IdealNetwork, LatencyHistogramCoversEveryClass) {
+TEST(IdealNetwork, DeliversEveryClass) {
   Simulator sim;
   const auto t = Topology::mesh(2, 2);
   IdealNetwork net(sim, "net", t, {});
   net.inject(make_msg(1, 0, 3, 8, MsgClass::kRequest));
   net.inject(make_msg(2, 0, 3, 64, MsgClass::kData));
   sim.run();
-  EXPECT_EQ(net.latency_histogram().count(), 2u);
+  EXPECT_EQ(net.delivered_count(), 2u);
 }
 
 TEST(IdealNetwork, RejectsInvalidEndpoints) {

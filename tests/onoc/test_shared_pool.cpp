@@ -3,7 +3,6 @@
 #include "core/replay_session.hpp"
 #include "noc/traffic.hpp"
 #include "onoc/onoc_network.hpp"
-#include "trace/capture.hpp"
 
 namespace sctm::onoc {
 namespace {
@@ -113,9 +112,10 @@ TEST(SharedPool, FixedPointBitExact) {
   Simulator sim;
   auto net = factory(sim);
   fullsys::CmpSystem cmp(sim, "cmp", *net, topo, {}, fullsys::build_app(app));
-  trace::TraceCapture capture(cmp, app.name, "shared-pool", 16);
-  const Cycle rt = cmp.run_to_completion();
-  const auto tr = std::move(capture).finalize(rt);
+  cmp.run_to_completion();
+  trace::Trace tr;
+  tr.nodes = 16;
+  tr.records = cmp.take_records();
 
   // The factory constructor exists for exactly this: a network no NetSpec
   // can name.
