@@ -1,6 +1,6 @@
 // Trace records: the one in-memory form of a captured workload, shared by
-// capture, the file readers and writers, and replay (core::ReplayTrace holds
-// one by value).
+// the CMP that records it, the file readers and writers, and replay
+// (core::ReplayTrace holds one by value).
 //
 // A record is one network message with its capture timing and its causal
 // dependencies: a parent is a message whose *arrival at this record's source
@@ -84,10 +84,12 @@ struct TraceMeta {
 };
 
 struct Trace : TraceMeta {
-  /// The trace contract (TraceCapture produces it; every file reader and
-  /// core::ReplayTrace reject a trace that breaks it, naming the record):
-  /// ids strictly increase in record order, src and dst lie in [0, nodes),
-  /// and every parent is an earlier record.
+  /// The trace contract (fullsys::CmpSystem records it; every file reader
+  /// and core::ReplayTrace reject a trace that breaks it, naming the
+  /// record): ids strictly increase in record order, src and dst lie in
+  /// [0, nodes), every parent is an earlier record, and, compared without
+  /// wrap-around, every record arrives no earlier than it injects and every
+  /// parent arrives no later than its child injects.
   Records records;
 
   bool operator==(const Trace&) const = default;

@@ -6,7 +6,8 @@
 // contract (record.hpp) on the way. It resolves each stored (parent id,
 // slack) pair to the parent's record index after checking the slack
 // identity: parent arrival + slack == the record's injection. The slack is
-// then dropped; Records::slack() derives it.
+// then dropped; Records::slack() derives it. The identity wraps, so the
+// time rules are checked apart from it, without wrap-around.
 //
 // One parallel_for runs over the reader's chunks (v2's indexed chunks, or
 // the chunks a v1 scan found). Decode workers fill the columns while the
@@ -16,7 +17,8 @@
 // first: a v1 file's damage (found when the reader opens it), else the
 // lowest chunk that fails to decode, else std::invalid_argument naming the
 // record index and id of the first id or endpoint violation in record
-// order, else of the first dependency violation.
+// order, else of the first dependency violation, else a v2 content-hash
+// mismatch, else the first time violation.
 #pragma once
 
 #include <cstddef>
@@ -60,9 +62,9 @@ struct ColumnSink {
 };
 
 /// Proves the contract of an in-memory trace, throwing as the ingest does
-/// (the columns agree in length, ids and endpoints as the ingest checks
-/// them, and every parent is an earlier record), then fills `children` and
-/// stores the content hash in `hash` on two threads.
+/// (the columns agree in length, ids, endpoints and times as the ingest
+/// checks them, and every parent is an earlier record), then fills
+/// `children` and stores the content hash in `hash` on two threads.
 void index_trace(const trace::Trace& t, Children& children,
                  std::uint64_t& hash);
 

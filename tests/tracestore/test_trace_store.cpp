@@ -283,6 +283,10 @@ TEST(ChunkCodec, RoundTripsArbitraryFieldValues) {
 /// record names up to three earlier records. Timestamps are mostly
 /// monotone, with arbitrary u64 injections and kNoCycle arrivals, so the
 /// derived slacks wrap too.
+/// A random trace that keeps the contract: ids ascend, no record arrives
+/// before it injects, and no parent arrives after its child injects. One
+/// record in 16 injects at an arbitrary u64 and one in 10 never arrives;
+/// no later record names either as a parent.
 trace::Trace random_trace(std::mt19937_64& rng, std::size_t n) {
   trace::Trace t;
   t.app = "rnd";
@@ -293,20 +297,26 @@ trace::Trace random_trace(std::mt19937_64& rng, std::size_t n) {
   trace::Records& r = t.records;
   MsgId id = rng() % 1000;
   Cycle inject = rng() % 1000;
+  std::vector<std::uint32_t> parents;  // records a later one may name
   for (std::size_t i = 0; i < n; ++i) {
     id += 1 + rng() % 50;
     inject += rng() % 2000;
-    const Cycle injected = (rng() % 16 == 0) ? rng() : inject;
+    const bool arbitrary = rng() % 16 == 0;
+    const bool lost = rng() % 10 == 0;
+    const Cycle injected = arbitrary ? rng() : inject;
+    const Cycle latency = std::min<Cycle>(rng() % 500, kNoCycle - injected);
     r.append(id, static_cast<NodeId>(rng() % 64),
              static_cast<NodeId>(rng() % 64),
              static_cast<std::uint32_t>(rng() % 100000),
              static_cast<noc::MsgClass>(rng() % noc::kMsgClassCount),
              static_cast<std::uint8_t>(rng() % 256), injected,
-             (rng() % 10 == 0) ? kNoCycle : injected + rng() % 500);
-    const std::size_t deps = i == 0 ? 0 : rng() % 4;
+             lost ? kNoCycle : injected + latency);
+    const std::size_t deps = parents.empty() ? 0 : rng() % 4;
     for (std::size_t d = 0; d < deps; ++d) {
-      r.add_parent(static_cast<std::uint32_t>(rng() % i));
+      const std::uint32_t p = parents[rng() % parents.size()];
+      if (r.arrive[p] <= injected) r.add_parent(p);
     }
+    if (!arbitrary && !lost) parents.push_back(static_cast<std::uint32_t>(i));
   }
   return t;
 }
