@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -25,6 +26,7 @@
 #include "noc/routing.hpp"
 #include "support/trace_builder.hpp"
 #include "trace/record.hpp"
+#include "trace/trace_io.hpp"
 #include "tracestore/format.hpp"
 #include "tracestore/trace_store.hpp"
 
@@ -481,23 +483,39 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, PinnedSerialOutput,
 // on every kind: the 16-core jacobi capture's content hash (its meta and
 // every record), the application runtime, the kernel event count and an
 // FNV-1a of the stats report. They hold how the run simulates and how it is
-// recorded.
+// recorded. The last three are FNV-1as of the capture's file bytes: as v1,
+// as v2, and as v2 at 7 records per chunk; they hold what the writers emit.
 struct PinnedCapture {
   std::uint64_t content_hash;
   Cycle runtime;
   std::uint64_t events;
   std::uint64_t stats_hash;
+  std::uint64_t v1_hash;
+  std::uint64_t v2_hash;
+  std::uint64_t v2_chunk7_hash;
 };
 
 // Indexed like kAllKinds.
 constexpr PinnedCapture kPinnedCaptures[] = {
-    {0x753256314e43bb45ull, 1759, 2911, 0xc9a9f78afd09a679ull},
-    {0xf5aad2e9bf9115c2ull, 2127, 3475, 0x5efed6f57fb3e016ull},
-    {0x15b859de7c39ec60ull, 2182, 3697, 0x76ab303b9582a164ull},
-    {0x6543ace046a88ba3ull, 3165, 6397, 0x3955ec4133fc8314ull},
-    {0xa2f29c0816a8356eull, 1908, 3714, 0xdf8d6e606c1fa58cull},
-    {0x6ee973e969f22f21ull, 2110, 3894, 0xa024c27d48f8572bull},
+    {0x753256314e43bb45ull, 1759, 2911, 0xc9a9f78afd09a679ull,
+     0x14113674198ea63bull, 0x7291e48c437388d2ull, 0x9df6d1eca7069b1eull},
+    {0xf5aad2e9bf9115c2ull, 2127, 3475, 0x5efed6f57fb3e016ull,
+     0x7f35ab23a320a85eull, 0x40395dedc1529132ull, 0xd204ccb1f6427a41ull},
+    {0x15b859de7c39ec60ull, 2182, 3697, 0x76ab303b9582a164ull,
+     0x93b61594f7b4469eull, 0x469e70405a08ac27ull, 0xd2c7ae6738b70d9eull},
+    {0x6543ace046a88ba3ull, 3165, 6397, 0x3955ec4133fc8314ull,
+     0xf3482c32b0bbb131ull, 0xb7cabe28ac373388ull, 0x1d65923cd75e5309ull},
+    {0xa2f29c0816a8356eull, 1908, 3714, 0xdf8d6e606c1fa58cull,
+     0x0452f756bf3398f8ull, 0xc34bd9847c458303ull, 0xf1590b16ebb9be62ull},
+    {0x6ee973e969f22f21ull, 2110, 3894, 0xa024c27d48f8572bull,
+     0x7d5c6cdb747d54a3ull, 0xec844485e1606011ull, 0x92774deaca5a429cull},
 };
+
+std::uint64_t bytes_hash(const std::string& bytes) {
+  tracestore::Fnv1a64 h;
+  h.update(bytes.data(), bytes.size());
+  return h.value();
+}
 
 class PinnedCaptureOutput : public ::testing::TestWithParam<NetKind> {};
 
@@ -516,6 +534,19 @@ TEST_P(PinnedCaptureOutput, Jacobi) {
   EXPECT_EQ(run.events, pin.events);
   EXPECT_EQ(stats.value(), pin.stats_hash)
       << std::hex << "stats 0x" << stats.value();
+
+  std::ostringstream v1;
+  trace::write_binary(run.trace, v1);
+  EXPECT_EQ(bytes_hash(v1.str()), pin.v1_hash)
+      << std::hex << "v1 0x" << bytes_hash(v1.str());
+  std::ostringstream v2;
+  tracestore::write_v2(run.trace, v2);
+  EXPECT_EQ(bytes_hash(v2.str()), pin.v2_hash)
+      << std::hex << "v2 0x" << bytes_hash(v2.str());
+  std::ostringstream v2_chunk7;
+  tracestore::write_v2(run.trace, v2_chunk7, 7);
+  EXPECT_EQ(bytes_hash(v2_chunk7.str()), pin.v2_chunk7_hash)
+      << std::hex << "v2 chunk 7 0x" << bytes_hash(v2_chunk7.str());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, PinnedCaptureOutput,
