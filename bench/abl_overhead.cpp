@@ -46,7 +46,7 @@ int main() {
 
     const std::uint64_t deps = capture.trace.records.parent.size();
     std::ostringstream v1_file, v2_file;
-    trace::write_binary(capture.trace, v1_file);
+    tracestore::write_v1(capture.trace, v1_file);
     tracestore::write_v2(capture.trace, v2_file);
     const double ratio = static_cast<double>(sctm.result.events) /
                          static_cast<double>(naive.result.events);

@@ -102,7 +102,7 @@ TraceResults measure(const std::string& label, const trace::Trace& t,
       [&] {
         return bench::seconds_of([&] {
           std::ostringstream os;
-          trace::write_binary(t, os);
+          tracestore::write_v1(t, os);
           v1_bytes = std::move(os).str();
         });
       },

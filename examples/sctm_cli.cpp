@@ -307,7 +307,7 @@ int cmd_capture(Config& f) {
   const auto [spec, app] = run_of(f);
   const auto format = format_flag(f);
   const auto exec = core::run_execution(app, spec, {});
-  trace::write_file(exec.trace, out, format);
+  tracestore::write_file(exec.trace, out, format);
   std::printf("captured %zu messages (%s on %s), runtime %llu cycles, "
               "%.3f s wall -> %s (%s)\n",
               exec.trace.records.size(), app.name.c_str(),
@@ -588,12 +588,7 @@ int cmd_trace_convert(const Config& f) {
                           "]");
   }
   const auto reader = tracestore::TraceReader::open_file(in);
-  const auto t = reader.read_all();
-  if (format == trace::TraceFormat::kV2) {
-    tracestore::write_v2_file(t, out, chunk);
-  } else {
-    trace::write_file(t, out, format);
-  }
+  tracestore::write_file(reader.read_all(), out, format, chunk);
   const auto out_bytes = std::ifstream(out, std::ios::binary | std::ios::ate)
                              .tellg();
   std::printf("%s (%s, %llu bytes) -> %s (%s, %lld bytes), ratio %.2fx\n",

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   core::NetSpec capture_net;
   capture_net.kind = core::NetKind::kEnoc;
   const auto exec = core::run_execution(app, capture_net, {});
-  trace::write_binary_file(exec.trace, path);
+  trace::write_file(exec.trace, path, trace::TraceFormat::kV1);
   std::printf("captured %zu messages from '%s' -> %s\n",
               exec.trace.records.size(), app.name.c_str(), path.c_str());
 

@@ -130,7 +130,7 @@ CatalogEntry TraceCatalog::add(const trace::Trace& t,
 
   const fs::path container = fs::path(dir_) / (hex + ".trc2");
   const fs::path manifest = fs::path(dir_) / (hex + ".json");
-  write_v2_file(t, container.string(), chunk_records);
+  write_file(t, container.string(), TraceFormat::kV2, chunk_records);
 
   CatalogEntry e;
   e.hash = hex;

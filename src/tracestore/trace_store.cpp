@@ -1,5 +1,6 @@
 #include "tracestore/trace_store.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <mutex>
@@ -17,25 +18,6 @@ void put(std::vector<char>& buf, T v) {
   const auto n = buf.size();
   buf.resize(n + sizeof v);
   std::memcpy(buf.data() + n, &v, sizeof v);
-}
-
-// --- canonical content hashing: a record's fields, then its dependencies --
-
-void hash_fields(Fnv1a64& h, const RecordFields& r) {
-  h.update_scalar(r.id);
-  h.update_scalar(r.src);
-  h.update_scalar(r.dst);
-  h.update_scalar(r.size_bytes);
-  h.update_scalar(static_cast<std::uint8_t>(r.cls));
-  h.update_scalar(r.proto);
-  h.update_scalar(static_cast<std::uint64_t>(r.inject_time));
-  h.update_scalar(static_cast<std::uint64_t>(r.arrive_time));
-  h.update_scalar(r.dep_count);
-}
-
-void hash_dep(Fnv1a64& h, MsgId parent, Cycle slack) {
-  h.update_scalar(static_cast<std::uint64_t>(parent));
-  h.update_scalar(static_cast<std::uint64_t>(slack));
 }
 
 [[noreturn]] void fail_at(std::uint64_t pos, const std::string& what) {
@@ -156,10 +138,18 @@ void hash_records(Fnv1a64& h, const trace::Records& r, std::size_t begin,
   for (std::size_t i = begin; i < end; ++i) {
     const std::uint32_t k0 = r.dep_offset[i];
     const std::uint32_t k1 = r.dep_offset[i + 1];
-    hash_fields(h, {r.id[i], r.src[i], r.dst[i], r.size_bytes[i], r.cls[i],
-                    r.proto[i], r.inject[i], r.arrive[i], k1 - k0});
+    h.update_scalar(std::uint64_t{r.id[i]});
+    h.update_scalar(r.src[i]);
+    h.update_scalar(r.dst[i]);
+    h.update_scalar(r.size_bytes[i]);
+    h.update_scalar(static_cast<std::uint8_t>(r.cls[i]));
+    h.update_scalar(r.proto[i]);
+    h.update_scalar(std::uint64_t{r.inject[i]});
+    h.update_scalar(std::uint64_t{r.arrive[i]});
+    h.update_scalar(std::uint64_t{k1 - k0});
     for (std::uint32_t k = k0; k < k1; ++k) {
-      hash_dep(h, r.id[parent[k]], r.slack(i, parent[k]));
+      h.update_scalar(std::uint64_t{r.id[parent[k]]});
+      h.update_scalar(std::uint64_t{r.slack(i, parent[k])});
     }
   }
 }
@@ -279,147 +269,7 @@ std::uint64_t content_hash(const trace::Trace& t) {
 }
 
 // ---------------------------------------------------------------------------
-// TraceWriter
-
-TraceWriter::TraceWriter(std::ostream& out, const trace::TraceMeta& meta,
-                         std::uint32_t chunk_records)
-    : out_(out), chunk_records_(chunk_records) {
-  if (chunk_records_ == 0) {
-    throw std::invalid_argument(
-        "trace-store: a chunk of 0 records; a chunk holds at least one");
-  }
-  std::vector<char> hdr;
-  hdr.insert(hdr.end(), kMagicV2, kMagicV2 + sizeof kMagicV2);
-  put<std::uint32_t>(hdr, 0);  // flags
-  put<std::uint32_t>(hdr, chunk_records_);
-  put<std::uint32_t>(hdr, static_cast<std::uint32_t>(meta.app.size()));
-  hdr.insert(hdr.end(), meta.app.begin(), meta.app.end());
-  put<std::uint32_t>(hdr,
-                     static_cast<std::uint32_t>(meta.capture_network.size()));
-  hdr.insert(hdr.end(), meta.capture_network.begin(),
-             meta.capture_network.end());
-  put<std::int32_t>(hdr, meta.nodes);
-  put<std::uint64_t>(hdr, meta.capture_runtime);
-  put<std::uint64_t>(hdr, meta.seed);
-  put<std::uint32_t>(hdr, crc32(hdr.data(), hdr.size()));
-  out_.write(hdr.data(), static_cast<std::streamsize>(hdr.size()));
-  if (!out_) throw TraceStoreError("trace-store: header write failed");
-  offset_ = hdr.size();
-  hash_meta(hash_, meta);
-  encoder_.reset();
-}
-
-TraceWriter::~TraceWriter() = default;
-
-void TraceWriter::append(RecordFields f, std::span<const FileDep> deps) {
-  if (finished_) {
-    throw std::logic_error("trace-store: append after finish");
-  }
-  f.dep_count = deps.size();
-  encoder_.record(f);
-  hash_fields(hash_, f);
-  for (const FileDep& d : deps) {
-    encoder_.dep(d.parent, d.slack);
-    hash_dep(hash_, d.parent, d.slack);
-  }
-  widen_cycles(chunk_min_, chunk_max_, f.inject_time, f.arrive_time);
-  ++records_;
-  if (++in_chunk_ == chunk_records_) flush_chunk();
-}
-
-void TraceWriter::flush_chunk() {
-  const auto& payload = encoder_.bytes();
-  ChunkInfo info;
-  info.file_offset = offset_;
-  info.payload_len = static_cast<std::uint32_t>(payload.size());
-  info.record_count = in_chunk_;
-  info.first_record = records_ - in_chunk_;
-  info.min_cycle = chunk_min_;
-  info.max_cycle = chunk_max_;
-
-  std::vector<char> hdr;
-  hdr.reserve(kChunkHeaderBytes);
-  put<std::uint32_t>(hdr, crc32(payload.data(), payload.size()));
-  put<std::uint32_t>(hdr, info.payload_len);
-  put<std::uint32_t>(hdr, info.record_count);
-  put<std::uint64_t>(hdr, info.first_record);
-  put<std::uint64_t>(hdr, info.min_cycle);
-  put<std::uint64_t>(hdr, info.max_cycle);
-  out_.write(hdr.data(), static_cast<std::streamsize>(hdr.size()));
-  out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!out_) throw TraceStoreError("trace-store: chunk write failed");
-  offset_ += hdr.size() + payload.size();
-
-  chunks_.push_back(info);
-  encoder_.reset();
-  in_chunk_ = 0;
-  chunk_min_ = kNoCycle;
-  chunk_max_ = kNoCycle;
-}
-
-void TraceWriter::finish() {
-  if (finished_) {
-    throw std::logic_error("trace-store: finish called twice");
-  }
-  if (in_chunk_ > 0) flush_chunk();
-  finished_ = true;
-
-  const std::uint64_t index_offset = offset_;
-  std::vector<char> index;
-  index.reserve(chunks_.size() * kIndexEntryBytes);
-  for (const auto& c : chunks_) {
-    put<std::uint64_t>(index, c.file_offset);
-    put<std::uint32_t>(index, c.payload_len);
-    put<std::uint32_t>(index, c.record_count);
-    put<std::uint64_t>(index, c.first_record);
-    put<std::uint64_t>(index, c.min_cycle);
-    put<std::uint64_t>(index, c.max_cycle);
-  }
-  std::vector<char> tail;
-  put<std::uint32_t>(tail, crc32(index.data(), index.size()));
-  put<std::uint32_t>(tail, static_cast<std::uint32_t>(index.size()));
-  tail.insert(tail.end(), index.begin(), index.end());
-
-  std::vector<char> footer;
-  put<std::uint64_t>(footer, index_offset);
-  put<std::uint64_t>(footer, static_cast<std::uint64_t>(chunks_.size()));
-  put<std::uint64_t>(footer, records_);
-  put<std::uint64_t>(footer, hash_.value());
-  put<std::uint32_t>(footer, crc32(footer.data(), footer.size()));
-  footer.insert(footer.end(), kTrailerV2, kTrailerV2 + sizeof kTrailerV2);
-
-  out_.write(tail.data(), static_cast<std::streamsize>(tail.size()));
-  out_.write(footer.data(), static_cast<std::streamsize>(footer.size()));
-  if (!out_) throw TraceStoreError("trace-store: footer write failed");
-  offset_ += tail.size() + footer.size();
-}
-
-void write_v2(const trace::Trace& t, std::ostream& out,
-              std::uint32_t chunk_records) {
-  TraceWriter w(out, t, chunk_records);
-  const trace::Records& r = t.records;
-  std::vector<FileDep> deps;
-  for (std::size_t i = 0; i < r.size(); ++i) {
-    deps.clear();
-    for (std::uint32_t k = r.dep_offset[i]; k < r.dep_offset[i + 1]; ++k) {
-      deps.push_back({r.id[r.parent[k]], r.slack(i, r.parent[k])});
-    }
-    w.append({r.id[i], r.src[i], r.dst[i], r.size_bytes[i], r.cls[i],
-              r.proto[i], r.inject[i], r.arrive[i], deps.size()},
-             deps);
-  }
-  w.finish();
-}
-
-void write_v2_file(const trace::Trace& t, const std::string& path,
-                   std::uint32_t chunk_records) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw TraceStoreError("trace-store: cannot open " + path);
-  write_v2(t, out, chunk_records);
-}
-
-// ---------------------------------------------------------------------------
-// TraceReader
+// TraceReader, and each format's encoder beside the reader's open of it
 
 TraceReader::TraceReader(std::unique_ptr<ByteSource> source)
     : source_(std::move(source)), format_(magic_format(*source_)) {
@@ -428,6 +278,87 @@ TraceReader::TraceReader(std::unique_ptr<ByteSource> source)
   } else {
     open_v2();
   }
+}
+
+// ---------------------------------------------------------------------------
+// v1: the encoder, then the open-time scan (decode_chunk decodes its chunks)
+
+namespace {
+
+/// Throws std::length_error naming the first record with more dependencies
+/// than v1's u16 count can say.
+void check_v1_dep_counts(const trace::Records& r) {
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    if (r.dep_count(i) > UINT16_MAX) {
+      throw std::length_error(
+          "trace: record " + std::to_string(i) + " (id " +
+          std::to_string(r.id[i]) + ") has " +
+          std::to_string(r.dep_count(i)) +
+          " dependencies; v1 stores at most 65535 per record (write v2)");
+    }
+  }
+}
+
+/// write_v1() once check_v1_dep_counts() has passed. The file goes out
+/// about 1 MiB at a time, so the encode holds one piece of it, not all.
+void encode_v1(const trace::Trace& t, std::ostream& out) {
+  constexpr std::size_t kPieceBytes = std::size_t{1} << 20;
+  std::vector<char> piece;
+  std::size_t used = 0;
+  // Makes room for n more bytes, writing out the piece when it is full;
+  // false once a write has failed.
+  const auto room = [&](std::size_t n) {
+    if (piece.size() - used >= n) return true;
+    out.write(piece.data(), static_cast<std::streamsize>(used));
+    used = 0;
+    piece.resize(std::max(n, kPieceBytes));
+    return static_cast<bool>(out);
+  };
+  const auto put_bytes = [&](const char* data, std::size_t n) {
+    std::memcpy(piece.data() + used, data, n);
+    used += n;
+  };
+  const auto put = [&](auto v) {
+    put_bytes(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  const auto put_string = [&](const std::string& str) {
+    put(static_cast<std::uint32_t>(str.size()));
+    put_bytes(str.data(), str.size());
+  };
+  const trace::Records& r = t.records;
+  room(sizeof kMagicV1 + 4 + t.app.size() + 4 + t.capture_network.size() +
+       4 + 8 + 8 + 8);
+  put_bytes(kMagicV1, sizeof kMagicV1);
+  put_string(t.app);
+  put_string(t.capture_network);
+  put(std::int32_t{t.nodes});
+  put(std::uint64_t{t.capture_runtime});
+  put(std::uint64_t{t.seed});
+  put(std::uint64_t{r.size()});
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    if (!room(kV1RecordBytes + r.dep_count(i) * kV1DepBytes)) return;
+    put(std::uint64_t{r.id[i]});
+    put(std::int32_t{r.src[i]});
+    put(std::int32_t{r.dst[i]});
+    put(std::uint32_t{r.size_bytes[i]});
+    put(static_cast<std::uint8_t>(r.cls[i]));
+    put(std::uint8_t{r.proto[i]});
+    put(std::uint64_t{r.inject[i]});
+    put(std::uint64_t{r.arrive[i]});
+    put(static_cast<std::uint16_t>(r.dep_count(i)));
+    for (std::uint32_t k = r.dep_offset[i]; k < r.dep_offset[i + 1]; ++k) {
+      put(std::uint64_t{r.id[r.parent[k]]});
+      put(std::uint64_t{r.slack(i, r.parent[k])});
+    }
+  }
+  out.write(piece.data(), static_cast<std::streamsize>(used));
+}
+
+}  // namespace
+
+void write_v1(const trace::Trace& t, std::ostream& out) {
+  check_v1_dep_counts(t.records);
+  encode_v1(t, out);
 }
 
 // The scan reads each record's fixed-width fields through a window of the
@@ -500,6 +431,87 @@ void TraceReader::open_v1() {
     fail_at(at, std::to_string(size - at) +
                     " trailing bytes after the last record");
   }
+}
+
+// ---------------------------------------------------------------------------
+// v2: the encoder, then the open (decode_chunk decodes its chunks)
+
+void write_v2(const trace::Trace& t, std::ostream& out,
+              std::uint32_t chunk_records) {
+  if (chunk_records == 0) {
+    throw std::invalid_argument(
+        "trace-store: a chunk of 0 records; a chunk holds at least one");
+  }
+  std::vector<char> bytes;  // the header, then each chunk's header
+  bytes.insert(bytes.end(), kMagicV2, kMagicV2 + sizeof kMagicV2);
+  put<std::uint32_t>(bytes, 0);  // flags
+  put<std::uint32_t>(bytes, chunk_records);
+  put<std::uint32_t>(bytes, static_cast<std::uint32_t>(t.app.size()));
+  bytes.insert(bytes.end(), t.app.begin(), t.app.end());
+  put<std::uint32_t>(bytes,
+                     static_cast<std::uint32_t>(t.capture_network.size()));
+  bytes.insert(bytes.end(), t.capture_network.begin(),
+               t.capture_network.end());
+  put<std::int32_t>(bytes, t.nodes);
+  put<std::uint64_t>(bytes, t.capture_runtime);
+  put<std::uint64_t>(bytes, t.seed);
+  put<std::uint32_t>(bytes, crc32(bytes.data(), bytes.size()));
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  std::uint64_t offset = bytes.size();
+
+  const trace::Records& r = t.records;
+  Fnv1a64 hash;
+  hash_meta(hash, t);
+  ChunkEncoder encoder;
+  std::vector<char> index;
+  for (std::size_t first = 0; first < r.size() && out;
+       first += chunk_records) {
+    const std::size_t end = std::min<std::size_t>(r.size(),
+                                                  first + chunk_records);
+    Cycle min_cycle = kNoCycle;
+    Cycle max_cycle = kNoCycle;
+    encoder.reset();
+    for (std::size_t i = first; i < end; ++i) {
+      const std::uint32_t k0 = r.dep_offset[i];
+      const std::uint32_t k1 = r.dep_offset[i + 1];
+      encoder.record({r.id[i], r.src[i], r.dst[i], r.size_bytes[i], r.cls[i],
+                      r.proto[i], r.inject[i], r.arrive[i], k1 - k0});
+      for (std::uint32_t k = k0; k < k1; ++k) {
+        encoder.dep(r.id[r.parent[k]], r.slack(i, r.parent[k]));
+      }
+      widen_cycles(min_cycle, max_cycle, r.inject[i], r.arrive[i]);
+    }
+    hash_records(hash, r, first, end);
+
+    const std::vector<char>& payload = encoder.bytes();
+    bytes.clear();
+    put<std::uint32_t>(bytes, crc32(payload.data(), payload.size()));
+    // The index repeats the chunk header after the file offset.
+    put<std::uint64_t>(index, offset);
+    for (std::vector<char>* v : {&bytes, &index}) {
+      put<std::uint32_t>(*v, static_cast<std::uint32_t>(payload.size()));
+      put<std::uint32_t>(*v, static_cast<std::uint32_t>(end - first));
+      put<std::uint64_t>(*v, first);
+      put<std::uint64_t>(*v, min_cycle);
+      put<std::uint64_t>(*v, max_cycle);
+    }
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    offset += bytes.size() + payload.size();
+  }
+
+  bytes.clear();
+  put<std::uint32_t>(bytes, crc32(index.data(), index.size()));
+  put<std::uint32_t>(bytes, static_cast<std::uint32_t>(index.size()));
+  bytes.insert(bytes.end(), index.begin(), index.end());
+  const std::size_t footer = bytes.size();
+  put<std::uint64_t>(bytes, offset);  // of the index
+  put<std::uint64_t>(bytes, index.size() / kIndexEntryBytes);
+  put<std::uint64_t>(bytes, r.size());
+  put<std::uint64_t>(bytes, hash.value());
+  put<std::uint32_t>(bytes, crc32(bytes.data() + footer, bytes.size() - footer));
+  bytes.insert(bytes.end(), kTrailerV2, kTrailerV2 + sizeof kTrailerV2);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 void TraceReader::open_v2() {
@@ -690,6 +702,24 @@ void TraceReader::decode_chunk(std::size_t i, std::vector<char>& buf,
                               " decode failed: " + e.what(),
                           static_cast<std::int64_t>(i));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Whole-file helpers
+
+void write_file(const trace::Trace& t, const std::string& path,
+                TraceFormat format, std::uint32_t chunk_records) {
+  if (format == TraceFormat::kV1) check_v1_dep_counts(t.records);
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw TraceStoreError("trace: cannot open " + path);
+  if (format == TraceFormat::kV1) {
+    encode_v1(t, out);
+  } else {
+    write_v2(t, out, chunk_records);
+  }
+  // The stream may still hold the file's tail: closing writes it.
+  out.close();
+  if (!out) throw TraceStoreError("trace: write to " + path + " failed");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,22 +1,21 @@
-// Trace files: the v2 container's streaming writer, the one reader of both
-// formats, and whole-file helpers. See format.hpp for the byte layouts and
-// DESIGN.md §8 for the rationale and compatibility policy.
+// Trace files: one encoder and one reader per format, and whole-file
+// helpers. See format.hpp for the byte layouts and DESIGN.md §8 for the
+// rationale and compatibility policy.
 //
-// TraceWriter appends records with bounded memory (one encoded chunk plus
-// the growing 40-byte-per-chunk index), so a capture farm can stream a
-// multi-gigabyte trace to disk without ever materializing it. TraceReader
-// opens either format by its magic: it parses a v2 file's header, index and
-// footer eagerly (validating their checksums), and scans a v1 file's record
-// boundaries into chunks. It then serves chunks on demand, in any order and
-// from any thread: chunks are independent, so a whole-trace load decodes
-// them in parallel through the one ingest (ingest.hpp), which proves the
-// trace contract.
+// write_v1 and write_v2 encode the one in-memory form, trace::Trace,
+// straight from its columns; write_file is the one file writer. Each
+// encoder sits in trace_store.cpp beside the reader's open of its format.
+// TraceReader opens either format by its magic: it parses a v2 file's
+// header, index and footer eagerly (validating their checksums), and scans
+// a v1 file's record boundaries into chunks. It then serves chunks on
+// demand, in any order and from any thread: chunks are independent, so a
+// whole-trace load decodes them in parallel through the one ingest
+// (ingest.hpp), which proves the trace contract.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <ostream>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -83,53 +82,27 @@ std::unique_ptr<ByteSource> open_file_source(const std::string& path);
 std::unique_ptr<ByteSource> memory_source(const char* data, std::size_t len);
 
 // ---------------------------------------------------------------------------
-// Writer
+// Writers
 
-class TraceWriter {
- public:
-  /// Starts a container on `out` (header is written immediately). The
-  /// stream must remain valid until finish(). Throws std::invalid_argument
-  /// when `chunk_records` is 0.
-  TraceWriter(std::ostream& out, const trace::TraceMeta& meta,
-              std::uint32_t chunk_records = kDefaultChunkRecords);
-  ~TraceWriter();
+/// Encodes `t` as v1 onto `out`, about 1 MiB at a time. A record with more
+/// than 65,535 dependencies, which v1's u16 count cannot say, throws
+/// std::length_error naming it before anything is written (v2 has no such
+/// limit). A failed write leaves `out` failed and ends the encode.
+void write_v1(const trace::Trace& t, std::ostream& out);
 
-  TraceWriter(const TraceWriter&) = delete;
-  TraceWriter& operator=(const TraceWriter&) = delete;
-
-  /// Appends one record in the file's form: its fields (dep_count is
-  /// taken from `deps`) and its dependencies as (parent id, slack) pairs.
-  void append(RecordFields fields, std::span<const FileDep> deps);
-
-  /// Flushes the pending chunk and writes the index + footer. Must be
-  /// called exactly once; append() is invalid afterwards.
-  void finish();
-
-  std::uint64_t records_written() const { return records_; }
-  /// Content hash accumulated so far (final once finish() was called).
-  std::uint64_t content_hash() const { return hash_.value(); }
-
- private:
-  void flush_chunk();
-
-  std::ostream& out_;
-  std::uint32_t chunk_records_;
-  ChunkEncoder encoder_;
-  std::vector<ChunkInfo> chunks_;
-  std::uint64_t offset_ = 0;  // bytes written so far
-  std::uint64_t records_ = 0;
-  std::uint32_t in_chunk_ = 0;
-  Cycle chunk_min_ = kNoCycle;
-  Cycle chunk_max_ = kNoCycle;
-  Fnv1a64 hash_;
-  bool finished_ = false;
-};
-
-/// Serializes a whole in-memory trace as v2.
+/// Encodes `t` as v2 onto `out`, `chunk_records` records per chunk. A
+/// chunk of 0 records throws std::invalid_argument before anything is
+/// written. A failed write leaves `out` failed and ends the encode.
 void write_v2(const trace::Trace& t, std::ostream& out,
               std::uint32_t chunk_records = kDefaultChunkRecords);
-void write_v2_file(const trace::Trace& t, const std::string& path,
-                   std::uint32_t chunk_records = kDefaultChunkRecords);
+
+/// Writes `t` to `path` as `format` (`chunk_records` sizes v2's chunks and
+/// is not read for v1), closing the file before it returns. A record v1
+/// cannot store throws before the file is created; a file that cannot be
+/// opened, written or closed throws TraceStoreError naming `path`.
+void write_file(const trace::Trace& t, const std::string& path,
+                TraceFormat format,
+                std::uint32_t chunk_records = kDefaultChunkRecords);
 
 /// Content hash of a trace independent of container format: FNV-1a/64 over
 /// the canonical little-endian field stream (meta, then every record in v1

@@ -26,7 +26,6 @@
 #include "noc/routing.hpp"
 #include "support/trace_builder.hpp"
 #include "trace/record.hpp"
-#include "trace/trace_io.hpp"
 #include "tracestore/format.hpp"
 #include "tracestore/trace_store.hpp"
 
@@ -536,7 +535,7 @@ TEST_P(PinnedCaptureOutput, Jacobi) {
       << std::hex << "stats 0x" << stats.value();
 
   std::ostringstream v1;
-  trace::write_binary(run.trace, v1);
+  tracestore::write_v1(run.trace, v1);
   EXPECT_EQ(bytes_hash(v1.str()), pin.v1_hash)
       << std::hex << "v1 0x" << bytes_hash(v1.str());
   std::ostringstream v2;

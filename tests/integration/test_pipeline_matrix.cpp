@@ -54,7 +54,7 @@ TEST_P(PipelineMatrix, CaptureSerializeReplay) {
   // Serialize through a file.
   const std::string path = "/tmp/sctm_matrix_" + kind_name(cap_kind) + "_" +
                            kind_name(tgt_kind) + ".bin";
-  trace::write_binary_file(exec.trace, path);
+  trace::write_file(exec.trace, path, trace::TraceFormat::kV1);
   const auto loaded = trace::read_binary_file(path);
   std::remove(path.c_str());
   ASSERT_EQ(loaded, exec.trace);

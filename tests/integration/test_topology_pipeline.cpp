@@ -68,7 +68,7 @@ void run_pipeline(const noc::Topology& topo, const std::string& tag) {
   // Round-trip through the v2 container (the store only writes v2;
   // TraceReader reads either format).
   const std::string path = "/tmp/sctm_topo_pipeline_" + tag + ".trc2";
-  tracestore::write_v2_file(exec.trace, path);
+  tracestore::write_file(exec.trace, path, tracestore::TraceFormat::kV2);
   const auto verify = tracestore::verify_file(path);
   EXPECT_TRUE(verify.ok) << verify.error;
   const auto loaded = trace::read_binary_file(path);

@@ -13,14 +13,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "trace/record.hpp"
-#include "tracestore/trace_store.hpp"
+#include "tracestore/chunk_codec.hpp"
 
 namespace sctm::fixtures {
 
@@ -122,15 +121,92 @@ inline FileTrace file_form(const trace::Trace& t) {
   return f;
 }
 
-/// The v2 container of `f`, in chunks of `chunk_records`.
+/// The v2 container of `f`, in chunks of `chunk_records`, laid out as
+/// tracestore/format.hpp and tracestore/chunk_codec.hpp document. The
+/// footer's content hash folds `f` as stored, so a forged dependency keeps
+/// the file's checksums and hash consistent.
 inline std::string v2_bytes(
     const FileTrace& f,
     std::uint32_t chunk_records = tracestore::kDefaultChunkRecords) {
-  std::ostringstream out;
-  tracestore::TraceWriter w(out, f.meta, chunk_records);
-  for (const FileRecord& r : f.records) w.append(r.fields, r.deps);
-  w.finish();
-  return out.str();
+  const auto put = [](std::string& b, auto v) {
+    b.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  tracestore::Fnv1a64 hash;
+  const auto fold = [&hash](auto v) { hash.update(&v, sizeof v); };
+  std::string b = "SCTMTRC2";
+  put(b, std::uint32_t{0});  // flags
+  put(b, chunk_records);
+  for (const std::string* s : {&f.meta.app, &f.meta.capture_network}) {
+    put(b, static_cast<std::uint32_t>(s->size()));
+    b += *s;
+    fold(static_cast<std::uint32_t>(s->size()));
+    hash.update(s->data(), s->size());
+  }
+  put(b, f.meta.nodes);
+  put(b, std::uint64_t{f.meta.capture_runtime});
+  put(b, f.meta.seed);
+  put(b, tracestore::crc32(b.data(), b.size()));
+  fold(f.meta.nodes);
+  fold(std::uint64_t{f.meta.capture_runtime});
+  fold(f.meta.seed);
+
+  std::string index;
+  std::uint64_t chunks = 0;
+  for (std::size_t first = 0; first < f.records.size();
+       first += chunk_records, ++chunks) {
+    const std::size_t end =
+        std::min<std::size_t>(f.records.size(), first + chunk_records);
+    tracestore::ChunkEncoder enc;
+    enc.reset();
+    Cycle lo = kNoCycle;  // no injection and no arrival seen yet
+    Cycle hi = kNoCycle;
+    for (std::size_t i = first; i < end; ++i) {
+      tracestore::RecordFields r = f.records[i].fields;
+      r.dep_count = f.records[i].deps.size();
+      enc.record(r);
+      fold(std::uint64_t{r.id});
+      fold(r.src);
+      fold(r.dst);
+      fold(r.size_bytes);
+      fold(static_cast<std::uint8_t>(r.cls));
+      fold(r.proto);
+      fold(std::uint64_t{r.inject_time});
+      fold(std::uint64_t{r.arrive_time});
+      fold(r.dep_count);
+      for (const tracestore::FileDep& d : f.records[i].deps) {
+        enc.dep(d.parent, d.slack);
+        fold(std::uint64_t{d.parent});
+        fold(std::uint64_t{d.slack});
+      }
+      lo = std::min(lo, r.inject_time);
+      if (r.arrive_time != kNoCycle) {
+        hi = hi == kNoCycle ? r.arrive_time : std::max(hi, r.arrive_time);
+      }
+    }
+    const std::vector<char>& payload = enc.bytes();
+    std::string entry;  // the chunk header after its checksum
+    put(entry, static_cast<std::uint32_t>(payload.size()));
+    put(entry, static_cast<std::uint32_t>(end - first));
+    put(entry, std::uint64_t{first});
+    put(entry, std::uint64_t{lo});
+    put(entry, std::uint64_t{hi});
+    put(index, std::uint64_t{b.size()});
+    index += entry;
+    put(b, tracestore::crc32(payload.data(), payload.size()));
+    b += entry;
+    b.append(payload.data(), payload.size());
+  }
+  const std::uint64_t index_offset = b.size();
+  put(b, tracestore::crc32(index.data(), index.size()));
+  put(b, static_cast<std::uint32_t>(index.size()));
+  b += index;
+  std::string footer;
+  put(footer, index_offset);
+  put(footer, chunks);
+  put(footer, std::uint64_t{f.records.size()});
+  put(footer, hash.value());
+  put(footer, tracestore::crc32(footer.data(), footer.size()));
+  return b + footer + "SCTMEND2";
 }
 
 /// The v1 bytes of `f`, laid out as tracestore/format.hpp documents.

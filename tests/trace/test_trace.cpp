@@ -91,7 +91,7 @@ TEST(TraceCaptureTest, RejectsSendWhoseCauseHasNotArrived) {
 TEST(TraceIo, BinaryRoundTripIsExact) {
   const Trace t = capture_small();
   std::stringstream buf;
-  write_binary(t, buf);
+  tracestore::write_v1(t, buf);
   const Trace back = read_binary(buf);
   EXPECT_EQ(t, back);
 }
@@ -99,7 +99,7 @@ TEST(TraceIo, BinaryRoundTripIsExact) {
 TEST(TraceIo, FileRoundTrip) {
   const Trace t = capture_small("jacobi");
   const std::string path = "/tmp/sctm_trace_test.bin";
-  write_binary_file(t, path);
+  write_file(t, path, TraceFormat::kV1);
   const Trace back = read_binary_file(path);
   EXPECT_EQ(t, back);
   std::remove(path.c_str());
@@ -151,7 +151,7 @@ TEST(TraceIo, GoldenByteLayoutIsStable) {
   };
 
   std::stringstream buf;
-  write_binary(golden_trace(), buf);
+  tracestore::write_v1(golden_trace(), buf);
   const std::string bytes = buf.str();
   ASSERT_EQ(bytes.size(), sizeof kExpected);
   for (std::size_t i = 0; i < sizeof kExpected; ++i) {
@@ -225,7 +225,7 @@ TEST(TraceIo, V1WriterRejectsADependencyCountPastItsU16) {
 
   std::stringstream out;
   try {
-    write_binary(t, out);
+    tracestore::write_v1(t, out);
     ADD_FAILURE() << "wrote a record with 65,536 dependencies as v1";
   } catch (const std::length_error& e) {
     const std::string what = e.what();
@@ -236,7 +236,7 @@ TEST(TraceIo, V1WriterRejectsADependencyCountPastItsU16) {
   EXPECT_TRUE(out.str().empty());
   const std::string path = "/tmp/sctm_v1_dep_count.trc";
   std::remove(path.c_str());
-  EXPECT_THROW(write_binary_file(t, path), std::length_error);
+  EXPECT_THROW(write_file(t, path, TraceFormat::kV1), std::length_error);
   EXPECT_FALSE(std::filesystem::exists(path));
 
   write_file(t, path, TraceFormat::kV2);
@@ -273,7 +273,7 @@ TEST(TraceIo, BadMagicRejected) {
 TEST(TraceIo, TruncatedInputRejected) {
   const Trace t = capture_small();
   std::stringstream buf;
-  write_binary(t, buf);
+  tracestore::write_v1(t, buf);
   const std::string full = buf.str();
   std::stringstream cut(full.substr(0, full.size() / 2));
   EXPECT_THROW(read_binary(cut), std::runtime_error);
@@ -283,7 +283,7 @@ TEST(TraceIo, TruncatedInputRejected) {
 // corruption tests that patch specific fields of its first record.
 std::string golden_v1_bytes() {
   std::stringstream buf;
-  write_binary(golden_trace(), buf);
+  tracestore::write_v1(golden_trace(), buf);
   return buf.str();
 }
 

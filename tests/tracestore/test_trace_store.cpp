@@ -321,21 +321,27 @@ trace::Trace random_trace(std::mt19937_64& rng, std::size_t n) {
   return t;
 }
 
+// Each writer emits what the fixtures lay out by hand from the file form
+// (support/trace_builder.hpp), and what it emits reads back whole.
 TEST(TraceStoreV2, RandomizedRoundTripsAcrossChunkSizes) {
   std::mt19937_64 rng(12345);
   for (const std::uint32_t chunk : {1u, 7u, 64u, kDefaultChunkRecords}) {
     const trace::Trace t = random_trace(rng, 200);
+    const fixtures::FileTrace f = fixtures::file_form(t);
     std::ostringstream ss;
     write_v2(t, ss, chunk);
     const std::string bytes = ss.str();
+    EXPECT_TRUE(bytes == fixtures::v2_bytes(f, chunk)) << "chunk=" << chunk;
     TraceReader reader(memory_source(bytes.data(), bytes.size()));
     EXPECT_EQ(reader.record_count(), t.records.size());
+    EXPECT_EQ(reader.stored_content_hash(), content_hash(t));
     if (chunk == 7) {
       EXPECT_EQ(reader.chunk_count(), (200 + 6) / 7);
     }
     EXPECT_EQ(reader.read_all(), t) << "chunk=" << chunk;
     std::stringstream v1;
-    trace::write_binary(t, v1);
+    write_v1(t, v1);
+    EXPECT_TRUE(v1.str() == fixtures::v1_bytes(f)) << "chunk=" << chunk;
     EXPECT_EQ(trace::read_binary(v1), t) << "chunk=" << chunk;
   }
 }
@@ -361,7 +367,7 @@ TEST(TraceStoreV2, ReadBinaryDispatchesOnMagic) {
   EXPECT_EQ(trace::read_binary(ss), t);
 
   const std::string path = "/tmp/sctm_tracestore_dispatch.trc2";
-  write_v2_file(t, path);
+  write_file(t, path, TraceFormat::kV2);
   EXPECT_EQ(TraceReader::open_file(path).format(), TraceFormat::kV2);
   EXPECT_EQ(trace::read_binary_file(path), t);
   std::remove(path.c_str());
@@ -369,28 +375,8 @@ TEST(TraceStoreV2, ReadBinaryDispatchesOnMagic) {
 
 TEST(TraceStoreV2, WriterRejectsAChunkOfZeroRecords) {
   std::ostringstream ss;
-  EXPECT_THROW(TraceWriter(ss, golden_trace(), 0), std::invalid_argument);
+  EXPECT_THROW(write_v2(golden_trace(), ss, 0), std::invalid_argument);
   EXPECT_TRUE(ss.str().empty());
-}
-
-TEST(TraceStoreV2, WriterStreamsAndHashesIncrementally) {
-  std::mt19937_64 rng(7);
-  const trace::Trace t = random_trace(rng, 60);
-  const fixtures::FileTrace f = fixtures::file_form(t);
-  std::ostringstream ss;
-  TraceWriter w(ss, f.meta, 10);
-  for (const auto& r : f.records) w.append(r.fields, r.deps);
-  w.finish();
-  EXPECT_EQ(w.records_written(), t.records.size());
-  EXPECT_EQ(w.content_hash(), content_hash(t));
-  EXPECT_THROW(w.finish(), std::logic_error);
-  EXPECT_THROW(w.append(f.records[0].fields, f.records[0].deps),
-               std::logic_error);
-
-  const std::string bytes = ss.str();
-  const TraceReader reader(memory_source(bytes.data(), bytes.size()));
-  EXPECT_EQ(reader.stored_content_hash(), content_hash(t));
-  EXPECT_EQ(reader.read_all(), t);
 }
 
 TEST(TraceStoreV2, ContentHashIsFormatIndependent) {
@@ -416,7 +402,7 @@ TEST(TraceStoreV2, EveryOneByteCorruptionIsDetectedAndAttributed) {
   std::mt19937_64 rng(4242);
   const trace::Trace t = random_trace(rng, 30);
   const std::string path = "/tmp/sctm_corrupt_sweep.trc2";
-  write_v2_file(t, path, /*chunk_records=*/8);
+  write_file(t, path, TraceFormat::kV2, /*chunk_records=*/8);
 
   std::string clean;
   {
@@ -647,7 +633,7 @@ TEST(TraceStoreV2, LoadReplayTraceEqualsInMemoryReplayTrace) {
   for (const std::uint32_t chunk : chunk_sizes) {
     SCOPED_TRACE("chunk_records=" + std::to_string(chunk));
     const std::string path = "/tmp/sctm_load_equals_memory.trc2";
-    write_v2_file(t, path, chunk);
+    write_file(t, path, TraceFormat::kV2, chunk);
     expect_same_replay_trace(core::load_replay_trace(path), mem);
     std::remove(path.c_str());
   }
@@ -657,7 +643,7 @@ TEST(TraceStoreV2, LoadReplayTraceEqualsInMemoryReplayTrace) {
   empty.capture_network = "none";
   empty.nodes = 4;
   const std::string path = "/tmp/sctm_load_equals_memory_empty.trc2";
-  write_v2_file(empty, path);
+  write_file(empty, path, TraceFormat::kV2);
   const core::ReplayTrace loaded = core::load_replay_trace(path);
   expect_same_replay_trace(loaded, core::ReplayTrace(empty));
   EXPECT_EQ(loaded.content_hash(), content_hash(empty));
@@ -672,7 +658,7 @@ TEST(TraceStoreV2, ProtoRoundTripsIntoReplayTrace) {
   ASSERT_GT(protos.size(), 2u) << "the capture exercises several protocols";
 
   const std::string path = "/tmp/sctm_proto_round_trip.trc2";
-  write_v2_file(t, path, /*chunk_records=*/64);
+  write_file(t, path, TraceFormat::kV2, /*chunk_records=*/64);
   const core::ReplayTrace mem(t);
   const core::ReplayTrace loaded = core::load_replay_trace(path);
   ASSERT_EQ(mem.size(), t.records.size());
@@ -689,7 +675,7 @@ TEST(TraceStoreV2, ProtoRoundTripsIntoReplayTrace) {
 TEST(TraceStoreV2, ForgedFooterHashFailsTheLoad) {
   const trace::Trace t = captured_trace();
   const std::string path = "/tmp/sctm_forged_footer_hash.trc2";
-  write_v2_file(t, path, /*chunk_records=*/128);
+  write_file(t, path, TraceFormat::kV2, /*chunk_records=*/128);
   std::string bytes = read_bytes(path);
   const std::size_t footer = bytes.size() - kFooterBytes;
   const std::uint64_t forged = content_hash(t) ^ 0x5a5a;
@@ -717,7 +703,7 @@ TEST(TraceStoreV2, ForgedFooterHashFailsTheLoad) {
 TEST(TraceStoreV2, LoadReportsTheLowerOfTwoCorruptChunks) {
   const trace::Trace t = captured_trace();
   const std::string path = "/tmp/sctm_two_corrupt_chunks.trc2";
-  write_v2_file(t, path, /*chunk_records=*/16);
+  write_file(t, path, TraceFormat::kV2, /*chunk_records=*/16);
   std::string bytes = read_bytes(path);
   const TraceReader clean(memory_source(bytes.data(), bytes.size()));
   ASSERT_GT(clean.chunk_count(), 9u);
@@ -774,7 +760,8 @@ TEST(TraceStoreV2, StreamedReplayMatchesInMemoryReplayBitExactly) {
   ASSERT_GT(t.records.size(), 100u);
 
   const std::string path = "/tmp/sctm_streamed_replay.trc2";
-  write_v2_file(t, path, /*chunk_records=*/128);  // force many chunks
+  write_file(t, path, TraceFormat::kV2,
+             /*chunk_records=*/128);  // force many chunks
 
   core::NetSpec target;
   target.kind = core::NetKind::kOnocToken;
@@ -819,7 +806,7 @@ trace::Trace many_chunk_trace() {
 TEST(TraceStoreV1, ReadsAFileOfManyScannedChunks) {
   const trace::Trace t = many_chunk_trace();
   std::stringstream v1;
-  trace::write_binary(t, v1);
+  write_v1(t, v1);
   const std::string bytes = v1.str();
   const TraceReader reader(memory_source(bytes.data(), bytes.size()));
   EXPECT_EQ(reader.format(), TraceFormat::kV1);
@@ -838,7 +825,7 @@ TEST(TraceStoreV1, ReadsAFileOfManyScannedChunks) {
   EXPECT_EQ(trace::read_binary(v1), t);
 
   const std::string path = "/tmp/sctm_v1_many_chunks.trc";
-  trace::write_binary_file(t, path);
+  write_file(t, path, TraceFormat::kV1);
   EXPECT_EQ(trace::read_binary_file(path), t);
   expect_same_replay_trace(core::load_replay_trace(path), core::ReplayTrace(t));
   std::remove(path.c_str());
