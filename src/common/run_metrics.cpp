@@ -136,8 +136,10 @@ void RunMetrics::write_file(const std::string& path) const {
   if (!f) throw std::runtime_error("RunMetrics: cannot write " + path);
   const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size() &&
                   std::fputc('\n', f) != EOF;
-  std::fclose(f);
-  if (!ok) throw std::runtime_error("RunMetrics: short write to " + path);
+  // fclose writes what the stream still holds, and can fail doing so.
+  if (std::fclose(f) != 0 || !ok) {
+    throw std::runtime_error("RunMetrics: write to " + path + " failed");
+  }
 }
 
 namespace {

@@ -98,6 +98,8 @@ void Table::write_csv(const std::string& path) const {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("Table: cannot write " + path);
   out << to_csv();
+  out.close();  // writes what the stream still holds
+  if (!out) throw std::runtime_error("Table: write to " + path + " failed");
 }
 
 }  // namespace sctm

@@ -153,6 +153,7 @@ CatalogEntry TraceCatalog::add(const trace::Trace& t,
     throw std::runtime_error("catalog: cannot write " + manifest.string());
   }
   out << e.manifest_json() << '\n';
+  out.close();  // writes what the stream still holds
   if (!out) {
     throw std::runtime_error("catalog: write failed for " +
                              manifest.string());

@@ -7,7 +7,9 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "common/run_metrics.hpp"
@@ -235,6 +237,19 @@ TEST(RunMetricsDoc, EmptyDocumentStillValidates) {
   m.manifest.tool = "bare";
   std::string err;
   EXPECT_TRUE(validate_metrics_json(m.to_json(), &err)) << err;
+}
+
+// The document fits in the stream's buffer, so a device with no room fails
+// only when fclose writes it out, and that must throw.
+TEST(RunMetricsDoc, WriteFileReportsAFullDevice) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  try {
+    sample_metrics().write_file("/dev/full");
+    ADD_FAILURE() << "wrote a run-metrics document to /dev/full";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(RunMetricsDoc, ValidatorRejectsBrokenDocuments) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 namespace sctm {
 namespace {
@@ -54,6 +57,22 @@ TEST(Table, WriteCsvCreatesFile) {
   std::getline(in, line);
   EXPECT_EQ(line, "a");
   std::remove(path.c_str());
+}
+
+// A device with no room takes the file's bytes into the stream's buffer;
+// the write fails only when they go out, and that must throw.
+TEST(Table, WriteCsvReportsAFullDevice) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Table t("x");
+  t.set_header({"a"});
+  t.add_row({"1"});
+  try {
+    t.write_csv("/dev/full");
+    ADD_FAILURE() << "wrote a table to /dev/full";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Table, AsciiAlignsColumns) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <numeric>
 #include <random>
@@ -393,6 +394,23 @@ TEST(TraceStoreV2, ContentHashIsFormatIndependent) {
             content_hash(t));
   std::remove(v1.c_str());
   std::remove(v2.c_str());
+}
+
+// A device with no room takes a small file into the stream's buffer; the
+// write fails only when the file is closed, and that must throw, naming
+// the path, in either format.
+TEST(TraceStoreFiles, WriteFileReportsAFullDevice) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  for (const TraceFormat format : {TraceFormat::kV1, TraceFormat::kV2}) {
+    try {
+      write_file(golden_trace(), "/dev/full", format);
+      ADD_FAILURE() << "wrote a " << to_string(format) << " trace to "
+                    << "/dev/full";
+    } catch (const TraceStoreError& e) {
+      EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
