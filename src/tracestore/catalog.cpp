@@ -123,14 +123,13 @@ TraceCatalog::TraceCatalog(std::string dir) : dir_(std::move(dir)) {
 }
 
 CatalogEntry TraceCatalog::add(const trace::Trace& t,
-                               const std::string& created,
-                               std::uint32_t chunk_records) {
+                               const std::string& created) {
   const std::string hex = hash_hex(content_hash(t));
   if (auto existing = find(hex)) return *existing;
 
   const fs::path container = fs::path(dir_) / (hex + ".trc2");
   const fs::path manifest = fs::path(dir_) / (hex + ".json");
-  write_file(t, container.string(), TraceFormat::kV2, chunk_records);
+  write_file(t, container.string(), TraceFormat::kV2);
 
   CatalogEntry e;
   e.hash = hex;
@@ -142,7 +141,7 @@ CatalogEntry TraceCatalog::add(const trace::Trace& t,
   e.capture_runtime = t.capture_runtime;
   e.seed = t.seed;
   e.records = t.records.size();
-  e.chunk_target = chunk_records == 0 ? 1 : chunk_records;
+  e.chunk_target = kDefaultChunkRecords;
   e.chunks = e.records == 0 ? 0 : (e.records + e.chunk_target - 1) /
                                       e.chunk_target;
   std::error_code ec;

@@ -54,14 +54,14 @@ class TraceCatalog {
 
   const std::string& dir() const { return dir_; }
 
-  /// Stores `t` as a v2 container plus manifest; returns the entry. When
-  /// the content hash is already present the existing entry is returned
-  /// untouched (content addressing makes adds idempotent).
+  /// Stores `t` as a v2 container of kDefaultChunkRecords-record chunks
+  /// plus manifest; returns the entry. When the content hash is already
+  /// present the existing entry is returned untouched (content addressing
+  /// makes adds idempotent).
   /// (Import of an on-disk file in either format is a caller composition:
   /// load with TraceReader::read_all, which reads both, then add(). The
   /// catalog itself only ever writes v2.)
-  CatalogEntry add(const trace::Trace& t, const std::string& created,
-                   std::uint32_t chunk_records = kDefaultChunkRecords);
+  CatalogEntry add(const trace::Trace& t, const std::string& created);
 
   /// All entries, sorted by hash. Manifests that fail to parse are skipped
   /// (a catalog survives a half-written entry).
