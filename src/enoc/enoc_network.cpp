@@ -54,7 +54,7 @@ std::uint32_t EnocNetwork::flit_count(const noc::Message& msg) const {
 void EnocNetwork::inject(noc::Message msg) {
   const std::uint32_t nflits = flit_count(msg);
   note_injected(msg);
-  pending_.insert(msg.id, PendingMsg{msg, nflits});
+  pending_.insert(msg.id, PendingMsg{msg});
   routers_[static_cast<std::size_t>(msg.src)]->inject(msg, nflits);
   mark_active(msg.src);
   ensure_ticking();
@@ -125,7 +125,7 @@ void EnocNetwork::handle_corrupt_message(const noc::Message& msg) {
 // every failed attempt plus the NACK turnarounds.
 void EnocNetwork::reinject_for_retry(const noc::Message& msg) {
   const std::uint32_t nflits = flit_count(msg);
-  pending_.insert(msg.id, PendingMsg{msg, nflits, false});
+  pending_.insert(msg.id, PendingMsg{msg});
   routers_[static_cast<std::size_t>(msg.src)]->inject(msg, nflits);
   mark_active(msg.src);
   ensure_ticking();

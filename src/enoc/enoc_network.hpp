@@ -174,7 +174,6 @@ class EnocNetwork final : public noc::Network {
 
   struct PendingMsg {
     noc::Message msg;
-    std::uint32_t flits_remaining = 0;
     /// Any flit of this message hit a fault in transit; the reassembly check
     /// at tail ejection sees it and triggers recovery.
     bool fault_bad = false;
@@ -227,12 +226,14 @@ inline void EnocNetwork::forward(NodeId node, int out_dir, const Flit& flit) {
                         topo_.arrival_port(node, out_dir), flit});
 }
 
+// A message's flits eject in order, so its tail flit completes it.
 inline void EnocNetwork::eject(NodeId node, const Flit& flit) {
   hash_hop(node, 7, flit);
+  if (flit.dst != node) fail("flit ejected at wrong node");
+  if (!flit.is_tail) return;
   PendingMsg* pm = pending_.find(flit.msg);
   if (pm == nullptr) fail("ejected flit of unknown message");
-  if (pm->msg.dst != node) fail("flit ejected at wrong node");
-  if (--pm->flits_remaining == 0) finish_message(*pm);
+  finish_message(*pm);
 }
 
 // The credit for input port `in_dir` goes to the router behind it, for its
