@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "bench/bench_util.hpp"
-#include "trace/trace_io.hpp"
 #include "tracestore/trace_store.hpp"
 
 namespace {
