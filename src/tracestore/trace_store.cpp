@@ -442,7 +442,7 @@ void write_v2(const trace::Trace& t, std::ostream& out,
     throw std::invalid_argument(
         "trace-store: a chunk of 0 records; a chunk holds at least one");
   }
-  std::vector<char> bytes;  // the header, then each chunk's header
+  std::vector<char> bytes;  // the header, each chunk header, then the tail
   bytes.insert(bytes.end(), kMagicV2, kMagicV2 + sizeof kMagicV2);
   put<std::uint32_t>(bytes, 0);  // flags
   put<std::uint32_t>(bytes, chunk_records);
